@@ -1,17 +1,23 @@
 """Experiment runner tying the library together behind one console command.
 
 Subcommands: density, orbit, construct-fhc, check, hardy, schatten.  Each
-run reads an optional YAML manifest (flags override file values), executes
-one experiment, and writes a canonical JSON report plus optional CSV
-artifacts into the output directory.  Reports embed the manifest hash and
-every finitization parameter (horizons, grids, tolerances), never a
-timestamp, so a fixed seed reproduces identical bytes.
+experiment declares its parameters once, as (key, type, default, help) rows
+of `_EXPERIMENTS`; the rows generate the flags (`--n-max` for `n_max`) and
+name the keys of the experiment's manifest section.  A flag overrides the
+manifest value, which overrides the default, and both pass through the same
+converter.  Unknown keys and empty, non-scalar or unconvertible values are
+errors.  Each run writes a canonical JSON report plus optional CSV
+artifacts; reports embed the manifest hash and every finitization parameter
+(horizons, grids, tolerances), never a timestamp, so a fixed seed
+reproduces identical bytes.
 
 Exit codes: 0 on success, 2 when a checker or verification reports a
-violation, 1 for usage or runtime errors (malformed manifests carry a
-line:column anchor when the parser provides one).
+violation (an unconverged Jacobi spectrum included), 1 with one `error:`
+line for usage or runtime errors (malformed manifests carry a line:column
+anchor when the parser provides one).
 
-Small grammars used by the flags, also accepted in manifests:
+Small grammars used by the flags, also accepted in manifests (where a colon
+value such as 2:30 needs no quotes: base-60 numbers are not read):
 
   complex     "re" or "re:im"                    e.g. "2" or "1:-0.5"
   weights     "name=kind:args[@N|@Z];..."        kinds and args:
@@ -35,6 +41,7 @@ import enum
 import hashlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -53,22 +60,45 @@ from .hardy import (AnalyticSymbol, BetaSpace, adjoint_kernel_eigencheck,
                     conjugation_eigencheck, converse_certificate,
                     nuclear_eigencheck, span_density_residual,
                     unimodular_locus_sample)
-from .matops import MatOp, schatten_norm, shift_matrix, singular_values, spectrum_to_csv
-from .seqspace import (Domain, SeqVector, ShiftOp, WeightSeq, iterate_orbit,
-                       lp_norm)
+from .matops import MatOp, p_sum, shift_matrix, singular_values, spectrum_to_csv
+from .seqspace import (Domain, SeqVector, ShiftOp, WeightOverflowError,
+                       WeightSeq, iterate_orbit, lp_norm)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
-
-_EXPERIMENTS = ("density", "orbit", "construct_fhc", "check", "hardy", "schatten")
 
 
 class ConfigError(Exception):
     """Manifest or flag problem; rendered to stderr and mapped to exit 1."""
 
 
+def finite(text: str) -> float:
+    """float() that refuses nan and inf: the converter of float parameters."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 # -- small grammars ---------------------------------------------------------
+
+def _parse_int(tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ConfigError(f"bad {what} {tok!r}") from None
+
+
+def _read_file(path, parse):
+    """parse(text of the file); read and parse errors become ConfigError."""
+    try:
+        return parse(Path(path).read_text())
+    except OSError as e:
+        raise ConfigError(f"{path}: {e.strerror or e}") from None
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
 
 def parse_complex(tok: str) -> complex:
     parts = str(tok).strip().split(":")
@@ -112,10 +142,7 @@ def parse_weight_rule(rule: str) -> WeightSeq:
         if len(parts) not in (2, 3):
             raise ConfigError(f"bad table arguments {args!r} "
                               "(expected START|v1,v2,..|[DEFAULT])")
-        try:
-            start = int(parts[0])
-        except ValueError:
-            raise ConfigError(f"bad table start {parts[0]!r}") from None
+        start = _parse_int(parts[0], "table start")
         values = [parse_complex(v) for v in parts[1].split(",")]
         default = None
         if len(parts) == 3 and parts[2].strip():
@@ -126,10 +153,7 @@ def parse_weight_rule(rule: str) -> WeightSeq:
         if len(parts) != 3:
             raise ConfigError(f"bad step arguments {args!r} "
                               "(expected SPLIT|LOW|HIGH)")
-        try:
-            split = int(parts[0])
-        except ValueError:
-            raise ConfigError(f"bad step split {parts[0]!r}") from None
+        split = _parse_int(parts[0], "step split")
         return WeightSeq.step(parse_complex(parts[1]), parse_complex(parts[2]),
                               split, domain or Domain.INTEGERS)
     raise ConfigError(f"unknown weight kind {kind!r}")
@@ -158,11 +182,7 @@ def parse_vector(text: str, domain: Domain = Domain.NATURALS,
         if not term:
             continue
         idx_s, eq, val_s = term.partition("=")
-        try:
-            idx = int(idx_s)
-        except ValueError:
-            raise ConfigError(f"bad vector index {idx_s!r}") from None
-        entries[idx] = parse_complex(val_s) if eq else 1.0 + 0.0j
+        entries[_parse_int(idx_s, "vector index")] = parse_complex(val_s) if eq else 1.0 + 0.0j
     if not entries:
         raise ConfigError(f"empty vector literal {text!r}")
     return SeqVector(entries, domain, p)
@@ -195,30 +215,16 @@ def parse_range(text: str) -> tuple:
 def build_natset(spec: str, horizon: int) -> NatSet:
     spec = str(spec).strip()
     if spec == "squares":
-        elems = []
-        n = 1
-        while n * n <= horizon:
-            elems.append(n * n)
-            n += 1
-        return NatSet(tuple(elems), horizon)
+        return NatSet(tuple(n * n for n in range(1, math.isqrt(horizon) + 1)), horizon)
     if spec == "evens":
         return NatSet(tuple(range(2, horizon + 1, 2)), horizon)
     if spec.startswith("multiples:"):
-        try:
-            k = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad multiples spec {spec!r}") from None
+        k = _parse_int(spec.split(":", 1)[1], "multiples stride")
         if k < 1:
             raise ConfigError("multiples stride must be >= 1")
         return NatSet(tuple(range(k, horizon + 1, k)), horizon)
     if spec.startswith("file:"):
-        path = Path(spec.split(":", 1)[1])
-        try:
-            return natset_from_lines(path.read_text())
-        except OSError as e:
-            raise ConfigError(f"{path}: {e.strerror or e}") from None
-        except ValueError as e:
-            raise ConfigError(f"{path}: {e}") from None
+        return _read_file(spec.split(":", 1)[1], natset_from_lines)
     raise ConfigError(f"unknown set spec {spec!r}")
 
 
@@ -229,18 +235,12 @@ def build_beta_space(spec: str, dim: int) -> BetaSpace:
     if spec == "inv_linear":
         return BetaSpace.inv_linear(dim)
     if spec.startswith("table:"):
-        path = Path(spec.split(":", 1)[1])
-        try:
-            values = [float(ln) for ln in path.read_text().split()]
-        except OSError as e:
-            raise ConfigError(f"{path}: {e.strerror or e}") from None
-        except ValueError as e:
-            raise ConfigError(f"{path}: {e}") from None
+        path = spec.split(":", 1)[1]
+        values = _read_file(path, lambda text: [float(ln) for ln in text.split()])
         if len(values) < dim + 1:
             raise ConfigError(f"{path}: table holds {len(values)} values, "
                               f"need {dim + 1}")
-        rule = WeightSeq.table(values, start=0)
-        return BetaSpace(rule, dim)
+        return BetaSpace(WeightSeq.table(values, start=0), dim)
     raise ConfigError(f"unknown basis-weight spec {spec!r}")
 
 
@@ -267,14 +267,23 @@ def build_shift(kind: str, w: WeightSeq) -> ShiftOp:
 
 # -- manifests and reports --------------------------------------------------
 
+class _ManifestLoader(yaml.SafeLoader):
+    """SafeLoader without YAML 1.1's base-60 numbers: `2:30` and `-4:4`
+    reach the range and complex grammars as strings, not as 150 and -244."""
+
+
+# YAML 1.1 writes no int or float with a colon but in base 60
+_ManifestLoader.yaml_implicit_resolvers = {
+    first: [(tag, re.compile("(?!.*:)" + rx.pattern, rx.flags)
+             if tag.endswith((":int", ":float")) else rx) for tag, rx in resolvers]
+    for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+}
+
+
 def load_config(path: str) -> tuple[dict, str]:
-    p = Path(path)
+    text = _read_file(path, str)
     try:
-        text = p.read_text()
-    except OSError as e:
-        raise ConfigError(f"{path}: {e.strerror or e}") from None
-    try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_ManifestLoader)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         if mark is not None:
@@ -314,30 +323,23 @@ def canonical_json(obj) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
-def _hash_params(params: dict) -> str:
-    return hashlib.sha256(canonical_json(params).encode()).hexdigest()
-
-
-def _write_report(outdir: Path, name: str, report: dict) -> Path:
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{name}_report.json"
-    path.write_text(canonical_json(report))
-    return path
-
-
 # -- experiment handlers ----------------------------------------------------
+# each gets every key of its rows, resolved, and builds `parameters` from them
+
+def _named_shift(p: dict, who: str) -> ShiftOp:
+    weights = parse_weight_spec(p["weights"])
+    if "w" not in weights:
+        raise ConfigError(f"{who} needs a weight rule named 'w'")
+    return build_shift(p["op"], weights["w"])
+
 
 def _run_density(p: dict, outdir: Path, fmt: str, seed: int):
-    spec = p.get("set", "squares")
-    q = float(p.get("q", 1))
-    n_max = int(p.get("n_max", 1000))
-    tail_start = p.get("tail_start")
-    horizon = max(1, math.ceil(n_max ** q))
-    A = build_natset(spec, horizon)
-    est = q_lower_density(A, q, n_max,
-                          None if tail_start is None else int(tail_start))
-    params = {"set": str(spec), "q": q, "n_max": n_max,
-              "tail_start": est.tail_start, "set_horizon": A.horizon}
+    q, n_max = p["q"], p["n_max"]
+    if q <= 0 or n_max < 1:
+        raise ConfigError("density needs q > 0 and n_max >= 1")
+    A = build_natset(p["set"], max(1, math.ceil(n_max ** q)))
+    est = q_lower_density(A, q, n_max, p["tail_start"])
+    params = {**p, "tail_start": est.tail_start, "set_horizon": A.horizon}
     last_n, last_count, last_ratio = est.profile[-1]
     results = {"liminf_proxy": est.liminf_proxy, "element_count": len(A.elems),
                "final": {"N": last_n, "count": last_count, "ratio": last_ratio}}
@@ -348,21 +350,14 @@ def _run_density(p: dict, outdir: Path, fmt: str, seed: int):
 
 
 def _run_orbit(p: dict, outdir: Path, fmt: str, seed: int):
-    weights = parse_weight_spec(p.get("weights", "w=constant:2"))
-    if "w" not in weights:
-        raise ConfigError("orbit needs a weight rule named 'w'")
-    op = build_shift(p.get("op", "backward"), weights["w"])
-    norm_p = float(p.get("p", 2))
-    start = parse_vector(p.get("start", "0"), op.domain, norm_p)
-    horizon = int(p.get("horizon", 64))
-    stride = int(p.get("stride_exponent", 1))
+    op = _named_shift(p, "orbit")
+    norm_p = p["p"]
+    start = parse_vector(p["start"], op.domain, norm_p)
+    stride = p["stride_exponent"]
     rows = []
-    for step, x in enumerate(iterate_orbit(op, start, horizon, stride), start=1):
+    for step, x in enumerate(iterate_orbit(op, start, p["horizon"], stride), start=1):
         time = step ** stride
         rows.append((time, lp_norm(x, norm_p), len(x)))
-    params = {"weights": str(p.get("weights", "w=constant:2")),
-              "op": str(p.get("op", "backward")), "start": str(p.get("start", "0")),
-              "horizon": horizon, "stride_exponent": stride, "p": norm_p}
     results = {"points": len(rows),
                "final_norm": rows[-1][1] if rows else lp_norm(start, norm_p),
                "max_norm": max((r[1] for r in rows), default=0.0),
@@ -372,49 +367,40 @@ def _run_orbit(p: dict, outdir: Path, fmt: str, seed: int):
             fh.write("time,norm,support\n")
             for time, nv, sup in rows:
                 fh.write(f"{time},{nv!r},{sup}\n")
-    return EXIT_OK, params, results
+    return EXIT_OK, dict(p), results
+
+
+# the ClassVisitReport fields a construct-fhc report lists per class
+_CLASS_FIELDS = ("k", "radius", "designed_count", "designed_within", "contained",
+                 "max_designed_distance", "designed_density", "visit_density",
+                 "density_ratio", "truncated")
 
 
 def _run_construct_fhc(p: dict, outdir: Path, fmt: str, seed: int):
-    weights = parse_weight_spec(p.get("weights", "w=constant:2"))
-    if "w" not in weights:
-        raise ConfigError("construction needs a weight rule named 'w'")
-    kind = p.get("op", "backward")
-    if kind not in ("backward", "bilateral-backward"):
+    if p["op"] not in ("backward", "bilateral-backward"):
         raise ConfigError("construction runs on backward-type operators")
-    op = build_shift(kind, weights["w"])
-    q = int(p.get("q", 1))
-    targets = parse_vectors(p.get("targets", "0|0,1"), op.domain)
-    horizon = int(p.get("horizon", 10_000))
-    sched = EpsSchedule(float(p.get("eps_scale", 1.0)),
-                        float(p.get("eps_base", 0.5)))
+    op = _named_shift(p, "construction")
+    q = p["q"]
+    targets = parse_vectors(p["targets"], op.domain)
+    sched = EpsSchedule(p["eps_scale"], p["eps_base"])
     family = BackwardOrbitFamily(op, tuple(targets))
     K = family.num_classes
     n_ks = [find_tail_threshold(family, op, k, q, sched, seed=seed)
             for k in range(1, K + 1)]
-    J = build_separated_family(n_ks, K, horizon)
+    J = build_separated_family(n_ks, K, p["horizon"])
     sep = verify_separated_family(J)
     x = assemble_vector(family, J, q)
     radii = [k * sched.eps(k) + sum(sched.eps(j) for j in range(k + 1, K + 1))
              for k in range(1, K + 1)]
     reports = verify_q_frequent_visits(op, x, family, J, q, radii, eps=sched)
     ok = sep.ok and all(r.contained and r.density_ratio > 0.0 for r in reports)
-    params = {"weights": str(p.get("weights", "w=constant:2")), "op": str(kind),
-              "q": q, "targets": str(p.get("targets", "0|0,1")),
-              "horizon": horizon, "eps": sched.describe(), "seed": seed}
+    params = {"weights": p["weights"], "op": p["op"], "q": q, "targets": p["targets"],
+              "horizon": p["horizon"], "eps": sched.describe(), "seed": seed}
     results = {
         "thresholds": n_ks,
         "separation": to_jsonable(sep),
         "vector_support": len(x),
-        "classes": [
-            {"k": r.k, "radius": r.radius, "designed_count": r.designed_count,
-             "designed_within": r.designed_within, "contained": r.contained,
-             "max_designed_distance": r.max_designed_distance,
-             "designed_density": r.designed_density,
-             "visit_density": r.visit_density,
-             "density_ratio": r.density_ratio, "truncated": r.truncated}
-            for r in reports
-        ],
+        "classes": [{f: getattr(r, f) for f in _CLASS_FIELDS} for r in reports],
     }
     if fmt == "csv":
         with open(outdir / "visit_times.csv", "w") as fh:
@@ -426,25 +412,20 @@ def _run_construct_fhc(p: dict, outdir: Path, fmt: str, seed: int):
 
 
 def _build_check_grid(p: dict, bilateral: bool) -> CheckGrid:
-    if bilateral:
-        base = CheckGrid.bilateral_default(q=int(p.get("q", 1)))
-    else:
-        base = CheckGrid.unilateral_default(q=int(p.get("q", 1)))
-    i_range = parse_range(p["i_range"]) if "i_range" in p else base.i_range
-    j_range = parse_range(p["j_range"]) if "j_range" in p else base.j_range
+    base = (CheckGrid.bilateral_default if bilateral
+            else CheckGrid.unilateral_default)(q=p["q"])
     return CheckGrid(
-        i_range, j_range,
-        r_max=int(p.get("r_max", base.r_max)),
-        n_max=int(p.get("n_max", base.n_max)),
-        q=int(p.get("q", 1)),
-        growth_threshold=float(p.get("growth_threshold", base.growth_threshold)),
-        tail_tolerance=float(p.get("tail_tolerance", base.tail_tolerance)),
+        base.i_range if p["i_range"] is None else parse_range(p["i_range"]),
+        base.j_range if p["j_range"] is None else parse_range(p["j_range"]),
+        r_max=p["r_max"], n_max=p["n_max"], q=p["q"],
+        growth_threshold=p["growth_threshold"], tail_tolerance=p["tail_tolerance"],
     )
 
 
 def _run_check(p: dict, outdir: Path, fmt: str, seed: int):
-    condition = str(p.get("condition", "growth"))
-    weights = parse_weight_spec(p.get("weights", "w=constant:2;mu=constant:2"))
+    condition = p["condition"]
+    weights = parse_weight_spec(p["weights"])
+    norm_p = 2.0 if p["p"] is None else p["p"]
     try:
         if condition == "growth":
             grid = _build_check_grid(p, bilateral=False)
@@ -455,40 +436,33 @@ def _run_check(p: dict, outdir: Path, fmt: str, seed: int):
         elif condition == "schatten":
             w = weights["w"]
             grid = _build_check_grid(p, bilateral=w.domain is Domain.INTEGERS)
-            verdict = check_schatten_summability(w, weights["mu"],
-                                                float(p.get("p", 2)), grid)
+            verdict = check_schatten_summability(w, weights["mu"], norm_p, grid)
         elif condition == "diagonal":
             grid = _build_check_grid(p, bilateral=False)
             verdict = check_diagonal_forward_summability(
-                weights["lam"], weights["mu"], float(p.get("p", 2)), grid)
+                weights["lam"], weights["mu"], norm_p, grid)
         else:
             raise ConfigError(f"unknown condition {condition!r} (choose from "
                               "growth, bilateral, schatten, diagonal)")
     except KeyError as e:
         raise ConfigError(f"condition {condition!r} needs a weight rule "
                           f"named {e.args[0]!r}") from None
-    params = {"condition": condition,
-              "weights": str(p.get("weights", "w=constant:2;mu=constant:2")),
-              "grid": to_jsonable(grid)}
-    if "p" in p or condition in ("schatten", "diagonal"):
-        params["p"] = float(p.get("p", 2))
+    params = {"condition": condition, "weights": p["weights"], "grid": to_jsonable(grid)}
+    if p["p"] is not None or condition in ("schatten", "diagonal"):
+        params["p"] = norm_p
     results = {"verdict": verdict.as_json_dict()}
     return (EXIT_OK if verdict.satisfied else EXIT_VIOLATION), params, results
 
 
 def _run_hardy(p: dict, outdir: Path, fmt: str, seed: int):
-    check = str(p.get("check", "eigen"))
-    dim = int(p.get("dim", 64))
-    phi = parse_symbol(p.get("phi", "0,1"))
-    psi = parse_symbol(p.get("psi", "1"))
-    params = {"check": check, "phi": str(p.get("phi", "0,1")),
-              "psi": str(p.get("psi", "1")), "dim": dim,
-              "beta": str(p.get("beta", "hardy"))}
+    check, dim = p["check"], p["dim"]
+    phi, psi = parse_symbol(p["phi"]), parse_symbol(p["psi"])
+    params = {key: p[key] for key in ("check", "phi", "psi", "dim", "beta")}
     code = EXIT_OK
     if check == "eigen":
-        space = build_beta_space(p.get("beta", "hardy"), dim)
-        z = parse_complex(p.get("z", "0.5"))
-        if "w" in p:
+        space = build_beta_space(p["beta"], dim)
+        z = parse_complex(p["z"])
+        if p["w"] is not None:
             w = parse_complex(p["w"])
             rep = conjugation_eigencheck(phi, psi, space, z, w)
             params["z"], params["w"] = to_jsonable(z), to_jsonable(w)
@@ -498,15 +472,12 @@ def _run_hardy(p: dict, outdir: Path, fmt: str, seed: int):
         results = {"report": to_jsonable(rep), "passed": rep.passed}
         code = EXIT_OK if rep.passed else EXIT_VIOLATION
     elif check == "locus":
-        grid_density = int(p.get("grid_density", 16))
-        tol = float(p.get("tol", 1e-3))
-        exclude = tuple(parse_complex(t)
-                        for t in str(p.get("exclude", "")).split(",") if t.strip())
-        pts = unimodular_locus_sample(phi, psi, grid_density, tol, exclude)
-        params.update({"grid_density": grid_density, "tol": tol,
+        exclude = tuple(parse_complex(t) for t in p["exclude"].split(",") if t.strip())
+        pts = unimodular_locus_sample(phi, psi, p["grid_density"], p["tol"], exclude)
+        params.update({"grid_density": p["grid_density"], "tol": p["tol"],
                        "exclude": to_jsonable(exclude)})
         results = {"count": len(pts),
-                   "points": to_jsonable(pts[:int(p.get("max_points", 128))])}
+                   "points": to_jsonable(pts[:p["max_points"]])}
         if fmt == "csv":
             with open(outdir / "locus.csv", "w") as fh:
                 fh.write("z_re,z_im,w_re,w_im,modulus\n")
@@ -514,11 +485,11 @@ def _run_hardy(p: dict, outdir: Path, fmt: str, seed: int):
                     fh.write(f"{pt.z.real!r},{pt.z.imag!r},"
                              f"{pt.w.real!r},{pt.w.imag!r},{pt.modulus!r}\n")
     elif check == "density":
-        space = build_beta_space(p.get("beta", "hardy"), dim)
-        grid_density = int(p.get("grid_density", 16))
-        tol = float(p.get("tol", 1e-3))
-        samples = int(p.get("samples", 64))
-        pts = unimodular_locus_sample(phi, psi, grid_density, tol)
+        space = build_beta_space(p["beta"], dim)
+        samples = p["samples"]
+        if samples < 1:
+            raise ConfigError("samples must be >= 1")
+        pts = unimodular_locus_sample(phi, psi, p["grid_density"], p["tol"])
         if not pts:
             raise ConfigError("the unimodular level set misses the scan grid; "
                               "no samples to span with")
@@ -526,21 +497,17 @@ def _run_hardy(p: dict, outdir: Path, fmt: str, seed: int):
                                           round(q_.w.real, 12), round(q_.w.imag, 12)))
         step = max(1, len(pts) // samples)
         chosen = pts[::step][:samples]
-        target = _parse_target_matrix(p.get("target", "0,0"), dim)
-        rep = span_density_residual(chosen, target, space)
-        params.update({"grid_density": grid_density, "tol": tol,
-                       "samples": len(chosen), "target": str(p.get("target", "0,0"))})
+        rep = span_density_residual(chosen, _parse_target_matrix(p["target"], dim), space)
+        params.update({"grid_density": p["grid_density"], "tol": p["tol"],
+                       "samples": len(chosen), "target": p["target"]})
         results = {"report": to_jsonable(rep)}
     elif check == "converse":
         cert = converse_certificate(phi, psi, seed=seed)
         results = {"certificate": to_jsonable(cert)}
     elif check == "nuclear":
-        lam = parse_complex(p.get("lam", "0.5"))
-        mu = parse_complex(p.get("mu", "0.5"))
-        rep = nuclear_eigencheck(phi, psi, lam, mu, float(p.get("p", 1)),
-                                 dim=dim, seed=seed)
-        params.update({"lam": to_jsonable(lam), "mu": to_jsonable(mu),
-                       "p": float(p.get("p", 1))})
+        lam, mu = parse_complex(p["lam"]), parse_complex(p["mu"])
+        rep = nuclear_eigencheck(phi, psi, lam, mu, p["p"], dim=dim, seed=seed)
+        params.update({"lam": to_jsonable(lam), "mu": to_jsonable(mu), "p": p["p"]})
         results = {"report": to_jsonable(rep), "passed": rep.passed}
         code = EXIT_OK if rep.passed else EXIT_VIOLATION
     else:
@@ -564,37 +531,96 @@ def _parse_target_matrix(spec: str, dim: int) -> MatOp:
 
 
 def _run_schatten(p: dict, outdir: Path, fmt: str, seed: int):
-    weights = parse_weight_spec(p.get("weights", "w=constant:2"))
-    if "w" not in weights:
-        raise ConfigError("schatten needs a weight rule named 'w'")
-    op = build_shift(p.get("op", "backward"), weights["w"])
-    window = p.get("window", "0:15")
-    rng = parse_range(window)
+    op = _named_shift(p, "schatten")
+    rng = parse_range(p["window"])
     lo, hi = rng[0], rng[-1]
-    ps = [float(t) for t in str(p.get("p", "1,2")).split(",") if t.strip()]
+    ps = [float(t) for t in p["p"].split(",") if t.strip()]
     mat = MatOp(shift_matrix(op, lo, hi), basis_offset=lo)
     spec = singular_values(mat)
-    norms = {repr(pv): schatten_norm(mat, pv) for pv in ps}
-    params = {"weights": str(p.get("weights", "w=constant:2")),
-              "op": str(p.get("op", "backward")), "window": str(window),
-              "p": str(p.get("p", "1,2"))}
+    norms = {repr(pv): p_sum(spec.values, pv) for pv in ps}
     results = {"singular_values": [float(v) for v in spec.values],
                "sweeps": spec.sweeps, "converged": spec.converged,
                "schatten_norms": norms}
     if fmt == "csv":
         with open(outdir / "spectrum.csv", "w") as fh:
             spectrum_to_csv(spec, fh)
-    return EXIT_OK, params, results
+    # an unconverged spectrum is not a result the norms can rest on
+    return (EXIT_OK if spec.converged else EXIT_VIOLATION), dict(p), results
 
 
-_HANDLERS = {
-    "density": _run_density,
-    "orbit": _run_orbit,
-    "construct_fhc": _run_construct_fhc,
-    "check": _run_check,
-    "hardy": _run_hardy,
-    "schatten": _run_schatten,
+# -- parameter tables -------------------------------------------------------
+#
+# (handler, summary, rows); a row is (key, type, default, help).  A None
+# default leaves the value to the handler, which can then tell "not given".
+
+_WEIGHTS_HELP = "weight rules name=kind:args;... (the shift uses the rule named w)"
+_OP_HELP = "operator kind: backward, forward, bilateral-backward, bilateral-forward, diagonal"
+
+_EXPERIMENTS = {
+    "density": (_run_density, "power-clock lower-density profile", (
+        ("set", str, "squares", "set spec: squares, evens, multiples:K or file:PATH"),
+        ("q", finite, 1.0, "clock exponent: count n <= N^q"),
+        ("n_max", int, 1000, "last N of the counting profile"),
+        ("tail_start", int, None, "first N of the liminf tail (default n_max // 2)"),
+    )),
+    "orbit": (_run_orbit, "orbit norms of a weighted shift", (
+        ("weights", str, "w=constant:2", _WEIGHTS_HELP),
+        ("op", str, "backward", _OP_HELP),
+        ("start", str, "0", "start vector idx[=VALUE],..."),
+        ("horizon", int, 64, "number of orbit points"),
+        ("stride_exponent", int, 1, "record the times n^s, n = 1..horizon"),
+        ("p", finite, 2.0, "exponent of the l^p norm"),
+    )),
+    "construct_fhc": (_run_construct_fhc, "build and verify a frequent-orbit vector", (
+        ("weights", str, "w=constant:2", _WEIGHTS_HELP),
+        ("op", str, "backward", "operator kind: backward or bilateral-backward"),
+        ("q", int, 1, "clock exponent of the visit times"),
+        ("targets", str, "0|0,1", "target vectors separated by |, one class each"),
+        ("horizon", int, 10_000, "last time of the verified scan"),
+        ("eps_scale", finite, 1.0, "eps_k = eps_scale * eps_base^k"),
+        ("eps_base", finite, 0.5, "eps_k = eps_scale * eps_base^k"),
+    )),
+    "check": (_run_check, "finitized weight-condition checkers", (
+        ("condition", str, "growth", "growth, bilateral, schatten or diagonal"),
+        ("weights", str, "w=constant:2;mu=constant:2", "rules w and mu (diagonal: lam, mu)"),
+        ("p", finite, None, "summability exponent (default 2; recorded when used or given)"),
+        ("i_range", str, None, "grid range lo:hi of i (default 0:4, -4:4 on Z)"),
+        ("j_range", str, None, "grid range lo:hi of j (default 0:4, -4:4 on Z)"),
+        ("r_max", int, CheckGrid.r_max, "largest offset r"),
+        ("n_max", int, CheckGrid.n_max, "length of the scanned tails"),
+        ("q", int, CheckGrid.q, "clock exponent"),
+        ("growth_threshold", finite, CheckGrid.growth_threshold, "log-size growth must reach"),
+        ("tail_tolerance", finite, CheckGrid.tail_tolerance, "bound on the tail sums"),
+    )),
+    "hardy": (_run_hardy, "kernel-space eigenchecks and surveys", (
+        ("check", str, "eigen", "eigen, locus, density, converse or nuclear"),
+        ("beta", str, "hardy", "basis weights: hardy, inv_linear or table:PATH"),
+        ("phi", str, "0,1", "left symbol, ascending coefficients"),
+        ("psi", str, "1", "right symbol, ascending coefficients"),
+        ("dim", int, 64, "truncation dimension"),
+        ("z", str, "0.5", "kernel point (eigen)"),
+        ("w", str, None, "second kernel point; given, eigen checks the conjugation"),
+        ("lam", str, "0.5", "left geometric ratio (nuclear)"),
+        ("mu", str, "0.5", "right geometric ratio (nuclear)"),
+        ("p", finite, 1.0, "Schatten exponent (nuclear)"),
+        ("grid_density", int, 16, "scan points per axis (locus, density)"),
+        ("tol", finite, 1e-3, "tolerance on |phi psi| = 1 (locus, density)"),
+        ("samples", int, 64, "locus points spanned (density)"),
+        ("target", str, "0,0", "rank-one target e_i (x) e_j* as i,j (density)"),
+        ("exclude", str, "", "comma list of points left out of the scan (locus)"),
+        ("max_points", int, 128, "locus points listed in the report (locus)"),
+    )),
+    "schatten": (_run_schatten, "singular spectrum of a shift window", (
+        ("weights", str, "w=constant:2", _WEIGHTS_HELP),
+        ("op", str, "backward", _OP_HELP),
+        ("window", str, "0:15", "basis window lo:hi"),
+        ("p", str, "1,2", "comma list of Schatten exponents"),
+    )),
 }
+
+# the output section's rows; --out and --format are its flags
+_OUTPUT = (("dir", str, "."), ("format", str, "json"))
+_TOP_KEYS = ("experiment", "seed", "output", *_EXPERIMENTS)
 
 
 # -- argument plumbing ------------------------------------------------------
@@ -606,85 +632,55 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="YAML manifest; flags override its values")
-    sub.add_argument("--out", help="output directory (default .)")
-    sub.add_argument("--seed", type=int, help="64-bit seed for sampled steps")
-    sub.add_argument("--format", choices=("json", "csv"),
-                     help="also write CSV artifacts next to the JSON report")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hyperlab",
                      description="numerical experiments for orbit frequency, "
                                  "weight conditions, and kernel eigenchecks")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT")
-
-    sp = subs.add_parser("density", help="power-clock lower-density profile")
-    sp.add_argument("--set", dest="set")
-    sp.add_argument("--q", type=float)
-    sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.add_argument("--tail-start", dest="tail_start", type=int)
-
-    sp = subs.add_parser("orbit", help="orbit norms of a weighted shift")
-    sp.add_argument("--weights")
-    sp.add_argument("--op")
-    sp.add_argument("--start")
-    sp.add_argument("--horizon", type=int)
-    sp.add_argument("--stride-exponent", dest="stride_exponent", type=int)
-    sp.add_argument("--p", type=float)
-
-    sp = subs.add_parser("construct-fhc",
-                         help="build and verify a frequent-orbit vector")
-    sp.add_argument("--weights")
-    sp.add_argument("--op")
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--targets")
-    sp.add_argument("--horizon", type=int)
-    sp.add_argument("--eps-scale", dest="eps_scale", type=float)
-    sp.add_argument("--eps-base", dest="eps_base", type=float)
-
-    sp = subs.add_parser("check", help="finitized weight-condition checkers")
-    sp.add_argument("--condition")
-    sp.add_argument("--weights")
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--i-range", dest="i_range")
-    sp.add_argument("--j-range", dest="j_range")
-    sp.add_argument("--r-max", dest="r_max", type=int)
-    sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--growth-threshold", dest="growth_threshold", type=float)
-    sp.add_argument("--tail-tolerance", dest="tail_tolerance", type=float)
-
-    sp = subs.add_parser("hardy", help="kernel-space eigenchecks and surveys")
-    sp.add_argument("--beta")
-    sp.add_argument("--phi")
-    sp.add_argument("--psi")
-    sp.add_argument("--check", dest="check")
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--z")
-    sp.add_argument("--w")
-    sp.add_argument("--lam")
-    sp.add_argument("--mu")
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--grid-density", dest="grid_density", type=int)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--target")
-
-    sp = subs.add_parser("schatten", help="singular spectrum of a shift window")
-    sp.add_argument("--weights")
-    sp.add_argument("--op")
-    sp.add_argument("--window")
-    sp.add_argument("--p")
-
-    for name, sub in subs.choices.items():
-        _add_common(sub)
+    for name, (_, summary, rows) in _EXPERIMENTS.items():
+        sub = subs.add_parser(name.replace("_", "-"), help=summary)
+        for key, conv, default, text in rows:
+            if default is not None:
+                text = f"{text} (default: {default!r})"
+            sub.add_argument("--" + key.replace("_", "-"), dest=key, type=conv,
+                             help=text)
+        sub.add_argument("--config", help="YAML manifest; flags override its values")
+        sub.add_argument("--out", help="output directory (default .)")
+        sub.add_argument("--seed", type=int, help="64-bit seed for sampled steps")
+        sub.add_argument("--format", choices=("json", "csv"),
+                         help="also write CSV artifacts next to the JSON report")
     return parser
 
 
-_COMMON_KEYS = {"config", "out", "seed", "format", "experiment"}
+def _convert(where: str, conv, value):
+    """A manifest value through the converter its flag uses."""
+    if value is None:
+        raise ConfigError(f"{where}: empty value")
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"{where}: expected a scalar, got {value!r}")
+    try:
+        return conv(str(value))
+    except ValueError:
+        raise ConfigError(f"{where}: invalid {conv.__name__} value {value!r}") from None
+
+
+def _resolve(where: str, rows, section, flags: dict) -> dict:
+    """Every row's key: its flag, else its manifest value, else its default.
+    Every manifest value is converted, overridden or not."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"manifest section {where!r} must be a mapping")
+    keys = [row[0] for row in rows]
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in manifest section {where!r} "
+                              f"(accepted: {', '.join(keys)})")
+    out = {}
+    for key, conv, default, *_ in rows:
+        value = default if key not in section else _convert(f"{where}.{key}", conv,
+                                                            section[key])
+        out[key] = value if flags.get(key) is None else flags[key]
+    return out
 
 
 def main(argv=None) -> int:
@@ -696,44 +692,41 @@ def main(argv=None) -> int:
                               f"(one of: {', '.join(s.replace('_', '-') for s in _EXPERIMENTS)})")
         experiment = args.experiment.replace("-", "_")
 
-        config, cfg_hash = ({}, None)
-        if args.config:
-            config, cfg_hash = load_config(args.config)
-        section = config.get(experiment, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"manifest section {experiment!r} must be a mapping")
+        config, cfg_hash = load_config(args.config) if args.config else ({}, None)
+        for key in config:
+            if key not in _TOP_KEYS:
+                raise ConfigError(f"unknown manifest key {key!r} "
+                                  f"(accepted: {', '.join(_TOP_KEYS)})")
         declared = config.get("experiment")
         if declared is not None and str(declared).replace("-", "_") != experiment:
             raise ConfigError(f"manifest declares experiment {declared!r} but "
                               f"the {experiment.replace('_', '-')!r} subcommand was invoked")
-
-        params = dict(section)
-        for key, value in vars(args).items():
-            if key in _COMMON_KEYS or value is None:
-                continue
-            params[key] = value
-
-        out_cfg = config.get("output", {})
-        outdir = Path(args.out or out_cfg.get("dir", "."))
-        fmt = args.format or str(out_cfg.get("format", "json"))
-        if fmt not in ("json", "csv"):
-            raise ConfigError(f"unknown output format {fmt!r}")
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        handler, _, rows = _EXPERIMENTS[experiment]
+        params = _resolve(experiment, rows, config.get(experiment, {}), vars(args))
+        output = _resolve("output", _OUTPUT, config.get("output", {}),
+                          {"dir": args.out, "format": args.format})
+        if output["format"] not in ("json", "csv"):
+            raise ConfigError(f"unknown output format {output['format']!r}")
+        seed = _convert("seed", int, config["seed"]) if "seed" in config else 0
+        seed = seed if args.seed is None else args.seed
         if not 0 <= seed < 2 ** 64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
+        outdir = Path(output["dir"])
         outdir.mkdir(parents=True, exist_ok=True)
-        code, run_params, results = _HANDLERS[experiment](params, outdir, fmt, seed)
+        code, run_params, results = handler(params, outdir, output["format"], seed)
         report = {
             "experiment": experiment,
             "version": __version__,
             "seed": seed,
-            "config_sha256": cfg_hash if cfg_hash is not None else _hash_params(run_params),
+            "config_sha256": cfg_hash or hashlib.sha256(
+                canonical_json(run_params).encode()).hexdigest(),
             "parameters": run_params,
             "results": results,
             "exit_code": code,
         }
-        path = _write_report(outdir, experiment, report)
+        path = outdir / f"{experiment}_report.json"
+        path.write_text(canonical_json(report))
         print(path)
         return code
     except ConfigError as e:
@@ -742,7 +735,7 @@ def main(argv=None) -> int:
     except CriterionFailure as e:
         print(f"error: construction failed: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, WeightOverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

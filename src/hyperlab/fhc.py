@@ -239,7 +239,8 @@ class CriterionFailure(Exception):
 
 
 class _RunningNorm:
-    """Sparse accumulator with an incrementally patched power sum."""
+    """Sparse accumulator with an incrementally patched power sum, which
+    saturates at inf once a power overflows (never inf - inf = nan)."""
 
     def __init__(self, p: float):
         self.p = p
@@ -250,7 +251,11 @@ class _RunningNorm:
         for idx, c in v.entries.items():
             old = self.entries.get(idx, 0.0 + 0.0j)
             new = old + c
-            self.power_sum += abs(new) ** self.p - abs(old) ** self.p
+            if self.power_sum < math.inf:
+                try:
+                    self.power_sum += abs(new) ** self.p - abs(old) ** self.p
+                except OverflowError:
+                    self.power_sum = math.inf
             self.entries[idx] = new
 
     def norm(self) -> float:
@@ -294,33 +299,37 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
         return shift_power_apply(op, family.base_point(i), r ** qi - (r - n) ** qi)
 
     def probe(N: int):
-        """None when every sum is small; otherwise a witness tuple."""
+        """None when every sum is small; otherwise a witness tuple.  A term
+        whose weight product leaves the floating range has infinite norm."""
         window = range(N, N + n_max)
         for i in range(1, k + 1):
             for r in range(0, r_max + 1):
-                acc = _RunningNorm(p)
-                for n in reversed(window):       # tails [n, N + n_max)
-                    acc.add(inverse_term(i, r, n))
-                    if acc.norm() >= eps_k:
-                        return (i, r, (n, N + n_max - 1), acc.norm())
-                if r >= N:
+                try:
                     acc = _RunningNorm(p)
-                    for n in range(min(r, N + n_max - 1), N - 1, -1):
-                        acc.add(forward_term(i, r, n))
+                    for n in reversed(window):       # tails [n, N + n_max)
+                        acc.add(inverse_term(i, r, n))
                         if acc.norm() >= eps_k:
-                            return (i, r, (n, r), acc.norm())
-                for offs in subset_offsets:
-                    acc = _RunningNorm(p)
-                    for o in offs:
-                        acc.add(inverse_term(i, r, N + o))
-                    if acc.norm() >= eps_k:
-                        return (i, r, tuple(N + o for o in offs), acc.norm())
-                    accf = _RunningNorm(p)
-                    fwd = [N + o for o in offs if N + o <= r]
-                    for n in fwd:
-                        accf.add(forward_term(i, r, n))
-                    if accf.norm() >= eps_k:
-                        return (i, r, tuple(fwd), accf.norm())
+                            return (i, r, (n, N + n_max - 1), acc.norm())
+                    if r >= N:
+                        acc = _RunningNorm(p)
+                        for n in range(min(r, N + n_max - 1), N - 1, -1):
+                            acc.add(forward_term(i, r, n))
+                            if acc.norm() >= eps_k:
+                                return (i, r, (n, r), acc.norm())
+                    for offs in subset_offsets:
+                        acc = _RunningNorm(p)
+                        for o in offs:
+                            acc.add(inverse_term(i, r, N + o))
+                        if acc.norm() >= eps_k:
+                            return (i, r, tuple(N + o for o in offs), acc.norm())
+                        accf = _RunningNorm(p)
+                        fwd = [N + o for o in offs if N + o <= r]
+                        for n in fwd:
+                            accf.add(forward_term(i, r, n))
+                        if accf.norm() >= eps_k:
+                            return (i, r, tuple(fwd), accf.norm())
+                except WeightOverflowError:
+                    return (i, r, (N, N + n_max - 1), math.inf)
         return None
 
     w = probe(1)
@@ -419,7 +428,9 @@ def build_separated_family(N_ks: Sequence[int], K: int, horizon: int) -> Separat
             elems[k - 1].append(t)
             t += g
         m += 1
-    if any(len(s) < 2 for s in elems):
+    # the density proxy is a liminf over [horizon // 2, horizon]: a class
+    # with no element by then has proxy 0, however many come later
+    if any(len(s) < 2 or s[0] > max(1, horizon // 2) for s in elems):
         need = (2 * K + 1) * block
         raise ValueError(
             f"horizon {horizon} too small for positive density in every class; "

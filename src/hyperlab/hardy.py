@@ -134,14 +134,7 @@ def kernel_vector(space: BetaSpace, z: complex) -> KernelVec:
     coefficient vector with the kernel reproduces the function value.
     """
     z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("kernels exist only for points inside the open disc")
-    zc = z.conjugate()
-    entries = {}
-    pw = 1.0 + 0.0j
-    for n in range(space.dim + 1):
-        entries[n] = space.beta(n) * pw
-        pw *= zc
+    entries = dict(enumerate(_dense_kernel(space, z)))
     tail = space.sup_beta() * abs(z) ** (space.dim + 1) / math.sqrt(1.0 - abs(z) ** 2)
     return KernelVec(z, SeqVector(entries, Domain.NATURALS, 2.0), tail)
 
@@ -173,12 +166,8 @@ def mult_op_matrix(phi: AnalyticSymbol, space: BetaSpace) -> MatOp:
 # -- high-precision eigenchecks ---------------------------------------------
 
 def _mp_kernel(space: BetaSpace, z: complex) -> list:
-    zc = mp.conj(mp.mpc(z))
-    out, pw = [], mp.mpc(1)
-    for n in range(space.dim + 1):
-        out.append(mp.mpf(space.beta(n)) * pw)
-        pw *= zc
-    return out
+    powers = _mp_geometric(z.conjugate(), space.dim)
+    return [mp.mpf(space.beta(n)) * pw for n, pw in enumerate(powers)]
 
 
 def _mp_adjoint_mult(phi: AnalyticSymbol, space: BetaSpace, u: list) -> list:

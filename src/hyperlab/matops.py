@@ -40,6 +40,7 @@ __all__ = [
     "conjugation",
     "conjugate_by",
     "singular_values",
+    "p_sum",
     "schatten_norm",
     "operator_norm",
     "trace_of",
@@ -351,15 +352,20 @@ def singular_values(A: MatOp, tol: float = _JACOBI_TOL,
     return SingularSpectrum(values, sweeps, converged)
 
 
-def schatten_norm(A: MatOp, p: float) -> float:
-    """(sum sigma_i^p)^(1/p); p = 1 is the trace norm, p = 2 Frobenius."""
+def p_sum(values: Sequence[float], p: float) -> float:
+    """(sum v_i^p)^(1/p) of nonnegative values, as top * (sum (v_i/top)^p)^(1/p)
+    with top the largest, so no power overflows or underflows."""
     if not 1.0 <= p < math.inf:
         raise ValueError("p must lie in [1, inf)")
-    vals = singular_values(A).values
-    if not vals or vals[0] == 0.0:
+    top = max(values, default=0.0)
+    if top == 0.0:
         return 0.0
-    top = vals[0]
-    return top * sum((v / top) ** p for v in vals) ** (1.0 / p)
+    return top * sum((v / top) ** p for v in values) ** (1.0 / p)
+
+
+def schatten_norm(A: MatOp, p: float) -> float:
+    """(sum sigma_i^p)^(1/p); p = 1 is the trace norm, p = 2 Frobenius."""
+    return p_sum(singular_values(A).values, p)
 
 
 def operator_norm(A: MatOp) -> float:
@@ -407,7 +413,8 @@ def orthogonal_sum_additivity(Ts: Sequence[MatOp], p: float,
         raise ValueError("empty family")
     for T in Ts[1:]:
         Ts[0]._require_aligned(T)
-    norms = [operator_norm(T) for T in Ts]
+    spectra = [singular_values(T).values for T in Ts]
+    norms = [vals[0] if vals else 0.0 for vals in spectra]
     ok = True
     worst = 0.0
     bad = None
@@ -425,9 +432,7 @@ def orthogonal_sum_additivity(Ts: Sequence[MatOp], p: float,
     for T in Ts[1:]:
         total = total + T
     lhs = schatten_norm(total, p)
-    parts = [schatten_norm(T, p) for T in Ts]
-    top = max(parts) if parts else 0.0
-    rhs = 0.0 if top == 0.0 else top * sum((v / top) ** p for v in parts) ** (1.0 / p)
+    rhs = p_sum([p_sum(vals, p) for vals in spectra], p)
     return OrthogonalSumReport(p, lhs, rhs, ok, worst, bad)
 
 

@@ -1,0 +1,392 @@
+"""The parameter tables of the console runner: report bytes pinned per
+experiment, manifest key and value checks, and a fuzzed contract that every
+input ends in a report (exit 0 or 2) or in one `error:` line (exit 1)."""
+
+import hashlib
+import json
+
+import pytest
+import yaml
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
+
+from hyperlab import cli, matops
+from hyperlab.cli import build_parser, load_config, main
+from hyperlab.matops import SingularSpectrum
+
+
+def run(args, outdir):
+    return main(list(args) + ["--out", str(outdir)])
+
+
+def report_path(outdir, argv):
+    return outdir / f"{argv[0].replace('-', '_')}_report.json"
+
+
+def one_error_line(err: str) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+# -- report bytes -----------------------------------------------------------
+
+# SHA-256 of each report, recorded before the parameter tables replaced the
+# hand-written defaults and flags.
+PINNED = [
+    pytest.param([
+        "density", "--set", "squares", "--q", "2", "--n-max", "60"],
+        0, "35494f38b8f51205279d73af77e6c54c78f73f4899f64f1e612f4bdb79b48143",
+        id="density-squares"),
+    pytest.param([
+        "density", "--set", "evens", "--n-max", "90", "--tail-start", "20"],
+        0, "34658fab58ed35cdbadad6b02325a27259b6a4ec3f9fb7c0b4b23b271d9184ae",
+        id="density-evens"),
+    pytest.param([
+        "orbit", "--weights", "w=constant:2", "--start", "0,3", "--horizon", "5",
+        "--stride-exponent", "1", "--p", "1.5"],
+        0, "9be94f6ebcbcf9721632411fadddf81e905d78a6ec31f4148c974866d657c971",
+        id="orbit"),
+    pytest.param([
+        "construct-fhc", "--weights", "w=constant:2", "--targets", "0|0,1", "--horizon",
+        "300", "--eps-scale", "1", "--eps-base", "0.5", "--seed", "5"],
+        0, "0f5c053f756b85832fad40a5ede0738360cbfa8d1358bacfc22da48f94ee58ce",
+        id="construct-fhc"),
+    pytest.param([
+        "check", "--condition", "growth", "--i-range", "0:2", "--j-range", "0:2",
+        "--r-max", "4", "--n-max", "16"],
+        0, "49713443adb94751e67a070fd61aeed613af7334dbae8617b66dd7ddebf6a072",
+        id="check-growth"),
+    pytest.param([
+        "check", "--condition", "bilateral", "--weights",
+        "w=constant:2@Z;mu=constant:2@Z", "--r-max", "4", "--n-max", "16"],
+        2, "84b1f99d6c6020099fca82ca3d884b0e3eea4f3c676209a8e33c548d12d790a4",
+        id="check-bilateral"),
+    pytest.param([
+        "check", "--condition", "schatten", "--p", "1.5", "--r-max", "4"],
+        0, "ea535f5c8cccfe4f3e2769e38b876afc1e917e20f06587ed031415828aa110ec",
+        id="check-schatten"),
+    pytest.param([
+        "check", "--condition", "diagonal", "--weights", "lam=constant:2;mu=constant:2",
+        "--q", "2", "--growth-threshold", "5", "--tail-tolerance", "0.1", "--r-max", "3"],
+        0, "46bf9eaa42f943e78e37538cb2ec87d2129bfaf19b51c18afe16547562216424",
+        id="check-diagonal"),
+    pytest.param([
+        "hardy", "--check", "eigen", "--phi", "0,1", "--z", "0.6", "--dim", "24"],
+        0, "d9920c72307f39dd70cc98034b57ec1ad410a533a20a4f770a16e283421a19e3",
+        id="hardy-eigen-adjoint"),
+    pytest.param([
+        "hardy", "--check", "eigen", "--phi", "0,1", "--psi", "0,1", "--z", "0.6",
+        "--w", "0.6", "--dim", "24", "--beta", "inv_linear"],
+        0, "bba96441cd32dc7517246ca7170e75b5500f6c01bd7ecaf54faa47b7b18a8492",
+        id="hardy-eigen-conjugation"),
+    pytest.param([
+        "hardy", "--check", "locus", "--phi", "0,2", "--psi", "0,1", "--grid-density",
+        "8", "--tol", "0.01"],
+        0, "a6330480ce5932258969a770517261f1f9e3b013a6876a11dfd6c4d3768d7b1f",
+        id="hardy-locus"),
+    pytest.param([
+        "hardy", "--check", "density", "--phi", "0,2", "--psi", "0,1", "--dim", "8",
+        "--samples", "8", "--target", "1,0"],
+        0, "90fdae7b1c4c489e4facff23249ec1d861afc24444d5e652e7725faebbe8fc82",
+        id="hardy-density"),
+    pytest.param([
+        "hardy", "--check", "converse", "--phi", "0,0.5", "--psi", "0,1", "--seed", "9"],
+        0, "3205ec411ab6cec4851c0dd5f68053b45c261d4972fe51b79da02a9db5e122ad",
+        id="hardy-converse"),
+    pytest.param([
+        "hardy", "--check", "nuclear", "--phi", "0,1", "--psi", "0,1", "--dim", "24",
+        "--lam", "0.4", "--mu", "0.3:0.1", "--p", "1"],
+        0, "bf770429cd1f1f325c257b8bfbcf233804de9586c192195544c9d16bb05fbf51",
+        id="hardy-nuclear"),
+    pytest.param([
+        "schatten", "--weights", "w=constant:2", "--window", "0:7", "--p", "1,2,3.5"],
+        0, "01d690c77834012c3e122aabb00fdabe9c98068a02949e657173a2d49ab3a618",
+        id="schatten"),
+]
+
+PINNED_MANIFEST = """seed: 4
+experiment: hardy
+hardy:
+  check: locus
+  phi: "0,2"
+  psi: "0,1"
+  grid_density: 8
+  tol: 0.01
+  exclude: "0.5,0.5:0.5"
+  max_points: 3
+output:
+  format: json
+"""
+PINNED_MANIFEST_SHA = "cde1391cb7f9dc27a88b0a1f58be1e302522ceff404d3587112e8b867cf707fe"
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED)
+def test_report_bytes_are_pinned(tmp_path, argv, code, digest):
+    assert run(argv, tmp_path) == code
+    assert hashlib.sha256(report_path(tmp_path, argv).read_bytes()).hexdigest() == digest
+
+
+def test_manifest_report_bytes_are_pinned(tmp_path):
+    cfg = tmp_path / "m.yml"
+    cfg.write_text(PINNED_MANIFEST)
+    assert run(["hardy", "--config", str(cfg)], tmp_path) == 0
+    data = (tmp_path / "hardy_report.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED_MANIFEST_SHA
+
+
+# -- the tables -------------------------------------------------------------
+
+# every flag before the tables, plus the manifest-only keys hardy read
+ACCEPTED = {
+    "density": {"set", "q", "n_max", "tail_start"},
+    "orbit": {"weights", "op", "start", "horizon", "stride_exponent", "p"},
+    "construct_fhc": {"weights", "op", "q", "targets", "horizon", "eps_scale", "eps_base"},
+    "check": {"condition", "weights", "p", "i_range", "j_range", "r_max", "n_max", "q",
+              "growth_threshold", "tail_tolerance"},
+    "hardy": {"beta", "phi", "psi", "check", "dim", "z", "w", "lam", "mu", "p",
+              "grid_density", "tol", "samples", "target", "exclude", "max_points"},
+    "schatten": {"weights", "op", "window", "p"},
+}
+COMMON_FLAGS = {"config", "out", "seed", "format", "help"}
+
+
+def test_flags_and_manifest_keys_are_the_same_set():
+    subs = next(a for a in build_parser()._actions if a.dest == "experiment").choices
+    assert {name.replace("-", "_") for name in subs} == set(ACCEPTED)
+    for name, sub in subs.items():
+        experiment = name.replace("-", "_")
+        flags = {a.dest for a in sub._actions} - COMMON_FLAGS
+        assert flags == ACCEPTED[experiment]
+        assert {row[0] for row in cli._EXPERIMENTS[experiment][2]} == flags
+
+
+# -- manifests --------------------------------------------------------------
+
+def test_colon_values_load_as_strings(tmp_path):
+    cfg = tmp_path / "m.yml"
+    cfg.write_text("schatten:\n  window: 2:30\ncheck:\n  i_range: -4:4\n"
+                   "hardy:\n  z: 1:1\n  dim: 0x10\n  tol: 1.5e-3\n")
+    data, digest = load_config(str(cfg))
+    assert data["schatten"]["window"] == "2:30"
+    assert data["check"]["i_range"] == "-4:4"
+    assert data["hardy"] == {"z": "1:1", "dim": 16, "tol": 1.5e-3}
+    assert digest == hashlib.sha256(cfg.read_bytes()).hexdigest()
+
+
+def test_colon_window_runs_the_whole_range(tmp_path):
+    cfg = tmp_path / "m.yml"
+    cfg.write_text("schatten:\n  window: 2:30\n")
+    assert run(["schatten", "--config", str(cfg)], tmp_path) == 0
+    rep = json.loads((tmp_path / "schatten_report.json").read_text())
+    assert rep["parameters"]["window"] == "2:30"
+    assert len(rep["results"]["singular_values"]) == 29
+
+
+@pytest.mark.parametrize("experiment,text,needle", [
+    ("construct-fhc", "construct_fhc:\n  horizn: 50\n", "'horizn'"),
+    ("density", "density:\n  n_max:\n", "density.n_max: empty value"),
+    ("construct-fhc", "construct_fhc:\n  horizon: [1, 2]\n", "construct_fhc.horizon"),
+    ("density", "density:\n  q: .nan\n", "density.q"),
+    ("density", "density:\n  n_max: 2:30\n", "density.n_max"),
+    ("density", "density:\n  set: yes\n", "density.set"),
+    ("density", "density: 3\n", "'density' must be a mapping"),
+    ("density", "output: 3\n", "'output' must be a mapping"),
+    ("density", "output:\n  colour: red\n", "'colour'"),
+    ("density", "output:\n  format: xml\n", "'xml'"),
+    ("density", "densty:\n  q: 2\n", "'densty'"),
+    ("density", "seed: [1]\n", "seed"),
+    ("density", "seed: -1\n", "seed"),
+])
+def test_bad_manifest_exits_one_naming_the_key(tmp_path, capsys, experiment, text,
+                                               needle):
+    cfg = tmp_path / "m.yml"
+    cfg.write_text(text)
+    assert run([experiment, "--config", str(cfg)], tmp_path) == 1
+    assert needle in one_error_line(capsys.readouterr().err)
+    assert not report_path(tmp_path, [experiment]).exists()
+
+
+def test_manifest_value_is_checked_even_when_a_flag_overrides_it(tmp_path, capsys):
+    cfg = tmp_path / "m.yml"
+    cfg.write_text("density:\n  n_max: many\n")
+    assert run(["density", "--config", str(cfg), "--n-max", "10"], tmp_path) == 1
+    assert "density.n_max" in one_error_line(capsys.readouterr().err)
+
+
+def test_non_finite_float_flag_is_rejected(tmp_path, capsys):
+    assert run(["density", "--q", "nan"], tmp_path) == 1
+    assert "--q" in one_error_line(capsys.readouterr().err)
+
+
+# -- runtime failures and exit codes -----------------------------------------
+
+def test_decaying_weights_fail_the_construction_cleanly(tmp_path, capsys):
+    argv = ["construct-fhc", "--weights", "w=constant:0.5", "--targets", "0",
+            "--horizon", "100"]
+    assert run(argv, tmp_path) == 1
+    assert one_error_line(capsys.readouterr().err).startswith(
+        "error: construction failed: ")
+
+
+def test_unconverged_spectrum_exits_two(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "singular_values",
+                        lambda A: SingularSpectrum((2.0, 1.0), 60, False))
+    assert run(["schatten", "--window", "0:1"], tmp_path) == 2
+    rep = json.loads((tmp_path / "schatten_report.json").read_text())
+    assert rep["exit_code"] == 2 and rep["results"]["converged"] is False
+
+
+def counting_jacobi(monkeypatch, *modules):
+    calls = []
+    real = matops.singular_values
+
+    def counted(A, *args, **kwargs):
+        calls.append(A)
+        return real(A, *args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, "singular_values", counted)
+    return calls
+
+
+def test_schatten_runs_jacobi_once(tmp_path, monkeypatch):
+    calls = counting_jacobi(monkeypatch, cli, matops)
+    assert run(["schatten", "--window", "0:7", "--p", "1,2,3.5"], tmp_path) == 0
+    assert len(calls) == 1
+
+
+# -- fuzzed contract ---------------------------------------------------------
+
+N_WEIGHTS = ["w=constant:2", "w=constant:0.5", "w=ratio:1,1|0,1", "w=table:0|1,2|1"]
+N_OPS = ["backward", "forward", "diagonal"]
+POINTS = ["0.5", "0.6", "0.3:0.2", "0"]
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi)
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi)
+
+
+def one_of(*values):
+    return st.sampled_from(values)
+
+
+# well-formed values per key, small enough that no run takes long; what
+# lies outside the domains comes from JUNK and FLAG_JUNK
+PLAUSIBLE = {
+    "density": {
+        "set": one_of("squares", "evens", "multiples:3"),
+        "q": floats(0.5, 3), "n_max": ints(1, 30), "tail_start": ints(1, 15),
+    },
+    "orbit": {
+        "weights": one_of(*N_WEIGHTS), "op": one_of(*N_OPS),
+        "start": one_of("0", "0,3", "2=1:1"),
+        "horizon": ints(1, 12), "stride_exponent": ints(1, 3), "p": floats(1, 4),
+    },
+    # q >= 2 stays out: on decaying weights the threshold search then grows
+    # the weight-prefix table to millions of entries before it gives up
+    "construct_fhc": {
+        "weights": one_of("w=constant:2", "w=constant:0.5", "w=ratio:1,1|0,1"),
+        "op": one_of("backward"), "q": one_of(1),
+        "targets": one_of("0", "0|0,1", "1=1:1"),
+        "horizon": ints(1, 200), "eps_scale": floats(0.1, 2), "eps_base": floats(0.1, 0.9),
+    },
+    "check": {
+        "condition": one_of("growth", "bilateral", "schatten", "diagonal"),
+        "weights": one_of("w=constant:2;mu=constant:2;lam=constant:2",
+                          "w=constant:2@Z;mu=constant:2@Z",
+                          "w=constant:1;mu=constant:1;lam=constant:1",
+                          "w=ratio:1,1|0,1;mu=constant:2;lam=constant:0.5"),
+        "p": floats(1, 3), "i_range": one_of("0:2", "-2:2", "1:3", "0"),
+        "j_range": one_of("0:2", "-2:2", "1:3", "0"), "r_max": ints(0, 6),
+        "n_max": ints(8, 40), "q": ints(1, 2), "growth_threshold": floats(0, 20),
+        "tail_tolerance": floats(1e-3, 1),
+    },
+    "hardy": {
+        "check": one_of("eigen", "locus", "density", "converse", "nuclear"),
+        "beta": one_of("hardy", "inv_linear"),
+        "phi": one_of("0,1", "0,2", "0,0.5", "1,1", "0.5"),
+        "psi": one_of("1", "0,1", "0,0.5"),
+        "dim": ints(1, 24), "z": one_of(*POINTS), "w": one_of(*POINTS),
+        "lam": one_of(*POINTS), "mu": one_of(*POINTS), "p": floats(1, 3),
+        "grid_density": ints(8, 12), "tol": floats(1e-4, 0.1), "samples": ints(1, 10),
+        "target": one_of("0,0", "1,0", "0,1"),
+        "exclude": one_of("", "0.5", "0.5,0.5:0.5"), "max_points": ints(0, 5),
+    },
+    "schatten": {
+        "weights": one_of(*N_WEIGHTS), "op": one_of(*N_OPS),
+        "window": one_of("0:2", "0:7", "2:30", "-3:3"),
+        "p": one_of("1,2", "1", "3.5", "1,2,3.5"),
+    },
+}
+
+ODD = ["2:30", "-4:4", "1:1", "9:1", "x", "", "nan", "-inf", "1,x", "w=mystery:1"]
+# what a manifest may hold outside the plausible domains
+JUNK = st.one_of(st.none(), st.booleans(), st.just(float("nan")), st.just(float("inf")),
+                 st.lists(st.integers(0, 3), max_size=2), st.just({"a": 1}),
+                 one_of(-1, 0, *ODD))
+FLAG_JUNK = one_of("-1", "0", *ODD)
+
+
+# keys whose defaults cost a second or more a run; the fuzz always sets them
+ALWAYS = {"construct_fhc": {"horizon"}, "check": {"r_max", "n_max"}}
+
+
+@st.composite
+def invocations(draw):
+    """(experiment, manifest, flags).  Three draws in seven hold only
+    plausible values, so they reach the handler; the others carry one kind
+    of junk."""
+    experiment = draw(st.sampled_from(sorted(PLAUSIBLE)))
+    keys = PLAUSIBLE[experiment]
+    section, flags = {}, []
+    for key, values in keys.items():
+        choices = ["manifest", "flag"] + ([] if key in ALWAYS.get(experiment, ()) else
+                                          ["absent", "absent"])
+        if draw(st.sampled_from(choices)) == "manifest":
+            section[key] = draw(values)
+        else:
+            flags.append(f"--{key.replace('_', '-')}={draw(values)}")
+    top = {experiment: section}
+    junk = draw(st.sampled_from([None, None, None, "value", "flag", "key", "top"]))
+    if junk == "value":
+        section[draw(st.sampled_from(sorted(keys)))] = draw(JUNK)
+    elif junk == "flag":
+        key = draw(st.sampled_from(sorted(keys)))
+        flags.append(f"--{key.replace('_', '-')}={draw(FLAG_JUNK)}")
+    elif junk == "key":
+        section[draw(st.sampled_from(["horizn", "n-max", "max_point", "seed"]))] = 1
+    elif junk == "top":
+        top.update(draw(st.sampled_from([
+            {"seed": -1}, {"seed": 2 ** 64}, {"seed": None}, {"seed": "x"},
+            {"output": 3}, {"output": {"format": "xml"}}, {"output": {"colour": 1}},
+            {"bogus": 1}, {"experiment": "orbit"}, {"experiment": experiment},
+            {"seed": 7, "output": {"format": "csv"}}])))
+    return experiment, top, flags
+
+
+@seed(20260517)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                  HealthCheck.too_slow])
+@given(case=invocations())
+def test_every_input_gives_a_report_or_one_error_line(tmp_path, capsys, case):
+    experiment, top, flags = case
+    outdir = tmp_path / "out"
+    report = outdir / f"{experiment}_report.json"
+    report.unlink(missing_ok=True)
+    cfg = tmp_path / "m.yml"
+    cfg.write_text(yaml.safe_dump(top))
+    argv = [experiment.replace("_", "-"), *flags, "--config", str(cfg)]
+    code = run(argv, outdir)
+    out, err = capsys.readouterr()
+    if code in (0, 2):
+        assert json.loads(report.read_text())["exit_code"] == code
+    else:
+        assert code == 1
+        one_error_line(err)
+        assert not report.exists()

@@ -143,6 +143,18 @@ def test_threshold_failure_witness_for_unweighted_shift():
     assert w.cap == 64 and w.class_index == 1
 
 
+def test_threshold_failure_when_inverse_points_overflow():
+    # w = 1/2: x_{1,n} = 2^n e_n.  The last probe of cap 512 reaches n = 575,
+    # whose square overflows; that of cap 4096 reaches coefficients past
+    # the floating range
+    B_half = ShiftOp.backward(WeightSeq.constant(0.5))
+    fam = family_e0(B_half)
+    for cap in (512, 4096):
+        with pytest.raises(CriterionFailure) as exc:
+            find_tail_threshold(fam, B_half, 1, 1, EpsSchedule(), hard_cap=cap)
+        assert exc.value.value == math.inf
+
+
 # ---------------------------------------------------------------------------
 # separated families
 # ---------------------------------------------------------------------------
@@ -177,9 +189,12 @@ def test_three_class_literal_pairwise_oracle():
 
 
 def test_horizon_too_small_rejected_with_estimate():
-    with pytest.raises(ValueError) as exc:
-        build_separated_family([4, 4], 2, 40)
-    assert "horizon" in str(exc.value)
+    # at horizon 87 class 2 gets elements, but none in the density tail
+    # [43, 87] over which the liminf proxy is taken
+    for N_ks, horizon in (([4, 4], 40), ([2, 5], 87)):
+        with pytest.raises(ValueError) as exc:
+            build_separated_family(N_ks, 2, horizon)
+        assert "horizon" in str(exc.value)
 
 
 def test_separation_violation_detected():

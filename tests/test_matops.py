@@ -222,6 +222,20 @@ def test_orthogonal_sum_additive_for_disjoint_blocks():
         assert rep.additivity_gap <= 1e-9 * max(1.0, rep.rhs)
 
 
+def test_orthogonal_sum_takes_one_spectrum_per_block(monkeypatch):
+    from hyperlab import matops
+    Ts = [MatOp(np.diag([0.0] * k + [float(k + 1), 0.5] + [0.0] * (4 - k)))
+          for k in (0, 2, 4)]
+    calls = []
+    monkeypatch.setattr(matops, "singular_values",
+                        lambda A, *a, **kw: calls.append(A) or singular_values(A, *a, **kw))
+    rep = orthogonal_sum_additivity(Ts, 1.5)
+    assert len(calls) == 4          # one per block, one for their sum
+    parts = [schatten_norm(T, 1.5) for T in Ts]
+    top = max(parts)
+    assert rep.rhs == top * sum((v / top) ** 1.5 for v in parts) ** (1.0 / 1.5)
+
+
 def test_orthogonal_sum_detects_shared_row_space():
     # e_0 (x) e_0* and e_0 (x) e_1* share their range: T_1 T_2* != 0
     T1 = rank_one_to_mat(RankOne(SeqVector.basis(0), SeqVector.basis(0)), 3)
