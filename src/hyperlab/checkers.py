@@ -7,9 +7,9 @@ exponent q.  Each checker returns a Verdict that either certifies the
 condition on the grid (with the extremal margin) or exhibits a concrete
 witness (i, j, r, n, value).
 
-Products of weights are read off prefix sums of log-magnitudes, so a whole
-(i, j, r) slice costs one vectorized pass; the largest admissible grid is
-capped to keep the desk honest about memory.
+Products of weights are read off each rule's `WeightPrefix`, so a whole
+(i, j, r) slice costs one vectorized pass; clock indices beyond 2^53, where
+int64 clock arithmetic and float index arithmetic stop being exact, are refused.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -33,8 +32,6 @@ __all__ = [
     "check_schatten_summability",
     "check_diagonal_forward_summability",
 ]
-
-_INDEX_CAP = 20_000_000
 
 
 class VerdictStatus(Enum):
@@ -100,6 +97,12 @@ class CheckGrid:
             raise ValueError("n_max must be >= 8")
         if self.r_max < 0 or self.q < 1:
             raise ValueError("r_max must be >= 0 and q >= 1")
+        # n_max >= 8 and 8^54 > 2^53, so a larger q needs no larger power
+        top = ((self.n_max + self.r_max) ** min(self.q, 54) + max(map(abs, self.i_range))
+               + max(map(abs, self.j_range)))
+        if top > 2 ** 53:
+            raise ValueError(f"clock index (n_max + r_max)^q with q = {self.q}, "
+                             f"n_max = {self.n_max}, r_max = {self.r_max} exceeds 2^53")
 
     @classmethod
     def unilateral_default(cls, q: int = 1) -> "CheckGrid":
@@ -117,47 +120,76 @@ class CheckGrid:
 
 
 class _LogTable:
-    """Prefix sums L(m) = sum_{t=1}^m log|w_t| as numpy arrays, with the
-    integer-domain extension L(m) = -sum_{t=m+1}^0 for m < 0."""
+    """The checkers' view of a rule's prefix L(m) (see `WeightPrefix`),
+    range-checked to m in [lo - 1, hi]."""
 
     def __init__(self, w: WeightSeq, lo: int, hi: int):
-        if hi - lo > _INDEX_CAP:
-            raise ValueError("grid demands more prefix indices than the desk cap")
-        self.lo, self.hi = lo, hi
         if lo < 0 and w.domain is not Domain.INTEGERS:
             raise ValueError("negative indices on a naturals-domain rule")
-        logs = np.empty(hi - lo + 1)
-        for t in range(lo, hi + 1):
-            if t == 0 and w.domain is Domain.NATURALS:
-                # unilateral products run over t >= 1; never read index 0
-                logs[t - lo] = 0.0
-            else:
-                logs[t - lo] = math.log(abs(w.weight(t)))
-        # cumulative from index lo: C[m] = sum_{t=lo}^{m} logs
-        self._cum = np.cumsum(logs)
+        self.lo, self.hi = lo, hi
+        self._prefix = w.prefix
 
     def prefix(self, m) -> np.ndarray:
         """L(m), vectorized over an integer array with entries in [lo-1, hi]."""
         m = np.asarray(m)
         if np.any(m < self.lo - 1) or np.any(m > self.hi):
             raise ValueError("prefix index escapes the prepared table")
-        # L(m) - L(lo - 1) = C[m]; subtract the anchor so that L(0) = 0
-        anchor = self._at(0) if self.lo <= 0 <= self.hi else 0.0
-        return self._at_arr(m) - anchor
-
-    def _at(self, m: int) -> float:
-        return 0.0 if m == self.lo - 1 else float(self._cum[m - self.lo])
-
-    def _at_arr(self, m: np.ndarray) -> np.ndarray:
-        out = np.where(m == self.lo - 1, 0.0,
-                       self._cum[np.maximum(m - self.lo, 0)])
-        return out
+        return self._prefix.log_abs_many(m)
 
 
 def _clock_indices(grid: CheckGrid, r: int) -> np.ndarray:
     """(n + r)^q - r^q for n = 1..n_max."""
     n = np.arange(1, grid.n_max + 1, dtype=np.int64)
     return (n + r) ** grid.q - r ** grid.q
+
+
+def _clock_slices(grid: CheckGrid, Lw: _LogTable, Lmu: _LogTable, anchored: bool,
+                  first: int = 1):
+    """(r, i, j, vals) per grid cell, with vals[n - first] for n = first..n_max
+    the log of w_1..w_{M+i} * mu_1..mu_{M+j}, or with `anchored` the log of
+    the products over (i, i + M] and (j, j + M], where M = (n+r)^q - r^q."""
+    for r in range(0, grid.r_max + 1):
+        M = _clock_indices(grid, r)[first - 1:]
+        lj = [(Lmu.prefix(M + j), Lmu.prefix(j) if anchored else 0.0) for j in grid.j_range]
+        for i in grid.i_range:
+            li = Lw.prefix(M + i) - (Lw.prefix(i) if anchored else 0.0)
+            for j, (lmj, lj0) in zip(grid.j_range, lj):
+                yield r, i, j, li + lmj - lj0
+
+
+def _tail_slices(grid: CheckGrid, Lw: _LogTable, Lmu: _LogTable):
+    """(r, n, i, j, vals) over the deep-tail region ceil(r_max / 2) <= n <= r:
+    vals is the log of the backward products over (i - e, i] and (j - e, j]
+    with e = r^q - (r - n)^q."""
+    n_tail = max(1, (grid.r_max + 1) // 2)
+    for r in range(n_tail, grid.r_max + 1):
+        n = np.arange(n_tail, r + 1, dtype=np.int64)
+        e = r ** grid.q - (r - n) ** grid.q
+        lj = [(Lmu.prefix(np.full_like(e, j)), Lmu.prefix(j - e)) for j in grid.j_range]
+        for i in grid.i_range:
+            li = Lw.prefix(np.full_like(e, i)) - Lw.prefix(i - e)
+            for j, (lj0, lje) in zip(grid.j_range, lj):
+                yield r, n, i, j, li + lj0 - lje
+
+
+def _growth_verdict(condition: str, grid: CheckGrid, slices) -> Verdict:
+    """Every slice's log-product at n = n_max clears `growth_threshold`, and
+    its top quartile in n is nondecreasing."""
+    margin = math.inf
+    quart = 3 * grid.n_max // 4
+    for r, i, j, vals in slices:
+        end = float(vals[-1])
+        if end <= grid.growth_threshold:
+            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
+                           Witness(i, j, r, grid.n_max, end))
+        diffs = np.diff(vals[quart:])
+        bad = np.nonzero(diffs < -1e-12)[0]
+        if bad.size:
+            n_bad = quart + int(bad[0]) + 2   # 1-based n of the decrease
+            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
+                           Witness(i, j, r, n_bad, float(vals[n_bad - 1])))
+        margin = min(margin, end - grid.growth_threshold)
+    return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition, margin=margin)
 
 
 def check_unilateral_growth(w: WeightSeq, mu: WeightSeq, grid: CheckGrid) -> Verdict:
@@ -167,32 +199,11 @@ def check_unilateral_growth(w: WeightSeq, mu: WeightSeq, grid: CheckGrid) -> Ver
     Finitized as: for every (i, j, r) the log-product at n = n_max clears
     `growth_threshold`, and the top quartile in n is nondecreasing.
     """
-    condition = "unilateral_growth"
     if min(grid.i_range) < 0 or min(grid.j_range) < 0:
         raise ValueError("unilateral growth uses nonnegative index shifts")
     top = (grid.n_max + grid.r_max) ** grid.q + max(max(grid.i_range), max(grid.j_range), 0)
-    Lw = _LogTable(w, 0, top)
-    Lmu = _LogTable(mu, 0, top)
-    margin = math.inf
-    quart = 3 * grid.n_max // 4
-    for r in range(0, grid.r_max + 1):
-        M = _clock_indices(grid, r)
-        for i in grid.i_range:
-            li = Lw.prefix(M + i)
-            for j in grid.j_range:
-                vals = li + Lmu.prefix(M + j)
-                end = float(vals[-1])
-                if end <= grid.growth_threshold:
-                    return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                                   Witness(i, j, r, grid.n_max, end))
-                diffs = np.diff(vals[quart:])
-                bad = np.nonzero(diffs < -1e-12)[0]
-                if bad.size:
-                    n_bad = quart + int(bad[0]) + 2   # 1-based n of the decrease
-                    return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                                   Witness(i, j, r, n_bad, float(vals[n_bad - 1])))
-                margin = min(margin, end - grid.growth_threshold)
-    return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition, margin=margin)
+    slices = _clock_slices(grid, _LogTable(w, 0, top), _LogTable(mu, 0, top), False)
+    return _growth_verdict("unilateral_growth", grid, slices)
 
 
 def check_bilateral_growth_decay(a: WeightSeq, b: WeightSeq, grid: CheckGrid) -> Verdict:
@@ -209,44 +220,21 @@ def check_bilateral_growth_decay(a: WeightSeq, b: WeightSeq, grid: CheckGrid) ->
     pad = max(map(abs, grid.i_range)) + max(map(abs, grid.j_range))
     La = _LogTable(a, -span - pad, span + pad)
     Lb = _LogTable(b, -span - pad, span + pad)
-    margin_growth = math.inf
-    quart = 3 * grid.n_max // 4
-    for r in range(0, grid.r_max + 1):
-        M = _clock_indices(grid, r)
-        for i in grid.i_range:
-            li = La.prefix(M + i) - La.prefix(i)
-            for j in grid.j_range:
-                vals = li + Lb.prefix(M + j) - Lb.prefix(j)
-                end = float(vals[-1])
-                if end <= grid.growth_threshold:
-                    return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                                   Witness(i, j, r, grid.n_max, end))
-                diffs = np.diff(vals[quart:])
-                bad = np.nonzero(diffs < -1e-12)[0]
-                if bad.size:
-                    n_bad = quart + int(bad[0]) + 2
-                    return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                                   Witness(i, j, r, n_bad, float(vals[n_bad - 1])))
-                margin_growth = min(margin_growth, end - grid.growth_threshold)
+    growth = _growth_verdict(condition, grid, _clock_slices(grid, La, Lb, True))
+    if not growth.satisfied:
+        return growth
     # backward decay in the deep-tail region
     log_tol = math.log(grid.tail_tolerance)
     margin_decay = math.inf
-    n_tail = max(1, (grid.r_max + 1) // 2)
-    for r in range(n_tail, grid.r_max + 1):
-        n = np.arange(n_tail, r + 1, dtype=np.int64)
-        e = r ** grid.q - (r - n) ** grid.q
-        for i in grid.i_range:
-            li = La.prefix(np.full_like(e, i)) - La.prefix(i - e)
-            for j in grid.j_range:
-                vals = li + Lb.prefix(np.full_like(e, j)) - Lb.prefix(j - e)
-                worst = int(np.argmax(vals))
-                if float(vals[worst]) >= log_tol:
-                    return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                                   Witness(i, j, r, int(n[worst]),
-                                           math.exp(min(float(vals[worst]), 700.0))))
-                margin_decay = min(margin_decay, log_tol - float(vals[worst]))
+    for r, n, i, j, vals in _tail_slices(grid, La, Lb):
+        worst = int(np.argmax(vals))
+        if float(vals[worst]) >= log_tol:
+            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
+                           Witness(i, j, r, int(n[worst]),
+                                   math.exp(min(float(vals[worst]), 700.0))))
+        margin_decay = min(margin_decay, log_tol - float(vals[worst]))
     return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition,
-                   margin=min(margin_growth, margin_decay))
+                   margin=min(growth.margin, margin_decay))
 
 
 def check_schatten_summability(w: WeightSeq, mu: WeightSeq, p: float,
@@ -269,37 +257,18 @@ def check_schatten_summability(w: WeightSeq, mu: WeightSeq, p: float,
     Lmu = _LogTable(mu, lo, span + pad)
     N = grid.n_max // 2
     margin = math.inf
-    for r in range(0, grid.r_max + 1):
-        M = _clock_indices(grid, r)[N - 1:]
-        for i in grid.i_range:
-            if bilateral:
-                li = Lw.prefix(M + i) - Lw.prefix(i)
-            else:
-                li = Lw.prefix(M + i)
-            for j in grid.j_range:
-                if bilateral:
-                    vals = li + Lmu.prefix(M + j) - Lmu.prefix(j)
-                else:
-                    vals = li + Lmu.prefix(M + j)
-                tail = float(np.exp(-p * vals).sum())
-                if tail >= grid.tail_tolerance:
-                    return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                                   Witness(i, j, r, N, tail))
-                margin = min(margin, grid.tail_tolerance - tail)
-    if bilateral:
-        n_tail = max(1, (grid.r_max + 1) // 2)
-        for r in range(n_tail, grid.r_max + 1):
-            n = np.arange(n_tail, r + 1, dtype=np.int64)
-            e = r ** grid.q - (r - n) ** grid.q
-            for i in grid.i_range:
-                li = Lw.prefix(np.full_like(e, i)) - Lw.prefix(i - e)
-                for j in grid.j_range:
-                    vals = li + Lmu.prefix(np.full_like(e, j)) - Lmu.prefix(j - e)
-                    tail = float(np.exp(p * vals).sum())
-                    if tail >= grid.tail_tolerance:
-                        return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                                       Witness(i, j, r, int(n[0]), tail))
-                    margin = min(margin, grid.tail_tolerance - tail)
+    for r, i, j, vals in _clock_slices(grid, Lw, Lmu, bilateral, first=N):
+        tail = float(np.exp(-p * vals).sum())
+        if tail >= grid.tail_tolerance:
+            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
+                           Witness(i, j, r, N, tail))
+        margin = min(margin, grid.tail_tolerance - tail)
+    for r, n, i, j, vals in _tail_slices(grid, Lw, Lmu) if bilateral else ():
+        tail = float(np.exp(p * vals).sum())
+        if tail >= grid.tail_tolerance:
+            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
+                           Witness(i, j, r, int(n[0]), tail))
+        margin = min(margin, grid.tail_tolerance - tail)
     return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition, margin=margin)
 
 

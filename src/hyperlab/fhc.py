@@ -29,12 +29,10 @@ from typing import Callable, Iterator, Sequence
 from .density import DensityEstimate, NatSet, q_lower_density
 from .matops import MatOp, Pairing, RankOne, conjugation, rank_one_to_mat
 from .seqspace import (
-    Domain,
     SeqVector,
     ShiftKind,
     ShiftOp,
     WeightOverflowError,
-    WeightPrefix,
     adjoint,
     apply,
     apply_right_inverse,
@@ -116,12 +114,11 @@ class BackwardOrbitFamily:
     x_{k,n} shifts the support of x_k up by n and divides by the running
     weight product, so n applications of the operator (of its adjoint, for a
     forward-type rule) restore x_k exactly.  Points are cached; weight
-    products come from a shared log-prefix table.
+    products come from the rule's shared `WeightPrefix`.
     """
 
     op: ShiftOp
     base_points: tuple
-    _prefix: WeightPrefix = field(default=None, compare=False, repr=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -134,8 +131,6 @@ class BackwardOrbitFamily:
             if x.domain is not self.op.domain:
                 raise ValueError("target domain does not match the operator")
         object.__setattr__(self, "base_points", pts)
-        if self.op.kind is not ShiftKind.DIAGONAL:
-            object.__setattr__(self, "_prefix", WeightPrefix(self.op.weights))
 
     @property
     def num_classes(self) -> int:
@@ -156,16 +151,7 @@ class BackwardOrbitFamily:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        x = self.base_point(k)
-        if self.op.kind is ShiftKind.DIAGONAL:
-            out = apply_right_inverse(self.op, x, n)
-        else:
-            entries = {}
-            for i, c in x.entries.items():
-                coeff = self._prefix.inverse_product(i + 1, i + n)
-                if coeff != 0:
-                    entries[i + n] = coeff * c
-            out = SeqVector(entries, x.domain, x.p_exponent)
+        out = apply_right_inverse(self.op, self.base_point(k), n)
         self._cache[key] = out
         return out
 

@@ -2,10 +2,10 @@
 
 Vectors live in l^p(N) or l^p(Z) and are stored as finite index -> coefficient
 maps, so shift orbits of finitely supported vectors stay finitely supported and
-carry no truncation error.  Weight sequences are generator rules (not arrays);
-their running products switch to log-magnitude accumulation once they leave the
-comfortable floating range, which keeps horizon-10^6 orbits free of silent
-overflow.
+carry no truncation error.  Weight sequences are generator rules (not arrays),
+each with one weight-product engine (`WeightPrefix`): short products multiply
+directly, long ones come from prefix sums of log-magnitudes (closed forms except
+for rational rules), which keeps horizon-10^6 orbits free of silent overflow.
 
 Operator conventions, with w_n the weight at index n:
 
@@ -26,9 +26,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "COEFF_GUARD",
@@ -58,10 +62,6 @@ __all__ = [
 # guard).  This is the only place a coefficient is ever silently lost.
 COEFF_GUARD = 1e-300
 
-# Weight products are multiplied directly while they stay inside this
-# magnitude window and tracked as (log magnitude, phase) outside it.
-_DIRECT_LO = 1e-150
-_DIRECT_HI = 1e150
 _LOG_FLOAT_MAX = math.log(1e308)
 
 
@@ -274,8 +274,11 @@ class WeightSeq:
             raise ValueError(f"zero weight encountered at index {n}")
         return w
 
-    def log_abs(self, n: int) -> float:
-        return math.log(abs(self.weight(n)))
+    @cached_property
+    def prefix(self) -> "WeightPrefix":
+        """The rule's weight-product engine, built on first use and shared;
+        it takes no part in comparison or hashing."""
+        return WeightPrefix(self)
 
     # -- serialization -----------------------------------------------------
 
@@ -318,147 +321,187 @@ class WeightSeq:
         raise ValueError(f"unknown weight kind {kind!r}")
 
 
-def weight_log_product(w: WeightSeq, start: int, stop: int) -> tuple[float, float]:
-    """(log magnitude, phase) of w_start * ... * w_stop; empty range gives (0, 0)."""
-    logmag = 0.0
-    phase = 0.0
-    for n in range(start, stop + 1):
-        c = w.weight(n)
-        logmag += math.log(abs(c))
-        phase += cmath.phase(c)
-    return logmag, phase
-
-
 def weight_product(w: WeightSeq, start: int, stop: int) -> complex:
-    """Exact product w_start * ... * w_stop with a log-space fallback.
-
-    Direct multiplication is used while the running magnitude stays inside
-    [1e-150, 1e150]; outside that window the product is carried as
-    (log magnitude, phase).  A final value beyond float range raises
-    WeightOverflowError; below the coefficient guard it flushes to zero.
-    """
-    prod = 1.0 + 0.0j
-    direct = True
-    logmag = 0.0
-    phase = 0.0
-    for n in range(start, stop + 1):
-        c = w.weight(n)
-        if direct:
-            prod *= c
-            mag = abs(prod)
-            if not (_DIRECT_LO < mag < _DIRECT_HI) or mag == 0.0:
-                direct = False
-                logmag = math.log(mag) if mag > 0.0 else -math.inf
-                phase = cmath.phase(prod)
-        else:
-            logmag += math.log(abs(c))
-            phase += cmath.phase(c)
-    if direct:
-        return prod
-    if logmag > _LOG_FLOAT_MAX:
-        raise WeightOverflowError(start, stop, logmag)
-    if logmag < math.log(COEFF_GUARD):
-        return 0.0 + 0.0j
-    return cmath.rect(math.exp(logmag), phase)
+    """w_start * ... * w_stop (empty when stop < start); see `WeightPrefix`."""
+    return w.prefix.product(start, stop)
 
 
-def _inverse_weight_product(w: WeightSeq, start: int, stop: int) -> complex:
-    """1 / (w_start ... w_stop) with the same overflow/flush policy."""
-    logmag, phase = weight_log_product(w, start, stop)
-    if -logmag > _LOG_FLOAT_MAX:
-        raise WeightOverflowError(start, stop, -logmag)
-    if -logmag < math.log(COEFF_GUARD):
-        return 0.0 + 0.0j
-    # reconstruct through the direct product when it is comfortably ranged,
-    # to keep round-off at one division instead of exp/log
-    if abs(logmag) < 300.0:
-        return 1.0 / weight_product(w, start, stop)
-    return cmath.rect(math.exp(-logmag), -phase)
+_PREFIX_CAP = 20_000_000  # grown table entries across one rational rule
+_CHUNK = 1 << 16          # table entries computed per numpy pass
 
 
-_PREFIX_CAP = 20_000_000  # total cached indices across one rule
+def _log_phase(c: complex | None):
+    """(log|c|, phase c), or None when c is not a usable weight."""
+    return None if c is None or c == 0 else (math.log(abs(c)), cmath.phase(c))
 
 
 class WeightPrefix:
-    """Cached cumulative log-magnitudes and phases of a weight rule.
+    """Cumulative log-magnitudes and phases of one weight rule.
 
     L(m) = sum_{t=1}^m log|w_t| for m >= 1, L(0) = 0, and
-    L(m) = -sum_{t=m+1}^0 log|w_t| for m < 0 on integer-domain rules, so a
-    product over [s, e] costs two lookups after the arrays are grown.  The
-    overflow/flush policy matches `weight_product`: beyond float range the
-    product raises WeightOverflowError, below the coefficient guard it
-    flushes to zero.
+    L(m) = -sum_{t=m+1}^0 log|w_t| for m < 0 on integer-domain rules; the
+    phase prefix is defined the same way.  Constant, step and table rules are
+    closed forms: a finite table over the indices (a, b] with one log-rate
+    below it and one above it (the value of a constant rule with an empty
+    table; the two levels of a step rule; the default of a table rule).  A
+    log-sum over [s, e] is then two table lookups plus exact integer counts
+    times the rates, at any index, and no weight outside [s, e] is read.
+    Rational rules have no closed form here: their prefix is a table grown on
+    demand with numpy and capped at `_PREFIX_CAP` entries.
+
+    A product over [s, e] carries a relative error of at most C * m * eps,
+    with m = max(|s|, |e|) + 1, eps the double-precision unit round-off and C
+    a small multiple of 1 + max |log|w_t||: the closed forms round a few
+    times on the way to a log-sum of size at most m * max |log|w_t||, and a
+    rational table rounds once per entry.  Beyond float range a product
+    raises WeightOverflowError; below the coefficient guard it flushes to
+    zero.  Tables are `array('d')`, read in place by numpy.
     """
 
     def __init__(self, w: WeightSeq):
         self.w = w
-        self._pos_log = [0.0]    # L(0), L(1), ...
-        self._pos_ph = [0.0]
-        self._neg_log = [0.0]    # L(0), L(-1), ... (integer domain only)
-        self._neg_ph = [0.0]
-
-    def _grow_to(self, m: int) -> None:
-        if m >= 0:
-            while len(self._pos_log) <= m:
-                if len(self._pos_log) + len(self._neg_log) > _PREFIX_CAP:
-                    raise ValueError("weight prefix cache exceeds the desk-scale cap")
-                t = len(self._pos_log)
-                c = self.w.weight(t)
-                self._pos_log.append(self._pos_log[-1] + math.log(abs(c)))
-                self._pos_ph.append(self._pos_ph[-1] + cmath.phase(c))
+        self._pos_log = array("d", [0.0])    # grown L(0), L(1), ... (rational rules)
+        self._pos_ph = array("d", [0.0])
+        self._neg_log = array("d", [0.0])    # grown L(0), L(-1), ... (integer domain)
+        self._neg_ph = array("d", [0.0])
+        kind, p = w.kind, w.params
+        self._closed = kind != "rational_ratio"
+        if not self._closed:
+            return
+        if kind == "constant":
+            a, values, low, high = 0, (), p[0], p[0]
+        elif kind == "step":
+            a, values, low, high = p[0] - 1, (), p[1], p[2]
+        elif kind == "table":
+            a, values, low, high = p[0] - 1, p[1], p[2], p[2]
         else:
-            if self.w.domain is not Domain.INTEGERS:
-                raise ValueError("negative prefix index on a naturals rule")
-            while len(self._neg_log) <= -m:
-                if len(self._pos_log) + len(self._neg_log) > _PREFIX_CAP:
-                    raise ValueError("weight prefix cache exceeds the desk-scale cap")
-                t = 1 - len(self._neg_log)  # next weight index going down: 0, -1, ...
-                c = self.w.weight(t)
-                self._neg_log.append(self._neg_log[-1] - math.log(abs(c)))
-                self._neg_ph.append(self._neg_ph[-1] - cmath.phase(c))
+            raise ValueError(f"unknown weight kind {kind!r}")
+        self._a, self._b = a, a + len(values)
+        self._low, self._high = _log_phase(low), _log_phase(high)
+        # table indices whose weight is zero, read only to raise
+        self._zeros = [a + 1 + k for k, v in enumerate(values) if v == 0]
+        lps = [_log_phase(v) or (0.0, 0.0) for v in values]
+        self._tab_log = array("d", itertools.accumulate((lp[0] for lp in lps), initial=0.0))
+        self._tab_ph = array("d", itertools.accumulate((lp[1] for lp in lps), initial=0.0))
+
+    def _closed_sum(self, s, e, lo: int, hi: int, vector: bool = False):
+        """(log-sum, phase-sum) over [s, e] with e >= s - 1, for ints or for
+        integer arrays; [lo, hi] covers every index read."""
+        if lo <= hi:
+            bad = [z for z in self._zeros if lo <= z <= hi]
+            if (self.w.domain is Domain.NATURALS and lo < 0
+                    or self._low is None and lo <= self._a):
+                bad.append(lo)
+            if self._high is None and hi > self._b:
+                bad.append(max(lo, self._b + 1))
+            if bad:
+                self.w.weight(min(bad))  # raises the rule's own error
+        tab_log, tab_ph, minimum, maximum = self._tab_log, self._tab_ph, min, max
+        if vector:
+            tab_log, tab_ph = np.frombuffer(tab_log), np.frombuffer(tab_ph)
+            minimum, maximum = np.minimum, np.maximum
+        a, b = self._a, self._b
+        n_low = maximum(minimum(e, a) - s + 1, 0)
+        n_high = maximum(e - maximum(s - 1, b), 0)
+        j1 = minimum(maximum(s - 1, a), b) - a
+        j2 = minimum(maximum(e, a), b) - a
+        low, high = self._low or (0.0, 0.0), self._high or (0.0, 0.0)
+        return (tab_log[j2] - tab_log[j1] + n_low * low[0] + n_high * high[0],
+                tab_ph[j2] - tab_ph[j1] + n_low * low[1] + n_high * high[1])
+
+    def _grow(self, lo: int, hi: int) -> None:
+        """Extend the rational tables to cover L(lo) .. L(hi), at least doubling
+        a growing table, in chunks that keep temporaries small.  Entry k of a
+        side is L(k) or L(-k): it adds w_k or subtracts w_{1-k}.  Growth stops
+        short of an index without a usable weight, raising if it is needed."""
+        num, den = self.w.params
+        for logs, phs, need, sign in ((self._pos_log, self._pos_ph, hi, 1),
+                                      (self._neg_log, self._neg_ph, -lo, -1)):
+            if need < len(logs):
+                continue
+            room = _PREFIX_CAP - len(self._pos_log) - len(self._neg_log)
+            if need - len(logs) >= room:
+                raise ValueError("weight prefix cache exceeds the desk-scale cap")
+            top = min(max(need, 2 * len(logs)), len(logs) + room - 1)
+            while len(logs) <= top:
+                k = np.arange(len(logs), min(len(logs) + _CHUNK, top + 1))
+                t = k if sign > 0 else 1 - k
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    d = _poly_eval(den, t)
+                    vals = _poly_eval(num, t) / d
+                bad = (d == 0.0) | (vals == 0.0) | ((t < 0) & (self.w.domain is Domain.NATURALS))
+                if bad.any():
+                    first = int(np.argmax(bad))
+                    if k[first] <= need:
+                        self.w.weight(int(t[first]))  # raises the rule's own error
+                    vals, top = vals[:first], k[first] - 1
+                # math.log, not np.log (they differ in the last bit on about one
+                # input in 10^4): entries equal a scalar running sum, which
+                # cumsum reproduces once the last entry joins the first step
+                steps = sign * np.fromiter(map(math.log, memoryview(np.abs(vals))), float,
+                                           vals.size)
+                for table, step in ((logs, steps), (phs, np.where(vals < 0, sign * math.pi, 0.0))):
+                    step[:1] += table[-1]
+                    table.frombytes(np.cumsum(step).tobytes())
+
+    def _at(self, m: int) -> tuple[float, float]:
+        if m >= 0:
+            return self._pos_log[m], self._pos_ph[m]
+        return self._neg_log[-m], self._neg_ph[-m]
+
+    def _sum(self, s: int, e: int) -> tuple[float, float]:
+        """(log-sum, phase-sum) over [s, e], e >= s - 1."""
+        if max(abs(s), abs(e)) > 2 ** 53:   # past exact float index arithmetic
+            raise ValueError("weight product reaches an index beyond 2^53")
+        if self._closed:
+            return self._closed_sum(s, e, s, e)
+        self._grow(s - 1, e)
+        (l1, p1), (l0, p0) = self._at(e), self._at(s - 1)
+        return l1 - l0, p1 - p0
 
     def log_abs(self, m: int) -> float:
-        self._grow_to(m)
-        return self._pos_log[m] if m >= 0 else self._neg_log[-m]
+        """L(m)."""
+        return self._sum(1, m)[0] if m >= 0 else -self._sum(m + 1, 0)[0]
 
-    def _phase(self, m: int) -> float:
-        return self._pos_ph[m] if m >= 0 else self._neg_ph[-m]
-
-    def _build(self, logmag: float, phase: float, start: int, stop: int) -> complex:
-        if logmag > _LOG_FLOAT_MAX:
-            raise WeightOverflowError(start, stop, logmag)
-        if logmag < math.log(COEFF_GUARD):
-            return 0.0 + 0.0j
-        return cmath.rect(math.exp(logmag), phase)
-
-    def _direct(self, start: int, stop: int) -> complex:
-        prod = 1.0 + 0.0j
-        for t in range(start, stop + 1):
-            prod *= self.w.weight(t)
-        return prod
+    def log_abs_many(self, m) -> np.ndarray:
+        """L(m), vectorized over a nonempty integer array."""
+        m = np.asarray(m, dtype=np.int64)
+        lo, hi, up = int(m.min()), int(m.max()), m >= 0
+        if self._closed:
+            s, e = np.where(up, 1, m + 1), np.where(up, m, 0)
+            logs = self._closed_sum(s, e, min(lo + 1, 1), max(hi, 0), vector=True)[0]
+            return np.where(up, logs, -logs)
+        self._grow(lo, hi)
+        return np.where(up, np.frombuffer(self._pos_log)[np.maximum(m, 0)],
+                        np.frombuffer(self._neg_log)[np.maximum(-m, 0)])
 
     def product(self, start: int, stop: int) -> complex:
         """w_start * ... * w_stop (empty when stop < start).
 
         Short comfortably-ranged products multiply directly (exact up to one
-        rounding per factor); long or extreme ones go through the log table.
+        rounding per factor); long or extreme ones go through the log-sums.
         """
-        if stop < start:
-            return 1.0 + 0.0j
-        lm = self.log_abs(stop) - self.log_abs(start - 1)
-        ph = self._phase(stop) - self._phase(start - 1)
-        if stop - start < 128 and abs(lm) < 300.0:
-            return self._direct(start, stop)
-        return self._build(lm, ph, start, stop)
+        return self._product(start, stop, 1)
 
     def inverse_product(self, start: int, stop: int) -> complex:
+        """1 / (w_start * ... * w_stop), by the same rules as `product`."""
+        return self._product(start, stop, -1)
+
+    def _product(self, start: int, stop: int, sign: int) -> complex:
         if stop < start:
             return 1.0 + 0.0j
-        lm = self.log_abs(start - 1) - self.log_abs(stop)
-        ph = self._phase(start - 1) - self._phase(stop)
+        lm, ph = self._sum(start, stop)
         if stop - start < 128 and abs(lm) < 300.0:
-            return 1.0 / self._direct(start, stop)
-        return self._build(lm, ph, start, stop)
+            prod = 1.0 + 0.0j
+            for t in range(start, stop + 1):
+                prod *= self.w.weight(t)
+            return prod if sign > 0 else 1.0 / prod
+        lm, ph = sign * lm, sign * ph + 0.0   # + 0.0: a zero phase stays +0.0
+        if lm > _LOG_FLOAT_MAX:
+            raise WeightOverflowError(start, stop, lm)
+        if lm < math.log(COEFF_GUARD):
+            return 0.0 + 0.0j
+        return cmath.rect(math.exp(lm), ph)
 
 
 # ---------------------------------------------------------------------------
@@ -642,19 +685,19 @@ def apply_right_inverse(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
                 continue
             out[n] = c * (lam ** (-m))
     else:
+        pre = w.prefix
         for n, c in v.entries.items():
-            coeff = _inverse_weight_product(w, n + 1, n + m)
-            val = coeff * c
-            if val != 0:
-                out[n + m] = out.get(n + m, 0.0) + val
+            coeff = pre.inverse_product(n + 1, n + m)
+            if coeff != 0:
+                out[n + m] = coeff * c
     return SeqVector(out, v.domain, v.p_exponent)
 
 
 def shift_power_apply(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
-    """T^m v in one jump via closed-form weight products.
+    """T^m v in one jump via the rule's weight-product engine.
 
-    Equivalent to applying `apply` m times but O(support) regardless of m.
-    Polynomial-of-shift operators fall back to repeated application.
+    Equivalent to applying `apply` m times, in O(support) once a rational
+    rule's table reaches the jump; polynomials of shifts repeat `apply`.
     """
     _check_domains(op, v)
     if m < 0:
@@ -668,21 +711,22 @@ def shift_power_apply(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
             out = apply(op, out)
         return out
     w = op.weights
+    pre = w.prefix
     out: dict = {}
     for n, c in v.entries.items():
         if k is ShiftKind.BACKWARD:
             if n < m:
                 continue  # the orbit fell off the bottom: B^m e_n = 0 for n < m
-            val = weight_product(w, n - m + 1, n) * c
+            val = pre.product(n - m + 1, n) * c
             tgt = n - m
         elif k is ShiftKind.BACKWARD_BILATERAL:
-            val = weight_product(w, n - m + 1, n) * c
+            val = pre.product(n - m + 1, n) * c
             tgt = n - m
         elif k is ShiftKind.FORWARD:
-            val = weight_product(w, n + 1, n + m) * c
+            val = pre.product(n + 1, n + m) * c
             tgt = n + m
         elif k is ShiftKind.FORWARD_BILATERAL:
-            val = weight_product(w, n, n + m - 1) * c
+            val = pre.product(n, n + m - 1) * c
             tgt = n + m
         else:  # diagonal
             val = (w.weight(n) ** m) * c

@@ -32,7 +32,9 @@ def one_error_line(err: str) -> str:
 # -- report bytes -----------------------------------------------------------
 
 # SHA-256 of each report, recorded before the parameter tables replaced the
-# hand-written defaults and flags.
+# hand-written defaults and flags.  check-bilateral was re-recorded when the
+# closed-form weight prefixes made its witness exact (see
+# test_bilateral_witness_is_exact).
 PINNED = [
     pytest.param([
         "density", "--set", "squares", "--q", "2", "--n-max", "60"],
@@ -60,7 +62,7 @@ PINNED = [
     pytest.param([
         "check", "--condition", "bilateral", "--weights",
         "w=constant:2@Z;mu=constant:2@Z", "--r-max", "4", "--n-max", "16"],
-        2, "84b1f99d6c6020099fca82ca3d884b0e3eea4f3c676209a8e33c548d12d790a4",
+        2, "49c6a082eed0fab17a0a9963781170ab882dac4607f7e4e53dac1da0254a57f0",
         id="check-bilateral"),
     pytest.param([
         "check", "--condition", "schatten", "--p", "1.5", "--r-max", "4"],
@@ -221,12 +223,41 @@ def test_non_finite_float_flag_is_rejected(tmp_path, capsys):
 
 # -- runtime failures and exit codes -----------------------------------------
 
-def test_decaying_weights_fail_the_construction_cleanly(tmp_path, capsys):
-    argv = ["construct-fhc", "--weights", "w=constant:0.5", "--targets", "0",
-            "--horizon", "100"]
+@pytest.mark.parametrize("extra", [["--horizon", "100"], ["--q", "3", "--horizon", "10"]],
+                         ids=["horizon-100", "q3-horizon-10"])
+def test_decaying_weights_fail_the_construction_cleanly(tmp_path, capsys, extra):
+    # with q = 3 the threshold search asks for weight products at indices
+    # near (4096 + 95)^3, which the closed-form prefix answers at once
+    argv = ["construct-fhc", "--weights", "w=constant:0.5", "--targets", "0", *extra]
     assert run(argv, tmp_path) == 1
     assert one_error_line(capsys.readouterr().err).startswith(
         "error: construction failed: ")
+
+
+def test_growth_check_runs_on_the_quartic_clock(tmp_path):
+    # clock indices reach (512 + 32)^4, about 8.8e10
+    assert run(["check", "--condition", "growth", "--q", "4"], tmp_path) == 0
+
+
+@pytest.mark.parametrize("condition", ["bilateral", "schatten"])
+def test_clock_indices_beyond_two_to_the_53_are_refused(tmp_path, capsys, condition):
+    # (512 + 32)^7 would wrap int64 in the clock arithmetic
+    argv = ["check", "--condition", condition, "--weights",
+            "w=constant:2@Z;mu=constant:2@Z", "--q", "7"]
+    assert run(argv, tmp_path) == 1
+    line = one_error_line(capsys.readouterr().err)
+    assert "q = 7" in line and "n_max = 512" in line and "r_max = 32" in line
+    assert not (tmp_path / "check_report.json").exists()
+
+
+def test_bilateral_witness_is_exact(tmp_path):
+    # constant weights 2 on Z: the witness is a backward product over
+    # e = r^q - (r - n)^q = 2 indices on each side, 2^2 * 2^2 = 16
+    argv = ["check", "--condition", "bilateral", "--weights",
+            "w=constant:2@Z;mu=constant:2@Z", "--r-max", "4", "--n-max", "16"]
+    assert run(argv, tmp_path) == 2
+    witness = json.loads(report_path(tmp_path, argv).read_text())["results"]["verdict"]["witness"]
+    assert abs(witness["value"] - 16.0) <= 1e-15 * 16.0
 
 
 def test_unconverged_spectrum_exits_two(tmp_path, monkeypatch):
@@ -287,11 +318,9 @@ PLAUSIBLE = {
         "start": one_of("0", "0,3", "2=1:1"),
         "horizon": ints(1, 12), "stride_exponent": ints(1, 3), "p": floats(1, 4),
     },
-    # q >= 2 stays out: on decaying weights the threshold search then grows
-    # the weight-prefix table to millions of entries before it gives up
     "construct_fhc": {
         "weights": one_of("w=constant:2", "w=constant:0.5", "w=ratio:1,1|0,1"),
-        "op": one_of("backward"), "q": one_of(1),
+        "op": one_of("backward"), "q": ints(1, 2),
         "targets": one_of("0", "0|0,1", "1=1:1"),
         "horizon": ints(1, 200), "eps_scale": floats(0.1, 2), "eps_base": floats(0.1, 0.9),
     },

@@ -242,22 +242,74 @@ def test_right_inverse_underflow_flushes_to_zero():
     assert out.is_zero()
 
 
-def test_weight_prefix_matches_direct_products():
+def test_weight_prefix_matches_direct_products(monkeypatch):
     from hyperlab.seqspace import WeightPrefix
-    w = WeightSeq.ratio([1.0, 1.0], [2.0, 1.0])   # (n+1)/(n+2)
-    pre = WeightPrefix(w)
-    for s, e in [(1, 1), (2, 7), (5, 40), (3, 2)]:
-        assert pre.product(s, e) == pytest.approx(weight_product(w, s, e), rel=1e-12)
-        if e >= s:
-            assert pre.inverse_product(s, e) == pytest.approx(
-                1.0 / weight_product(w, s, e), rel=1e-12)
-    z = WeightSeq.step(0.5, 2.0, split=0)
-    prez = WeightPrefix(z)
+
+    def literal(w, s, e):
+        prod = 1.0 + 0.0j
+        for t in range(s, e + 1):
+            prod *= w.weight(t)
+        return prod
+
+    def agree(pre, ranges):
+        # ranges of 128 factors or more take the log-sum path
+        for s, e in ranges:
+            want = literal(pre.w, s, e)
+            assert pre.product(s, e) == pytest.approx(want, rel=1e-12)
+            assert pre.inverse_product(s, e) == pytest.approx(1.0 / want, rel=1e-12)
+
+    Z = Domain.INTEGERS
+    agree(WeightPrefix(WeightSeq.ratio([1.0, 1.0], [2.0, 1.0])),      # (n+1)/(n+2)
+          [(1, 1), (2, 7), (5, 40), (3, 2), (1, 300), (250, 900)])
+    agree(WeightPrefix(WeightSeq.constant(1.5)), [(1, 1), (3, 200), (100, 1500)])
+    agree(WeightPrefix(WeightSeq.constant(0.9 + 0.3j, Z)), [(-700, -400), (-300, 500)])
+    # step rules across the split and across 0
+    for z in (WeightSeq.step(0.5, 2.0, split=3), WeightSeq.step(0.8j, 1.25, split=-2)):
+        agree(WeightPrefix(z), [(-200, -5), (-10, 10), (-150, 150), (1, 2), (4, 300),
+                                (-2, -2), (-3, -3)])
+    prez = WeightPrefix(WeightSeq.step(0.5, 2.0, split=0))
     # bilateral lookups cross zero: product over [-3, 2] = 0.5^3 * 2^3
     assert prez.product(-3, 2) == pytest.approx(1.0, rel=1e-12)
     assert prez.product(-2, -1) == pytest.approx(0.25, rel=1e-12)
-    with pytest.raises(ValueError):
-        WeightPrefix(W2).log_abs(-2)  # naturals rule, negative index
+    # a table with a default, read past its end and before its start
+    tab = WeightSeq.table([3.0, 0.5, 2.0, -1.5], start=2, default=1.1)
+    agree(WeightPrefix(tab), [(0, 3), (1, 10), (3, 400), (0, 300), (6, 500)])
+    tab_z = WeightSeq.table([0.5j, 2.0, -3.0], start=-1, default=0.99, domain=Z)
+    agree(WeightPrefix(tab_z), [(-400, -2), (-300, 300), (-1, 1), (2, 600)])
+    # a table without a default, read up to its edges and never past them
+    vals = [1.0 + 0.5 * math.sin(t) for t in range(200)]
+    edge = WeightSeq.table(vals, start=5)
+    read = []
+    weight = WeightSeq.weight
+    monkeypatch.setattr(WeightSeq, "weight", lambda w, n: read.append(n) or weight(w, n))
+    pre = WeightPrefix(edge)
+    agree(pre, [(5, 204), (6, 203), (204, 204), (5, 5), (50, 150)])
+    assert read and min(read) >= 5 and max(read) <= 204
+    monkeypatch.undo()
+    # short ranges multiply directly, long ones (128 factors or more) take
+    # the log-sums; both refuse an index past either edge
+    for s, e in [(4, 10), (200, 205), (1, 150), (100, 250)]:
+        with pytest.raises(ValueError, match="outside the table"):
+            pre.product(s, e)
+    # a zero denominator at n = 50 and a zero weight at n = -3 raise only
+    # when a product reaches them
+    pole = WeightPrefix(WeightSeq.ratio([1.0], [-50.0, 1.0]))
+    agree(pole, [(1, 49), (2, 40)])
+    with pytest.raises(ValueError, match="zero denominator"):
+        pole.product(45, 55)
+    agree(pole, [(1, 49)])
+    root = WeightPrefix(WeightSeq.ratio([3.0, 1.0], [10.0, 1.0], Z))
+    agree(root, [(-1, 5), (-2, 50), (-2, 200)])
+    with pytest.raises(ValueError, match="zero weight"):
+        root.product(-4, 2)
+    # indices past exact float arithmetic, and negative ones on naturals rules
+    with pytest.raises(ValueError, match="beyond 2"):
+        WeightPrefix(W2).inverse_product(5, 2 ** 60)
+    for w in (W2, WeightSeq.ratio([1.0, 1.0], [2.0, 1.0]), tab):
+        with pytest.raises(ValueError):
+            WeightPrefix(w).log_abs(-2)
+        with pytest.raises(ValueError):
+            WeightPrefix(w).product(-3, 4)
 
 
 def test_weight_product_log_space_region():
