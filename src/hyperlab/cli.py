@@ -60,9 +60,9 @@ from .hardy import (AnalyticSymbol, BetaSpace, adjoint_kernel_eigencheck,
                     conjugation_eigencheck, converse_certificate,
                     nuclear_eigencheck, span_density_residual,
                     unimodular_locus_sample)
-from .matops import MatOp, p_sum, shift_matrix, singular_values, spectrum_to_csv
+from .matops import MatOp, shift_matrix, singular_values, spectrum_to_csv
 from .seqspace import (Domain, SeqVector, ShiftOp, WeightOverflowError,
-                       WeightSeq, iterate_orbit, lp_norm)
+                       WeightSeq, iterate_orbit, lp_norm, p_sum)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -212,20 +212,32 @@ def parse_range(text: str) -> tuple:
     return tuple(range(lo, hi + 1))
 
 
-def build_natset(spec: str, horizon: int) -> NatSet:
+# largest generated set build_natset materializes
+_MAX_SET_ELEMS = 10 ** 7
+
+
+def build_natset(spec: str, horizon: int, what: str = "horizon") -> NatSet:
+    """The set up to horizon; a generated set of more than _MAX_SET_ELEMS
+    elements is refused, with `what` naming the horizon in the error."""
     spec = str(spec).strip()
+    if spec.startswith("file:"):
+        return _read_file(spec.split(":", 1)[1], natset_from_lines)
     if spec == "squares":
-        return NatSet(tuple(n * n for n in range(1, math.isqrt(horizon) + 1)), horizon)
-    if spec == "evens":
-        return NatSet(tuple(range(2, horizon + 1, 2)), horizon)
-    if spec.startswith("multiples:"):
+        roots = range(1, math.isqrt(horizon) + 1)
+    elif spec == "evens":
+        roots = range(2, horizon + 1, 2)
+    elif spec.startswith("multiples:"):
         k = _parse_int(spec.split(":", 1)[1], "multiples stride")
         if k < 1:
             raise ConfigError("multiples stride must be >= 1")
-        return NatSet(tuple(range(k, horizon + 1, k)), horizon)
-    if spec.startswith("file:"):
-        return _read_file(spec.split(":", 1)[1], natset_from_lines)
-    raise ConfigError(f"unknown set spec {spec!r}")
+        roots = range(k, horizon + 1, k)
+    else:
+        raise ConfigError(f"unknown set spec {spec!r}")
+    if len(roots) > _MAX_SET_ELEMS:
+        raise ConfigError(f"set {spec!r} up to {what} = {horizon} would hold {len(roots)} "
+                          f"elements, more than {_MAX_SET_ELEMS}")
+    elems = tuple(n * n for n in roots) if spec == "squares" else tuple(roots)
+    return NatSet(elems, horizon)
 
 
 def build_beta_space(spec: str, dim: int) -> BetaSpace:
@@ -337,7 +349,11 @@ def _run_density(p: dict, outdir: Path, fmt: str, seed: int):
     q, n_max = p["q"], p["n_max"]
     if q <= 0 or n_max < 1:
         raise ConfigError("density needs q > 0 and n_max >= 1")
-    A = build_natset(p["set"], max(1, math.ceil(n_max ** q)))
+    try:
+        horizon = max(1, math.ceil(n_max ** q))
+    except OverflowError:
+        raise ConfigError(f"n_max^q overflows for n_max = {n_max}, q = {q}") from None
+    A = build_natset(p["set"], horizon, f"n_max^q (n_max = {n_max}, q = {q})")
     est = q_lower_density(A, q, n_max, p["tail_start"])
     params = {**p, "tail_start": est.tail_start, "set_horizon": A.horizon}
     last_n, last_count, last_ratio = est.profile[-1]
@@ -393,7 +409,9 @@ def _run_construct_fhc(p: dict, outdir: Path, fmt: str, seed: int):
     radii = [k * sched.eps(k) + sum(sched.eps(j) for j in range(k + 1, K + 1))
              for k in range(1, K + 1)]
     reports = verify_q_frequent_visits(op, x, family, J, q, radii, eps=sched)
-    ok = sep.ok and all(r.contained and r.density_ratio > 0.0 for r in reports)
+    # a truncated block scan measured a partial orbit point, so it is no pass
+    ok = sep.ok and all(r.contained and r.density_ratio > 0.0 and not r.truncated
+                        for r in reports)
     params = {"weights": p["weights"], "op": p["op"], "q": q, "targets": p["targets"],
               "horizon": p["horizon"], "eps": sched.describe(), "seed": seed}
     results = {

@@ -21,12 +21,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .matops import MatOp, embed_window, operator_norm, schatten_norm
 from .seqspace import SeqVector, lp_norm
 
 __all__ = [
     "NatSet",
     "DensityEstimate",
+    "DensityProfile",
     "NormSpec",
     "q_lower_density",
     "visit_set",
@@ -34,6 +37,9 @@ __all__ = [
     "natset_to_lines",
     "natset_from_lines",
 ]
+
+
+_INT64_MAX = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -70,12 +76,44 @@ class NatSet:
         return len(self.elems)
 
 
+class DensityProfile(Sequence):
+    """Read-only sequence of the (N, count, ratio) triples for N = 1..n_max,
+    stored as a count array and a ratio array.  Items are Python (int, int,
+    float) triples; a slice gives a tuple of them."""
+
+    def __init__(self, counts: np.ndarray, ratios: np.ndarray):
+        self.counts = counts
+        self.ratios = ratios
+        counts.flags.writeable = ratios.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        j = range(len(self))[i]
+        return (j + 1, int(self.counts[j]), float(self.ratios[j]))
+
+    def __iter__(self):
+        return zip(range(1, len(self) + 1), self.counts.tolist(), self.ratios.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DensityProfile):
+            return NotImplemented
+        return (np.array_equal(self.counts, other.counts)
+                and np.array_equal(self.ratios, other.ratios))
+
+    def __hash__(self) -> int:
+        return hash((self.counts.tobytes(), self.ratios.tobytes()))
+
+
 @dataclass(frozen=True)
 class DensityEstimate:
     q: float
     n_max: int
     tail_start: int
-    profile: tuple            # (N, count, ratio) triples for N = 1..n_max
+    profile: DensityProfile   # (N, count, ratio) triples for N = 1..n_max
     liminf_proxy: float       # min ratio over N >= tail_start
 
     def ratio_at(self, N: int) -> float:
@@ -103,13 +141,26 @@ def q_lower_density(A: NatSet, q: float, N_max: int,
     if not 1 <= tail_start <= N_max:
         raise ValueError("tail_start must lie in [1, N_max]")
 
-    profile = []
-    for N in range(1, N_max + 1):
-        threshold = N ** q_int if q_int is not None else float(N) ** q
-        count = A.count_leq(threshold)
-        profile.append((N, count, count / N))
-    liminf = min(r for (N, _, r) in profile if N >= tail_start)
-    return DensityEstimate(float(q), N_max, tail_start, tuple(profile), liminf)
+    # An element n counts for N when n <= N^q, that is n <= floor(N^q).
+    # While N_max^q fits int64 the floors are counted with one searchsorted;
+    # beyond it (a file: set may declare any horizon) every threshold is
+    # bisected as a Python number, as int64 would wrap.
+    Ns = np.arange(1, N_max + 1)
+    if top > _INT64_MAX:
+        counts = np.array([A.count_leq(N ** q_int if q_int is not None else float(N) ** q)
+                           for N in range(1, N_max + 1)])
+    else:
+        if q_int is not None:
+            # from q = 63 on only N = 1 fits, so the cap changes no floor
+            floors = Ns ** min(q_int, 63)
+        else:
+            # Python's float powers: np.power may differ in the last bit
+            floors = np.floor([float(N) ** q for N in range(1, N_max + 1)]).astype(np.int64)
+        small = np.array(A.elems[:A.count_leq(top)], dtype=np.int64)
+        counts = np.searchsorted(small, floors, side="right")
+    ratios = counts / Ns
+    liminf = float(ratios[tail_start - 1:].min())
+    return DensityEstimate(float(q), N_max, tail_start, DensityProfile(counts, ratios), liminf)
 
 
 @dataclass(frozen=True)

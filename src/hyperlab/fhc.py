@@ -29,6 +29,7 @@ from typing import Callable, Iterator, Sequence
 from .density import DensityEstimate, NatSet, q_lower_density
 from .matops import MatOp, Pairing, RankOne, conjugation, rank_one_to_mat
 from .seqspace import (
+    COEFF_GUARD,
     SeqVector,
     ShiftKind,
     ShiftOp,
@@ -37,6 +38,7 @@ from .seqspace import (
     apply,
     apply_right_inverse,
     lp_norm,
+    p_sum,
     shift_power_apply,
 )
 
@@ -113,13 +115,14 @@ class BackwardOrbitFamily:
 
     x_{k,n} shifts the support of x_k up by n and divides by the running
     weight product, so n applications of the operator (of its adjoint, for a
-    forward-type rule) restore x_k exactly.  Points are cached; weight
-    products come from the rule's shared `WeightPrefix`.
+    forward-type rule) restore x_k exactly.  Points and their norms are
+    cached; weight products come from the rule's shared `WeightPrefix`.
     """
 
     op: ShiftOp
     base_points: tuple
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _norms: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.op.kind is ShiftKind.POLY_OF_SHIFT:
@@ -154,6 +157,14 @@ class BackwardOrbitFamily:
         out = apply_right_inverse(self.op, self.base_point(k), n)
         self._cache[key] = out
         return out
+
+    def inverse_norm(self, k: int, n: int) -> float:
+        """lp_norm of x_{k,n}, computed once per point."""
+        key = (k, n)
+        hit = self._norms.get(key)
+        if hit is None:
+            hit = self._norms[key] = lp_norm(self.inverse_point(k, n))
+        return hit
 
     def forward_op(self) -> ShiftOp:
         """The map that undoes inverse_point: the operator itself for
@@ -488,19 +499,25 @@ def assemble_vector(family: BackwardOrbitFamily, J: SeparatedFamily, q: int) -> 
 
     Blocks whose coefficients sit below the subnormal guard vanish from the
     stored vector; the verifier reconstructs them from the family instead of
-    trusting this float shadow.
+    trusting this float shadow.  The blocks are added into one dict, and an
+    entry is dropped the moment it falls below the guard, exactly as the fold
+    total = total + x_{l, n^q} would store it.
     """
     qi = int(q)
     if qi < 1:
         raise ValueError("q must be a positive natural")
     if J.num_classes > family.num_classes:
         raise ValueError("more visit plans than targets")
-    total = SeqVector.zero(family.base_point(1).domain,
-                           family.base_point(1).p_exponent)
+    acc: dict = {}
     for l in range(1, J.num_classes + 1):
         for n in J.sets[l - 1].elems:
-            total = total + family.inverse_point(l, n ** qi)
-    return total
+            for idx, c in family.inverse_point(l, n ** qi).entries.items():
+                v = acc.get(idx, 0.0) + c
+                if abs(v) < COEFF_GUARD:
+                    acc.pop(idx, None)
+                else:
+                    acc[idx] = v
+    return SeqVector(acc, family.base_point(1).domain, family.base_point(1).p_exponent)
 
 
 @dataclass(frozen=True)
@@ -544,65 +561,13 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
         raise ValueError("one radius per class is required")
     blocks = sorted((n, l) for l in range(1, K + 1) for n in J.sets[l - 1].elems)
     N_H = horizon if horizon is not None else (blocks[-1][0] if blocks else 0)
-    block_times = [b[0] for b in blocks]
-    nilpotent = op.kind is ShiftKind.BACKWARD
-    sup_top = {l: (max(family.base_point(l).support())
-                   if family.base_point(l).entries else -1)
-               for l in range(1, K + 1)}
-
-    distances = {k: {} for k in range(1, K + 1)}  # n -> distance
-    truncated_any = False
-    overflow_times = set()
-
-    for n in range(1, N_H + 1):
-        acc: dict = {}
-        i0 = bisect_left(block_times, n)
-        consec_small = 0
-        used = 0
-        bad = False
-        for m, l in blocks[i0:]:
-            xv = family.inverse_point(l, m ** qi - n ** qi)
-            for idx, c in xv.entries.items():
-                acc[idx] = acc.get(idx, 0.0 + 0.0j) + c
-            used += 1
-            if used >= max_blocks_per_time:
-                truncated_any = True
-                break
-            if lp_norm(xv) < tail_cut:
-                consec_small += 1
-                if consec_small >= 3:
-                    break
-            else:
-                consec_small = 0
-        for m, l in reversed(blocks[:i0]):
-            delta = n ** qi - m ** qi
-            if nilpotent and delta > sup_top[l]:
-                break    # later blocks only increase delta: all images vanish
-            try:
-                tv = shift_power_apply(op, family.base_point(l), delta)
-            except WeightOverflowError:
-                bad = True
-                break
-            for idx, c in tv.entries.items():
-                acc[idx] = acc.get(idx, 0.0 + 0.0j) + c
-            used += 1
-            if used >= max_blocks_per_time:
-                truncated_any = True
-                break
-        if bad:
-            overflow_times.add(n)
-            for k in range(1, K + 1):
-                distances[k][n] = math.inf
-            continue
-        y = SeqVector(acc, family.base_point(1).domain,
-                      family.base_point(1).p_exponent)
-        for k in range(1, K + 1):
-            distances[k][n] = lp_norm(y - family.base_point(k))
+    distances, truncated_any = _scan_distances(op, family, blocks, K, qi, N_H, tail_cut,
+                                               max_blocks_per_time)
 
     # independent early-time cross-check from the stored vector
     dev = None
     if cross_check > 0 and blocks:
-        early = [m for m in block_times if m ** qi <= cross_check_horizon][:cross_check]
+        early = [m for m, _ in blocks if m ** qi <= cross_check_horizon][:cross_check]
         if early:
             dev = 0.0
             for m in early:
@@ -643,6 +608,101 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
             cross_check_dev=dev,
         ))
     return reports
+
+
+def _distance(acc: dict, mags: dict, target: dict, p: float) -> float:
+    """lp_norm(SeqVector(acc) - SeqVector(target)) from the entries: mags
+    holds |acc_i| for the entries at or above COEFF_GUARD, in acc's order.
+
+    The difference keeps y's order, updates y's entries in place, appends
+    the target indices y lacks and then drops what fell below the guard, as
+    SeqVector.add does, so p_sum adds the same terms in the same order.
+    """
+    diff = mags.copy()
+    for idx, t in target.items():
+        if idx in mags:
+            a = abs(acc[idx] - t)
+            if a < COEFF_GUARD:
+                del diff[idx]
+            else:
+                diff[idx] = a
+        else:
+            diff[idx] = abs(t)     # a stored target entry clears the guard
+    return p_sum(diff.values(), p)
+
+
+def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: list, K: int,
+                    qi: int, N_H: int, tail_cut: float, max_blocks_per_time: int) -> tuple:
+    """({k: {n: ||T^{n^q} x - x_k||}} for k <= K and n = 1..N_H, truncated)
+    over the sorted (time, class) blocks; see verify_q_frequent_visits.
+
+    Each time's orbit point is summed into a plain dict in block order, and
+    its distance to every target is the float arithmetic of
+    lp_norm(SeqVector(acc) - x_k) step for step, without building either
+    vector (see `_distance`).
+    """
+    block_times = [b[0] for b in blocks]
+    nilpotent = op.kind is ShiftKind.BACKWARD
+    sup_top = {l: (max(family.base_point(l).support())
+                   if family.base_point(l).entries else -1)
+               for l in range(1, K + 1)}
+    p = family.base_point(1).p_exponent
+    targets = [family.base_point(k).entries for k in range(1, K + 1)]
+
+    distances = {k: {} for k in range(1, K + 1)}  # n -> distance
+    truncated = False
+    for n in range(1, N_H + 1):
+        nq = n ** qi
+        acc: dict = {}
+        i0 = bisect_left(block_times, n)
+        consec_small = 0
+        used = 0
+        bad = False
+        for i in range(i0, len(blocks)):
+            m, l = blocks[i]
+            e = m ** qi - nq
+            for idx, c in family.inverse_point(l, e).entries.items():
+                acc[idx] = acc.get(idx, 0.0 + 0.0j) + c
+            used += 1
+            if used >= max_blocks_per_time:
+                truncated = True
+                break
+            if family.inverse_norm(l, e) < tail_cut:
+                consec_small += 1
+                if consec_small >= 3:
+                    break
+            else:
+                consec_small = 0
+        for i in range(i0 - 1, -1, -1):
+            m, l = blocks[i]
+            delta = nq - m ** qi
+            if nilpotent and delta > sup_top[l]:
+                break    # later blocks only increase delta: all images vanish
+            try:
+                tv = shift_power_apply(op, family.base_point(l), delta)
+            except WeightOverflowError:
+                bad = True
+                break
+            for idx, c in tv.entries.items():
+                acc[idx] = acc.get(idx, 0.0 + 0.0j) + c
+            used += 1
+            if used >= max_blocks_per_time:
+                truncated = True
+                break
+        if bad:
+            for k in range(1, K + 1):
+                distances[k][n] = math.inf
+            continue
+        # |y_i| of the stored entries of y = SeqVector(acc)
+        mags = {}
+        for idx, c in acc.items():
+            a = abs(c)
+            if not a < COEFF_GUARD:
+                mags[idx] = a
+        for k, target in enumerate(targets, start=1):
+            distances[k][n] = _distance(acc, mags, target, p)
+    return distances, truncated
+
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .seqspace import Domain, SeqVector, ShiftOp, apply, adjoint
+from .seqspace import Domain, SeqVector, ShiftOp, apply, adjoint, p_sum
 
 __all__ = [
     "MatOp",
@@ -40,7 +40,6 @@ __all__ = [
     "conjugation",
     "conjugate_by",
     "singular_values",
-    "p_sum",
     "schatten_norm",
     "operator_norm",
     "trace_of",
@@ -350,17 +349,6 @@ def singular_values(A: MatOp, tol: float = _JACOBI_TOL,
             break
     values = tuple(sorted((math.sqrt(v) for v in sq), reverse=True))
     return SingularSpectrum(values, sweeps, converged)
-
-
-def p_sum(values: Sequence[float], p: float) -> float:
-    """(sum v_i^p)^(1/p) of nonnegative values, as top * (sum (v_i/top)^p)^(1/p)
-    with top the largest, so no power overflows or underflows."""
-    if not 1.0 <= p < math.inf:
-        raise ValueError("p must lie in [1, inf)")
-    top = max(values, default=0.0)
-    if top == 0.0:
-        return 0.0
-    return top * sum((v / top) ** p for v in values) ** (1.0 / p)
 
 
 def schatten_norm(A: MatOp, p: float) -> float:

@@ -50,6 +50,7 @@ __all__ = [
     "adjoint",
     "iterate_orbit",
     "lp_norm",
+    "p_sum",
     "hermitian_inner",
     "bilinear_pair",
     "subset_sum_bound_check",
@@ -170,18 +171,20 @@ class SeqVector:
 
 def lp_norm(v: SeqVector, p: float | None = None) -> float:
     """(sum |c|^p)^(1/p) over the stored entries; exact for finite support."""
-    if p is None:
-        p = v.p_exponent
+    return p_sum([abs(c) for c in v.entries.values()],
+                 v.p_exponent if p is None else p)
+
+
+def p_sum(values: Sequence[float], p: float) -> float:
+    """(sum v_i^p)^(1/p) of nonnegative values, as top * (sum (v_i/top)^p)^(1/p)
+    with top the largest, so no power overflows or underflows.  The terms are
+    added in the order given."""
     if not 1.0 <= p < math.inf:
         raise ValueError("p must lie in [1, inf)")
-    if not v.entries:
-        return 0.0
-    mags = [abs(c) for c in v.entries.values()]
-    top = max(mags)
+    top = max(values, default=0.0)
     if top == 0.0:
         return 0.0
-    # scale by the max so that huge/tiny supports do not overflow the powers
-    return top * (sum((m / top) ** p for m in mags)) ** (1.0 / p)
+    return top * sum((v / top) ** p for v in values) ** (1.0 / p)
 
 
 def hermitian_inner(u: SeqVector, v: SeqVector) -> complex:

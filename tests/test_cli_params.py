@@ -234,6 +234,31 @@ def test_decaying_weights_fail_the_construction_cleanly(tmp_path, capsys, extra)
         "error: construction failed: ")
 
 
+def test_truncated_scan_exits_two(tmp_path):
+    # ratio weights keep every far block above the tail cut, and threshold 1
+    # puts 275 blocks in the horizon: the early times hit the 256-block cap
+    argv = ["construct-fhc", "--weights", "w=ratio:1,1|0,1", "--targets", "0",
+            "--eps-scale", "2", "--horizon", "1100"]
+    assert run(argv, tmp_path) == 2
+    rep = json.loads(report_path(tmp_path, argv).read_text())
+    assert rep["exit_code"] == 2
+    assert [c["truncated"] for c in rep["results"]["classes"]] == [True]
+    assert rep["results"]["classes"][0]["contained"] is True
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["--set", "evens", "--q", "4", "--n-max", "1000"], "n_max = 1000, q = 4.0"),
+    (["--set", "multiples:3", "--q", "3", "--n-max", "1000"], "n_max = 1000, q = 3.0"),
+    (["--set", "squares", "--q", "7", "--n-max", "1000"], "n_max = 1000, q = 7.0"),
+    (["--set", "evens", "--q", "400", "--n-max", "10"], "n_max = 10, q = 400.0"),
+], ids=["evens", "multiples", "squares", "overflow"])
+def test_density_refuses_generated_sets_past_the_cap(tmp_path, capsys, argv, needle):
+    # evens up to 1000^4 would be a tuple of 5e11 elements
+    assert run(["density", *argv], tmp_path) == 1
+    assert needle in one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "density_report.json").exists()
+
+
 def test_growth_check_runs_on_the_quartic_clock(tmp_path):
     # clock indices reach (512 + 32)^4, about 8.8e10
     assert run(["check", "--condition", "growth", "--q", "4"], tmp_path) == 0

@@ -1,14 +1,19 @@
 """Density-profile tests with brute-force recount oracles."""
 
 import io
+import json
+import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from hyperlab.cli import main
 from hyperlab.density import (
     DensityEstimate,
+    DensityProfile,
     NatSet,
     NormSpec,
     density_to_csv,
@@ -87,6 +92,74 @@ def test_profile_matches_recount_oracle(data):
     want = oracle_profile(A.elems, q, N_max)
     got = [r for (_, _, r) in est.profile]
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def bisect_profile(A, q, N_max):
+    """The profile as first written: one bisect per N, Python thresholds."""
+    q_int = int(q) if float(q).is_integer() else None
+    out = []
+    for N in range(1, N_max + 1):
+        count = bisect_right(A.elems, N ** q_int if q_int is not None else float(N) ** q)
+        out.append((N, count, count / N))
+    return out
+
+
+def boundary_set(q, N_max, horizon, extra=()):
+    """Random elements plus floor(N^q) and its neighbours for a third of N,
+    so many thresholds are hit exactly."""
+    rng = random.Random(11)
+    elems = {rng.randrange(horizon + 1) for _ in range(N_max)}
+    for N in rng.sample(range(1, N_max + 1), N_max // 3):
+        t = N ** int(q) if float(q).is_integer() else int(float(N) ** q)
+        elems.update(v for v in (t - 1, t, t + 1) if 0 <= v <= horizon)
+    return NatSet(tuple(sorted(elems | set(extra))), horizon)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 1.5])
+def test_profile_equals_the_bisect_loop(q):
+    N_max = 10 ** 5
+    horizon = N_max ** int(q) if q.is_integer() else int(float(N_max) ** q) + 1
+    A = boundary_set(q, N_max, horizon)
+    est = q_lower_density(A, q, N_max, 7)
+    want = bisect_profile(A, q, N_max)
+    assert list(est.profile) == want
+    assert est.liminf_proxy == min(r for (N, _, r) in want if N >= 7)
+
+
+def test_profile_past_two_to_the_63(tmp_path):
+    # a file: set may declare any horizon; 100^10 = 1e20 > 2^63, where int64
+    # thresholds would wrap
+    big = (2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 99 ** 10, 100 ** 10 - 1, 100 ** 10)
+    A = boundary_set(10, 100, 10 ** 20, big)
+    for q in (10.0, 9.5):
+        assert list(q_lower_density(A, q, 100).profile) == bisect_profile(A, q, 100)
+    path = tmp_path / "big.txt"
+    path.write_text("# horizon 100000000000000000000\n"
+                    + "\n".join(str(n) for n in A.elems) + "\n")
+    assert main(["density", "--set", f"file:{path}", "--q", "10", "--n-max", "100",
+                 "--out", str(tmp_path), "--format", "csv"]) == 0
+    final = json.loads((tmp_path / "density_report.json").read_text())["results"]["final"]
+    assert final == {"N": 100, "count": len(A.elems), "ratio": len(A.elems) / 100}
+    rows = (tmp_path / "density.csv").read_text().splitlines()[1:]
+    assert rows == [f"{N},{c},{r!r}" for N, c, r in bisect_profile(A, 10, 100)]
+
+
+def test_profile_is_a_read_only_sequence_of_python_triples():
+    A = NatSet((2, 3, 5, 7), 10)
+    prof = q_lower_density(A, 1.0, 10).profile
+    assert isinstance(prof, DensityProfile) and len(prof) == 10
+    assert prof[0] == (1, 0, 0.0) and prof[-1] == (10, 4, 0.4) and prof[9] == prof[-1]
+    assert prof[-10] == prof[0]
+    assert prof[2:5] == ((3, 2, 2 / 3), (4, 2, 0.5), (5, 3, 0.6))
+    for item in (prof[4], prof[-1], list(prof)[6]):
+        assert [type(v) for v in item] == [int, int, float]
+    assert list(prof) == [prof[i] for i in range(10)]
+    for i in (10, -11):
+        with pytest.raises(IndexError):
+            prof[i]
+    with pytest.raises(ValueError):
+        prof.counts[0] = 5
+    assert q_lower_density(A, 1.0, 10) == q_lower_density(A, 1.0, 10)
 
 
 def test_density_runtime_scale():

@@ -5,9 +5,13 @@ and direct summation, all computed in this file from first principles.
 """
 
 import math
+import random
+from bisect import bisect_left
 
 import pytest
 
+from hyperlab import fhc
+from hyperlab.cli import build_shift, parse_vectors, parse_weight_spec
 from hyperlab.density import NatSet
 from hyperlab.fhc import (
     BackwardOrbitFamily,
@@ -27,8 +31,11 @@ from hyperlab.fhc import (
 )
 from hyperlab.matops import Pairing, RankOne, rank_one_to_mat
 from hyperlab.seqspace import (
+    COEFF_GUARD,
     SeqVector,
+    ShiftKind,
     ShiftOp,
+    WeightOverflowError,
     WeightSeq,
     apply_right_inverse,
     lp_norm,
@@ -215,6 +222,51 @@ def test_assemble_frozen_two_block_sum():
     assert x == SeqVector({4: 2.0 ** -4, 8: 2.0 ** -8})
 
 
+def literal_assemble(family, J, q):
+    """The fold x = 0 + x_{1, n_1^q} + ..., one SeqVector per step."""
+    total = SeqVector.zero(family.base_point(1).domain, family.base_point(1).p_exponent)
+    for l in range(1, J.num_classes + 1):
+        for n in J.sets[l - 1].elems:
+            total = total + family.inverse_point(l, n ** q)
+    return total
+
+
+def cancelling_family(s=1.0, p=2.0):
+    """At time m, classes 1 and 3 put about s 2^-m on e_m, and class 2 at
+    time m - 3 puts about -(1 + 2^-50) s 2^-m there (its target sits at
+    index 3): the sum of classes 1 and 2 is some 2^-50 of s 2^-m.  With
+    s = 1 it falls below COEFF_GUARD for m near 1000, while each block
+    clears the guard up to m = 996."""
+    targets = (SeqVector({0: s}, p_exponent=p),
+               SeqVector({3: -(1 + 2.0 ** -50) * s / 8}, p_exponent=p),
+               SeqVector({0: s}, p_exponent=p))
+    return BackwardOrbitFamily(B2, targets)
+
+
+def test_assemble_matches_the_literal_fold_across_the_guard():
+    fam = cancelling_family()
+    J = SeparatedFamily((NatSet((10, 30, 960, 990), 1000),
+                         NatSet((7, 27, 957, 970, 987), 1000),
+                         NatSet((960, 980), 1000)), (1, 1, 1))
+    x = assemble_vector(fam, J, 1)
+    want = literal_assemble(fam, J, 1)
+    assert list(x.entries.items()) == list(want.entries.items())
+    # indices 10 and 30 keep 2^-m (1 - (1 + 2^-50)) = -2^-(m + 50); at 960
+    # and 990 the sum falls below the guard and is dropped, and at 960 class
+    # 3 then writes a fresh entry, after class 2's 973
+    assert x.entries[10] == -(2.0 ** -60) and x.entries[30] == -(2.0 ** -80)
+    for m in (960, 990):
+        a, b = fam.inverse_point(1, m).entries[m], fam.inverse_point(2, m - 3).entries[m]
+        assert abs(a + b) < COEFF_GUARD <= min(abs(a), abs(b))
+    assert list(x.entries) == [10, 30, 973, 960, 980]
+    assert x.entries[960] == fam.inverse_point(3, 960).entries[960]
+    for q, J2 in ((1, build_separated_family([3, 4], 2, 3000)),
+                  (2, SeparatedFamily((NatSet((4, 8, 12), 12), NatSet((6, 10), 12)), (1, 1)))):
+        fam2 = BackwardOrbitFamily(B2, (SeqVector.basis(0), SeqVector({0: 1, 1: 1})))
+        assert list(assemble_vector(fam2, J2, q).entries.items()) == \
+            list(literal_assemble(fam2, J2, q).entries.items())
+
+
 def test_assemble_empty_and_quadratic_indexing():
     fam = family_e0()
     assert assemble_vector(fam, SeparatedFamily((NatSet((), 10),), (1,)), 1).is_zero()
@@ -279,6 +331,175 @@ def test_quadratic_clock_visits():
     # blocks are n^2 apart on the orbit clock: residuals decay brutally fast
     assert rep.max_designed_distance < 2.0 ** -40
     assert rep.cross_check_dev is not None and rep.cross_check_dev < 1e-9
+
+
+def literal_lp_norm(v):
+    """lp_norm as first written: a running sum in entry order."""
+    mags = [abs(c) for c in v.entries.values()]
+    if not mags or max(mags) == 0.0:
+        return 0.0
+    top = max(mags)
+    return top * (sum((m / top) ** v.p_exponent for m in mags)) ** (1.0 / v.p_exponent)
+
+
+def literal_scan(op, family, J, q, N_H, tail_cut=1e-18, max_blocks_per_time=256):
+    """The verifier's per-time loop as first written: one SeqVector per
+    orbit point and literal_lp_norm(y - x_k) per class.  Returns
+    ({k: {n: distance}}, truncated)."""
+    K = J.num_classes
+    blocks = sorted((n, l) for l in range(1, K + 1) for n in J.sets[l - 1].elems)
+    block_times = [b[0] for b in blocks]
+    nilpotent = op.kind is ShiftKind.BACKWARD
+    sup_top = {l: max(family.base_point(l).support(), default=-1) for l in range(1, K + 1)}
+    distances = {k: {} for k in range(1, K + 1)}
+    truncated = False
+    for n in range(1, N_H + 1):
+        acc = {}
+        i0 = bisect_left(block_times, n)
+        consec_small = used = 0
+        bad = False
+        for m, l in blocks[i0:]:
+            xv = family.inverse_point(l, m ** q - n ** q)
+            for idx, c in xv.entries.items():
+                acc[idx] = acc.get(idx, 0.0 + 0.0j) + c
+            used += 1
+            if used >= max_blocks_per_time:
+                truncated = True
+                break
+            if literal_lp_norm(xv) < tail_cut:
+                consec_small += 1
+                if consec_small >= 3:
+                    break
+            else:
+                consec_small = 0
+        for m, l in reversed(blocks[:i0]):
+            delta = n ** q - m ** q
+            if nilpotent and delta > sup_top[l]:
+                break
+            try:
+                tv = shift_power_apply(op, family.base_point(l), delta)
+            except WeightOverflowError:
+                bad = True
+                break
+            for idx, c in tv.entries.items():
+                acc[idx] = acc.get(idx, 0.0 + 0.0j) + c
+            used += 1
+            if used >= max_blocks_per_time:
+                truncated = True
+                break
+        y = SeqVector(acc, family.base_point(1).domain, family.base_point(1).p_exponent)
+        for k in range(1, K + 1):
+            distances[k][n] = math.inf if bad else literal_lp_norm(y - family.base_point(k))
+    return distances, truncated
+
+
+def assert_verifier_matches_literal(op, family, J, q, radii, **kwargs):
+    """Distances, visit times, max designed distance and truncation of the
+    verifier equal the literal loop's, with ==."""
+    N_H = J.horizon
+    want, want_trunc = literal_scan(op, family, J, q, N_H, **kwargs)
+    blocks = sorted((n, l) for l in range(1, J.num_classes + 1) for n in J.sets[l - 1].elems)
+    got, got_trunc = fhc._scan_distances(op, family, blocks, J.num_classes, q, N_H,
+                                         kwargs.get("tail_cut", 1e-18),
+                                         kwargs.get("max_blocks_per_time", 256))
+    assert got == want and got_trunc == want_trunc
+    x = assemble_vector(family, J, q)
+    reports = verify_q_frequent_visits(op, x, family, J, q, radii, horizon=N_H, **kwargs)
+    for rep, radius in zip(reports, radii):
+        d = want[rep.k]
+        designed = [n for n in J.sets[rep.k - 1].elems if n <= N_H]
+        assert rep.max_designed_distance == max(d[n] for n in designed)
+        assert rep.visit_times.elems == tuple(n for n in range(1, N_H + 1) if d[n] < radius)
+        assert rep.truncated == want_trunc
+    return want, want_trunc
+
+
+def cli_pipeline(weights, op_kind, targets, q, horizon):
+    """Operator, family, plan and radii as construct-fhc builds them."""
+    op = build_shift(op_kind, parse_weight_spec(weights)["w"])
+    family = BackwardOrbitFamily(op, tuple(parse_vectors(targets, op.domain)))
+    eps = EpsSchedule()
+    K = family.num_classes
+    n_ks = [find_tail_threshold(family, op, k, q, eps) for k in range(1, K + 1)]
+    radii = [k * eps.eps(k) + sum(eps.eps(j) for j in range(k + 1, K + 1))
+             for k in range(1, K + 1)]
+    return op, family, build_separated_family(n_ks, K, horizon), radii
+
+
+@pytest.mark.parametrize("weights,op_kind,targets,q,horizon", [
+    ("w=constant:2", "backward", "0|0,1", 1, 3000),
+    ("w=constant:2", "backward", "0|0,1", 2, 400),
+    ("w=constant:1.5", "backward", "0=0.7,1=0.3:0.2,2=1.3", 1, 1500),
+    ("w=step:0|0.5|2", "bilateral-backward", "0", 1, 400),
+], ids=["constant-q1", "constant-q2", "constant-1.5-complex", "step-bilateral"])
+def test_verifier_matches_the_literal_loop(weights, op_kind, targets, q, horizon):
+    op, family, J, radii = cli_pipeline(weights, op_kind, targets, q, horizon)
+    assert_verifier_matches_literal(op, family, J, q, radii)
+
+
+def test_verifier_matches_the_literal_loop_on_long_sums():
+    # ratio weights (t + 1) / t: x_{1,e} = e_e / (e + 1) never becomes
+    # negligible, so every time sums up to a hundred comparable terms, in an
+    # order a pairwise or numpy sum would not keep
+    op = ShiftOp.backward(WeightSeq.ratio([1.0, 1.0], [0.0, 1.0]))
+    family = BackwardOrbitFamily(op, (SeqVector({0: 1.0, 1: 0.25}),))
+    J = SeparatedFamily((NatSet(tuple(range(3, 400, 4)), 400),), (1,))
+    d, truncated = assert_verifier_matches_literal(op, family, J, 1, [0.6])
+    assert not truncated and 0 < len([n for n in d[1] if d[1][n] < 0.6]) < 400
+    # with a cap of 20 blocks the far blocks are cut off at every early time
+    _, truncated = assert_verifier_matches_literal(op, family, J, 1, [0.6],
+                                                   max_blocks_per_time=20)
+    assert truncated
+
+
+def test_verifier_matches_the_literal_loop_across_the_guard():
+    # entries of the orbit point that cancel below COEFF_GUARD are dropped
+    # before the target is subtracted, as SeqVector(acc) drops them
+    J = SeparatedFamily((NatSet((10, 30, 960, 990), 1000),
+                         NatSet((7, 27, 957, 970, 987), 1000),
+                         NatSet((960, 980), 1000)), (1, 1, 1))
+    assert_verifier_matches_literal(B2, cancelling_family(), J, 1, [0.5, 0.25, 0.125],
+                                    tail_cut=0.0)
+    # scaled to s = 1e-285 every cancelling pair falls below the guard; at
+    # time 10 the one at e_0 does, so the distance to x_1 is |x_1|, while the
+    # dropped remainder s 2^-50 would have moved it in the l^1 norm
+    s = 1e-285
+    fam = cancelling_family(s, 1.0)
+    d, _ = assert_verifier_matches_literal(B2, fam, J, 1, [s, s, s], tail_cut=0.0)
+    assert d[1][10] == s
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_distance_matches_lp_norm_of_the_difference(p):
+    rng = random.Random(7)
+    for _ in range(200):
+        acc = {}
+        for idx in rng.sample(range(40), rng.randint(0, 30)):
+            mag = rng.choice([1e-301, 5e-301, 0.0, 10.0 ** -rng.randint(0, 20), rng.random()])
+            acc[idx] = complex(mag * rng.uniform(-1, 1), mag * rng.uniform(-1, 1))
+        target = {}
+        for idx in rng.sample(range(40), rng.randint(1, 6)):
+            # half of them cancel an entry of acc exactly; some sit near the
+            # guard, where acc's dropped entries would count
+            mag = rng.choice([2e-300, 1.0])
+            target[idx] = acc[idx] if idx in acc and rng.random() < 0.5 else \
+                complex(mag * rng.uniform(-1, 1), mag * rng.random())
+        target = SeqVector(target, p_exponent=p).entries
+        mags = {i: abs(c) for i, c in acc.items() if not abs(c) < COEFF_GUARD}
+        want = literal_lp_norm(SeqVector(acc, p_exponent=p) - SeqVector(target, p_exponent=p))
+        assert fhc._distance(acc, mags, target, p) == want
+
+
+def test_truncated_scan_is_reported():
+    # the far blocks of a doubling shift vanish fast, so only a cap of two
+    # blocks per time cuts the scan short
+    fam = family_e0()
+    J = SeparatedFamily((NatSet(tuple(range(4, 201, 4)), 200),), (1,))
+    x = assemble_vector(fam, J, 1)
+    full = verify_q_frequent_visits(B2, x, fam, J, 1, [0.5])[0]
+    capped = verify_q_frequent_visits(B2, x, fam, J, 1, [0.5], max_blocks_per_time=2)[0]
+    assert not full.truncated and capped.truncated
+    assert capped.contained
 
 
 # ---------------------------------------------------------------------------
