@@ -362,12 +362,14 @@ def unimodular_locus_sample(phi: AnalyticSymbol, psi: AnalyticSymbol,
         ev = complex(phi(zz)).conjugate() * complex(psi(ww))
         return any(abs(ev - complex(e)) <= exclude_radius for e in exclude)
 
+    directions = [cmath.exp(1j * t) for t in angles]
+    # |phi| along each radial line does not depend on w
+    moduli = [[abs(phi(r * direction)) for r in radii] for direction in directions]
     out = []
     for w in w_points:
         bw = abs(psi(w))
-        for t in angles:
-            direction = cmath.exp(1j * t)
-            vals = [abs(phi(r * direction)) * bw - 1.0 for r in radii]
+        for direction, line in zip(directions, moduli):
+            vals = [m * bw - 1.0 for m in line]
             for idx in range(len(radii)):
                 if abs(vals[idx]) < tol:
                     zz = radii[idx] * direction

@@ -2,9 +2,12 @@
 
 A MatOp is a dense complex matrix acting on the span of e_off .. e_{off+n-1};
 the single `basis_offset` anchors both row and column indices, which lets
-bilateral windows sit anywhere in Z.  Singular values come from a one-sided
-Jacobi sweep on columns (no LAPACK in the trusted path; numpy's svd is used
-only as an oracle in the test suite).
+bilateral windows sit anywhere in Z.  Singular values come from a blocked
+one-sided Jacobi on columns: each sweep takes the Gram matrix of every
+group of up to 64 columns with one matrix product, rotates it with one
+hand-written round-robin Jacobi sweep, and applies the accumulated unitary
+to the columns with one more product (no LAPACK in the trusted path;
+numpy's svd is used only as an oracle in the test suite).
 
 Rank-one operators u (x) v come in two flavours selected by `Pairing`:
 
@@ -55,6 +58,7 @@ __all__ = [
 
 _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 60
+_JACOBI_BLOCK = 32
 _MAX_DIM = 2048
 
 
@@ -296,59 +300,147 @@ class SingularSpectrum:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
 
+def _column_groups(n: int) -> list:
+    """Column index sets of one sweep: every pair of _JACOBI_BLOCK-column
+    blocks, or all n columns when they fit in two blocks."""
+    if n <= 2 * _JACOBI_BLOCK:
+        return [np.arange(n)]
+    blocks = [np.arange(lo, min(lo + _JACOBI_BLOCK, n))
+              for lo in range(0, n, _JACOBI_BLOCK)]
+    return [np.concatenate((blocks[i], blocks[j]))
+            for i in range(len(blocks)) for j in range(i + 1, len(blocks))]
+
+
+def _circle_step(k: int) -> np.ndarray:
+    """Round-robin (circle method) permutation of k = 2h positions.
+
+    The pairs of a step are (i, i + h).  Position 0 stays; the others move
+    one place round the circle 1 -> 2 -> ... -> h-1 -> 2h-1 -> ... -> h -> 1,
+    so k - 1 steps meet every pair once and end in the starting layout.
+    """
+    h = k // 2
+    src = np.arange(k)
+    if h >= 2:
+        src[1] = h
+        src[2:h] = np.arange(1, h - 1)
+        src[h:k - 1] = np.arange(h + 1, k)
+        src[k - 1] = h - 1
+    return src
+
+
+def _gram_sweep(G: np.ndarray, tol: float) -> "np.ndarray | None":
+    """One round-robin Jacobi sweep over the Gram matrix G = W^H W.
+
+    Returns the accumulated unitary V (the group's new columns are W V), or
+    None when every pair already meets |G_pq| <= tol sqrt(G_pp) sqrt(G_qq).
+    Each step rotates its h disjoint pairs at once, with the rotation of the
+    scalar pair loop: for gamma = G_pq, phase = gamma / |gamma|,
+    zeta = (G_qq - G_pp) / (2 |gamma|), t = sign(zeta) / (|zeta| + hypot(1, zeta)),
+    c = 1 / hypot(1, t) and s = t c; pairs with a zero column are skipped.
+    """
+    n = k = G.shape[0]
+    d = np.sqrt(np.maximum(G.diagonal().real, 0.0))
+    live = d > 0.0
+    pending = (np.abs(G) > tol * np.outer(d, d)) & live[:, None] & live
+    np.fill_diagonal(pending, False)
+    if not pending.any():
+        return None
+    if k % 2:  # a zero column sits out one pair per step and never rotates
+        k += 1
+    h = k // 2
+    G = np.pad(G, ((0, k - n), (0, k - n)))
+    VH = np.eye(k, dtype=G.dtype)  # V^H, so that V's columns are rows here
+    src = _circle_step(k)
+    for _ in range(k - 1):
+        diag = np.maximum(G.diagonal().real, 0.0)
+        alpha, beta = diag[:h], diag[h:]
+        gamma = G.diagonal(h)
+        g = np.abs(gamma)
+        # sqrt before multiplying: alpha * beta underflows to zero for two
+        # denormal column norms, the scale stays positive
+        scale = np.sqrt(alpha) * np.sqrt(beta)
+        act = (g > tol * scale) & (scale > 0.0)
+        if act.any():
+            gs = np.where(act, g, 1.0)
+            zeta = (beta - alpha) / (2.0 * gs)
+            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+            t = np.where(act, t, 0.0)
+            c = 1.0 / np.hypot(1.0, t)
+            if G.dtype.kind == "c":
+                # componentwise: complex / real overflows for a denormal |gamma|
+                pairs = gamma.copy().view(float).reshape(h, 2) / gs[:, None]
+                phase = pairs.view(complex).ravel()
+            else:
+                phase = gamma / gs
+            b = (t * c) * phase
+            bc = b.conj()
+            # columns of G: u_p <- c u_p - conj(b) u_q,  u_q <- b u_p + c u_q
+            P, Q = G[:, :h], G[:, h:]
+            qb = Q * bc
+            Q *= c
+            Q += P * b
+            P *= c
+            P -= qb
+            # rows of G and of V^H: the adjoint rotation
+            c, b, bc = c[:, None], b[:, None], bc[:, None]
+            for P, Q in ((G[:h], G[h:]), (VH[:h], VH[h:])):
+                qb = Q * b
+                Q *= c
+                Q += P * bc
+                P *= c
+                P -= qb
+        G = G.take(src, axis=0).take(src, axis=1)
+        VH = VH.take(src, axis=0)
+    return VH[:n, :n].conj().T
+
+
 def singular_values(A: MatOp, tol: float = _JACOBI_TOL,
                     max_sweeps: int = _JACOBI_MAX_SWEEPS) -> SingularSpectrum:
-    """Singular values by cyclic one-sided Jacobi orthogonalization.
+    """Singular values by blocked one-sided Jacobi orthogonalization.
 
     Columns p < q with inner product gamma = u_p^H u_q are rotated by the
     complex plane rotation that zeroes gamma; a pair is skipped when
-    |gamma| <= tol * ||u_p|| ||u_q||.  After convergence the column norms
-    are the singular values.  Works on the transpose when rows < cols so
-    the column count is min(rows, cols).
+    |gamma| <= tol * ||u_p|| ||u_q||.  A sweep visits every column group
+    (see `_column_groups`): it forms the group's Gram matrix with one
+    product, rotates it with one round-robin sweep (`_gram_sweep`) and
+    applies the accumulated unitary with one more.  The spectrum has
+    converged when a sweep leaves every group untouched; the column norms
+    are then the singular values.  Works on the transpose when rows < cols
+    so the column count is min(rows, cols), in real arithmetic when the
+    matrix is real, and on the matrix scaled by a power of two that brings
+    its largest entry near 1, so squared norms neither overflow nor
+    underflow (the scaling is exact and undone on the values).
     """
     B = A.data if A.rows >= A.cols else A.data.conj().T
-    U = np.array(B, dtype=complex)
-    n = U.shape[1]
+    n = B.shape[1]
     if n == 0:
         return SingularSpectrum((), 0, True)
-    sq = [float(np.vdot(U[:, j], U[:, j]).real) for j in range(n)]
+    if not B.imag.any():
+        B = B.real
+    # zero columns never rotate: their singular values are exact zeros
+    U = np.asfortranarray(B[:, B.any(axis=0)])
+    parts = (U.real, U.imag) if U.dtype.kind == "c" else (U,)
+    top = max(float(np.max(np.abs(part), initial=0.0)) for part in parts)
+    exponent = math.frexp(top)[1]
+    for part in parts:
+        np.ldexp(part, -exponent, out=part)
+    groups = _column_groups(U.shape[1])
     sweeps = 0
-    converged = n == 1
-    for sweep in range(1, max_sweeps + 1):
-        sweeps = sweep
-        worst = 0.0
-        for p in range(n - 1):
-            up = U[:, p]
-            for q in range(p + 1, n):
-                alpha, beta = sq[p], sq[q]
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                gamma = complex(np.vdot(up, U[:, q]))
-                g = abs(gamma)
-                # sqrt before multiplying: alpha * beta underflows to zero
-                # for two denormal column norms, scale stays positive
-                scale = math.sqrt(alpha) * math.sqrt(beta)
-                if g <= tol * scale:
-                    continue
-                worst = max(worst, g / scale)
-                phase = gamma / g
-                zeta = (beta - alpha) / (2.0 * g)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                uq = U[:, q]
-                new_p = c * up - (s * phase.conjugate()) * uq
-                new_q = (s * phase) * up + c * uq
-                U[:, p] = new_p
-                U[:, q] = new_q
-                up = U[:, p]
-                sq[p] = float(np.vdot(new_p, new_p).real)
-                sq[q] = float(np.vdot(new_q, new_q).real)
-        if worst <= tol:
+    converged = False
+    for sweeps in range(1, max_sweeps + 1):
+        rotated = False
+        for idx in groups:
+            W = U[:, idx]
+            V = _gram_sweep(W.conj().T @ W, tol)
+            if V is not None:
+                U[:, idx] = W @ V
+                rotated = True
+        if not rotated:
             converged = True
             break
-    values = tuple(sorted((math.sqrt(v) for v in sq), reverse=True))
-    return SingularSpectrum(values, sweeps, converged)
+    norms = sorted((math.sqrt(float(np.vdot(u, u).real)) for u in U.T), reverse=True)
+    values = [math.ldexp(v, exponent) for v in norms] + [0.0] * (n - U.shape[1])
+    return SingularSpectrum(tuple(values), sweeps, converged)
 
 
 def schatten_norm(A: MatOp, p: float) -> float:

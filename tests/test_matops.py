@@ -88,6 +88,108 @@ def test_singular_values_unitarily_invariant():
     assert np.max(np.abs(a - b)) <= 1e-9 * max(1.0, a[0])
 
 
+def assert_matches_lapack(data, rtol=1e-12):
+    spec = singular_values(MatOp(data))
+    want = np.linalg.svd(data, compute_uv=False)
+    got = np.array(spec.values)
+    assert spec.converged
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * want[0]
+    return spec
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e155])
+def test_jacobi_tiny_and_huge_entries(scale):
+    # unscaled, the squared column norms underflow (1e-160) or overflow
+    # (1e155) although every entry is finite
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
+    spec = singular_values(MatOp(A * scale))
+    want = np.linalg.svd(A * scale, compute_uv=False)
+    assert spec.converged
+    assert np.all(np.abs(np.array(spec.values) - want) <= 1e-12 * want)
+
+
+@pytest.mark.parametrize("shape", [(150, 100), (100, 150)])
+def test_jacobi_multi_group_tall_and_wide(shape):
+    rng = np.random.default_rng(7)
+    assert_matches_lapack(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def test_jacobi_real_input_takes_the_real_path(monkeypatch):
+    from hyperlab import matops
+    rng = np.random.default_rng(19)
+    A = rng.standard_normal((90, 70))
+    dtypes = []
+    real_sweep = matops._gram_sweep
+    monkeypatch.setattr(matops, "_gram_sweep",
+                        lambda G, tol: dtypes.append(G.dtype) or real_sweep(G, tol))
+    real = assert_matches_lapack(A)
+    assert set(dtypes) == {np.dtype(float)}
+    dtypes.clear()
+    # the same matrix times a unit phase: same spectrum, complex arithmetic
+    rotated = assert_matches_lapack(A * np.exp(0.7j))
+    assert set(dtypes) == {np.dtype(complex)}
+    assert np.max(np.abs(np.subtract(real.values, rotated.values))) <= 1e-12 * real.values[0]
+
+
+def test_jacobi_zero_columns_among_dense_ones():
+    rng = np.random.default_rng(29)
+    A = rng.standard_normal((80, 75)) + 1j * rng.standard_normal((80, 75))
+    zero = [0, 5, 6, 7, 33, 64, 74]
+    A[:, zero] = 0.0
+    spec = assert_matches_lapack(A)
+    assert spec.values[-len(zero):] == (0.0,) * len(zero)
+    assert min(spec.values[:-len(zero)]) > 0.0
+
+
+def test_jacobi_column_whose_square_underflows():
+    # the column's squared norm underflows to zero although the column is
+    # not zero: like a zero column it never rotates, and the sweeps converge
+    rng = np.random.default_rng(43)
+    A = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
+    A[:, 4] *= 1e-170
+    assert_matches_lapack(A)
+
+
+@pytest.mark.parametrize("cols", [56, 100])
+def test_jacobi_column_graded_relative_accuracy(cols):
+    # A = B diag(10^-k) with B well conditioned: one-sided Jacobi on the
+    # columns keeps every singular value to high relative accuracy, down to
+    # the 1e-14 column, in any column order.  The oracle is LAPACK on the
+    # columns sorted by norm; on the shuffled columns LAPACK itself is off
+    # by up to 3e-5 relative and eigenvalues of A^H A by a factor 1e6.
+    rng = np.random.default_rng(cols)
+    B = rng.standard_normal((cols + 20, cols)) + 1j * rng.standard_normal((cols + 20, cols))
+    A = B * 10.0 ** -np.linspace(0.0, 14.0, cols)
+    want = np.linalg.svd(A, compute_uv=False)
+    for data in (A, A[:, rng.permutation(cols)]):
+        spec = singular_values(MatOp(data))
+        assert spec.converged
+        assert np.all(np.abs(np.array(spec.values) - want) <= 1e-12 * want)
+
+
+def test_jacobi_reports_an_exhausted_sweep_budget():
+    rng = np.random.default_rng(37)
+    A = random_mat(rng, 40, 40)
+    spec = singular_values(A, max_sweeps=1)
+    assert spec.sweeps == 1 and not spec.converged
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 64])
+def test_round_robin_meets_every_pair_once(k):
+    from hyperlab.matops import _circle_step
+    src = _circle_step(k)
+    h = k // 2
+    layout = np.arange(k)
+    met = []
+    for _ in range(k - 1):
+        met += [frozenset((int(layout[i]), int(layout[i + h]))) for i in range(h)]
+        layout = layout[src]
+    assert len(met) == len(set(met)) == k * (k - 1) // 2
+    assert list(layout) == list(range(k))
+
+
 # ---------------------------------------------------------------------------
 # Schatten norms
 # ---------------------------------------------------------------------------
