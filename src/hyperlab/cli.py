@@ -236,8 +236,7 @@ def build_natset(spec: str, horizon: int, what: str = "horizon") -> NatSet:
     if len(roots) > _MAX_SET_ELEMS:
         raise ConfigError(f"set {spec!r} up to {what} = {horizon} would hold {len(roots)} "
                           f"elements, more than {_MAX_SET_ELEMS}")
-    elems = tuple(n * n for n in roots) if spec == "squares" else tuple(roots)
-    return NatSet(elems, horizon)
+    return NatSet(tuple(n * n for n in roots) if spec == "squares" else roots, horizon)
 
 
 def build_beta_space(spec: str, dim: int) -> BetaSpace:

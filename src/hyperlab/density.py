@@ -46,15 +46,19 @@ _INT64_MAX = 2 ** 63 - 1
 class NatSet:
     """Strictly increasing tuple of naturals together with the horizon that
     was actually searched (membership beyond the horizon is unknown, not
-    false)."""
+    false).  A `range` with a positive step is stored as the same tuple,
+    with only its first and last elements checked."""
 
     elems: tuple
     horizon: int
 
     def __post_init__(self):
-        elems = tuple(int(n) for n in self.elems)
-        if any(b <= a for a, b in zip(elems, elems[1:])):
-            raise ValueError("elements must be strictly increasing")
+        if isinstance(self.elems, range) and self.elems.step > 0:
+            elems = tuple(self.elems)    # strictly increasing integers already
+        else:
+            elems = tuple(int(n) for n in self.elems)
+            if any(b <= a for a, b in zip(elems, elems[1:])):
+                raise ValueError("elements must be strictly increasing")
         if elems and elems[0] < 0:
             raise ValueError("elements must be naturals")
         if self.horizon < 0 or (elems and elems[-1] > self.horizon):
@@ -151,8 +155,9 @@ def q_lower_density(A: NatSet, q: float, N_max: int,
                            for N in range(1, N_max + 1)])
     else:
         if q_int is not None:
-            # from q = 63 on only N = 1 fits, so the cap changes no floor
-            floors = Ns ** min(q_int, 63)
+            # from q = 63 on only N = 1 fits, so the cap changes no floor;
+            # at q = 1 the floors are Ns itself, not an N_max-entry copy
+            floors = Ns if q_int == 1 else Ns ** min(q_int, 63)
         else:
             # Python's float powers: np.power may differ in the last bit
             floors = np.floor([float(N) ** q for N in range(1, N_max + 1)]).astype(np.int64)

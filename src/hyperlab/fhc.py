@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from .density import DensityEstimate, NatSet, q_lower_density
+from .density import NatSet, q_lower_density
 from .matops import MatOp, Pairing, RankOne, conjugation, rank_one_to_mat
 from .seqspace import (
     COEFF_GUARD,

@@ -21,12 +21,11 @@ operator, never silently clipped.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 

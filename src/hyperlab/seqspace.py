@@ -4,8 +4,9 @@ Vectors live in l^p(N) or l^p(Z) and are stored as finite index -> coefficient
 maps, so shift orbits of finitely supported vectors stay finitely supported and
 carry no truncation error.  Weight sequences are generator rules (not arrays),
 each with one weight-product engine (`WeightPrefix`): short products multiply
-directly, long ones come from prefix sums of log-magnitudes (closed forms except
-for rational rules), which keeps horizon-10^6 orbits free of silent overflow.
+directly, long ones come from prefix sums of log-magnitudes (closed forms; a
+rational rule tabulates near indices and takes far ones from log-gamma), which
+keeps horizon-10^6 orbits free of silent overflow.
 
 Operator conventions, with w_n the weight at index n:
 
@@ -329,8 +330,8 @@ def weight_product(w: WeightSeq, start: int, stop: int) -> complex:
     return w.prefix.product(start, stop)
 
 
-_PREFIX_CAP = 20_000_000  # grown table entries across one rational rule
-_CHUNK = 1 << 16          # table entries computed per numpy pass
+_NEAR = 1 << 19    # a rational rule tabulates L(m) for |m| <= _NEAR only
+_CHUNK = 1 << 16   # table entries computed per numpy pass
 
 
 def _log_phase(c: complex | None):
@@ -349,16 +350,22 @@ class WeightPrefix:
     table; the two levels of a step rule; the default of a table rule).  A
     log-sum over [s, e] is then two table lookups plus exact integer counts
     times the rates, at any index, and no weight outside [s, e] is read.
-    Rational rules have no closed form here: their prefix is a table grown on
-    demand with numpy and capped at `_PREFIX_CAP` entries.
+    A rational rule keeps a table of L(m), grown on demand with numpy up to
+    |m| <= `_NEAR`; a product whose prefix indices s - 1 or e lie past it,
+    and a prefix L(m) with |m| > `_NEAR`, come from the log-gamma closed
+    form of `gammaratio.GammaRatio` over the whole range, which reads the
+    weight only next to the roots of P and Q (to raise where there is none).
 
     A product over [s, e] carries a relative error of at most C * m * eps,
     with m = max(|s|, |e|) + 1, eps the double-precision unit round-off and C
     a small multiple of 1 + max |log|w_t||: the closed forms round a few
     times on the way to a log-sum of size at most m * max |log|w_t||, and a
-    rational table rounds once per entry.  Beyond float range a product
-    raises WeightOverflowError; below the coefficient guard it flushes to
-    zero.  Tables are `array('d')`, read in place by numpy.
+    rational table rounds once per entry.  A far rational product p has a
+    relative error of at most (2 + |log|p||) * eps whatever the length of its
+    range: its log is exact before one rounding to a double, one exponential
+    follows, and its imaginary part is exactly 0.0.  Beyond float range a
+    product raises WeightOverflowError; below the coefficient guard it
+    flushes to zero.  Tables are `array('d')`, read in place by numpy.
     """
 
     def __init__(self, w: WeightSeq):
@@ -387,6 +394,12 @@ class WeightPrefix:
         self._tab_log = array("d", itertools.accumulate((lp[0] for lp in lps), initial=0.0))
         self._tab_ph = array("d", itertools.accumulate((lp[1] for lp in lps), initial=0.0))
 
+    @cached_property
+    def _gamma(self):
+        # imported on first use: importing seqspace does not load mpmath
+        from .gammaratio import GammaRatio
+        return GammaRatio(self.w)
+
     def _closed_sum(self, s, e, lo: int, hi: int, vector: bool = False):
         """(log-sum, phase-sum) over [s, e] with e >= s - 1, for ints or for
         integer arrays; [lo, hi] covers every index read."""
@@ -413,19 +426,17 @@ class WeightPrefix:
                 tab_ph[j2] - tab_ph[j1] + n_low * low[1] + n_high * high[1])
 
     def _grow(self, lo: int, hi: int) -> None:
-        """Extend the rational tables to cover L(lo) .. L(hi), at least doubling
-        a growing table, in chunks that keep temporaries small.  Entry k of a
-        side is L(k) or L(-k): it adds w_k or subtracts w_{1-k}.  Growth stops
-        short of an index without a usable weight, raising if it is needed."""
+        """Extend the rational tables to cover L(lo) .. L(hi), with |lo| and
+        |hi| at most `_NEAR`, at least doubling a growing table up to `_NEAR`,
+        in chunks that keep temporaries small.  Entry k of a side is L(k) or
+        L(-k): it adds w_k or subtracts w_{1-k}.  Growth stops short of an
+        index without a usable weight, raising if it is needed."""
         num, den = self.w.params
         for logs, phs, need, sign in ((self._pos_log, self._pos_ph, hi, 1),
                                       (self._neg_log, self._neg_ph, -lo, -1)):
             if need < len(logs):
                 continue
-            room = _PREFIX_CAP - len(self._pos_log) - len(self._neg_log)
-            if need - len(logs) >= room:
-                raise ValueError("weight prefix cache exceeds the desk-scale cap")
-            top = min(max(need, 2 * len(logs)), len(logs) + room - 1)
+            top = min(max(need, 2 * len(logs)), _NEAR)
             while len(logs) <= top:
                 k = np.arange(len(logs), min(len(logs) + _CHUNK, top + 1))
                 t = k if sign > 0 else 1 - k
@@ -458,13 +469,15 @@ class WeightPrefix:
             raise ValueError("weight product reaches an index beyond 2^53")
         if self._closed:
             return self._closed_sum(s, e, s, e)
+        if self._far(s, e):
+            return self._gamma.log_sum(s, e)
         self._grow(s - 1, e)
         (l1, p1), (l0, p0) = self._at(e), self._at(s - 1)
         return l1 - l0, p1 - p0
 
-    def log_abs(self, m: int) -> float:
-        """L(m)."""
-        return self._sum(1, m)[0] if m >= 0 else -self._sum(m + 1, 0)[0]
+    def _far(self, s: int, e: int) -> bool:
+        """Whether a rational product over [s, e] needs the closed form."""
+        return not self._closed and max(abs(s - 1), abs(e)) > _NEAR
 
     def log_abs_many(self, m) -> np.ndarray:
         """L(m), vectorized over a nonempty integer array."""
@@ -474,9 +487,14 @@ class WeightPrefix:
             s, e = np.where(up, 1, m + 1), np.where(up, m, 0)
             logs = self._closed_sum(s, e, min(lo + 1, 1), max(hi, 0), vector=True)[0]
             return np.where(up, logs, -logs)
-        self._grow(lo, hi)
-        return np.where(up, np.frombuffer(self._pos_log)[np.maximum(m, 0)],
-                        np.frombuffer(self._neg_log)[np.maximum(-m, 0)])
+        far = np.abs(m) > _NEAR
+        near = np.where(far, 0, m)
+        self._grow(int(near.min()), int(near.max()))
+        out = np.where(up, np.frombuffer(self._pos_log)[np.maximum(near, 0)],
+                       np.frombuffer(self._neg_log)[np.maximum(-near, 0)])
+        if far.any():
+            out[far] = self._gamma.log_prefix(m[far])
+        return out
 
     def product(self, start: int, stop: int) -> complex:
         """w_start * ... * w_stop (empty when stop < start).
@@ -504,6 +522,8 @@ class WeightPrefix:
             raise WeightOverflowError(start, stop, lm)
         if lm < math.log(COEFF_GUARD):
             return 0.0 + 0.0j
+        if self._far(start, stop):    # the phase is exactly 0 or pi
+            return complex(-math.exp(lm) if ph else math.exp(lm), 0.0)
         return cmath.rect(math.exp(lm), ph)
 
 
@@ -699,8 +719,9 @@ def apply_right_inverse(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
 def shift_power_apply(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
     """T^m v in one jump via the rule's weight-product engine.
 
-    Equivalent to applying `apply` m times, in O(support) once a rational
-    rule's table reaches the jump; polynomials of shifts repeat `apply`.
+    Equivalent to applying `apply` m times, in O(support) (a rational rule
+    may first grow its near table, or evaluate its log-gamma closed form for
+    indices past it); polynomials of shifts repeat `apply`.
     """
     _check_domains(op, v)
     if m < 0:

@@ -52,6 +52,20 @@ def test_natset_validation():
     assert A.count_leq(4.5) == 1
 
 
+def test_natset_from_a_range_equals_the_tuple_built_one():
+    for r, horizon in [(range(2, 101, 2), 100), (range(7, 50, 7), 49), (range(0, 0), 0),
+                       (range(5, 6), 5)]:
+        fast = NatSet(r, horizon)
+        assert fast == NatSet(tuple(r), horizon)
+        assert type(fast.elems) is tuple
+    for r, horizon, msg in [(range(-2, 10, 2), 10, "naturals"),
+                            (range(0, 12, 2), 9, "horizon"),
+                            (range(0, 5), -1, "horizon"),
+                            (range(9, 0, -3), 10, "increasing")]:
+        with pytest.raises(ValueError, match=msg):
+            NatSet(r, horizon)
+
+
 def test_multiples_of_three_have_density_one_third():
     elems = tuple(range(3, 3001, 3))
     est = q_lower_density(NatSet(elems, 3000), 1.0, 3000)

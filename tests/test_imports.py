@@ -1,0 +1,76 @@
+"""Every module-level import in src/hyperlab is used by its module.
+
+The scan reads each module's syntax tree: a name bound by a module-level
+`import` or `from ... import` must be read somewhere in the module, as a
+name, as the root of an attribute, inside a string annotation, or as an
+entry of `__all__`.  `from __future__` imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hyperlab"
+
+# module -> imported names kept although the module never reads them
+ALLOWED = {
+    # deskbench/test_deskbench.py::test_wrappers_replace_every_binding
+    # asserts that fhc.apply is the same object as seqspace.apply
+    "fhc": {"apply"},
+}
+
+
+def imported_names(tree: ast.Module) -> dict:
+    """Name bound -> line, for the module-level imports."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.arg) and node.annotation:
+            yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def read_names(tree: ast.Module) -> set:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in annotations(tree):
+        # string annotations such as "WeightSeq" or "ShiftOp | None"
+        for const in ast.walk(ann):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                expr = ast.parse(const.value, mode="eval")
+                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_no_unused_module_level_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 8
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = read_names(tree) | ALLOWED.get(path.stem, set())
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in imported_names(tree).items() if name not in used]
+    assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_the_scan_sees_an_unused_import():
+    tree = ast.parse("import os, re\nimport sys\nfrom typing import Any, List\n"
+                     "x: 'List[int]' = sys.argv\n__all__ = ['Any']\ny = 're'\n")
+    names = imported_names(tree)
+    assert sorted(n for n in names if n not in read_names(tree)) == ["os", "re"]

@@ -8,6 +8,7 @@ test, and expected values are frozen literals.
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -307,7 +308,7 @@ def test_weight_prefix_matches_direct_products(monkeypatch):
         WeightPrefix(W2).inverse_product(5, 2 ** 60)
     for w in (W2, WeightSeq.ratio([1.0, 1.0], [2.0, 1.0]), tab):
         with pytest.raises(ValueError):
-            WeightPrefix(w).log_abs(-2)
+            WeightPrefix(w).log_abs_many([-2])
         with pytest.raises(ValueError):
             WeightPrefix(w).product(-3, 4)
 
@@ -319,6 +320,145 @@ def test_weight_product_log_space_region():
     with pytest.raises(WeightOverflowError) as exc:
         weight_product(W2, 1, 2000)
     assert exc.value.stop == 2000
+
+
+def mp_log_product(w, s, e):
+    """(log|w_s ... w_e|, sign) factor by factor at 50 digits, from the exact
+    binary coefficients of a rational rule."""
+    num, den = w.params
+    total, negative = mpmath.mpf(0), False
+    with mpmath.workdps(50):
+        for t in range(s, e + 1):
+            p = mpmath.polyval([mpmath.mpf(c) for c in num[::-1]], t)
+            q = mpmath.polyval([mpmath.mpf(c) for c in den[::-1]], t)
+            total += mpmath.log(abs(p / q))
+            negative ^= (p < 0) != (q < 0)
+        return total, -1.0 if negative else 1.0
+
+
+FAR_RULES = [
+    # (t + 1) / t telescopes
+    (WeightSeq.ratio([1.0, 1.0], [0.0, 1.0]), [(10 ** 6 - 150, 10 ** 6 + 150)]),
+    # complex roots +-i sqrt(3) and +-i
+    (WeightSeq.ratio([3.0, 0.0, 1.0], [1.0, 0.0, 1.0]), [(10 ** 6, 10 ** 6 + 400)]),
+    # real roots at 1e6 + 0.5 and 1e6 - 2.5: w_t < 0 for the three t between
+    # them, so the sign flips inside the ranges
+    (WeightSeq.ratio([-1000000.5, 1.0], [-999997.5, 1.0]),
+     [(10 ** 6 - 200, 10 ** 6 + 100), (10 ** 6 - 1, 10 ** 6 + 300),
+      (10 ** 6 - 300, 10 ** 6 - 2), (10 ** 6 + 1, 10 ** 6 + 300)]),
+    # a real root 2^-21 above the integer 700001, past the table
+    (WeightSeq.ratio([-(700001 + 2.0 ** -21), 1.0], [-700000.5, 1.0]),
+     [(700001 - 150, 700001 + 150), (700002, 700300), (699800, 700001)]),
+    # unequal degrees, and leading coefficients of opposite signs: w_t is
+    # about -t / 5e5, so the sign follows the count of factors
+    (WeightSeq.ratio([1.0, 0.0, 1.0], [2.0, -5e5]),
+     [(10 ** 6, 10 ** 6 + 400), (10 ** 6, 10 ** 6 + 401)]),
+    # an integer-domain rule on negative ranges: w_t < 0 for the ten t in
+    # [-600000, -599991]
+    (WeightSeq.ratio([599990.25, 1.0], [600000.5, 1.0], Domain.INTEGERS),
+     [(-10 ** 6 - 150, -10 ** 6 + 150), (-600000 - 150, -599995),
+      (-600000 - 150, -599994), (-600000 - 150, -600000 + 150)]),
+]
+
+
+@pytest.mark.parametrize("w, ranges", FAR_RULES)
+def test_far_rational_products_match_factor_by_factor_log_sums(w, ranges):
+    from hyperlab.seqspace import _NEAR, WeightPrefix
+
+    dps = mpmath.mp.dps
+    pre = WeightPrefix(w)
+    # ranges with an end just past the table, and ranges across its edge
+    edge = [(_NEAR - 100, _NEAR + 100), (_NEAR - 300, _NEAR + 1)]
+    if w.domain is Domain.INTEGERS:
+        edge = [(-e, -s) for s, e in edge]
+    for s, e in ranges + edge:
+        log_want, sign = mp_log_product(w, s, e)
+        assert abs(log_want) >= 300 or e - s >= 128   # not the direct product
+        for got, want in ((pre.product(s, e), sign * mpmath.exp(log_want)),
+                          (pre.inverse_product(s, e), sign * mpmath.exp(-log_want))):
+            assert got.imag == 0.0
+            assert math.copysign(1.0, got.real) == sign
+            assert abs(got.real - want) <= 1e-13 * abs(want)
+    # far prefixes L(m): differences against the same oracle, to the
+    # rounding of L(m) itself
+    lo, hi = ranges[0]
+    L = pre.log_abs_many(np.array([lo - 1, hi]))
+    log_want = mp_log_product(w, lo, hi)[0]
+    assert abs((L[1] - L[0]) - float(log_want)) <= 1e-15 * (1.0 + np.abs(L).max())
+    assert len(pre._pos_log) <= _NEAR + 1 and len(pre._neg_log) <= _NEAR + 1
+    assert mpmath.mp.dps == dps
+
+
+def test_far_rational_prefix_telescopes_and_keeps_the_table_small():
+    from hyperlab.seqspace import _NEAR
+
+    w = WeightSeq.ratio([1.0, 1.0], [0.0, 1.0])
+    out = shift_power_apply(ShiftOp.forward(w), SeqVector({5000: 1.0}), 10 ** 6)
+    assert out.entries[10 ** 6 + 5000] == pytest.approx((10 ** 6 + 5001) / 5001, rel=1e-15)
+    assert len(w.prefix._pos_log) <= _NEAR + 1
+    # L(m) = log(m + 1): far entries come from the closed form, near ones
+    # from the table, which mixing leaves as they are
+    m = np.array([3, _NEAR, _NEAR + 1, 10 ** 6, 2 ** 40, 10 ** 6, 70000])
+    got = w.prefix.log_abs_many(m)
+    far = m > _NEAR
+    assert np.abs(got - np.log1p(m.astype(float)))[far].max() <= 4e-16 * np.log1p(2.0 ** 40)
+    assert np.array_equal(got[~far], w.prefix.log_abs_many(m[~far]))
+    assert len(w.prefix._pos_log) <= _NEAR + 1
+
+
+def test_far_rational_zeros_and_domain_raise_only_when_reached():
+    from hyperlab.seqspace import _NEAR, WeightPrefix
+
+    # (t - 800000.5) / (t - 800000): a zero denominator at t = 800000
+    pole = WeightPrefix(WeightSeq.ratio([-800000.5, 1.0], [-800000.0, 1.0]))
+    for s, e in [(799000, 799999), (800001, 800500), (799000, 799100)]:
+        log_want, sign = mp_log_product(pole.w, s, e)
+        assert pole.product(s, e).real == pytest.approx(sign * float(mpmath.exp(log_want)),
+                                                        rel=1e-13)
+    assert pole.product(1, 799999) != 0
+    for s, e in [(799500, 800100), (800000, 800000), (1, 900000)]:
+        with pytest.raises(ValueError, match="zero denominator"):
+            pole.product(s, e)
+    with pytest.raises(ValueError, match="zero denominator"):
+        pole.log_abs_many([10, 900000])
+    assert np.isfinite(pole.log_abs_many([10, 799999])).all()
+    # 0.1 t - 80000 is 0.0 in floats at t = 800000, where the table would
+    # raise, although the root of its binary coefficients lies 4e-11 below
+    rounded = WeightPrefix(WeightSeq.ratio([-80001.05, 0.1], [-80000.0, 0.1]))
+    assert rounded.product(799000, 799999) != 0
+    with pytest.raises(ValueError, match="zero denominator"):
+        rounded.product(799500, 800100)
+    # (t - 2^20 - 3) / (t - 2^20 - 3.5): a zero weight at t = 2^20 + 3
+    root = WeightPrefix(WeightSeq.ratio([-(2.0 ** 20) - 3, 1.0], [-(2.0 ** 20) - 3.5, 1.0],
+                                        Domain.INTEGERS))
+    assert root.product(2 ** 20 - 200, 2 ** 20 + 2) != 0
+    with pytest.raises(ValueError, match="zero weight"):
+        root.product(2 ** 20, 2 ** 20 + 3)
+    with pytest.raises(ValueError, match="zero weight"):
+        root.log_abs_many([-5, 2 ** 21])
+    # negative indices on a naturals rule, past the table
+    nat = WeightPrefix(WeightSeq.ratio([1.0, 1.0], [2.0, 1.0]))
+    for call in (lambda: nat.product(-_NEAR - 5, 3), lambda: nat.log_abs_many([-_NEAR - 5])):
+        with pytest.raises(ValueError, match="naturals"):
+            call()
+    # P or Q vanishing everywhere leaves no index with a weight
+    with pytest.raises(ValueError, match="zero denominator"):
+        WeightPrefix(WeightSeq.ratio([1.0], [0.0])).product(1, 10 ** 6)
+
+
+def test_far_rational_roots_that_do_not_converge_raise(monkeypatch):
+    from mpmath.libmp import NoConvergence
+
+    from hyperlab.seqspace import WeightPrefix
+
+    def stuck(*args, **kwargs):
+        raise NoConvergence("no convergence")
+
+    monkeypatch.setattr(mpmath, "polyroots", stuck)
+    pre = WeightPrefix(WeightSeq.ratio([1.0, 1.0], [0.0, 1.0]))
+    assert pre.product(1, 300) == pytest.approx(301.0, rel=1e-12)   # the table
+    with pytest.raises(ValueError, match="did not converge"):
+        pre.product(1, 10 ** 6)
 
 
 def test_shift_power_closed_form_matches_iteration():
