@@ -351,10 +351,12 @@ class WeightPrefix:
     log-sum over [s, e] is then two table lookups plus exact integer counts
     times the rates, at any index, and no weight outside [s, e] is read.
     A rational rule keeps a table of L(m), grown on demand with numpy up to
-    |m| <= `_NEAR`; a product whose prefix indices s - 1 or e lie past it,
-    and a prefix L(m) with |m| > `_NEAR`, come from the log-gamma closed
-    form of `gammaratio.GammaRatio` over the whole range, which reads the
-    weight only next to the roots of P and Q (to raise where there is none).
+    |m| <= `_NEAR`.  A product whose prefix indices s - 1 or e lie past it
+    comes from the log-gamma closed form of `gammaratio.GammaRatio` over the
+    whole range, unless it is short and multiplies directly; a prefix L(m)
+    with |m| > `_NEAR` is the table's L(+-`_NEAR`) plus the closed-form sum
+    over the indices past it.  The closed form reads the weight only next to
+    the roots of P and Q (to raise where there is none).
 
     A product over [s, e] carries a relative error of at most C * m * eps,
     with m = max(|s|, |e|) + 1, eps the double-precision unit round-off and C
@@ -363,7 +365,9 @@ class WeightPrefix:
     rational table rounds once per entry.  A far rational product p has a
     relative error of at most (2 + |log|p||) * eps whatever the length of its
     range: its log is exact before one rounding to a double, one exponential
-    follows, and its imaginary part is exactly 0.0.  Beyond float range a
+    follows, and its imaginary part is exactly 0.0.  A far prefix L(m)
+    carries the table's rounding at its edge plus a few units of |L(m)|, so
+    far and near prefixes meet there without a step.  Beyond float range a
     product raises WeightOverflowError; below the coefficient guard it
     flushes to zero.  Tables are `array('d')`, read in place by numpy.
     """
@@ -487,13 +491,17 @@ class WeightPrefix:
             s, e = np.where(up, 1, m + 1), np.where(up, m, 0)
             logs = self._closed_sum(s, e, min(lo + 1, 1), max(hi, 0), vector=True)[0]
             return np.where(up, logs, -logs)
-        far = np.abs(m) > _NEAR
-        near = np.where(far, 0, m)
-        self._grow(int(near.min()), int(near.max()))
+        pos, neg = m > _NEAR, m < -_NEAR
+        near = np.where(pos | neg, 0, m)
+        # far entries continue the table from L(+-_NEAR), so that the two
+        # meet without a step at its edge
+        self._grow(-_NEAR if neg.any() else int(near.min()),
+                   _NEAR if pos.any() else int(near.max()))
         out = np.where(up, np.frombuffer(self._pos_log)[np.maximum(near, 0)],
                        np.frombuffer(self._neg_log)[np.maximum(-near, 0)])
-        if far.any():
-            out[far] = self._gamma.log_prefix(m[far])
+        for far, edge in ((pos, _NEAR), (neg, -_NEAR)):
+            if far.any():
+                out[far] = self._at(edge)[0] + self._gamma.log_prefix(m[far], edge)
         return out
 
     def product(self, start: int, stop: int) -> complex:
@@ -508,14 +516,24 @@ class WeightPrefix:
         """1 / (w_start * ... * w_stop), by the same rules as `product`."""
         return self._product(start, stop, -1)
 
+    def _direct(self, start: int, stop: int) -> complex:
+        prod = 1.0 + 0.0j
+        for t in range(start, stop + 1):
+            prod *= self.w.weight(t)
+        return prod
+
     def _product(self, start: int, stop: int, sign: int) -> complex:
         if stop < start:
             return 1.0 + 0.0j
+        short = stop - start < 128
+        if short and self._far(start, stop) and max(-start, stop) <= 2 ** 53:
+            # a short far product takes the closed form only past [e^-300, e^300]
+            prod = self._direct(start, stop)
+            if math.exp(-300.0) <= abs(prod) <= math.exp(300.0):
+                return prod if sign > 0 else 1.0 / prod
         lm, ph = self._sum(start, stop)
-        if stop - start < 128 and abs(lm) < 300.0:
-            prod = 1.0 + 0.0j
-            for t in range(start, stop + 1):
-                prod *= self.w.weight(t)
+        if short and abs(lm) < 300.0:
+            prod = self._direct(start, stop)
             return prod if sign > 0 else 1.0 / prod
         lm, ph = sign * lm, sign * ph + 0.0   # + 0.0: a zero phase stays +0.0
         if lm > _LOG_FLOAT_MAX:

@@ -339,6 +339,10 @@ def mp_log_product(w, s, e):
 FAR_RULES = [
     # (t + 1) / t telescopes
     (WeightSeq.ratio([1.0, 1.0], [0.0, 1.0]), [(10 ** 6 - 150, 10 ** 6 + 150)]),
+    # repeated roots: (t + 1)^2 / t^2 and (t + 1)^3 / t^3
+    (WeightSeq.ratio([1.0, 2.0, 1.0], [0.0, 0.0, 1.0]), [(10 ** 6 - 150, 10 ** 6 + 150)]),
+    (WeightSeq.ratio([1.0, 3.0, 3.0, 1.0], [0.0, 0.0, 0.0, 1.0]),
+     [(10 ** 6 - 150, 10 ** 6 + 150), (10 ** 6, 10 ** 6 + 400)]),
     # complex roots +-i sqrt(3) and +-i
     (WeightSeq.ratio([3.0, 0.0, 1.0], [1.0, 0.0, 1.0]), [(10 ** 6, 10 ** 6 + 400)]),
     # real roots at 1e6 + 0.5 and 1e6 - 2.5: w_t < 0 for the three t between
@@ -396,12 +400,17 @@ def test_far_rational_prefix_telescopes_and_keeps_the_table_small():
     out = shift_power_apply(ShiftOp.forward(w), SeqVector({5000: 1.0}), 10 ** 6)
     assert out.entries[10 ** 6 + 5000] == pytest.approx((10 ** 6 + 5001) / 5001, rel=1e-15)
     assert len(w.prefix._pos_log) <= _NEAR + 1
-    # L(m) = log(m + 1): far entries come from the closed form, near ones
-    # from the table, which mixing leaves as they are
+    # L(m) = log(m + 1): far entries are the table's last entry plus the
+    # closed-form sum past it, log(m + 1) - log(E + 1), so they carry the
+    # table's rounding at its edge and little more; near ones come from the
+    # table, which mixing leaves as they are
     m = np.array([3, _NEAR, _NEAR + 1, 10 ** 6, 2 ** 40, 10 ** 6, 70000])
     got = w.prefix.log_abs_many(m)
     far = m > _NEAR
-    assert np.abs(got - np.log1p(m.astype(float)))[far].max() <= 4e-16 * np.log1p(2.0 ** 40)
+    edge = w.prefix._pos_log[_NEAR]
+    want = np.log1p(m[far].astype(float)) - math.log1p(_NEAR)
+    assert np.abs(got[far] - edge - want).max() <= 4e-16 * np.log1p(2.0 ** 40)
+    assert abs(edge - math.log1p(_NEAR)) <= 1e-12
     assert np.array_equal(got[~far], w.prefix.log_abs_many(m[~far]))
     assert len(w.prefix._pos_log) <= _NEAR + 1
 
@@ -444,6 +453,72 @@ def test_far_rational_zeros_and_domain_raise_only_when_reached():
     # P or Q vanishing everywhere leaves no index with a weight
     with pytest.raises(ValueError, match="zero denominator"):
         WeightPrefix(WeightSeq.ratio([1.0], [0.0])).product(1, 10 ** 6)
+
+
+# (P coefficients, Q coefficients, roots of P, roots of Q, domain), roots
+# repeated by multiplicity
+PREFIX_RULES = [
+    ([1.0, 3.0, 3.0, 1.0], [0.0, 0.0, 0.0, 1.0], [-1] * 3, [0] * 3, Domain.NATURALS),
+    ([1.0, 0.0, 2.0, 0.0, 1.0], [3.0, 0.0, 1.0], [1j, 1j, -1j, -1j],
+     [3 ** 0.5 * 1j, -(3 ** 0.5) * 1j], Domain.NATURALS),
+    # unequal degrees, leading coefficients 1 and -5e5
+    ([1.0, 0.0, 1.0], [2.0, -5e5], [1j, -1j], [4e-6], Domain.NATURALS),
+    # (t - 3.5)(t + 2.5) / ((t + 0.5)^2 (t - 7.5)) on both sides of 0
+    ([-8.75, -1.0, 1.0], [-1.875, -7.25, -6.5, 1.0], [3.5, -2.5], [-0.5, -0.5, 7.5],
+     Domain.INTEGERS),
+    # roots just inside the reach of Stirling's series, 2^19 / 64 = 8192
+    ([-8000.5, 1.0], [7000.25, 1.0], [8000.5], [-7000.25], Domain.INTEGERS),
+    # roots too far out for Stirling's series, which the mpmath form serves
+    ([-9000.5, 1.0], [9000.25, 1.0], [9000.5], [-9000.25], Domain.INTEGERS),
+]
+
+
+@pytest.mark.parametrize("num, den, p_roots, q_roots, domain", PREFIX_RULES)
+def test_far_rational_prefixes_match_a_log_gamma_oracle(num, den, p_roots, q_roots, domain):
+    from hyperlab.seqspace import _NEAR
+
+    w = WeightSeq.ratio(num, den, domain)
+    sides = (1, -1) if domain is Domain.INTEGERS else (1,)
+    for side in sides:
+        # L(m) - L(E) is the sum of log|w_t| over E < t <= m, and L(-m) - L(-E)
+        # minus that of log|w_-t| over E <= t < m: logGamma differences over
+        # the (mirrored) roots, valid as they lie below E
+        m = np.array([_NEAR + 1, _NEAR + 2, _NEAR + 1449, 10 ** 6, 10 ** 6 + 1,
+                      3 * 10 ** 7, 2 ** 40])
+        got = w.prefix.log_abs_many(np.append(side * m, side * _NEAR))
+        with mpmath.workdps(60):
+            def g(x):
+                x += side > 0
+                return mpmath.re(sum(mpmath.loggamma(x - side * mpmath.mpc(r)) for r in p_roots)
+                                 - sum(mpmath.loggamma(x - side * mpmath.mpc(r))
+                                       for r in q_roots))
+            lead = mpmath.log(abs(mpmath.mpf(num[-1]) / den[-1]))
+            want = [side * float(g(x) - g(_NEAR) + (x - _NEAR) * lead) for x in m]
+        # the differences, to the rounding of L(m) itself
+        err = np.abs(got[:-1] - got[-1] - want)
+        assert (err <= 1e-14 * np.abs(want) + 2.0 * np.spacing(np.abs(got[:-1]))).all()
+        assert len(w.prefix._pos_log) <= _NEAR + 1 and len(w.prefix._neg_log) <= _NEAR + 1
+
+
+def test_short_far_products_multiply_directly(monkeypatch):
+    from hyperlab.gammaratio import GammaRatio
+    from hyperlab.seqspace import WeightPrefix, WeightOverflowError
+
+    def unused(*args):
+        raise AssertionError("a short far product reached the closed form")
+
+    pre = WeightPrefix(WeightSeq.ratio([1.0, 1.0], [0.0, 1.0]))
+    with monkeypatch.context() as mp:
+        mp.setattr(GammaRatio, "log_sum", unused)
+        assert pre.product(10 ** 6, 10 ** 6 + 99) == pytest.approx(
+            (10 ** 6 + 100) / 10 ** 6, rel=1e-14)
+        assert pre.inverse_product(-1 + 10 ** 6, 10 ** 6 + 126) == pytest.approx(
+            (10 ** 6 - 1) / (10 ** 6 + 127), rel=1e-14)
+    # t^3 over 100 far indices leaves float range: the closed form decides
+    cube = WeightPrefix(WeightSeq.ratio([0.0, 0.0, 0.0, 1.0], [1.0]))
+    with pytest.raises(WeightOverflowError):
+        cube.product(10 ** 6, 10 ** 6 + 99)
+    assert cube.inverse_product(10 ** 6, 10 ** 6 + 99) == 0.0
 
 
 def test_far_rational_roots_that_do_not_converge_raise(monkeypatch):
