@@ -392,6 +392,10 @@ _CLASS_FIELDS = ("k", "radius", "designed_count", "designed_within", "contained"
 
 
 def _run_construct_fhc(p: dict, outdir: Path, fmt: str, seed: int):
+    # the visit set of every class is a NatSet up to the horizon
+    if p["horizon"] > _MAX_SET_ELEMS:
+        raise ConfigError(f"horizon {p['horizon']} is larger than {_MAX_SET_ELEMS}, "
+                          "the most times a visit set may hold")
     if p["op"] not in ("backward", "bilateral-backward"):
         raise ConfigError("construction runs on backward-type operators")
     op = _named_shift(p, "construction")

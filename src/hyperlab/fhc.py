@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .density import NatSet, q_lower_density
 from .matops import MatOp, Pairing, RankOne, conjugation, rank_one_to_mat
@@ -38,7 +41,6 @@ from .seqspace import (
     apply,
     apply_right_inverse,
     lp_norm,
-    p_sum,
     shift_power_apply,
 )
 
@@ -551,15 +553,20 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
     blocks m >= n contribute x_{l, m^q - n^q} exactly, blocks m < n
     contribute T^{n^q - m^q} x_l via closed-form jumps.  The scan down the
     far blocks stops once three consecutive blocks fall below `tail_cut`
-    (or at `max_blocks_per_time`, flagged as truncated).  Early designed
-    times up to `cross_check_horizon` are re-measured by jumping the stored
-    vector directly, giving an independent consistency figure.
+    (or at `max_blocks_per_time`, flagged as truncated).  `_scan_distances`
+    measures every time n = 1..horizon at once, one distance array per
+    class, and the visit set of class k is the times whose distance lies
+    below its radius.  Early designed times up to `cross_check_horizon` are
+    re-measured by jumping the stored vector directly, giving an
+    independent consistency figure.
     """
     qi = int(q)
     K = J.num_classes
     if len(radii) != K:
         raise ValueError("one radius per class is required")
     blocks = sorted((n, l) for l in range(1, K + 1) for n in J.sets[l - 1].elems)
+    if blocks and blocks[0][0] < 1:
+        raise ValueError("visit plans start at time 1")
     N_H = horizon if horizon is not None else (blocks[-1][0] if blocks else 0)
     distances, truncated_any = _scan_distances(op, family, blocks, K, qi, N_H, tail_cut,
                                                max_blocks_per_time)
@@ -574,16 +581,16 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
                 z = shift_power_apply(op, x, m ** qi)
                 for k in range(1, K + 1):
                     d_direct = lp_norm(z - family.base_point(k))
-                    dev = max(dev, abs(d_direct - distances[k][m]))
+                    dev = max(dev, abs(d_direct - distances[k - 1, m - 1].item()))
 
     reports = []
     for k in range(1, K + 1):
         radius = float(radii[k - 1])
+        d = distances[k - 1]
         designed = J.sets[k - 1].elems
-        des_d = [distances[k][n] for n in designed if n <= N_H]
-        within = sum(1 for d in des_d if d < radius)
-        hits = tuple(n for n in range(1, N_H + 1) if distances[k][n] < radius)
-        visits = NatSet(hits, N_H)
+        des_d = d[[n - 1 for n in designed if n <= N_H]].tolist()
+        within = sum(1 for v in des_d if v < radius)
+        visits = NatSet(tuple((np.flatnonzero(d < radius) + 1).tolist()), N_H)
         vis_density = q_lower_density(visits, 1.0, N_H, max(1, N_H // 2)).liminf_proxy \
             if N_H >= 1 else 0.0
         des_density = q_lower_density(J.sets[k - 1], 1.0, J.sets[k - 1].horizon,
@@ -591,7 +598,6 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
         bound = None
         if eps is not None:
             bound = k * eps.eps(k) + sum(eps.eps(j) for j in range(k + 1, K + 1))
-        contained = all(n in visits for n in designed if n <= N_H)
         reports.append(ClassVisitReport(
             k=k,
             radius=radius,
@@ -599,7 +605,7 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
             designed_count=len(des_d),
             designed_within=within,
             max_designed_distance=max(des_d) if des_d else 0.0,
-            contained=contained,
+            contained=within == len(des_d),
             visit_times=visits,
             visit_density=vis_density,
             designed_density=des_density,
@@ -610,99 +616,350 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
     return reports
 
 
-def _distance(acc: dict, mags: dict, target: dict, p: float) -> float:
-    """lp_norm(SeqVector(acc) - SeqVector(target)) from the entries: mags
-    holds |acc_i| for the entries at or above COEFF_GUARD, in acc's order.
+# A scan pass takes as many times as hold about _PASS_SIZE orbit-point
+# terms, judged by the longest time of the pass before (the first pass,
+# before any walk length is known, takes _FIRST_PASS times), and a walk step
+# looks ahead as many blocks as keep that many (time, block) pairs: arrays
+# of 64 KB bound a pass's memory at any horizon.  Piece keys below
+# _DENSE_KEYS are found through an array, the others through a dict.
+_PASS_SIZE = 1 << 13
+_FIRST_PASS = 64
+_DENSE_KEYS = 1 << 12
 
-    The difference keeps y's order, updates y's entries in place, appends
-    the target indices y lacks and then drops what fell below the guard, as
-    SeqVector.add does, so p_sum adds the same terms in the same order.
+
+class _Pieces:
+    """The distinct block contributions of one scan, stored flat.
+
+    A future piece is x_{l, e} with its lp norm, a past piece is the jump
+    T^delta x_l; each is computed once, on the first walk step that needs
+    it, and keyed by e * K + l - 1 (delta * K + l - 1).  Piece i holds
+    entries start[i] .. start[i] + size[i] - 1 of (idx, re, im), in its
+    vector's entry order, with indices between lo[i] and hi[i].  state[i]
+    is 1 for a past jump that overflowed (its time reads inf) and 2 when
+    computing the piece raised errors[i], which is raised again once a walk
+    reaches the piece.  Piece 0 is empty and stands in for positions past
+    the end of a walk.
     """
-    diff = mags.copy()
-    for idx, t in target.items():
-        if idx in mags:
-            a = abs(acc[idx] - t)
-            if a < COEFF_GUARD:
-                del diff[idx]
+
+    def __init__(self, op: ShiftOp, family: BackwardOrbitFamily, K: int):
+        self.op, self.family, self.K = op, family, K
+        self._dense = (np.full(_DENSE_KEYS, -1, np.int64), np.full(_DENSE_KEYS, -1, np.int64))
+        self._far = ({}, {})     # future, past keys from _DENSE_KEYS on -> piece id
+        self.start, self.size = array("q", [0]), array("q", [0])
+        self.lo, self.hi = array("q", [0]), array("q", [0])
+        self.norm, self.state = array("d", [0.0]), array("b", [0])
+        self.errors: dict = {}
+        self.idx, self.re, self.im = array("q"), array("d"), array("d")
+
+    def ids(self, keys: np.ndarray, past: bool) -> np.ndarray:
+        """The piece ids of an array of keys."""
+        out = np.empty(len(keys), np.int64)
+        near = keys < _DENSE_KEYS
+        dense, k = self._dense[past], keys[near].astype(np.int64)
+        for key in dict.fromkeys(k[dense[k] < 0].tolist()):
+            dense[key] = self._add(key, past)
+        out[near] = dense[k]
+        far = self._far[past]
+        out[~near] = [far[key] if key in far else far.setdefault(key, self._add(key, past))
+                      for key in keys[~near].tolist()]
+        return out
+
+    def _add(self, key: int, past: bool) -> int:
+        l, e = key % self.K + 1, key // self.K
+        entries, norm, state = {}, 0.0, 0
+        try:
+            if past:
+                entries = shift_power_apply(self.op, self.family.base_point(l), e).entries
             else:
-                diff[idx] = a
-        else:
-            diff[idx] = abs(t)     # a stored target entry clears the guard
-    return p_sum(diff.values(), p)
+                entries = self.family.inverse_point(l, e).entries
+                norm = self.family.inverse_norm(l, e)
+        except (ArithmeticError, ValueError) as exc:    # raised once a walk reaches it
+            state = 1 if past and isinstance(exc, WeightOverflowError) else 2
+            self.errors[len(self.size)] = exc
+        self.start.append(len(self.idx))
+        self.size.append(len(entries))
+        self.lo.append(min(entries, default=0))
+        self.hi.append(max(entries, default=0))
+        self.norm.append(norm)
+        self.state.append(state)
+        self.idx.extend(entries)
+        self.re.extend(c.real for c in entries.values())
+        self.im.extend(c.imag for c in entries.values())
+        return len(self.size) - 1
+
+    def column(self, name: str, dtype=np.float64) -> np.ndarray:
+        """A numpy view of one flat table; it must be dropped before the
+        table grows."""
+        return np.frombuffer(getattr(self, name), dtype)
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Per row, the first column where mask holds, or the width if none."""
+    return np.where(mask, np.arange(mask.shape[1]), mask.shape[1]).min(axis=1)
+
+
+class _Walk:
+    """The block walks of one pass of times, stepped for all times at once.
+
+    used[t] counts the pieces time t has added (n_future[t] of them on the
+    future walk); parts collects (time, position, piece) arrays; fail[t] is
+    the piece whose error ended t's walk, or -1; bad[t] marks a past jump
+    that overflowed.
+    """
+
+    def __init__(self, pieces: _Pieces, bpow, bcls, nq, i0, cap: int):
+        self.pieces, self.bpow, self.bcls, self.nq, self.i0 = pieces, bpow, bcls, nq, i0
+        self.cap = cap
+        T = len(nq)
+        self.used = np.zeros(T, np.int64)
+        self.n_future = np.zeros(T, np.int64)
+        self.fail = np.full(T, -1, np.int64)
+        self.bad = np.zeros(T, bool)
+        self.truncated = False
+        self.parts: list = []
+
+    def _take(self, act, pid, before, after, capped) -> np.ndarray:
+        """Add each row's pieces up to its first stop: before a position
+        flagged in `before`, or after one flagged in `after`, which truncates
+        the scan where `capped` holds too.  Returns the rows that ran
+        through the whole step."""
+        S = pid.shape[1]
+        fb, fa = _first(before), _first(after)
+        n_take = np.minimum(fb, fa + 1)
+        taken = np.arange(S) < n_take[:, None]
+        self.parts.append((np.broadcast_to(act[:, None], pid.shape)[taken],
+                           (self.used[act, None] + np.arange(S))[taken], pid[taken]))
+        self.used[act] += n_take
+        rows = np.arange(len(act))
+        capped = np.broadcast_to(capped, pid.shape)[rows, np.minimum(fa, S - 1)]
+        self.truncated |= bool(((fa < fb) & capped).any())
+        at = pid[rows, np.minimum(fb, S - 1)]
+        state = np.where((fb <= fa) & (fb < S), self.pieces.column("state", np.int8)[at], 0)
+        self.fail[act[state == 2]] = at[state == 2]
+        self.bad[act[state == 1]] = True
+        return (fb == S) & (fa == S)
+
+    def future(self, tail_cut: float) -> None:
+        """Blocks i0, i0 + 1, ...: add x_{l, m^q - n^q}, stop at the cap or
+        after three consecutive pieces with norm below tail_cut."""
+        B, K = len(self.bpow), self.pieces.K
+        act = np.flatnonzero(self.i0 < B)
+        consec = np.zeros(len(act), np.int64)
+        j = 0
+        while act.size:
+            # look ahead at least as far as a stop on small pieces needs, and
+            # about half the walk so far: a piece past a stop is computed for
+            # nothing, a step costs a round of array operations
+            S = max(1, min(max(3 - int(consec.max()), j // 2), _PASS_SIZE // len(act),
+                           self.cap - j))
+            s = np.arange(S)
+            i = self.i0[act, None] + (j + s)
+            inb = i < B
+            ic = np.minimum(i, B - 1)
+            pid = np.zeros(i.shape, np.int64)
+            e = self.bpow[ic] - self.nq[act, None]
+            pid[inb] = self.pieces.ids(e[inb] * K + (self.bcls[ic][inb] - 1), past=False)
+            small = self.pieces.column("norm")[pid] < tail_cut
+            ok = inb & (self.pieces.column("state", np.int8)[pid] == 0)
+            # consecutive small pieces up to each position, carried across steps
+            last = np.maximum.accumulate(np.where(small, -1, s), axis=1)
+            run = np.where(last < 0, consec[:, None] + s + 1, s - last)
+            capped = j + s + 1 >= self.cap
+            going = self._take(act, pid, ~ok, ok & (capped | (small & (run >= 3))), capped)
+            act, consec = act[going], run[going, -1]
+            j += S
+        self.n_future = self.used.copy()
+
+    def past(self, sup_top, nilpotent: bool) -> None:
+        """Blocks i0 - 1, i0 - 2, ...: add T^{n^q - m^q} x_l, stop at the cap,
+        at block 0, at a jump that overflows (the time reads inf) and, for
+        a unilateral backward shift, before the first block whose jump
+        clears its target's support."""
+        K = self.pieces.K
+        act = np.flatnonzero((self.i0 > 0) & (self.fail < 0))
+        j, S = 0, 1
+        while act.size:
+            S = max(1, min(2 * S, _PASS_SIZE // len(act)))
+            s = np.arange(S)
+            i = self.i0[act, None] - 1 - (j + s)
+            ic = np.maximum(i, 0)
+            delta = self.nq[act, None] - self.bpow[ic]
+            cls = self.bcls[ic]
+            cut = i < 0
+            if nilpotent:
+                cut |= delta > sup_top[cls]
+            used = self.used[act, None] + s
+            reach = (s < _first(cut)[:, None]) & ((s == 0) | (used < self.cap))
+            pid = np.zeros(i.shape, np.int64)
+            pid[reach] = self.pieces.ids(delta[reach] * K + (cls[reach] - 1), past=True)
+            ok = reach & (self.pieces.column("state", np.int8)[pid] == 0)
+            capped = used + 1 >= self.cap
+            act = act[self._take(act, pid, ~ok, ok & capped, capped)]
+            j += S
+
+    def terms(self) -> tuple:
+        """(time, idx, re, im) of every added entry, ordered by time, then
+        walk position, then the piece's entry order, and whether no index
+        repeats within a time (see `_disjoint`)."""
+        none = np.zeros(0, np.int64)
+        t, pos, pid = (np.concatenate(c) for c in zip(*self.parts)) if self.parts else \
+            (none, none, none)
+        self.parts = []
+        offset = np.cumsum(self.used) - self.used
+        slot = np.empty(len(pid), np.int64)
+        slot[offset[t] + pos] = pid
+        del t, pos, pid
+        slot_t = np.repeat(np.arange(len(self.used)), self.used)
+        size = self.pieces.column("size", np.int64)[slot]
+        disjoint = self._disjoint(slot, slot_t, offset, size)
+        ent = np.repeat(self.pieces.column("start", np.int64)[slot] - (np.cumsum(size) - size),
+                        size) + np.arange(int(size.sum()))
+        del slot
+        return (np.repeat(slot_t, size), self.pieces.column("idx", np.int64)[ent],
+                self.pieces.column("re")[ent], self.pieces.column("im")[ent], disjoint)
+
+    def _disjoint(self, slot, slot_t, offset, size) -> bool:
+        """Whether the nonempty pieces of every time cover disjoint index
+        ranges: ascending along the future walk, descending along the past
+        walk, and the past ones below the future ones."""
+        filled = size > 0
+        fut = (np.arange(len(slot)) - offset[slot_t] < self.n_future[slot_t])[filled]
+        st = slot_t[filled]
+        lo, hi = (self.pieces.column(c, np.int64)[slot[filled]] for c in ("lo", "hi"))
+        same = st[1:] == st[:-1]
+        head = np.ones(len(st), bool)
+        head[1:] = ~same
+        starts = np.flatnonzero(head)
+        first_lo = np.repeat(lo[starts], np.diff(starts, append=len(st)))
+        return not ((same & fut[:-1] & fut[1:] & (hi[:-1] >= lo[1:])).any()
+                    or (same & ~fut[:-1] & ~fut[1:] & (lo[:-1] <= hi[1:])).any()
+                    or (same & fut[:-1] & ~fut[1:] & (hi[1:] >= first_lo[1:])).any())
+
+
+def _merge_terms(t, idx, re, im) -> tuple:
+    """Entries of the orbit points y_t = sum of their terms, in the order
+    the dict fold acc[i] = acc.get(i, 0j) + c would hold them: first
+    occurrence of each (time, index), each sum added term by term from 0j."""
+    order = np.lexsort((idx, t))
+    ts, xs = t[order], idx[order]
+    new = np.ones(len(t), bool)
+    new[1:] = (ts[1:] != ts[:-1]) | (xs[1:] != xs[:-1])
+    gid = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    rank = np.arange(len(t)) - starts[gid]
+    gre, gim = np.zeros(len(starts)), np.zeros(len(starts))
+    for r in range(int(rank.max(initial=-1)) + 1):
+        at = rank == r
+        gre[gid[at]] += re[order[at]]
+        gim[gid[at]] += im[order[at]]
+    by_first = np.argsort(order[starts])
+    first = order[starts][by_first]
+    return t[first], idx[first], gre[by_first], gim[by_first]
+
+
+def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict],
+                  p: float) -> np.ndarray:
+    """out[k, u] = lp_norm(SeqVector(y_u) - SeqVector(x_k)) for u < n_times,
+    with y_u the entries (idx, re + i im) at t == u (t nondecreasing, each
+    time's entries in its dict order) and x_k the entries targets[k].
+
+    Step for step the float operations of that expression: |y_i| is
+    np.hypot, which equals abs(complex) bit for bit where np.abs does not;
+    entries below COEFF_GUARD are dropped; the difference keeps y's order,
+    updates y's entries in place and appends |t_i| for the target indices
+    y lacks; each term (v / top) ** p is Python's pow, not np.power; the
+    terms are added one column of V after the other, which is list order
+    (a dropped entry or an empty cell adds 0.0, which changes no sum), and
+    the result is top * pow(sum, 1 / p).
+    """
+    p = float(p)
+    mag = np.hypot(re, im)
+    keep = ~(mag < COEFF_GUARD)
+    mag[~keep] = 0.0
+    col = np.arange(len(t)) - np.searchsorted(t, np.arange(n_times))[t]
+    width0 = np.bincount(t, minlength=n_times)
+    out = np.empty((len(targets), n_times))
+    for k, target in enumerate(targets):
+        # V[c, u]: the c-th term of time u
+        V = np.zeros((max(1, int(width0.max(initial=0)) + len(target)), n_times))
+        V[col, t] = mag
+        width = width0.copy()
+        for ti, tc in target.items():
+            hit = np.flatnonzero(keep & (idx == ti))
+            a = np.hypot(re[hit] - tc.real, im[hit] - tc.imag)
+            V[col[hit], t[hit]] = np.where(a < COEFF_GUARD, 0.0, a)
+            lacks = np.ones(n_times, bool)
+            lacks[t[hit]] = False
+            lacks = np.flatnonzero(lacks)
+            V[width[lacks], lacks] = abs(tc)
+            width[lacks] += 1
+        top = V.max(axis=0)
+        nz = V != 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            V /= top
+        V[nz] = np.fromiter(map(pow, memoryview(V[nz]), repeat(p)), float,
+                            np.count_nonzero(nz))
+        s = V[0].copy()
+        for row in V[1:]:
+            s += row
+        d = top * np.fromiter(map(pow, memoryview(s), repeat(1.0 / p)), float, n_times)
+        out[k] = np.where(top == 0.0, 0.0, d)
+    return out
+
+
+# clock indices up to this bound are exact in int64, larger ones are
+# Python ints in object arrays
+_EXACT_INT64 = 2 ** 62
 
 
 def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: list, K: int,
                     qi: int, N_H: int, tail_cut: float, max_blocks_per_time: int) -> tuple:
-    """({k: {n: ||T^{n^q} x - x_k||}} for k <= K and n = 1..N_H, truncated)
-    over the sorted (time, class) blocks; see verify_q_frequent_visits.
+    """(d, truncated) over the sorted (time, class) blocks, with
+    d[k - 1, n - 1] = ||T^{n^q} x - x_k|| for k <= K and n = 1..N_H; see
+    verify_q_frequent_visits.
 
-    Each time's orbit point is summed into a plain dict in block order, and
-    its distance to every target is the float arithmetic of
-    lp_norm(SeqVector(acc) - x_k) step for step, without building either
-    vector (see `_distance`).
+    The times go through in passes.  A pass walks the blocks of all its
+    times at once (`_Walk`), taking each distinct piece from `_Pieces`,
+    expands the pieces to terms, sums the terms of each orbit point per
+    index where two pieces of a time overlap (`_merge_terms`) and measures
+    the distances (`_lp_distances`).  Every float operation is that of
+    summing each orbit point into a dict in block order and taking
+    lp_norm(SeqVector(acc) - x_k), in the same order, so the distances equal
+    that loop's bit for bit.  An error a piece raises is raised for the
+    earliest time whose walk reaches it, as that loop would.
     """
-    block_times = [b[0] for b in blocks]
-    nilpotent = op.kind is ShiftKind.BACKWARD
-    sup_top = {l: (max(family.base_point(l).support())
-                   if family.base_point(l).entries else -1)
-               for l in range(1, K + 1)}
     p = family.base_point(1).p_exponent
     targets = [family.base_point(k).entries for k in range(1, K + 1)]
-
-    distances = {k: {} for k in range(1, K + 1)}  # n -> distance
+    nilpotent = op.kind is ShiftKind.BACKWARD
+    sup_top = np.array([-1] + [max(family.base_point(l).entries, default=-1)
+                               for l in range(1, K + 1)])
+    last = max(N_H, blocks[-1][0] if blocks else 0)
+    dt = np.int64 if (last ** qi + 1) * (K + 1) < _EXACT_INT64 else object
+    btime = np.array([m for m, _ in blocks], np.int64)
+    bpow = np.array([m ** qi for m, _ in blocks], dt)
+    bcls = np.array([l for _, l in blocks], np.int64)
+    pieces = _Pieces(op, family, K)
+    distances = np.empty((K, N_H))
     truncated = False
-    for n in range(1, N_H + 1):
-        nq = n ** qi
-        acc: dict = {}
-        i0 = bisect_left(block_times, n)
-        consec_small = 0
-        used = 0
-        bad = False
-        for i in range(i0, len(blocks)):
-            m, l = blocks[i]
-            e = m ** qi - nq
-            for idx, c in family.inverse_point(l, e).entries.items():
-                acc[idx] = acc.get(idx, 0.0 + 0.0j) + c
-            used += 1
-            if used >= max_blocks_per_time:
-                truncated = True
-                break
-            if family.inverse_norm(l, e) < tail_cut:
-                consec_small += 1
-                if consec_small >= 3:
-                    break
-            else:
-                consec_small = 0
-        for i in range(i0 - 1, -1, -1):
-            m, l = blocks[i]
-            delta = nq - m ** qi
-            if nilpotent and delta > sup_top[l]:
-                break    # later blocks only increase delta: all images vanish
-            try:
-                tv = shift_power_apply(op, family.base_point(l), delta)
-            except WeightOverflowError:
-                bad = True
-                break
-            for idx, c in tv.entries.items():
-                acc[idx] = acc.get(idx, 0.0 + 0.0j) + c
-            used += 1
-            if used >= max_blocks_per_time:
-                truncated = True
-                break
-        if bad:
-            for k in range(1, K + 1):
-                distances[k][n] = math.inf
-            continue
-        # |y_i| of the stored entries of y = SeqVector(acc)
-        mags = {}
-        for idx, c in acc.items():
-            a = abs(c)
-            if not a < COEFF_GUARD:
-                mags[idx] = a
-        for k, target in enumerate(targets, start=1):
-            distances[k][n] = _distance(acc, mags, target, p)
+    n0, width = 1, _FIRST_PASS
+    while n0 <= N_H:
+        n1 = min(N_H, n0 + width - 1)
+        walk = _Walk(pieces, bpow, bcls, np.array([n ** qi for n in range(n0, n1 + 1)], dt),
+                     np.searchsorted(btime, np.arange(n0, n1 + 1)), max_blocks_per_time)
+        walk.future(tail_cut)
+        walk.past(sup_top, nilpotent)
+        failed = np.flatnonzero(walk.fail >= 0)
+        if failed.size:
+            raise pieces.errors[int(walk.fail[failed[0]])]
+        truncated |= walk.truncated
+        *terms, disjoint = walk.terms()
+        longest = int(np.bincount(terms[0], minlength=1).max())
+        d = _lp_distances(*(terms if disjoint else _merge_terms(*terms)), n1 - n0 + 1,
+                          targets, p)
+        d[:, walk.bad] = math.inf
+        distances[:, n0 - 1:n1] = d
+        n0, width = n1 + 1, max(16, _PASS_SIZE // max(1, longest))
     return distances, truncated
-
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,9 @@ class WeightPrefix:
     log-sum over [s, e] is then two table lookups plus exact integer counts
     times the rates, at any index, and no weight outside [s, e] is read.
     A rational rule keeps a table of L(m), grown on demand with numpy up to
-    |m| <= `_NEAR`.  A product whose prefix indices s - 1 or e lie past it
+    |m| <= `_NEAR`; a side's phase table is built only from its first
+    negative weight on, as every phase prefix before it is 0.0.  A product
+    whose prefix indices s - 1 or e lie past the table's reach
     comes from the log-gamma closed form of `gammaratio.GammaRatio` over the
     whole range, unless it is short and multiplies directly; a prefix L(m)
     with |m| > `_NEAR` is the table's L(+-`_NEAR`) plus the closed-form sum
@@ -375,7 +377,7 @@ class WeightPrefix:
     def __init__(self, w: WeightSeq):
         self.w = w
         self._pos_log = array("d", [0.0])    # grown L(0), L(1), ... (rational rules)
-        self._pos_ph = array("d", [0.0])
+        self._pos_ph = array("d", [0.0])     # shorter than _pos_log until a weight is < 0
         self._neg_log = array("d", [0.0])    # grown L(0), L(-1), ... (integer domain)
         self._neg_ph = array("d", [0.0])
         kind, p = w.kind, w.params
@@ -458,14 +460,22 @@ class WeightPrefix:
                 # cumsum reproduces once the last entry joins the first step
                 steps = sign * np.fromiter(map(math.log, memoryview(np.abs(vals))), float,
                                            vals.size)
-                for table, step in ((logs, steps), (phs, np.where(vals < 0, sign * math.pi, 0.0))):
+                # the side's phase table starts at its first negative weight,
+                # padded with the 0.0 prefixes before it
+                neg = vals < 0
+                if len(phs) > 1 or neg.any():
+                    phs.extend(itertools.repeat(0.0, len(logs) - len(phs)))
+                    tables = ((logs, steps), (phs, np.where(neg, sign * math.pi, 0.0)))
+                else:
+                    tables = ((logs, steps),)
+                for table, step in tables:
                     step[:1] += table[-1]
                     table.frombytes(np.cumsum(step).tobytes())
 
     def _at(self, m: int) -> tuple[float, float]:
-        if m >= 0:
-            return self._pos_log[m], self._pos_ph[m]
-        return self._neg_log[-m], self._neg_ph[-m]
+        logs, phs = (self._pos_log, self._pos_ph) if m >= 0 else (self._neg_log, self._neg_ph)
+        m = abs(m)
+        return logs[m], phs[m] if m < len(phs) else 0.0
 
     def _sum(self, s: int, e: int) -> tuple[float, float]:
         """(log-sum, phase-sum) over [s, e], e >= s - 1."""

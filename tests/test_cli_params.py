@@ -4,6 +4,7 @@ input ends in a report (exit 0 or 2) or in one `error:` line (exit 1)."""
 
 import hashlib
 import json
+import time
 
 import pytest
 import yaml
@@ -257,6 +258,18 @@ def test_density_refuses_generated_sets_past_the_cap(tmp_path, capsys, argv, nee
     assert run(["density", *argv], tmp_path) == 1
     assert needle in one_error_line(capsys.readouterr().err)
     assert not (tmp_path / "density_report.json").exists()
+
+
+@pytest.mark.parametrize("horizon", [cli._MAX_SET_ELEMS + 1, 2 * 10 ** 7, 10 ** 11])
+def test_construction_refuses_horizons_past_the_set_cap(tmp_path, capsys, horizon):
+    # the visit sets are NatSets up to the horizon: the refusal comes before
+    # any threshold search, where these horizons ran for minutes
+    argv = ["construct-fhc", "--horizon", str(horizon)]
+    start = time.perf_counter()
+    assert run(argv, tmp_path) == 1
+    assert time.perf_counter() - start < 1.0
+    assert str(horizon) in one_error_line(capsys.readouterr().err)
+    assert not report_path(tmp_path, argv).exists()
 
 
 def test_growth_check_runs_on_the_quartic_clock(tmp_path):

@@ -8,6 +8,7 @@ import math
 import random
 from bisect import bisect_left
 
+import numpy as np
 import pytest
 
 from hyperlab import fhc
@@ -402,7 +403,9 @@ def assert_verifier_matches_literal(op, family, J, q, radii, **kwargs):
     got, got_trunc = fhc._scan_distances(op, family, blocks, J.num_classes, q, N_H,
                                          kwargs.get("tail_cut", 1e-18),
                                          kwargs.get("max_blocks_per_time", 256))
-    assert got == want and got_trunc == want_trunc
+    assert got.shape == (J.num_classes, N_H)
+    assert {k: dict(enumerate(got[k - 1].tolist(), start=1)) for k in want} == want
+    assert got_trunc == want_trunc
     x = assemble_vector(family, J, q)
     reports = verify_q_frequent_visits(op, x, family, J, q, radii, horizon=N_H, **kwargs)
     for rep, radius in zip(reports, radii):
@@ -414,11 +417,11 @@ def assert_verifier_matches_literal(op, family, J, q, radii, **kwargs):
     return want, want_trunc
 
 
-def cli_pipeline(weights, op_kind, targets, q, horizon):
+def cli_pipeline(weights, op_kind, targets, q, horizon, p=2.0, eps_scale=1.0):
     """Operator, family, plan and radii as construct-fhc builds them."""
     op = build_shift(op_kind, parse_weight_spec(weights)["w"])
-    family = BackwardOrbitFamily(op, tuple(parse_vectors(targets, op.domain)))
-    eps = EpsSchedule()
+    family = BackwardOrbitFamily(op, tuple(parse_vectors(targets, op.domain, p)))
+    eps = EpsSchedule(eps_scale)
     K = family.num_classes
     n_ks = [find_tail_threshold(family, op, k, q, eps) for k in range(1, K + 1)]
     radii = [k * eps.eps(k) + sum(eps.eps(j) for j in range(k + 1, K + 1))
@@ -426,15 +429,77 @@ def cli_pipeline(weights, op_kind, targets, q, horizon):
     return op, family, build_separated_family(n_ks, K, horizon), radii
 
 
-@pytest.mark.parametrize("weights,op_kind,targets,q,horizon", [
-    ("w=constant:2", "backward", "0|0,1", 1, 3000),
-    ("w=constant:2", "backward", "0|0,1", 2, 400),
-    ("w=constant:1.5", "backward", "0=0.7,1=0.3:0.2,2=1.3", 1, 1500),
-    ("w=step:0|0.5|2", "bilateral-backward", "0", 1, 400),
-], ids=["constant-q1", "constant-q2", "constant-1.5-complex", "step-bilateral"])
-def test_verifier_matches_the_literal_loop(weights, op_kind, targets, q, horizon):
-    op, family, J, radii = cli_pipeline(weights, op_kind, targets, q, horizon)
-    assert_verifier_matches_literal(op, family, J, q, radii)
+WIDE = ",".join(f"{i}={1 + i % 3}" for i in range(12))
+
+
+@pytest.mark.parametrize("weights,op_kind,targets,q,horizon,extra", [
+    ("w=constant:2", "backward", "0|0,1", 1, 3000, {}),
+    ("w=constant:2", "backward", "0|0,1", 2, 400, {}),
+    ("w=constant:1.5", "backward", "0=0.7,1=0.3:0.2,2=1.3", 1, 1500, {}),
+    ("w=step:0|0.5|2", "bilateral-backward", "0", 1, 400, {}),
+    # eps_scale 1e6 makes every threshold 1, so the blocks sit 4 apart and
+    # a target 12 indices wide puts several pieces on the same indices
+    ("w=constant:2", "backward", WIDE, 1, 300, {"eps_scale": 1e6, "merged": True}),
+    ("w=step:0|0.5|2", "bilateral-backward", f"0|{WIDE}", 1, 120,
+     {"eps_scale": 1e6, "merged": True}),
+    ("w=constant:2", "backward", "0|0,1", 1, 600, {"p": 1.0}),
+    ("w=constant:2", "backward", "0|0=0.5,1", 1, 600, {"p": 3.5}),
+    ("w=constant:2", "backward", "0|0,1", 1, 6007, {"passes": 3}),
+    ("w=step:0|0.5|2", "bilateral-backward", "0", 1, 1000, {}),
+    ("w=ratio:1,1|0,1", "backward", "0|1", 1, 1500, {}),
+    # w = 3 below 0: far past jumps 2 * 3^(delta - 1) overflow, and those
+    # times read inf
+    ("w=step:0|3|2", "bilateral-backward", "0", 1, 1000, {"inf": True}),
+], ids=["constant-q1", "constant-q2", "constant-1.5-complex", "step-bilateral",
+        "wide-target", "wide-target-bilateral", "p-1", "p-3.5", "several-passes",
+        "step-bilateral-1000", "ratio-two-classes", "past-overflow"])
+def test_verifier_matches_the_literal_loop(monkeypatch, weights, op_kind, targets, q,
+                                           horizon, extra):
+    passes, merged = [], []
+    lp_distances, merge_terms = fhc._lp_distances, fhc._merge_terms
+    monkeypatch.setattr(fhc, "_lp_distances",
+                        lambda *a: passes.append(a[4]) or lp_distances(*a))
+    monkeypatch.setattr(fhc, "_merge_terms", lambda *a: merged.append(1) or merge_terms(*a))
+    op, family, J, radii = cli_pipeline(weights, op_kind, targets, q, horizon,
+                                        extra.get("p", 2.0), extra.get("eps_scale", 1.0))
+    d, _ = assert_verifier_matches_literal(op, family, J, q, radii)
+    # every time is scanned twice, directly and by the verifier
+    assert sum(passes) == 2 * J.horizon
+    assert len(passes) >= 2 * extra.get("passes", 1)
+    assert any(math.isinf(v) for v in d[1].values()) == extra.get("inf", False)
+    # pieces of one time share indices only where a target is wider than
+    # the block gap, and only then are the terms summed per index
+    assert bool(merged) == extra.get("merged", False)
+    if "eps_scale" in extra:
+        assert J.N_ks == (1,) * J.num_classes
+
+
+@pytest.mark.parametrize("limit", [fhc._EXACT_INT64, 0], ids=["int64", "python-ints"])
+def test_verifier_matches_the_literal_loop_on_python_int_clocks(monkeypatch, limit):
+    # clock indices past the int64 bound go through object arrays
+    monkeypatch.setattr(fhc, "_EXACT_INT64", limit)
+    op, family, J, radii = cli_pipeline("w=constant:2", "backward", "0|0,1", 2, 400)
+    assert_verifier_matches_literal(op, family, J, 2, radii)
+
+
+@pytest.mark.parametrize("limit", [fhc._EXACT_INT64, 0], ids=["int64", "python-ints"])
+@pytest.mark.parametrize("w,q,blocks", [
+    # x_{1, 1099} = 2^1099 e_1099 overflows on the walk of time 1
+    (0.5, 1, (30, 1100)),
+    # at q = 7 the first block's piece needs a weight past index 2^53
+    (2.0, 7, (200, 210)),
+], ids=["overflow", "past-2^53"])
+def test_a_piece_error_is_raised_as_the_literal_loop_raises_it(monkeypatch, limit, w, q,
+                                                                blocks):
+    monkeypatch.setattr(fhc, "_EXACT_INT64", limit)
+    op = ShiftOp.backward(WeightSeq.constant(w))
+    fam = BackwardOrbitFamily(op, (SeqVector.basis(0),))
+    J = SeparatedFamily((NatSet(blocks, blocks[-1]),), (1,))
+    with pytest.raises((ValueError, WeightOverflowError)) as want:
+        literal_scan(op, fam, J, q, J.horizon)
+    with pytest.raises(type(want.value)) as got:
+        verify_q_frequent_visits(op, SeqVector.zero(), fam, J, q, [0.5], cross_check=0)
+    assert str(got.value) == str(want.value)
 
 
 def test_verifier_matches_the_literal_loop_on_long_sums():
@@ -469,6 +534,40 @@ def test_verifier_matches_the_literal_loop_across_the_guard():
     assert d[1][10] == s
 
 
+def test_numpy_hypot_and_row_sums_match_python_bit_for_bit():
+    """The verifier's array pass equals lp_norm bit for bit because
+    np.hypot(re, im) is abs(complex(re, im)) and adding the rows of a matrix
+    one after the other is builtin sum down each column.  This fails first if
+    a numpy, libm or Python upgrade breaks either.  np.abs and np.power are
+    no such stand-ins: on 300k seeded samples (x86_64, Python 3.11.7, numpy
+    2.4.6) np.abs of a complex array differed from abs() on 49559 (moduli
+    from 1e-310 to 1e307), np.power(x, 3.5) from x ** 3.5 on 15974 and
+    np.power(x, 2.0) and x * x from x ** 2.0 on 261 (x = u^3, u uniform on
+    [0, 1)), so the verifier takes |c| from np.hypot and each power from
+    Python's pow."""
+    rng = np.random.default_rng(2024)
+    n = 100_000
+    # subnormal up to near overflow, with |c| still finite
+    mag = 10.0 ** rng.uniform(-323.5, 308.0, n)
+    re = mag * rng.uniform(-1.0, 1.0, n)
+    im = mag * rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-30.0, 0.0, n)
+    edge_re = [5e-324, 0.0, -0.0, 2.2e-308, 1e-300, 1.7e308, -1.7e308]
+    edge_im = [5e-324, 0.0, -0.0, 2.2e-308, 1e-300, 1e154, -5e307]
+    re = np.concatenate([re, np.repeat(edge_re, len(edge_im))])
+    im = np.concatenate([im, np.tile(edge_im, len(edge_re))])
+    want = np.array([abs(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())])
+    assert np.array_equal(np.hypot(re, im).view(np.int64), want.view(np.int64))
+    # terms of one sum per column: ones, tiny and huge values and subnormals,
+    # where a compensated or pairwise sum would round differently
+    rows = rng.choice([1.0, 1e-17, 3e-300, 5e-324, 1e300, 0.0], (40, 2000)) \
+        * rng.uniform(0.5, 1.5, (40, 2000))
+    s = rows[0].copy()
+    for row in rows[1:]:
+        s += row
+    want = np.array([sum(col) for col in rows.T.tolist()])
+    assert np.array_equal(s.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
 def test_distance_matches_lp_norm_of_the_difference(p):
     rng = random.Random(7)
@@ -485,9 +584,11 @@ def test_distance_matches_lp_norm_of_the_difference(p):
             target[idx] = acc[idx] if idx in acc and rng.random() < 0.5 else \
                 complex(mag * rng.uniform(-1, 1), mag * rng.random())
         target = SeqVector(target, p_exponent=p).entries
-        mags = {i: abs(c) for i, c in acc.items() if not abs(c) < COEFF_GUARD}
         want = literal_lp_norm(SeqVector(acc, p_exponent=p) - SeqVector(target, p_exponent=p))
-        assert fhc._distance(acc, mags, target, p) == want
+        got = fhc._lp_distances(np.zeros(len(acc), np.int64), np.array(list(acc), np.int64),
+                                np.array([c.real for c in acc.values()]),
+                                np.array([c.imag for c in acc.values()]), 1, [target], p)
+        assert got.shape == (1, 1) and got[0, 0] == want
 
 
 def test_truncated_scan_is_reported():

@@ -415,6 +415,38 @@ def test_far_rational_prefix_telescopes_and_keeps_the_table_small():
     assert len(w.prefix._pos_log) <= _NEAR + 1
 
 
+def test_rational_phase_tables_start_at_the_first_negative_weight():
+    def literal(w, s, e):
+        prod = 1.0 + 0.0j
+        for t in range(s, e + 1):
+            prod *= w.weight(t)
+        return prod
+
+    # (t + 1) / t > 0: a far prefix grows the log table to its edge and
+    # builds no phase table
+    pos = WeightSeq.ratio([1.0, 1.0], [0.0, 1.0]).prefix
+    pos.log_abs_many(np.array([10 ** 6, 3]))
+    assert len(pos._pos_log) > 1 and len(pos._pos_ph) <= 1 and len(pos._neg_ph) <= 1
+    # one negative weight each: w_70000 = -2 on N and w_-300 = -2 on Z; the
+    # first range stays short of it, the others grow the table across it
+    # (the long ones take the log and phase sums, with error C * m * eps)
+    Z = Domain.INTEGERS
+    for w, side, ranges in (
+            (WeightSeq.ratio([70000.5, -1.0], [69999.75, -1.0]), "_pos",
+             [(1, 500), (69900, 70100), (70001, 70300), (1, 500), (2, 69999), (69999, 70001)]),
+            (WeightSeq.ratio([300.5, 1.0], [299.75, 1.0], Z), "_neg",
+             [(-200, 200), (-400, -100), (-300, -300), (-200, 200), (-250, -10)])):
+        pre = w.prefix
+        for k, (s, e) in enumerate(ranges):
+            want = literal(w, s, e)
+            assert pre.product(s, e) == pytest.approx(want, rel=1e-9)
+            assert pre.inverse_product(s, e) == pytest.approx(1.0 / want, rel=1e-9)
+            built = len(getattr(pre, side + "_ph")) == len(getattr(pre, side + "_log"))
+            assert built == (k > 0)
+        assert len(pre._pos_ph) + len(pre._neg_ph) == len(getattr(pre, side + "_log")) + 1
+        assert pre.product(*ranges[1]).real < 0
+
+
 def test_far_rational_zeros_and_domain_raise_only_when_reached():
     from hyperlab.seqspace import _NEAR, WeightPrefix
 
