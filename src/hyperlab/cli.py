@@ -364,7 +364,14 @@ def _run_density(p: dict, outdir: Path, fmt: str, seed: int):
     return EXIT_OK, params, results
 
 
+# orbit applies the shift once per step: 10^6 steps take seconds
+_MAX_ORBIT_STEPS = 10 ** 6
+
+
 def _run_orbit(p: dict, outdir: Path, fmt: str, seed: int):
+    if p["horizon"] > _MAX_ORBIT_STEPS:
+        raise ConfigError(f"horizon {p['horizon']} is larger than {_MAX_ORBIT_STEPS}, "
+                          "the most steps an orbit may take")
     op = _named_shift(p, "orbit")
     norm_p = p["p"]
     start = parse_vector(p["start"], op.domain, norm_p)

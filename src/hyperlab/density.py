@@ -17,13 +17,14 @@ sequence vectors, operator or Schatten norm for matrix windows.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .matops import MatOp, embed_window, operator_norm, schatten_norm
+from .matops import MatOp, embed_window, schatten_norm_below
 from .seqspace import SeqVector, lp_norm
 
 __all__ = [
@@ -187,22 +188,24 @@ class NormSpec:
     def schatten(cls, p: float) -> "NormSpec":
         return cls("schatten", p)
 
-    def distance(self, x, target) -> float:
+    def within(self, x, target, radius: float) -> bool:
+        """Whether the distance from x to target is below radius.  A matrix
+        distance is decided by `schatten_norm_below`, which stops its Jacobi
+        sweeps once a certified bracket of the norm clears the radius."""
         if self.kind == "lp":
             if not isinstance(x, SeqVector):
                 raise TypeError("lp metric expects sequence vectors")
-            return lp_norm(x - target, self.p)
+            return lp_norm(x - target, self.p) < radius
         if not isinstance(x, MatOp):
             raise TypeError(f"{self.kind} metric expects matrix windows")
+        if self.kind not in ("operator", "schatten"):
+            raise ValueError(f"unknown metric kind {self.kind!r}")
         lo = min(x.basis_offset, target.basis_offset)
         hi = max(x.basis_offset + max(x.rows, x.cols),
                  target.basis_offset + max(target.rows, target.cols)) - 1
         diff = embed_window(x, lo, hi) - embed_window(target, lo, hi)
-        if self.kind == "operator":
-            return operator_norm(diff)
-        if self.kind == "schatten":
-            return schatten_norm(diff, self.p)
-        raise ValueError(f"unknown metric kind {self.kind!r}")
+        return schatten_norm_below(diff, math.inf if self.kind == "operator" else self.p,
+                                   radius)
 
 
 def visit_set(orbit: Iterable, target, radius: float, norm: NormSpec) -> NatSet:
@@ -214,7 +217,7 @@ def visit_set(orbit: Iterable, target, radius: float, norm: NormSpec) -> NatSet:
     n = 0
     for x in orbit:
         n += 1
-        if norm.distance(x, target) < radius:
+        if norm.within(x, target, radius):
             hits.append(n)
     return NatSet(tuple(hits), n)
 

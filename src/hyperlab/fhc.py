@@ -574,7 +574,8 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
     # independent early-time cross-check from the stored vector
     dev = None
     if cross_check > 0 and blocks:
-        early = [m for m, _ in blocks if m ** qi <= cross_check_horizon][:cross_check]
+        early = [m for m, _ in blocks
+                 if m <= N_H and m ** qi <= cross_check_horizon][:cross_check]
         if early:
             dev = 0.0
             for m in early:

@@ -7,7 +7,10 @@ one-sided Jacobi on columns: each sweep takes the Gram matrix of every
 group of up to 64 columns with one matrix product, rotates it with one
 hand-written round-robin Jacobi sweep, and applies the accumulated unitary
 to the columns with one more product (no LAPACK in the trusted path;
-numpy's svd is used only as an oracle in the test suite).
+numpy's svd is used only as an oracle in the test suite).  Whether a
+Schatten norm lies below a radius is decided by the same sweeps, stopped
+as soon as a bound taken from the Gram matrix settles the answer
+(`schatten_norm_below`).
 
 Rank-one operators u (x) v come in two flavours selected by `Pairing`:
 
@@ -43,7 +46,7 @@ __all__ = [
     "conjugate_by",
     "singular_values",
     "schatten_norm",
-    "operator_norm",
+    "schatten_norm_below",
     "trace_of",
     "frobenius_norm",
     "orthogonal_sum_additivity",
@@ -393,53 +396,89 @@ def _gram_sweep(G: np.ndarray, tol: float) -> "np.ndarray | None":
     return VH[:n, :n].conj().T
 
 
-def singular_values(A: MatOp, tol: float = _JACOBI_TOL,
-                    max_sweeps: int = _JACOBI_MAX_SWEEPS) -> SingularSpectrum:
-    """Singular values by blocked one-sided Jacobi orthogonalization.
+class _Sweeps:
+    """The sweep loop of one-sided Jacobi, rotating the columns of U in place.
 
-    Columns p < q with inner product gamma = u_p^H u_q are rotated by the
-    complex plane rotation that zeroes gamma; a pair is skipped when
-    |gamma| <= tol * ||u_p|| ||u_q||.  A sweep visits every column group
-    (see `_column_groups`): it forms the group's Gram matrix with one
-    product, rotates it with one round-robin sweep (`_gram_sweep`) and
-    applies the accumulated unitary with one more.  The spectrum has
-    converged when a sweep leaves every group untouched; the column norms
-    are then the singular values.  Works on the transpose when rows < cols
-    so the column count is min(rows, cols), in real arithmetic when the
-    matrix is real, and on the matrix scaled by a power of two that brings
-    its largest entry near 1, so squared norms neither overflow nor
-    underflow (the scaling is exact and undone on the values).
+    Iterating runs sweeps until one leaves every column group untouched
+    (`converged`) or `max_sweeps` have run; `sweeps` counts them.  Before
+    each sweep it yields the Gram matrix U^H U of the current columns when
+    they form a single group, which is the product that sweep rotates, and
+    None otherwise.  A sweep visits every column group (see
+    `_column_groups`): it forms the group's Gram matrix with one product,
+    rotates it with one round-robin sweep (`_gram_sweep`) and applies the
+    accumulated unitary with one more.
     """
+
+    def __init__(self, U: np.ndarray, tol: float, max_sweeps: int):
+        self.U, self.tol, self.max_sweeps = U, tol, max_sweeps
+        self.sweeps = 0
+        self.converged = False
+
+    def __iter__(self):
+        U = self.U
+        groups = _column_groups(U.shape[1])
+        for self.sweeps in range(1, self.max_sweeps + 1):
+            rotated = False
+            for i, idx in enumerate(groups):
+                W = U[:, idx]
+                G = W.conj().T @ W
+                if i == 0:
+                    yield G if len(groups) == 1 else None
+                V = _gram_sweep(G, self.tol)
+                if V is not None:
+                    U[:, idx] = W @ V
+                    rotated = True
+            if not rotated:
+                self.converged = True
+                return
+
+
+def _scaled_columns(A: MatOp) -> tuple:
+    """(U, e, n): the nonzero columns of A, or of A^H when rows < cols, in
+    real arithmetic when A is real and scaled by the exact 2^-e that brings
+    the largest entry into [1/2, 1); n = min(rows, cols) counts the columns
+    before the zero ones were dropped (their singular values are zeros)."""
     B = A.data if A.rows >= A.cols else A.data.conj().T
     n = B.shape[1]
-    if n == 0:
-        return SingularSpectrum((), 0, True)
     if not B.imag.any():
         B = B.real
-    # zero columns never rotate: their singular values are exact zeros
     U = np.asfortranarray(B[:, B.any(axis=0)])
     parts = (U.real, U.imag) if U.dtype.kind == "c" else (U,)
     top = max(float(np.max(np.abs(part), initial=0.0)) for part in parts)
     exponent = math.frexp(top)[1]
     for part in parts:
         np.ldexp(part, -exponent, out=part)
-    groups = _column_groups(U.shape[1])
-    sweeps = 0
-    converged = False
-    for sweeps in range(1, max_sweeps + 1):
-        rotated = False
-        for idx in groups:
-            W = U[:, idx]
-            V = _gram_sweep(W.conj().T @ W, tol)
-            if V is not None:
-                U[:, idx] = W @ V
-                rotated = True
-        if not rotated:
-            converged = True
-            break
+    return U, exponent, n
+
+
+def _column_norms(U: np.ndarray, exponent: int, n: int) -> tuple:
+    """The column norms of U scaled back by 2^exponent, nonincreasing, padded
+    with zeros to n values."""
     norms = sorted((math.sqrt(float(np.vdot(u, u).real)) for u in U.T), reverse=True)
-    values = [math.ldexp(v, exponent) for v in norms] + [0.0] * (n - U.shape[1])
-    return SingularSpectrum(tuple(values), sweeps, converged)
+    return tuple([math.ldexp(v, exponent) for v in norms] + [0.0] * (n - U.shape[1]))
+
+
+def singular_values(A: MatOp, tol: float = _JACOBI_TOL,
+                    max_sweeps: int = _JACOBI_MAX_SWEEPS) -> SingularSpectrum:
+    """Singular values by blocked one-sided Jacobi orthogonalization.
+
+    Columns p < q with inner product gamma = u_p^H u_q are rotated by the
+    complex plane rotation that zeroes gamma; a pair is skipped when
+    |gamma| <= tol * ||u_p|| ||u_q||.  The spectrum has converged when a
+    sweep (see `_Sweeps`) leaves every group untouched; the column norms
+    are then the singular values.  Works on the transpose when rows < cols
+    so the column count is min(rows, cols), in real arithmetic when the
+    matrix is real, and on the matrix scaled by a power of two that brings
+    its largest entry near 1, so squared norms neither overflow nor
+    underflow (the scaling is exact and undone on the values).
+    """
+    if min(A.rows, A.cols) == 0:
+        return SingularSpectrum((), 0, True)
+    U, exponent, n = _scaled_columns(A)
+    jacobi = _Sweeps(U, tol, max_sweeps)
+    for _ in jacobi:
+        pass
+    return SingularSpectrum(_column_norms(U, exponent, n), jacobi.sweeps, jacobi.converged)
 
 
 def schatten_norm(A: MatOp, p: float) -> float:
@@ -447,9 +486,75 @@ def schatten_norm(A: MatOp, p: float) -> float:
     return p_sum(singular_values(A).values, p)
 
 
-def operator_norm(A: MatOp) -> float:
-    vals = singular_values(A).values
-    return vals[0] if vals else 0.0
+# a bracket decides a compare only when it clears the radius by this much,
+# far above the rounding of the bracket and of the Jacobi iterates
+_DECIDE_MARGIN = 1e-6
+
+
+def _schatten_bracket(G: np.ndarray, p: float, rows: int) -> tuple:
+    """(lower, upper) around ||W||_p from the Gram matrix G = W^H W of the
+    columns of W, each of length `rows`.
+
+    With d the column norms, F = ||d||_2 = ||W||_2, the Gershgorin bound
+    s = sqrt(max_i sum_j |G_ij|) >= ||W||_op and rho the largest row sum of
+    |G_ij| / (d_i d_j), j != i (rounded up by the product's rounding):
+    eigenvalues of G majorize its diagonal, so ||d||_p is an upper bound for
+    p <= 2 and a lower one for p >= 2; the sorted squared singular values
+    lie within (1 -+ rho) d_i^2 (Ostrowski); and sum sigma^p lies on the
+    side of F^2 s^(p-2) that p - 2 points to.  Columns with d = 0 add
+    nothing to rho.
+    """
+    d = np.sqrt(np.maximum(G.diagonal().real, 0.0))
+    mag = np.abs(G)
+    s = math.sqrt(float(mag.sum(axis=1).max()))
+    inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
+    ratios = mag * inv[:, None] * inv
+    np.fill_diagonal(ratios, 0.0)
+    rho = float(ratios.sum(axis=1).max()) + G.shape[0] * rows * 2.0 ** -52
+    norms = d.tolist()
+    dp = max(norms) if p == math.inf else p_sum(norms, p)
+    mixed = p_sum(norms, 2.0) ** (2.0 / p) * s ** (1.0 - 2.0 / p)
+    if p <= 2.0:
+        lower = max(max(norms), mixed, dp * math.sqrt(1.0 - rho) if rho < 1.0 else 0.0)
+        return lower, dp
+    return dp, min(dp * math.sqrt(1.0 + rho), mixed)
+
+
+def schatten_norm_below(A: MatOp, p: float, radius: float, tol: float = _JACOBI_TOL,
+                        max_sweeps: int = _JACOBI_MAX_SWEEPS) -> bool:
+    """Whether ||A||_p < radius, for p in [1, inf] (inf: the operator norm).
+
+    Runs the sweeps of `singular_values` and, before each one, brackets
+    ||A||_p from the Gram matrix of the current columns (`_schatten_bracket`),
+    on the same zero-column drop and power-of-two scaling, with the radius
+    scaled by the same 2^-e.  It returns as soon as the bracket clears the
+    radius by a relative _DECIDE_MARGIN.  A bracket that never clears is
+    settled at convergence by the exact `schatten_norm(A, p) < radius`
+    (the largest singular value for p = inf) on the same values.  Raises
+    ValueError when the sweep budget runs out first: an unconverged
+    spectrum decides nothing.
+    """
+    if not 1.0 <= p <= math.inf:
+        raise ValueError("p must lie in [1, inf]")
+    U, exponent, n = _scaled_columns(A)
+    if U.shape[1] == 0:
+        return 0.0 < radius
+    try:
+        r = math.ldexp(radius, -exponent)
+    except OverflowError:
+        r = math.inf
+    jacobi = _Sweeps(U, tol, max_sweeps)
+    for G in jacobi:
+        lower, upper = _schatten_bracket(U.conj().T @ U if G is None else G, p, U.shape[0])
+        if upper < r * (1.0 - _DECIDE_MARGIN):
+            return True
+        if lower > r * (1.0 + _DECIDE_MARGIN):
+            return False
+    if not jacobi.converged:
+        raise ValueError(f"Schatten-{p} norm against radius {radius!r} still undecided "
+                         f"when the sweep budget (max_sweeps = {max_sweeps}) ran out")
+    values = _column_norms(U, exponent, n)
+    return (values[0] if p == math.inf else p_sum(values, p)) < radius
 
 
 def frobenius_norm(A: MatOp) -> float:

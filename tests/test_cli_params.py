@@ -272,6 +272,18 @@ def test_construction_refuses_horizons_past_the_set_cap(tmp_path, capsys, horizo
     assert not report_path(tmp_path, argv).exists()
 
 
+@pytest.mark.parametrize("horizon", [cli._MAX_ORBIT_STEPS + 1, 10 ** 7, 10 ** 11])
+def test_orbit_refuses_horizons_past_the_step_cap(tmp_path, capsys, horizon):
+    # the orbit applies the shift once per step: 10^7 steps ran for about a
+    # minute and 10^11 did not finish
+    argv = ["orbit", "--horizon", str(horizon)]
+    start = time.perf_counter()
+    assert run(argv, tmp_path) == 1
+    assert time.perf_counter() - start < 1.0
+    assert str(horizon) in one_error_line(capsys.readouterr().err)
+    assert not report_path(tmp_path, argv).exists()
+
+
 def test_growth_check_runs_on_the_quartic_clock(tmp_path):
     # clock indices reach (512 + 32)^4, about 8.8e10
     assert run(["check", "--condition", "growth", "--q", "4"], tmp_path) == 0

@@ -1,5 +1,6 @@
 """Density-profile tests with brute-force recount oracles."""
 
+import functools
 import io
 import json
 import random
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from hyperlab import density, fhc, matops
 from hyperlab.cli import main
 from hyperlab.density import (
     DensityEstimate,
@@ -22,7 +24,7 @@ from hyperlab.density import (
     q_lower_density,
     visit_set,
 )
-from hyperlab.matops import MatOp
+from hyperlab.matops import MatOp, embed_window, schatten_norm, singular_values
 from hyperlab.seqspace import SeqVector, ShiftOp, WeightSeq, iterate_orbit
 
 
@@ -223,6 +225,64 @@ def test_schatten_metric_on_matrix_orbit():
     assert A.elems == (1,)  # trace norm 2 < 2.1
     B = visit_set([member], target, 1.9, NormSpec.schatten(1.0))
     assert len(B) == 0
+
+
+def gaussian(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+@pytest.mark.parametrize("spec", [NormSpec.schatten(1.0), NormSpec.schatten(1.5),
+                                  NormSpec.schatten(2.0), NormSpec.schatten(3.5),
+                                  NormSpec.operator()], ids=["1", "1.5", "2", "3.5", "op"])
+def test_within_agrees_with_the_exact_norm(spec):
+    # x and target sit on different windows; `within` must answer as the
+    # full-spectrum norm of their difference on the common window does,
+    # also for radii a relative 1e-12 off the norm, where no bracket decides
+    rng = np.random.default_rng(11)
+    x = MatOp(gaussian(rng, 24, 24), basis_offset=2)
+    target = MatOp(gaussian(rng, 20, 20) * 0.3)
+    diff = embed_window(x, 0, 25) - embed_window(target, 0, 25)
+    exact = (singular_values(diff).values[0] if spec.kind == "operator"
+             else schatten_norm(diff, spec.p))
+    for rel in (1e-12, 1e-3, 0.5):
+        for radius in (exact * (1.0 - rel), exact * (1.0 + rel)):
+            assert spec.within(x, target, radius) == (exact < radius)
+    assert spec.within(x, target, exact) is False
+
+
+def test_conjugation_orbit_visits_decide_in_few_sweeps(monkeypatch):
+    # C^n(S) = B S F with weight 0.8 maps S to 0.64^n S[n:, n:]; the visit
+    # set of the trace-norm ball of radius 5 around 0 must match the SVD
+    # oracle while the certified compare runs few Jacobi sweeps (the full
+    # spectra take about 118)
+    dim, horizon, c, radius = 64, 12, 0.8, 5.0
+    S0 = gaussian(np.random.default_rng(1061), dim, dim)
+    R = ShiftOp.backward(WeightSeq.constant(c))
+    T = ShiftOp.forward(WeightSeq.constant(c))
+    sweeps = [0]
+    gram_sweep = matops._gram_sweep
+
+    def counted(*args):
+        sweeps[0] += 1
+        return gram_sweep(*args)
+
+    monkeypatch.setattr(matops, "_gram_sweep", counted)
+    orbit = fhc.conjugation_orbit(R, MatOp(S0), T, horizon)
+    got = visit_set(orbit, MatOp.zeros(dim), radius, NormSpec.schatten(1.0))
+    want = [n for n in range(1, horizon + 1)
+            if c ** (2 * n) * np.linalg.svd(S0[n:, n:], compute_uv=False).sum() < radius]
+    assert got.elems == tuple(want) and got.horizon == horizon
+    assert sweeps[0] <= 15
+
+
+def test_visit_set_lets_an_undecided_compare_raise(monkeypatch):
+    rng = np.random.default_rng(37)
+    x = MatOp(gaussian(rng, 40, 40))
+    radius = schatten_norm(x, 1.0) * (1.0 + 1e-10)
+    monkeypatch.setattr(density, "schatten_norm_below",
+                        functools.partial(matops.schatten_norm_below, max_sweeps=1))
+    with pytest.raises(ValueError, match="sweep budget"):
+        visit_set([x], MatOp.zeros(40), radius, NormSpec.schatten(1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -591,6 +591,18 @@ def test_distance_matches_lp_norm_of_the_difference(p):
         assert got.shape == (1, 1) and got[0, 0] == want
 
 
+def test_cross_check_skips_blocks_past_the_horizon():
+    # block 40 passes the cross-check's clock limit (40 <= 512) but lies
+    # past the scanned horizon of 10, so it has no measured distance
+    fam = family_e0()
+    J = SeparatedFamily((NatSet((4, 40), 40),), (1,))
+    x = assemble_vector(fam, J, 1)
+    rep = verify_q_frequent_visits(B2, x, fam, J, 1, [0.5], horizon=10)[0]
+    assert rep.visit_times.horizon == 10
+    assert rep.designed_count == 1 and rep.contained
+    assert rep.cross_check_dev is not None and rep.cross_check_dev < 1e-9
+
+
 def test_truncated_scan_is_reported():
     # the far blocks of a doubling shift vanish fast, so only a cap of two
     # blocks per time cuts the scan short

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperlab import matops
 from hyperlab.matops import (
     MatOp,
     Pairing,
@@ -22,10 +23,10 @@ from hyperlab.matops import (
     mat_from_json,
     mat_to_csv,
     mat_to_json,
-    operator_norm,
     orthogonal_sum_additivity,
     rank_one_to_mat,
     schatten_norm,
+    schatten_norm_below,
     shift_matrix,
     singular_values,
     spectrum_to_csv,
@@ -176,6 +177,77 @@ def test_jacobi_reports_an_exhausted_sweep_budget():
     assert spec.sweeps == 1 and not spec.converged
 
 
+def bracket_cases():
+    rng = np.random.default_rng(2024)
+    graded = random_mat(rng, 50, 40).data * 10.0 ** -np.linspace(0.0, 14.0, 40)
+    low_rank = random_mat(rng, 30, 5).data @ random_mat(rng, 5, 24).data
+    return {
+        "complex": random_mat(rng, 40, 40).data,
+        "real": rng.standard_normal((36, 30)),
+        "wide-multi-group": random_mat(rng, 70, 90).data,
+        "rank-deficient": low_rank,
+        "rank-deficient-real": np.outer(rng.standard_normal(20), rng.standard_normal(20)),
+        "column-graded": graded[:, rng.permutation(40)],
+        "huge": random_mat(rng, 30, 30).data * 1e150,
+        "tiny": random_mat(rng, 30, 30).data * 1e-150,
+    }
+
+
+def oracle_norm(data, p):
+    sv = np.linalg.svd(data, compute_uv=False)
+    return float(sv[0]) if p == math.inf else float(np.sum(sv ** p) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("case", list(bracket_cases()))
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.5, math.inf])
+def test_schatten_bracket_holds_at_every_sweep(case, p):
+    # the bracket is taken on the scaled columns before each sweep, and must
+    # hold the oracle norm of the scaled matrix every time, not only at the
+    # first sweep; at convergence it has closed to the rounding level
+    data = bracket_cases()[case]
+    U, exponent, _ = matops._scaled_columns(MatOp(data))
+    scaled = data if data.shape[0] >= data.shape[1] else data.conj().T
+    want = oracle_norm(scaled * 2.0 ** -exponent, p)
+    jacobi = matops._Sweeps(U, matops._JACOBI_TOL, matops._JACOBI_MAX_SWEEPS)
+    brackets = []
+    for G in jacobi:
+        brackets.append(matops._schatten_bracket(U.conj().T @ U if G is None else G,
+                                                 p, U.shape[0]))
+    assert jacobi.converged and len(brackets) >= 2
+    for lower, upper in brackets:
+        assert lower <= want * (1.0 + 1e-9) and upper >= want * (1.0 - 1e-9)
+    lower, upper = brackets[-1]
+    assert upper - lower <= 1e-9 * want
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
+def test_schatten_compare_sits_on_the_exact_norm(p):
+    rng = np.random.default_rng(7)
+    for A in (random_mat(rng, 30, 20), MatOp.zeros(4, 6), MatOp.zeros(0, 3)):
+        exact = (max(singular_values(A).values, default=0.0) if p == math.inf
+                 else schatten_norm(A, p))
+        for radius in (exact * 0.5, exact * (1 - 1e-12), exact, exact * (1 + 1e-12), 1.0):
+            assert schatten_norm_below(A, p, radius) == (exact < radius)
+
+
+@pytest.mark.parametrize("p", [0.5, math.nan])
+def test_schatten_compare_rejects_bad_exponents(p):
+    with pytest.raises(ValueError, match="p must lie"):
+        schatten_norm_below(MatOp.identity(2), p, 1.0)
+
+
+def test_undecided_schatten_compare_raises_on_an_exhausted_budget():
+    # a radius within 1e-9 of the norm cannot be cleared by any bracket, and
+    # one sweep does not converge: the compare must not fall back on the
+    # unconverged column norms
+    rng = np.random.default_rng(37)
+    A = random_mat(rng, 40, 40)
+    radius = schatten_norm(A, 1.0) * (1.0 + 1e-10)
+    with pytest.raises(ValueError, match="sweep budget"):
+        schatten_norm_below(A, 1.0, radius, max_sweeps=1)
+    assert schatten_norm_below(A, 1.0, radius) is True
+
+
 @pytest.mark.parametrize("k", [2, 4, 6, 64])
 def test_round_robin_meets_every_pair_once(k):
     from hyperlab.matops import _circle_step
@@ -198,7 +270,7 @@ def test_schatten_frozen_diagonal_example():
     A = MatOp(np.diag([3.0, 4.0]).astype(complex))
     assert schatten_norm(A, 1.0) == pytest.approx(7.0, rel=1e-12)
     assert schatten_norm(A, 2.0) == pytest.approx(5.0, rel=1e-12)
-    assert operator_norm(A) == pytest.approx(4.0, rel=1e-12)
+    assert singular_values(A).values[0] == pytest.approx(4.0, rel=1e-12)
     assert frobenius_norm(A) == pytest.approx(5.0, rel=1e-12)
 
 
