@@ -400,10 +400,8 @@ class _Sweeps:
     """The sweep loop of one-sided Jacobi, rotating the columns of U in place.
 
     Iterating runs sweeps until one leaves every column group untouched
-    (`converged`) or `max_sweeps` have run; `sweeps` counts them.  Before
-    each sweep it yields the Gram matrix U^H U of the current columns when
-    they form a single group, which is the product that sweep rotates, and
-    None otherwise.  A sweep visits every column group (see
+    (`converged`) or `max_sweeps` have run; `sweeps` counts them.  It yields
+    once before each sweep.  A sweep visits every column group (see
     `_column_groups`): it forms the group's Gram matrix with one product,
     rotates it with one round-robin sweep (`_gram_sweep`) and applies the
     accumulated unitary with one more.
@@ -418,13 +416,11 @@ class _Sweeps:
         U = self.U
         groups = _column_groups(U.shape[1])
         for self.sweeps in range(1, self.max_sweeps + 1):
+            yield
             rotated = False
-            for i, idx in enumerate(groups):
+            for idx in groups:
                 W = U[:, idx]
-                G = W.conj().T @ W
-                if i == 0:
-                    yield G if len(groups) == 1 else None
-                V = _gram_sweep(G, self.tol)
+                V = _gram_sweep(W.conj().T @ W, self.tol)
                 if V is not None:
                     U[:, idx] = W @ V
                     rotated = True
@@ -520,7 +516,7 @@ def _schatten_bracket(G: np.ndarray, p: float, rows: int) -> tuple:
     return dp, min(dp * math.sqrt(1.0 + rho), mixed)
 
 
-def schatten_norm_below(A: MatOp, p: float, radius: float, tol: float = _JACOBI_TOL,
+def schatten_norm_below(A: MatOp, p: float, radius: float,
                         max_sweeps: int = _JACOBI_MAX_SWEEPS) -> bool:
     """Whether ||A||_p < radius, for p in [1, inf] (inf: the operator norm).
 
@@ -543,9 +539,9 @@ def schatten_norm_below(A: MatOp, p: float, radius: float, tol: float = _JACOBI_
         r = math.ldexp(radius, -exponent)
     except OverflowError:
         r = math.inf
-    jacobi = _Sweeps(U, tol, max_sweeps)
-    for G in jacobi:
-        lower, upper = _schatten_bracket(U.conj().T @ U if G is None else G, p, U.shape[0])
+    jacobi = _Sweeps(U, _JACOBI_TOL, max_sweeps)
+    for _ in jacobi:
+        lower, upper = _schatten_bracket(U.conj().T @ U, p, U.shape[0])
         if upper < r * (1.0 - _DECIDE_MARGIN):
             return True
         if lower > r * (1.0 + _DECIDE_MARGIN):
