@@ -294,8 +294,15 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
     def inverse_term(i: int, r: int, n: int) -> SeqVector:
         return family.inverse_point(i, (n + r) ** qi - r ** qi)
 
+    # the probes revisit a few (class, power) pairs thousands of times;
+    # _RunningNorm.add only reads the vectors it is given
+    forward_terms: dict = {}
+
     def forward_term(i: int, r: int, n: int) -> SeqVector:
-        return shift_power_apply(op, family.base_point(i), r ** qi - (r - n) ** qi)
+        key = (i, r ** qi - (r - n) ** qi)
+        if key not in forward_terms:
+            forward_terms[key] = shift_power_apply(op, family.base_point(i), key[1])
+        return forward_terms[key]
 
     def probe(N: int):
         """None when every sum is small; otherwise a witness tuple.  A term

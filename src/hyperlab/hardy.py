@@ -152,15 +152,22 @@ def mult_op_matrix(phi: AnalyticSymbol, space: BetaSpace) -> MatOp:
     """
     n_dim = space.dim + 1
     data = np.zeros((n_dim, n_dim), dtype=complex)
-    cs = phi.coeffs
-    for n in range(n_dim):
-        bn = space.beta(n)
-        for m, c in enumerate(cs):
-            k = n + m
-            if k >= n_dim:
-                break
-            data[k, n] = c * bn / space.beta(k)
+    betas = _betas(space)
+    flat = data.reshape(-1)
+    for m, c in enumerate(phi.coeffs[:n_dim]):
+        # c * beta_n / beta_{n+m} in CPython's complex-by-float steps: the
+        # float joins as (b, 0.0) in the product and the quotient
+        bn, bk = betas[:n_dim - m], betas[m:]
+        ar = c.real * bn - c.imag * 0.0
+        ai = c.real * 0.0 + c.imag * bn
+        diag = flat[m * n_dim::n_dim + 1]        # entries (n + m, n)
+        diag.real = (ar + ai * 0.0) / bk
+        diag.imag = (ai - ar * 0.0) / bk
     return MatOp(data)
+
+
+def _betas(space: BetaSpace) -> np.ndarray:
+    return np.array([space.beta(n) for n in range(space.dim + 1)], dtype=float)
 
 
 # -- high-precision eigenchecks ---------------------------------------------
@@ -338,6 +345,11 @@ class LocusPoint:
         return complex(phi(self.z)).conjugate() * complex(psi(self.w))
 
 
+# cells (w points times g^2) per array pass of the locus scan: 2^16 keep a
+# pass's float temporaries near 0.5 MB at any grid density
+_LOCUS_CELLS = 1 << 16
+
+
 def unimodular_locus_sample(phi: AnalyticSymbol, psi: AnalyticSymbol,
                             grid_density: int, tol: float,
                             exclude: tuple = (),
@@ -350,6 +362,11 @@ def unimodular_locus_sample(phi: AnalyticSymbol, psi: AnalyticSymbol,
     in `exclude` are dropped, mirroring the countable exclusion set of the
     spanning argument.  An empty result is evidence (grid-relative) that
     the modulus-one level set misses the bidisc.
+
+    The scan runs as array passes over chunks of grid w points, every
+    crossing of a chunk bisected together, in the float steps of CPython's
+    complex arithmetic; points come in (w, direction, radius) order.  A
+    symbol whose modulus is not finite on the grid raises ValueError.
     """
     if grid_density < 8:
         raise ValueError("grid density must be >= 8")
@@ -357,44 +374,98 @@ def unimodular_locus_sample(phi: AnalyticSymbol, psi: AnalyticSymbol,
     radii = [(i + 0.5) / g for i in range(g)]
     angles = [2.0 * math.pi * k / g for k in range(g)]
     w_points = [r * cmath.exp(1j * t) for r in radii for t in angles]
-
-    def excluded(zz, ww) -> bool:
-        ev = complex(phi(zz)).conjugate() * complex(psi(ww))
-        return any(abs(ev - complex(e)) <= exclude_radius for e in exclude)
-
     directions = [cmath.exp(1j * t) for t in angles]
-    # |phi| along each radial line does not depend on w
-    moduli = [[abs(phi(r * direction)) for r in radii] for direction in directions]
+    rad = np.array(radii)
+    dr = np.array([d.real for d in directions])
+    di = np.array([d.imag for d in directions])
+    wr = np.array([w.real for w in w_points])
+    wi = np.array([w.imag for w in w_points])
+    exclude = [complex(e) for e in exclude]
+    half_tol = tol * 0.5
     out = []
-    for w in w_points:
-        bw = abs(psi(w))
-        for direction, line in zip(directions, moduli):
-            vals = [m * bw - 1.0 for m in line]
-            for idx in range(len(radii)):
-                if abs(vals[idx]) < tol:
-                    zz = radii[idx] * direction
-                    if not excluded(zz, w):
-                        out.append(LocusPoint(zz, w, vals[idx] + 1.0))
-                    continue
-                if idx == 0:
-                    continue
-                if vals[idx - 1] * vals[idx] < 0.0:
-                    lo, hi = radii[idx - 1], radii[idx]
-                    flo = vals[idx - 1]
-                    for _ in range(60):
-                        mid = 0.5 * (lo + hi)
-                        fm = abs(phi(mid * direction)) * bw - 1.0
-                        if abs(fm) < tol * 0.5:
-                            lo = hi = mid
-                            break
-                        if flo * fm <= 0.0:
-                            hi = mid
-                        else:
-                            lo, flo = mid, fm
-                    zz = 0.5 * (lo + hi) * direction
-                    if abs(zz) < 1.0 and not excluded(zz, w):
-                        out.append(LocusPoint(zz, w, abs(phi(zz)) * bw))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # |phi| along each radial line does not depend on w
+        moduli = np.hypot(*_horner(phi, *_scale(rad, dr[:, None], di[:, None])))
+        psi_r, psi_i = _horner(psi, wr, wi)
+        bws = np.hypot(psi_r, psi_i)
+        if not (np.isfinite(moduli).all() and np.isfinite(bws).all()):
+            raise ValueError("|phi| or |psi| is not finite on the scan grid")
+        chunk = max(1, _LOCUS_CELLS // (g * g))
+        for w0 in range(0, len(w_points), chunk):
+            bw = bws[w0:w0 + chunk]
+            vals = moduli * bw[:, None, None] - 1.0
+            hit = np.abs(vals) < tol
+            cross = np.zeros_like(hit)
+            cross[:, :, 1:] = ~hit[:, :, 1:] & (vals[:, :, :-1] * vals[:, :, 1:] < 0.0)
+            # a direct hit is the grid point itself, at modulus vals + 1
+            hits = np.flatnonzero(hit)
+            hw, hd, hr = np.unravel_index(hits, vals.shape)
+            hit_zr, hit_zi = _scale(rad[hr], dr[hd], di[hd])
+            # a crossing bisects [r_{idx-1}, r_idx], all of a pass together
+            crosses = np.flatnonzero(cross)
+            cw, cd, cr = np.unravel_index(crosses, vals.shape)
+            cdr, cdi, cbw = dr[cd], di[cd], bw[cw]
+            lo, hi, flo = rad[cr - 1], rad[cr], vals.reshape(-1)[crosses - 1]
+            run = np.arange(crosses.size)
+            for _ in range(60):
+                if not run.size:
+                    break
+                mid = 0.5 * (lo[run] + hi[run])
+                fm = np.hypot(*_horner(phi, *_scale(mid, cdr[run], cdi[run]))) * cbw[run] - 1.0
+                done = np.abs(fm) < half_tol
+                lo[run[done]] = hi[run[done]] = mid[done]
+                up = ~done & (flo[run] * fm <= 0.0)
+                down = ~done & ~up
+                hi[run[up]] = mid[up]
+                lo[run[down]], flo[run[down]] = mid[down], fm[down]
+                run = run[~done]
+            cross_zr, cross_zi = _scale(0.5 * (lo + hi), cdr, cdi)
+            # both kinds in one list, then back into (w, direction, radius) order
+            zr = np.concatenate([hit_zr, cross_zr])
+            zi = np.concatenate([hit_zi, cross_zi])
+            mod = np.concatenate([vals.reshape(-1)[hits] + 1.0,
+                                  np.hypot(*_horner(phi, cross_zr, cross_zi)) * cbw])
+            widx = np.concatenate([hw, cw]) + w0
+            keep = np.concatenate([np.ones(hits.size, dtype=bool),
+                                   np.hypot(cross_zr, cross_zi) < 1.0])
+            if exclude:
+                keep &= ~_excluded(phi, zr, zi, psi_r[widx], psi_i[widx],
+                                   exclude, exclude_radius)
+            sel = np.flatnonzero(keep)
+            sel = sel[np.argsort(np.concatenate([hits, crosses])[sel])]
+            out.extend(LocusPoint(complex(a, b), w_points[k], m) for a, b, k, m in
+                       zip(zr[sel].tolist(), zi[sel].tolist(), widx[sel].tolist(),
+                           mod[sel].tolist()))
     return out
+
+
+def _scale(r, dr, di):
+    """r * d for float r and complex d = dr + i di in CPython's steps: the
+    float joins the product as the complex (r, 0.0)."""
+    return r * dr - 0.0 * di, r * di + 0.0 * dr
+
+
+def _horner(sym: AnalyticSymbol, zr, zi):
+    """The symbol at zr + i zi on separate real and imaginary arrays, in the
+    float steps of TaylorPoly.__call__: acc = acc * z + c from 0j."""
+    ar = np.zeros(np.shape(zr))
+    ai = np.zeros(np.shape(zr))
+    for c in reversed(sym.coeffs):
+        ar, ai = ar * zr - ai * zi + c.real, ar * zi + ai * zr + c.imag
+    return ar, ai
+
+
+def _excluded(phi, zr, zi, psi_r, psi_i, exclude, radius) -> np.ndarray:
+    """Whether conj(phi(z)) psi(w) lies within radius of an excluded point,
+    in CPython's complex steps."""
+    pr, pi = _horner(phi, zr, zi)
+    pi = -pi
+    er = pr * psi_r - pi * psi_i
+    ei = pr * psi_i + pi * psi_r
+    near = np.zeros(er.shape, dtype=bool)
+    for e in exclude:
+        near |= np.hypot(er - e.real, ei - e.imag) <= radius
+    return near
 
 
 # -- span density -----------------------------------------------------------
@@ -454,9 +525,7 @@ def _dense_kernel(space: BetaSpace, z: complex) -> np.ndarray:
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("kernels exist only for points inside the open disc")
-    n = np.arange(space.dim + 1)
-    betas = np.array([space.beta(int(k)) for k in n], dtype=float)
-    return betas * (z.conjugate() ** n)
+    return _betas(space) * (z.conjugate() ** np.arange(space.dim + 1))
 
 
 # -- converse certificates --------------------------------------------------

@@ -284,6 +284,35 @@ def test_orbit_refuses_horizons_past_the_step_cap(tmp_path, capsys, horizon):
     assert not report_path(tmp_path, argv).exists()
 
 
+@pytest.mark.parametrize("check", ["locus", "density"])
+@pytest.mark.parametrize("grid", [cli._MAX_GRID_DENSITY + 1, 600])
+def test_hardy_refuses_grid_densities_past_the_cap(tmp_path, capsys, check, grid):
+    # the locus scan visits g^4 cells: grid 600 ran past an 8 s timeout
+    argv = ["hardy", "--check", check, "--phi", "0,2", "--psi", "0,1",
+            "--grid-density", str(grid)]
+    start = time.perf_counter()
+    assert run(argv, tmp_path) == 1
+    assert time.perf_counter() - start < 1.0
+    assert str(grid) in one_error_line(capsys.readouterr().err)
+    assert not report_path(tmp_path, argv).exists()
+
+
+def test_locus_refuses_a_negative_max_points(tmp_path, capsys):
+    # a negative count used to list points[:-3], all but the last three
+    argv = ["hardy", "--check", "locus", "--phi", "0,2", "--psi", "0,1",
+            "--grid-density", "8", "--max-points", "-3"]
+    assert run(argv, tmp_path) == 1
+    assert "max_points" in one_error_line(capsys.readouterr().err)
+    assert not report_path(tmp_path, argv).exists()
+
+
+def test_locus_of_an_overflowing_symbol_is_one_error_line(tmp_path, capsys):
+    # |phi| overflows a double on the grid: this was an OverflowError traceback
+    argv = ["hardy", "--check", "locus", "--phi", "1e308,1e308", "--psi", "1"]
+    assert run(argv, tmp_path) == 1
+    assert "not finite" in one_error_line(capsys.readouterr().err)
+
+
 def test_growth_check_runs_on_the_quartic_clock(tmp_path):
     # clock indices reach (512 + 32)^4, about 8.8e10
     assert run(["check", "--condition", "growth", "--q", "4"], tmp_path) == 0

@@ -140,6 +140,20 @@ def test_threshold_sees_the_forward_sums():
     assert find_tail_threshold(fam, B2, 1, 1, EpsSchedule()) == 6
 
 
+def test_threshold_applies_each_forward_power_once(monkeypatch):
+    # the probes revisit every (class, power) pair many times over a search
+    calls = []
+
+    def counting(op, x, m):
+        calls.append((repr(x), m))
+        return shift_power_apply(op, x, m)
+
+    fam = BackwardOrbitFamily(B2, (SeqVector.basis(5), SeqVector.basis(0)))
+    monkeypatch.setattr(fhc, "shift_power_apply", counting)
+    assert find_tail_threshold(fam, B2, 2, 1, EpsSchedule()) == 6
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_threshold_failure_witness_for_unweighted_shift():
     # w = 1: inverse-orbit points keep norm 1 forever, no threshold exists
     B1 = ShiftOp.backward(WeightSeq.constant(1.0))

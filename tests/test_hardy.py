@@ -1,16 +1,20 @@
 """Tests for kernel-function spaces and conjugation eigenchecks."""
 
+import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from hyperlab import hardy
 from hyperlab.hardy import (
     AnalyticSymbol,
     BetaSpace,
     CertificateKind,
+    LocusPoint,
     adjoint_kernel_eigencheck,
     conjugation_eigencheck,
     converse_certificate,
@@ -128,6 +132,49 @@ def test_mult_matrix_algebra_morphism():
     assert np.max(np.abs(lhs[:, :keep] - rhs[:, :keep])) < 1e-10
 
 
+def scalar_mult_op_matrix(phi, space):
+    """The scalar loop mult_op_matrix ran before it filled whole diagonals:
+    the oracle its bytes are held to."""
+    n_dim = space.dim + 1
+    data = np.zeros((n_dim, n_dim), dtype=complex)
+    cs = phi.coeffs
+    for n in range(n_dim):
+        bn = space.beta(n)
+        for m, c in enumerate(cs):
+            k = n + m
+            if k >= n_dim:
+                break
+            data[k, n] = c * bn / space.beta(k)
+    return MatOp(data)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+MULT_SYMBOLS = [
+    [2.5 - 1.0j],
+    [0.0, 1.0],
+    [-0.0, -1.0, 0.0, 3.0],
+    [1e-300, -2.0 + 1e-17j, 0.5j, complex(-0.0, -0.0), 7.0],
+    [complex(-2.0, -0.0), complex(0.5, -0.0), complex(-0.0, 3.0)],   # signed zeros
+    [complex(k % 3 - 1, (-1) ** k * k / 7) for k in range(21)],     # degree 20
+]
+
+
+@pytest.mark.parametrize("space", [BetaSpace.hardy(12), BetaSpace.inv_linear(12),
+                                   BetaSpace.inv_linear(40)], ids=["hardy", "inv_linear-12",
+                                                                   "inv_linear-40"])
+@pytest.mark.parametrize("coeffs", MULT_SYMBOLS, ids=lambda c: f"degree-{len(c) - 1}")
+def test_mult_matrix_matches_the_scalar_loop_bit_for_bit(space, coeffs):
+    phi = AnalyticSymbol.from_coeffs(coeffs)
+    got = mult_op_matrix(phi, space).data
+    want = scalar_mult_op_matrix(phi, space).data
+    assert got.shape == want.shape
+    # signed zeros included: compare the bits of every real and imaginary part
+    assert np.array_equal(bits(got), bits(want))
+
+
 # -- adjoint kernel eigenchecks ---------------------------------------------
 
 def test_adjoint_eigencheck_geometric_scale():
@@ -235,6 +282,122 @@ def test_locus_respects_exclusion_list():
 def test_locus_rejects_sparse_grid():
     with pytest.raises(ValueError):
         unimodular_locus_sample(Z, Z, 4, 1e-3)
+
+
+def scalar_locus_sample(phi, psi, grid_density, tol, exclude=(), exclude_radius=1e-6):
+    """The scalar loop unimodular_locus_sample ran before it became array
+    passes: the oracle its bytes are held to."""
+    if grid_density < 8:
+        raise ValueError("grid density must be >= 8")
+    g = int(grid_density)
+    radii = [(i + 0.5) / g for i in range(g)]
+    angles = [2.0 * math.pi * k / g for k in range(g)]
+    w_points = [r * cmath.exp(1j * t) for r in radii for t in angles]
+
+    def excluded(zz, ww) -> bool:
+        ev = complex(phi(zz)).conjugate() * complex(psi(ww))
+        return any(abs(ev - complex(e)) <= exclude_radius for e in exclude)
+
+    directions = [cmath.exp(1j * t) for t in angles]
+    moduli = [[abs(phi(r * direction)) for r in radii] for direction in directions]
+    out = []
+    for w in w_points:
+        bw = abs(psi(w))
+        for direction, line in zip(directions, moduli):
+            vals = [m * bw - 1.0 for m in line]
+            for idx in range(len(radii)):
+                if abs(vals[idx]) < tol:
+                    zz = radii[idx] * direction
+                    if not excluded(zz, w):
+                        out.append(LocusPoint(zz, w, vals[idx] + 1.0))
+                    continue
+                if idx == 0:
+                    continue
+                if vals[idx - 1] * vals[idx] < 0.0:
+                    lo, hi = radii[idx - 1], radii[idx]
+                    flo = vals[idx - 1]
+                    for _ in range(60):
+                        mid = 0.5 * (lo + hi)
+                        fm = abs(phi(mid * direction)) * bw - 1.0
+                        if abs(fm) < tol * 0.5:
+                            lo = hi = mid
+                            break
+                        if flo * fm <= 0.0:
+                            hi = mid
+                        else:
+                            lo, flo = mid, fm
+                    zz = 0.5 * (lo + hi) * direction
+                    if abs(zz) < 1.0 and not excluded(zz, w):
+                        out.append(LocusPoint(zz, w, abs(phi(zz)) * bw))
+    return out
+
+
+def locus_battery():
+    """Seeded (phi, psi, grid, tol, exclude, exclude_radius, pass_cells)
+    cases; pass_cells None keeps the scan's own chunking, an int shrinks a
+    pass to that many cells (7 w points, which divides no grid's w count)."""
+    rng = random.Random(909)
+
+    def coeff():
+        re = rng.uniform(-2.0, 2.0)
+        return complex(re, rng.uniform(-2.0, 2.0)) if rng.random() < 0.7 else complex(re)
+
+    cases = []
+    for _ in range(40):
+        grid = rng.choice([8, 9, 12, 16])
+        cases.append(([coeff() for _ in range(rng.randint(1, 4))],
+                      [coeff() for _ in range(rng.randint(1, 3))],
+                      grid, 10.0 ** rng.uniform(-6.0, -2.0),
+                      tuple(0.5 * coeff() for _ in range(rng.choice([0, 0, 1, 3]))),
+                      rng.choice([1e-6, 0.5, 2.0]),
+                      rng.choice([None, 7 * grid * grid])))
+    cases += [
+        ([0.1, 0.1], [0.5j], 12, 1e-3, (), 1e-6, None),             # |phi psi| < 1
+        ([0.0, 1.0], [0.0, 1.0], 9, 1e-2, (), 1e-6, 7 * 81),        # |z w| < 1
+        ([0.0, 2.0], [0.0, 1.0], 33, 1e-3, (), 1e-6, None),         # 1089 w, short last pass
+        ([0.0, 2.0], [1.0], 8, 1e-3, (1.0, -1.0j), 0.3, None),      # drops whole arcs
+        ([1.0, 1.0], [0.0, 0.0, 1.5 - 0.5j], 12, 1e-6, (0.5 + 0.5j,), 0.8, 7 * 144),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("case", locus_battery(), ids=lambda c: f"grid{c[2]}")
+def test_locus_matches_the_scalar_loop(case, monkeypatch):
+    phi_c, psi_c, grid, tol, exclude, radius, pass_cells = case
+    if pass_cells is not None:
+        monkeypatch.setattr(hardy, "_LOCUS_CELLS", pass_cells)
+    phi, psi = AnalyticSymbol.from_coeffs(phi_c), AnalyticSymbol.from_coeffs(psi_c)
+    got = unimodular_locus_sample(phi, psi, grid, tol, exclude, radius)
+    want = scalar_locus_sample(phi, psi, grid, tol, exclude, radius)
+    assert first_difference(got, want) is None
+
+
+def first_difference(got: list, want: list):
+    """None when both point lists print alike (repr tells -0.0 from 0.0 and
+    prints every float to the last bit); otherwise the first difference, kept
+    short, since a diff of the two whole reprs takes pytest minutes."""
+    for i, (a, b) in enumerate(zip(map(repr, got), map(repr, want))):
+        if a != b:
+            return i, a, b
+    return None if len(got) == len(want) else ("lengths", len(got), len(want))
+
+
+def test_locus_battery_reaches_the_edge_cases():
+    empty = excluding = 0
+    for phi_c, psi_c, grid, tol, exclude, radius, _ in locus_battery():
+        phi, psi = AnalyticSymbol.from_coeffs(phi_c), AnalyticSymbol.from_coeffs(psi_c)
+        if grid > 12:
+            continue
+        full = scalar_locus_sample(phi, psi, grid, tol)
+        empty += not full
+        excluding += len(scalar_locus_sample(phi, psi, grid, tol, exclude, radius)) < len(full)
+    assert empty >= 3 and excluding >= 3
+
+
+def test_locus_refuses_a_symbol_that_overflows_on_the_grid():
+    huge = AnalyticSymbol.from_coeffs([1e308, 1e308])
+    with pytest.raises(ValueError, match="not finite"):
+        unimodular_locus_sample(huge, ONE, 8, 1e-3)
 
 
 # -- span density -----------------------------------------------------------
