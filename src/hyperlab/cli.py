@@ -574,6 +574,8 @@ def _run_schatten(p: dict, outdir: Path, fmt: str, seed: int):
     rng = parse_range(p["window"])
     lo, hi = rng[0], rng[-1]
     ps = [float(t) for t in p["p"].split(",") if t.strip()]
+    if not ps:
+        raise ConfigError(f"p {p['p']!r} lists no Schatten exponent")
     mat = MatOp(shift_matrix(op, lo, hi), basis_offset=lo)
     spec = singular_values(mat)
     norms = {repr(pv): p_sum(spec.values, pv) for pv in ps}

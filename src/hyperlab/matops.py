@@ -7,10 +7,13 @@ one-sided Jacobi on columns: each sweep takes the Gram matrix of every
 group of up to 64 columns with one matrix product, rotates it with one
 hand-written round-robin Jacobi sweep, and applies the accumulated unitary
 to the columns with one more product (no LAPACK in the trusted path;
-numpy's svd is used only as an oracle in the test suite).  Whether a
-Schatten norm lies below a radius is decided by the same sweeps, stopped
-as soon as a bound taken from the Gram matrix settles the answer
-(`schatten_norm_below`).
+numpy's svd is used only as an oracle in the test suite).  Groups never
+cross a connected component of the columns (columns joined when they share
+a nonzero row), whose inner products are exactly zero: the blocks of an
+orthogonal sum are swept apart, and the one-entry columns of a shift
+window form no group at all.  Whether a Schatten norm lies below a radius
+is decided by the same sweeps, stopped as soon as a bound taken from the
+Gram matrix settles the answer (`schatten_norm_below`).
 
 Rank-one operators u (x) v come in two flavours selected by `Pairing`:
 
@@ -28,11 +31,11 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .seqspace import Domain, SeqVector, ShiftOp, apply, adjoint, p_sum
+from .seqspace import Domain, SeqVector, ShiftOp, apply, p_sum
 
 __all__ = [
     "MatOp",
@@ -40,21 +43,14 @@ __all__ = [
     "RankOne",
     "SingularSpectrum",
     "rank_one_to_mat",
-    "conjugate_rank_one",
     "shift_matrix",
     "conjugation",
-    "conjugate_by",
     "singular_values",
     "schatten_norm",
     "schatten_norm_below",
-    "trace_of",
-    "frobenius_norm",
     "orthogonal_sum_additivity",
     "OrthogonalSumReport",
     "embed_window",
-    "mat_to_json",
-    "mat_from_json",
-    "mat_to_csv",
     "spectrum_to_csv",
 ]
 
@@ -160,28 +156,6 @@ def rank_one_to_mat(r: RankOne, dim: int, basis_offset: int = 0,
     return MatOp(np.outer(u, v), basis_offset)
 
 
-def _conj_vector(v: SeqVector) -> SeqVector:
-    return SeqVector({n: c.conjugate() for n, c in v.entries.items()},
-                     v.domain, v.p_exponent)
-
-
-def conjugate_rank_one(R: ShiftOp | None, r: RankOne, T: ShiftOp | None) -> RankOne:
-    """Exact rank-one image of u (x) v under S -> R S T.
-
-    The left leg moves by R.  The right leg moves by the transpose of T
-    (bilinear flavour) or by its conjugate transpose (Hilbert flavour), so
-    materializing afterwards equals conjugating the materialized matrix.
-    """
-    left = apply(R, r.left) if R is not None else r.left
-    right = r.right
-    if T is not None:
-        if r.pairing is Pairing.BILINEAR:
-            right = apply(adjoint(T), right)
-        else:
-            right = _conj_vector(apply(adjoint(T), _conj_vector(right)))
-    return RankOne(left, right, r.pairing)
-
-
 # ---------------------------------------------------------------------------
 # windows for shift-type factors
 # ---------------------------------------------------------------------------
@@ -258,25 +232,6 @@ def conjugation(R: "MatOp | ShiftOp | None", S: MatOp,
     return MatOp(out, lo)
 
 
-def conjugate_by(R: "MatOp | ShiftOp", S: MatOp) -> MatOp:
-    """R S R* with the Hermitian adjoint of the single outer factor."""
-    if isinstance(R, MatOp):
-        return conjugation(R, S, MatOp(R.data.conj().T, R.basis_offset))
-    # grow the window symmetrically, then conjugate the windowed matrix:
-    # compression commutes with the Hermitian transpose on a fixed window
-    dmin, dmax = R.displacement_range()
-    off = S.basis_offset
-    lo = min(off, off + dmin, off - dmax)
-    hi = max(off + S.rows - 1, off + S.cols - 1) + max(dmax, 0, -dmin)
-    if R.domain is Domain.NATURALS and off >= 0:
-        lo = max(lo, 0)
-    dim = hi - lo + 1
-    S_emb = np.zeros((dim, dim), dtype=complex)
-    S_emb[off - lo:off - lo + S.rows, off - lo:off - lo + S.cols] = S.data
-    R_mat = shift_matrix(R, lo, hi)
-    return MatOp(R_mat @ S_emb @ R_mat.conj().T, lo)
-
-
 def embed_window(A: MatOp, lo: int, hi: int) -> MatOp:
     """Zero-pad A onto the window [lo, hi] (which must contain A's window)."""
     if lo > A.basis_offset or hi < A.basis_offset + max(A.rows, A.cols) - 1:
@@ -302,15 +257,58 @@ class SingularSpectrum:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
 
-def _column_groups(n: int) -> list:
-    """Column index sets of one sweep: every pair of _JACOBI_BLOCK-column
-    blocks, or all n columns when they fit in two blocks."""
-    if n <= 2 * _JACOBI_BLOCK:
-        return [np.arange(n)]
-    blocks = [np.arange(lo, min(lo + _JACOBI_BLOCK, n))
-              for lo in range(0, n, _JACOBI_BLOCK)]
-    return [np.concatenate((blocks[i], blocks[j]))
-            for i in range(len(blocks)) for j in range(i + 1, len(blocks))]
+def _column_components(U: np.ndarray) -> np.ndarray:
+    """Component label of every column of U: the smallest column index of
+    its connected component, where two columns are joined when some row is
+    nonzero in both.  Columns of different components have inner product
+    exactly 0, so no rotation ever mixes them.
+
+    Hook-and-compress union-find on arrays: each row's nonzero columns are
+    tied to the row's first one; every round hooks the larger root of each
+    still-split pair under the smaller, then points every column at its
+    root.  A zero column is a component of its own.
+    """
+    m, k = U.shape
+    cols, rows = np.nonzero(U.T != 0)
+    heads = np.full(m, k)
+    np.minimum.at(heads, rows, cols)
+    heads = heads[rows]
+    parent = np.arange(k)
+    while True:
+        a, b = parent[heads], parent[cols]
+        apart = a != b
+        if not apart.any():
+            return parent
+        heads, cols = heads[apart], cols[apart]
+        np.minimum.at(parent, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        while True:
+            root = parent[parent]
+            if np.array_equal(root, parent):
+                break
+            parent = root
+
+
+def _column_groups(U: np.ndarray) -> list:
+    """Column index sets of one sweep.  Groups never cross a component (see
+    `_column_components`): a one-column component has none (its singular
+    value is its norm), one of up to two _JACOBI_BLOCK-column blocks is one
+    group, and a larger one gets every pair of _JACOBI_BLOCK-column blocks
+    of its sorted column indices.  A single component of n columns gets the
+    blocks of range(n)."""
+    labels = _column_components(U)
+    sizes = np.bincount(labels, minlength=U.shape[1])
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(sizes)
+    groups = []
+    for root in np.flatnonzero(sizes > 1):
+        idx = order[ends[root] - sizes[root]:ends[root]]
+        if idx.size <= 2 * _JACOBI_BLOCK:
+            groups.append(idx)
+            continue
+        blocks = [idx[lo:lo + _JACOBI_BLOCK] for lo in range(0, idx.size, _JACOBI_BLOCK)]
+        groups += [np.concatenate((blocks[i], blocks[j]))
+                   for i in range(len(blocks)) for j in range(i + 1, len(blocks))]
+    return groups
 
 
 def _circle_step(k: int) -> np.ndarray:
@@ -402,9 +400,12 @@ class _Sweeps:
     Iterating runs sweeps until one leaves every column group untouched
     (`converged`) or `max_sweeps` have run; `sweeps` counts them.  It yields
     once before each sweep.  A sweep visits every column group (see
-    `_column_groups`): it forms the group's Gram matrix with one product,
-    rotates it with one round-robin sweep (`_gram_sweep`) and applies the
-    accumulated unitary with one more.
+    `_column_groups`; no group crosses a connected component of the
+    columns, and a one-column component has none): it forms the group's
+    Gram matrix with one product, rotates it with one round-robin sweep
+    (`_gram_sweep`) and applies the accumulated unitary with one more.
+    Rotations mix columns of one group only, so the components never merge
+    and the groups, taken before the first sweep, hold for every sweep.
     """
 
     def __init__(self, U: np.ndarray, tol: float, max_sweeps: int):
@@ -414,9 +415,11 @@ class _Sweeps:
 
     def __iter__(self):
         U = self.U
-        groups = _column_groups(U.shape[1])
+        groups = None
         for self.sweeps in range(1, self.max_sweeps + 1):
             yield
+            if groups is None:  # a compare settled before any sweep needs none
+                groups = _column_groups(U)
             rotated = False
             for idx in groups:
                 W = U[:, idx]
@@ -553,16 +556,6 @@ def schatten_norm_below(A: MatOp, p: float, radius: float,
     return (values[0] if p == math.inf else p_sum(values, p)) < radius
 
 
-def frobenius_norm(A: MatOp) -> float:
-    return float(np.linalg.norm(A.data))
-
-
-def trace_of(A: MatOp) -> complex:
-    if A.rows != A.cols:
-        raise ValueError("trace needs a square window")
-    return complex(np.trace(A.data))
-
-
 # ---------------------------------------------------------------------------
 # orthogonal families
 # ---------------------------------------------------------------------------
@@ -575,10 +568,6 @@ class OrthogonalSumReport:
     mutual_orthogonality_ok: bool
     max_violation: float           # largest scaled cross-product entry
     first_bad_pair: tuple | None   # (i, j) of the first failing pair
-
-    @property
-    def additivity_gap(self) -> float:
-        return abs(self.lhs - self.rhs)
 
 
 def orthogonal_sum_additivity(Ts: Sequence[MatOp], p: float,
@@ -619,35 +608,6 @@ def orthogonal_sum_additivity(Ts: Sequence[MatOp], p: float,
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def mat_to_json(A: MatOp) -> dict:
-    return {
-        "rows": A.rows,
-        "cols": A.cols,
-        "basis_offset": A.basis_offset,
-        "entries": [[float(z.real), float(z.imag)] for z in A.data.ravel()],
-    }
-
-
-def mat_from_json(d: Mapping) -> MatOp:
-    arr = np.array([complex(re, im) for re, im in d["entries"]],
-                   dtype=complex).reshape(d["rows"], d["cols"])
-    return MatOp(arr, d.get("basis_offset", 0))
-
-
-def mat_to_csv(A: MatOp, fileobj) -> None:
-    """Rows of alternating re/im columns; header names carry basis indices."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    cols = [A.basis_offset + j for j in range(A.cols)]
-    writer.writerow([f"{part}_{j}" for j in cols for part in ("re", "im")])
-    for i in range(A.rows):
-        row = []
-        for j in range(A.cols):
-            z = A.data[i, j]
-            row.append(repr(float(z.real)))
-            row.append(repr(float(z.imag)))
-        writer.writerow(row)
-
 
 def spectrum_to_csv(spec: SingularSpectrum, fileobj) -> None:
     writer = csv.writer(fileobj, lineterminator="\n")

@@ -366,6 +366,15 @@ def test_schatten_runs_jacobi_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("ps", [",", "", " , "])
+def test_schatten_refuses_an_empty_exponent_list(tmp_path, capsys, ps):
+    # "--p ," used to write a report with "schatten_norms": {}
+    argv = ["schatten", "--p", ps]
+    assert run(argv, tmp_path) == 1
+    assert "no Schatten exponent" in one_error_line(capsys.readouterr().err)
+    assert not report_path(tmp_path, argv).exists()
+
+
 # -- fuzzed contract ---------------------------------------------------------
 
 N_WEIGHTS = ["w=constant:2", "w=constant:0.5", "w=ratio:1,1|0,1", "w=table:0|1,2|1"]
