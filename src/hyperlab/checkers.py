@@ -7,13 +7,19 @@ exponent q.  Each checker returns a Verdict that either certifies the
 condition on the grid (with the extremal margin) or exhibits a concrete
 witness (i, j, r, n, value).
 
-Products of weights are read off each rule's `WeightPrefix`, so a whole
-(i, j, r) slice costs one vectorized pass; clock indices beyond 2^53, where
-int64 clock arithmetic and float index arithmetic stop being exact, are refused.
+Products of weights are read off each rule's `WeightPrefix`.  Each offset r
+is one array pass: every rule's prefix is read once per r, for all shifts i
+(or j) at once as an (i, n) array, the cell values (i, j, n) are formed in
+blocks of whole i-rows, and the verdict comes from masks over them, with the
+first failing cell in (r, i, j) order as the witness and the margin from one
+min.  Clock indices beyond 2^53, where int64 clock arithmetic and float
+index arithmetic stop being exact, are refused, and so are grids whose
+prefix reads or cell values pass the `_MAX_GRID_*` bounds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -78,6 +84,18 @@ class Verdict:
         return out
 
 
+# A prefix value costs about 90 ns and a cell value about 5 ns.  On a 2-core
+# x86-64 host the grids at these bounds took up to 3 s and 100 MB peak
+# resident memory as a `hyperlab check` process: 32 x 32 shifts with
+# n_max = 16384 and r_max = 15 took 2.2 s and 96 MB, 1024 x 1024 shifts with
+# n_max = 256 and r_max = 0 (Schatten) 3.0 s and 50 MB, and one shift each
+# with n_max = 2^18 and r_max = 31 1.5 s and 71 MB.  The default bilateral
+# grid reads 3e5 prefix values and forms 1.4e6 cell values.
+_MAX_GRID_ROWS = 1 << 20     # prefix values read per offset r
+_MAX_GRID_PREFIX = 1 << 24   # prefix values read over all offsets
+_MAX_GRID_CELLS = 1 << 28    # cell values formed over all offsets
+
+
 @dataclass(frozen=True)
 class CheckGrid:
     i_range: tuple
@@ -103,6 +121,16 @@ class CheckGrid:
         if top > 2 ** 53:
             raise ValueError(f"clock index (n_max + r_max)^q with q = {self.q}, "
                              f"n_max = {self.n_max}, r_max = {self.r_max} exceeds 2^53")
+        # clock rows hold n_max values, deep-tail rows fewer than r_max
+        depth = max(self.n_max, self.r_max)
+        rows = (len(self.i_range) + len(self.j_range)) * depth
+        for what, size, cap in (
+                ("prefix values per offset", rows, _MAX_GRID_ROWS),
+                ("prefix values", rows * (self.r_max + 1), _MAX_GRID_PREFIX),
+                ("cell values", len(self.i_range) * len(self.j_range)
+                 * (self.r_max + 1) * depth, _MAX_GRID_CELLS)):
+            if size > cap:
+                raise ValueError(f"the check grid reads {size} {what}, more than {cap}")
 
     @classmethod
     def unilateral_default(cls, q: int = 1) -> "CheckGrid":
@@ -117,6 +145,9 @@ class CheckGrid:
                          r_max if r_max is not None else self.r_max,
                          n_max if n_max is not None else self.n_max,
                          self.q, self.growth_threshold, self.tail_tolerance)
+
+
+_BLOCK = 1 << 13   # cell values formed per step: blocks of whole rows, 64 KB
 
 
 class _LogTable:
@@ -143,52 +174,100 @@ def _clock_indices(grid: CheckGrid, r: int) -> np.ndarray:
     return (n + r) ** grid.q - r ** grid.q
 
 
-def _clock_slices(grid: CheckGrid, Lw: _LogTable, Lmu: _LogTable, anchored: bool,
+def _shifts(indices: tuple) -> np.ndarray:
+    """An index range as a column, to broadcast against a row of clock indices."""
+    return np.array(indices, dtype=np.int64)[:, None]
+
+
+def _tables(w: WeightSeq, mu: WeightSeq, grid: CheckGrid,
+            two_sided: bool) -> tuple[_LogTable, _LogTable]:
+    """Tables for every prefix the clock and deep-tail cells of `grid` read:
+    |m| <= (n_max + r_max)^q + max|i| + max|j|, and m >= 0 unless `two_sided`."""
+    span = (grid.n_max + grid.r_max) ** grid.q
+    pad = max(map(abs, grid.i_range)) + max(map(abs, grid.j_range))
+    lo = -span - pad if two_sided else 0
+    return _LogTable(w, lo, span + pad), _LogTable(mu, lo, span + pad)
+
+
+def _blocks(i_range: tuple, a: np.ndarray, b: np.ndarray, b0):
+    """The cell values (a[k] + b[l]) - b0[l] in blocks of whole rows k of `a`,
+    as (i values, block) with block[k, l] the row of cell (i_range[k], j_l).
+    A block holds about `_BLOCK` values and reuses one buffer, so it is
+    valid until the next step."""
+    shape = (len(b), a.shape[1])
+    rows = max(1, _BLOCK // (shape[0] * shape[1]))
+    buf = np.empty((min(rows, len(a)), *shape))
+    for k in range(0, len(a), rows):
+        block = buf[:len(a) - k]
+        np.add(a[k:k + len(block), None], b, out=block)
+        np.subtract(block, b0, out=block)
+        yield i_range[k:k + len(block)], block
+
+
+def _clock_blocks(grid: CheckGrid, Lw: _LogTable, Lmu: _LogTable, anchored: bool,
                   first: int = 1):
-    """(r, i, j, vals) per grid cell, with vals[n - first] for n = first..n_max
-    the log of w_1..w_{M+i} * mu_1..mu_{M+j}, or with `anchored` the log of
-    the products over (i, i + M] and (j, j + M], where M = (n+r)^q - r^q."""
+    """(r, i values, block) over the offsets r, with block[k, l, n - first] for
+    n = first..n_max the log of w_1..w_{M+i} * mu_1..mu_{M+j}, or with
+    `anchored` the log of the products over (i, i + M] and (j, j + M], where
+    M = (n+r)^q - r^q.  Each rule's prefix is read once per r, for every
+    shift at once."""
+    i, j = _shifts(grid.i_range), _shifts(grid.j_range)
     for r in range(0, grid.r_max + 1):
         M = _clock_indices(grid, r)[first - 1:]
-        lj = [(Lmu.prefix(M + j), Lmu.prefix(j) if anchored else 0.0) for j in grid.j_range]
-        for i in grid.i_range:
-            li = Lw.prefix(M + i) - (Lw.prefix(i) if anchored else 0.0)
-            for j, (lmj, lj0) in zip(grid.j_range, lj):
-                yield r, i, j, li + lmj - lj0
+        b = Lmu.prefix(M + j)
+        b0 = Lmu.prefix(j) if anchored else 0.0
+        a = Lw.prefix(M + i)
+        if anchored:
+            a -= Lw.prefix(i)
+        for iv, block in _blocks(grid.i_range, a, b, b0):
+            yield r, iv, block
 
 
-def _tail_slices(grid: CheckGrid, Lw: _LogTable, Lmu: _LogTable):
-    """(r, n, i, j, vals) over the deep-tail region ceil(r_max / 2) <= n <= r:
-    vals is the log of the backward products over (i - e, i] and (j - e, j]
-    with e = r^q - (r - n)^q."""
+def _tail_blocks(grid: CheckGrid, Lw: _LogTable, Lmu: _LogTable):
+    """(r, n, i values, block) over the deep-tail region
+    ceil(r_max / 2) <= n <= r: block[k, l] is the log of the backward
+    products over (i - e, i] and (j - e, j] with e = r^q - (r - n)^q."""
     n_tail = max(1, (grid.r_max + 1) // 2)
+    i, j = _shifts(grid.i_range), _shifts(grid.j_range)
     for r in range(n_tail, grid.r_max + 1):
         n = np.arange(n_tail, r + 1, dtype=np.int64)
         e = r ** grid.q - (r - n) ** grid.q
-        lj = [(Lmu.prefix(np.full_like(e, j)), Lmu.prefix(j - e)) for j in grid.j_range]
-        for i in grid.i_range:
-            li = Lw.prefix(np.full_like(e, i)) - Lw.prefix(i - e)
-            for j, (lj0, lje) in zip(grid.j_range, lj):
-                yield r, n, i, j, li + lj0 - lje
+        b, b0 = Lmu.prefix(j), Lmu.prefix(j - e)
+        a = Lw.prefix(i) - Lw.prefix(i - e)
+        for iv, block in _blocks(grid.i_range, a, b, b0):
+            yield r, n, iv, block
 
 
-def _growth_verdict(condition: str, grid: CheckGrid, slices) -> Verdict:
-    """Every slice's log-product at n = n_max clears `growth_threshold`, and
-    its top quartile in n is nondecreasing."""
+def _first(bad: np.ndarray) -> tuple | None:
+    """Index of the first True of a mask in row-major order, or None."""
+    k = int(np.argmax(bad))
+    return np.unravel_index(k, bad.shape) if bad.flat[k] else None
+
+
+def _exp_sums(x: np.ndarray, p: float) -> np.ndarray:
+    """sum of exp(p * x) over the last axis.  A sum past float range is inf,
+    which no tolerance admits, so the overflow is the verdict, not an error."""
+    with np.errstate(over="ignore"):
+        return np.exp(p * x).sum(axis=-1)
+
+
+def _growth_verdict(condition: str, grid: CheckGrid, blocks) -> Verdict:
+    """Every cell's log-product at n = n_max clears `growth_threshold`, and
+    its top quartile in n is nondecreasing.  The first failing cell in
+    (r, i, j) order is the witness; in that cell a low end outranks a drop."""
     margin = math.inf
     quart = 3 * grid.n_max // 4
-    for r, i, j, vals in slices:
-        end = float(vals[-1])
-        if end <= grid.growth_threshold:
+    for r, iv, block in blocks:
+        end = block[..., -1]
+        low = end <= grid.growth_threshold
+        falls = np.diff(block[..., quart:], axis=-1) < -1e-12
+        cell = _first(low | falls.any(axis=-1))
+        if cell is not None:
+            k, l = cell
+            n = grid.n_max if low[cell] else quart + int(np.argmax(falls[cell])) + 2
             return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                           Witness(i, j, r, grid.n_max, end))
-        diffs = np.diff(vals[quart:])
-        bad = np.nonzero(diffs < -1e-12)[0]
-        if bad.size:
-            n_bad = quart + int(bad[0]) + 2   # 1-based n of the decrease
-            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                           Witness(i, j, r, n_bad, float(vals[n_bad - 1])))
-        margin = min(margin, end - grid.growth_threshold)
+                           Witness(iv[k], grid.j_range[l], r, n, float(block[k, l, n - 1])))
+        margin = min(margin, float(end.min()) - grid.growth_threshold)
     return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition, margin=margin)
 
 
@@ -202,8 +281,8 @@ def check_unilateral_growth(w: WeightSeq, mu: WeightSeq, grid: CheckGrid) -> Ver
     if min(grid.i_range) < 0 or min(grid.j_range) < 0:
         raise ValueError("unilateral growth uses nonnegative index shifts")
     top = (grid.n_max + grid.r_max) ** grid.q + max(max(grid.i_range), max(grid.j_range), 0)
-    slices = _clock_slices(grid, _LogTable(w, 0, top), _LogTable(mu, 0, top), False)
-    return _growth_verdict("unilateral_growth", grid, slices)
+    blocks = _clock_blocks(grid, _LogTable(w, 0, top), _LogTable(mu, 0, top), False)
+    return _growth_verdict("unilateral_growth", grid, blocks)
 
 
 def check_bilateral_growth_decay(a: WeightSeq, b: WeightSeq, grid: CheckGrid) -> Verdict:
@@ -216,23 +295,23 @@ def check_bilateral_growth_decay(a: WeightSeq, b: WeightSeq, grid: CheckGrid) ->
     `tail_tolerance`.
     """
     condition = "bilateral_growth_and_decay"
-    span = (grid.n_max + grid.r_max) ** grid.q
-    pad = max(map(abs, grid.i_range)) + max(map(abs, grid.j_range))
-    La = _LogTable(a, -span - pad, span + pad)
-    Lb = _LogTable(b, -span - pad, span + pad)
-    growth = _growth_verdict(condition, grid, _clock_slices(grid, La, Lb, True))
+    La, Lb = _tables(a, b, grid, two_sided=True)
+    growth = _growth_verdict(condition, grid, _clock_blocks(grid, La, Lb, True))
     if not growth.satisfied:
         return growth
     # backward decay in the deep-tail region
     log_tol = math.log(grid.tail_tolerance)
     margin_decay = math.inf
-    for r, n, i, j, vals in _tail_slices(grid, La, Lb):
-        worst = int(np.argmax(vals))
-        if float(vals[worst]) >= log_tol:
+    for r, n, iv, block in _tail_blocks(grid, La, Lb):
+        top = block.max(axis=-1)
+        cell = _first(top >= log_tol)
+        if cell is not None:
+            k, l = cell
+            worst = int(np.argmax(block[cell]))
             return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                           Witness(i, j, r, int(n[worst]),
-                                   math.exp(min(float(vals[worst]), 700.0))))
-        margin_decay = min(margin_decay, log_tol - float(vals[worst]))
+                           Witness(iv[k], grid.j_range[l], r, int(n[worst]),
+                                   math.exp(min(float(top[cell]), 700.0))))
+        margin_decay = min(margin_decay, log_tol - float(top.max()))
     return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition,
                    margin=min(growth.margin, margin_decay))
 
@@ -250,25 +329,22 @@ def check_schatten_summability(w: WeightSeq, mu: WeightSeq, p: float,
         raise ValueError("p must lie in [1, inf)")
     condition = f"schatten_{p}_summability"
     bilateral = w.domain is Domain.INTEGERS
-    span = (grid.n_max + grid.r_max) ** grid.q
-    pad = max(map(abs, grid.i_range)) + max(map(abs, grid.j_range))
-    lo = -span - pad if bilateral else 0
-    Lw = _LogTable(w, lo, span + pad)
-    Lmu = _LogTable(mu, lo, span + pad)
+    Lw, Lmu = _tables(w, mu, grid, two_sided=bilateral)
     N = grid.n_max // 2
+    # (r, n of the witness, i values, sign of the exponent, block)
+    clock = ((r, N, iv, -p, block)
+             for r, iv, block in _clock_blocks(grid, Lw, Lmu, bilateral, first=N))
+    tail = ((r, int(n[0]), iv, p, block)
+            for r, n, iv, block in (_tail_blocks(grid, Lw, Lmu) if bilateral else ()))
     margin = math.inf
-    for r, i, j, vals in _clock_slices(grid, Lw, Lmu, bilateral, first=N):
-        tail = float(np.exp(-p * vals).sum())
-        if tail >= grid.tail_tolerance:
+    for r, n, iv, sp, block in itertools.chain(clock, tail):
+        sums = _exp_sums(block, sp)
+        cell = _first(sums >= grid.tail_tolerance)
+        if cell is not None:
+            k, l = cell
             return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                           Witness(i, j, r, N, tail))
-        margin = min(margin, grid.tail_tolerance - tail)
-    for r, n, i, j, vals in _tail_slices(grid, Lw, Lmu) if bilateral else ():
-        tail = float(np.exp(p * vals).sum())
-        if tail >= grid.tail_tolerance:
-            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                           Witness(i, j, r, int(n[0]), tail))
-        margin = min(margin, grid.tail_tolerance - tail)
+                           Witness(iv[k], grid.j_range[l], r, n, float(sums[cell])))
+        margin = min(margin, grid.tail_tolerance - float(sums.max()))
     return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition, margin=margin)
 
 
@@ -302,14 +378,13 @@ def check_diagonal_forward_summability(lam: WeightSeq, mu: WeightSeq, p: float,
     span = (grid.n_max + grid.r_max) ** grid.q + max(grid.i_range)
     Lmu = _LogTable(mu, 0, span)
     N = grid.n_max // 2
+    i = _shifts(grid.i_range)
     margin = math.inf
     for r in range(0, grid.r_max + 1):
-        M = _clock_indices(grid, r)[N - 1:]
-        for i in grid.i_range:
-            vals = Lmu.prefix(M + i)
-            tail = float(np.exp(-p * vals).sum())
-            if tail >= grid.tail_tolerance:
-                return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                               Witness(i, None, r, N, tail))
-            margin = min(margin, grid.tail_tolerance - tail)
+        sums = _exp_sums(Lmu.prefix(_clock_indices(grid, r)[N - 1:] + i), -p)
+        cell = _first(sums >= grid.tail_tolerance)
+        if cell is not None:
+            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
+                           Witness(grid.i_range[cell[0]], None, r, N, float(sums[cell])))
+        margin = min(margin, grid.tail_tolerance - float(sums.max()))
     return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition, margin=margin)

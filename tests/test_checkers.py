@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hyperlab.checkers import (
     Verdict,
     VerdictStatus,
     Witness,
+    _exp_sums,
     _LogTable,
     check_bilateral_growth_decay,
     check_diagonal_forward_summability,
@@ -74,6 +76,289 @@ def test_log_table_matches_literal_products(vals, m1, span):
     got = float(tab.prefix(m2) - tab.prefix(m1))
     want = literal_log_product(w, m1, m2)
     assert abs(got - want) < 1e-9
+
+
+# -- literal per-slice oracle -------------------------------------------------
+#
+# The oracle walks the grid one (r, i, j) slice at a time, with one prefix
+# read per slice, and decides slice by slice; the checkers read each rule's
+# prefix once per offset r and decide from masks over blocks of cells.
+# These loops are the checkers' former code, verbatim but for an errstate
+# that lets an overflowing tail sum be inf without a warning.  Verdicts,
+# witnesses and margins must agree exactly.
+
+def oracle_clock_indices(grid, r):
+    n = np.arange(1, grid.n_max + 1, dtype=np.int64)
+    return (n + r) ** grid.q - r ** grid.q
+
+
+def oracle_clock_slices(grid, Lw, Lmu, anchored, first=1):
+    for r in range(0, grid.r_max + 1):
+        M = oracle_clock_indices(grid, r)[first - 1:]
+        lj = [(Lmu.prefix(M + j), Lmu.prefix(j) if anchored else 0.0) for j in grid.j_range]
+        for i in grid.i_range:
+            li = Lw.prefix(M + i) - (Lw.prefix(i) if anchored else 0.0)
+            for j, (lmj, lj0) in zip(grid.j_range, lj):
+                yield r, i, j, li + lmj - lj0
+
+
+def oracle_tail_slices(grid, Lw, Lmu):
+    n_tail = max(1, (grid.r_max + 1) // 2)
+    for r in range(n_tail, grid.r_max + 1):
+        n = np.arange(n_tail, r + 1, dtype=np.int64)
+        e = r ** grid.q - (r - n) ** grid.q
+        lj = [(Lmu.prefix(np.full_like(e, j)), Lmu.prefix(j - e)) for j in grid.j_range]
+        for i in grid.i_range:
+            li = Lw.prefix(np.full_like(e, i)) - Lw.prefix(i - e)
+            for j, (lj0, lje) in zip(grid.j_range, lj):
+                yield r, n, i, j, li + lj0 - lje
+
+
+def oracle_growth_verdict(condition, grid, slices):
+    margin = math.inf
+    quart = 3 * grid.n_max // 4
+    for r, i, j, vals in slices:
+        end = float(vals[-1])
+        if end <= grid.growth_threshold:
+            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
+                           Witness(i, j, r, grid.n_max, end))
+        diffs = np.diff(vals[quart:])
+        bad = np.nonzero(diffs < -1e-12)[0]
+        if bad.size:
+            n_bad = quart + int(bad[0]) + 2   # 1-based n of the decrease
+            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
+                           Witness(i, j, r, n_bad, float(vals[n_bad - 1])))
+        margin = min(margin, end - grid.growth_threshold)
+    return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition, margin=margin)
+
+
+def oracle_tables(w, mu, grid, two_sided):
+    span = (grid.n_max + grid.r_max) ** grid.q
+    pad = max(map(abs, grid.i_range)) + max(map(abs, grid.j_range))
+    lo = -span - pad if two_sided else 0
+    return _LogTable(w, lo, span + pad), _LogTable(mu, lo, span + pad)
+
+
+def oracle_unilateral_growth(w, mu, grid):
+    top = (grid.n_max + grid.r_max) ** grid.q + max(max(grid.i_range), max(grid.j_range), 0)
+    slices = oracle_clock_slices(grid, _LogTable(w, 0, top), _LogTable(mu, 0, top), False)
+    return oracle_growth_verdict("unilateral_growth", grid, slices)
+
+
+def oracle_bilateral_growth_decay(a, b, grid):
+    condition = "bilateral_growth_and_decay"
+    La, Lb = oracle_tables(a, b, grid, True)
+    growth = oracle_growth_verdict(condition, grid, oracle_clock_slices(grid, La, Lb, True))
+    if not growth.satisfied:
+        return growth
+    log_tol = math.log(grid.tail_tolerance)
+    margin_decay = math.inf
+    for r, n, i, j, vals in oracle_tail_slices(grid, La, Lb):
+        worst = int(np.argmax(vals))
+        if float(vals[worst]) >= log_tol:
+            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
+                           Witness(i, j, r, int(n[worst]),
+                                   math.exp(min(float(vals[worst]), 700.0))))
+        margin_decay = min(margin_decay, log_tol - float(vals[worst]))
+    return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition,
+                   margin=min(growth.margin, margin_decay))
+
+
+def oracle_schatten_summability(w, mu, p, grid):
+    condition = f"schatten_{p}_summability"
+    bilateral = w.domain is Domain.INTEGERS
+    Lw, Lmu = oracle_tables(w, mu, grid, bilateral)
+    N = grid.n_max // 2
+    margin = math.inf
+    with np.errstate(over="ignore"):
+        for r, i, j, vals in oracle_clock_slices(grid, Lw, Lmu, bilateral, first=N):
+            tail = float(np.exp(-p * vals).sum())
+            if tail >= grid.tail_tolerance:
+                return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
+                               Witness(i, j, r, N, tail))
+            margin = min(margin, grid.tail_tolerance - tail)
+        for r, n, i, j, vals in oracle_tail_slices(grid, Lw, Lmu) if bilateral else ():
+            tail = float(np.exp(p * vals).sum())
+            if tail >= grid.tail_tolerance:
+                return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
+                               Witness(i, j, r, int(n[0]), tail))
+            margin = min(margin, grid.tail_tolerance - tail)
+    return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition, margin=margin)
+
+
+def oracle_diagonal_forward_summability(lam, mu, p, grid):
+    condition = f"diagonal_modulus_and_forward_{p}_summability"
+    lam_count = grid.n_max
+    if lam.kind == "table" and lam.params[2] is None:
+        start, values, _ = lam.params
+        lam_count = min(lam_count, start + len(values) - 1)
+    scan_lo = -lam_count if lam.domain is Domain.INTEGERS else 0
+    if lam.kind == "table" and lam.params[2] is None:
+        scan_lo = max(scan_lo, lam.params[0])
+    for jdx in range(scan_lo, lam_count + 1):
+        v = abs(lam.weight(jdx))
+        if v < 1.0 - 1e-12:
+            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
+                           Witness(None, jdx, None, None, v))
+    span = (grid.n_max + grid.r_max) ** grid.q + max(grid.i_range)
+    Lmu = _LogTable(mu, 0, span)
+    N = grid.n_max // 2
+    margin = math.inf
+    with np.errstate(over="ignore"):
+        for r in range(0, grid.r_max + 1):
+            M = oracle_clock_indices(grid, r)[N - 1:]
+            for i in grid.i_range:
+                vals = Lmu.prefix(M + i)
+                tail = float(np.exp(-p * vals).sum())
+                if tail >= grid.tail_tolerance:
+                    return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
+                                   Witness(i, None, r, N, tail))
+                margin = min(margin, grid.tail_tolerance - tail)
+    return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition, margin=margin)
+
+
+
+def seeded_rule(rng, two_sided):
+    """A table rule of random weights near 1 on a stretch by the origin,
+    with a random default past it."""
+    start = int(rng.integers(-6, 1)) if two_sided else int(rng.integers(0, 2))
+    values = np.exp(rng.normal(0.3, 0.6, int(rng.integers(4, 80))))
+    default = float(np.exp(rng.normal(0.3, 0.4)))
+    return WeightSeq.table(tuple(values.tolist()), start=start, default=default,
+                           domain=Domain.INTEGERS if two_sided else Domain.NATURALS)
+
+
+def seeded_case(checker, seed):
+    """(w, mu, p, grid) drawn from `seed`; Schatten draws its domain."""
+    rng = np.random.default_rng(seed)
+    two_sided = checker == "bilateral" or (checker == "schatten" and rng.random() < 0.5)
+    w, mu = seeded_rule(rng, two_sided), seeded_rule(rng, two_sided)
+    lo = int(rng.integers(-3, 1)) if two_sided else 0
+    grid = CheckGrid(tuple(range(lo, lo + int(rng.integers(1, 5)))),
+                     tuple(range(lo, lo + int(rng.integers(1, 5)))),
+                     r_max=int(rng.integers(0, 11)), n_max=int(rng.integers(8, 41)),
+                     q=int(rng.integers(1, 4)), growth_threshold=float(rng.uniform(0, 8)),
+                     tail_tolerance=float(10 ** rng.uniform(-3, 1)))
+    return w, mu, float(rng.choice([1.0, 1.5, 2.0, 3.0])), grid
+
+
+CHECKERS = {
+    "growth": (check_unilateral_growth, oracle_unilateral_growth),
+    "bilateral": (check_bilateral_growth_decay, oracle_bilateral_growth_decay),
+    "schatten": (check_schatten_summability, oracle_schatten_summability),
+    "diagonal": (check_diagonal_forward_summability, oracle_diagonal_forward_summability),
+}
+
+
+def assert_matches_oracle(checker, w, mu, p, grid):
+    """The checker's verdict equals the slice oracle's, witness value and
+    margin included; returns it."""
+    fast, slow = CHECKERS[checker]
+    args = (w, mu, grid) if checker in ("growth", "bilateral") else (w, mu, p, grid)
+    got, want = fast(*args), slow(*args)
+    assert got.as_json_dict() == want.as_json_dict()
+    assert repr(got) == repr(want)
+    return got
+
+
+# (checker, seed, witness (i, j, r, n), or None for a satisfied grid)
+SEEDED = [
+    ("growth", 187, (1, 0, 0, 12)),        # drop inside a 3 x 4 grid
+    ("growth", 813, (1, 0, 0, 15)),        # drop at the last i
+    ("growth", 3477, (2, 3, 0, 14)),       # low end at the last i and j; the cell drops too
+    ("growth", 5531, (0, 0, 1, 9)),        # low end at r = 1; the cell drops too
+    ("growth", 1, None),
+    ("growth", 3, None),
+    ("bilateral", 2961, (1, -1, 0, 17)),   # drop at the last i
+    ("bilateral", 3450, (0, 0, 1, 9)),     # low end at r = 1
+    ("bilateral", 121, (-2, -3, 1, 1)),    # backward decay at the last i
+    ("bilateral", 10, (1, -1, 1, 1)),      # backward decay inside a 4 x 4 grid
+    ("bilateral", 301, (-2, -2, 4, 4)),    # backward decay, largest past the first n
+    ("bilateral", 0, None),
+    ("bilateral", 4, None),
+    ("schatten", 515, (2, 0, 0, 14)),      # clock part on N, inside the grid
+    ("schatten", 3043, (-3, -1, 7, 19)),   # clock part on Z at r = 7
+    ("schatten", 509, (1, 1, 1, 1)),       # deep-tail part at the last i and j
+    ("schatten", 1324, (0, -1, 2, 2)),     # deep-tail part inside the grid
+    ("schatten", 139, (-2, -2, 4, 3)),     # deep-tail part over n = 3, 4
+    ("schatten", 0, None),
+    ("schatten", 1, None),
+    ("schatten", 783, None),               # two-sided: both parts summed
+    ("schatten", 3277, None),
+    ("diagonal", 0, (None, 4, None, None)),  # modulus scan
+    ("diagonal", 706, (0, None, 0, 10)),     # tail sum
+    ("diagonal", 29, None),
+    ("diagonal", 90, None),
+]
+
+
+@pytest.mark.parametrize("checker,seed,where", SEEDED,
+                         ids=[f"{c}-{s}" for c, s, _ in SEEDED])
+def test_verdicts_match_the_slice_oracle_on_seeded_grids(checker, seed, where):
+    v = assert_matches_oracle(checker, *seeded_case(checker, seed))
+    if where is None:
+        assert v.satisfied
+    else:
+        assert (v.witness.i, v.witness.j, v.witness.r, v.witness.n) == where
+
+
+def test_only_the_last_cell_of_an_offset_drops():
+    # weights 1.5 with one factor e^-20 in each rule at 322 = M + 2 for
+    # M = (16 + 2)^2 - 2^2: cell (2, 2) at r = 2 is the first whose clock
+    # reaches it, in its last step of 35 factors a rule, which one such
+    # factor leaves rising and two turn into a drop
+    vals = [1.5] * 340
+    vals[322 - 1] = math.exp(-20.0)
+    dip = WeightSeq.table(tuple(vals), start=1, default=1.5)
+    grid = CheckGrid((0, 1, 2), (0, 1, 2), r_max=4, n_max=16, q=2)
+    v = assert_matches_oracle("growth", dip, dip, None, grid)
+    assert (v.witness.i, v.witness.j, v.witness.r, v.witness.n) == (2, 2, 2, 16)
+
+
+def test_a_low_end_outranks_a_drop_in_the_same_cell():
+    # w_14 = e^-3 makes cell (0, 0) drop at n = 14, and its end,
+    # 31 log 1.5 - 3 = 9.57, is below the threshold 9.8: the witness is
+    # the end, at n = n_max
+    vals = [1.5] * 20
+    vals[14 - 1] = math.exp(-3.0)
+    w = WeightSeq.table(tuple(vals), start=1, default=1.5)
+    mu = WeightSeq.constant(1.5)
+    grid = CheckGrid((0, 1), (0,), r_max=1, n_max=16, growth_threshold=9.8)
+    v = assert_matches_oracle("growth", w, mu, None, grid)
+    assert (v.witness.n, v.witness.value) == (16, pytest.approx(31 * math.log(1.5) - 3))
+    # with the end above the threshold the drop is the witness
+    grid = CheckGrid((0, 1), (0,), r_max=1, n_max=16, growth_threshold=9.0)
+    assert assert_matches_oracle("growth", w, mu, None, grid).witness.n == 14
+
+
+def test_diagonal_tail_sum_fails_first_at_a_later_offset_and_shift():
+    # mu = 2 up to 8 and 0.99 past it: the tails grow with r and with i,
+    # and the first to reach 0.0094 is i = 2 at r = 1 (0.00955)
+    mu = WeightSeq.table((2.0,) * 8, start=1, default=0.99)
+    lam = WeightSeq.constant(2.0)
+    grid = CheckGrid((0, 1, 2), (0,), r_max=3, n_max=16, q=2, tail_tolerance=0.0094)
+    v = assert_matches_oracle("diagonal", lam, mu, 2.0, grid)
+    assert (v.witness.i, v.witness.r, v.witness.n) == (2, 1, 8)
+
+
+def test_row_sums_match_per_slice_sums_bit_for_bit():
+    """The checkers sum each cell's row of a (rows, j, n) block over the
+    contiguous last axis, where the slice loop called .sum() on one row at
+    a time.  numpy's pairwise sum gives both the same bits; this fails
+    first if a numpy upgrade breaks that.  `_exp_sums` must agree with the
+    slice loop's np.exp(p * vals).sum() the same way."""
+    rng = np.random.default_rng(2025)
+    for shape in [(1, 9, 512), (3, 5, 257), (7, 4, 8), (2, 3, 1000), (1, 1, 17)]:
+        # ones, tiny and huge terms and subnormals, where the order of the
+        # additions shows in the last bits
+        x = rng.choice([1.0, 1e-17, 3e-300, 5e-324, 1e300, 0.0], shape) \
+            * rng.uniform(0.5, 1.5, shape)
+        want = np.array([[row.sum() for row in rows] for rows in x])
+        assert np.array_equal(x.sum(axis=-1).view(np.int64), want.view(np.int64))
+        logs = rng.uniform(-30.0, 30.0, shape)
+        for p in (-2.0, 1.5):
+            want = np.array([[np.exp(p * row).sum() for row in rows] for rows in logs])
+            assert np.array_equal(_exp_sums(logs, p).view(np.int64), want.view(np.int64))
 
 
 # -- unilateral growth ------------------------------------------------------

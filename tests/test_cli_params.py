@@ -339,6 +339,37 @@ def test_bilateral_witness_is_exact(tmp_path):
     assert abs(witness["value"] - 16.0) <= 1e-15 * 16.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["--condition", "schatten", "--weights", "w=constant:0.01@Z;mu=constant:0.01@Z"],
+    ["--condition", "diagonal", "--weights", "lam=constant:2;mu=constant:0.01"],
+], ids=["schatten", "diagonal"])
+def test_overflowing_tail_sum_is_a_quiet_violation(tmp_path, capsys, argv):
+    # inverse products of 0.01 pass float range within the tail: the sum is
+    # inf, which fails the tolerance, with no RuntimeWarning on the way
+    argv = ["check", *argv]
+    assert run(argv, tmp_path) == 2
+    assert capsys.readouterr().err == ""
+    verdict = json.loads(report_path(tmp_path, argv).read_text())["results"]["verdict"]
+    assert verdict["witness"]["value"] == "inf"
+
+
+@pytest.mark.parametrize("extra,needle", [
+    (["--i-range", "0:20000", "--j-range", "0:20000"], "per offset"),
+    (["--n-max", "50000000", "--r-max", "0"], "per offset"),
+    (["--n-max", "262144", "--i-range", "0:1", "--j-range", "0:0"], "prefix values, "),
+    (["--n-max", "4096", "--r-max", "9", "--i-range", "0:99", "--j-range", "0:99"],
+     "cell values"),
+], ids=["shifts", "n-max", "offsets", "cells"])
+def test_check_refuses_grids_past_the_caps(tmp_path, capsys, extra, needle):
+    # the 20001 x 20001 grid ran past 6 s, and n_max = 5e7 ran out of memory
+    argv = ["check", "--condition", "growth", *extra]
+    start = time.perf_counter()
+    assert run(argv, tmp_path) == 1
+    assert time.perf_counter() - start < 1.0
+    assert needle in one_error_line(capsys.readouterr().err)
+    assert not report_path(tmp_path, argv).exists()
+
+
 def test_unconverged_spectrum_exits_two(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "singular_values",
                         lambda A: SingularSpectrum((2.0, 1.0), 60, False))
