@@ -140,12 +140,6 @@ class CheckGrid:
     def bilateral_default(cls, q: int = 1) -> "CheckGrid":
         return cls(tuple(range(-4, 5)), tuple(range(-4, 5)), q=q)
 
-    def refined(self, r_max: int | None = None, n_max: int | None = None) -> "CheckGrid":
-        return CheckGrid(self.i_range, self.j_range,
-                         r_max if r_max is not None else self.r_max,
-                         n_max if n_max is not None else self.n_max,
-                         self.q, self.growth_threshold, self.tail_tolerance)
-
 
 _BLOCK = 1 << 13   # cell values formed per step: blocks of whole rows, 64 KB
 
@@ -349,22 +343,20 @@ def check_schatten_summability(w: WeightSeq, mu: WeightSeq, p: float,
 
 
 def check_diagonal_forward_summability(lam: WeightSeq, mu: WeightSeq, p: float,
-                                       grid: CheckGrid,
-                                       lam_count: int | None = None) -> Verdict:
+                                       grid: CheckGrid) -> Verdict:
     """Diagonal-plus-forward pair: every |lam_j| >= 1, and the inverse
     mu-products are p-summable in the tail, uniformly over i and r.
 
-    `lam_count` bounds the diagonal scan (defaults to n_max); table rules
+    The diagonal scan covers indices up to n_max in modulus; table rules
     without a default are scanned over their own finite range.
     """
     if not 1.0 <= p < math.inf:
         raise ValueError("p must lie in [1, inf)")
     condition = f"diagonal_modulus_and_forward_{p}_summability"
-    if lam_count is None:
-        lam_count = grid.n_max
-        if lam.kind == "table" and lam.params[2] is None:
-            start, values, _ = lam.params
-            lam_count = min(lam_count, start + len(values) - 1)
+    lam_count = grid.n_max
+    if lam.kind == "table" and lam.params[2] is None:
+        start, values, _ = lam.params
+        lam_count = min(lam_count, start + len(values) - 1)
     scan_lo = -lam_count if lam.domain is Domain.INTEGERS else 0
     if lam.kind == "table" and lam.params[2] is None:
         scan_lo = max(scan_lo, lam.params[0])

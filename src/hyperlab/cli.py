@@ -60,7 +60,7 @@ from .hardy import (AnalyticSymbol, BetaSpace, adjoint_kernel_eigencheck,
                     conjugation_eigencheck, converse_certificate,
                     nuclear_eigencheck, span_density_residual,
                     unimodular_locus_sample)
-from .matops import MatOp, shift_matrix, singular_values, spectrum_to_csv
+from .matops import _MAX_DIM, MatOp, shift_matrix, singular_values, spectrum_to_csv
 from .seqspace import (Domain, SeqVector, ShiftOp, WeightOverflowError,
                        WeightSeq, iterate_orbit, lp_norm, p_sum)
 
@@ -416,8 +416,7 @@ def _run_construct_fhc(p: dict, outdir: Path, fmt: str, seed: int):
     J = build_separated_family(n_ks, K, p["horizon"])
     sep = verify_separated_family(J)
     x = assemble_vector(family, J, q)
-    radii = [k * sched.eps(k) + sum(sched.eps(j) for j in range(k + 1, K + 1))
-             for k in range(1, K + 1)]
+    radii = [sched.bound(k, K) for k in range(1, K + 1)]
     reports = verify_q_frequent_visits(op, x, family, J, q, radii, eps=sched)
     # a truncated block scan measured a partial orbit point, so it is no pass
     ok = sep.ok and all(r.contained and r.density_ratio > 0.0 and not r.truncated
@@ -493,6 +492,10 @@ def _run_hardy(p: dict, outdir: Path, fmt: str, seed: int):
     if check in ("locus", "density") and p["grid_density"] > _MAX_GRID_DENSITY:
         raise ConfigError(f"grid density {p['grid_density']} is larger than "
                           f"{_MAX_GRID_DENSITY}, the densest scan grid")
+    # both build (dim + 1)^2 dense matrices, past MatOp's window cap
+    if check in ("density", "nuclear") and dim + 1 > _MAX_DIM:
+        raise ConfigError(f"dim {dim} needs {dim + 1} x {dim + 1} matrices, past the "
+                          f"{_MAX_DIM} desk-scale cap")
     phi, psi = parse_symbol(p["phi"]), parse_symbol(p["psi"])
     params = {key: p[key] for key in ("check", "phi", "psi", "dim", "beta")}
     code = EXIT_OK

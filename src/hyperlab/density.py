@@ -35,7 +35,6 @@ __all__ = [
     "q_lower_density",
     "visit_set",
     "density_to_csv",
-    "natset_to_lines",
     "natset_from_lines",
 ]
 
@@ -120,9 +119,6 @@ class DensityEstimate:
     tail_start: int
     profile: DensityProfile   # (N, count, ratio) triples for N = 1..n_max
     liminf_proxy: float       # min ratio over N >= tail_start
-
-    def ratio_at(self, N: int) -> float:
-        return self.profile[N - 1][2]
 
 
 def q_lower_density(A: NatSet, q: float, N_max: int,
@@ -231,12 +227,6 @@ def density_to_csv(est: DensityEstimate, fileobj) -> None:
     writer.writerow(["N", "count", "ratio"])
     for N, count, ratio in est.profile:
         writer.writerow([N, count, repr(float(ratio))])
-
-
-def natset_to_lines(A: NatSet) -> str:
-    """Newline-delimited elements, preceded by a horizon header line."""
-    body = "\n".join(str(n) for n in A.elems)
-    return f"# horizon {A.horizon}\n{body}\n" if body else f"# horizon {A.horizon}\n"
 
 
 def natset_from_lines(text: str) -> NatSet:

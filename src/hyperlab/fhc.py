@@ -25,7 +25,7 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,39 +71,29 @@ _BACKWARD_KINDS = {ShiftKind.BACKWARD, ShiftKind.BACKWARD_BILATERAL}
 
 @dataclass(frozen=True)
 class EpsSchedule:
-    """eps_k = scale * base^k unless a custom rule is supplied."""
+    """eps_k = scale * base^k."""
 
     scale: float = 1.0
     base: float = 0.5
-    custom: Callable | None = field(default=None, compare=False, repr=False)
 
     def eps(self, k: int) -> float:
         if k < 1:
             raise ValueError("k must be >= 1")
-        v = float(self.custom(k)) if self.custom is not None else self.scale * self.base ** k
+        v = self.scale * self.base ** k
         if not 0.0 < v < math.inf:
             raise ValueError(f"eps_{k} = {v} is not a positive real")
         return v
 
-    def defect(self, k: int, tail_terms: int = 256) -> float:
-        """k*eps_k + sum_{j=k+1}^{k+tail_terms} eps_j, the quantity that must
-        vanish as k grows."""
-        return k * self.eps(k) + sum(self.eps(j) for j in range(k + 1, k + tail_terms + 1))
+    def bound(self, k: int, K: int) -> float:
+        """k*eps_k + sum_{j=k+1}^{K} eps_j: the radius class k of K is
+        visited within, and the quantity that must vanish as k grows."""
+        return k * self.eps(k) + sum(self.eps(j) for j in range(k + 1, K + 1))
 
-    def verify_decay(self, k_max: int = 64, tail_terms: int = 256,
-                     threshold: float = 1e-6) -> float:
-        """Return the defect at k_max; reject schedules that have not pushed
-        it under `threshold` by then."""
-        d = self.defect(k_max, tail_terms)
-        if d >= threshold:
-            raise ValueError(
-                f"schedule defect {d:.3g} at k = {k_max} has not decayed below "
-                f"{threshold:.3g}")
-        return d
+    def defect(self, k: int) -> float:
+        """The bound at k with 256 tail terms."""
+        return self.bound(k, k + 256)
 
     def describe(self) -> str:
-        if self.custom is not None:
-            return "custom"
         return f"{self.scale!r}*{self.base!r}^k"
 
 
@@ -174,20 +164,6 @@ class BackwardOrbitFamily:
         if self.op.kind in _BACKWARD_KINDS or self.op.kind is ShiftKind.DIAGONAL:
             return self.op
         return adjoint(self.op)
-
-    def check_exactness(self, n_values: Sequence[int], tol: float = 1e-10) -> float:
-        """Max relative deviation of T^n x_{k,n} from x_k over the grid."""
-        fwd = self.forward_op()
-        worst = 0.0
-        for k in range(1, self.num_classes + 1):
-            x = self.base_point(k)
-            scale = max(lp_norm(x), 1e-30)
-            for n in n_values:
-                back = shift_power_apply(fwd, self.inverse_point(k, n), n)
-                worst = max(worst, lp_norm(back - x) / scale)
-        if worst > tol:
-            raise ValueError(f"inverse-orbit exactness violated: deviation {worst:.3g}")
-        return worst
 
 
 def condition_c_exactness(family: BackwardOrbitFamily, q: int, nm_max: int = 8,
@@ -261,22 +237,29 @@ class _RunningNorm:
         return max(self.power_sum, 0.0) ** (1.0 / self.p)
 
 
+# each tail-threshold probe tests the offsets r <= _THRESHOLD_R_MAX, in a
+# window of _THRESHOLD_WINDOW indices, on every tail of the window and on
+# _THRESHOLD_SAMPLES seeded random index sets
+_THRESHOLD_R_MAX = 32
+_THRESHOLD_WINDOW = 64
+_THRESHOLD_SAMPLES = 20
+
+
 def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int,
-                        eps: EpsSchedule, r_max: int = 32, samples: int = 20,
-                        n_max: int = 64, hard_cap: int = 4096,
-                        seed: int = 0) -> int:
+                        eps: EpsSchedule, hard_cap: int = 4096, seed: int = 0) -> int:
     """Smallest N making every tested criterion sum smaller than eps_k.
 
-    For each class i <= k, each offset r <= r_max (r = 0 included), and each
-    tested index set F inside the length-n_max window starting at N, both
+    For each class i <= k, each offset r <= _THRESHOLD_R_MAX (r = 0
+    included), and each tested index set F inside the window of
+    _THRESHOLD_WINDOW indices starting at N, both
 
         || sum_{n in F} x_{i, (n+r)^q - r^q} ||            (inverse side)
         || sum_{n in F, n <= r} T^{r^q - (r-n)^q} x_i ||    (forward side)
 
     must be < eps_k.  Tested F are every contiguous tail of the window plus
-    `samples` seeded random subsets of size <= 12.  The search doubles N and
-    then bisects to the smallest passing value; if nothing passes by
-    `hard_cap` a CriterionFailure carries the last witness.
+    _THRESHOLD_SAMPLES seeded random subsets of size <= 12.  The search
+    doubles N and then bisects to the smallest passing value; if nothing
+    passes by `hard_cap` a CriterionFailure carries the last witness.
     """
     if not 1 <= k <= family.num_classes:
         raise ValueError("class index out of range")
@@ -287,8 +270,8 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
     rng = random.Random(seed)
     # offsets into the sliding window, drawn once so every probe sees the
     # same sample pattern
-    subset_offsets = [sorted(rng.sample(range(n_max), rng.randint(1, 12)))
-                      for _ in range(samples)]
+    subset_offsets = [sorted(rng.sample(range(_THRESHOLD_WINDOW), rng.randint(1, 12)))
+                      for _ in range(_THRESHOLD_SAMPLES)]
     p = family.base_point(1).p_exponent
 
     def inverse_term(i: int, r: int, n: int) -> SeqVector:
@@ -307,18 +290,18 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
     def probe(N: int):
         """None when every sum is small; otherwise a witness tuple.  A term
         whose weight product leaves the floating range has infinite norm."""
-        window = range(N, N + n_max)
+        window = range(N, N + _THRESHOLD_WINDOW)
         for i in range(1, k + 1):
-            for r in range(0, r_max + 1):
+            for r in range(0, _THRESHOLD_R_MAX + 1):
                 try:
                     acc = _RunningNorm(p)
-                    for n in reversed(window):       # tails [n, N + n_max)
+                    for n in reversed(window):       # tails [n, N + _THRESHOLD_WINDOW)
                         acc.add(inverse_term(i, r, n))
                         if acc.norm() >= eps_k:
-                            return (i, r, (n, N + n_max - 1), acc.norm())
+                            return (i, r, (n, N + _THRESHOLD_WINDOW - 1), acc.norm())
                     if r >= N:
                         acc = _RunningNorm(p)
-                        for n in range(min(r, N + n_max - 1), N - 1, -1):
+                        for n in range(min(r, N + _THRESHOLD_WINDOW - 1), N - 1, -1):
                             acc.add(forward_term(i, r, n))
                             if acc.norm() >= eps_k:
                                 return (i, r, (n, r), acc.norm())
@@ -335,7 +318,7 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
                         if accf.norm() >= eps_k:
                             return (i, r, tuple(fwd), accf.norm())
                 except WeightOverflowError:
-                    return (i, r, (N, N + n_max - 1), math.inf)
+                    return (i, r, (N, N + _THRESHOLD_WINDOW - 1), math.inf)
         return None
 
     w = probe(1)
@@ -546,12 +529,16 @@ class ClassVisitReport:
     cross_check_dev: float | None    # decomposition vs direct jump at early times
 
 
+# the last orbit time whose stored-vector jump the verifier's cross-check
+# may take
+_CROSS_CHECK_HORIZON = 512
+
+
 def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFamily,
                              J: SeparatedFamily, q: int, radii: Sequence[float],
                              eps: EpsSchedule | None = None,
                              horizon: int | None = None,
                              cross_check: int = 3,
-                             cross_check_horizon: int = 512,
                              tail_cut: float = 1e-18,
                              max_blocks_per_time: int = 256) -> list:
     """Measure the visit structure of {T^{n^q} x} around every target.
@@ -563,9 +550,9 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
     (or at `max_blocks_per_time`, flagged as truncated).  `_scan_distances`
     measures every time n = 1..horizon at once, one distance array per
     class, and the visit set of class k is the times whose distance lies
-    below its radius.  Early designed times up to `cross_check_horizon` are
-    re-measured by jumping the stored vector directly, giving an
-    independent consistency figure.
+    below its radius.  Early designed times n with n^q up to
+    _CROSS_CHECK_HORIZON are re-measured by jumping the stored vector
+    directly, giving an independent consistency figure.
     """
     qi = int(q)
     K = J.num_classes
@@ -582,7 +569,7 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
     dev = None
     if cross_check > 0 and blocks:
         early = [m for m, _ in blocks
-                 if m <= N_H and m ** qi <= cross_check_horizon][:cross_check]
+                 if m <= N_H and m ** qi <= _CROSS_CHECK_HORIZON][:cross_check]
         if early:
             dev = 0.0
             for m in early:
@@ -603,13 +590,10 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
             if N_H >= 1 else 0.0
         des_density = q_lower_density(J.sets[k - 1], 1.0, J.sets[k - 1].horizon,
                                       max(1, J.sets[k - 1].horizon // 2)).liminf_proxy
-        bound = None
-        if eps is not None:
-            bound = k * eps.eps(k) + sum(eps.eps(j) for j in range(k + 1, K + 1))
         reports.append(ClassVisitReport(
             k=k,
             radius=radius,
-            proof_bound=bound,
+            proof_bound=eps.bound(k, K) if eps is not None else None,
             designed_count=len(des_d),
             designed_within=within,
             max_designed_distance=max(des_d) if des_d else 0.0,

@@ -9,9 +9,13 @@ truncated at a fixed basis dimension, with explicit geometric tail bounds.
 The operators of interest are multiplication by a polynomial symbol and the
 two-sided multiplication S |-> M*_phi S M_psi acting on rank-one kernels.
 Eigen-identity residuals are far below double precision for moderate
-truncations, so the eigenchecks run in mpmath at elevated precision; the
-rank-two residual norms come from 2x2 Gram eigenproblems, never from a
-dense SVD.
+truncations, so the eigenchecks run in mpmath at elevated precision.  All
+three build their vectors from one "leg" (u, a, alpha): a weighted
+geometric vector u, a banded symbol applied to it, and the symbol's value,
+which covers the kernel k_z under M*_phi (conjugated coefficients over the
+space's betas) and the geometric vector under phi(backward) (unit betas).
+The two rank-one checks share one residual, whose rank-two norms come
+from a 2x2 Gram eigenproblem, never from a dense SVD.
 """
 
 from __future__ import annotations
@@ -25,14 +29,11 @@ import mpmath as mp
 import numpy as np
 
 from .matops import MatOp
-from .seqspace import Domain, SeqVector, TaylorPoly, WeightSeq
+from .seqspace import Domain, TaylorPoly, WeightSeq
 
 __all__ = [
     "BetaSpace",
-    "KernelVec",
     "AnalyticSymbol",
-    "kernel_vector",
-    "eval_function",
     "mult_op_matrix",
     "KernelEigenReport",
     "ConjugationEigenReport",
@@ -54,6 +55,8 @@ _PASS_FACTOR = 10.0
 _RESIDUAL_FLOOR = 1e-50
 _BOUNDARY_POINTS = 720
 _BOUNDARY_RADIUS = 1.0 - 1e-6
+_ORBIT_DIM = 24        # the converse certificate's desk orbit: its Hardy truncation and length
+_ORBIT_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -92,16 +95,6 @@ class BetaSpace:
 
 
 @dataclass(frozen=True)
-class KernelVec:
-    """Truncated evaluation kernel at a disc point, plus a bound on the
-    discarded coefficient tail."""
-
-    z: complex
-    coeffs: SeqVector
-    tail_bound: float
-
-
-@dataclass(frozen=True)
 class AnalyticSymbol:
     """Polynomial multiplier symbol, optionally with a known sup-norm."""
 
@@ -125,23 +118,6 @@ class AnalyticSymbol:
 
     def coeff_abs_sum(self) -> float:
         return sum(abs(c) for c in self.coeffs)
-
-
-def kernel_vector(space: BetaSpace, z: complex) -> KernelVec:
-    """Evaluation kernel at z, truncated to the space dimension.
-
-    The coefficient at n is beta_n * conj(z)^n, so the pairing of a
-    coefficient vector with the kernel reproduces the function value.
-    """
-    z = complex(z)
-    entries = dict(enumerate(_dense_kernel(space, z)))
-    tail = space.sup_beta() * abs(z) ** (space.dim + 1) / math.sqrt(1.0 - abs(z) ** 2)
-    return KernelVec(z, SeqVector(entries, Domain.NATURALS, 2.0), tail)
-
-
-def eval_function(space: BetaSpace, coeffs: SeqVector, z: complex) -> complex:
-    """Value at z of the function with the given basis coefficients."""
-    return sum(c * space.beta(n) * z ** n for n, c in coeffs.entries.items())
 
 
 def mult_op_matrix(phi: AnalyticSymbol, space: BetaSpace) -> MatOp:
@@ -172,34 +148,41 @@ def _betas(space: BetaSpace) -> np.ndarray:
 
 # -- high-precision eigenchecks ---------------------------------------------
 
-def _mp_kernel(space: BetaSpace, z: complex) -> list:
-    powers = _mp_geometric(z.conjugate(), space.dim)
-    return [mp.mpf(space.beta(n)) * pw for n, pw in enumerate(powers)]
+def _mp_leg(coeffs, ratio: complex, betas: list) -> tuple:
+    """One leg (u, a, alpha) of a rank-one eigen-identity, in mpmath:
 
+        u_n   = beta_n ratio^n                                 (n = 0 .. dim)
+        a_n   = sum_m c_m (beta_n / beta_{n+m}) u_{n+m}        (n + m <= dim)
+        alpha = sum_m c_m ratio^m                              (Horner)
 
-def _mp_adjoint_mult(phi: AnalyticSymbol, space: BetaSpace, u: list) -> list:
-    """Apply the conjugate transpose of the truncated multiplier matrix."""
-    n_dim = space.dim + 1
-    cs = [mp.mpc(c) for c in phi.coeffs]
-    betas = [mp.mpf(space.beta(n)) for n in range(n_dim)]
-    out = []
-    for n in range(n_dim):
+    With conjugated coefficients and ratio conj(z) over a space's betas, u
+    is the kernel k_z, a the truncated M*_phi k_z and alpha conj(phi(z));
+    over unit betas a is the polynomial in the plain backward shift applied
+    to the geometric vector u.  An exact 1 leaves every mp value unchanged.
+    """
+    cs = [mp.mpc(c) for c in coeffs]
+    bs = [mp.mpf(b) for b in betas]
+    r = mp.mpc(ratio)
+    u, pw = [], mp.mpc(1)
+    for b in bs:
+        u.append(b * pw)
+        pw *= r
+    a = []
+    for n in range(len(u)):
         acc = mp.mpc(0)
-        for m, c in enumerate(cs):
-            k = n + m
-            if k >= n_dim:
-                break
-            acc += mp.conj(c) * (betas[n] / betas[k]) * u[k]
-        out.append(acc)
-    return out
+        for m, c in enumerate(cs[:len(u) - n]):
+            acc += c * (bs[n] / bs[n + m]) * u[n + m]
+        a.append(acc)
+    alpha = mp.mpc(0)
+    for c in reversed(cs):
+        alpha = alpha * r + c
+    return u, a, alpha
 
 
-def _mp_eval_symbol(sym: AnalyticSymbol, z: complex):
-    acc = mp.mpc(0)
-    zz = mp.mpc(z)
-    for c in reversed(sym.coeffs):
-        acc = acc * zz + mp.mpc(c)
-    return acc
+def _kernel_leg(sym: AnalyticSymbol, space: BetaSpace, z: complex) -> tuple:
+    """(k_z, M*_sym k_z, conj(sym(z))) on the truncation."""
+    return _mp_leg([c.conjugate() for c in sym.coeffs], z.conjugate(),
+                   _betas(space).tolist())
 
 
 def _mp_inner(x: list, y: list):
@@ -210,18 +193,15 @@ def _mp_norm(x: list):
     return mp.sqrt(mp.fsum(abs(xi) ** 2 for xi in x))
 
 
-def _rank_two_singulars(p1, p2, alpha2, q1, q2):
-    """Singular values of p1 q1^H + alpha2 p2 q2^H via the 2x2 Gram pencil.
-
-    With P = [p1 p2], Q = [q1 q2] and A = diag(1, alpha2), the nonzero
-    eigenvalues of X^H X equal those of (A^H Gp A) Gq.
-    """
+def _rank_two_singulars(p1, p2, q1, q2):
+    """Singular values of p1 q1^H + p2 q2^H via the 2x2 Gram pencil: with
+    P = [p1 p2] and Q = [q1 q2], the nonzero eigenvalues of X^H X equal
+    those of Gp Gq."""
     gp = mp.matrix([[_mp_inner(p1, p1), _mp_inner(p2, p1)],
                     [_mp_inner(p1, p2), _mp_inner(p2, p2)]])
     gq = mp.matrix([[_mp_inner(q1, q1), _mp_inner(q2, q1)],
                     [_mp_inner(q1, q2), _mp_inner(q2, q2)]])
-    a = mp.matrix([[mp.mpc(1), 0], [0, mp.mpc(alpha2)]])
-    h = (a.transpose_conj() * gp * a) * gq
+    h = gp * gq
     tr = h[0, 0] + h[1, 1]
     det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
     disc = mp.sqrt(tr * tr - 4 * det)
@@ -231,6 +211,22 @@ def _rank_two_singulars(p1, p2, alpha2, q1, q2):
         re = mp.re(e)
         sigmas.append(mp.sqrt(re) if re > 0 else mp.mpf(0))
     return sorted(sigmas, reverse=True)
+
+
+def _mp_rank_one_residual(left: tuple, right: tuple) -> tuple:
+    """(eigenvalue, singular values) of X = a b^H - alpha conj(gamma) u v^H
+    for legs (u, a, alpha) and (v, b, gamma).
+
+    X cancels exactly on the leading term; splitting off the truncation
+    defects d = a - alpha u and e = b - gamma v gives the rank-two
+    X = u (conj(alpha) e)^H + d b^H, so the Gram pencil only ever
+    multiplies small vectors.
+    """
+    u, a, alpha = left
+    v, b, gamma = right
+    d = [ai - alpha * ui for ai, ui in zip(a, u)]
+    e = [mp.conj(alpha) * (bi - gamma * vi) for bi, vi in zip(b, v)]
+    return alpha * mp.conj(gamma), _rank_two_singulars(u, d, e, b)
 
 
 @dataclass(frozen=True)
@@ -270,11 +266,8 @@ def adjoint_kernel_eigencheck(phi: AnalyticSymbol, space: BetaSpace,
     if abs(z) >= 1.0:
         raise ValueError("eigencheck point must lie inside the open disc")
     with mp.workdps(_EIGEN_DPS):
-        u = _mp_kernel(space, z)
-        a = _mp_adjoint_mult(phi, space, u)
-        lam = mp.conj(_mp_eval_symbol(phi, z))
-        diff = [ai - lam * ui for ai, ui in zip(a, u)]
-        res = float(_mp_norm(diff))
+        u, a, lam = _kernel_leg(phi, space, z)
+        res = float(_mp_norm([ai - lam * ui for ai, ui in zip(a, u)]))
         eig = complex(lam)
     return KernelEigenReport(eig, res,
                              _kernel_defect_bound(phi, space, z), space.dim)
@@ -307,24 +300,12 @@ def conjugation_eigencheck(phi: AnalyticSymbol, psi: AnalyticSymbol,
     if abs(z) >= 1.0 or abs(w) >= 1.0:
         raise ValueError("eigencheck points must lie inside the open disc")
     with mp.workdps(_EIGEN_DPS):
-        u = _mp_kernel(space, z)
-        v = _mp_kernel(space, w)
-        a = _mp_adjoint_mult(phi, space, u)
-        b = _mp_adjoint_mult(psi, space, v)
-        alpha = mp.conj(_mp_eval_symbol(phi, z))
-        gamma = mp.conj(_mp_eval_symbol(psi, w))
-        lam_mp = alpha * mp.conj(gamma)
-        # the residual X = a b^H - lam u v^H cancels exactly on the leading
-        # term; split off the truncation defects d = a - alpha u, e = b -
-        # gamma v so the Gram pencil only ever multiplies small vectors:
-        # X = u (conj(alpha) e)^H + d b^H
-        d = [ai - alpha * ui for ai, ui in zip(a, u)]
-        e = [mp.conj(alpha) * (bi - gamma * vi) for bi, vi in zip(b, v)]
-        sig = _rank_two_singulars(u, d, mp.mpc(1), e, b)
+        left, right = _kernel_leg(phi, space, z), _kernel_leg(psi, space, w)
+        lam_mp, sig = _mp_rank_one_residual(left, right)
         op_res = float(sig[0])
         s1_res = float(sig[0] + sig[1])
-        norm_u = float(_mp_norm(u))
-        norm_v = float(_mp_norm(v))
+        norm_u = float(_mp_norm(left[0]))
+        norm_v = float(_mp_norm(right[0]))
         lam = complex(lam_mp)
     dphi = _kernel_defect_bound(phi, space, z)
     dpsi = _kernel_defect_bound(psi, space, w)
@@ -566,8 +547,6 @@ def _boundary_modulus_range(sym: AnalyticSymbol) -> tuple[float, float]:
 
 
 def converse_certificate(phi: AnalyticSymbol, psi: AnalyticSymbol,
-                         space: BetaSpace | None = None,
-                         orbit_steps: int = 50,
                          seed: int = 0) -> ConverseCertificate:
     """Norm certificate ruling out dense conjugation orbits.
 
@@ -589,8 +568,7 @@ def converse_certificate(phi: AnalyticSymbol, psi: AnalyticSymbol,
     else:
         kind = CertificateKind.INCONCLUSIVE
 
-    if space is None:
-        space = BetaSpace.hardy(24)
+    space = BetaSpace.hardy(_ORBIT_DIM)
     left = mult_op_matrix(phi, space).data.conj().T
     right = mult_op_matrix(psi, space).data
     rng = np.random.default_rng(seed)
@@ -598,7 +576,7 @@ def converse_certificate(phi: AnalyticSymbol, psi: AnalyticSymbol,
     s = rng.standard_normal((n_dim, n_dim)) + 1j * rng.standard_normal((n_dim, n_dim))
     s /= np.linalg.norm(s)
     norms = [1.0]
-    for _ in range(orbit_steps):
+    for _ in range(_ORBIT_STEPS):
         s = left @ s @ right
         norms.append(float(np.linalg.norm(s)))
     if kind is CertificateKind.NOT_HYPERCYCLIC_CONTRACTION:
@@ -643,61 +621,29 @@ def nuclear_eigencheck(phi: AnalyticSymbol, psi: AnalyticSymbol,
     report also desk-checks the trace-duality pairing formula
     tr((f (x) g) S) = sum_n f_n (S^T g)_n on a seeded random S.
     """
+    if dim < 1:
+        raise ValueError("truncation dimension must be >= 1")
     lam, mu = complex(lam), complex(mu)
     if abs(lam) >= 1.0 or abs(mu) >= 1.0:
         raise ValueError("geometric ratios must lie inside the open disc")
     if not 1.0 <= p < math.inf:
         raise ValueError("p must lie in [1, inf)")
     with mp.workdps(_EIGEN_DPS):
-        u = _mp_geometric(lam, dim)
-        v = _mp_geometric(mu, dim)
-        a = _mp_poly_backward(phi, u)
-        b = _mp_poly_backward(psi, v)
-        alpha = _mp_eval_symbol(phi, lam)
-        gamma = _mp_eval_symbol(psi, mu)
-        eig_mp = alpha * gamma
-        # bilinear rank-one: X = a b^T - eig u v^T; split the truncation
-        # defects as in the kernel case (X = u (alpha e)^T + d b^T), then
-        # conjugate the right legs so the Hermitian rank-two Gram applies
-        d = [ai - alpha * ui for ai, ui in zip(a, u)]
-        e = [alpha * (bi - gamma * vi) for bi, vi in zip(b, v)]
-        sig = _rank_two_singulars(u, d, mp.mpc(1),
-                                  [mp.conj(x) for x in e],
-                                  [mp.conj(x) for x in b])
+        # bilinear rank-one X = a b^T - phi(lam) psi(mu) u v^T: the right
+        # leg, conjugated, is the Hermitian leg of conj(psi) at conj(mu)
+        ones = [1.0] * (dim + 1)
+        left = _mp_leg(phi.coeffs, lam, ones)
+        right = _mp_leg([c.conjugate() for c in psi.coeffs], mu.conjugate(), ones)
+        eig_mp, sig = _mp_rank_one_residual(left, right)
         op_res = float(sig[0])
-        norm_u = float(_mp_norm(u))
-        norm_v = float(_mp_norm(v))
+        norm_u = float(_mp_norm(left[0]))
+        norm_v = float(_mp_norm(right[0]))
         eig = complex(eig_mp)
     tail = (phi.coeff_abs_sum() * psi.coeff_abs_sum()
             * (_geom_tail(lam, dim - phi.degree) * norm_v
                + _geom_tail(mu, dim - psi.degree) * norm_u))
     gap = _trace_pairing_gap(lam, mu, dim, seed)
     return NuclearEigenReport(eig, op_res, gap, tail, dim, p)
-
-
-def _mp_geometric(ratio: complex, dim: int) -> list:
-    out, pw = [], mp.mpc(1)
-    r = mp.mpc(ratio)
-    for _ in range(dim + 1):
-        out.append(pw)
-        pw *= r
-    return out
-
-
-def _mp_poly_backward(sym: AnalyticSymbol, x: list) -> list:
-    """Apply the polynomial in the plain backward shift to a truncated
-    coefficient list: out_n = sum_m c_m x_{n+m}."""
-    cs = [mp.mpc(c) for c in sym.coeffs]
-    n_dim = len(x)
-    out = []
-    for n in range(n_dim):
-        acc = mp.mpc(0)
-        for m, c in enumerate(cs):
-            if n + m >= n_dim:
-                break
-            acc += c * x[n + m]
-        out.append(acc)
-    return out
 
 
 def _geom_tail(ratio: complex, expo: int) -> float:

@@ -31,7 +31,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,12 +52,11 @@ __all__ = [
     "iterate_orbit",
     "lp_norm",
     "p_sum",
-    "hermitian_inner",
     "bilinear_pair",
     "subset_sum_bound_check",
     "SubsetSumReport",
-    "vector_to_json",
-    "vector_from_json",
+    # reached only through deskbench's tracer, which hooks it by name
+    "weight_product",
 ]
 
 # Canonical sparse form drops coefficients below this magnitude (subnormal
@@ -140,9 +139,6 @@ class SeqVector:
     def support(self) -> tuple:
         return tuple(sorted(self.entries))
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -186,13 +182,6 @@ def p_sum(values: Sequence[float], p: float) -> float:
     if top == 0.0:
         return 0.0
     return top * sum((v / top) ** p for v in values) ** (1.0 / p)
-
-
-def hermitian_inner(u: SeqVector, v: SeqVector) -> complex:
-    """<u, v> = sum u_n conj(v_n)."""
-    if len(v.entries) < len(u.entries):
-        return sum(u.coeff(i) * c.conjugate() for i, c in v.entries.items())
-    return sum(c * v.coeff(i).conjugate() for i, c in u.entries.items())
 
 
 def bilinear_pair(u: SeqVector, v: SeqVector) -> complex:
@@ -283,46 +272,6 @@ class WeightSeq:
         """The rule's weight-product engine, built on first use and shared;
         it takes no part in comparison or hashing."""
         return WeightPrefix(self)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        def cx(c):
-            return [c.real, c.imag]
-
-        if self.kind == "constant":
-            params = {"value": cx(self.params[0])}
-        elif self.kind == "rational_ratio":
-            params = {"num": list(self.params[0]), "den": list(self.params[1])}
-        elif self.kind == "table":
-            start, values, default = self.params
-            params = {"start": start, "values": [cx(v) for v in values],
-                      "default": None if default is None else cx(default)}
-        else:
-            split, low, high = self.params
-            params = {"split": split, "low": cx(low), "high": cx(high)}
-        return {"kind": self.kind, "domain": self.domain.value, "params": params}
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "WeightSeq":
-        kind = d["kind"]
-        domain = Domain(d.get("domain", "naturals"))
-        p = d["params"]
-
-        def cx(v):
-            return complex(v[0], v[1])
-
-        if kind == "constant":
-            return cls.constant(cx(p["value"]), domain)
-        if kind == "rational_ratio":
-            return cls.ratio(p["num"], p["den"], domain)
-        if kind == "table":
-            default = p.get("default")
-            return cls.table([cx(v) for v in p["values"]], p.get("start", 1),
-                             None if default is None else cx(default), domain)
-        if kind == "step":
-            return cls.step(cx(p["low"]), cx(p["high"]), p.get("split", 1), domain)
-        raise ValueError(f"unknown weight kind {kind!r}")
 
 
 def weight_product(w: WeightSeq, start: int, stop: int) -> complex:
@@ -885,18 +834,3 @@ def subset_sum_bound_check(xs: Sequence[SeqVector], lambdas: Sequence[complex],
 
     rhs = 4.0 * sup_lam * sup_norm
     return SubsetSumReport(lhs, rhs, lhs <= rhs + tol, sup_lam, sup_norm)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def vector_to_json(v: SeqVector) -> list:
-    return [{"index": n, "re": c.real, "im": c.imag}
-            for n, c in sorted(v.entries.items())]
-
-
-def vector_from_json(items: Iterable[Mapping], domain: Domain = Domain.NATURALS,
-                     p: float = 2.0) -> SeqVector:
-    return SeqVector({int(it["index"]): complex(it["re"], it["im"]) for it in items},
-                     domain, p)

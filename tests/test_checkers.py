@@ -46,8 +46,6 @@ def test_grid_validation():
         CheckGrid((0,), (0,), r_max=-1)
     g = CheckGrid.unilateral_default(q=2)
     assert g.q == 2 and g.i_range == (0, 1, 2, 3, 4)
-    g2 = g.refined(r_max=8, n_max=128)
-    assert (g2.r_max, g2.n_max, g2.q) == (8, 128, 2)
     assert CheckGrid.bilateral_default().i_range[0] == -4
 
 

@@ -297,6 +297,24 @@ def test_hardy_refuses_grid_densities_past_the_cap(tmp_path, capsys, check, grid
     assert not report_path(tmp_path, argv).exists()
 
 
+@pytest.mark.parametrize("check, dim, message", [
+    # dim + 1 = 2049 passes MatOp's window cap; nuclear at dim 30000 and
+    # density at dim 20000 ended in numpy _ArrayMemoryError tracebacks under
+    # a 3 GB address-space limit
+    ("nuclear", 2048, "2048"),
+    ("density", 2048, "2048"),
+    ("nuclear", -3, ">= 1"),          # numpy's "negative dimensions", after the mp legs
+    ("nuclear", 0, ">= 1"),           # reported passed: true with op_residual 0.5
+])
+def test_hardy_refuses_dims_past_the_dense_cap(tmp_path, capsys, check, dim, message):
+    argv = ["hardy", "--check", check, "--phi", "0,2", "--psi", "0,1", "--dim", str(dim)]
+    start = time.perf_counter()
+    assert run(argv, tmp_path) == 1
+    assert time.perf_counter() - start < 1.0
+    assert message in one_error_line(capsys.readouterr().err)
+    assert not report_path(tmp_path, argv).exists()
+
+
 def test_locus_refuses_a_negative_max_points(tmp_path, capsys):
     # a negative count used to list points[:-3], all but the last three
     argv = ["hardy", "--check", "locus", "--phi", "0,2", "--psi", "0,1",

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -18,23 +19,30 @@ from hyperlab.hardy import (
     adjoint_kernel_eigencheck,
     conjugation_eigencheck,
     converse_certificate,
-    eval_function,
-    kernel_vector,
     mult_op_matrix,
     nuclear_eigencheck,
     span_density_residual,
     unimodular_locus_sample,
 )
 from hyperlab.matops import MatOp
-from hyperlab.seqspace import Domain, SeqVector, WeightSeq, hermitian_inner
+from hyperlab.seqspace import Domain, WeightSeq
 
 ONE = AnalyticSymbol.from_coeffs([1.0])
 Z = AnalyticSymbol.from_coeffs([0.0, 1.0])
 Z_PLUS_1 = AnalyticSymbol.from_coeffs([1.0, 1.0])
 
 
-def coeff_vec(pairs) -> SeqVector:
-    return SeqVector(dict(pairs), Domain.NATURALS, 2.0)
+def coeff_array(space: BetaSpace, pairs) -> np.ndarray:
+    """Basis coefficients a_0 .. a_N of a function with finitely many given."""
+    out = np.zeros(space.dim + 1, dtype=complex)
+    for n, c in dict(pairs).items():
+        out[n] = c
+    return out
+
+
+def eval_function(space: BetaSpace, coeffs: np.ndarray, z: complex) -> complex:
+    """f(z) = sum a_n beta_n z^n, term by term."""
+    return sum(c * space.beta(n) * z ** n for n, c in enumerate(coeffs.tolist()))
 
 
 # -- spaces and kernels -----------------------------------------------------
@@ -53,33 +61,32 @@ def test_beta_space_validation():
 
 
 def test_kernel_at_origin_is_first_basis_vector():
-    k = kernel_vector(BetaSpace.hardy(16), 0.0)
-    assert k.coeffs.support() == (0,)
-    assert k.coeffs.coeff(0) == 1.0
-    assert k.tail_bound == 0.0
+    k = hardy._dense_kernel(BetaSpace.hardy(16), 0.0)
+    assert np.flatnonzero(k).tolist() == [0]
+    assert k[0] == 1.0
 
 
 def test_kernel_reproduces_monomial_hardy():
     sp = BetaSpace.hardy(16)
-    k = kernel_vector(sp, 0.5)
-    e3 = coeff_vec({3: 1.0})
-    assert hermitian_inner(e3, k.coeffs) == pytest.approx(0.125, abs=1e-15)
+    k = hardy._dense_kernel(sp, 0.5)
+    e3 = coeff_array(sp, {3: 1.0})
+    assert np.vdot(k, e3) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_kernel_reproduces_in_weighted_space():
     sp = BetaSpace.inv_linear(16)
-    k = kernel_vector(sp, 0.5)
-    f = coeff_vec({0: 1.0, 1: 1.0})
+    k = hardy._dense_kernel(sp, 0.5)
+    f = coeff_array(sp, {0: 1.0, 1: 1.0})
     value = eval_function(sp, f, 0.5)
     assert value == pytest.approx(1.25)
-    assert abs(hermitian_inner(f, k.coeffs) - value) < 1e-10
+    assert abs(np.vdot(k, f) - value) < 1e-10
 
 
 def test_kernel_rejects_boundary_points():
     sp = BetaSpace.hardy(8)
     for z in (1.0, -1.0, 1.0 + 0.0j, 0.8 + 0.8j):
         with pytest.raises(ValueError):
-            kernel_vector(sp, z)
+            hardy._dense_kernel(sp, z)
 
 
 @seed(90217)
@@ -93,9 +100,8 @@ def test_kernel_rejects_boundary_points():
 def test_reproducing_property_for_polynomials(coeffs, radius, angle):
     sp = BetaSpace.inv_linear(16)
     z = radius * complex(math.cos(angle), math.sin(angle))
-    f = coeff_vec({n: complex(re, im) for n, (re, im) in enumerate(coeffs)})
-    k = kernel_vector(sp, z)
-    lhs = hermitian_inner(f, k.coeffs)
+    f = coeff_array(sp, {n: complex(re, im) for n, (re, im) in enumerate(coeffs)})
+    lhs = np.vdot(hardy._dense_kernel(sp, z), f)
     rhs = eval_function(sp, f, z)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
@@ -405,10 +411,8 @@ def test_locus_refuses_a_symbol_that_overflows_on_the_grid():
 def test_span_residual_of_own_kernel_tensor():
     sp = BetaSpace.hardy(16)
     z, w = 0.3 + 0.1j, -0.2 + 0.4j
-    kz = kernel_vector(sp, z)
-    kw = kernel_vector(sp, w)
-    u = np.array([kz.coeffs.coeff(n) for n in range(17)])
-    v = np.array([kw.coeffs.coeff(n) for n in range(17)])
+    u = hardy._dense_kernel(sp, z)
+    v = hardy._dense_kernel(sp, w)
     rep = span_density_residual([(z, w)], MatOp(np.outer(u, v.conj())), sp)
     assert rep.residual < 1e-10
     assert rep.metric == "frobenius"
@@ -518,3 +522,199 @@ def test_nuclear_validation():
         nuclear_eigencheck(Z, ONE, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         nuclear_eigencheck(Z, ONE, 0.5, 0.0, 0.5)
+    # dim 0 passed with op_residual 0.5, and a negative dim reached numpy
+    for dim in (0, -3):
+        with pytest.raises(ValueError, match="truncation dimension must be >= 1"):
+            nuclear_eigencheck(Z, ONE, 0.5, 0.0, 1.0, dim=dim)
+
+
+# -- the eigenchecks against their separate-builder oracle ------------------
+#
+# The mpmath helpers and check bodies as they were before the three checks
+# shared one leg and one residual: two kernel builders, two banded applies
+# and a rank-two residual with a free second coefficient.  The shared
+# versions must give repr-equal reports.
+
+def _mp_kernel(space, z):
+    powers = _mp_geometric(z.conjugate(), space.dim)
+    return [mp.mpf(space.beta(n)) * pw for n, pw in enumerate(powers)]
+
+
+def _mp_adjoint_mult(phi, space, u):
+    n_dim = space.dim + 1
+    cs = [mp.mpc(c) for c in phi.coeffs]
+    betas = [mp.mpf(space.beta(n)) for n in range(n_dim)]
+    out = []
+    for n in range(n_dim):
+        acc = mp.mpc(0)
+        for m, c in enumerate(cs):
+            k = n + m
+            if k >= n_dim:
+                break
+            acc += mp.conj(c) * (betas[n] / betas[k]) * u[k]
+        out.append(acc)
+    return out
+
+
+def _mp_eval_symbol(sym, z):
+    acc = mp.mpc(0)
+    zz = mp.mpc(z)
+    for c in reversed(sym.coeffs):
+        acc = acc * zz + mp.mpc(c)
+    return acc
+
+
+def _rank_two_singulars(p1, p2, alpha2, q1, q2):
+    gp = mp.matrix([[hardy._mp_inner(p1, p1), hardy._mp_inner(p2, p1)],
+                    [hardy._mp_inner(p1, p2), hardy._mp_inner(p2, p2)]])
+    gq = mp.matrix([[hardy._mp_inner(q1, q1), hardy._mp_inner(q2, q1)],
+                    [hardy._mp_inner(q1, q2), hardy._mp_inner(q2, q2)]])
+    a = mp.matrix([[mp.mpc(1), 0], [0, mp.mpc(alpha2)]])
+    h = (a.transpose_conj() * gp * a) * gq
+    tr = h[0, 0] + h[1, 1]
+    det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+    disc = mp.sqrt(tr * tr - 4 * det)
+    eigs = [(tr + disc) / 2, (tr - disc) / 2]
+    sigmas = []
+    for e in eigs:
+        re = mp.re(e)
+        sigmas.append(mp.sqrt(re) if re > 0 else mp.mpf(0))
+    return sorted(sigmas, reverse=True)
+
+
+def _mp_geometric(ratio, dim):
+    out, pw = [], mp.mpc(1)
+    r = mp.mpc(ratio)
+    for _ in range(dim + 1):
+        out.append(pw)
+        pw *= r
+    return out
+
+
+def _mp_poly_backward(sym, x):
+    cs = [mp.mpc(c) for c in sym.coeffs]
+    n_dim = len(x)
+    out = []
+    for n in range(n_dim):
+        acc = mp.mpc(0)
+        for m, c in enumerate(cs):
+            if n + m >= n_dim:
+                break
+            acc += c * x[n + m]
+        out.append(acc)
+    return out
+
+
+def oracle_adjoint(phi, space, z):
+    z = complex(z)
+    with mp.workdps(hardy._EIGEN_DPS):
+        u = _mp_kernel(space, z)
+        a = _mp_adjoint_mult(phi, space, u)
+        lam = mp.conj(_mp_eval_symbol(phi, z))
+        diff = [ai - lam * ui for ai, ui in zip(a, u)]
+        res = float(hardy._mp_norm(diff))
+        eig = complex(lam)
+    return hardy.KernelEigenReport(eig, res, hardy._kernel_defect_bound(phi, space, z),
+                                   space.dim)
+
+
+def oracle_conjugation(phi, psi, space, z, w):
+    z, w = complex(z), complex(w)
+    with mp.workdps(hardy._EIGEN_DPS):
+        u = _mp_kernel(space, z)
+        v = _mp_kernel(space, w)
+        a = _mp_adjoint_mult(phi, space, u)
+        b = _mp_adjoint_mult(psi, space, v)
+        alpha = mp.conj(_mp_eval_symbol(phi, z))
+        gamma = mp.conj(_mp_eval_symbol(psi, w))
+        lam_mp = alpha * mp.conj(gamma)
+        d = [ai - alpha * ui for ai, ui in zip(a, u)]
+        e = [mp.conj(alpha) * (bi - gamma * vi) for bi, vi in zip(b, v)]
+        sig = _rank_two_singulars(u, d, mp.mpc(1), e, b)
+        op_res = float(sig[0])
+        s1_res = float(sig[0] + sig[1])
+        norm_u = float(hardy._mp_norm(u))
+        norm_v = float(hardy._mp_norm(v))
+        lam = complex(lam_mp)
+    dphi = hardy._kernel_defect_bound(phi, space, z)
+    dpsi = hardy._kernel_defect_bound(psi, space, w)
+    bound = (abs(phi(z)) * norm_u * dpsi + abs(psi(w)) * dphi * norm_v
+             + dphi * dpsi)
+    return hardy.ConjugationEigenReport(lam, op_res, s1_res, bound, space.dim)
+
+
+def oracle_nuclear(phi, psi, lam, mu, p, dim=64, seed=0):
+    lam, mu = complex(lam), complex(mu)
+    with mp.workdps(hardy._EIGEN_DPS):
+        u = _mp_geometric(lam, dim)
+        v = _mp_geometric(mu, dim)
+        a = _mp_poly_backward(phi, u)
+        b = _mp_poly_backward(psi, v)
+        alpha = _mp_eval_symbol(phi, lam)
+        gamma = _mp_eval_symbol(psi, mu)
+        eig_mp = alpha * gamma
+        d = [ai - alpha * ui for ai, ui in zip(a, u)]
+        e = [alpha * (bi - gamma * vi) for bi, vi in zip(b, v)]
+        sig = _rank_two_singulars(u, d, mp.mpc(1),
+                                  [mp.conj(x) for x in e],
+                                  [mp.conj(x) for x in b])
+        op_res = float(sig[0])
+        norm_u = float(hardy._mp_norm(u))
+        norm_v = float(hardy._mp_norm(v))
+        eig = complex(eig_mp)
+    tail = (phi.coeff_abs_sum() * psi.coeff_abs_sum()
+            * (hardy._geom_tail(lam, dim - phi.degree) * norm_v
+               + hardy._geom_tail(mu, dim - psi.degree) * norm_u))
+    gap = hardy._trace_pairing_gap(lam, mu, dim, seed)
+    return hardy.NuclearEigenReport(eig, op_res, gap, tail, dim, p)
+
+
+def _disc_point(rng, rmax=0.95):
+    return cmath.rect(rng.uniform(0.0, rmax), rng.uniform(0.0, 2.0 * math.pi))
+
+
+def _symbol(rng, degree):
+    return AnalyticSymbol.from_coeffs(
+        [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(degree + 1)])
+
+
+def eigen_battery(seed_, draws):
+    """(space, phi, psi, z, w) draws over Hardy, inv_linear and random-table
+    spaces, symbol degrees 0-4 and dims 1-200, plus fixed edge cases: dim 1,
+    degree-0 symbols, a degree at or above the dim, and the origin."""
+    rng = random.Random(seed_)
+    cases = [
+        (BetaSpace.hardy(1), _symbol(rng, 0), _symbol(rng, 0), 0.5 + 0.1j, -0.3j),
+        (BetaSpace.inv_linear(1), _symbol(rng, 3), _symbol(rng, 1), 0.6, 0.2 - 0.4j),
+        (BetaSpace.hardy(3), _symbol(rng, 4), _symbol(rng, 3), -0.7j, 0.0),
+        (BetaSpace.inv_linear(2), Z, _symbol(rng, 4), 0.0, 0.9),
+    ]
+    for _ in range(draws):
+        dim = rng.choice([1, 2, 5, rng.randint(1, 200)])
+        kind = rng.randrange(3)
+        if kind == 0:
+            space = BetaSpace.hardy(dim)
+        elif kind == 1:
+            space = BetaSpace.inv_linear(dim)
+        else:
+            space = BetaSpace(WeightSeq.table([rng.uniform(0.1, 3.0) for _ in range(dim + 1)],
+                                              start=0), dim)
+        cases.append((space, _symbol(rng, rng.randint(0, 4)), _symbol(rng, rng.randint(0, 4)),
+                      _disc_point(rng), _disc_point(rng)))
+    return cases
+
+
+@pytest.mark.parametrize("seed_", [20260, 20261, 20262])
+def test_eigenchecks_match_the_separate_builder_oracle(seed_):
+    battery = eigen_battery(seed_, 12)
+    assert {sp.dim for sp, *_ in battery} >= {1, 2}
+    assert any(max(phi.degree, psi.degree) >= sp.dim for sp, phi, psi, *_ in battery)
+    assert any(phi.degree == 0 for _, phi, *_ in battery)
+    for i, (space, phi, psi, z, w) in enumerate(battery):
+        assert repr(adjoint_kernel_eigencheck(phi, space, z)) == \
+            repr(oracle_adjoint(phi, space, z)), i
+        assert repr(conjugation_eigencheck(phi, psi, space, z, w)) == \
+            repr(oracle_conjugation(phi, psi, space, z, w)), i
+        p = 1.0 + i % 3
+        assert repr(nuclear_eigencheck(phi, psi, z, w, p, dim=space.dim, seed=i)) == \
+            repr(oracle_nuclear(phi, psi, z, w, p, dim=space.dim, seed=i)), i

@@ -1,4 +1,5 @@
-"""Every module-level import in src/hyperlab is used by its module.
+"""Every module-level import in src/hyperlab is used by its module, and
+every module's `__all__` lists exactly its public definitions.
 
 The scan reads each module's syntax tree: a name bound by a module-level
 `import` or `from ... import` must be read somewhere in the module, as a
@@ -7,6 +8,7 @@ entry of `__all__`.  `from __future__` imports are exempt.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hyperlab"
@@ -74,3 +76,33 @@ def test_the_scan_sees_an_unused_import():
                      "x: 'List[int]' = sys.argv\n__all__ = ['Any']\ny = 're'\n")
     names = imported_names(tree)
     assert sorted(n for n in names if n not in read_names(tree)) == ["os", "re"]
+
+
+def public_definitions(tree: ast.Module) -> set:
+    """Names of the module-level defs and classes that do not start with _."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def test_all_lists_exactly_the_public_definitions():
+    problems, checked = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        mod = importlib.import_module(f"hyperlab.{path.stem}")
+        listed = getattr(mod, "__all__", None)
+        if listed is None:      # cli and gammaratio export no list
+            continue
+        checked += 1
+        problems += [f"{path.name}: __all__ names unbound {name!r}"
+                     for name in listed if not hasattr(mod, name)]
+        problems += [f"{path.name}: public {name!r} missing from __all__"
+                     for name in sorted(public_definitions(tree) - set(listed))]
+    assert checked >= 6
+    assert not problems, "\n".join(problems)
+
+
+def test_the_all_scan_sees_a_missing_public_definition():
+    tree = ast.parse("def f(): pass\nclass C: pass\ndef _g(): pass\n"
+                     "__all__ = ['f']\n")
+    assert public_definitions(tree) - {"f"} == {"C"}

@@ -27,13 +27,10 @@ from hyperlab.seqspace import (
     apply,
     apply_right_inverse,
     bilinear_pair,
-    hermitian_inner,
     iterate_orbit,
     lp_norm,
     shift_power_apply,
     subset_sum_bound_check,
-    vector_from_json,
-    vector_to_json,
     weight_product,
 )
 
@@ -128,16 +125,7 @@ def test_lp_norm_scaling_survives_extreme_magnitudes():
 def test_inner_products():
     u = SeqVector({0: 1 + 1j, 2: 2.0})
     v = SeqVector({0: 1j, 2: 3.0})
-    assert hermitian_inner(u, v) == pytest.approx((1 + 1j) * (-1j) + 6.0)
     assert bilinear_pair(u, v) == pytest.approx((1 + 1j) * 1j + 6.0)
-
-
-def test_vector_json_round_trip():
-    v = SeqVector({3: 1.5 - 2.0j, 0: 0.25j}, Domain.NATURALS, 3.5)
-    items = vector_to_json(v)
-    assert items[0]["index"] == 0  # sorted for deterministic artifacts
-    back = vector_from_json(items, Domain.NATURALS, 3.5)
-    assert back == v
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +134,7 @@ def test_vector_json_round_trip():
 
 def test_backward_shift_drops_bottom_index():
     B = ShiftOp.backward(W2)
-    assert apply(B, SeqVector.basis(0)).is_zero()
+    assert len(apply(B, SeqVector.basis(0))) == 0
     assert apply(B, SeqVector.basis(2)) == SeqVector({1: 2.0})
 
 
@@ -240,7 +228,7 @@ def test_right_inverse_underflow_flushes_to_zero():
     # 2^-2000 is far below the coefficient guard, so the image is empty
     B = ShiftOp.backward(W2)
     out = apply_right_inverse(B, SeqVector.basis(0), 2000)
-    assert out.is_zero()
+    assert len(out) == 0
 
 
 def test_weight_prefix_matches_direct_products(monkeypatch):
@@ -591,7 +579,7 @@ def test_orbit_frozen_example_and_subsampling():
     pts = list(iterate_orbit(B, SeqVector.basis(2), 3))
     assert pts[0] == SeqVector({1: 2.0})
     assert pts[1] == SeqVector({0: 4.0})
-    assert pts[2].is_zero()
+    assert len(pts[2]) == 0
 
     # quadratic clock: only n = 1, 4, 9 are emitted
     F = ShiftOp.forward(W2)
@@ -693,17 +681,6 @@ def test_weight_validation():
         WeightSeq.ratio([1.0], [0.0, 1.0]).weight(0)  # P/Q with Q(0) = 0
     with pytest.raises(ValueError):
         WeightSeq.ratio([1.0], [-2.0, 1.0]).weight(2)  # zero denominator at n=2
-
-
-def test_weight_json_round_trip_all_kinds():
-    seqs = [
-        W2,
-        WeightSeq.ratio([1.0, 1.0], [0.0, 1.0]),
-        WeightSeq.table([1.0, 2.0 + 1j], start=1, default=3.0),
-        WeightSeq.step(0.5, 2.0, split=4),
-    ]
-    for w in seqs:
-        assert WeightSeq.from_json_dict(w.to_json_dict()) == w
 
 
 def test_domain_mismatch_rejected():
