@@ -107,20 +107,14 @@ class CheckGrid:
     tail_tolerance: float = 1e-2
 
     def __post_init__(self):
-        object.__setattr__(self, "i_range", tuple(int(v) for v in self.i_range))
-        object.__setattr__(self, "j_range", tuple(int(v) for v in self.j_range))
-        if not self.i_range or not self.j_range:
+        # the caps need only the lengths of the ranges, and are checked
+        # before any range (a `range` from the CLI) becomes a tuple
+        if not len(self.i_range) or not len(self.j_range):
             raise ValueError("index ranges must be nonempty")
         if self.n_max < 8:
             raise ValueError("n_max must be >= 8")
         if self.r_max < 0 or self.q < 1:
             raise ValueError("r_max must be >= 0 and q >= 1")
-        # n_max >= 8 and 8^54 > 2^53, so a larger q needs no larger power
-        top = ((self.n_max + self.r_max) ** min(self.q, 54) + max(map(abs, self.i_range))
-               + max(map(abs, self.j_range)))
-        if top > 2 ** 53:
-            raise ValueError(f"clock index (n_max + r_max)^q with q = {self.q}, "
-                             f"n_max = {self.n_max}, r_max = {self.r_max} exceeds 2^53")
         # clock rows hold n_max values, deep-tail rows fewer than r_max
         depth = max(self.n_max, self.r_max)
         rows = (len(self.i_range) + len(self.j_range)) * depth
@@ -131,6 +125,14 @@ class CheckGrid:
                  * (self.r_max + 1) * depth, _MAX_GRID_CELLS)):
             if size > cap:
                 raise ValueError(f"the check grid reads {size} {what}, more than {cap}")
+        object.__setattr__(self, "i_range", tuple(int(v) for v in self.i_range))
+        object.__setattr__(self, "j_range", tuple(int(v) for v in self.j_range))
+        # n_max >= 8 and 8^54 > 2^53, so a larger q needs no larger power
+        top = ((self.n_max + self.r_max) ** min(self.q, 54) + max(map(abs, self.i_range))
+               + max(map(abs, self.j_range)))
+        if top > 2 ** 53:
+            raise ValueError(f"clock index (n_max + r_max)^q with q = {self.q}, "
+                             f"n_max = {self.n_max}, r_max = {self.r_max} exceeds 2^53")
 
     @classmethod
     def unilateral_default(cls, q: int = 1) -> "CheckGrid":

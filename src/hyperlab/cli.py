@@ -200,7 +200,9 @@ def parse_symbol(text: str) -> AnalyticSymbol:
     return AnalyticSymbol.from_coeffs(coeffs)
 
 
-def parse_range(text: str) -> tuple:
+def parse_range(text: str) -> range:
+    """lo:hi (or one index) as a range: its length is known before any
+    index is materialized."""
     lo_s, sep, hi_s = str(text).partition(":")
     try:
         lo = int(lo_s)
@@ -209,7 +211,9 @@ def parse_range(text: str) -> tuple:
         raise ConfigError(f"bad range {text!r} (expected lo:hi)") from None
     if hi < lo:
         raise ConfigError(f"empty range {text!r}")
-    return tuple(range(lo, hi + 1))
+    if hi - lo >= sys.maxsize:      # len() of the range would overflow
+        raise ConfigError(f"range {text!r} holds more than {sys.maxsize} indices")
+    return range(lo, hi + 1)
 
 
 # largest generated set build_natset materializes
@@ -574,8 +578,11 @@ def _parse_target_matrix(spec: str, dim: int) -> MatOp:
 
 def _run_schatten(p: dict, outdir: Path, fmt: str, seed: int):
     op = _named_shift(p, "schatten")
-    rng = parse_range(p["window"])
-    lo, hi = rng[0], rng[-1]
+    window = parse_range(p["window"])
+    if len(window) > _MAX_DIM:
+        raise ConfigError(f"window {p['window']!r} holds {len(window)} indices, "
+                          f"more than the {_MAX_DIM} desk-scale cap")
+    lo, hi = window[0], window[-1]
     ps = [float(t) for t in p["p"].split(",") if t.strip()]
     if not ps:
         raise ConfigError(f"p {p['p']!r} lists no Schatten exponent")

@@ -33,8 +33,8 @@ from .density import NatSet, q_lower_density
 from .matops import MatOp, Pairing, RankOne, conjugation, rank_one_to_mat
 from .seqspace import (
     COEFF_GUARD,
+    Domain,
     SeqVector,
-    ShiftKind,
     ShiftOp,
     WeightOverflowError,
     adjoint,
@@ -62,9 +62,6 @@ __all__ = [
     "materialize_rank_one_sum",
 ]
 
-_BACKWARD_KINDS = {ShiftKind.BACKWARD, ShiftKind.BACKWARD_BILATERAL}
-
-
 # ---------------------------------------------------------------------------
 # epsilon schedule
 # ---------------------------------------------------------------------------
@@ -88,10 +85,6 @@ class EpsSchedule:
         """k*eps_k + sum_{j=k+1}^{K} eps_j: the radius class k of K is
         visited within, and the quantity that must vanish as k grows."""
         return k * self.eps(k) + sum(self.eps(j) for j in range(k + 1, K + 1))
-
-    def defect(self, k: int) -> float:
-        """The bound at k with 256 tail terms."""
-        return self.bound(k, k + 256)
 
     def describe(self) -> str:
         return f"{self.scale!r}*{self.base!r}^k"
@@ -117,8 +110,6 @@ class BackwardOrbitFamily:
     _norms: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.op.kind is ShiftKind.POLY_OF_SHIFT:
-            raise ValueError("inverse-orbit families need a plain shift or diagonal")
         pts = tuple(self.base_points)
         if not pts:
             raise ValueError("at least one target is required")
@@ -160,10 +151,9 @@ class BackwardOrbitFamily:
 
     def forward_op(self) -> ShiftOp:
         """The map that undoes inverse_point: the operator itself for
-        backward-type and diagonal rules, its adjoint for forward-type."""
-        if self.op.kind in _BACKWARD_KINDS or self.op.kind is ShiftKind.DIAGONAL:
-            return self.op
-        return adjoint(self.op)
+        backward-type (displacement < 0) and diagonal rules, its adjoint for
+        forward-type."""
+        return self.op if self.op.displacement <= 0 else adjoint(self.op)
 
 
 def condition_c_exactness(family: BackwardOrbitFamily, q: int, nm_max: int = 8,
@@ -922,7 +912,7 @@ def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: list, K: i
     """
     p = family.base_point(1).p_exponent
     targets = [family.base_point(k).entries for k in range(1, K + 1)]
-    nilpotent = op.kind is ShiftKind.BACKWARD
+    nilpotent = op.displacement < 0 and op.domain is Domain.NATURALS
     sup_top = np.array([-1] + [max(family.base_point(l).entries, default=-1)
                                for l in range(1, K + 1)])
     last = max(N_H, blocks[-1][0] if blocks else 0)
@@ -984,9 +974,9 @@ def conjugation_inverse_family(R: ShiftOp, T: ShiftOp,
     return out
 
 
-def materialize_rank_one_sum(rank_ones: Sequence[RankOne], dim: int,
-                             basis_offset: int = 0, truncate: bool = False) -> MatOp:
-    total = MatOp.zeros(dim, dim, basis_offset)
+def materialize_rank_one_sum(rank_ones: Sequence[RankOne], dim: int) -> MatOp:
+    """The sum of the rank-one operators on the window [0, dim)."""
+    total = MatOp.zeros(dim, dim)
     for r in rank_ones:
-        total = total + rank_one_to_mat(r, dim, basis_offset, truncate)
+        total = total + rank_one_to_mat(r, dim)
     return total

@@ -29,7 +29,7 @@ import mpmath as mp
 import numpy as np
 
 from .matops import MatOp
-from .seqspace import Domain, TaylorPoly, WeightSeq
+from .seqspace import Domain, WeightSeq
 
 __all__ = [
     "BetaSpace",
@@ -96,25 +96,31 @@ class BetaSpace:
 
 @dataclass(frozen=True)
 class AnalyticSymbol:
-    """Polynomial multiplier symbol, optionally with a known sup-norm."""
+    """Polynomial multiplier symbol c_0 + c_1 z + ... + c_M z^M, trailing
+    coefficient nonzero, optionally with a known sup-norm."""
 
-    taylor: TaylorPoly
+    coeffs: tuple
     sup_bound: float | None = None
+
+    def __post_init__(self):
+        cs = tuple(complex(c) for c in self.coeffs)
+        while len(cs) > 1 and cs[-1] == 0:
+            cs = cs[:-1]
+        object.__setattr__(self, "coeffs", cs if cs else (0.0 + 0.0j,))
 
     @classmethod
     def from_coeffs(cls, coeffs, sup_bound: float | None = None) -> "AnalyticSymbol":
-        return cls(TaylorPoly(tuple(coeffs)), sup_bound)
+        return cls(coeffs, sup_bound)
 
     @property
     def degree(self) -> int:
-        return self.taylor.degree
-
-    @property
-    def coeffs(self) -> tuple:
-        return self.taylor.coeffs
+        return len(self.coeffs) - 1
 
     def __call__(self, z: complex) -> complex:
-        return self.taylor(z)
+        acc = 0.0 + 0.0j
+        for c in reversed(self.coeffs):
+            acc = acc * z + c
+        return acc
 
     def coeff_abs_sum(self) -> float:
         return sum(abs(c) for c in self.coeffs)
@@ -428,7 +434,7 @@ def _scale(r, dr, di):
 
 def _horner(sym: AnalyticSymbol, zr, zi):
     """The symbol at zr + i zi on separate real and imaginary arrays, in the
-    float steps of TaylorPoly.__call__: acc = acc * z + c from 0j."""
+    float steps of AnalyticSymbol.__call__: acc = acc * z + c from 0j."""
     ar = np.zeros(np.shape(zr))
     ai = np.zeros(np.shape(zr))
     for c in reversed(sym.coeffs):

@@ -20,9 +20,11 @@ Rank-one operators u (x) v come in two flavours selected by `Pairing`:
     HILBERT   matrix entries u_i conj(v_j)   (functional <., v>)
     BILINEAR  matrix entries u_i v_j         (functional sum . v)
 
-Conjugation S -> R S T with shift-type R, T grows the basis window by the
-displacement band of each factor; the grown window is part of the returned
-operator, never silently clipped.
+Shift windows and conjugations S -> R S T with shift-type R, T are filled
+from each shift's row (see `seqspace`): R moves the rows of S and T its
+columns, each scaled by the weights, with no dense shift matrix and no
+product.  The window grows by each factor's displacement; the grown window
+is part of the returned operator, never silently clipped.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .seqspace import Domain, SeqVector, ShiftOp, apply, p_sum
+from .seqspace import COEFF_GUARD, Domain, SeqVector, ShiftOp, apply, p_sum
 
 __all__ = [
     "MatOp",
@@ -58,6 +60,7 @@ _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 60
 _JACOBI_BLOCK = 32
 _MAX_DIM = 2048
+_ORTHOGONAL_TOL = 1e-10
 
 
 class Pairing(Enum):
@@ -95,10 +98,6 @@ class MatOp:
     def zeros(cls, rows: int, cols: int | None = None, basis_offset: int = 0) -> "MatOp":
         return cls(np.zeros((rows, cols if cols is not None else rows), dtype=complex),
                    basis_offset)
-
-    @classmethod
-    def identity(cls, n: int, basis_offset: int = 0) -> "MatOp":
-        return cls(np.eye(n, dtype=complex), basis_offset)
 
     def _require_aligned(self, other: "MatOp") -> None:
         if self.data.shape != other.data.shape or self.basis_offset != other.basis_offset:
@@ -160,20 +159,28 @@ def rank_one_to_mat(r: RankOne, dim: int, basis_offset: int = 0,
 # windows for shift-type factors
 # ---------------------------------------------------------------------------
 
+def _band(op: ShiftOp, lo: int, hi: int) -> tuple:
+    """(cols, rows, values): column j of op on span{e_lo..e_hi} holds the
+    weight w_{j+b} of the row (a, b) at row j + a, kept where that row lies
+    in the window.  Every column with an image reads its weight, and a
+    weight below the coefficient guard is dropped, as `apply` would."""
+    weight, a, b = op.weights.weight, op.displacement, op.offset
+    cols = range(max(lo, op.lowest_source()), hi + 1)
+    vals = np.array([weight(j + b) for j in cols], dtype=complex)
+    vals[np.abs(vals) < COEFF_GUARD] = 0.0
+    dim = hi - lo + 1
+    src = np.arange(dim - len(cols), dim)      # the columns, less lo
+    keep = (src + a >= 0) & (src + a < dim)
+    return src[keep], src[keep] + a, vals[keep]
+
+
 def shift_matrix(op: ShiftOp, lo: int, hi: int) -> np.ndarray:
     """Dense action of op on span{e_lo..e_hi}; image entries outside the
     window are compressed away (the window is chosen upstream so that
     nothing that matters escapes)."""
-    dim = hi - lo + 1
-    M = np.zeros((dim, dim), dtype=complex)
-    dom = op.domain
-    for j in range(lo, hi + 1):
-        if dom is Domain.NATURALS and j < 0:
-            continue
-        img = apply(op, SeqVector.basis(j, dom))
-        for n, c in img.entries.items():
-            if lo <= n <= hi:
-                M[n - lo, j - lo] = c
+    M = np.zeros((hi - lo + 1, hi - lo + 1), dtype=complex)
+    cols, rows, vals = _band(op, lo, hi)
+    M[rows, cols] = vals
     return M
 
 
@@ -182,8 +189,9 @@ def conjugation(R: "MatOp | ShiftOp | None", S: MatOp,
     """R S T with None meaning the identity factor.
 
     Matrix factors must share S's window.  Shift-type factors enlarge the
-    window by their displacement band before multiplying, so no image mass
-    is clipped; the result records the grown window through its offset.
+    window by their displacements, so no image mass is clipped; the result
+    records the grown window through its offset.  A shift factor moves the
+    rows (R) or columns (T) of S by its row and scales them by its weights.
     """
     shift_factors = [f for f in (R, T) if isinstance(f, ShiftOp)]
     if not shift_factors:
@@ -198,37 +206,35 @@ def conjugation(R: "MatOp | ShiftOp | None", S: MatOp,
                 raise ValueError("right factor window does not match")
             out = out @ T.data
         return MatOp(out, off)
+    if any(isinstance(f, MatOp) for f in (R, T)):
+        raise ValueError("mixing matrix and shift factors is not supported")
 
     off = S.basis_offset
     row_lo, row_hi = off, off + S.rows - 1
     col_lo, col_hi = off, off + S.cols - 1
     lo, hi = min(row_lo, col_lo), max(row_hi, col_hi)
-    if isinstance(R, ShiftOp):
-        dmin, dmax = R.displacement_range()
-        lo = min(lo, row_lo + dmin)
-        hi = max(hi, row_hi + dmax)
-    if isinstance(T, ShiftOp):
-        dmin, dmax = T.displacement_range()
-        lo = min(lo, col_lo - dmax)
-        hi = max(hi, col_hi - dmin)
+    if R is not None:
+        lo = min(lo, row_lo + R.displacement)
+        hi = max(hi, row_hi + R.displacement)
+    if T is not None:
+        lo = min(lo, col_lo - T.displacement)
+        hi = max(hi, col_hi - T.displacement)
     if all(f.domain is Domain.NATURALS for f in shift_factors) and off >= 0:
         lo = max(lo, 0)
 
     dim = hi - lo + 1
-    S_emb = np.zeros((dim, dim), dtype=complex)
-    S_emb[row_lo - lo:row_hi - lo + 1, col_lo - lo:col_hi - lo + 1] = S.data
-
-    out = S_emb
+    out = np.zeros((dim, dim), dtype=complex)
+    out[row_lo - lo:row_hi - lo + 1, col_lo - lo:col_hi - lo + 1] = S.data
     if R is not None:
-        R_mat = shift_matrix(R, lo, hi) if isinstance(R, ShiftOp) else None
-        if R_mat is None:
-            raise ValueError("mixing matrix and shift factors is not supported")
-        out = R_mat @ out
+        cols, rows, vals = _band(R, lo, hi)
+        moved = np.zeros_like(out)
+        moved[rows] = vals[:, None] * out[cols]
+        out = moved
     if T is not None:
-        T_mat = shift_matrix(T, lo, hi) if isinstance(T, ShiftOp) else None
-        if T_mat is None:
-            raise ValueError("mixing matrix and shift factors is not supported")
-        out = out @ T_mat
+        cols, rows, vals = _band(T, lo, hi)
+        moved = np.zeros_like(out)
+        moved[:, cols] = out[:, rows] * vals
+        out = moved
     return MatOp(out, lo)
 
 
@@ -570,13 +576,13 @@ class OrthogonalSumReport:
     first_bad_pair: tuple | None   # (i, j) of the first failing pair
 
 
-def orthogonal_sum_additivity(Ts: Sequence[MatOp], p: float,
-                              tol: float = 1e-10) -> OrthogonalSumReport:
+def orthogonal_sum_additivity(Ts: Sequence[MatOp], p: float) -> OrthogonalSumReport:
     """Check T_i* T_j = T_i T_j* = 0 for i != j and compare ||sum||_p with
     the p-sum of the parts.
 
-    The zero test is entrywise, at `tol` scaled by the product of the two
-    operator norms, so the verdict is invariant under rescaling the family.
+    The zero test is entrywise, at _ORTHOGONAL_TOL scaled by the product of
+    the two operator norms, so the verdict is invariant under rescaling the
+    family.
     """
     if not Ts:
         raise ValueError("empty family")
@@ -594,7 +600,7 @@ def orthogonal_sum_additivity(Ts: Sequence[MatOp], p: float,
             c2 = float(np.max(np.abs(Ts[i].data @ Ts[j].data.conj().T))) / scale
             v = max(c1, c2)
             worst = max(worst, v)
-            if v > tol and ok:
+            if v > _ORTHOGONAL_TOL and ok:
                 ok = False
                 bad = (i, j)
     total = Ts[0]

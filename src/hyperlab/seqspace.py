@@ -8,18 +8,26 @@ directly, long ones come from prefix sums of log-magnitudes (closed forms; a
 rational rule tabulates near indices and takes far ones from log-gamma), which
 keeps horizon-10^6 orbits free of silent overflow.
 
-Operator conventions, with w_n the weight at index n:
+Every shift is one row (a, b): a displacement a and a weight offset b, with
+w_n the weight at index n,
 
-    backward unilateral   B e_0 = 0,  B e_n = w_n e_{n-1}
-    forward unilateral    F e_n = w_{n+1} e_{n+1}
-    backward bilateral    T e_n = w_n e_{n-1}          (n in Z)
-    forward bilateral     S e_n = w_n e_{n+1}          (n in Z)
-    diagonal              D e_n = w_n e_n
-    polynomial of shift   sum_m c_m (base)^m
+    e_n -> w_{n+b} e_{n+a},
 
-Right inverses shift the other way and divide by the matching weight product,
-so applying the operator m times after its m-step right inverse is the
-identity, exactly.
+over the index domain of its weights; on the naturals an image below index
+0 is dropped.  The named shifts are
+
+    backward unilateral   (-1, 0)   B e_0 = 0,  B e_n = w_n e_{n-1}
+    forward unilateral    ( 1, 1)   F e_n = w_{n+1} e_{n+1}
+    backward bilateral    (-1, 0)   T e_n = w_n e_{n-1}          (n in Z)
+    forward bilateral     ( 1, 0)   S e_n = w_n e_{n+1}          (n in Z)
+    diagonal              ( 0, 0)   D e_n = w_n e_n
+
+Each is a single weighted index move; there are no polynomials of shifts.
+The adjoint for the bilinear pairing is the transpose, the row (-a, b - a).
+Right inverses shift up and divide by the matching weight product of a
+backward-type row (a < 0): the operator's own, or its adjoint's for a
+forward-type one, so m applications of that row after the m-step right
+inverse give the identity, exactly.
 """
 
 from __future__ import annotations
@@ -42,8 +50,6 @@ __all__ = [
     "WeightSeq",
     "WeightPrefix",
     "WeightOverflowError",
-    "TaylorPoly",
-    "ShiftKind",
     "ShiftOp",
     "apply",
     "apply_right_inverse",
@@ -125,11 +131,6 @@ class SeqVector:
     @classmethod
     def basis(cls, n: int, domain: Domain = Domain.NATURALS, p: float = 2.0) -> "SeqVector":
         return cls({n: 1.0 + 0.0j}, domain, p)
-
-    @classmethod
-    def geometric(cls, lam: complex, n_trunc: int, p: float = 2.0) -> "SeqVector":
-        """Truncation of (1, lam, lam^2, ...) at index n_trunc inclusive."""
-        return cls({n: complex(lam) ** n for n in range(n_trunc + 1)}, Domain.NATURALS, p)
 
     # -- basic queries -----------------------------------------------------
 
@@ -505,112 +506,68 @@ class WeightPrefix:
 
 
 # ---------------------------------------------------------------------------
-# polynomials and shift operators
+# shift operators
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TaylorPoly:
-    """Polynomial c_0 + c_1 z + ... + c_M z^M, trailing coefficient nonzero."""
-
-    coeffs: tuple
-    radius: float = math.inf  # radius of absolute convergence marker
-
-    def __post_init__(self):
-        cs = tuple(complex(c) for c in self.coeffs)
-        while len(cs) > 1 and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs if cs else (0.0 + 0.0j,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, z: complex) -> complex:
-        if abs(z) >= self.radius:
-            raise ValueError(f"|z| = {abs(z)} outside the convergence radius")
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-
-class ShiftKind(Enum):
-    BACKWARD = "backward_unilateral"
-    FORWARD = "forward_unilateral"
-    BACKWARD_BILATERAL = "backward_bilateral"
-    FORWARD_BILATERAL = "forward_bilateral"
-    DIAGONAL = "diagonal"
-    POLY_OF_SHIFT = "polynomial_of_shift"
-
-
-_UNILATERAL = {ShiftKind.BACKWARD, ShiftKind.FORWARD}
-_BILATERAL = {ShiftKind.BACKWARD_BILATERAL, ShiftKind.FORWARD_BILATERAL}
-
-
-@dataclass(frozen=True)
 class ShiftOp:
-    kind: ShiftKind
-    weights: WeightSeq | None = None
-    poly: TaylorPoly | None = None
-    base: "ShiftOp | None" = None
+    """The weighted shift e_n -> w_{n+offset} e_{n+displacement}, over the
+    index domain of its weights; on the naturals an image below index 0 is
+    dropped.  The constructors name the rows of the module docstring."""
+
+    weights: WeightSeq
+    displacement: int
+    offset: int
 
     def __post_init__(self):
-        if self.kind is ShiftKind.POLY_OF_SHIFT:
-            if self.poly is None or self.base is None:
-                raise ValueError("polynomial-of-shift needs poly and base")
-            if self.base.kind not in _UNILATERAL | _BILATERAL | {ShiftKind.DIAGONAL}:
-                raise ValueError("polynomial base must be a plain shift or diagonal")
-        else:
-            if self.weights is None:
-                raise ValueError(f"{self.kind.value} needs a weight rule")
-            if self.kind in _BILATERAL and self.weights.domain is not Domain.INTEGERS:
-                raise ValueError("bilateral shifts need integer-domain weights")
-            if self.kind in _UNILATERAL and self.weights.domain is not Domain.NATURALS:
-                raise ValueError("unilateral shifts need naturals-domain weights")
+        if self.displacement not in (-1, 0, 1):
+            raise ValueError("a shift moves each index by at most one")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def backward(cls, w: WeightSeq) -> "ShiftOp":
-        return cls(ShiftKind.BACKWARD, w)
+        return cls(_unilateral(w), -1, 0)
 
     @classmethod
     def forward(cls, mu: WeightSeq) -> "ShiftOp":
-        return cls(ShiftKind.FORWARD, mu)
+        return cls(_unilateral(mu), 1, 1)
 
     @classmethod
     def bilateral_backward(cls, a: WeightSeq) -> "ShiftOp":
-        return cls(ShiftKind.BACKWARD_BILATERAL, a)
+        return cls(_bilateral(a), -1, 0)
 
     @classmethod
     def bilateral_forward(cls, b: WeightSeq) -> "ShiftOp":
-        return cls(ShiftKind.FORWARD_BILATERAL, b)
+        return cls(_bilateral(b), 1, 0)
 
     @classmethod
     def diagonal(cls, lam: WeightSeq) -> "ShiftOp":
-        return cls(ShiftKind.DIAGONAL, lam)
-
-    @classmethod
-    def polynomial(cls, poly: TaylorPoly, base: "ShiftOp") -> "ShiftOp":
-        return cls(ShiftKind.POLY_OF_SHIFT, None, poly, base)
+        return cls(lam, 0, 0)
 
     @property
     def domain(self) -> Domain:
-        if self.kind is ShiftKind.POLY_OF_SHIFT:
-            return self.base.domain
-        return Domain.INTEGERS if self.kind in _BILATERAL else self.weights.domain
+        return self.weights.domain
 
-    def displacement_range(self) -> tuple[int, int]:
-        """(min, max) index displacement of a single application."""
-        if self.kind in (ShiftKind.BACKWARD, ShiftKind.BACKWARD_BILATERAL):
-            return (-1, -1)
-        if self.kind in (ShiftKind.FORWARD, ShiftKind.FORWARD_BILATERAL):
-            return (1, 1)
-        if self.kind is ShiftKind.DIAGONAL:
-            return (0, 0)
-        lo, hi = self.base.displacement_range()
-        deg = self.poly.degree
-        return (min(0, lo * deg), max(0, hi * deg))
+    def lowest_source(self, m: int = 1):
+        """The lowest index whose image under the m-th power is kept: on the
+        naturals both n and n + m * displacement are >= 0; on the integers
+        there is none (-inf)."""
+        if self.domain is Domain.NATURALS:
+            return max(0, -m * self.displacement)
+        return -math.inf
+
+
+def _unilateral(w: WeightSeq) -> WeightSeq:
+    if w.domain is not Domain.NATURALS:
+        raise ValueError("unilateral shifts need naturals-domain weights")
+    return w
+
+
+def _bilateral(w: WeightSeq) -> WeightSeq:
+    if w.domain is not Domain.INTEGERS:
+        raise ValueError("bilateral shifts need integer-domain weights")
+    return w
 
 
 def _check_domains(op: ShiftOp, v: SeqVector) -> None:
@@ -623,61 +580,31 @@ def _check_domains(op: ShiftOp, v: SeqVector) -> None:
 def apply(op: ShiftOp, v: SeqVector) -> SeqVector:
     """Exact image of v under a single application of op."""
     _check_domains(op, v)
-    k = op.kind
-    if k is ShiftKind.POLY_OF_SHIFT:
-        acc = v.scale(op.poly.coeffs[0])
-        power = v
-        for c in op.poly.coeffs[1:]:
-            power = apply(op.base, power)
-            if c != 0:
-                acc = acc.add(power.scale(c))
-        return acc
-
-    w = op.weights
+    weight, a, b, low = op.weights.weight, op.displacement, op.offset, op.lowest_source()
     out: dict = {}
-    if k is ShiftKind.BACKWARD:
-        for n, c in v.entries.items():
-            if n >= 1:
-                out[n - 1] = out.get(n - 1, 0.0) + w.weight(n) * c
-    elif k is ShiftKind.FORWARD:
-        for n, c in v.entries.items():
-            out[n + 1] = out.get(n + 1, 0.0) + w.weight(n + 1) * c
-    elif k is ShiftKind.BACKWARD_BILATERAL:
-        for n, c in v.entries.items():
-            out[n - 1] = out.get(n - 1, 0.0) + w.weight(n) * c
-    elif k is ShiftKind.FORWARD_BILATERAL:
-        for n, c in v.entries.items():
-            out[n + 1] = out.get(n + 1, 0.0) + w.weight(n) * c
-    elif k is ShiftKind.DIAGONAL:
-        for n, c in v.entries.items():
-            out[n] = w.weight(n) * c
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled kind {k}")
+    for n, c in v.entries.items():
+        if n >= low:
+            t = n + a
+            out[t] = out.get(t, 0.0) + weight(n + b) * c
     return SeqVector(out, v.domain, v.p_exponent)
 
 
 def apply_right_inverse(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
-    """m-step right inverse: e_n -> e_{n+m} / (w_{n+1} ... w_{n+m}).
-
-    For a backward shift this is a genuine right inverse: m applications of
-    the operator afterwards restore v exactly.  For a forward shift the same
-    index arithmetic gives the right inverse of its backward adjoint (the
-    dual-side map the orbit machinery wants); diagonals invert entrywise with
-    overflow guarded.
+    """m-step right inverse e_n -> e_{n+m} / (w_{n+1+b} ... w_{n+m+b}) of the
+    backward-type row (-1, b): op's own, or its adjoint's for a forward-type
+    op.  m applications of that row afterwards restore v exactly.  Diagonals
+    invert entrywise with overflow guarded.
     """
     _check_domains(op, v)
     if m < 0:
         raise ValueError("m must be a natural number")
     if m == 0:
         return v
-    k = op.kind
-    if k is ShiftKind.POLY_OF_SHIFT:
-        raise ValueError("polynomial-of-shift has no canonical right inverse")
-    w = op.weights
+    w, a = op.weights, op.displacement
     out: dict = {}
-    if k is ShiftKind.DIAGONAL:
+    if a == 0:
         for n, c in v.entries.items():
-            lam = w.weight(n)
+            lam = w.weight(n + op.offset)
             neg_log = -m * math.log(abs(lam))
             if neg_log > _LOG_FLOAT_MAX:
                 raise WeightOverflowError(n, n, neg_log)
@@ -685,9 +612,10 @@ def apply_right_inverse(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
                 continue
             out[n] = c * (lam ** (-m))
     else:
+        b = op.offset if a < 0 else adjoint(op).offset
         pre = w.prefix
         for n, c in v.entries.items():
-            coeff = pre.inverse_product(n + 1, n + m)
+            coeff = pre.inverse_product(n + 1 + b, n + m + b)
             if coeff != 0:
                 out[n + m] = coeff * c
     return SeqVector(out, v.domain, v.p_exponent)
@@ -698,63 +626,35 @@ def shift_power_apply(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
 
     Equivalent to applying `apply` m times, in O(support) (a rational rule
     may first grow its near table, or evaluate its log-gamma closed form for
-    indices past it); polynomials of shifts repeat `apply`.
+    indices past it).  T^m e_n reads the m weights w_{n+b}, w_{n+b+a}, ...,
+    w_{n+b+(m-1)a} of the row (a, b).
     """
     _check_domains(op, v)
     if m < 0:
         raise ValueError("m must be a natural number")
     if m == 0:
         return v
-    k = op.kind
-    if k is ShiftKind.POLY_OF_SHIFT:
-        out = v
-        for _ in range(m):
-            out = apply(op, out)
-        return out
-    w = op.weights
+    w, a, b, low = op.weights, op.displacement, op.offset, op.lowest_source(m)
     pre = w.prefix
+    first = b + (m - 1) * min(a, 0)     # the lowest weight index, less n
     out: dict = {}
     for n, c in v.entries.items():
-        if k is ShiftKind.BACKWARD:
-            if n < m:
-                continue  # the orbit fell off the bottom: B^m e_n = 0 for n < m
-            val = pre.product(n - m + 1, n) * c
-            tgt = n - m
-        elif k is ShiftKind.BACKWARD_BILATERAL:
-            val = pre.product(n - m + 1, n) * c
-            tgt = n - m
-        elif k is ShiftKind.FORWARD:
-            val = pre.product(n + 1, n + m) * c
-            tgt = n + m
-        elif k is ShiftKind.FORWARD_BILATERAL:
-            val = pre.product(n, n + m - 1) * c
-            tgt = n + m
-        else:  # diagonal
-            val = (w.weight(n) ** m) * c
-            tgt = n
+        if n < low:
+            continue  # the orbit fell off the bottom: B^m e_n = 0 for n < m
+        if a:
+            val = pre.product(n + first, n + first + m - 1) * c
+        else:
+            val = (w.weight(n + b) ** m) * c
+        tgt = n + m * a
         if val != 0:
             out[tgt] = out.get(tgt, 0.0) + val
     return SeqVector(out, v.domain, v.p_exponent)
 
 
 def adjoint(op: ShiftOp) -> ShiftOp:
-    """Dual-side action on coefficient functionals (bilinear pairing).
-
-    Backward and forward swap while keeping the same weight rule; a diagonal
-    is its own adjoint; a polynomial of a shift becomes the same polynomial
-    of the adjoint base.
-    """
-    k = op.kind
-    if k is ShiftKind.POLY_OF_SHIFT:
-        return ShiftOp.polynomial(op.poly, adjoint(op.base))
-    swap = {
-        ShiftKind.BACKWARD: ShiftKind.FORWARD,
-        ShiftKind.FORWARD: ShiftKind.BACKWARD,
-        ShiftKind.BACKWARD_BILATERAL: ShiftKind.FORWARD_BILATERAL,
-        ShiftKind.FORWARD_BILATERAL: ShiftKind.BACKWARD_BILATERAL,
-        ShiftKind.DIAGONAL: ShiftKind.DIAGONAL,
-    }
-    return ShiftOp(swap[k], op.weights)
+    """The transpose, for the bilinear pairing: the row (-a, b - a) sends
+    e_{n+a} to w_{n+b} e_n."""
+    return ShiftOp(op.weights, -op.displacement, op.offset - op.displacement)
 
 
 def iterate_orbit(op: ShiftOp, x0: SeqVector, horizon: int,
@@ -792,11 +692,13 @@ class SubsetSumReport:
 
 
 def subset_sum_bound_check(xs: Sequence[SeqVector], lambdas: Sequence[complex],
-                           F: Sequence[int], tol: float = 1e-12) -> SubsetSumReport:
+                           F: Sequence[int]) -> SubsetSumReport:
     """Check ||sum_{n in F} lambda_n x_n|| <= 4 sup|lambda| sup_{G <= F} ||sum_G x_n||.
 
     The right-hand supremum enumerates all 2^|F| subsets (Gray-code walk with
-    an incrementally maintained power sum), so |F| is capped at 20.
+    an incrementally maintained power sum), so |F| is capped at 20.  The walk
+    runs on the coefficients scaled by the exact 2^-e that brings the largest
+    into [1/2, 1), so no power overflows.
     """
     F = list(F)
     if len(F) > 20:
@@ -812,6 +714,10 @@ def subset_sum_bound_check(xs: Sequence[SeqVector], lambdas: Sequence[complex],
     lhs = lp_norm(weighted, p)
     sup_lam = max(abs(lambdas[n]) for n in F)
 
+    top = max((abs(c) for n in F for c in xs[n].entries.values()), default=0.0)
+    e = math.frexp(top)[1]
+    scaled = {n: [(idx, complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)))
+                  for idx, c in xs[n].entries.items()] for n in F}
     # Gray-code walk over subsets: one vector flips per step, and the running
     # sum-of-|c|^p is patched only at the touched indices.
     cur: dict = {}
@@ -821,7 +727,7 @@ def subset_sum_bound_check(xs: Sequence[SeqVector], lambdas: Sequence[complex],
         bit = (step & -step).bit_length() - 1
         flip = F[bit]
         sign = 1.0 if ((step ^ (step >> 1)) >> bit) & 1 else -1.0
-        for idx, c in xs[flip].entries.items():
+        for idx, c in scaled[flip]:
             old = cur.get(idx, 0.0 + 0.0j)
             new = old + sign * c
             power_sum += abs(new) ** p - abs(old) ** p
@@ -831,6 +737,7 @@ def subset_sum_bound_check(xs: Sequence[SeqVector], lambdas: Sequence[complex],
                 cur[idx] = new
         if power_sum > 0.0:
             sup_norm = max(sup_norm, power_sum ** (1.0 / p))
+    sup_norm = math.ldexp(sup_norm, e)
 
     rhs = 4.0 * sup_lam * sup_norm
-    return SubsetSumReport(lhs, rhs, lhs <= rhs + tol, sup_lam, sup_norm)
+    return SubsetSumReport(lhs, rhs, lhs <= rhs + 1e-12, sup_lam, sup_norm)

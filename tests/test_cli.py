@@ -73,8 +73,8 @@ def test_parse_vector_terms():
 def test_parse_symbol_and_range():
     phi = parse_symbol("1,0,2")
     assert phi.degree == 2 and phi(1.0) == 3.0
-    assert parse_range("-2:2") == (-2, -1, 0, 1, 2)
-    assert parse_range("5") == (5,)
+    assert tuple(parse_range("-2:2")) == (-2, -1, 0, 1, 2)
+    assert tuple(parse_range("5")) == (5,)
     with pytest.raises(ConfigError):
         parse_range("3:1")
     with pytest.raises(ConfigError):

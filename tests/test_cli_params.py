@@ -4,7 +4,11 @@ input ends in a report (exit 0 or 2) or in one `error:` line (exit 1)."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 import yaml
@@ -385,6 +389,36 @@ def test_check_refuses_grids_past_the_caps(tmp_path, capsys, extra, needle):
     assert run(argv, tmp_path) == 1
     assert time.perf_counter() - start < 1.0
     assert needle in one_error_line(capsys.readouterr().err)
+    assert not report_path(tmp_path, argv).exists()
+
+
+# Runs the CLI with the address space capped 256 MB above what start-up
+# holds, so a range that is materialized before its cap is checked ends in
+# a MemoryError traceback instead of the one error line.
+_CAPPED_RUN = """
+import resource, sys
+from hyperlab.cli import main
+with open("/proc/self/status") as fh:
+    size = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmSize:")) << 10
+resource.setrlimit(resource.RLIMIT_AS, (size + (256 << 20),) * 2)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+@pytest.mark.parametrize("argv", [
+    ["check", "--condition", "growth", "--i-range", "0:3000000000"],
+    ["schatten", "--window", "0:3000000000"],
+    ["schatten", "--window", "0:5000"],
+], ids=["check-i-range", "schatten-window", "schatten-5001"])
+def test_wide_ranges_are_refused_before_they_are_built(tmp_path, argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_RUN, *argv, "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "more than" in one_error_line(proc.stderr)
     assert not report_path(tmp_path, argv).exists()
 
 

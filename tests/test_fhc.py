@@ -33,8 +33,8 @@ from hyperlab.fhc import (
 from hyperlab.matops import Pairing, RankOne, rank_one_to_mat
 from hyperlab.seqspace import (
     COEFF_GUARD,
+    Domain,
     SeqVector,
-    ShiftKind,
     ShiftOp,
     WeightOverflowError,
     WeightSeq,
@@ -58,8 +58,9 @@ def family_e0(op=B2):
 def test_eps_schedule_default_values_and_defect():
     eps = EpsSchedule()
     assert eps.eps(3) == pytest.approx(0.125)
-    # defect(k) for the geometric rule is k 2^-k + 2^-k (1 - 2^-256)
-    assert eps.defect(4) == pytest.approx(4 * 0.0625 + 0.0625, rel=1e-12)
+    # the defect at k (the bound with 256 tail terms) for the geometric rule
+    # is k 2^-k + 2^-k (1 - 2^-256)
+    assert eps.bound(4, 4 + 256) == pytest.approx(4 * 0.0625 + 0.0625, rel=1e-12)
     # the visit radius of class 2 of 3: 2 eps_2 + eps_3
     assert eps.bound(2, 3) == 2 * 0.25 + 0.125
     assert eps.bound(3, 3) == 3 * 0.125
@@ -366,7 +367,7 @@ def literal_scan(op, family, J, q, N_H, tail_cut=1e-18, max_blocks_per_time=256)
     K = J.num_classes
     blocks = sorted((n, l) for l in range(1, K + 1) for n in J.sets[l - 1].elems)
     block_times = [b[0] for b in blocks]
-    nilpotent = op.kind is ShiftKind.BACKWARD
+    nilpotent = op.domain is Domain.NATURALS and op.displacement < 0
     sup_top = {l: max(family.base_point(l).support(), default=-1) for l in range(1, K + 1)}
     distances = {k: {} for k in range(1, K + 1)}
     truncated = False
@@ -635,23 +636,38 @@ def test_truncated_scan_is_reported():
 # operator-space variant
 # ---------------------------------------------------------------------------
 
+def climb_back(R, T, pairs, n, dim=8):
+    """C^n(F_n) minus F_0, with F_n the inverse family on the window
+    [0, dim) and C(S) = R S T, over the whole grown window."""
+    S = materialize_rank_one_sum(conjugation_inverse_family(R, T, pairs, n), dim)
+    for S in conjugation_orbit(R, S, T, n):
+        pass
+    F_0 = materialize_rank_one_sum([RankOne(u, v, Pairing.BILINEAR) for u, v in pairs], dim)
+    lo = S.basis_offset
+    assert lo <= 0 and S.rows >= dim - lo
+    want = np.zeros_like(S.data)
+    want[-lo:dim - lo, -lo:dim - lo] = F_0.data
+    return S.data - want
+
+
 def test_conjugation_inverse_family_exactness():
     R = B2
     T = ShiftOp.forward(W2)
     pairs = [(SeqVector.basis(0), SeqVector.basis(0)),
              (SeqVector.basis(1), SeqVector.basis(0))]
-    n = 3
-    F_n = conjugation_inverse_family(R, T, pairs, n)
-    # climb back up with n conjugations and compare matrices
-    S = materialize_rank_one_sum(F_n, 8)
-    for step, S in enumerate(conjugation_orbit(R, S, T, n), start=1):
-        pass
-    F_0 = materialize_rank_one_sum(
-        [RankOne(u, v, Pairing.BILINEAR) for u, v in pairs], 8)
-    lo = S.basis_offset
-    assert lo <= 0
-    sub = S.data[-lo:8 - lo, -lo:8 - lo]
-    assert abs(sub - F_0.data).max() <= 1e-10
+    assert abs(climb_back(R, T, pairs, 3)).max() <= 1e-10
+
+
+def test_conjugation_inverse_family_exact_for_bilateral_forward():
+    # the right legs climb the right inverse of T's transpose, which reads
+    # the weights one index below T's own; across the step of the weights
+    # an off-by-one there leaves C^3(F_3) = F_0 / 4
+    w = WeightSeq.step(0.5, 2.0)
+    R = ShiftOp.bilateral_backward(w)
+    T = ShiftOp.bilateral_forward(w)
+    e = [SeqVector.basis(n, Domain.INTEGERS) for n in range(3)]
+    pairs = [(e[0], e[0]), (e[1], e[0]), (e[2], e[1])]
+    assert abs(climb_back(R, T, pairs, 3)).max() <= 1e-10
 
 
 def test_conjugation_orbit_window_growth():

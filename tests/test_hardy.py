@@ -120,6 +120,13 @@ def test_mult_matrix_weighted_subdiagonal():
     assert np.allclose(sub, [(n + 2) / (n + 1) for n in range(5)])
 
 
+def test_symbol_canonical_form():
+    phi = AnalyticSymbol.from_coeffs((1.0, 2.0, 0.0, 0.0))
+    assert phi.coeffs == (1.0 + 0.0j, 2.0 + 0.0j) and phi.degree == 1
+    assert phi(2.0) == pytest.approx(5.0)
+    assert AnalyticSymbol.from_coeffs((0.0, 0.0)).coeffs == (0.0 + 0.0j,)
+
+
 def test_mult_matrix_constant_symbol():
     c = AnalyticSymbol.from_coeffs([2.5 - 1.0j])
     m = mult_op_matrix(c, BetaSpace.inv_linear(6))

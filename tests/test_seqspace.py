@@ -17,10 +17,8 @@ from hypothesis import strategies as st
 from hyperlab.seqspace import (
     Domain,
     SeqVector,
-    ShiftKind,
     ShiftOp,
     SubsetSumReport,
-    TaylorPoly,
     WeightOverflowError,
     WeightSeq,
     adjoint,
@@ -42,31 +40,23 @@ W2_Z = WeightSeq.constant(2.0, Domain.INTEGERS)
 # oracles
 # ---------------------------------------------------------------------------
 
-def oracle_dense_matrix(op: ShiftOp, lo: int, hi: int) -> np.ndarray:
-    """Dense matrix of op on span{e_lo..e_hi}, from the defining formulas."""
+def oracle_dense_matrix(kind: str, w: WeightSeq, lo: int, hi: int) -> np.ndarray:
+    """Dense matrix on span{e_lo..e_hi} of the shift `ShiftOp.<kind>(w)`,
+    from the defining formulas."""
     dim = hi - lo + 1
     M = np.zeros((dim, dim), dtype=complex)
-    k = op.kind
-    if k is ShiftKind.POLY_OF_SHIFT:
-        B = oracle_dense_matrix(op.base, lo, hi)
-        acc = np.zeros_like(M)
-        P = np.eye(dim, dtype=complex)
-        for c in op.poly.coeffs:
-            acc += c * P
-            P = B @ P
-        return acc
-    w = op.weights.weight
+    w = w.weight
     for j in range(lo, hi + 1):
-        if k is ShiftKind.BACKWARD:
+        if kind == "backward":
             if j >= 1 and j - 1 >= lo:
                 M[j - 1 - lo, j - lo] = w(j)
-        elif k is ShiftKind.FORWARD:
+        elif kind == "forward":
             if j + 1 <= hi:
                 M[j + 1 - lo, j - lo] = w(j + 1)
-        elif k is ShiftKind.BACKWARD_BILATERAL:
+        elif kind == "bilateral_backward":
             if j - 1 >= lo:
                 M[j - 1 - lo, j - lo] = w(j)
-        elif k is ShiftKind.FORWARD_BILATERAL:
+        elif kind == "bilateral_forward":
             if j + 1 <= hi:
                 M[j + 1 - lo, j - lo] = w(j)
         else:
@@ -113,7 +103,7 @@ def test_naturals_domain_rejects_negative_indices():
 def test_geometric_truncation_norm_frozen():
     # sum_{n=0}^{20} (1/2)^(2n) = (1 - 4**-21)/(1 - 1/4); sqrt is 2/sqrt(3)
     # up to 4e-13, so the frozen value is 1.1547005383792515.
-    v = SeqVector.geometric(0.5, 20)
+    v = SeqVector({n: 0.5 ** n for n in range(21)})
     assert lp_norm(v, 2.0) == pytest.approx(1.1547005383792515, abs=1e-5)
 
 
@@ -163,28 +153,20 @@ def test_diagonal_rotation_by_i():
     assert shift_power_apply(D, e3, 4) == e3
 
 
-def test_poly_of_shift_frozen_example():
-    # phi(z) = z^2 + 1 applied to the unweighted backward shift:
-    # phi(B) e_2 = e_2 + e_0.
-    B = ShiftOp.backward(WeightSeq.constant(1.0))
-    phi = TaylorPoly((1.0, 0.0, 1.0))
-    out = apply(ShiftOp.polynomial(phi, B), SeqVector.basis(2))
-    assert out == SeqVector({2: 1.0, 0: 1.0})
-
-
-@pytest.mark.parametrize("make_op,domain,lo,hi", [
-    (lambda: ShiftOp.backward(WeightSeq.ratio([1.0, 1.0], [0.0, 1.0])), Domain.NATURALS, 0, 9),
-    (lambda: ShiftOp.forward(W2), Domain.NATURALS, 0, 9),
-    (lambda: ShiftOp.bilateral_backward(WeightSeq.step(0.5, 2.0)), Domain.INTEGERS, -5, 5),
-    (lambda: ShiftOp.bilateral_forward(WeightSeq.step(0.5, 2.0)), Domain.INTEGERS, -5, 5),
-    (lambda: ShiftOp.diagonal(WeightSeq.table([1.0, -1.0, 1j], start=0, default=1.0)),
+@pytest.mark.parametrize("make,domain,lo,hi", [
+    (lambda: ("backward", WeightSeq.ratio([1.0, 1.0], [0.0, 1.0])), Domain.NATURALS, 0, 9),
+    (lambda: ("forward", W2), Domain.NATURALS, 0, 9),
+    (lambda: ("bilateral_backward", WeightSeq.step(0.5, 2.0)), Domain.INTEGERS, -5, 5),
+    (lambda: ("bilateral_forward", WeightSeq.step(0.5, 2.0)), Domain.INTEGERS, -5, 5),
+    (lambda: ("diagonal", WeightSeq.table([1.0, -1.0, 1j], start=0, default=1.0)),
      Domain.NATURALS, 0, 9),
-    (lambda: ShiftOp.polynomial(TaylorPoly((0.5, 2.0, 1.0)), ShiftOp.backward(W2)),
+    (lambda: ("forward", WeightSeq.table([3.0, -1j, 0.5], start=1, default=2.0)),
      Domain.NATURALS, 0, 9),
 ])
-def test_apply_matches_dense_oracle(make_op, domain, lo, hi):
-    op = make_op()
-    M = oracle_dense_matrix(op, lo, hi)
+def test_apply_matches_dense_oracle(make, domain, lo, hi):
+    kind, w = make()
+    op = getattr(ShiftOp, kind)(w)
+    M = oracle_dense_matrix(kind, w, lo, hi)
     rng = np.random.default_rng(7)
     dense = rng.standard_normal(hi - lo + 1) + 1j * rng.standard_normal(hi - lo + 1)
     # zero the edge entries whose images would leave the window, so the
@@ -594,10 +576,15 @@ def test_orbit_frozen_example_and_subsampling():
 
 def test_adjoint_kinds_swap_and_keep_weights():
     B = ShiftOp.backward(W2)
-    assert adjoint(B).kind is ShiftKind.FORWARD
+    assert adjoint(B) == ShiftOp.forward(W2)
     assert adjoint(adjoint(B)) == B
+    # the transpose of S e_n = w_n e_{n+1} sends e_n to w_{n-1} e_{n-1}:
+    # the row (-1, -1), not the bilateral backward shift's (-1, 0)
     S = ShiftOp.bilateral_forward(W2_Z)
-    assert adjoint(S).kind is ShiftKind.BACKWARD_BILATERAL
+    assert adjoint(S) == ShiftOp(W2_Z, -1, -1)
+    assert adjoint(adjoint(S)) == S
+    D = ShiftOp.diagonal(WeightSeq.constant(1j))
+    assert adjoint(D) == D
 
 
 @pytest.mark.parametrize("op", [
@@ -605,7 +592,7 @@ def test_adjoint_kinds_swap_and_keep_weights():
     ShiftOp.forward(W2),
     ShiftOp.bilateral_backward(WeightSeq.step(0.5, 2.0)),
     ShiftOp.bilateral_forward(W2_Z),
-    ShiftOp.polynomial(TaylorPoly((1.0, 2.0, 0.5)), ShiftOp.backward(W2)),
+    ShiftOp.diagonal(WeightSeq.table([1.0, -1.0, 1j], start=0, default=2.0)),
 ])
 def test_adjoint_duality_identity(op):
     # <op x, y> = <x, adjoint(op) y> for the bilinear pairing
@@ -619,6 +606,28 @@ def test_adjoint_duality_identity(op):
     lhs = bilinear_pair(apply(op, x), y)
     rhs = bilinear_pair(x, apply(adjoint(op), y))
     assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+STEP_N = WeightSeq.step(0.5, 2.0, split=3, domain=Domain.NATURALS)
+STEP_Z = WeightSeq.step(0.5, 2.0, split=0)
+
+
+@pytest.mark.parametrize("op,lo,hi", [
+    (ShiftOp.backward(STEP_N), 0, 7),
+    (ShiftOp.forward(STEP_N), 0, 7),
+    (ShiftOp.bilateral_backward(STEP_Z), -4, 4),
+    (ShiftOp.bilateral_forward(STEP_Z), -4, 4),
+], ids=["backward", "forward", "bilateral-backward", "bilateral-forward"])
+def test_adjoint_is_the_transpose_on_every_basis_pair(op, lo, hi):
+    # <op e_n, e_k> = <e_n, adjoint(op) e_k> for every n, k of a window in
+    # which the weights step from 0.5 to 2, so an adjoint that reads the
+    # weight one index off fails at the step
+    dom = op.domain
+    for n in range(lo, hi + 1):
+        for k in range(lo, hi + 1):
+            e_n, e_k = SeqVector.basis(n, dom), SeqVector.basis(k, dom)
+            assert (bilinear_pair(apply(op, e_n), e_k)
+                    == bilinear_pair(e_n, apply(adjoint(op), e_k))), (n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +675,21 @@ def test_subset_bound_gray_walk_matches_bruteforce_and_holds(data):
     assert rep.holds
 
 
+def test_subset_bound_scales_exactly_by_powers_of_two():
+    # coefficients near 1e200 overflowed the walk's power sum |c|^2; the
+    # walk now runs on coefficients scaled by an exact power of two
+    xs = [SeqVector({0: 1.0, 1: 0.5j}), SeqVector({1: -2.0, 2: 1.5}),
+          SeqVector({0: 0.25 - 1j, 2: 3.0})]
+    lam = [1.0, -0.5j, 2.0]
+    F = [0, 1, 2]
+    small = subset_sum_bound_check(xs, lam, F)
+    big = subset_sum_bound_check([x.scale(2.0 ** 600) for x in xs], lam, F)
+    for attr in ("lhs", "rhs", "sup_subset_norm"):
+        assert getattr(big, attr) == 2.0 ** 600 * getattr(small, attr), attr
+    assert big.sup_abs_lambda == small.sup_abs_lambda
+    assert big.holds and small.holds
+
+
 # ---------------------------------------------------------------------------
 # validation and error paths
 # ---------------------------------------------------------------------------
@@ -690,10 +714,3 @@ def test_domain_mismatch_rejected():
         ShiftOp.backward(W2_Z)  # unilateral shift over integer weights
 
 
-def test_taylor_poly_canonical_and_radius():
-    phi = TaylorPoly((1.0, 2.0, 0.0, 0.0))
-    assert phi.degree == 1
-    assert phi(2.0) == pytest.approx(5.0)
-    bounded = TaylorPoly((1.0, 1.0), radius=1.0)
-    with pytest.raises(ValueError):
-        bounded(1.5)
