@@ -349,24 +349,21 @@ def check_diagonal_forward_summability(lam: WeightSeq, mu: WeightSeq, p: float,
     """Diagonal-plus-forward pair: every |lam_j| >= 1, and the inverse
     mu-products are p-summable in the tail, uniformly over i and r.
 
-    The diagonal scan covers indices up to n_max in modulus; table rules
-    without a default are scanned over their own finite range.
+    The diagonal scan covers indices up to n_max in modulus, cut to the
+    range where lam has weights.
     """
     if not 1.0 <= p < math.inf:
         raise ValueError("p must lie in [1, inf)")
     condition = f"diagonal_modulus_and_forward_{p}_summability"
-    lam_count = grid.n_max
-    if lam.kind == "table" and lam.params[2] is None:
-        start, values, _ = lam.params
-        lam_count = min(lam_count, start + len(values) - 1)
-    scan_lo = -lam_count if lam.domain is Domain.INTEGERS else 0
-    if lam.kind == "table" and lam.params[2] is None:
-        scan_lo = max(scan_lo, lam.params[0])
-    for jdx in range(scan_lo, lam_count + 1):
-        v = abs(lam.weight(jdx))
-        if v < 1.0 - 1e-12:
-            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                           Witness(None, jdx, None, None, v))
+    first, last = lam.reach
+    top = min(grid.n_max, last)
+    lo = max(-top if lam.domain is Domain.INTEGERS else 0, first)
+    w = lam.at(np.arange(lo, top + 1))
+    small = np.hypot(w.real, w.imag) < 1.0 - 1e-12   # an unusable weight reads 0
+    if small.any():
+        jdx = lo + int(np.argmax(small))   # `weight` raises there if it has none
+        return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
+                       Witness(None, jdx, None, None, abs(lam.weight(jdx))))
     if min(grid.i_range) < 0:
         raise ValueError("forward summability uses nonnegative index shifts")
     span = (grid.n_max + grid.r_max) ** grid.q + max(grid.i_range)

@@ -384,6 +384,8 @@ def _run_orbit(p: dict, outdir: Path, fmt: str, seed: int):
     for step, x in enumerate(iterate_orbit(op, start, p["horizon"], stride), start=1):
         time = step ** stride
         rows.append((time, lp_norm(x, norm_p), len(x)))
+        if not math.isfinite(rows[-1][1]):
+            raise ValueError(f"the orbit norm at step {time} is {rows[-1][1]}, not finite")
     results = {"points": len(rows),
                "final_norm": rows[-1][1] if rows else lp_norm(start, norm_p),
                "max_norm": max((r[1] for r in rows), default=0.0),

@@ -122,7 +122,7 @@ class GammaRatio:
 
     def __init__(self, w: WeightSeq):
         self.w = w
-        num, den = w.params
+        num, den = w.rational
         self._roots = []    # (root, floor of its real part, multiplicity, +-1 for P or Q)
         self._lead = []     # leading coefficients of P and Q
         self._sum = 0.0     # sum of the roots of P minus those of Q

@@ -62,7 +62,8 @@ _ORBIT_STEPS = 50
 @dataclass(frozen=True)
 class BetaSpace:
     """Coefficient-weighted function space on the disc, truncated to the
-    basis vectors e_0 .. e_N (so matrices are (N+1) x (N+1))."""
+    basis vectors e_0 .. e_N (so matrices are (N+1) x (N+1)); `betas` holds
+    beta_0 .. beta_N, read once from the rule."""
 
     rule: WeightSeq
     dim: int
@@ -72,10 +73,13 @@ class BetaSpace:
             raise ValueError("truncation dimension must be >= 1")
         if self.rule.domain is not Domain.NATURALS:
             raise ValueError("basis weights are indexed by the naturals")
-        for n in range(self.dim + 1):
-            b = self.rule.weight(n)
-            if abs(b.imag) > 1e-15 * abs(b) or b.real <= 0.0:
-                raise ValueError(f"basis weight at n={n} must be a positive real")
+        b = self.rule.at(np.arange(self.dim + 1))
+        bad = (np.abs(b.imag) > 1e-15 * np.hypot(b.real, b.imag)) | (b.real <= 0.0)
+        if bad.any():
+            n = int(np.argmax(bad))
+            self.rule.weight(n)   # an unusable weight reads 0: this raises its error
+            raise ValueError(f"basis weight at n={n} must be a positive real")
+        object.__setattr__(self, "betas", b.real)
 
     @classmethod
     def hardy(cls, dim: int) -> "BetaSpace":
@@ -84,14 +88,6 @@ class BetaSpace:
     @classmethod
     def inv_linear(cls, dim: int) -> "BetaSpace":
         return cls(WeightSeq.ratio((1.0,), (1.0, 1.0)), dim)
-
-    def beta(self, n: int) -> float:
-        if not 0 <= n <= self.dim:
-            raise ValueError(f"basis index {n} outside the truncation")
-        return self.rule.weight(n).real
-
-    def sup_beta(self) -> float:
-        return max(self.beta(n) for n in range(self.dim + 1))
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,7 @@ def mult_op_matrix(phi: AnalyticSymbol, space: BetaSpace) -> MatOp:
     """
     n_dim = space.dim + 1
     data = np.zeros((n_dim, n_dim), dtype=complex)
-    betas = _betas(space)
+    betas = space.betas
     flat = data.reshape(-1)
     for m, c in enumerate(phi.coeffs[:n_dim]):
         # c * beta_n / beta_{n+m} in CPython's complex-by-float steps: the
@@ -146,10 +142,6 @@ def mult_op_matrix(phi: AnalyticSymbol, space: BetaSpace) -> MatOp:
         diag.real = (ar + ai * 0.0) / bk
         diag.imag = (ai - ar * 0.0) / bk
     return MatOp(data)
-
-
-def _betas(space: BetaSpace) -> np.ndarray:
-    return np.array([space.beta(n) for n in range(space.dim + 1)], dtype=float)
 
 
 # -- high-precision eigenchecks ---------------------------------------------
@@ -188,7 +180,7 @@ def _mp_leg(coeffs, ratio: complex, betas: list) -> tuple:
 def _kernel_leg(sym: AnalyticSymbol, space: BetaSpace, z: complex) -> tuple:
     """(k_z, M*_sym k_z, conj(sym(z))) on the truncation."""
     return _mp_leg([c.conjugate() for c in sym.coeffs], z.conjugate(),
-                   _betas(space).tolist())
+                   space.betas.tolist())
 
 
 def _mp_inner(x: list, y: list):
@@ -256,7 +248,7 @@ def _kernel_defect_bound(phi: AnalyticSymbol, space: BetaSpace, z: complex) -> f
     if phi.degree == 0:
         return 0.0
     expo = space.dim + 1 - phi.degree
-    return (phi.coeff_abs_sum() * space.sup_beta()
+    return (phi.coeff_abs_sum() * float(space.betas.max())
             * abs(z) ** max(expo, 0) / math.sqrt(1.0 - abs(z) ** 2))
 
 
@@ -512,7 +504,7 @@ def _dense_kernel(space: BetaSpace, z: complex) -> np.ndarray:
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("kernels exist only for points inside the open disc")
-    return _betas(space) * (z.conjugate() ** np.arange(space.dim + 1))
+    return space.betas * (z.conjugate() ** np.arange(space.dim + 1))
 
 
 # -- converse certificates --------------------------------------------------
@@ -664,8 +656,7 @@ def _trace_pairing_gap(lam: complex, mu: complex, dim: int, seed: int) -> float:
     v = np.asarray(mu, dtype=complex) ** n
     rng = np.random.default_rng(seed)
     s = rng.standard_normal((n_dim, n_dim)) + 1j * rng.standard_normal((n_dim, n_dim))
-    k = np.outer(u, v)
-    lhs = complex(np.trace(k @ s))
+    lhs = complex(v @ (s @ u))    # trace(outer(u, v) @ s)
     rhs = complex(u @ (s.T @ v))
     scale = max(abs(lhs), abs(rhs), 1.0)
     return abs(lhs - rhs) / scale

@@ -164,13 +164,12 @@ def _band(op: ShiftOp, lo: int, hi: int) -> tuple:
     weight w_{j+b} of the row (a, b) at row j + a, kept where that row lies
     in the window.  Every column with an image reads its weight, and a
     weight below the coefficient guard is dropped, as `apply` would."""
-    weight, a, b = op.weights.weight, op.displacement, op.offset
-    cols = range(max(lo, op.lowest_source()), hi + 1)
-    vals = np.array([weight(j + b) for j in cols], dtype=complex)
+    a, b = op.displacement, op.offset
+    first = max(lo, op.lowest_source())       # the lowest column with an image
+    vals = op.weights.window(first + b, hi + b)
     vals[np.abs(vals) < COEFF_GUARD] = 0.0
-    dim = hi - lo + 1
-    src = np.arange(dim - len(cols), dim)      # the columns, less lo
-    keep = (src + a >= 0) & (src + a < dim)
+    src = np.arange(first - lo, hi - lo + 1)  # the columns, less lo
+    keep = (src + a >= 0) & (src + a <= hi - lo)
     return src[keep], src[keep] + a, vals[keep]
 
 

@@ -205,68 +205,90 @@ def _poly_eval(coeffs: Sequence[float], n: int) -> float:
 
 @dataclass(frozen=True)
 class WeightSeq:
-    """Rule producing the weight w_n for any requested index.
-
-    Kinds:
-      constant        w_n = value
-      rational_ratio  w_n = P(n)/Q(n) with real polynomial coefficients
-      table           finite table with optional default outside the range
-      step            two-sided constant: low below the split index, high from it
+    """Rule producing the weight w_n for any requested index, in one of two
+    forms.  A closed rule is a table `values` of w_{a+1} .. w_b with one
+    level `low` below it and one `high` above it, None meaning no weight
+    there: a constant is two equal levels, a step two levels split at a + 1,
+    a table its values with the default as both levels.  A rational rule
+    has `rational` = (num, den), w_n = P(n)/Q(n) with real coefficients.
     """
 
-    kind: str
-    params: tuple
+    a: int = 0
+    values: tuple = ()
+    low: complex | None = None
+    high: complex | None = None
+    rational: tuple | None = None
     domain: Domain = Domain.NATURALS
 
     @classmethod
     def constant(cls, value: complex, domain: Domain = Domain.NATURALS) -> "WeightSeq":
-        return cls("constant", (complex(value),), domain)
+        return cls(0, (), complex(value), complex(value), domain=domain)
 
     @classmethod
     def ratio(cls, num: Sequence[float], den: Sequence[float],
               domain: Domain = Domain.NATURALS) -> "WeightSeq":
-        return cls("rational_ratio", (tuple(float(c) for c in num),
-                                      tuple(float(c) for c in den)), domain)
+        return cls(rational=(tuple(map(float, num)), tuple(map(float, den))), domain=domain)
 
     @classmethod
     def table(cls, values: Sequence[complex], start: int = 1,
               default: complex | None = None,
               domain: Domain = Domain.NATURALS) -> "WeightSeq":
         dv = None if default is None else complex(default)
-        return cls("table", (int(start), tuple(complex(v) for v in values), dv), domain)
+        return cls(int(start) - 1, tuple(complex(v) for v in values), dv, dv, domain=domain)
 
     @classmethod
     def step(cls, low: complex, high: complex, split: int = 1,
              domain: Domain = Domain.INTEGERS) -> "WeightSeq":
-        return cls("step", (int(split), complex(low), complex(high)), domain)
+        return cls(int(split) - 1, (), complex(low), complex(high), domain=domain)
+
+    @property
+    def reach(self) -> tuple:
+        """(first, last) index with a weight, +-inf where unbounded; the
+        naturals' bound and zero weights aside."""
+        if self.rational is not None:
+            return -math.inf, math.inf
+        return (-math.inf if self.low is not None else self.a + 1,
+                math.inf if self.high is not None else self.a + len(self.values))
 
     def weight(self, n: int) -> complex:
-        if self.domain is Domain.NATURALS and n < 0:
+        if n < 0 and self.domain is Domain.NATURALS:
             raise ValueError(f"weight index {n} out of the naturals domain")
-        if self.kind == "constant":
-            w = self.params[0]
-        elif self.kind == "rational_ratio":
-            num, den = self.params
+        if self.rational is None:
+            k = n - self.a
+            w = self.low if k < 1 else self.high if k > len(self.values) else self.values[k - 1]
+            if w is None:
+                raise ValueError(f"weight index {n} outside the table range")
+        else:
+            num, den = self.rational
             d = _poly_eval(den, n)
             if d == 0.0:
                 raise ValueError(f"rational weight rule has zero denominator at n={n}")
             w = complex(_poly_eval(num, n) / d)
-        elif self.kind == "table":
-            start, values, default = self.params
-            if start <= n < start + len(values):
-                w = values[n - start]
-            elif default is not None:
-                w = default
-            else:
-                raise ValueError(f"weight index {n} outside the table range")
-        elif self.kind == "step":
-            split, low, high = self.params
-            w = high if n >= split else low
-        else:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
         if w == 0:
             raise ValueError(f"zero weight encountered at index {n}")
         return w
+
+    def at(self, n: np.ndarray) -> np.ndarray:
+        """w_n over an integer array n, equal to `weight`'s bit for bit, with
+        0 wherever `weight` raises; a rational rule repeats its float steps."""
+        if self.rational is None:
+            levels = np.array([self.low or 0.0, *self.values, self.high or 0.0], dtype=complex)
+            vals = levels[np.clip(n - self.a, 0, len(self.values) + 1)]
+        else:
+            with np.errstate(all="ignore"):
+                p, d = (np.broadcast_to(_poly_eval(c, n), n.shape) for c in self.rational)
+                vals = np.where(d == 0.0, 0.0, p / d).astype(complex)
+        if self.domain is Domain.NATURALS:
+            vals[n < 0] = 0.0
+        return vals
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """w_lo .. w_hi as one complex array (empty when hi < lo), raising
+        the rule's own error at the first index without a usable weight."""
+        vals = self.at(np.arange(lo, hi + 1))
+        if not vals.all():
+            self.weight(lo + int(np.argmin(vals != 0)))  # raises the rule's own error
+        return vals
 
     @cached_property
     def prefix(self) -> "WeightPrefix":
@@ -294,12 +316,11 @@ class WeightPrefix:
 
     L(m) = sum_{t=1}^m log|w_t| for m >= 1, L(0) = 0, and
     L(m) = -sum_{t=m+1}^0 log|w_t| for m < 0 on integer-domain rules; the
-    phase prefix is defined the same way.  Constant, step and table rules are
-    closed forms: a finite table over the indices (a, b] with one log-rate
-    below it and one above it (the value of a constant rule with an empty
-    table; the two levels of a step rule; the default of a table rule).  A
-    log-sum over [s, e] is then two table lookups plus exact integer counts
-    times the rates, at any index, and no weight outside [s, e] is read.
+    phase prefix is defined the same way.  A closed rule's table over the
+    indices (a, b] becomes prefix sums, its two levels one log-rate below
+    the table and one above it.  A log-sum over [s, e] is then two table
+    lookups plus exact integer counts times the rates, at any index, and no
+    weight outside [s, e] is read.
     A rational rule keeps a table of L(m), grown on demand with numpy up to
     |m| <= `_NEAR`; a side's phase table is built only from its first
     negative weight on, as every phase prefix before it is 0.0.  A product
@@ -330,23 +351,14 @@ class WeightPrefix:
         self._pos_ph = array("d", [0.0])     # shorter than _pos_log until a weight is < 0
         self._neg_log = array("d", [0.0])    # grown L(0), L(-1), ... (integer domain)
         self._neg_ph = array("d", [0.0])
-        kind, p = w.kind, w.params
-        self._closed = kind != "rational_ratio"
+        self._closed = w.rational is None
         if not self._closed:
             return
-        if kind == "constant":
-            a, values, low, high = 0, (), p[0], p[0]
-        elif kind == "step":
-            a, values, low, high = p[0] - 1, (), p[1], p[2]
-        elif kind == "table":
-            a, values, low, high = p[0] - 1, p[1], p[2], p[2]
-        else:
-            raise ValueError(f"unknown weight kind {kind!r}")
-        self._a, self._b = a, a + len(values)
-        self._low, self._high = _log_phase(low), _log_phase(high)
+        self._a, self._b = w.a, w.a + len(w.values)
+        self._low, self._high = _log_phase(w.low), _log_phase(w.high)
         # table indices whose weight is zero, read only to raise
-        self._zeros = [a + 1 + k for k, v in enumerate(values) if v == 0]
-        lps = [_log_phase(v) or (0.0, 0.0) for v in values]
+        self._zeros = [w.a + 1 + k for k, v in enumerate(w.values) if v == 0]
+        lps = [_log_phase(v) or (0.0, 0.0) for v in w.values]
         self._tab_log = array("d", itertools.accumulate((lp[0] for lp in lps), initial=0.0))
         self._tab_ph = array("d", itertools.accumulate((lp[1] for lp in lps), initial=0.0))
 
@@ -387,7 +399,6 @@ class WeightPrefix:
         in chunks that keep temporaries small.  Entry k of a side is L(k) or
         L(-k): it adds w_k or subtracts w_{1-k}.  Growth stops short of an
         index without a usable weight, raising if it is needed."""
-        num, den = self.w.params
         for logs, phs, need, sign in ((self._pos_log, self._pos_ph, hi, 1),
                                       (self._neg_log, self._neg_ph, -lo, -1)):
             if need < len(logs):
@@ -396,10 +407,8 @@ class WeightPrefix:
             while len(logs) <= top:
                 k = np.arange(len(logs), min(len(logs) + _CHUNK, top + 1))
                 t = k if sign > 0 else 1 - k
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    d = _poly_eval(den, t)
-                    vals = _poly_eval(num, t) / d
-                bad = (d == 0.0) | (vals == 0.0) | ((t < 0) & (self.w.domain is Domain.NATURALS))
+                vals = self.w.at(t).real
+                bad = vals == 0.0
                 if bad.any():
                     first = int(np.argmax(bad))
                     if k[first] <= need:
@@ -477,10 +486,7 @@ class WeightPrefix:
         return self._product(start, stop, -1)
 
     def _direct(self, start: int, stop: int) -> complex:
-        prod = 1.0 + 0.0j
-        for t in range(start, stop + 1):
-            prod *= self.w.weight(t)
-        return prod
+        return math.prod(map(self.w.weight, range(start, stop + 1)), start=1.0 + 0.0j)
 
     def _product(self, start: int, stop: int, sign: int) -> complex:
         if stop < start:
@@ -601,23 +607,15 @@ def apply_right_inverse(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
     if m == 0:
         return v
     w, a = op.weights, op.displacement
+    b = op.offset if a <= 0 else adjoint(op).offset
     out: dict = {}
-    if a == 0:
-        for n, c in v.entries.items():
-            lam = w.weight(n + op.offset)
-            neg_log = -m * math.log(abs(lam))
-            if neg_log > _LOG_FLOAT_MAX:
-                raise WeightOverflowError(n, n, neg_log)
-            if neg_log < math.log(COEFF_GUARD):
-                continue
-            out[n] = c * (lam ** (-m))
-    else:
-        b = op.offset if a < 0 else adjoint(op).offset
-        pre = w.prefix
-        for n, c in v.entries.items():
-            coeff = pre.inverse_product(n + 1 + b, n + m + b)
-            if coeff != 0:
-                out[n + m] = coeff * c
+    for n, c in v.entries.items():
+        if a:
+            coeff, tgt = w.prefix.inverse_product(n + 1 + b, n + m + b), n + m
+        else:
+            coeff, tgt = _power(w, n + b, -m), n
+        if coeff != 0:
+            out[tgt] = coeff * c
     return SeqVector(out, v.domain, v.p_exponent)
 
 
@@ -644,11 +642,23 @@ def shift_power_apply(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
         if a:
             val = pre.product(n + first, n + first + m - 1) * c
         else:
-            val = (w.weight(n + b) ** m) * c
+            val = _power(w, n + b, m) * c
         tgt = n + m * a
         if val != 0:
             out[tgt] = out.get(tgt, 0.0) + val
     return SeqVector(out, v.domain, v.p_exponent)
+
+
+def _power(w: WeightSeq, n: int, m: int) -> complex:
+    """w_n ** m, raising WeightOverflowError past float range and flushing
+    to 0 below the coefficient guard."""
+    lam = w.weight(n)
+    log = m * math.log(abs(lam))
+    if log > _LOG_FLOAT_MAX:
+        raise WeightOverflowError(n, n, log)
+    if log < math.log(COEFF_GUARD):
+        return 0.0 + 0.0j
+    return lam ** m
 
 
 def adjoint(op: ShiftOp) -> ShiftOp:

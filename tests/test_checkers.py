@@ -187,12 +187,14 @@ def oracle_schatten_summability(w, mu, p, grid):
 def oracle_diagonal_forward_summability(lam, mu, p, grid):
     condition = f"diagonal_modulus_and_forward_{p}_summability"
     lam_count = grid.n_max
-    if lam.kind == "table" and lam.params[2] is None:
-        start, values, _ = lam.params
+    # a table rule without a default: a closed rule with no levels
+    no_default = lam.rational is None and lam.low is None and lam.high is None
+    if no_default:
+        start, values = lam.a + 1, lam.values
         lam_count = min(lam_count, start + len(values) - 1)
     scan_lo = -lam_count if lam.domain is Domain.INTEGERS else 0
-    if lam.kind == "table" and lam.params[2] is None:
-        scan_lo = max(scan_lo, lam.params[0])
+    if no_default:
+        scan_lo = max(scan_lo, lam.a + 1)
     for jdx in range(scan_lo, lam_count + 1):
         v = abs(lam.weight(jdx))
         if v < 1.0 - 1e-12:
@@ -337,6 +339,49 @@ def test_diagonal_tail_sum_fails_first_at_a_later_offset_and_shift():
     grid = CheckGrid((0, 1, 2), (0,), r_max=3, n_max=16, q=2, tail_tolerance=0.0094)
     v = assert_matches_oracle("diagonal", lam, mu, 2.0, grid)
     assert (v.witness.i, v.witness.r, v.witness.n) == (2, 1, 8)
+
+
+Z = Domain.INTEGERS
+
+# (lam, the modulus scan's witness j, or None when the scan passes)
+DIAGONAL_SCANS = {
+    "low-level": (WeightSeq.step(0.5 + 0.5j, 2.0, split=3), -8),
+    "table": (WeightSeq.table((1.5, 2.0, 0.99, 3.0), start=-2, default=1.25, domain=Z), 0),
+    "high-level-Z": (WeightSeq.step(1.5, 0.999, split=5), 5),
+    "high-level-N": (WeightSeq.step(1.5, 0.9, split=3, domain=Domain.NATURALS), 3),
+    "table-without-default-N": (WeightSeq.table((1.5, 2.0, 0.5), start=2), 4),
+    "table-without-default-N-past-n-max": (WeightSeq.table((1.5,) * 7 + (0.5,), start=2), None),
+    "table-without-default-Z": (WeightSeq.table((1.5, 0.9, 2.0), start=-1, domain=Z), 0),
+    "table-without-default-Z-wide": (
+        WeightSeq.table((1.5,) * 6 + (0.7,) + (1.5,) * 8, start=-9, domain=Z), -3),
+    "table-without-default-N-short": (WeightSeq.table((1.5, 2.0), start=1), None),
+    "table-without-default-Z-short": (WeightSeq.table((1.5, 2.0, 1.25), start=-1, domain=Z), None),
+    "just-below-one": (WeightSeq.table((2.0, 1.0 - 1e-10), start=0, default=2.0), 1),
+    "within-the-tolerance": (WeightSeq.constant(1.0 - 1e-13, Z), None),
+    "small-before-zero": (WeightSeq.table((2.0, 0.5, 0.0), start=0, default=2.0), 1),
+    "ratio": (WeightSeq.ratio((1.0, 1.0), (2.0, 1.0)), 0),
+    "satisfied-Z": (WeightSeq.table((1.0, 1.5j, -2.0), start=-1, default=1.25, domain=Z), None),
+}
+
+
+@pytest.mark.parametrize("case", DIAGONAL_SCANS)
+def test_diagonal_modulus_scan_matches_the_oracle(case):
+    lam, j = DIAGONAL_SCANS[case]
+    grid = CheckGrid((0, 1), (0,), r_max=2, n_max=8)
+    v = assert_matches_oracle("diagonal", lam, WeightSeq.constant(2.0), 2.0, grid)
+    assert (v.witness.j if v.witness else None) == j
+    assert v.satisfied == (j is None)
+
+
+@pytest.mark.parametrize("lam,message", [
+    (WeightSeq.table((2.0, 0.0, 0.5), start=0, default=2.0), "zero weight encountered at index 1"),
+    (WeightSeq.ratio((1.0,), (0.0, 1.0)), "zero denominator at n=0"),
+])
+def test_diagonal_scan_raises_where_the_oracle_does(lam, message):
+    grid = CheckGrid((0,), (0,), r_max=1, n_max=8)
+    for checker in CHECKERS["diagonal"]:
+        with pytest.raises(ValueError, match=message):
+            checker(lam, WeightSeq.constant(2.0), 2.0, grid)
 
 
 def test_row_sums_match_per_slice_sums_bit_for_bit():

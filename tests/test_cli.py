@@ -34,13 +34,13 @@ def test_parse_complex_forms():
 
 def test_parse_weight_rule_kinds():
     c = parse_weight_rule("constant:2@Z")
-    assert c.kind == "constant" and c.domain is Domain.INTEGERS
+    assert c == WeightSeq.constant(2.0, Domain.INTEGERS)
     r = parse_weight_rule("ratio:1,1|0,1")
-    assert r.kind == "rational_ratio" and r.weight(1) == 2.0
+    assert r.rational == ((1.0, 1.0), (0.0, 1.0)) and r.weight(1) == 2.0
     t = parse_weight_rule("table:1|2,3,4|0.5@N")
     assert t.weight(2) == 3 and t.weight(99) == 0.5
     t2 = parse_weight_rule("table:0|1,1|")
-    assert t2.params[2] is None
+    assert t2.low is None and t2.high is None
     s = parse_weight_rule("step:1|0.5|2")
     assert s.domain is Domain.INTEGERS and s.weight(-3) == 0.5 and s.weight(5) == 2
 
@@ -54,7 +54,7 @@ def test_parse_weight_rule_rejects():
 
 def test_parse_weight_spec_named_rules():
     d = parse_weight_spec("w=constant:2; mu=ratio:1,1|0,1")
-    assert set(d) == {"w", "mu"} and d["mu"].kind == "rational_ratio"
+    assert set(d) == {"w", "mu"} and d["mu"].rational is not None
     with pytest.raises(ConfigError):
         parse_weight_spec("constant:2")
     with pytest.raises(ConfigError):

@@ -39,7 +39,8 @@ def one_error_line(err: str) -> str:
 # SHA-256 of each report, recorded before the parameter tables replaced the
 # hand-written defaults and flags.  check-bilateral was re-recorded when the
 # closed-form weight prefixes made its witness exact (see
-# test_bilateral_witness_is_exact).
+# test_bilateral_witness_is_exact), hardy-nuclear when its trace_gap began
+# taking trace(outer(u, v) @ s) as v @ (s @ u).
 PINNED = [
     pytest.param([
         "density", "--set", "squares", "--q", "2", "--n-max", "60"],
@@ -104,7 +105,7 @@ PINNED = [
     pytest.param([
         "hardy", "--check", "nuclear", "--phi", "0,1", "--psi", "0,1", "--dim", "24",
         "--lam", "0.4", "--mu", "0.3:0.1", "--p", "1"],
-        0, "bf770429cd1f1f325c257b8bfbcf233804de9586c192195544c9d16bb05fbf51",
+        0, "b467a6eea58e328d7355d331660f17b7aaaf1052a48e011c397a6ef0a5f65d47",
         id="hardy-nuclear"),
     pytest.param([
         "schatten", "--weights", "w=constant:2", "--window", "0:7", "--p", "1,2,3.5"],
@@ -285,6 +286,17 @@ def test_orbit_refuses_horizons_past_the_step_cap(tmp_path, capsys, horizon):
     assert run(argv, tmp_path) == 1
     assert time.perf_counter() - start < 1.0
     assert str(horizon) in one_error_line(capsys.readouterr().err)
+    assert not report_path(tmp_path, argv).exists()
+
+
+@pytest.mark.parametrize("op", ["diagonal", "forward"])
+def test_orbit_refuses_a_norm_past_float_range(tmp_path, capsys, op):
+    # 2^1024 overflows: the report read "final_norm": "nan"
+    argv = ["orbit", "--weights", "w=constant:2", "--op", op, "--start", "1",
+            "--horizon", "1100"]
+    assert run(argv, tmp_path) == 1
+    assert one_error_line(capsys.readouterr().err) == (
+        "error: the orbit norm at step 1024 is nan, not finite")
     assert not report_path(tmp_path, argv).exists()
 
 

@@ -42,7 +42,7 @@ def coeff_array(space: BetaSpace, pairs) -> np.ndarray:
 
 def eval_function(space: BetaSpace, coeffs: np.ndarray, z: complex) -> complex:
     """f(z) = sum a_n beta_n z^n, term by term."""
-    return sum(c * space.beta(n) * z ** n for n, c in enumerate(coeffs.tolist()))
+    return sum(c * space.rule.weight(n).real * z ** n for n, c in enumerate(coeffs.tolist()))
 
 
 # -- spaces and kernels -----------------------------------------------------
@@ -55,9 +55,18 @@ def test_beta_space_validation():
     with pytest.raises(ValueError):
         BetaSpace(WeightSeq.table((1.0, -2.0), start=0, default=1.0), 8)
     sp = BetaSpace.inv_linear(8)
-    assert sp.beta(3) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        sp.beta(9)
+    assert sp.betas[3] == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("values,message", [
+    ((1.0, -1.0, 0.0), "basis weight at n=1 must be a positive real"),
+    ((1.0, 0.0, -1.0), "zero weight encountered at index 1"),
+    ((1.0, 2.0), "weight index 2 outside the table range"),
+    ((1.0, 1.0 + 1e-9j, 0.0), "basis weight at n=1 must be a positive real"),
+])
+def test_beta_space_reports_the_first_bad_weight(values, message):
+    with pytest.raises(ValueError, match=message):
+        BetaSpace(WeightSeq.table(values, start=0), 2)
 
 
 def test_kernel_at_origin_is_first_basis_vector():
@@ -152,12 +161,12 @@ def scalar_mult_op_matrix(phi, space):
     data = np.zeros((n_dim, n_dim), dtype=complex)
     cs = phi.coeffs
     for n in range(n_dim):
-        bn = space.beta(n)
+        bn = space.rule.weight(n).real
         for m, c in enumerate(cs):
             k = n + m
             if k >= n_dim:
                 break
-            data[k, n] = c * bn / space.beta(k)
+            data[k, n] = c * bn / space.rule.weight(k).real
     return MatOp(data)
 
 
@@ -544,13 +553,13 @@ def test_nuclear_validation():
 
 def _mp_kernel(space, z):
     powers = _mp_geometric(z.conjugate(), space.dim)
-    return [mp.mpf(space.beta(n)) * pw for n, pw in enumerate(powers)]
+    return [mp.mpf(space.rule.weight(n).real) * pw for n, pw in enumerate(powers)]
 
 
 def _mp_adjoint_mult(phi, space, u):
     n_dim = space.dim + 1
     cs = [mp.mpc(c) for c in phi.coeffs]
-    betas = [mp.mpf(space.beta(n)) for n in range(n_dim)]
+    betas = [mp.mpf(space.rule.weight(n).real) for n in range(n_dim)]
     out = []
     for n in range(n_dim):
         acc = mp.mpc(0)

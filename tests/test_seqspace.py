@@ -153,6 +153,29 @@ def test_diagonal_rotation_by_i():
     assert shift_power_apply(D, e3, 4) == e3
 
 
+def test_diagonal_powers_guard_overflow_and_flush_underflow():
+    e1 = SeqVector.basis(1)
+    for lam, m in ((2.0, 2000), (0.5, -2000)):
+        D = ShiftOp.diagonal(WeightSeq.constant(lam))
+        with pytest.raises(WeightOverflowError) as exc:
+            shift_power_apply(D, e1, m) if m > 0 else apply_right_inverse(D, e1, -m)
+        assert (exc.value.start, exc.value.stop) == (1, 1)
+        # the reverse direction flushes below the coefficient guard
+        flushed = apply_right_inverse(D, e1, m) if m > 0 else shift_power_apply(D, e1, -m)
+        assert flushed == SeqVector.zero()
+    # 0.5^1013 = 1.1e-305 is flushed even where its coefficient would lift it
+    D = ShiftOp.diagonal(WeightSeq.constant(0.5))
+    assert shift_power_apply(D, SeqVector({1: 1e10}), 1013) == SeqVector.zero()
+    assert apply_right_inverse(ShiftOp.diagonal(W2), SeqVector({1: 1e10}), 1013) == SeqVector.zero()
+    # in range the powers are CPython's own, bit for bit
+    lam = 1.1 - 0.3j
+    D = ShiftOp.diagonal(WeightSeq.constant(lam))
+    x = SeqVector({0: 0.7 + 0.2j, 4: -1.5})
+    assert shift_power_apply(D, x, 300).entries == {n: lam ** 300 * c for n, c in x.entries.items()}
+    assert apply_right_inverse(D, x, 300).entries == {n: c * lam ** -300
+                                                      for n, c in x.entries.items()}
+
+
 @pytest.mark.parametrize("make,domain,lo,hi", [
     (lambda: ("backward", WeightSeq.ratio([1.0, 1.0], [0.0, 1.0])), Domain.NATURALS, 0, 9),
     (lambda: ("forward", W2), Domain.NATURALS, 0, 9),
@@ -295,7 +318,7 @@ def test_weight_product_log_space_region():
 def mp_log_product(w, s, e):
     """(log|w_s ... w_e|, sign) factor by factor at 50 digits, from the exact
     binary coefficients of a rational rule."""
-    num, den = w.params
+    num, den = w.rational
     total, negative = mpmath.mpf(0), False
     with mpmath.workdps(50):
         for t in range(s, e + 1):

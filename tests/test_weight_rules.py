@@ -1,0 +1,178 @@
+"""Every weight-rule constructor against the literal per-index rule it
+replaced: one string kind per rule, each with its own params layout.
+
+`literal_rule` and `literal_weight` are that form, written out.  Weights,
+windows and moduli must equal it bit for bit (compared by repr, so -0.0 and
+0.0 differ), or raise its message at the first failing index.  The
+products, inverse products and prefix reads of each rule are pinned by a
+SHA-256 recorded from the literal form's engine.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from hyperlab.seqspace import Domain, WeightSeq
+
+N, Z = Domain.NATURALS, Domain.INTEGERS
+
+# name: (constructor, positional arguments, domain)
+SPECS = {
+    "constant-N": ("constant", (2.0,), N),
+    "constant-Z-complex": ("constant", (0.5 - 0.25j,), Z),
+    "constant-zero": ("constant", (0.0,), N),
+    "step-Z-complex": ("step", (0.5, 2.0 + 1.0j, -3), Z),
+    "step-N": ("step", (1.5, 0.75, 4), N),
+    "step-zero-low": ("step", (0.0, 2.0, 0), Z),
+    "table-N-default": ("table", ((1.0, 2.0 - 1.0j, 0.25j, -3.0), 2, 1.5), N),
+    "table-Z-default": ("table", ((1.0, 2.0 - 1.0j, 0.25j, -3.0), -3, 0.5 + 0.5j), Z),
+    "table-N-nodefault": ("table", ((2.0, 1.0 + 1.0j, 0.5, 3.0), 1), N),
+    "table-Z-nodefault": ("table", ((2.0, 1.0 + 1.0j, 0.5, 3.0), -2), Z),
+    "table-N-zero": ("table", ((1.5, 0.0, 2.0), 0, 1.25), N),
+    "table-Z-zero": ("table", ((1.5, 2.0, 0.0, -0.5j), -1, 0.8), Z),
+    "ratio-N": ("ratio", ([1.0, 1.0], [0.0, 1.0]), N),
+    "ratio-Z-complex-roots": ("ratio", ([3.0, 0.0, 1.0], [1.0, 0.0, 1.0]), Z),
+    "ratio-Z-zero": ("ratio", ([-2.0, 1.0], [1.0]), Z),
+}
+
+# engine_digest of each rule, recorded from the literal form's engine
+ENGINE_DIGESTS = {
+    "constant-N": "661b2ac351f20f1c7611b7f4e1db28397b9445aac91f0db3118dd1941fe5466c",
+    "constant-Z-complex": "49d040b5ab03a94bf17df7f6b8395019163fbc30bb0270fedce9748354d09bf0",
+    "constant-zero": "1b0f0e80982a6dc065b7f788f56cd0a20df2739f043c76793d43b99e9fc7bb28",
+    "step-Z-complex": "eb81eceee16f06cf5b3c0fbcd95fc8e4dac3322c9ed1111d929bc28af373a6a9",
+    "step-N": "ab83f820472a40120e82dd34a811ba95691d78226b5a6931ebf774522ee35e9d",
+    "step-zero-low": "71053d42a200bcc07d3c11fa5923ebc886dcf6704a623a82d939ed883357a985",
+    "table-N-default": "f20f4b7032609af89b16f0801eb875aa63140248e965f0fdb4b2e19b4d4ccbd7",
+    "table-Z-default": "f5e7ce12fe139548c7f4efd3d49adf9cbe616141e5828261ea985904a90f80ab",
+    "table-N-nodefault": "aa8d8bf1e1beca252fb80abcc1af90c4eadc5406db1e0ee1699fd7e046c2ca79",
+    "table-Z-nodefault": "a495c4651284d02d460f535152f3ba71adab56b941a8736dcabba63f7753f400",
+    "table-N-zero": "bcf3d2ca54dc1d165a528bc50b93017c5fd1d289a2ed51aad425e2de246f91f0",
+    "table-Z-zero": "027e8f26fd8e7d5b26a353d95c3a9fc7826f86bc45b201df9a49c94b2fccc7d1",
+    "ratio-N": "44592680f86ba3592ddb460348f457d6e285bcd28936938efa443571486d3730",
+    "ratio-Z-complex-roots": "90337469dc2df343ee50c585b9c99b62b2b3f153fcdc7ddd8c2fc14ec2f65bb4",
+    "ratio-Z-zero": "b1678d64def521cd37ff5555e2662625732a0aebae1d1e71e3e09505b99af252",
+}
+
+RANGES = [(1, 5), (-3, 40), (0, 0), (5, 4), (1, 600), (-400, 300), (-2000, -1500),
+          (10 ** 6, 10 ** 6 + 200), (3, 300), (-300, 0)]
+PREFIX_POINTS = [[3], [0, 1, 2, 50, 900], [-700, -5, 0, 3, 50, 900], [10 ** 6 + 7, 12],
+                 [-300, -40, -1, 0]]
+WINDOWS = [(-12, 12), (-3, -1), (0, 0), (2, 5), (3, 9), (6, 30), (5, 4), (-30, -20)]
+
+
+def literal_rule(ctor, args):
+    """(kind, params) as the four literal constructors built them."""
+    if ctor == "constant":
+        return "constant", (complex(args[0]),)
+    if ctor == "ratio":
+        return "rational_ratio", tuple(tuple(float(c) for c in cs) for cs in args)
+    if ctor == "table":
+        values, start, default = (*args, None)[:3]
+        return "table", (int(start), tuple(complex(v) for v in values),
+                         None if default is None else complex(default))
+    low, high, split = args
+    return "step", (int(split), complex(low), complex(high))
+
+
+def literal_poly(coeffs, n):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * n + c
+    return acc
+
+
+def literal_weight(kind, params, domain, n):
+    if domain is Domain.NATURALS and n < 0:
+        raise ValueError(f"weight index {n} out of the naturals domain")
+    if kind == "constant":
+        w = params[0]
+    elif kind == "rational_ratio":
+        num, den = params
+        d = literal_poly(den, n)
+        if d == 0.0:
+            raise ValueError(f"rational weight rule has zero denominator at n={n}")
+        w = complex(literal_poly(num, n) / d)
+    elif kind == "table":
+        start, values, default = params
+        if start <= n < start + len(values):
+            w = values[n - start]
+        elif default is not None:
+            w = default
+        else:
+            raise ValueError(f"weight index {n} outside the table range")
+    else:
+        split, low, high = params
+        w = high if n >= split else low
+    if w == 0:
+        raise ValueError(f"zero weight encountered at index {n}")
+    return w
+
+
+def outcome(f, *args):
+    """repr of f(*args), or the type and message of what it raised."""
+    try:
+        v = f(*args)
+    except (ValueError, ArithmeticError) as e:
+        return f"{type(e).__name__}: {e}"
+    return repr(v.tolist() if isinstance(v, np.ndarray) else v)
+
+
+def engine_digest(w):
+    """SHA-256 of the products, inverse products and prefix reads of `w`."""
+    pre = w.prefix
+    out = []
+    for s, e in RANGES:
+        out.append(outcome(pre.product, s, e))
+        out.append(outcome(pre.inverse_product, s, e))
+    for m in PREFIX_POINTS:
+        out.append(outcome(pre.log_abs_many, m))
+    return hashlib.sha256("\n".join(out).encode()).hexdigest()
+
+
+def rules(name):
+    """(the rule, a per-index reader of its literal form)."""
+    ctor, args, domain = SPECS[name]
+    kind, params = literal_rule(ctor, args)
+    return (getattr(WeightSeq, ctor)(*args, domain=domain),
+            lambda n: literal_weight(kind, params, domain, n))
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_weight_matches_the_literal_rule(name):
+    w, literal = rules(name)
+    for n in range(-40, 41):
+        assert outcome(w.weight, n) == outcome(literal, n)
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_window_matches_the_literal_rule(name):
+    w, literal = rules(name)
+    for lo, hi in WINDOWS:
+        want = [outcome(literal, n) for n in range(lo, hi + 1)]
+        # `at` reads 0 exactly where the literal rule raises
+        got = w.at(np.arange(lo, hi + 1))
+        assert [repr(v) if v else "raises" for v in got.tolist()] == [
+            "raises" if o.startswith("ValueError") else o for o in want]
+        errors = [o for o in want if o.startswith("ValueError")]
+        if errors:
+            assert outcome(w.window, lo, hi) == errors[0]
+            continue
+        vals = w.window(lo, hi)
+        assert repr(vals.tolist()) == "[" + ", ".join(want) + "]"
+        moduli = np.hypot(vals.real, vals.imag)
+        assert moduli.tolist() == [abs(literal(n)) for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_products_and_prefixes_match_the_literal_engine(name):
+    w, _ = rules(name)
+    assert engine_digest(w) == ENGINE_DIGESTS[name]
+
+
+def test_reach_is_the_range_of_defined_weights():
+    assert WeightSeq.constant(2.0).reach == (-np.inf, np.inf)
+    assert WeightSeq.ratio([1.0], [1.0]).reach == (-np.inf, np.inf)
+    assert WeightSeq.table((1.0, 2.0), start=-3, default=0.5).reach == (-np.inf, np.inf)
+    assert WeightSeq.table((1.0, 2.0, 3.0), start=-3, domain=Z).reach == (-3, -1)
