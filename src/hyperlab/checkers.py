@@ -356,9 +356,8 @@ def check_diagonal_forward_summability(lam: WeightSeq, mu: WeightSeq, p: float,
         raise ValueError("p must lie in [1, inf)")
     condition = f"diagonal_modulus_and_forward_{p}_summability"
     first, last = lam.reach
-    top = min(grid.n_max, last)
-    lo = max(-top if lam.domain is Domain.INTEGERS else 0, first)
-    w = lam.at(np.arange(lo, top + 1))
+    lo = max(-grid.n_max if lam.domain is Domain.INTEGERS else 0, first)
+    w = lam.at(np.arange(lo, min(grid.n_max, last) + 1))
     small = np.hypot(w.real, w.imag) < 1.0 - 1e-12   # an unusable weight reads 0
     if small.any():
         jdx = lo + int(np.argmax(small))   # `weight` raises there if it has none

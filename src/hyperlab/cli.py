@@ -491,6 +491,12 @@ def _run_check(p: dict, outdir: Path, fmt: str, seed: int):
 # 2-core x86-64 host a density check at g = 64 takes about 2 s and 90 MB,
 # at g = 128 about 15 s and 540 MB
 _MAX_GRID_DENSITY = 64
+# eigen holds a few complex vectors of dim + 1 entries and applies each
+# symbol's band one diagonal at a time: on a 2-core x86-64 host a conjugation
+# check at both caps (dim 2^20 - 1, two symbols of degree 15) takes 3.1 s and
+# 255 MB as a process, at dim 2^20 with degree 1 0.7 s and 130 MB
+_MAX_EIGEN_DIM = 2 ** 20
+_MAX_EIGEN_BAND = 2 ** 24
 
 
 def _run_hardy(p: dict, outdir: Path, fmt: str, seed: int):
@@ -506,6 +512,12 @@ def _run_hardy(p: dict, outdir: Path, fmt: str, seed: int):
     params = {key: p[key] for key in ("check", "phi", "psi", "dim", "beta")}
     code = EXIT_OK
     if check == "eigen":
+        if dim > _MAX_EIGEN_DIM:
+            raise ConfigError(f"dim {dim} is larger than {_MAX_EIGEN_DIM}, the eigencheck cap")
+        degree = max(phi.degree, psi.degree if p["w"] is not None else 0)
+        if (dim + 1) * (degree + 1) > _MAX_EIGEN_BAND:
+            raise ConfigError(f"dim {dim} and symbol degree {degree} need a band of "
+                              f"{(dim + 1) * (degree + 1)} entries, more than {_MAX_EIGEN_BAND}")
         space = build_beta_space(p["beta"], dim)
         z = parse_complex(p["z"])
         if p["w"] is not None:

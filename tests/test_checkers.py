@@ -186,16 +186,13 @@ def oracle_schatten_summability(w, mu, p, grid):
 
 def oracle_diagonal_forward_summability(lam, mu, p, grid):
     condition = f"diagonal_modulus_and_forward_{p}_summability"
-    lam_count = grid.n_max
+    scan_hi = grid.n_max
+    scan_lo = -grid.n_max if lam.domain is Domain.INTEGERS else 0
     # a table rule without a default: a closed rule with no levels
-    no_default = lam.rational is None and lam.low is None and lam.high is None
-    if no_default:
-        start, values = lam.a + 1, lam.values
-        lam_count = min(lam_count, start + len(values) - 1)
-    scan_lo = -lam_count if lam.domain is Domain.INTEGERS else 0
-    if no_default:
+    if lam.rational is None and lam.low is None and lam.high is None:
         scan_lo = max(scan_lo, lam.a + 1)
-    for jdx in range(scan_lo, lam_count + 1):
+        scan_hi = min(scan_hi, lam.a + len(lam.values))
+    for jdx in range(scan_lo, scan_hi + 1):
         v = abs(lam.weight(jdx))
         if v < 1.0 - 1e-12:
             return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
@@ -356,6 +353,8 @@ DIAGONAL_SCANS = {
         WeightSeq.table((1.5,) * 6 + (0.7,) + (1.5,) * 8, start=-9, domain=Z), -3),
     "table-without-default-N-short": (WeightSeq.table((1.5, 2.0), start=1), None),
     "table-without-default-Z-short": (WeightSeq.table((1.5, 2.0, 1.25), start=-1, domain=Z), None),
+    # a table wholly below 0: the scan must reach below -last
+    "table-without-default-Z-below-zero": (WeightSeq.table((2.0, 0.5, 2.0), start=-3, domain=Z), -2),
     "just-below-one": (WeightSeq.table((2.0, 1.0 - 1e-10), start=0, default=2.0), 1),
     "within-the-tolerance": (WeightSeq.constant(1.0 - 1e-13, Z), None),
     "small-before-zero": (WeightSeq.table((2.0, 0.5, 0.0), start=0, default=2.0), 1),

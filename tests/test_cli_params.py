@@ -40,7 +40,11 @@ def one_error_line(err: str) -> str:
 # hand-written defaults and flags.  check-bilateral was re-recorded when the
 # closed-form weight prefixes made its witness exact (see
 # test_bilateral_witness_is_exact), hardy-nuclear when its trace_gap began
-# taking trace(outer(u, v) @ s) as v @ (s @ u).
+# taking trace(outer(u, v) @ s) as v @ (s @ u), and the three eigenchecks
+# (hardy-eigen-adjoint, hardy-eigen-conjugation, hardy-nuclear) when they
+# moved to float with the defect in closed form: each gained bulk_deviation,
+# their residuals moved in the last digits, and the nuclear bound became the
+# conjugation check's rank-two bound.
 PINNED = [
     pytest.param([
         "density", "--set", "squares", "--q", "2", "--n-max", "60"],
@@ -81,12 +85,12 @@ PINNED = [
         id="check-diagonal"),
     pytest.param([
         "hardy", "--check", "eigen", "--phi", "0,1", "--z", "0.6", "--dim", "24"],
-        0, "d9920c72307f39dd70cc98034b57ec1ad410a533a20a4f770a16e283421a19e3",
+        0, "19533ab1e9f550072953aa6d504901ea18e40f297b8deb41d4a35aae368b0483",
         id="hardy-eigen-adjoint"),
     pytest.param([
         "hardy", "--check", "eigen", "--phi", "0,1", "--psi", "0,1", "--z", "0.6",
         "--w", "0.6", "--dim", "24", "--beta", "inv_linear"],
-        0, "bba96441cd32dc7517246ca7170e75b5500f6c01bd7ecaf54faa47b7b18a8492",
+        0, "586e8ed5113a9beb4703f104d8962e70ec8461d8849a6de1031a2adcdb759c98",
         id="hardy-eigen-conjugation"),
     pytest.param([
         "hardy", "--check", "locus", "--phi", "0,2", "--psi", "0,1", "--grid-density",
@@ -105,7 +109,7 @@ PINNED = [
     pytest.param([
         "hardy", "--check", "nuclear", "--phi", "0,1", "--psi", "0,1", "--dim", "24",
         "--lam", "0.4", "--mu", "0.3:0.1", "--p", "1"],
-        0, "b467a6eea58e328d7355d331660f17b7aaaf1052a48e011c397a6ef0a5f65d47",
+        0, "d8f234353581cc2e38665e2b2ea23ecb89776d14e74f242d05d24613f9b3aa9b",
         id="hardy-nuclear"),
     pytest.param([
         "schatten", "--weights", "w=constant:2", "--window", "0:7", "--p", "1,2,3.5"],
@@ -324,6 +328,25 @@ def test_hardy_refuses_grid_densities_past_the_cap(tmp_path, capsys, check, grid
 ])
 def test_hardy_refuses_dims_past_the_dense_cap(tmp_path, capsys, check, dim, message):
     argv = ["hardy", "--check", check, "--phi", "0,2", "--psi", "0,1", "--dim", str(dim)]
+    start = time.perf_counter()
+    assert run(argv, tmp_path) == 1
+    assert time.perf_counter() - start < 1.0
+    assert message in one_error_line(capsys.readouterr().err)
+    assert not report_path(tmp_path, argv).exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    # both ended in numpy _ArrayMemoryError tracebacks under a 3 GB
+    # address-space limit
+    (["--dim", "3000000000"], "3000000000"),
+    (["--dim", "100000000"], "100000000"),
+    (["--dim", str(cli._MAX_EIGEN_DIM + 1)], str(cli._MAX_EIGEN_DIM)),
+    # (dim + 1) x (degree + 1) band entries past the cap, from phi or from psi
+    (["--dim", "1048575", "--phi", ",".join(["1"] * 17)], "degree 16"),
+    (["--dim", "1048575", "--psi", ",".join(["1"] * 17), "--w", "0.5"], "degree 16"),
+])
+def test_hardy_refuses_eigen_sizes_past_the_caps(tmp_path, capsys, extra, message):
+    argv = ["hardy", "--check", "eigen", "--z", "0.6", *extra]
     start = time.perf_counter()
     assert run(argv, tmp_path) == 1
     assert time.perf_counter() - start < 1.0

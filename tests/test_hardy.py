@@ -546,10 +546,26 @@ def test_nuclear_validation():
 
 # -- the eigenchecks against their separate-builder oracle ------------------
 #
-# The mpmath helpers and check bodies as they were before the three checks
-# shared one leg and one residual: two kernel builders, two banded applies
-# and a rank-two residual with a free second coefficient.  The shared
-# versions must give repr-equal reports.
+# An mpmath oracle with its own kernel builder, banded applies and rank-two
+# residual, run at a precision that resolves the truncation defect: its
+# rounding in the bulk, about 10^-dps relative, sits 30 digits below the
+# defect's |z|^(dim + 1).  The float checks must agree to 1e-10 relative
+# wherever the oracle value is at least 1e-290; below that a float report
+# may underflow, and only 1e-300 absolute is asked.
+
+def _mp_inner(x, y):
+    return mp.fsum((xi * mp.conj(yi) for xi, yi in zip(x, y)), absolute=False)
+
+
+def _mp_norm(x):
+    return mp.sqrt(mp.fsum(abs(xi) ** 2 for xi in x))
+
+
+def _oracle_dps(dim, *points):
+    """30 digits past the smallest defect scale |z|^(dim + 1), capped where
+    every defect lies below 1e-300."""
+    return 30 + int(min([330.0] + [(dim + 1) * -math.log10(abs(p)) for p in points if p]))
+
 
 def _mp_kernel(space, z):
     powers = _mp_geometric(z.conjugate(), space.dim)
@@ -581,10 +597,10 @@ def _mp_eval_symbol(sym, z):
 
 
 def _rank_two_singulars(p1, p2, alpha2, q1, q2):
-    gp = mp.matrix([[hardy._mp_inner(p1, p1), hardy._mp_inner(p2, p1)],
-                    [hardy._mp_inner(p1, p2), hardy._mp_inner(p2, p2)]])
-    gq = mp.matrix([[hardy._mp_inner(q1, q1), hardy._mp_inner(q2, q1)],
-                    [hardy._mp_inner(q1, q2), hardy._mp_inner(q2, q2)]])
+    gp = mp.matrix([[_mp_inner(p1, p1), _mp_inner(p2, p1)],
+                    [_mp_inner(p1, p2), _mp_inner(p2, p2)]])
+    gq = mp.matrix([[_mp_inner(q1, q1), _mp_inner(q2, q1)],
+                    [_mp_inner(q1, q2), _mp_inner(q2, q2)]])
     a = mp.matrix([[mp.mpc(1), 0], [0, mp.mpc(alpha2)]])
     h = (a.transpose_conj() * gp * a) * gq
     tr = h[0, 0] + h[1, 1]
@@ -621,68 +637,76 @@ def _mp_poly_backward(sym, x):
     return out
 
 
+def _mp_tail_bound(sym, max_beta, dim, ratio):
+    """sum |c_m| max beta |z|^e / sqrt(1 - |z|^2), e = max(dim + 1 - degree, 0)."""
+    if sym.degree == 0:
+        return mp.mpf(0)
+    r = abs(mp.mpc(ratio))
+    return (mp.fsum(abs(mp.mpc(c)) for c in sym.coeffs) * max_beta
+            * r ** max(dim + 1 - sym.degree, 0) / mp.sqrt(1 - r * r))
+
+
 def oracle_adjoint(phi, space, z):
     z = complex(z)
-    with mp.workdps(hardy._EIGEN_DPS):
+    with mp.workdps(_oracle_dps(space.dim, z)):
         u = _mp_kernel(space, z)
         a = _mp_adjoint_mult(phi, space, u)
         lam = mp.conj(_mp_eval_symbol(phi, z))
         diff = [ai - lam * ui for ai, ui in zip(a, u)]
-        res = float(hardy._mp_norm(diff))
-        eig = complex(lam)
-    return hardy.KernelEigenReport(eig, res, hardy._kernel_defect_bound(phi, space, z),
-                                   space.dim)
+        bound = _mp_tail_bound(phi, max(space.betas), space.dim, z)
+        return {"eigenvalue": complex(lam), "residual": float(_mp_norm(diff)),
+                "bound": float(bound)}
 
 
 def oracle_conjugation(phi, psi, space, z, w):
     z, w = complex(z), complex(w)
-    with mp.workdps(hardy._EIGEN_DPS):
+    with mp.workdps(_oracle_dps(space.dim, z, w)):
         u = _mp_kernel(space, z)
         v = _mp_kernel(space, w)
         a = _mp_adjoint_mult(phi, space, u)
         b = _mp_adjoint_mult(psi, space, v)
         alpha = mp.conj(_mp_eval_symbol(phi, z))
         gamma = mp.conj(_mp_eval_symbol(psi, w))
-        lam_mp = alpha * mp.conj(gamma)
         d = [ai - alpha * ui for ai, ui in zip(a, u)]
         e = [mp.conj(alpha) * (bi - gamma * vi) for bi, vi in zip(b, v)]
         sig = _rank_two_singulars(u, d, mp.mpc(1), e, b)
-        op_res = float(sig[0])
-        s1_res = float(sig[0] + sig[1])
-        norm_u = float(hardy._mp_norm(u))
-        norm_v = float(hardy._mp_norm(v))
-        lam = complex(lam_mp)
-    dphi = hardy._kernel_defect_bound(phi, space, z)
-    dpsi = hardy._kernel_defect_bound(psi, space, w)
-    bound = (abs(phi(z)) * norm_u * dpsi + abs(psi(w)) * dphi * norm_v
-             + dphi * dpsi)
-    return hardy.ConjugationEigenReport(lam, op_res, s1_res, bound, space.dim)
+        dphi = _mp_tail_bound(phi, max(space.betas), space.dim, z)
+        dpsi = _mp_tail_bound(psi, max(space.betas), space.dim, w)
+        bound = abs(alpha) * _mp_norm(u) * dpsi + abs(gamma) * dphi * _mp_norm(v) + dphi * dpsi
+        return {"eigenvalue": complex(alpha * mp.conj(gamma)), "op_residual": float(sig[0]),
+                "s1_residual": float(sig[0] + sig[1]), "bound": float(bound)}
 
 
-def oracle_nuclear(phi, psi, lam, mu, p, dim=64, seed=0):
+def oracle_nuclear(phi, psi, lam, mu, dim):
     lam, mu = complex(lam), complex(mu)
-    with mp.workdps(hardy._EIGEN_DPS):
+    with mp.workdps(_oracle_dps(dim, lam, mu)):
         u = _mp_geometric(lam, dim)
         v = _mp_geometric(mu, dim)
         a = _mp_poly_backward(phi, u)
         b = _mp_poly_backward(psi, v)
         alpha = _mp_eval_symbol(phi, lam)
         gamma = _mp_eval_symbol(psi, mu)
-        eig_mp = alpha * gamma
         d = [ai - alpha * ui for ai, ui in zip(a, u)]
         e = [alpha * (bi - gamma * vi) for bi, vi in zip(b, v)]
         sig = _rank_two_singulars(u, d, mp.mpc(1),
                                   [mp.conj(x) for x in e],
                                   [mp.conj(x) for x in b])
-        op_res = float(sig[0])
-        norm_u = float(hardy._mp_norm(u))
-        norm_v = float(hardy._mp_norm(v))
-        eig = complex(eig_mp)
-    tail = (phi.coeff_abs_sum() * psi.coeff_abs_sum()
-            * (hardy._geom_tail(lam, dim - phi.degree) * norm_v
-               + hardy._geom_tail(mu, dim - psi.degree) * norm_u))
-    gap = hardy._trace_pairing_gap(lam, mu, dim, seed)
-    return hardy.NuclearEigenReport(eig, op_res, gap, tail, dim, p)
+        dphi = _mp_tail_bound(phi, 1, dim, lam)
+        dpsi = _mp_tail_bound(psi, 1, dim, mu)
+        bound = abs(alpha) * _mp_norm(u) * dpsi + abs(gamma) * dphi * _mp_norm(v) + dphi * dpsi
+        return {"eigenvalue": complex(alpha * gamma), "op_residual": float(sig[0]),
+                "bound": float(bound)}
+
+
+def assert_matches_oracle(rep, want, case):
+    for key, value in want.items():
+        got = getattr(rep, key)
+        if key == "eigenvalue":     # a float Horner value: rounding, not cancellation
+            assert abs(got - value) <= 1e-12 * max(1.0, abs(value)), (case, key, got, value)
+        elif value >= 1e-290:
+            assert got == pytest.approx(value, rel=1e-10), (case, key)
+        else:
+            assert abs(got - value) <= 1e-300, (case, key, got, value)
 
 
 def _disc_point(rng, rmax=0.95):
@@ -694,10 +718,10 @@ def _symbol(rng, degree):
         [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(degree + 1)])
 
 
-def eigen_battery(seed_, draws):
+def eigen_battery(seed_, draws, max_dim=200):
     """(space, phi, psi, z, w) draws over Hardy, inv_linear and random-table
-    spaces, symbol degrees 0-4 and dims 1-200, plus fixed edge cases: dim 1,
-    degree-0 symbols, a degree at or above the dim, and the origin."""
+    spaces, symbol degrees 0-4 and dims 1-max_dim, plus fixed edge cases:
+    dim 1, degree-0 symbols, a degree at or above the dim, and the origin."""
     rng = random.Random(seed_)
     cases = [
         (BetaSpace.hardy(1), _symbol(rng, 0), _symbol(rng, 0), 0.5 + 0.1j, -0.3j),
@@ -706,7 +730,7 @@ def eigen_battery(seed_, draws):
         (BetaSpace.inv_linear(2), Z, _symbol(rng, 4), 0.0, 0.9),
     ]
     for _ in range(draws):
-        dim = rng.choice([1, 2, 5, rng.randint(1, 200)])
+        dim = rng.choice([1, 2, 5, rng.randint(1, max_dim), max_dim])
         kind = rng.randrange(3)
         if kind == 0:
             space = BetaSpace.hardy(dim)
@@ -727,10 +751,83 @@ def test_eigenchecks_match_the_separate_builder_oracle(seed_):
     assert any(max(phi.degree, psi.degree) >= sp.dim for sp, phi, psi, *_ in battery)
     assert any(phi.degree == 0 for _, phi, *_ in battery)
     for i, (space, phi, psi, z, w) in enumerate(battery):
-        assert repr(adjoint_kernel_eigencheck(phi, space, z)) == \
-            repr(oracle_adjoint(phi, space, z)), i
-        assert repr(conjugation_eigencheck(phi, psi, space, z, w)) == \
-            repr(oracle_conjugation(phi, psi, space, z, w)), i
+        adj = adjoint_kernel_eigencheck(phi, space, z)
+        assert_matches_oracle(adj, oracle_adjoint(phi, space, z), i)
+        conj = conjugation_eigencheck(phi, psi, space, z, w)
+        assert_matches_oracle(conj, oracle_conjugation(phi, psi, space, z, w), i)
         p = 1.0 + i % 3
-        assert repr(nuclear_eigencheck(phi, psi, z, w, p, dim=space.dim, seed=i)) == \
-            repr(oracle_nuclear(phi, psi, z, w, p, dim=space.dim, seed=i)), i
+        nuc = nuclear_eigencheck(phi, psi, z, w, p, dim=space.dim, seed=i)
+        assert_matches_oracle(nuc, oracle_nuclear(phi, psi, z, w, space.dim), i)
+        assert nuc.trace_gap <= 1e-12 and nuc.p_exponent == p
+        for rep in (adj, conj, nuc):
+            assert rep.truncation_dim == space.dim and rep.passed, (i, rep)
+
+
+def test_adjoint_eigencheck_reports_the_defect_not_rounding():
+    # the 50-digit leg reported its own rounding here, 8.6e-53
+    phi = AnalyticSymbol.from_coeffs([0.3, 0.5, -0.2j])
+    space, z = BetaSpace.hardy(1024), 0.6 + 0.1j
+    rep = adjoint_kernel_eigencheck(phi, space, z)
+    assert_matches_oracle(rep, oracle_adjoint(phi, space, z), "roadmap")
+    assert 2.8e-222 < rep.residual <= rep.bound < 1.8e-221
+    assert rep.passed
+
+
+@pytest.mark.parametrize("n", [0, 512, 1023], ids=["low", "middle", "top"])
+def test_one_perturbed_band_entry_fails_every_eigencheck(monkeypatch, n):
+    """z on Hardy at dim 1024: entry (n + 1, n) of the band shared with
+    mult_op_matrix, off by 1e-12 relative, must fail all three checks."""
+    space = BetaSpace.hardy(1024)
+    checks = [lambda: adjoint_kernel_eigencheck(Z, space, 0.6),
+              lambda: conjugation_eigencheck(Z, Z, space, 0.6, 0.6),
+              lambda: nuclear_eigencheck(Z, Z, 0.6, 0.6, 1.0, dim=1024)]
+    assert all(check().passed for check in checks)
+    band = hardy._band
+
+    def perturbed(c, betas, m):
+        out = band(c, betas, m)
+        if m == 1:
+            out[n] *= 1.0 + 1e-12
+        return out
+
+    exact = mult_op_matrix(Z, space).data
+    monkeypatch.setattr(hardy, "_band", perturbed)
+    assert mult_op_matrix(Z, space).data[n + 1, n] != exact[n + 1, n]
+    for check in checks:
+        rep = check()
+        assert rep.bulk_deviation > hardy._BULK_TOL and not rep.passed
+
+
+def test_eigen_battery_to_dim_8192_passes_within_the_bound():
+    battery = eigen_battery(20263, 24, max_dim=8192)
+    battery.append((BetaSpace.hardy(8192), Z, Z, 0.6, 0.6))   # all of it underflows
+    assert max(sp.dim for sp, *_ in battery) == 8192
+    for i, (space, phi, psi, z, w) in enumerate(battery):
+        reps = [(r, r.residual) for r in [adjoint_kernel_eigencheck(phi, space, z)]]
+        conj = conjugation_eigencheck(phi, psi, space, z, w)
+        nuc = nuclear_eigencheck(phi, psi, z, w, 1.0, dim=min(space.dim, 512), seed=i)
+        reps += [(conj, conj.s1_residual), (nuc, nuc.op_residual)]
+        for rep, residual in reps:
+            assert rep.passed, (i, rep)
+            assert residual <= rep.bound and rep._scaled[0] <= rep._scaled[1], (i, rep)
+
+
+@pytest.mark.parametrize("coeffs", [(0, 1e13), (0, 1e4), (1.0,) + (0.0,) * 59 + (1e10,)],
+                         ids=["large-linear", "moderate-linear", "dominant-z60"])
+def test_eigenchecks_pass_where_the_kernel_underflows(coeffs):
+    # at z = 0.6 the kernel turns subnormal near n = 1387, inside dim 1500: a
+    # subnormal u_{n+m} carries an absolute rounding that a large coefficient
+    # lifts above the scale of a normal u_n, so the bulk stops before it
+    sym, space = AnalyticSymbol.from_coeffs(coeffs), BetaSpace.hardy(1500)
+    reps = [adjoint_kernel_eigencheck(sym, space, 0.6),
+            conjugation_eigencheck(sym, sym, space, 0.6, 0.6),
+            nuclear_eigencheck(sym, Z, 0.6, 0.6, 1.0, dim=1500)]
+    for rep in reps:
+        assert rep.passed and rep.bulk_deviation <= 1e-15, rep
+
+
+def test_the_pass_rule_decides_on_the_scaled_values():
+    # both fields underflow to 0.0; the defect, in units of |z|^e, does not
+    assert not hardy.KernelEigenReport(0.6, 0.0, 0.0, 8192, 0.0, (1.0, 0.01)).passed
+    assert hardy.KernelEigenReport(0.6, 0.0, 0.0, 8192, 0.0, (0.1, 0.01)).passed
+    assert not hardy.KernelEigenReport(0.6, 0.0, 0.0, 8192, 1e-12, (0.0, 0.0)).passed

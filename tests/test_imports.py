@@ -131,3 +131,18 @@ assert matops.apply is fhc.apply is seqspace.apply is not orig
 assert seqspace.apply.__wrapped__ is orig
 """
     subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True, timeout=60)
+
+
+def test_the_cli_and_an_eigencheck_load_no_mpmath(tmp_path):
+    # only gammaratio's far rational products use mpmath
+    code = f"""
+import sys
+sys.path[:0] = ["src"]
+import hyperlab.cli
+assert "mpmath" not in sys.modules, "importing hyperlab.cli loaded mpmath"
+argv = ["hardy", "--check", "eigen", "--phi", "0,1", "--psi", "0,1", "--z", "0.6",
+        "--w", "0.6", "--dim", "64", "--out", {str(tmp_path)!r}]
+assert hyperlab.cli.main(argv) == 0
+assert "mpmath" not in sys.modules, "an eigencheck loaded mpmath"
+"""
+    subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True, timeout=60)
