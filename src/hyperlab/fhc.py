@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterator, Sequence
@@ -43,6 +42,7 @@ from .seqspace import (
     lp_norm,
     shift_power_apply,
 )
+from .terms import TermTable, index_array, pow_or_inf, power_sums, shares_an_index
 
 __all__ = [
     "EpsSchedule",
@@ -100,14 +100,15 @@ class BackwardOrbitFamily:
 
     x_{k,n} shifts the support of x_k up by n and divides by the running
     weight product, so n applications of the operator (of its adjoint, for a
-    forward-type rule) restore x_k exactly.  Points and their norms are
-    cached; weight products come from the rule's shared `WeightPrefix`.
+    forward-type rule) restore x_k exactly.  The points live in one term
+    table (`terms.TermTable`), built once per (class, exponent) from batched
+    reads of the rule's shared `WeightPrefix`, and read by the threshold
+    search, the assembly and the verifier alike.
     """
 
     op: ShiftOp
     base_points: tuple
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _norms: dict = field(default_factory=dict, compare=False, repr=False)
+    _terms: TermTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = tuple(self.base_points)
@@ -117,6 +118,7 @@ class BackwardOrbitFamily:
             if x.domain is not self.op.domain:
                 raise ValueError("target domain does not match the operator")
         object.__setattr__(self, "base_points", pts)
+        object.__setattr__(self, "_terms", TermTable(self.op, pts))
 
     @property
     def num_classes(self) -> int:
@@ -133,21 +135,8 @@ class BackwardOrbitFamily:
             return self.base_point(k)
         if n < 0:
             raise ValueError("n must be a natural number")
-        key = (k, n)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        out = apply_right_inverse(self.op, self.base_point(k), n)
-        self._cache[key] = out
-        return out
-
-    def inverse_norm(self, k: int, n: int) -> float:
-        """lp_norm of x_{k,n}, computed once per point."""
-        key = (k, n)
-        hit = self._norms.get(key)
-        if hit is None:
-            hit = self._norms[key] = lp_norm(self.inverse_point(k, n))
-        return hit
+        self.base_point(k)
+        return self._terms.vector(int(self._terms.ids(np.array([k]), index_array([n]))[0]))
 
     def forward_op(self) -> ShiftOp:
         """The map that undoes inverse_point: the operator itself for
@@ -203,30 +192,6 @@ class CriterionFailure(Exception):
             f"class {class_index}, r = {r}, window {window}, norm {value:.3g}")
 
 
-class _RunningNorm:
-    """Sparse accumulator with an incrementally patched power sum, which
-    saturates at inf once a power overflows (never inf - inf = nan)."""
-
-    def __init__(self, p: float):
-        self.p = p
-        self.entries: dict = {}
-        self.power_sum = 0.0
-
-    def add(self, v: SeqVector) -> None:
-        for idx, c in v.entries.items():
-            old = self.entries.get(idx, 0.0 + 0.0j)
-            new = old + c
-            if self.power_sum < math.inf:
-                try:
-                    self.power_sum += abs(new) ** self.p - abs(old) ** self.p
-                except OverflowError:
-                    self.power_sum = math.inf
-            self.entries[idx] = new
-
-    def norm(self) -> float:
-        return max(self.power_sum, 0.0) ** (1.0 / self.p)
-
-
 # each tail-threshold probe tests the offsets r <= _THRESHOLD_R_MAX, in a
 # window of _THRESHOLD_WINDOW indices, on every tail of the window and on
 # _THRESHOLD_SAMPLES seeded random index sets
@@ -250,6 +215,18 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
     _THRESHOLD_SAMPLES seeded random subsets of size <= 12.  The search
     doubles N and then bisects to the smallest passing value; if nothing
     passes by `hard_cap` a CriterionFailure carries the last witness.
+
+    A probe is an array pass over the family's term table: it reads the
+    terms of a block of (class, r) pairs from the table, whose missing
+    inverse points come in one batch, and takes every tail and subset norm
+    as a running power sum in the float steps of adding the terms into a
+    dict (`terms.power_sums`), so every comparison with eps_k is that of the
+    scalar loop.  Blocks hold 1, 8, 64, ... pairs in the scalar order, so no
+    term is computed past the block where the first witness lies.  The
+    witness is the first one in the order class, r, tails, forward side,
+    subsets; a term whose weight product leaves the floating range is the
+    witness (i, r, window, inf) where that order meets it, and any other
+    error a term raises is raised there.
     """
     if not 1 <= k <= family.num_classes:
         raise ValueError("class index out of range")
@@ -263,52 +240,108 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
     subset_offsets = [sorted(rng.sample(range(_THRESHOLD_WINDOW), rng.randint(1, 12)))
                       for _ in range(_THRESHOLD_SAMPLES)]
     p = family.base_point(1).p_exponent
+    W, table = _THRESHOLD_WINDOW, family._terms
+    # a subset as positions of a tail fold, which adds n = N + W - 1 first
+    subsets = np.full((_THRESHOLD_SAMPLES, max(map(len, subset_offsets))), -1)
+    for j, offs in enumerate(subset_offsets):
+        subsets[j, :len(offs)] = W - 1 - np.array(offs)
+    pairs = [(i, r) for i in range(1, k + 1) for r in range(_THRESHOLD_R_MAX + 1)]
+    nilpotent = op.displacement < 0 and op.domain is Domain.NATURALS
+    top = np.array([-1] + [max(x.entries, default=-1) for x in family.base_points])
+    # a norm max(s, 0) ** (1 / p) can reach eps_k only where its power sum s
+    # is not below cut; the norm itself is taken there alone (a cut below
+    # the normal range, where its margin would not hold, is 0)
+    cut = pow_or_inf(eps_k * (1.0 - 1e-9), p)
+    if cut < np.finfo(float).tiny:
+        cut = 0.0
 
-    def inverse_term(i: int, r: int, n: int) -> SeqVector:
-        return family.inverse_point(i, (n + r) ** qi - r ** qi)
+    def norm(s: float) -> float:
+        return max(s, 0.0) ** (1.0 / p)
 
-    # the probes revisit a few (class, power) pairs thousands of times;
-    # _RunningNorm.add only reads the vectors it is given
-    forward_terms: dict = {}
+    def reached(s: np.ndarray) -> np.ndarray:
+        out = np.zeros(s.shape, bool)
+        near = ~(s < cut)
+        out[near] = [norm(v) >= eps_k for v in s[near].tolist()]
+        return out
 
-    def forward_term(i: int, r: int, n: int) -> SeqVector:
-        key = (i, r ** qi - (r - n) ** qi)
-        if key not in forward_terms:
-            forward_terms[key] = shift_power_apply(op, family.base_point(i), key[1])
-        return forward_terms[key]
+    def sums(rid: np.ndarray) -> tuple:
+        """(first, tails, subsets, subset hits) of folds rid[j] in tail
+        order: the first term whose build raised or after which the norm
+        reaches eps_k (W if none), the power sum after each term, those of
+        the subsets and whether their norms reach eps_k."""
+        # a subset fold shares an index only where its tail fold does
+        shared = shares_an_index(table, rid)
+        tails = power_sums(table, rid, p, shared)
+        # without shared indices a power sum only adds nonnegative terms, so
+        # a subset's sum exceeds the whole tail's by rounding at most (some
+        # 1e-13 of it), far inside cut's margin: where the whole tail stays
+        # below cut its subsets do too
+        subs = np.zeros((len(rid), _THRESHOLD_SAMPLES))
+        open_ = np.flatnonzero(~(tails[:, -1] < cut) | shared)
+        if open_.size:
+            sub = np.where(subsets >= 0, rid[open_][:, subsets.clip(0)], -1)
+            sub = sub.reshape(-1, subsets.shape[1])
+            subs[open_] = power_sums(table, sub, p, shared)[:, -1].reshape(len(open_), -1)
+        raised = (rid >= 0) & (table.column("state", np.int8)[rid.clip(0)] != 0)
+        return _first(raised | reached(tails)), tails, subs, reached(subs)
+
+    def block_witness(N: int, block: list):
+        """The first witness of a block of (class, r) pairs, or None."""
+        cls = np.array([i for i, _ in block])
+        dt = np.int64 if (N + W + _THRESHOLD_R_MAX) ** qi * (family.num_classes + 1) \
+            < _EXACT_INT64 else object
+        r = np.array([r for _, r in block], dt)[:, None]
+        n = np.arange(N + W - 1, N - 1, -1).astype(dt)
+        rid = table.ids(np.repeat(cls, W), ((n + r) ** qi - r ** qi).ravel()).reshape(-1, W)
+        # pairs with the same terms (all r alike when q = 1) share their
+        # sums: the u-th distinct row of terms first comes at pair uniq[u]
+        index: dict = {}
+        inv = [index.setdefault(row.tobytes(), len(index)) for row in rid]
+        uniq = [inv.index(u) for u in range(len(index))]
+        at, tails, subs, sub_hit = (v[inv] for v in sums(rid[uniq]))
+        # forward side: the jumps T^m x_i, m = r^q - (r-n)^q, at the
+        # positions with n <= r, one shift_power_apply each per family; on a
+        # unilateral backward shift a jump past x_i's support is 0
+        fwd = np.flatnonzero(r[:, 0] >= N)
+        if fwd.size:
+            m = r[fwd] ** qi - (r[fwd] - n) ** qi
+            live = (n <= r[fwd]) & ~(nilpotent & (m > top[cls[fwd], None]))
+            frid = np.full(live.shape, -1)
+            frid[live] = table.ids(np.broadcast_to(cls[fwd, None], live.shape)[live], m[live], op)
+            f_at, f_tails, f_subs, f_hit = sums(frid)
+        for j, (i, r_) in enumerate(block):
+            t = int(at[j])
+            if t < W:
+                row = int(rid[j, t])
+                if table.state[row]:
+                    return _term_error(table.errors[row], i, r_, N)
+                return (i, r_, (N + W - 1 - t, N + W - 1), norm(tails[j, t].item()))
+            hit = sub_hit[j]
+            if r_ >= N:
+                jf = int(np.searchsorted(fwd, j))
+                t = int(f_at[jf])
+                if t < W:
+                    row = int(frid[jf, t])
+                    if table.state[row]:
+                        return _term_error(table.errors[row], i, r_, N)
+                    return (i, r_, (N + W - 1 - t, r_), norm(f_tails[jf, t].item()))
+                hit = hit | f_hit[jf]
+            for s_ in np.flatnonzero(hit)[:1].tolist():
+                offs = subset_offsets[s_]
+                if sub_hit[j, s_]:
+                    return (i, r_, tuple(N + o for o in offs), norm(subs[j, s_].item()))
+                return (i, r_, tuple(N + o for o in offs if N + o <= r_),
+                        norm(f_subs[jf, s_].item()))
+        return None
 
     def probe(N: int):
-        """None when every sum is small; otherwise a witness tuple.  A term
-        whose weight product leaves the floating range has infinite norm."""
-        window = range(N, N + _THRESHOLD_WINDOW)
-        for i in range(1, k + 1):
-            for r in range(0, _THRESHOLD_R_MAX + 1):
-                try:
-                    acc = _RunningNorm(p)
-                    for n in reversed(window):       # tails [n, N + _THRESHOLD_WINDOW)
-                        acc.add(inverse_term(i, r, n))
-                        if acc.norm() >= eps_k:
-                            return (i, r, (n, N + _THRESHOLD_WINDOW - 1), acc.norm())
-                    if r >= N:
-                        acc = _RunningNorm(p)
-                        for n in range(min(r, N + _THRESHOLD_WINDOW - 1), N - 1, -1):
-                            acc.add(forward_term(i, r, n))
-                            if acc.norm() >= eps_k:
-                                return (i, r, (n, r), acc.norm())
-                    for offs in subset_offsets:
-                        acc = _RunningNorm(p)
-                        for o in offs:
-                            acc.add(inverse_term(i, r, N + o))
-                        if acc.norm() >= eps_k:
-                            return (i, r, tuple(N + o for o in offs), acc.norm())
-                        accf = _RunningNorm(p)
-                        fwd = [N + o for o in offs if N + o <= r]
-                        for n in fwd:
-                            accf.add(forward_term(i, r, n))
-                        if accf.norm() >= eps_k:
-                            return (i, r, tuple(fwd), accf.norm())
-                except WeightOverflowError:
-                    return (i, r, (N, N + _THRESHOLD_WINDOW - 1), math.inf)
+        """None when every sum is small; otherwise a witness tuple."""
+        lo, size = 0, 1
+        while lo < len(pairs):
+            w = block_witness(N, pairs[lo:lo + size])
+            if w is not None:
+                return w
+            lo, size = lo + size, 8 * size
         return None
 
     w = probe(1)
@@ -333,6 +366,14 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
         else:
             lo = mid
     return hi
+
+
+def _term_error(exc: Exception, i: int, r: int, N: int) -> tuple:
+    """The witness of a term whose weight product left the floating range;
+    any other error of a term is raised."""
+    if isinstance(exc, WeightOverflowError):
+        return (i, r, (N, N + _THRESHOLD_WINDOW - 1), math.inf)
+    raise exc
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +531,23 @@ def assemble_vector(family: BackwardOrbitFamily, J: SeparatedFamily, q: int) -> 
         raise ValueError("q must be a positive natural")
     if J.num_classes > family.num_classes:
         raise ValueError("more visit plans than targets")
+    table = family._terms
+    cls = [l for l in range(1, J.num_classes + 1) for _ in J.sets[l - 1].elems]
+    rows = table.ids(np.array(cls, np.int64),
+                     index_array(n ** qi for l in range(1, J.num_classes + 1)
+                                 for n in J.sets[l - 1].elems))
+    failed = np.flatnonzero(table.column("state", np.int8)[rows])
+    if failed.size:
+        raise table.errors[int(rows[failed[0]])]
+    ent = table.entries(rows)
     acc: dict = {}
-    for l in range(1, J.num_classes + 1):
-        for n in J.sets[l - 1].elems:
-            for idx, c in family.inverse_point(l, n ** qi).entries.items():
-                v = acc.get(idx, 0.0) + c
-                if abs(v) < COEFF_GUARD:
-                    acc.pop(idx, None)
-                else:
-                    acc[idx] = v
+    re, im = table.column("re")[ent].tolist(), table.column("im")[ent].tolist()
+    for idx, c in zip(table.column("idx", np.int64)[ent].tolist(), map(complex, re, im)):
+        v = acc.get(idx, 0.0) + c
+        if abs(v) < COEFF_GUARD:
+            acc.pop(idx, None)
+        else:
+            acc[idx] = v
     return SeqVector(acc, family.base_point(1).domain, family.base_point(1).p_exponent)
 
 
@@ -602,77 +651,9 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
 # terms, judged by the longest time of the pass before (the first pass,
 # before any walk length is known, takes _FIRST_PASS times), and a walk step
 # looks ahead as many blocks as keep that many (time, block) pairs: arrays
-# of 64 KB bound a pass's memory at any horizon.  Piece keys below
-# _DENSE_KEYS are found through an array, the others through a dict.
+# of 64 KB bound a pass's memory at any horizon.
 _PASS_SIZE = 1 << 13
 _FIRST_PASS = 64
-_DENSE_KEYS = 1 << 12
-
-
-class _Pieces:
-    """The distinct block contributions of one scan, stored flat.
-
-    A future piece is x_{l, e} with its lp norm, a past piece is the jump
-    T^delta x_l; each is computed once, on the first walk step that needs
-    it, and keyed by e * K + l - 1 (delta * K + l - 1).  Piece i holds
-    entries start[i] .. start[i] + size[i] - 1 of (idx, re, im), in its
-    vector's entry order, with indices between lo[i] and hi[i].  state[i]
-    is 1 for a past jump that overflowed (its time reads inf) and 2 when
-    computing the piece raised errors[i], which is raised again once a walk
-    reaches the piece.  Piece 0 is empty and stands in for positions past
-    the end of a walk.
-    """
-
-    def __init__(self, op: ShiftOp, family: BackwardOrbitFamily, K: int):
-        self.op, self.family, self.K = op, family, K
-        self._dense = (np.full(_DENSE_KEYS, -1, np.int64), np.full(_DENSE_KEYS, -1, np.int64))
-        self._far = ({}, {})     # future, past keys from _DENSE_KEYS on -> piece id
-        self.start, self.size = array("q", [0]), array("q", [0])
-        self.lo, self.hi = array("q", [0]), array("q", [0])
-        self.norm, self.state = array("d", [0.0]), array("b", [0])
-        self.errors: dict = {}
-        self.idx, self.re, self.im = array("q"), array("d"), array("d")
-
-    def ids(self, keys: np.ndarray, past: bool) -> np.ndarray:
-        """The piece ids of an array of keys."""
-        out = np.empty(len(keys), np.int64)
-        near = keys < _DENSE_KEYS
-        dense, k = self._dense[past], keys[near].astype(np.int64)
-        for key in dict.fromkeys(k[dense[k] < 0].tolist()):
-            dense[key] = self._add(key, past)
-        out[near] = dense[k]
-        far = self._far[past]
-        out[~near] = [far[key] if key in far else far.setdefault(key, self._add(key, past))
-                      for key in keys[~near].tolist()]
-        return out
-
-    def _add(self, key: int, past: bool) -> int:
-        l, e = key % self.K + 1, key // self.K
-        entries, norm, state = {}, 0.0, 0
-        try:
-            if past:
-                entries = shift_power_apply(self.op, self.family.base_point(l), e).entries
-            else:
-                entries = self.family.inverse_point(l, e).entries
-                norm = self.family.inverse_norm(l, e)
-        except (ArithmeticError, ValueError) as exc:    # raised once a walk reaches it
-            state = 1 if past and isinstance(exc, WeightOverflowError) else 2
-            self.errors[len(self.size)] = exc
-        self.start.append(len(self.idx))
-        self.size.append(len(entries))
-        self.lo.append(min(entries, default=0))
-        self.hi.append(max(entries, default=0))
-        self.norm.append(norm)
-        self.state.append(state)
-        self.idx.extend(entries)
-        self.re.extend(c.real for c in entries.values())
-        self.im.extend(c.imag for c in entries.values())
-        return len(self.size) - 1
-
-    def column(self, name: str, dtype=np.float64) -> np.ndarray:
-        """A numpy view of one flat table; it must be dropped before the
-        table grows."""
-        return np.frombuffer(getattr(self, name), dtype)
 
 
 def _first(mask: np.ndarray) -> np.ndarray:
@@ -683,15 +664,19 @@ def _first(mask: np.ndarray) -> np.ndarray:
 class _Walk:
     """The block walks of one pass of times, stepped for all times at once.
 
+    A future piece is the inverse point x_{l, m^q - n^q}, a past piece the
+    jump T^{n^q - m^q} x_l, both rows of the family's term table, which
+    builds each once (a walk step's missing inverse points in one batch);
+    row 0 is empty and stands in for positions past the end of a walk.
     used[t] counts the pieces time t has added (n_future[t] of them on the
     future walk); parts collects (time, position, piece) arrays; fail[t] is
     the piece whose error ended t's walk, or -1; bad[t] marks a past jump
     that overflowed.
     """
 
-    def __init__(self, pieces: _Pieces, bpow, bcls, nq, i0, cap: int):
-        self.pieces, self.bpow, self.bcls, self.nq, self.i0 = pieces, bpow, bcls, nq, i0
-        self.cap = cap
+    def __init__(self, table: TermTable, op: ShiftOp, bpow, bcls, nq, i0, cap: int):
+        self.table, self.op, self.bpow, self.bcls = table, op, bpow, bcls
+        self.nq, self.i0, self.cap = nq, i0, cap
         T = len(nq)
         self.used = np.zeros(T, np.int64)
         self.n_future = np.zeros(T, np.int64)
@@ -716,7 +701,7 @@ class _Walk:
         capped = np.broadcast_to(capped, pid.shape)[rows, np.minimum(fa, S - 1)]
         self.truncated |= bool(((fa < fb) & capped).any())
         at = pid[rows, np.minimum(fb, S - 1)]
-        state = np.where((fb <= fa) & (fb < S), self.pieces.column("state", np.int8)[at], 0)
+        state = np.where((fb <= fa) & (fb < S), self.table.column("state", np.int8)[at], 0)
         self.fail[act[state == 2]] = at[state == 2]
         self.bad[act[state == 1]] = True
         return (fb == S) & (fa == S)
@@ -724,7 +709,7 @@ class _Walk:
     def future(self, tail_cut: float) -> None:
         """Blocks i0, i0 + 1, ...: add x_{l, m^q - n^q}, stop at the cap or
         after three consecutive pieces with norm below tail_cut."""
-        B, K = len(self.bpow), self.pieces.K
+        B = len(self.bpow)
         act = np.flatnonzero(self.i0 < B)
         consec = np.zeros(len(act), np.int64)
         j = 0
@@ -740,9 +725,9 @@ class _Walk:
             ic = np.minimum(i, B - 1)
             pid = np.zeros(i.shape, np.int64)
             e = self.bpow[ic] - self.nq[act, None]
-            pid[inb] = self.pieces.ids(e[inb] * K + (self.bcls[ic][inb] - 1), past=False)
-            small = self.pieces.column("norm")[pid] < tail_cut
-            ok = inb & (self.pieces.column("state", np.int8)[pid] == 0)
+            pid[inb] = self.table.ids(self.bcls[ic][inb], e[inb])
+            small = self.table.norms(pid) < tail_cut
+            ok = inb & (self.table.column("state", np.int8)[pid] == 0)
             # consecutive small pieces up to each position, carried across steps
             last = np.maximum.accumulate(np.where(small, -1, s), axis=1)
             run = np.where(last < 0, consec[:, None] + s + 1, s - last)
@@ -757,7 +742,6 @@ class _Walk:
         at block 0, at a jump that overflows (the time reads inf) and, for
         a unilateral backward shift, before the first block whose jump
         clears its target's support."""
-        K = self.pieces.K
         act = np.flatnonzero((self.i0 > 0) & (self.fail < 0))
         j, S = 0, 1
         while act.size:
@@ -773,8 +757,8 @@ class _Walk:
             used = self.used[act, None] + s
             reach = (s < _first(cut)[:, None]) & ((s == 0) | (used < self.cap))
             pid = np.zeros(i.shape, np.int64)
-            pid[reach] = self.pieces.ids(delta[reach] * K + (cls[reach] - 1), past=True)
-            ok = reach & (self.pieces.column("state", np.int8)[pid] == 0)
+            pid[reach] = self.table.ids(cls[reach], delta[reach], self.op)
+            ok = reach & (self.table.column("state", np.int8)[pid] == 0)
             capped = used + 1 >= self.cap
             act = act[self._take(act, pid, ~ok, ok & capped, capped)]
             j += S
@@ -792,13 +776,13 @@ class _Walk:
         slot[offset[t] + pos] = pid
         del t, pos, pid
         slot_t = np.repeat(np.arange(len(self.used)), self.used)
-        size = self.pieces.column("size", np.int64)[slot]
+        size = self.table.column("size", np.int64)[slot]
         disjoint = self._disjoint(slot, slot_t, offset, size)
-        ent = np.repeat(self.pieces.column("start", np.int64)[slot] - (np.cumsum(size) - size),
+        ent = np.repeat(self.table.column("start", np.int64)[slot] - (np.cumsum(size) - size),
                         size) + np.arange(int(size.sum()))
         del slot
-        return (np.repeat(slot_t, size), self.pieces.column("idx", np.int64)[ent],
-                self.pieces.column("re")[ent], self.pieces.column("im")[ent], disjoint)
+        return (np.repeat(slot_t, size), self.table.column("idx", np.int64)[ent],
+                self.table.column("re")[ent], self.table.column("im")[ent], disjoint)
 
     def _disjoint(self, slot, slot_t, offset, size) -> bool:
         """Whether the nonempty pieces of every time cover disjoint index
@@ -807,7 +791,7 @@ class _Walk:
         filled = size > 0
         fut = (np.arange(len(slot)) - offset[slot_t] < self.n_future[slot_t])[filled]
         st = slot_t[filled]
-        lo, hi = (self.pieces.column(c, np.int64)[slot[filled]] for c in ("lo", "hi"))
+        lo, hi = (self.table.column(c, np.int64)[slot[filled]] for c in ("lo", "hi"))
         same = st[1:] == st[:-1]
         head = np.ones(len(st), bool)
         head[1:] = ~same
@@ -901,7 +885,7 @@ def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: list, K: i
     verify_q_frequent_visits.
 
     The times go through in passes.  A pass walks the blocks of all its
-    times at once (`_Walk`), taking each distinct piece from `_Pieces`,
+    times at once (`_Walk`), taking each piece from the term table,
     expands the pieces to terms, sums the terms of each orbit point per
     index where two pieces of a time overlap (`_merge_terms`) and measures
     the distances (`_lp_distances`).  Every float operation is that of
@@ -920,19 +904,19 @@ def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: list, K: i
     btime = np.array([m for m, _ in blocks], np.int64)
     bpow = np.array([m ** qi for m, _ in blocks], dt)
     bcls = np.array([l for _, l in blocks], np.int64)
-    pieces = _Pieces(op, family, K)
+    table = family._terms
     distances = np.empty((K, N_H))
     truncated = False
     n0, width = 1, _FIRST_PASS
     while n0 <= N_H:
         n1 = min(N_H, n0 + width - 1)
-        walk = _Walk(pieces, bpow, bcls, np.array([n ** qi for n in range(n0, n1 + 1)], dt),
+        walk = _Walk(table, op, bpow, bcls, np.array([n ** qi for n in range(n0, n1 + 1)], dt),
                      np.searchsorted(btime, np.arange(n0, n1 + 1)), max_blocks_per_time)
         walk.future(tail_cut)
         walk.past(sup_top, nilpotent)
         failed = np.flatnonzero(walk.fail >= 0)
         if failed.size:
-            raise pieces.errors[int(walk.fail[failed[0]])]
+            raise table.errors[int(walk.fail[failed[0]])]
         truncated |= walk.truncated
         *terms, disjoint = walk.terms()
         longest = int(np.bincount(terms[0], minlength=1).max())

@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -368,9 +369,9 @@ class WeightPrefix:
         from .gammaratio import GammaRatio
         return GammaRatio(self.w)
 
-    def _closed_sum(self, s, e, lo: int, hi: int, vector: bool = False):
-        """(log-sum, phase-sum) over [s, e] with e >= s - 1, for ints or for
-        integer arrays; [lo, hi] covers every index read."""
+    def _check(self, lo: int, hi: int) -> None:
+        """Raise the rule's own error at the lowest index in [lo, hi]
+        without a usable weight (closed rules)."""
         if lo <= hi:
             bad = [z for z in self._zeros if lo <= z <= hi]
             if (self.w.domain is Domain.NATURALS and lo < 0
@@ -380,6 +381,23 @@ class WeightPrefix:
                 bad.append(max(lo, self._b + 1))
             if bad:
                 self.w.weight(min(bad))  # raises the rule's own error
+
+    def _unusable(self, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Where [s, e] (s <= e, int64 arrays) holds an index without a
+        usable weight: `_check` over many ranges (closed rules)."""
+        zeros = np.array(self._zeros + [2 ** 62], np.int64)
+        bad = zeros[np.searchsorted(zeros, s)] <= e
+        if self.w.domain is Domain.NATURALS:
+            bad |= s < 0
+        if self._low is None:
+            bad |= s <= self._a
+        if self._high is None:
+            bad |= e > self._b
+        return bad
+
+    def _closed_sum(self, s, e, vector: bool = False):
+        """(log-sum, phase-sum) over [s, e] with e >= s - 1, for ints or for
+        integer arrays; every index it reads has a usable weight."""
         tab_log, tab_ph, minimum, maximum = self._tab_log, self._tab_ph, min, max
         if vector:
             tab_log, tab_ph = np.frombuffer(tab_log), np.frombuffer(tab_ph)
@@ -441,7 +459,8 @@ class WeightPrefix:
         if max(abs(s), abs(e)) > 2 ** 53:   # past exact float index arithmetic
             raise ValueError("weight product reaches an index beyond 2^53")
         if self._closed:
-            return self._closed_sum(s, e, s, e)
+            self._check(s, e)
+            return self._closed_sum(s, e)
         if self._far(s, e):
             return self._gamma.log_sum(s, e)
         self._grow(s - 1, e)
@@ -458,7 +477,8 @@ class WeightPrefix:
         lo, hi, up = int(m.min()), int(m.max()), m >= 0
         if self._closed:
             s, e = np.where(up, 1, m + 1), np.where(up, m, 0)
-            logs = self._closed_sum(s, e, min(lo + 1, 1), max(hi, 0), vector=True)[0]
+            self._check(min(lo + 1, 1), max(hi, 0))
+            logs = self._closed_sum(s, e, vector=True)[0]
             return np.where(up, logs, -logs)
         pos, neg = m > _NEAR, m < -_NEAR
         near = np.where(pos | neg, 0, m)
@@ -509,6 +529,79 @@ class WeightPrefix:
         if self._far(start, stop):    # the phase is exactly 0 or pi
             return complex(-math.exp(lm) if ph else math.exp(lm), 0.0)
         return cmath.rect(math.exp(lm), ph)
+
+    def inverse_products(self, start: np.ndarray, stop: np.ndarray) -> tuple:
+        """`inverse_product` over int64 arrays with stop >= start, in one
+        read of the tables: (values, errors), values[i] equal to
+        inverse_product(start[i], stop[i]) bit for bit, or 0 where that
+        raises errors[i].
+
+        Every float step is the scalar one: a short product multiplies its
+        weights in order (one running product per distinct start), and
+        exp, rect and the reciprocal are math.exp, cmath.rect and Python's
+        complex division.  A range past 2^53, one that reads an index
+        without a usable weight and a far rational one take the scalar path.
+        """
+        out, errors = np.zeros(len(start), complex), {}
+        alone = np.maximum(np.abs(start), np.abs(stop)) > 2 ** 53
+        if self._closed:
+            alone[~alone] = self._unusable(start[~alone], stop[~alone])
+        else:
+            alone |= np.maximum(np.abs(start - 1), np.abs(stop)) > _NEAR
+            try:
+                if not alone.all():
+                    self._grow(int(start[~alone].min()) - 1, int(stop[~alone].max()))
+            except ValueError:    # some range needs a weight past an unusable one
+                alone[:] = True
+        for i in np.flatnonzero(alone).tolist():
+            try:
+                out[i] = self._product(int(start[i]), int(stop[i]), -1)
+            except (ArithmeticError, ValueError) as exc:
+                errors[i] = exc
+        rows = np.flatnonzero(~alone)
+        s, e = start[rows], stop[rows]
+        if self._closed:
+            lm, ph = self._closed_sum(s, e, vector=True)
+        else:
+            (l1, p1), (l0, p0) = self._near(e), self._near(s - 1)
+            lm, ph = l1 - l0, p1 - p0
+        direct = (e - s < 128) & (np.abs(lm) < 300.0)
+        out[rows[direct]] = np.fromiter(
+            map(operator.truediv, itertools.repeat(1.0),
+                self._running_products(s[direct], e[direct]).tolist()), complex,
+            np.count_nonzero(direct))
+        rows, lm, ph = rows[~direct], -lm[~direct], -ph[~direct] + 0.0
+        over = lm > _LOG_FLOAT_MAX
+        for i, v in zip(rows[over].tolist(), lm[over].tolist()):
+            errors[i] = WeightOverflowError(int(start[i]), int(stop[i]), v)
+        live = ~over & ~(lm < math.log(COEFF_GUARD))
+        out[rows[live]] = np.fromiter(map(cmath.rect, map(math.exp, lm[live].tolist()),
+                                          ph[live].tolist()), complex, np.count_nonzero(live))
+        return out, errors
+
+    def _near(self, m: np.ndarray) -> tuple:
+        """(L(m), phase prefix) of a rational rule over an int64 array inside
+        the grown table; `_at` over many indices."""
+        pos, neg = np.frombuffer(self._pos_log), np.frombuffer(self._neg_log)
+        logs = np.where(m >= 0, pos[np.clip(m, 0, len(pos) - 1)],
+                        neg[np.clip(-m, 0, len(neg) - 1)])
+        phs = np.zeros(len(m))
+        for table, at in ((self._pos_ph, m), (self._neg_ph, -m)):
+            inside = (at >= 0) & (at < len(table))
+            phs[inside] = np.frombuffer(table)[at[inside]]
+        return logs, phs
+
+    def _running_products(self, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """`_direct` over arrays: w_s * ... * w_e multiplied in index order
+        from 1, as one running product per distinct start."""
+        out = np.empty(len(s), complex)
+        for s0 in dict.fromkeys(s.tolist()):
+            at = np.flatnonzero(s == s0)
+            m = e[at] - s0 + 1
+            run = itertools.accumulate(self.w.at(np.arange(s0, s0 + int(m.max()))).tolist(),
+                                       operator.mul, initial=1.0 + 0.0j)
+            out[at] = np.array(list(run))[m]
+        return out
 
 
 # ---------------------------------------------------------------------------

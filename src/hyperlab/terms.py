@@ -1,0 +1,334 @@
+"""The term table of an inverse-orbit family, and exact power sums over it.
+
+The frequent-visit construction reads two kinds of vectors built from its
+targets x_1..x_K: the inverse points x_{k,e} (the right inverse of the
+operator applied e times) and the jumps T^m x_k.  `TermTable` holds each
+one once, as a flat row of (index, re, im) entries keyed by (class,
+exponent).  Missing inverse points are built in batches from one array read
+of the weight prefix (`WeightPrefix.inverse_products`), jumps one
+`shift_power_apply` each, and every row equals the vector its scalar
+function returns, bit for bit.  A build that raises stores its error in the
+row, to be raised where a reader reaches it.
+
+`power_sums` folds rows into running power sums sum |y_i|^p in the float
+steps of adding the vectors into a dict one entry at a time, which is how
+the threshold search takes its tail and subset norms.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+from array import array
+from itertools import repeat
+
+import numpy as np
+
+from .seqspace import (
+    COEFF_GUARD,
+    SeqVector,
+    ShiftOp,
+    WeightOverflowError,
+    adjoint,
+    apply_right_inverse,
+    p_sum,
+    shift_power_apply,
+)
+
+__all__ = ["TermTable", "index_array", "pow_or_inf", "power_sums", "shares_an_index"]
+
+# keys and exponents below this bound are exact in int64, larger ones are
+# Python ints in object arrays
+EXACT_INT64 = 2 ** 62
+# row keys below this bound are found through an array (0 where no row is
+# built yet), larger ones through a dict
+_DENSE_KEYS = 1 << 16
+
+
+def index_array(values) -> np.ndarray:
+    """Python ints as an int64 array, or as an object array where one
+    reaches EXACT_INT64."""
+    values = list(values)
+    big = values and max(max(values), -min(values)) >= EXACT_INT64
+    return np.array(values, object if big else np.int64)
+
+
+class TermTable:
+    """The inverse points x_{k,e} and jumps T^m x_k of targets x_1..x_K.
+
+    Row i holds entries start[i] .. start[i] + size[i] - 1 of (idx, re, im),
+    in its vector's entry order, with indices between lo[i] and hi[i]; cls[i]
+    is its target's class.  state[i] is nonzero when building it raised
+    errors[i] (1 for a jump that overflowed, 2 otherwise), and then the row
+    has no entries.  Row 0 is empty and stands for no term.  `ids` keys the
+    inverse points by e * K + k - 1, and the jumps of each operator alike.
+
+    A batch of inverse points of a shift makes one inverse_products read for
+    the ranges of all its entries; a coefficient is coeff * c by Python's
+    complex product, kept where `apply_right_inverse` keeps it.  A diagonal
+    rule, an exponent or target index past 2^53 and e = 0 (the target
+    itself) take `apply_right_inverse` one point at a time.
+    """
+
+    def __init__(self, op: ShiftOp, targets: tuple):
+        self.op, self.targets = op, targets
+        self.start, self.size = array("q"), array("q")
+        self.lo, self.hi = array("q"), array("q")
+        self.cls, self.state = array("q"), array("b")
+        self.norm = array("d")       # lp norms, nan until asked for
+        self.errors: dict = {}
+        self.idx, self.re, self.im = array("q"), array("d"), array("d")
+        self._powers: dict = {}
+        self._index: dict = {}       # op (None: inverse points) -> (dense, far) rows
+        self._add([{}], [0])
+        # the targets' entries laid flat, class by class
+        self._count = np.array([len(x.entries) for x in targets])
+        self._first = np.cumsum(self._count) - self._count
+        self._n = np.array([n if abs(n) <= 2 ** 53 else 0 for x in targets for n in x.entries],
+                           np.int64)
+        self._c = [c for x in targets for c in x.entries.values()]
+        self._fits = np.array([all(abs(n) <= 2 ** 53 for n in x.entries) for x in targets])
+
+    def column(self, name: str, dtype=np.float64) -> np.ndarray:
+        """A numpy view of one flat table; it must be dropped before the
+        table grows."""
+        return np.frombuffer(getattr(self, name), dtype)
+
+    # -- lookup and build --------------------------------------------------
+
+    def ids(self, k: np.ndarray, e: np.ndarray, op: ShiftOp | None = None) -> np.ndarray:
+        """The rows of x_{k[i], e[i]}, or of T^e[i] x_k[i] under op (e an
+        int64 or object array), built where missing."""
+        K = len(self.targets)
+        if e.dtype != object and e.size and e.max() >= EXACT_INT64 // (K + 1):
+            e = e.astype(object)
+        keys = e * K + (k - 1)
+        if op not in self._index:
+            self._index[op] = (np.zeros(_DENSE_KEYS, np.int64), {})
+        dense, far = self._index[op]
+        near = keys < _DENSE_KEYS
+        out = np.empty(len(keys), np.int64)
+        out[near] = dense[keys[near].astype(np.int64)]
+        out[~near] = list(map(far.get, keys[~near].tolist(), repeat(0)))
+        missing = np.flatnonzero(out == 0)     # row 0 is no key's
+        if missing.size:
+            todo = keys[missing].tolist()
+            new = dict.fromkeys(todo)
+            new_keys = index_array(new)
+            new.update(zip(new, self._build(new_keys, op).tolist()))
+            out[missing] = list(map(new.__getitem__, todo))
+            far.update(new)
+            small = new_keys < _DENSE_KEYS
+            dense[new_keys[small].astype(np.int64)] = np.fromiter(new.values(), np.int64)[small]
+        return out
+
+    def _build(self, keys: np.ndarray, op) -> np.ndarray:
+        """Append the vectors of the keys; returns their rows in key order."""
+        K = len(self.targets)
+        k, e = (keys % K + 1).astype(np.int64), keys // K
+        out = np.empty(len(keys), np.int64)
+        batch = (e > 0) & (e <= 2 ** 53) & self._fits[k - 1] \
+            & (op is None and self.op.displacement != 0)
+        if batch.any():
+            out[batch] = len(self.size) + np.arange(np.count_nonzero(batch))
+            self._build_batch(k[batch], e[batch].astype(np.int64))
+        alone, items = np.flatnonzero(~batch), []
+        for j in alone.tolist():
+            x, m = self.targets[k[j] - 1], int(e[j])
+            try:
+                items.append(apply_right_inverse(self.op, x, m) if op is None else
+                             shift_power_apply(op, x, m))
+            except (ArithmeticError, ValueError) as exc:
+                items.append(exc)
+        if items:
+            out[alone] = len(self.size) + np.arange(len(alone))
+            self._add([v.entries if isinstance(v, SeqVector) else v for v in items], k[alone],
+                      jump=op is not None)
+        return out
+
+    def _build_batch(self, k: np.ndarray, e: np.ndarray) -> None:
+        """x_{k[r], e[r]} for a shift: entry (n, c) of x_k goes to n + e with
+        c / (w_{n+1+b} ... w_{n+e+b}), b the offset of the backward-type row
+        (see apply_right_inverse)."""
+        op, R = self.op, len(k)
+        b = op.offset if op.displacement < 0 else adjoint(op).offset
+        cnt = self._count[k - 1]
+        row = np.repeat(np.arange(R), cnt)
+        src = np.repeat(self._first[k - 1] - (np.cumsum(cnt) - cnt), cnt) \
+            + np.arange(int(cnt.sum()))
+        n, ev = self._n[src], e[row]
+        coeff, errs = op.weights.prefix.inverse_products(n + 1 + b, n + ev + b)
+        c = map(self._c.__getitem__, src.tolist())
+        vals = np.fromiter(map(operator.mul, coeff.tolist(), c), complex, len(src))
+        errors: dict = {}
+        for i in sorted(errs):
+            errors.setdefault(int(row[i]), errs[i])
+        state = np.zeros(R, np.int8)
+        state[list(errors)] = 2
+        keep = (coeff != 0) & ~(np.hypot(vals.real, vals.imag) < COEFF_GUARD) & (state[row] == 0)
+        self._extend(np.bincount(row[keep], minlength=R), (n + ev)[keep], vals.real[keep],
+                     vals.imag[keep], k, state, errors)
+
+    def _add(self, items: list, k, jump: bool = False) -> None:
+        """Append vectors given by their entries dicts, or by the errors
+        building them raised, of classes k."""
+        vecs = [v if isinstance(v, dict) else {} for v in items]
+        cs = [c for v in vecs for c in v.values()]
+        errors = {r: v for r, v in enumerate(items) if not isinstance(v, dict)}
+        state = [0 if r not in errors else 1 if jump and isinstance(errors[r], WeightOverflowError)
+                 else 2 for r in range(len(items))]
+        self._extend(np.array([len(v) for v in vecs], np.int64),
+                     np.array([i for v in vecs for i in v], np.int64),
+                     np.array([c.real for c in cs]), np.array([c.imag for c in cs]),
+                     k, state, errors)
+
+    def _extend(self, size, idx, re, im, k, state, errors: dict) -> None:
+        """Append rows given flat: size[r] entries of (idx, re, im) each, in
+        row order, classes k and states, and errors by new row."""
+        first = len(self.size)
+        offs = np.cumsum(size) - size
+        full = np.flatnonzero(size)
+        lo, hi = np.zeros(len(size), np.int64), np.zeros(len(size), np.int64)
+        if full.size:
+            lo[full] = np.minimum.reduceat(idx, offs[full])
+            hi[full] = np.maximum.reduceat(idx, offs[full])
+        for table, col in ((self.start, offs + len(self.idx)), (self.size, size),
+                           (self.lo, lo), (self.hi, hi), (self.cls, k), (self.state, state),
+                           (self.norm, np.full(len(size), math.nan)),
+                           (self.idx, idx), (self.re, re), (self.im, im)):
+            table.frombytes(np.ascontiguousarray(col, table.typecode).tobytes())
+        self.errors.update((first + r, exc) for r, exc in errors.items())
+
+    # -- reads -------------------------------------------------------------
+
+    def entries(self, rows: np.ndarray) -> np.ndarray:
+        """The positions of the entries of rows, row after row."""
+        size = self.column("size", np.int64)[rows]
+        return np.repeat(self.column("start", np.int64)[rows] - (np.cumsum(size) - size),
+                         size) + np.arange(int(size.sum()))
+
+    def vector(self, row: int) -> SeqVector:
+        """The vector of a row, or its error raised."""
+        if self.state[row]:
+            raise self.errors[row]
+        a, x = self.start[row], self.targets[self.cls[row] - 1]
+        ent = slice(a, a + self.size[row])
+        return SeqVector(dict(zip(self.idx[ent], map(complex, self.re[ent], self.im[ent]))),
+                         x.domain, x.p_exponent)
+
+    def norms(self, rows: np.ndarray) -> np.ndarray:
+        """lp_norm of the vectors of rows, each taken once (p_sum of their
+        moduli, with their targets' exponents)."""
+        norm = self.column("norm")
+        todo = rows[np.isnan(norm[rows])]
+        if todo.size:
+            todo = np.array(list(dict.fromkeys(todo.tolist())), np.int64)
+            ent = self.entries(todo)
+            mag = np.hypot(self.column("re")[ent], self.column("im")[ent]).tolist()
+            ends = np.cumsum(self.column("size", np.int64)[todo]).tolist()
+            for row, a, b in zip(todo.tolist(), [0] + ends, ends):
+                norm[row] = p_sum(mag[a:b], self.targets[self.cls[row] - 1].p_exponent) \
+                    if self.cls[row] else 0.0
+        return norm[rows]
+
+    def powers(self, p: float) -> np.ndarray:
+        """|c| ** p of every entry (np.hypot, Python's pow, inf where it
+        overflows), each computed once."""
+        pw = self._powers.setdefault(p, array("d"))
+        done = len(pw)
+        if done < len(self.idx):
+            mag = np.hypot(self.column("re")[done:], self.column("im")[done:])
+            pw.frombytes(_pows(mag, p).tobytes())
+        return np.frombuffer(pw)
+
+
+# ---------------------------------------------------------------------------
+# power sums of folds
+# ---------------------------------------------------------------------------
+
+def _pows(x: np.ndarray, p: float) -> np.ndarray:
+    """x ** p for each entry by Python's float pow, inf where it overflows."""
+    try:
+        return np.fromiter(map(pow, x.tolist(), repeat(p)), float, len(x))
+    except OverflowError:
+        return np.array([pow_or_inf(v, p) for v in x.tolist()])
+
+
+def pow_or_inf(v: float, p: float) -> float:
+    """v ** p, or inf where it overflows."""
+    try:
+        return v ** p
+    except OverflowError:
+        return math.inf
+
+
+def _fold_entries(table: TermTable, rid: np.ndarray) -> tuple:
+    """(ent, valid): valid[f, t, w] where row rid[f, t] (rid < 0 is none)
+    has a w-th entry, and the positions of those entries."""
+    r = np.maximum(rid, 0)
+    size = np.where(rid >= 0, table.column("size", np.int64)[r], 0)
+    valid = np.arange(max(1, int(size.max(initial=0)))) < size[..., None]
+    return (table.column("start", np.int64)[r][..., None] + np.arange(valid.shape[-1]))[valid], \
+        valid
+
+
+def shares_an_index(table: TermTable, rid: np.ndarray) -> bool:
+    """Whether two rows of some fold rid[f] (rid < 0 is none) may share an
+    index: unless the index ranges [lo, hi] of each fold's nonempty rows
+    follow one another without overlap, all up or all down, they may."""
+    r = np.maximum(rid, 0)
+    full = (rid >= 0) & (table.column("size", np.int64)[r] > 0)
+    lo, hi = table.column("lo", np.int64)[r], table.column("hi", np.int64)[r]
+    # the last nonempty row before each position, -1 for none
+    t = np.arange(rid.shape[1])
+    prev = np.maximum.accumulate(np.where(full, t, -1), axis=1)
+    prev = np.concatenate([np.full((len(rid), 1), -1), prev[:, :-1]], axis=1)
+    pair = full & (prev >= 0)
+    p = np.maximum(prev, 0)
+    f = np.arange(len(rid))[:, None]
+    up = hi[f, p] < lo
+    down = lo[f, p] > hi
+    return bool(((pair & ~up).any(axis=1) & (pair & ~down).any(axis=1)).any())
+
+
+def power_sums(table: TermTable, rid: np.ndarray, p: float, shared: bool) -> np.ndarray:
+    """s[f, t]: the power sum sum |y_i|^p of y = the sum of the vectors of
+    rows rid[f, 0], ..., rid[f, t] (rid < 0 adds nothing), in the float
+    steps of folding them into a dict entry by entry: each entry adds
+    |new|^p - |old|^p (|.| is np.hypot, ^ Python's pow) in order, and once
+    a power overflows or the sum stops being below inf it stays there.
+    Unless `shared` (see `shares_an_index`), old is 0 for every entry."""
+    ent, valid = _fold_entries(table, rid)
+    d = np.zeros(valid.shape)
+    if shared:
+        d[valid] = _running_powers(np.flatnonzero(valid) // valid[0].size,
+                                   table.column("idx", np.int64)[ent], table.column("re")[ent],
+                                   table.column("im")[ent], p)
+    else:
+        d[valid] = table.powers(p)[ent]
+    s = np.cumsum(d.reshape(len(rid), -1), axis=1)
+    stuck = ~(s < math.inf)
+    for f in np.flatnonzero(stuck.any(axis=1)).tolist():
+        t = int(np.argmax(stuck[f]))
+        s[f, t:] = s[f, t]
+    return s[:, valid.shape[-1] - 1::valid.shape[-1]]
+
+
+def _running_powers(f, idx, re, im, p: float) -> np.ndarray:
+    """|new|^p - |old|^p of each entry (idx, re + i im) of folds f (entries
+    in fold order), new = old + the entry and old the running sum of the
+    fold's earlier entries at that index (0 for the first)."""
+    order = np.lexsort((idx, f))
+    n = len(order)
+    same = np.zeros(n, bool)
+    same[1:] = (f[order][1:] == f[order][:-1]) & (idx[order][1:] == idx[order][:-1])
+    run_re, run_im = re[order], im[order]
+    rank = np.arange(n) - np.maximum.accumulate(np.where(same, 0, np.arange(n)))
+    for r in range(1, int(rank.max(initial=0)) + 1):
+        at = np.flatnonzero(rank == r)
+        run_re[at] += run_re[at - 1]
+        run_im[at] += run_im[at - 1]
+    new = _pows(np.hypot(run_re, run_im), p)
+    out = np.empty(n)
+    out[order] = new - np.where(same, np.roll(new, 1), 0.0)
+    return out

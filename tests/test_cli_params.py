@@ -525,8 +525,9 @@ PLAUSIBLE = {
         "horizon": ints(1, 12), "stride_exponent": ints(1, 3), "p": floats(1, 4),
     },
     "construct_fhc": {
-        "weights": one_of("w=constant:2", "w=constant:0.5", "w=ratio:1,1|0,1"),
-        "op": one_of("backward"), "q": ints(1, 2),
+        "weights": one_of("w=constant:2", "w=constant:0.5", "w=ratio:1,1|0,1", "w=step:0|0.5|2",
+                          "w=table:-1|3,0.5,2|2@Z", "w=table:1|3,0.5,2"),
+        "op": one_of("backward", "bilateral-backward"), "q": ints(1, 3),
         "targets": one_of("0", "0|0,1", "1=1:1"),
         "horizon": ints(1, 200), "eps_scale": floats(0.1, 2), "eps_base": floats(0.1, 0.9),
     },

@@ -11,7 +11,7 @@ from bisect import bisect_left
 import numpy as np
 import pytest
 
-from hyperlab import fhc
+from hyperlab import fhc, terms
 from hyperlab.cli import build_shift, parse_vectors, parse_weight_spec
 from hyperlab.density import NatSet
 from hyperlab.fhc import (
@@ -37,6 +37,7 @@ from hyperlab.seqspace import (
     SeqVector,
     ShiftOp,
     WeightOverflowError,
+    WeightPrefix,
     WeightSeq,
     apply_right_inverse,
     lp_norm,
@@ -45,6 +46,8 @@ from hyperlab.seqspace import (
 
 W2 = WeightSeq.constant(2.0)
 B2 = ShiftOp.backward(W2)
+# weights 2 up to index 4300 and none past it
+SHORT_TABLE = WeightSeq.table([2.0] * 4300, start=1)
 
 
 def family_e0(op=B2):
@@ -96,11 +99,99 @@ def test_inverse_point_matches_slow_right_inverse():
                 assert abs(fast.coeff(i) - slow.coeff(i)) <= 1e-12 * abs(slow.coeff(i))
 
 
-def test_inverse_point_cached_and_exact():
+def test_inverse_point_cached_and_exact(monkeypatch):
+    # x_{1,7} is one row of the term table: a second read builds nothing
     fam = family_e0()
+    built = []
+    build = terms.TermTable._build
+    monkeypatch.setattr(terms.TermTable, "_build", lambda self, keys, op:
+                        built.extend(keys.tolist()) or build(self, keys, op))
     a = fam.inverse_point(1, 7)
-    assert fam.inverse_point(1, 7) is a
+    assert fam.inverse_point(1, 7) == a
+    assert built == [7]
     assert a == SeqVector({7: 2.0 ** -7})
+
+
+RATIO = WeightSeq.ratio([1.0, 1.0], [0.0, 1.0])
+FAR = 2 ** 19 + 1000
+# (op, targets, exponents) covering each branch of WeightPrefix._product
+INVERSE_CASES = {
+    # short products multiply directly, long ones take exp of the log-sum,
+    # and past 2^-996 the coefficient flushes to 0 or below the guard
+    "constant-2": (ShiftOp.backward(W2), ("0", "0,1", "3=1:-0.5"),
+                   (1, 5, 127, 128, 129, 500, 995, 996, 997, 1100)),
+    # 2^e overflows past e = 1024; at e = 1023 the coefficient 3 * 2^1023
+    # of the third target overflows to inf without an error
+    "constant-0.5": (ShiftOp.backward(WeightSeq.constant(0.5)), ("0", "0,1", "3=3"),
+                     (1, 127, 600, 1020, 1023, 1024, 1025, 3000)),
+    # complex weights: rect of the log-sum, with its phase
+    "complex": (ShiftOp.backward(WeightSeq.constant(0.6 + 0.8j)), ("0", "2=1:1"),
+                (1, 100, 130, 5000)),
+    # across the step at 0 on Z, and past 2^53
+    "step-bilateral": (ShiftOp.bilateral_backward(WeightSeq.step(0.5, 2.0, 0)),
+                       ("-200", "-3,0,4", "5=2:1"), (1, 3, 150, 203, 400, 2 ** 53 + 5)),
+    # a table with complex and negative weights and a zero weight at 6,
+    # which raises on the ranges through it
+    "table": (ShiftOp.backward(WeightSeq.table([1.5, -2.0, 0.5j, 3.0, 0.0, 1.25], start=2,
+                                               default=1.1)),
+              ("0", "0,1", "7"), (1, 2, 4, 5, 6, 200)),
+    "short-table": (ShiftOp.backward(SHORT_TABLE), ("0", "3"), (10, 4297, 4300, 4301)),
+    # rational: near products from the table, far ones (indices past 2^19)
+    # from log-gamma, short far ones directly
+    "ratio": (ShiftOp.backward(RATIO), ("0", "0,1", f"{FAR}"),
+              (1, 64, 127, 128, 5000, 2 ** 19 - 1, 2 ** 19, FAR, 3 * FAR)),
+    "forward-type": (ShiftOp.forward(RATIO), ("0", "0,1"), (1, 130, FAR)),
+    "forward-bilateral": (ShiftOp.bilateral_forward(WeightSeq.step(0.5, 2.0, 0)), ("-100", "0,1"),
+                          (1, 50, 150)),
+    "diagonal": (ShiftOp.diagonal(WeightSeq.constant(2.0)), ("0", "0,1"), (1, 30, 1100)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVERSE_CASES))
+def test_term_table_rows_equal_apply_right_inverse(case):
+    # every row of one batch, its entries in order with repr-equal
+    # coefficients (so -0.0 and inf count) and its norm lp_norm's
+    op, specs, exps = INVERSE_CASES[case]
+    family = BackwardOrbitFamily(op, tuple(parse_vectors("|".join(specs), op.domain)))
+    keys = [(k, e) for k in range(1, family.num_classes + 1) for e in exps]
+    table = family._terms
+    rows = table.ids(np.array([k for k, _ in keys]), terms.index_array(e for _, e in keys))
+    for (k, e), row in zip(keys, rows.tolist()):
+        x = family.base_point(k)
+        try:
+            want = apply_right_inverse(op, x, e)
+        except (ArithmeticError, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                family.inverse_point(k, e)
+            assert str(got.value) == str(exc)
+            continue
+        got = family.inverse_point(k, e)
+        assert repr(list(got.entries.items())) == repr(list(want.entries.items())), (k, e)
+        norm = table.norms(np.array([row])).item()
+        assert repr(norm) == repr(lp_norm(want)), (k, e)
+
+
+@pytest.mark.parametrize("case", sorted(INVERSE_CASES))
+def test_term_table_jump_rows_equal_shift_power_apply(case):
+    # the jumps T^m x_k of the forward side and the verifier's past pieces;
+    # one that overflows has state 1, any other error state 2
+    op, specs, exps = INVERSE_CASES[case]
+    family = BackwardOrbitFamily(op, tuple(parse_vectors("|".join(specs), op.domain)))
+    fwd = family.forward_op()
+    keys = [(k, m) for k in range(1, family.num_classes + 1) for m in exps]
+    table = family._terms
+    rows = table.ids(np.array([k for k, _ in keys]), terms.index_array(m for _, m in keys), fwd)
+    for (k, m), row in zip(keys, rows.tolist()):
+        try:
+            want = shift_power_apply(fwd, family.base_point(k), m)
+        except (ArithmeticError, ValueError) as exc:
+            assert table.state[row] == (1 if isinstance(exc, WeightOverflowError) else 2)
+            with pytest.raises(type(exc)) as got:
+                table.vector(row)
+            assert str(got.value) == str(exc)
+            continue
+        assert repr(list(table.vector(row).entries.items())) == \
+            repr(list(want.entries.items())), (k, m)
 
 
 def test_condition_c_exactness_both_clocks():
@@ -144,7 +235,8 @@ def test_threshold_sees_the_forward_sums():
 
 
 def test_threshold_applies_each_forward_power_once(monkeypatch):
-    # the probes revisit every (class, power) pair many times over a search
+    # the probes revisit every (class, power) pair many times over a search;
+    # the family's term table builds each jump T^m x_i
     calls = []
 
     def counting(op, x, m):
@@ -152,7 +244,7 @@ def test_threshold_applies_each_forward_power_once(monkeypatch):
         return shift_power_apply(op, x, m)
 
     fam = BackwardOrbitFamily(B2, (SeqVector.basis(5), SeqVector.basis(0)))
-    monkeypatch.setattr(fhc, "shift_power_apply", counting)
+    monkeypatch.setattr(terms, "shift_power_apply", counting)
     assert find_tail_threshold(fam, B2, 2, 1, EpsSchedule()) == 6
     assert calls and len(calls) == len(set(calls))
 
@@ -178,6 +270,246 @@ def test_threshold_failure_when_inverse_points_overflow():
         with pytest.raises(CriterionFailure) as exc:
             find_tail_threshold(fam, B_half, 1, 1, EpsSchedule(), hard_cap=cap)
         assert exc.value.value == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the scalar threshold search, as the oracle of the array pass
+# ---------------------------------------------------------------------------
+
+# These are find_tail_threshold and its accumulator as first written, one
+# inverse point and one dict fold per term, verbatim but for the names and
+# the type hints.  The oracle reads its points from ScalarFamily, which
+# builds each with apply_right_inverse, so it shares no code with the term
+# table.
+_THRESHOLD_R_MAX = fhc._THRESHOLD_R_MAX
+_THRESHOLD_WINDOW = fhc._THRESHOLD_WINDOW
+_THRESHOLD_SAMPLES = fhc._THRESHOLD_SAMPLES
+
+
+class _RunningNorm:
+    """Sparse accumulator with an incrementally patched power sum, which
+    saturates at inf once a power overflows (never inf - inf = nan)."""
+
+    def __init__(self, p: float):
+        self.p = p
+        self.entries: dict = {}
+        self.power_sum = 0.0
+
+    def add(self, v) -> None:
+        for idx, c in v.entries.items():
+            old = self.entries.get(idx, 0.0 + 0.0j)
+            new = old + c
+            if self.power_sum < math.inf:
+                try:
+                    self.power_sum += abs(new) ** self.p - abs(old) ** self.p
+                except OverflowError:
+                    self.power_sum = math.inf
+            self.entries[idx] = new
+
+    def norm(self) -> float:
+        return max(self.power_sum, 0.0) ** (1.0 / self.p)
+
+
+def oracle_find_tail_threshold(family, op, k: int, q: int,
+                        eps, hard_cap: int = 4096, seed: int = 0) -> int:
+    """Smallest N making every tested criterion sum smaller than eps_k.
+
+    For each class i <= k, each offset r <= _THRESHOLD_R_MAX (r = 0
+    included), and each tested index set F inside the window of
+    _THRESHOLD_WINDOW indices starting at N, both
+
+        || sum_{n in F} x_{i, (n+r)^q - r^q} ||            (inverse side)
+        || sum_{n in F, n <= r} T^{r^q - (r-n)^q} x_i ||    (forward side)
+
+    must be < eps_k.  Tested F are every contiguous tail of the window plus
+    _THRESHOLD_SAMPLES seeded random subsets of size <= 12.  The search
+    doubles N and then bisects to the smallest passing value; if nothing
+    passes by `hard_cap` a CriterionFailure carries the last witness.
+    """
+    if not 1 <= k <= family.num_classes:
+        raise ValueError("class index out of range")
+    qi = int(q)
+    if qi < 1:
+        raise ValueError("q must be a positive natural")
+    eps_k = eps.eps(k)
+    rng = random.Random(seed)
+    # offsets into the sliding window, drawn once so every probe sees the
+    # same sample pattern
+    subset_offsets = [sorted(rng.sample(range(_THRESHOLD_WINDOW), rng.randint(1, 12)))
+                      for _ in range(_THRESHOLD_SAMPLES)]
+    p = family.base_point(1).p_exponent
+
+    def inverse_term(i: int, r: int, n: int) :
+        return family.inverse_point(i, (n + r) ** qi - r ** qi)
+
+    # the probes revisit a few (class, power) pairs thousands of times;
+    # _RunningNorm.add only reads the vectors it is given
+    forward_terms: dict = {}
+
+    def forward_term(i: int, r: int, n: int) :
+        key = (i, r ** qi - (r - n) ** qi)
+        if key not in forward_terms:
+            forward_terms[key] = shift_power_apply(op, family.base_point(i), key[1])
+        return forward_terms[key]
+
+    def probe(N: int):
+        """None when every sum is small; otherwise a witness tuple.  A term
+        whose weight product leaves the floating range has infinite norm."""
+        window = range(N, N + _THRESHOLD_WINDOW)
+        for i in range(1, k + 1):
+            for r in range(0, _THRESHOLD_R_MAX + 1):
+                try:
+                    acc = _RunningNorm(p)
+                    for n in reversed(window):       # tails [n, N + _THRESHOLD_WINDOW)
+                        acc.add(inverse_term(i, r, n))
+                        if acc.norm() >= eps_k:
+                            return (i, r, (n, N + _THRESHOLD_WINDOW - 1), acc.norm())
+                    if r >= N:
+                        acc = _RunningNorm(p)
+                        for n in range(min(r, N + _THRESHOLD_WINDOW - 1), N - 1, -1):
+                            acc.add(forward_term(i, r, n))
+                            if acc.norm() >= eps_k:
+                                return (i, r, (n, r), acc.norm())
+                    for offs in subset_offsets:
+                        acc = _RunningNorm(p)
+                        for o in offs:
+                            acc.add(inverse_term(i, r, N + o))
+                        if acc.norm() >= eps_k:
+                            return (i, r, tuple(N + o for o in offs), acc.norm())
+                        accf = _RunningNorm(p)
+                        fwd = [N + o for o in offs if N + o <= r]
+                        for n in fwd:
+                            accf.add(forward_term(i, r, n))
+                        if accf.norm() >= eps_k:
+                            return (i, r, tuple(fwd), accf.norm())
+                except WeightOverflowError:
+                    return (i, r, (N, N + _THRESHOLD_WINDOW - 1), math.inf)
+        return None
+
+    w = probe(1)
+    if w is None:
+        return 1
+    lo, hi = 1, None
+    N = 2
+    while N <= hard_cap:
+        w2 = probe(N)
+        if w2 is None:
+            hi = N
+            break
+        w = w2
+        lo = N
+        N *= 2
+    if hi is None:
+        raise CriterionFailure(w[0], w[1], w[2], w[3], eps_k, hard_cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if probe(mid) is None:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class ScalarFamily:
+    """The targets and their inverse points, one apply_right_inverse each."""
+
+    def __init__(self, op, targets):
+        self.op, self.base_points = op, tuple(targets)
+        self.num_classes = len(self.base_points)
+        self._cache = {}
+
+    def base_point(self, k):
+        if not 1 <= k <= self.num_classes:
+            raise ValueError(f"class index {k} out of range")
+        return self.base_points[k - 1]
+
+    def inverse_point(self, k, n):
+        if n == 0:
+            return self.base_point(k)
+        if (k, n) not in self._cache:
+            self._cache[k, n] = apply_right_inverse(self.op, self.base_point(k), n)
+        return self._cache[k, n]
+
+
+def outcome(search, *args, **kwargs):
+    """A search's threshold, or the type and message of what it raised, and
+    a CriterionFailure's witness."""
+    try:
+        return search(*args, **kwargs)
+    except CriterionFailure as exc:
+        return type(exc), str(exc), exc.class_index, exc.r, exc.window, exc.value
+    except Exception as exc:          # noqa: BLE001  (compared, not handled)
+        return type(exc), str(exc)
+
+
+# SHORT_TABLE with target e_3 and q = 2: the probe at N = 1 finds its
+# witness on the forward side of r = 1, while the points of r = 2, in the
+# same block of the array pass, need weights past 4300; the probe at N = 2
+# then raises on r = 1
+RULES = {
+    "constant-2": (ShiftOp.backward(W2), ("0", "0,1", "1=0.5:0.5")),
+    # x_{1,e} = 2^e e_e: the large probes overflow, first in the power sum
+    # and then in the weight product
+    "constant-0.5": (ShiftOp.backward(WeightSeq.constant(0.5)), ("0", "0,1", "2")),
+    "step-bilateral": (ShiftOp.bilateral_backward(WeightSeq.step(0.5, 2.0, 0)),
+                       ("0", "-1,0", "1=2")),
+    "short-table": (ShiftOp.backward(SHORT_TABLE), ("3", "0,1", "2")),
+    "ratio": (ShiftOp.backward(WeightSeq.ratio([1.0, 1.0], [0.0, 1.0])), ("0", "0,1", "1")),
+}
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_threshold_search_matches_the_scalar_oracle(rule, K, q):
+    op, specs = RULES[rule]
+    targets = [parse_vectors(spec, op.domain)[0] for spec in specs[:K]]
+    family = BackwardOrbitFamily(op, tuple(targets))
+    oracle = ScalarFamily(op, targets)
+
+    def same(k, eps, cap):
+        want = outcome(oracle_find_tail_threshold, oracle, op, k, q, eps, cap, seed=k)
+        assert outcome(find_tail_threshold, family, op, k, q, eps, cap, seed=k) == want, \
+            (rule, K, q, k, cap)
+        return want
+
+    # a cap below the threshold ends the search with the witness of the
+    # probe at the largest power of 2 up to the cap
+    for k in range(1, K + 1):
+        for eps, top, caps in ((EpsSchedule(), 4096, (1, 2, 4, 8, 16, 32)),
+                               (EpsSchedule(0.3, 0.7), 600, (3, 24))):
+            N = same(k, eps, top)
+            for cap in caps:
+                if not isinstance(N, int) or cap < N:
+                    same(k, eps, cap)
+
+
+def test_the_oracle_battery_meets_every_outcome():
+    # the battery reaches a threshold, a CriterionFailure with a finite and
+    # with an infinite witness, and an error raised after a witness
+    op = RULES["short-table"][0]
+    fam = ScalarFamily(op, [SeqVector.basis(3)])
+    assert outcome(oracle_find_tail_threshold, fam, op, 1, 2, EpsSchedule()) == \
+        (ValueError, "weight index 4301 outside the table range")
+    op = RULES["constant-0.5"][0]
+    for cap, inf in ((64, False), (4096, True)):
+        with pytest.raises(CriterionFailure) as exc:
+            find_tail_threshold(family_e0(op), op, 1, 1, EpsSchedule(), cap)
+        assert math.isinf(exc.value.value) == inf
+
+
+def test_no_scalar_inverse_product_in_the_search_and_the_verifier(monkeypatch):
+    # on a closed rule every inverse point comes from the term table's batch
+    # reads; the forward side's shift_power_apply reads are products
+    calls = []
+    inverse = WeightPrefix.inverse_product
+    monkeypatch.setattr(WeightPrefix, "inverse_product",
+                        lambda self, *a: calls.append(a) or inverse(self, *a))
+    for weights, op_kind, q in (("w=constant:2", "backward", 1), ("w=constant:2", "backward", 2),
+                                ("w=step:0|0.5|2", "bilateral-backward", 1)):
+        op, family, J, radii = cli_pipeline(weights, op_kind, "0|0,1", q, 300)
+        verify_q_frequent_visits(op, assemble_vector(family, J, q), family, J, q, radii)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
