@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,6 +35,7 @@ from .seqspace import (
     SeqVector,
     ShiftOp,
     WeightOverflowError,
+    _p_sums,
     adjoint,
     apply,
     apply_right_inverse,
@@ -833,10 +833,8 @@ def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict],
     np.hypot, which equals abs(complex) bit for bit where np.abs does not;
     entries below COEFF_GUARD are dropped; the difference keeps y's order,
     updates y's entries in place and appends |t_i| for the target indices
-    y lacks; each term (v / top) ** p is Python's pow, not np.power; the
-    terms are added one column of V after the other, which is list order
-    (a dropped entry or an empty cell adds 0.0, which changes no sum), and
-    the result is top * pow(sum, 1 / p).
+    y lacks; the norms are `_p_sums` of the terms, a dropped entry or an
+    empty cell being 0.0.
     """
     p = float(p)
     mag = np.hypot(re, im)
@@ -859,17 +857,7 @@ def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict],
             lacks = np.flatnonzero(lacks)
             V[width[lacks], lacks] = abs(tc)
             width[lacks] += 1
-        top = V.max(axis=0)
-        nz = V != 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            V /= top
-        V[nz] = np.fromiter(map(pow, memoryview(V[nz]), repeat(p)), float,
-                            np.count_nonzero(nz))
-        s = V[0].copy()
-        for row in V[1:]:
-            s += row
-        d = top * np.fromiter(map(pow, memoryview(s), repeat(1.0 / p)), float, n_times)
-        out[k] = np.where(top == 0.0, 0.0, d)
+        out[k] = _p_sums(V, p)
     return out
 
 

@@ -24,7 +24,7 @@ from hyperlab.density import (
     visit_set,
 )
 from hyperlab.matops import MatOp, embed_window, schatten_norm, singular_values
-from hyperlab.seqspace import SeqVector, ShiftOp, WeightSeq, iterate_orbit
+from hyperlab.seqspace import SeqVector, ShiftOp, WeightSeq, shift_power_apply
 
 
 def oracle_profile(elems, q, N_max):
@@ -195,7 +195,7 @@ def test_density_runtime_scale():
 def test_visit_set_lp_metric():
     # orbit of e_3 under the unweighted backward shift visits e_0 at n = 3
     B = ShiftOp.backward(WeightSeq.constant(1.0))
-    orbit = iterate_orbit(B, SeqVector.basis(3), 6)
+    orbit = (shift_power_apply(B, SeqVector.basis(3), n) for n in range(1, 7))
     A = visit_set(orbit, SeqVector.basis(0), 0.5, NormSpec.lp(2.0))
     assert A.elems == (3,)
     assert A.horizon == 6

@@ -20,7 +20,9 @@ PACKAGE = ROOT / "src" / "hyperlab"
 ALLOWED = {
     # deskbench/test_deskbench.py::test_wrappers_replace_every_binding
     # asserts that fhc.apply and matops.apply are the same object as
-    # seqspace.apply (see test_the_benchmark_tracer_installs_against_src)
+    # seqspace.apply, and that cli.lp_norm is seqspace.lp_norm (see
+    # test_the_benchmark_tracer_installs_against_src)
+    "cli": {"lp_norm"},
     "fhc": {"apply"},
     "matops": {"apply"},
 }

@@ -176,3 +176,38 @@ def test_reach_is_the_range_of_defined_weights():
     assert WeightSeq.ratio([1.0], [1.0]).reach == (-np.inf, np.inf)
     assert WeightSeq.table((1.0, 2.0), start=-3, default=0.5).reach == (-np.inf, np.inf)
     assert WeightSeq.table((1.0, 2.0, 3.0), start=-3, domain=Z).reach == (-3, -1)
+
+
+@pytest.mark.parametrize("start", [10 ** 20, -10 ** 20, 7])
+def test_at_keeps_its_levels_apart_and_reads_far_tables(start):
+    # the levels array is built on first use and is no field, so equality
+    # and hashing ignore it; a table offset past int64 reads as the literal
+    w = WeightSeq.table((1.0, 2.0 - 1.0j), start=start, default=0.5, domain=Z)
+    n = np.array([-2 ** 61, -3, 0, 5, 8, 9, 2 ** 61], np.int64)
+    got = w.at(n)
+    assert "_levels" in vars(w) and w._levels is vars(w)["_levels"]
+    assert repr(w.at(n).tolist()) == repr(got.tolist()) == repr([w.weight(int(i)) for i in n])
+    fresh = WeightSeq.table((1.0, 2.0 - 1.0j), start=start, default=0.5, domain=Z)
+    assert w == fresh and hash(w) == hash(fresh) and "_levels" not in vars(fresh)
+
+
+def _weight_or_0(w, n):
+    try:
+        return w.weight(n)
+    except ValueError:
+        return 0j
+
+
+FAR = [-10 ** 20, -2 ** 62 - 9, -2 ** 62 - 3, -2 ** 62 + 2, 2 ** 62 - 5, 2 ** 62, 10 ** 20]
+
+
+@pytest.mark.parametrize("split", FAR)
+def test_at_reads_far_rules_at_the_ends_of_its_reach(split):
+    # low and high differ, so a table offset that wrapped round in int64
+    # would read the other level; a table near an end of the reach is read
+    # entry by entry
+    n = np.array([-2 ** 62 + 1, -2 ** 62 + 2, -2 ** 62 + 4, -3, 0,
+                  2 ** 62 - 4, 2 ** 62 - 2, 2 ** 62 - 1], np.int64)
+    for w in (WeightSeq.step(0.5, 2.0, split=split),
+              WeightSeq.table((1.0, 2.0, 3.0j, 4.0, 5.0, 6.0, 7.0), start=split, domain=Z)):
+        assert repr(w.at(n).tolist()) == repr([_weight_or_0(w, int(i)) for i in n])
