@@ -35,6 +35,7 @@ from .seqspace import (
     SeqVector,
     ShiftOp,
     WeightOverflowError,
+    _left_sum,
     _p_sums,
     adjoint,
     apply,
@@ -42,7 +43,15 @@ from .seqspace import (
     lp_norm,
     shift_power_apply,
 )
-from .terms import TermTable, index_array, pow_or_inf, power_sums, shares_an_index
+from .terms import (
+    EXACT_INT64,
+    TermTable,
+    _fold_replay,
+    index_array,
+    pow_or_inf,
+    power_sums,
+    shares_an_index,
+)
 
 __all__ = [
     "EpsSchedule",
@@ -84,7 +93,7 @@ class EpsSchedule:
     def bound(self, k: int, K: int) -> float:
         """k*eps_k + sum_{j=k+1}^{K} eps_j: the radius class k of K is
         visited within, and the quantity that must vanish as k grows."""
-        return k * self.eps(k) + sum(self.eps(j) for j in range(k + 1, K + 1))
+        return k * self.eps(k) + _left_sum(self.eps(j) for j in range(k + 1, K + 1))
 
     def describe(self) -> str:
         return f"{self.scale!r}*{self.base!r}^k"
@@ -218,15 +227,15 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
 
     A probe is an array pass over the family's term table: it reads the
     terms of a block of (class, r) pairs from the table, whose missing
-    inverse points come in one batch, and takes every tail and subset norm
-    as a running power sum in the float steps of adding the terms into a
-    dict (`terms.power_sums`), so every comparison with eps_k is that of the
-    scalar loop.  Blocks hold 1, 8, 64, ... pairs in the scalar order, so no
-    term is computed past the block where the first witness lies.  The
-    witness is the first one in the order class, r, tails, forward side,
-    subsets; a term whose weight product leaves the floating range is the
-    witness (i, r, window, inf) where that order meets it, and any other
-    error a term raises is raised there.
+    inverse points and jumps come in one batch each, and takes every tail
+    and subset norm as a running power sum in the float steps of adding the
+    terms into a dict (`terms.power_sums`), so every comparison with eps_k
+    is that of the scalar loop.  Blocks hold 1, 8, 64, ... pairs in the
+    scalar order, so no term is computed past the block where the first
+    witness lies.  The witness is the first one in the order class, r,
+    tails, forward side, subsets; a term whose weight product leaves the
+    floating range is the witness (i, r, window, inf) where that order meets
+    it, and any other error a term raises is raised there.
     """
     if not 1 <= k <= family.num_classes:
         raise ValueError("class index out of range")
@@ -289,7 +298,7 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
         """The first witness of a block of (class, r) pairs, or None."""
         cls = np.array([i for i, _ in block])
         dt = np.int64 if (N + W + _THRESHOLD_R_MAX) ** qi * (family.num_classes + 1) \
-            < _EXACT_INT64 else object
+            < EXACT_INT64 else object
         r = np.array([r for _, r in block], dt)[:, None]
         n = np.arange(N + W - 1, N - 1, -1).astype(dt)
         rid = table.ids(np.repeat(cls, W), ((n + r) ** qi - r ** qi).ravel()).reshape(-1, W)
@@ -300,8 +309,8 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
         uniq = [inv.index(u) for u in range(len(index))]
         at, tails, subs, sub_hit = (v[inv] for v in sums(rid[uniq]))
         # forward side: the jumps T^m x_i, m = r^q - (r-n)^q, at the
-        # positions with n <= r, one shift_power_apply each per family; on a
-        # unilateral backward shift a jump past x_i's support is 0
+        # positions with n <= r, built once per family; on a unilateral
+        # backward shift a jump past x_i's support is 0
         fwd = np.flatnonzero(r[:, 0] >= N)
         if fwd.size:
             m = r[fwd] ** qi - (r[fwd] - n) ** qi
@@ -666,7 +675,7 @@ class _Walk:
 
     A future piece is the inverse point x_{l, m^q - n^q}, a past piece the
     jump T^{n^q - m^q} x_l, both rows of the family's term table, which
-    builds each once (a walk step's missing inverse points in one batch);
+    builds each once (a walk step's missing pieces in one batch);
     row 0 is empty and stands in for positions past the end of a walk.
     used[t] counts the pieces time t has added (n_future[t] of them on the
     future walk); parts collects (time, position, piece) arrays; fail[t] is
@@ -805,22 +814,14 @@ class _Walk:
 def _merge_terms(t, idx, re, im) -> tuple:
     """Entries of the orbit points y_t = sum of their terms, in the order
     the dict fold acc[i] = acc.get(i, 0j) + c would hold them: first
-    occurrence of each (time, index), each sum added term by term from 0j."""
-    order = np.lexsort((idx, t))
-    ts, xs = t[order], idx[order]
-    new = np.ones(len(t), bool)
-    new[1:] = (ts[1:] != ts[:-1]) | (xs[1:] != xs[:-1])
-    gid = np.cumsum(new) - 1
-    starts = np.flatnonzero(new)
-    rank = np.arange(len(t)) - starts[gid]
-    gre, gim = np.zeros(len(starts)), np.zeros(len(starts))
-    for r in range(int(rank.max(initial=-1)) + 1):
-        at = rank == r
-        gre[gid[at]] += re[order[at]]
-        gim[gid[at]] += im[order[at]]
+    occurrence of each (time, index), each sum added term by term (a lone
+    -0.0 keeps its sign, which no distance reads)."""
+    order, same, run_re, run_im = _fold_replay(t, idx, re, im)
+    starts = np.flatnonzero(~same)
+    last = np.append(starts[1:], len(same))[:len(starts)] - 1
     by_first = np.argsort(order[starts])
     first = order[starts][by_first]
-    return t[first], idx[first], gre[by_first], gim[by_first]
+    return t[first], idx[first], run_re[last][by_first], run_im[last][by_first]
 
 
 def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict],
@@ -861,11 +862,6 @@ def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict],
     return out
 
 
-# clock indices up to this bound are exact in int64, larger ones are
-# Python ints in object arrays
-_EXACT_INT64 = 2 ** 62
-
-
 def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: list, K: int,
                     qi: int, N_H: int, tail_cut: float, max_blocks_per_time: int) -> tuple:
     """(d, truncated) over the sorted (time, class) blocks, with
@@ -888,7 +884,7 @@ def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: list, K: i
     sup_top = np.array([-1] + [max(family.base_point(l).entries, default=-1)
                                for l in range(1, K + 1)])
     last = max(N_H, blocks[-1][0] if blocks else 0)
-    dt = np.int64 if (last ** qi + 1) * (K + 1) < _EXACT_INT64 else object
+    dt = np.int64 if (last ** qi + 1) * (K + 1) < EXACT_INT64 else object
     btime = np.array([m for m, _ in blocks], np.int64)
     bpow = np.array([m ** qi for m, _ in blocks], dt)
     bcls = np.array([l for _, l in blocks], np.int64)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .matops import MatOp
-from .seqspace import Domain, WeightSeq
+from .seqspace import Domain, WeightSeq, _left_sum
 
 __all__ = [
     "BetaSpace",
@@ -121,7 +121,7 @@ class AnalyticSymbol:
         return acc
 
     def coeff_abs_sum(self) -> float:
-        return sum(abs(c) for c in self.coeffs)
+        return _left_sum(abs(c) for c in self.coeffs)
 
 
 def mult_op_matrix(phi: AnalyticSymbol, space: BetaSpace) -> MatOp:
@@ -196,7 +196,7 @@ def _leg(sym: AnalyticSymbol, space: BetaSpace, z: complex) -> _Leg:
     tiny = np.finfo(float).tiny
     au = np.abs(u)
     bad = np.concatenate([[0], np.cumsum(au < tiny * np.maximum(space.betas, 1.0))])
-    ref = au[:e] * sum(abs(c) * r ** m for m, c in enumerate(sym.coeffs))
+    ref = au[:e] * _left_sum(abs(c) * r ** m for m, c in enumerate(sym.coeffs))
     ok = (bad[deg + 1:] == bad[:e]) & (ref >= tiny)
     dev = np.abs(b[:e][ok] - acc * u[:e][ok]) / ref[ok]
     t = np.arange(1, k + 1)

@@ -33,6 +33,7 @@ inverse give the identity, exactly.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -183,7 +184,13 @@ def p_sum(values: Sequence[float], p: float) -> float:
     top = max(values, default=0.0)
     if top == 0.0:
         return 0.0
-    return top * sum((v / top) ** p for v in values) ** (1.0 / p)
+    return top * _left_sum((v / top) ** p for v in values) ** (1.0 / p)
+
+
+def _left_sum(values) -> float:
+    """Floats added left to right from 0, one rounding per term, as the
+    builtin sum does up to Python 3.11 (3.12 compensates it)."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def bilinear_pair(u: SeqVector, v: SeqVector) -> complex:
@@ -342,7 +349,8 @@ class WeightPrefix:
     whole range, unless it is short and multiplies directly; a prefix L(m)
     with |m| > `_NEAR` is the table's L(+-`_NEAR`) plus the closed-form sum
     over the indices past it.  The closed form reads the weight only next to
-    the roots of P and Q (to raise where there is none).
+    the roots of P and Q (to raise where there is none).  Every product is
+    one row of an array pass over many ranges, `products`.
 
     A product over [s, e] carries a relative error of at most C * m * eps,
     with m = max(|s|, |e|) + 1, eps the double-precision unit round-off and C
@@ -367,10 +375,15 @@ class WeightPrefix:
         self._closed = w.rational is None
         if not self._closed:
             return
-        self._a, self._b = w.a, w.a + len(w.values)
+        # the table offset held within 2^62 of 0, as in `WeightSeq.at`: every
+        # index a product reads (|n| <= 2^53 + 1) meets the same level, and
+        # every count stays inside int64
+        self._a = min(max(w.a, -2 ** 62 - len(w.values)), 2 ** 62)
+        self._b = self._a + len(w.values)
         self._low, self._high = _log_phase(w.low), _log_phase(w.high)
-        # table indices whose weight is zero, read only to raise
-        self._zeros = [w.a + 1 + k for k, v in enumerate(w.values) if v == 0]
+        # table indices whose weight is zero, read only to raise, and a bound
+        self._zeros = np.array([self._a + 1 + k for k, v in enumerate(w.values) if v == 0]
+                               + [np.iinfo(np.int64).max], np.int64)
         lps = [_log_phase(v) or (0.0, 0.0) for v in w.values]
         self._tab_log = array("d", itertools.accumulate((lp[0] for lp in lps), initial=0.0))
         self._tab_ph = array("d", itertools.accumulate((lp[1] for lp in lps), initial=0.0))
@@ -381,54 +394,42 @@ class WeightPrefix:
         from .gammaratio import GammaRatio
         return GammaRatio(self.w)
 
-    def _check(self, lo: int, hi: int) -> None:
-        """Raise the rule's own error at the lowest index in [lo, hi]
-        without a usable weight (closed rules)."""
-        if lo <= hi:
-            bad = [z for z in self._zeros if lo <= z <= hi]
-            if (self.w.domain is Domain.NATURALS and lo < 0
-                    or self._low is None and lo <= self._a):
-                bad.append(lo)
-            if self._high is None and hi > self._b:
-                bad.append(max(lo, self._b + 1))
-            if bad:
-                self.w.weight(min(bad))  # raises the rule's own error
-
-    def _unusable(self, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """Where [s, e] (s <= e, int64 arrays) holds an index without a
-        usable weight: `_check` over many ranges (closed rules)."""
-        zeros = np.array(self._zeros + [2 ** 62], np.int64)
-        bad = zeros[np.searchsorted(zeros, s)] <= e
-        if self.w.domain is Domain.NATURALS:
-            bad |= s < 0
-        if self._low is None:
-            bad |= s <= self._a
+    def _first_unusable(self, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Where each range [s, e] (int64 arrays; near ones on a rational
+        rule) meets a weight that is not usable, or 2^62: at the lowest such
+        index on a closed rule, where the grown tables stop (the side above
+        0 first) on a rational one."""
+        if not self._closed:
+            self._grow(int(s.min(initial=1)) - 1, int(e.max(initial=0)))
+            pos, neg = len(self._pos_log), len(self._neg_log)
+            return np.where(e >= pos, pos, np.where(1 - s >= neg, 1 - neg, 2 ** 62))
+        first = self._zeros[np.searchsorted(self._zeros, s)]
         if self._high is None:
-            bad |= e > self._b
-        return bad
+            first = np.minimum(first, np.maximum(s, self._b + 1))
+        if self._low is None:
+            first = np.where(s <= self._a, s, first)
+        if self.w.domain is Domain.NATURALS:
+            first = np.where(s < 0, s, first)
+        return np.where(first <= e, first, 2 ** 62)
 
-    def _closed_sum(self, s, e, vector: bool = False):
-        """(log-sum, phase-sum) over [s, e] with e >= s - 1, for ints or for
-        integer arrays; every index it reads has a usable weight."""
-        tab_log, tab_ph, minimum, maximum = self._tab_log, self._tab_ph, min, max
-        if vector:
-            tab_log, tab_ph = np.frombuffer(tab_log), np.frombuffer(tab_ph)
-            minimum, maximum = np.minimum, np.maximum
+    def _closed_sum(self, s: np.ndarray, e: np.ndarray) -> tuple:
+        """(log-sums, phase-sums) of a closed rule over the ranges [s, e] (int64
+        arrays, e >= s - 1) whose every index has a usable weight."""
+        tab_log, tab_ph = np.frombuffer(self._tab_log), np.frombuffer(self._tab_ph)
         a, b = self._a, self._b
-        n_low = maximum(minimum(e, a) - s + 1, 0)
-        n_high = maximum(e - maximum(s - 1, b), 0)
-        j1 = minimum(maximum(s - 1, a), b) - a
-        j2 = minimum(maximum(e, a), b) - a
+        n_low = np.maximum(np.minimum(e, a) - s + 1, 0)
+        n_high = np.maximum(e - np.maximum(s - 1, b), 0)
+        j1 = np.minimum(np.maximum(s - 1, a), b) - a
+        j2 = np.minimum(np.maximum(e, a), b) - a
         low, high = self._low or (0.0, 0.0), self._high or (0.0, 0.0)
         return (tab_log[j2] - tab_log[j1] + n_low * low[0] + n_high * high[0],
                 tab_ph[j2] - tab_ph[j1] + n_low * low[1] + n_high * high[1])
-
     def _grow(self, lo: int, hi: int) -> None:
         """Extend the rational tables to cover L(lo) .. L(hi), with |lo| and
         |hi| at most `_NEAR`, at least doubling a growing table up to `_NEAR`,
         in chunks that keep temporaries small.  Entry k of a side is L(k) or
         L(-k): it adds w_k or subtracts w_{1-k}.  Growth stops short of an
-        index without a usable weight, raising if it is needed."""
+        index without a usable weight (see `_first_unusable`)."""
         for logs, phs, need, sign in ((self._pos_log, self._pos_ph, hi, 1),
                                       (self._neg_log, self._neg_ph, -lo, -1)):
             if need < len(logs):
@@ -441,8 +442,6 @@ class WeightPrefix:
                 bad = vals == 0.0
                 if bad.any():
                     first = int(np.argmax(bad))
-                    if k[first] <= need:
-                        self.w.weight(int(t[first]))  # raises the rule's own error
                     vals, top = vals[:first], k[first] - 1
                 # math.log, not np.log (they differ in the last bit on about one
                 # input in 10^4): entries equal a scalar running sum, which
@@ -461,139 +460,106 @@ class WeightPrefix:
                     step[:1] += table[-1]
                     table.frombytes(np.cumsum(step).tobytes())
 
-    def _at(self, m: int) -> tuple[float, float]:
-        logs, phs = (self._pos_log, self._pos_ph) if m >= 0 else (self._neg_log, self._neg_ph)
-        m = abs(m)
-        return logs[m], phs[m] if m < len(phs) else 0.0
-
-    def _sum(self, s: int, e: int) -> tuple[float, float]:
-        """(log-sum, phase-sum) over [s, e], e >= s - 1."""
-        if max(abs(s), abs(e)) > 2 ** 53:   # past exact float index arithmetic
-            raise ValueError("weight product reaches an index beyond 2^53")
-        if self._closed:
-            self._check(s, e)
-            return self._closed_sum(s, e)
-        if self._far(s, e):
-            return self._gamma.log_sum(s, e)
-        self._grow(s - 1, e)
-        (l1, p1), (l0, p0) = self._at(e), self._at(s - 1)
-        return l1 - l0, p1 - p0
-
-    def _far(self, s: int, e: int) -> bool:
-        """Whether a rational product over [s, e] needs the closed form."""
-        return not self._closed and max(abs(s - 1), abs(e)) > _NEAR
-
     def log_abs_many(self, m) -> np.ndarray:
         """L(m), vectorized over a nonempty integer array."""
         m = np.asarray(m, dtype=np.int64)
-        lo, hi, up = int(m.min()), int(m.max()), m >= 0
+        up = m >= 0
+        lo, hi = min(int(m.min()), 0), max(int(m.max()), 0)
+        if not self._closed:
+            # the table reaches L(+-_NEAR) at most, and far entries continue
+            # it from there, so that the two meet without a step at its edge
+            lo, hi = max(lo, -_NEAR), min(hi, _NEAR)
+        first = int(self._first_unusable(np.array([lo + 1]), np.array([hi]))[0])
+        if first < 2 ** 62:
+            self.w.weight(first)  # raises the rule's own error
         if self._closed:
-            s, e = np.where(up, 1, m + 1), np.where(up, m, 0)
-            self._check(min(lo + 1, 1), max(hi, 0))
-            logs = self._closed_sum(s, e, vector=True)[0]
+            logs = self._closed_sum(np.where(up, 1, m + 1), np.where(up, m, 0))[0]
             return np.where(up, logs, -logs)
         pos, neg = m > _NEAR, m < -_NEAR
         near = np.where(pos | neg, 0, m)
-        # far entries continue the table from L(+-_NEAR), so that the two
-        # meet without a step at its edge
-        self._grow(-_NEAR if neg.any() else int(near.min()),
-                   _NEAR if pos.any() else int(near.max()))
         out = np.where(up, np.frombuffer(self._pos_log)[np.maximum(near, 0)],
                        np.frombuffer(self._neg_log)[np.maximum(-near, 0)])
-        for far, edge in ((pos, _NEAR), (neg, -_NEAR)):
+        for far, edge, table in ((pos, _NEAR, self._pos_log), (neg, -_NEAR, self._neg_log)):
             if far.any():
-                out[far] = self._at(edge)[0] + self._gamma.log_prefix(m[far], edge)
+                out[far] = table[_NEAR] + self._gamma.log_prefix(m[far], edge)
         return out
 
     def product(self, start: int, stop: int) -> complex:
-        """w_start * ... * w_stop (empty when stop < start).
-
-        Short comfortably-ranged products multiply directly (exact up to one
-        rounding per factor); long or extreme ones go through the log-sums.
-        """
-        return self._product(start, stop, 1)
+        """w_start * ... * w_stop (empty when stop < start), one row of `products`."""
+        return 1.0 + 0.0j if stop < start else _products(self, [0], start, stop, 1)[0]
 
     def inverse_product(self, start: int, stop: int) -> complex:
-        """1 / (w_start * ... * w_stop), by the same rules as `product`."""
-        return self._product(start, stop, -1)
+        """1 / (w_start * ... * w_stop): one row of `products`."""
+        return 1.0 + 0.0j if stop < start else _products(self, [0], start, stop, -1)[0]
 
-    def _direct(self, start: int, stop: int) -> complex:
-        return math.prod(map(self.w.weight, range(start, stop + 1)), start=1.0 + 0.0j)
+    def products(self, start: np.ndarray, stop: np.ndarray, sign: int) -> tuple:
+        """w_start[i] * ... * w_stop[i] (sign 1) or its reciprocal (sign -1)
+        over int64 arrays with stop >= start, in one read of the tables:
+        (values, errors), values[i] 0 where the row raises errors[i].
 
-    def _product(self, start: int, stop: int, sign: int) -> complex:
-        if stop < start:
-            return 1.0 + 0.0j
-        short = stop - start < 128
-        if short and self._far(start, stop) and max(-start, stop) <= 2 ** 53:
-            # a short far product takes the closed form only past [e^-300, e^300]
-            prod = self._direct(start, stop)
-            if math.exp(-300.0) <= abs(prod) <= math.exp(300.0):
-                return prod if sign > 0 else 1.0 / prod
-        lm, ph = self._sum(start, stop)
-        if short and abs(lm) < 300.0:
-            prod = self._direct(start, stop)
-            return prod if sign > 0 else 1.0 / prod
-        lm, ph = sign * lm, sign * ph + 0.0   # + 0.0: a zero phase stays +0.0
-        if lm > _LOG_FLOAT_MAX:
-            raise WeightOverflowError(start, stop, lm)
-        if lm < math.log(COEFF_GUARD):
-            return 0.0 + 0.0j
-        if self._far(start, stop):    # the phase is exactly 0 or pi
-            return complex(-math.exp(lm) if ph else math.exp(lm), 0.0)
-        return cmath.rect(math.exp(lm), ph)
-
-    def inverse_products(self, start: np.ndarray, stop: np.ndarray) -> tuple:
-        """`inverse_product` over int64 arrays with stop >= start, in one
-        read of the tables: (values, errors), values[i] equal to
-        inverse_product(start[i], stop[i]) bit for bit, or 0 where that
-        raises errors[i].
-
-        Every float step is the scalar one: a short product multiplies its
-        weights in order (one running product per distinct start), and
-        exp, rect and the reciprocal are math.exp, cmath.rect and Python's
-        complex division.  A range past 2^53, one that reads an index
-        without a usable weight and a far rational one take the scalar path.
+        A short product (under 128 factors) with a log-sum inside (-300,
+        300) multiplies its weights in order from 1, one running product
+        per distinct start; a short far rational one does so first and is
+        kept inside [e^-300, e^300].  Any other is math.exp of its log-sum,
+        with its phase by cmath.rect (a far rational one is real), raising
+        WeightOverflowError past float range and 0 below the coefficient
+        guard; a reciprocal is Python's complex division.  A range past
+        2^53 raises ValueError, one through a weight that is not usable the
+        rule's own error (see `_first_unusable`).
         """
-        out, errors = np.zeros(len(start), complex), {}
-        alone = np.maximum(np.abs(start), np.abs(stop)) > 2 ** 53
-        if self._closed:
-            alone[~alone] = self._unusable(start[~alone], stop[~alone])
-        else:
-            alone |= np.maximum(np.abs(start - 1), np.abs(stop)) > _NEAR
+        R = len(start)
+        out, errors, lm, ph = np.zeros(R, complex), {}, np.zeros(R), np.zeros(R)
+        live = np.maximum(np.abs(start), np.abs(stop)) <= 2 ** 53
+        for i in np.flatnonzero(~live).tolist():
+            errors[i] = ValueError("weight product reaches an index beyond 2^53")
+        far = live & (np.maximum(np.abs(start - 1), np.abs(stop)) > _NEAR) & (not self._closed)
+        near = live & ~far
+        first = np.full(R, 2 ** 62)
+        first[near] = self._first_unusable(start[near], stop[near])
+        for i in np.flatnonzero(first < 2 ** 62).tolist():
             try:
-                if not alone.all():
-                    self._grow(int(start[~alone].min()) - 1, int(stop[~alone].max()))
-            except ValueError:    # some range needs a weight past an unusable one
-                alone[:] = True
-        for i in np.flatnonzero(alone).tolist():
+                self.w.weight(int(first[i]))  # raises the rule's own error
+            except ValueError as exc:
+                errors[i], live[i] = exc, False
+        short = live & (stop - start < 128)
+        direct = np.zeros(R, complex)
+        direct[short] = self._running_products(start[short], stop[short])
+        # a short far product through a weight that is not usable reads 0 and
+        # takes the closed form, which raises the rule's own error there
+        mag = np.hypot(direct.real, direct.imag)
+        kept = live & far & (math.exp(-300.0) <= mag) & (mag <= math.exp(300.0))
+        for i in np.flatnonzero(live & far & ~kept).tolist():
             try:
-                out[i] = self._product(int(start[i]), int(stop[i]), -1)
+                lm[i], ph[i] = self._gamma.log_sum(int(start[i]), int(stop[i]))
             except (ArithmeticError, ValueError) as exc:
-                errors[i] = exc
-        rows = np.flatnonzero(~alone)
-        s, e = start[rows], stop[rows]
+                errors[i], live[i] = exc, False
+        near &= live
         if self._closed:
-            lm, ph = self._closed_sum(s, e, vector=True)
+            lm[near], ph[near] = self._closed_sum(start[near], stop[near])
         else:
-            (l1, p1), (l0, p0) = self._near(e), self._near(s - 1)
-            lm, ph = l1 - l0, p1 - p0
-        direct = (e - s < 128) & (np.abs(lm) < 300.0)
-        out[rows[direct]] = np.fromiter(
-            map(operator.truediv, itertools.repeat(1.0),
-                self._running_products(s[direct], e[direct]).tolist()), complex,
-            np.count_nonzero(direct))
-        rows, lm, ph = rows[~direct], -lm[~direct], -ph[~direct] + 0.0
+            (l1, p1), (l0, p0) = self._near(stop[near]), self._near(start[near] - 1)
+            lm[near], ph[near] = l1 - l0, p1 - p0
+        take = np.flatnonzero(kept | short & live & (np.abs(lm) < 300.0))
+        out[take] = direct[take] if sign > 0 else np.fromiter(
+            map(operator.truediv, itertools.repeat(1.0), direct[take].tolist()), complex,
+            len(take))
+        live[take] = False
+        rows = np.flatnonzero(live)
+        lm, ph = sign * lm[rows], sign * ph[rows] + 0.0   # + 0.0: a zero phase stays +0.0
         over = lm > _LOG_FLOAT_MAX
         for i, v in zip(rows[over].tolist(), lm[over].tolist()):
             errors[i] = WeightOverflowError(int(start[i]), int(stop[i]), v)
-        live = ~over & ~(lm < math.log(COEFF_GUARD))
-        out[rows[live]] = np.fromiter(map(cmath.rect, map(math.exp, lm[live].tolist()),
-                                          ph[live].tolist()), complex, np.count_nonzero(live))
+        ok = ~over & ~(lm < math.log(COEFF_GUARD))
+        rows, lm, ph = rows[ok], lm[ok], ph[ok]
+        mag = np.fromiter(map(math.exp, lm.tolist()), float, len(rows))
+        out[rows] = np.fromiter(map(cmath.rect, mag.tolist(), ph.tolist()), complex, len(rows))
+        real = far[rows]    # the phase of a far rational product is exactly 0 or pi
+        out[rows[real]] = np.where(ph[real] != 0.0, -mag[real], mag[real])
         return out, errors
 
     def _near(self, m: np.ndarray) -> tuple:
         """(L(m), phase prefix) of a rational rule over an int64 array inside
-        the grown table; `_at` over many indices."""
+        the grown table."""
         pos, neg = np.frombuffer(self._pos_log), np.frombuffer(self._neg_log)
         logs = np.where(m >= 0, pos[np.clip(m, 0, len(pos) - 1)],
                         neg[np.clip(-m, 0, len(neg) - 1)])
@@ -604,16 +570,34 @@ class WeightPrefix:
         return logs, phs
 
     def _running_products(self, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """`_direct` over arrays: w_s * ... * w_e multiplied in index order
-        from 1, as one running product per distinct start."""
-        out = np.empty(len(s), complex)
-        for s0 in dict.fromkeys(s.tolist()):
-            at = np.flatnonzero(s == s0)
-            m = e[at] - s0 + 1
-            run = itertools.accumulate(self.w.at(np.arange(s0, s0 + int(m.max()))).tolist(),
-                                       operator.mul, initial=1.0 + 0.0j)
-            out[at] = np.array(list(run))[m]
+        """w_s * ... * w_e (under 128 factors) multiplied in index order from
+        1, one running product per distinct start, the weights read by
+        `WeightSeq.at` (0 where not usable) about 1024 at a time."""
+        out, m = np.empty(len(s), complex), e - s + 1
+        # distinct starts sorted by Python, not np.unique, whose sort kernels
+        # add about 0.3 MB of resident code to a run that loads no other
+        starts = np.array(sorted(set(s.tolist())), np.int64)
+        inv = np.searchsorted(starts, s)
+        width = int(m.max(initial=1))
+        chunk = 1024 // width
+        for j in range(0, len(starts), chunk):
+            rows = np.flatnonzero(inv // chunk == j // chunk)
+            runs = np.array([list(itertools.accumulate(ws, operator.mul, initial=1.0 + 0.0j))
+                             for ws in self.w.at(starts[j:j + chunk, None]
+                                                 + np.arange(width)).tolist()])
+            out[rows] = runs[inv[rows] - j, m[rows]]
         return out
+
+
+def _products(pre: WeightPrefix, ns: list, first: int, last: int, sign: int) -> list:
+    """pre.products over the ranges [n + first, n + last] of the ints ns (held
+    within 2^62 of 0: past 2^53 a product only raises) as Python complexes,
+    raising the error of the first range that has one."""
+    vals, errors = pre.products(*(np.array([min(max(n + d, -2 ** 62), 2 ** 62) for n in ns],
+                                           np.int64) for d in (first, last)), sign)
+    if errors:
+        raise errors[min(errors)]
+    return vals.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -713,24 +697,24 @@ def apply_right_inverse(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
         return v
     w, a = op.weights, op.displacement
     b = op.offset if a <= 0 else adjoint(op).offset
+    if a:
+        coeffs = _products(w.prefix, list(v.entries), 1 + b, m + b, -1)
+    else:
+        coeffs = [_power(w, n + b, -m) for n in v.entries]
     out: dict = {}
-    for n, c in v.entries.items():
-        if a:
-            coeff, tgt = w.prefix.inverse_product(n + 1 + b, n + m + b), n + m
-        else:
-            coeff, tgt = _power(w, n + b, -m), n
+    for (n, c), coeff in zip(v.entries.items(), coeffs):
         if coeff != 0:
-            out[tgt] = coeff * c
+            out[n + m * abs(a)] = coeff * c
     return SeqVector(out, v.domain, v.p_exponent)
 
 
 def shift_power_apply(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
     """T^m v in one jump via the rule's weight-product engine.
 
-    Equivalent to applying `apply` m times, in O(support) (a rational rule
-    may first grow its near table, or evaluate its log-gamma closed form for
-    indices past it).  T^m e_n reads the m weights w_{n+b}, w_{n+b+a}, ...,
-    w_{n+b+(m-1)a} of the row (a, b).
+    Equivalent to applying `apply` m times, in one `WeightPrefix.products`
+    read (a rational rule may first grow its near table, or evaluate its
+    log-gamma closed form for indices past it).  T^m e_n reads the m
+    weights w_{n+b}, w_{n+b+a}, ..., w_{n+b+(m-1)a} of the row (a, b).
     """
     _check_domains(op, v)
     if m < 0:
@@ -738,17 +722,16 @@ def shift_power_apply(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
     if m == 0:
         return v
     w, a, b, low = op.weights, op.displacement, op.offset, op.lowest_source(m)
-    pre = w.prefix
-    first = b + (m - 1) * min(a, 0)     # the lowest weight index, less n
+    # the orbit falls off the bottom: B^m e_n = 0 for n < m
+    items = [(n, c) for n, c in v.entries.items() if n >= low]
+    if a:
+        first = b + (m - 1) * min(a, 0)     # the lowest weight index, less n
+        coeffs = _products(w.prefix, [n for n, _ in items], first, first + m - 1, 1)
+    else:
+        coeffs = [_power(w, n + b, m) for n, _ in items]
     out: dict = {}
-    for n, c in v.entries.items():
-        if n < low:
-            continue  # the orbit fell off the bottom: B^m e_n = 0 for n < m
-        if a:
-            val = pre.product(n + first, n + first + m - 1) * c
-        else:
-            val = _power(w, n + b, m) * c
-        tgt = n + m * a
+    for (n, c), coeff in zip(items, coeffs):
+        val, tgt = coeff * c, n + m * a
         if val != 0:
             out[tgt] = out.get(tgt, 0.0) + val
     return SeqVector(out, v.domain, v.p_exponent)
@@ -885,9 +868,7 @@ def _p_sums(V: np.ndarray, p: float) -> np.ndarray:
         V /= top
     V[nz] = np.fromiter(map(pow, memoryview(V[nz]), itertools.repeat(p)), float,
                         np.count_nonzero(nz))
-    s = V[0].copy()
-    for row in V[1:]:
-        s += row
+    s = _left_sum(V)
     d = top * np.fromiter(map(pow, memoryview(s), itertools.repeat(1.0 / p)), float, len(s))
     return np.where(top == 0.0, 0.0, d)
 

@@ -4,11 +4,11 @@ The frequent-visit construction reads two kinds of vectors built from its
 targets x_1..x_K: the inverse points x_{k,e} (the right inverse of the
 operator applied e times) and the jumps T^m x_k.  `TermTable` holds each
 one once, as a flat row of (index, re, im) entries keyed by (class,
-exponent).  Missing inverse points are built in batches from one array read
-of the weight prefix (`WeightPrefix.inverse_products`), jumps one
-`shift_power_apply` each, and every row equals the vector its scalar
-function returns, bit for bit.  A build that raises stores its error in the
-row, to be raised where a reader reaches it.
+exponent).  Missing rows of a shift, inverse points and jumps alike, come
+in batches from one array read of the weight prefix (`WeightPrefix.products`),
+and every row equals the vector its scalar function returns, bit for bit.
+A build that raises stores its error in the row, to be raised where a
+reader reaches it.
 
 `power_sums` folds rows into running power sums sum |y_i|^p in the float
 steps of adding the vectors into a dict one entry at a time, which is how
@@ -26,6 +26,7 @@ import numpy as np
 
 from .seqspace import (
     COEFF_GUARD,
+    Domain,
     SeqVector,
     ShiftOp,
     WeightOverflowError,
@@ -63,11 +64,11 @@ class TermTable:
     has no entries.  Row 0 is empty and stands for no term.  `ids` keys the
     inverse points by e * K + k - 1, and the jumps of each operator alike.
 
-    A batch of inverse points of a shift makes one inverse_products read for
+    A batch of rows of a shift makes one `WeightPrefix.products` read for
     the ranges of all its entries; a coefficient is coeff * c by Python's
-    complex product, kept where `apply_right_inverse` keeps it.  A diagonal
-    rule, an exponent or target index past 2^53 and e = 0 (the target
-    itself) take `apply_right_inverse` one point at a time.
+    complex product, kept where `apply_right_inverse` or `shift_power_apply`
+    keeps it.  A diagonal rule, an exponent or target index past 2^53 and
+    e = 0 (the target itself) take those functions one vector at a time.
     """
 
     def __init__(self, op: ShiftOp, targets: tuple):
@@ -127,11 +128,10 @@ class TermTable:
         K = len(self.targets)
         k, e = (keys % K + 1).astype(np.int64), keys // K
         out = np.empty(len(keys), np.int64)
-        batch = (e > 0) & (e <= 2 ** 53) & self._fits[k - 1] \
-            & (op is None and self.op.displacement != 0)
+        batch = (e > 0) & (e <= 2 ** 53) & self._fits[k - 1] & ((op or self.op).displacement != 0)
         if batch.any():
             out[batch] = len(self.size) + np.arange(np.count_nonzero(batch))
-            self._build_batch(k[batch], e[batch].astype(np.int64))
+            self._build_batch(k[batch], e[batch].astype(np.int64), op)
         alone, items = np.flatnonzero(~batch), []
         for j in alone.tolist():
             x, m = self.targets[k[j] - 1], int(e[j])
@@ -146,18 +146,26 @@ class TermTable:
                       jump=op is not None)
         return out
 
-    def _build_batch(self, k: np.ndarray, e: np.ndarray) -> None:
-        """x_{k[r], e[r]} for a shift: entry (n, c) of x_k goes to n + e with
-        c / (w_{n+1+b} ... w_{n+e+b}), b the offset of the backward-type row
-        (see apply_right_inverse)."""
-        op, R = self.op, len(k)
-        b = op.offset if op.displacement < 0 else adjoint(op).offset
+    def _build_batch(self, k: np.ndarray, e: np.ndarray, op) -> None:
+        """Rows of a shift from one `WeightPrefix.products` read: x_{k, e}
+        (op None) as `apply_right_inverse` builds it, or T^e x_k under op as
+        `shift_power_apply` does, entry by entry and bit for bit."""
+        R, jump = len(k), op is not None
         cnt = self._count[k - 1]
         row = np.repeat(np.arange(R), cnt)
         src = np.repeat(self._first[k - 1] - (np.cumsum(cnt) - cnt), cnt) \
             + np.arange(int(cnt.sum()))
-        n, ev = self._n[src], e[row]
-        coeff, errs = op.weights.prefix.inverse_products(n + 1 + b, n + ev + b)
+        if jump:
+            a = op.displacement
+            first, sign, tgt = op.offset + (e - 1) * min(a, 0), 1, e * a
+            if op.domain is Domain.NATURALS:
+                keep = self._n[src] >= np.maximum(0, -e * a)[row]
+                row, src = row[keep], src[keep]
+        else:
+            op, sign, tgt = self.op, -1, e
+            first = np.full(R, 1 + (op.offset if op.displacement < 0 else adjoint(op).offset))
+        n = self._n[src]
+        coeff, errs = op.weights.prefix.products(n + first[row], n + first[row] + e[row] - 1, sign)
         c = map(self._c.__getitem__, src.tolist())
         vals = np.fromiter(map(operator.mul, coeff.tolist(), c), complex, len(src))
         errors: dict = {}
@@ -165,8 +173,12 @@ class TermTable:
             errors.setdefault(int(row[i]), errs[i])
         state = np.zeros(R, np.int8)
         state[list(errors)] = 2
-        keep = (coeff != 0) & ~(np.hypot(vals.real, vals.imag) < COEFF_GUARD) & (state[row] == 0)
-        self._extend(np.bincount(row[keep], minlength=R), (n + ev)[keep], vals.real[keep],
+        if jump:
+            vals = 0.0 + vals    # the jump's dict adds each value to 0.0
+            state[[r for r, exc in errors.items() if isinstance(exc, WeightOverflowError)]] = 1
+        keep = ((vals if jump else coeff) != 0) & ~(np.hypot(vals.real, vals.imag) < COEFF_GUARD) \
+            & (state[row] == 0)
+        self._extend(np.bincount(row[keep], minlength=R), (n + tgt[row])[keep], vals.real[keep],
                      vals.imag[keep], k, state, errors)
 
     def _add(self, items: list, k, jump: bool = False) -> None:
@@ -318,17 +330,27 @@ def _running_powers(f, idx, re, im, p: float) -> np.ndarray:
     """|new|^p - |old|^p of each entry (idx, re + i im) of folds f (entries
     in fold order), new = old + the entry and old the running sum of the
     fold's earlier entries at that index (0 for the first)."""
-    order = np.lexsort((idx, f))
+    order, same, run_re, run_im = _fold_replay(f, idx, re, im)
+    new = _pows(np.hypot(run_re, run_im), p)
+    out = np.empty(len(order))
+    out[order] = new - np.where(same, np.roll(new, 1), 0.0)
+    return out
+
+
+def _fold_replay(g, idx, re, im) -> tuple:
+    """Replay adding the entries (idx, re + i im) of groups g, in entry
+    order, into one dict per group: (order, same, run_re, run_im), with
+    order the entries sorted stably by (group, index), same[j] where sorted
+    entry j has the group and index of entry j - 1, and run the running sum
+    of its (group, index) just after each sorted entry is added."""
+    order = np.lexsort((idx, g))
     n = len(order)
     same = np.zeros(n, bool)
-    same[1:] = (f[order][1:] == f[order][:-1]) & (idx[order][1:] == idx[order][:-1])
+    same[1:] = (g[order][1:] == g[order][:-1]) & (idx[order][1:] == idx[order][:-1])
     run_re, run_im = re[order], im[order]
     rank = np.arange(n) - np.maximum.accumulate(np.where(same, 0, np.arange(n)))
     for r in range(1, int(rank.max(initial=0)) + 1):
         at = np.flatnonzero(rank == r)
         run_re[at] += run_re[at - 1]
         run_im[at] += run_im[at - 1]
-    new = _pows(np.hypot(run_re, run_im), p)
-    out = np.empty(n)
-    out[order] = new - np.where(same, np.roll(new, 1), 0.0)
-    return out
+    return order, same, run_re, run_im

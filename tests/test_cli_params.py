@@ -375,6 +375,25 @@ def test_growth_check_runs_on_the_quartic_clock(tmp_path):
     assert run(["check", "--condition", "growth", "--q", "4"], tmp_path) == 0
 
 
+FAR_TABLE = "w=table:100000000000000000000|1,2|3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct-fhc", "--weights", FAR_TABLE, "--horizon", "50"],
+    ["construct-fhc", "--weights", FAR_TABLE.replace(":", ":-", 1), "--horizon", "50"],
+    ["construct-fhc", "--weights", FAR_TABLE.replace(":", ":-", 1), "--horizon", "200"],
+    ["check", "--condition", "growth", "--weights", FAR_TABLE + ";mu=constant:2"],
+], ids=["fhc-above", "fhc-below", "fhc-below-200", "growth"])
+def test_a_table_offset_past_int64_gives_a_report_or_one_error_line(tmp_path, capsys, argv):
+    # weights 3 everywhere read: the offset of the table's two values lies
+    # past int64, above or below every index
+    code = run(argv, tmp_path)
+    if code == 1:
+        assert "too small" in one_error_line(capsys.readouterr().err)
+    else:
+        assert json.loads(report_path(tmp_path, argv).read_text())["exit_code"] == code == 0
+
+
 @pytest.mark.parametrize("condition", ["bilateral", "schatten"])
 def test_clock_indices_beyond_two_to_the_53_are_refused(tmp_path, capsys, condition):
     # (512 + 32)^7 would wrap int64 in the clock arithmetic

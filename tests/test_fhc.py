@@ -39,10 +39,12 @@ from hyperlab.seqspace import (
     WeightOverflowError,
     WeightPrefix,
     WeightSeq,
+    adjoint,
     apply_right_inverse,
     lp_norm,
     shift_power_apply,
 )
+from scalar_products import oracle_apply_right_inverse, oracle_shift_power_apply, scalar_prefix
 
 W2 = WeightSeq.constant(2.0)
 B2 = ShiftOp.backward(W2)
@@ -114,7 +116,7 @@ def test_inverse_point_cached_and_exact(monkeypatch):
 
 RATIO = WeightSeq.ratio([1.0, 1.0], [0.0, 1.0])
 FAR = 2 ** 19 + 1000
-# (op, targets, exponents) covering each branch of WeightPrefix._product
+# (op, targets, exponents) covering each branch of WeightPrefix.products
 INVERSE_CASES = {
     # short products multiply directly, long ones take exp of the log-sum,
     # and past 2^-996 the coefficient flushes to 0 or below the guard
@@ -144,7 +146,71 @@ INVERSE_CASES = {
     "forward-bilateral": (ShiftOp.bilateral_forward(WeightSeq.step(0.5, 2.0, 0)), ("-100", "0,1"),
                           (1, 50, 150)),
     "diagonal": (ShiftOp.diagonal(WeightSeq.constant(2.0)), ("0", "0,1"), (1, 30, 1100)),
+    # a table whose offset lies past int64, above or below every index read
+    # (weights 3, which overflow past e = 646), and one with no default
+    "far-table-above": (ShiftOp.backward(WeightSeq.table([1.0, 2.0], 10 ** 20, 3.0)),
+                        ("0", "0,1", "4=1:-1"), (1, 5, 127, 128, 646, 647)),
+    "far-table-below": (ShiftOp.bilateral_backward(
+        WeightSeq.table([1.0, 2.0], -10 ** 20, 3.0, Domain.INTEGERS)), ("-5", "0,1"),
+        (1, 130, 700, 2 ** 53 + 5)),
+    "far-table-no-default": (ShiftOp.backward(WeightSeq.table([1.0, 2.0], 10 ** 20)),
+                             ("0", "300"), (1, 200)),
+    # a quarter turn: -1 * i^m has a part -0.0, which the jump's dict adds
+    # to 0.0
+    "quarter-turn": (ShiftOp.backward(WeightSeq.constant(1j)), ("3=-1", "0,2"), (1, 2, 3)),
 }
+
+
+def scalar_ranges(op, specs, exps):
+    """The weight ranges of the inverse-point rows and of the jump rows of a
+    case, one per target entry and exponent."""
+    fwd = op if op.displacement <= 0 else adjoint(op)
+    a, b = fwd.displacement, fwd.offset
+    targets = parse_vectors("|".join(specs), op.domain)
+    inverse = [(n + 1 + b, n + e + b) for x in targets for n in x.entries for e in exps]
+    jump = [(n + b + (m - 1) * min(a, 0), n + b + (m - 1) * min(a, 0) + m - 1)
+            for x in targets for n in x.entries for m in exps if n >= fwd.lowest_source(m)]
+    return inverse, jump
+
+
+def scalar_outcome(f, *args):
+    """repr of f(*args), or the type and message of what it raised."""
+    try:
+        return repr(f(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("case", sorted(INVERSE_CASES))
+def test_products_equal_the_scalar_chain(case):
+    # both signs over the ranges of both row kinds, in one read each: every
+    # value repr-equal (signed zeros and inf included), every error the
+    # same type and message, and 0 where a row raises
+    op, specs, exps = INVERSE_CASES[case]
+    pre, scalar = op.weights.prefix, scalar_prefix(op.weights)
+    for ranges in filter(None, scalar_ranges(op, specs, exps)):
+        start, stop = (np.array([min(max(v, -2 ** 62), 2 ** 62) for v in col], np.int64)
+                       for col in zip(*ranges))
+        for sign, want_of in ((1, scalar.product), (-1, scalar.inverse_product)):
+            vals, errors = pre.products(start, stop, sign)
+            got = [f"{type(errors[i]).__name__}: {errors[i]}" if i in errors else repr(v)
+                   for i, v in enumerate(vals.tolist())]
+            assert got == [scalar_outcome(want_of, s, e) for s, e in ranges], sign
+            assert all(vals[i] == 0 for i in errors)
+
+
+@pytest.mark.parametrize("case", sorted(INVERSE_CASES))
+def test_vector_reads_equal_the_scalar_functions(case):
+    # one products read per vector: the entries repr-equal, and where
+    # entries raise, the error of the first of them
+    op, specs, exps = INVERSE_CASES[case]
+    fwd = op if op.displacement <= 0 else adjoint(op)
+    for x in parse_vectors("|".join(specs), op.domain):
+        for e in exps:
+            for got, want, o in ((apply_right_inverse, oracle_apply_right_inverse, op),
+                                 (shift_power_apply, oracle_shift_power_apply, fwd)):
+                assert scalar_outcome(lambda: list(got(o, x, e).entries.items())) == \
+                    scalar_outcome(lambda: list(want(o, x, e).entries.items())), (e, got)
 
 
 @pytest.mark.parametrize("case", sorted(INVERSE_CASES))
@@ -159,7 +225,7 @@ def test_term_table_rows_equal_apply_right_inverse(case):
     for (k, e), row in zip(keys, rows.tolist()):
         x = family.base_point(k)
         try:
-            want = apply_right_inverse(op, x, e)
+            want = oracle_apply_right_inverse(op, x, e)
         except (ArithmeticError, ValueError) as exc:
             with pytest.raises(type(exc)) as got:
                 family.inverse_point(k, e)
@@ -183,7 +249,7 @@ def test_term_table_jump_rows_equal_shift_power_apply(case):
     rows = table.ids(np.array([k for k, _ in keys]), terms.index_array(m for _, m in keys), fwd)
     for (k, m), row in zip(keys, rows.tolist()):
         try:
-            want = shift_power_apply(fwd, family.base_point(k), m)
+            want = oracle_shift_power_apply(fwd, family.base_point(k), m)
         except (ArithmeticError, ValueError) as exc:
             assert table.state[row] == (1 if isinstance(exc, WeightOverflowError) else 2)
             with pytest.raises(type(exc)) as got:
@@ -236,17 +302,19 @@ def test_threshold_sees_the_forward_sums():
 
 def test_threshold_applies_each_forward_power_once(monkeypatch):
     # the probes revisit every (class, power) pair many times over a search;
-    # the family's term table builds each jump T^m x_i
-    calls = []
+    # the family's term table builds each jump row T^m x_i once
+    built = []
+    build = terms.TermTable._build
 
-    def counting(op, x, m):
-        calls.append((repr(x), m))
-        return shift_power_apply(op, x, m)
+    def counting(table, keys, op):
+        if op is not None:
+            built.extend(keys.tolist())
+        return build(table, keys, op)
 
     fam = BackwardOrbitFamily(B2, (SeqVector.basis(5), SeqVector.basis(0)))
-    monkeypatch.setattr(terms, "shift_power_apply", counting)
+    monkeypatch.setattr(terms.TermTable, "_build", counting)
     assert find_tail_threshold(fam, B2, 2, 1, EpsSchedule()) == 6
-    assert calls and len(calls) == len(set(calls))
+    assert built and len(built) == len(set(built))
 
 
 def test_threshold_failure_witness_for_unweighted_shift():
@@ -455,6 +523,8 @@ RULES = {
                        ("0", "-1,0", "1=2")),
     "short-table": (ShiftOp.backward(SHORT_TABLE), ("3", "0,1", "2")),
     "ratio": (ShiftOp.backward(WeightSeq.ratio([1.0, 1.0], [0.0, 1.0])), ("0", "0,1", "1")),
+    # weights 3 from a table whose offset lies past int64
+    "far-table": (INVERSE_CASES["far-table-above"][0], ("0", "0,1", "2")),
 }
 
 
@@ -499,17 +569,19 @@ def test_the_oracle_battery_meets_every_outcome():
 
 
 def test_no_scalar_inverse_product_in_the_search_and_the_verifier(monkeypatch):
-    # on a closed rule every inverse point comes from the term table's batch
-    # reads; the forward side's shift_power_apply reads are products
-    calls = []
+    # on a closed rule every inverse point and every jump of a shift comes
+    # from the term table's batch reads
+    calls, jumps = [], []
     inverse = WeightPrefix.inverse_product
     monkeypatch.setattr(WeightPrefix, "inverse_product",
                         lambda self, *a: calls.append(a) or inverse(self, *a))
+    monkeypatch.setattr(terms, "shift_power_apply",
+                        lambda *a: jumps.append(a[2]) or shift_power_apply(*a))
     for weights, op_kind, q in (("w=constant:2", "backward", 1), ("w=constant:2", "backward", 2),
                                 ("w=step:0|0.5|2", "bilateral-backward", 1)):
         op, family, J, radii = cli_pipeline(weights, op_kind, "0|0,1", q, 300)
         verify_q_frequent_visits(op, assemble_vector(family, J, q), family, J, q, radii)
-    assert calls == []
+    assert calls == [] and jumps == []
 
 
 # ---------------------------------------------------------------------------
@@ -823,15 +895,15 @@ def test_verifier_matches_the_literal_loop(monkeypatch, weights, op_kind, target
         assert J.N_ks == (1,) * J.num_classes
 
 
-@pytest.mark.parametrize("limit", [fhc._EXACT_INT64, 0], ids=["int64", "python-ints"])
+@pytest.mark.parametrize("limit", [fhc.EXACT_INT64, 0], ids=["int64", "python-ints"])
 def test_verifier_matches_the_literal_loop_on_python_int_clocks(monkeypatch, limit):
     # clock indices past the int64 bound go through object arrays
-    monkeypatch.setattr(fhc, "_EXACT_INT64", limit)
+    monkeypatch.setattr(fhc, "EXACT_INT64", limit)
     op, family, J, radii = cli_pipeline("w=constant:2", "backward", "0|0,1", 2, 400)
     assert_verifier_matches_literal(op, family, J, 2, radii)
 
 
-@pytest.mark.parametrize("limit", [fhc._EXACT_INT64, 0], ids=["int64", "python-ints"])
+@pytest.mark.parametrize("limit", [fhc.EXACT_INT64, 0], ids=["int64", "python-ints"])
 @pytest.mark.parametrize("w,q,blocks", [
     # x_{1, 1099} = 2^1099 e_1099 overflows on the walk of time 1
     (0.5, 1, (30, 1100)),
@@ -840,7 +912,7 @@ def test_verifier_matches_the_literal_loop_on_python_int_clocks(monkeypatch, lim
 ], ids=["overflow", "past-2^53"])
 def test_a_piece_error_is_raised_as_the_literal_loop_raises_it(monkeypatch, limit, w, q,
                                                                 blocks):
-    monkeypatch.setattr(fhc, "_EXACT_INT64", limit)
+    monkeypatch.setattr(fhc, "EXACT_INT64", limit)
     op = ShiftOp.backward(WeightSeq.constant(w))
     fam = BackwardOrbitFamily(op, (SeqVector.basis(0),))
     J = SeparatedFamily((NatSet(blocks, blocks[-1]),), (1,))

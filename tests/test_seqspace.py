@@ -5,6 +5,7 @@ entry by entry, brute-force subset enumeration), never through the code under
 test, and expected values are frozen literals.
 """
 
+import builtins
 import itertools
 import math
 
@@ -27,6 +28,7 @@ from hyperlab.seqspace import (
     bilinear_pair,
     lp_norm,
     orbit_norms,
+    p_sum,
     shift_power_apply,
     subset_sum_bound_check,
     weight_product,
@@ -110,6 +112,18 @@ def test_geometric_truncation_norm_frozen():
 def test_lp_norm_scaling_survives_extreme_magnitudes():
     v = SeqVector({0: 1e200, 1: 1e200})
     assert lp_norm(v, 2.0) == pytest.approx(1e200 * math.sqrt(2.0), rel=1e-12)
+
+
+def test_float_sums_add_left_to_right_whatever_builtin_sum_does(monkeypatch):
+    # Python 3.12 compensates the builtin sum over floats; the report sums
+    # fold left from 0, as it did before, on every interpreter
+    from hyperlab.fhc import EpsSchedule
+    from hyperlab.hardy import AnalyticSymbol
+
+    monkeypatch.setattr(builtins, "sum", lambda values, start=0: math.fsum([start, *values]))
+    assert p_sum([1.0, 1e-16, 1e-16], 1.0) == 1.0
+    assert AnalyticSymbol((1.0, 1e-16, 1e-16)).coeff_abs_sum() == 1.0
+    assert EpsSchedule(1.0, 0.9).bound(1, 8) == 5.12579511    # 5.125795110000001 compensated
 
 
 def test_inner_products():

@@ -9,11 +9,13 @@ SHA-256 recorded from the literal form's engine.
 """
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
 from hyperlab.seqspace import Domain, WeightSeq
+from scalar_products import ScalarPrefix
 
 N, Z = Domain.NATURALS, Domain.INTEGERS
 
@@ -211,3 +213,34 @@ def test_at_reads_far_rules_at_the_ends_of_its_reach(split):
     for w in (WeightSeq.step(0.5, 2.0, split=split),
               WeightSeq.table((1.0, 2.0, 3.0j, 4.0, 5.0, 6.0, 7.0), start=split, domain=Z)):
         assert repr(w.at(n).tolist()) == repr([_weight_or_0(w, int(i)) for i in n])
+
+
+# rational rules with unusable weights on both sides of 0 (n^2 - 4 on Z) and
+# a pole inside the near table (1 / (n - 50) on N)
+EXTRA_RULES = {
+    "ratio-Z-two-zeros": WeightSeq.ratio([-4.0, 0.0, 1.0], [1.0], Z),
+    "ratio-N-pole": WeightSeq.ratio([1.0], [-50.0, 1.0], N),
+}
+
+
+@pytest.mark.parametrize("name", [*SPECS, *EXTRA_RULES])
+def test_products_equal_the_scalar_chain_on_seeded_ranges(name):
+    # one array read of many ranges, near and far, short and long, against
+    # one scalar product each: values repr-equal, errors the same type and
+    # message, whatever the reads before
+    w = EXTRA_RULES[name] if name in EXTRA_RULES else rules(name)[0]
+    rng = random.Random(name)
+    ranges = []
+    for centre in (0, 0, 0, 2 ** 19, -2 ** 19, 10 ** 6, 2 ** 53):
+        for _ in range(12):
+            s = centre + rng.randint(-700, 700)
+            ranges.append((s, s + rng.choice([0, 1, 5, 127, 128, 300])))
+    rng.shuffle(ranges)
+    scalar = ScalarPrefix(w)
+    for chunk in (ranges[:30], ranges[30:], ranges):
+        start, stop = (np.array(col, np.int64) for col in zip(*chunk))
+        for sign, want_of in ((1, scalar.product), (-1, scalar.inverse_product)):
+            vals, errors = w.prefix.products(start, stop, sign)
+            got = [f"{type(errors[i]).__name__}: {errors[i]}" if i in errors else repr(v)
+                   for i, v in enumerate(vals.tolist())]
+            assert got == [outcome(want_of, s, e) for s, e in chunk]
