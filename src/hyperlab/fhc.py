@@ -600,7 +600,10 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
     class, and the visit set of class k is the times whose distance lies
     below its radius.  Early designed times n with n^q up to
     _CROSS_CHECK_HORIZON are re-measured by jumping the stored vector
-    directly, giving an independent consistency figure.
+    directly, giving an independent consistency figure.  The scan sums a
+    distance exactly where a report reads it (class k's designed times,
+    every class at those early times) and where its largest term lies
+    below the radius; any other time is no visit, decided from that term.
     """
     qi = int(q)
     K = J.num_classes
@@ -610,28 +613,34 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
     if blocks and blocks[0][0] < 1:
         raise ValueError("visit plans start at time 1")
     N_H = horizon if horizon is not None else (blocks[-1][0] if blocks else 0)
+    early = [m for m, _ in blocks
+             if m <= N_H and m ** qi <= _CROSS_CHECK_HORIZON][:max(cross_check, 0)]
+    # the cells whose distance the reports read: each class's designed
+    # times and every class at the cross-check times
+    designed = [[n - 1 for n in J.sets[k].elems if n <= N_H] for k in range(K)]
+    read = np.zeros((K, N_H), bool)
+    for k in range(K):
+        read[k, designed[k]] = True
+    read[:, [m - 1 for m in early]] = True
     distances, truncated_any = _scan_distances(op, family, blocks, K, qi, N_H, tail_cut,
-                                               max_blocks_per_time)
+                                               max_blocks_per_time,
+                                               [float(r) for r in radii], read)
 
     # independent early-time cross-check from the stored vector
     dev = None
-    if cross_check > 0 and blocks:
-        early = [m for m, _ in blocks
-                 if m <= N_H and m ** qi <= _CROSS_CHECK_HORIZON][:cross_check]
-        if early:
-            dev = 0.0
-            for m in early:
-                z = shift_power_apply(op, x, m ** qi)
-                for k in range(1, K + 1):
-                    d_direct = lp_norm(z - family.base_point(k))
-                    dev = max(dev, abs(d_direct - distances[k - 1, m - 1].item()))
+    if early:
+        dev = 0.0
+        for m in early:
+            z = shift_power_apply(op, x, m ** qi)
+            for k in range(1, K + 1):
+                d_direct = lp_norm(z - family.base_point(k))
+                dev = max(dev, abs(d_direct - distances[k - 1, m - 1].item()))
 
     reports = []
     for k in range(1, K + 1):
         radius = float(radii[k - 1])
         d = distances[k - 1]
-        designed = J.sets[k - 1].elems
-        des_d = d[[n - 1 for n in designed if n <= N_H]].tolist()
+        des_d = d[designed[k - 1]].tolist()
         within = sum(1 for v in des_d if v < radius)
         visits = NatSet(tuple((np.flatnonzero(d < radius) + 1).tolist()), N_H)
         vis_density = q_lower_density(visits, 1.0, N_H, max(1, N_H // 2)).liminf_proxy \
@@ -660,8 +669,12 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
 # terms, judged by the longest time of the pass before (the first pass,
 # before any walk length is known, takes _FIRST_PASS times), and a walk step
 # looks ahead as many blocks as keep that many (time, block) pairs: arrays
-# of 64 KB bound a pass's memory at any horizon.
-_PASS_SIZE = 1 << 13
+# of 256 KB bound a pass's memory at any horizon.  With powers taken only
+# on the cells near a ball, a pass costs mostly its fixed round of array
+# operations: `construct-fhc --q 1 --targets "0|0,1" --horizon 25000` took
+# 91 ms in process at 2^13 terms and 76 ms at 2^15 (2 cores, Python 3.11,
+# numpy 2.4), and 2^16 gained nothing more.
+_PASS_SIZE = 1 << 15
 _FIRST_PASS = 64
 
 
@@ -825,17 +838,22 @@ def _merge_terms(t, idx, re, im) -> tuple:
 
 
 def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict],
-                  p: float) -> np.ndarray:
-    """out[k, u] = lp_norm(SeqVector(y_u) - SeqVector(x_k)) for u < n_times,
-    with y_u the entries (idx, re + i im) at t == u (t nondecreasing, each
-    time's entries in its dict order) and x_k the entries targets[k].
+                  p: float, radii: Sequence[float], read: np.ndarray) -> np.ndarray:
+    """out[k, u] = lp_norm(SeqVector(y_u) - SeqVector(x_k)) for u < n_times
+    where read[k, u] holds or that norm may lie below radii[k]; elsewhere
+    the largest term of the difference, which is at least radii[k] and at
+    most the norm.  y_u holds the entries (idx, re + i im) at t == u (t
+    nondecreasing, each time's entries in its dict order), x_k the entries
+    targets[k].
 
     Step for step the float operations of that expression: |y_i| is
     np.hypot, which equals abs(complex) bit for bit where np.abs does not;
     entries below COEFF_GUARD are dropped; the difference keeps y's order,
     updates y's entries in place and appends |t_i| for the target indices
     y lacks; the norms are `_p_sums` of the terms, a dropped entry or an
-    empty cell being 0.0.
+    empty cell being 0.0.  A norm is top * pow(s, 1 / p) with top the
+    largest term and s >= 1.0 (top adds exactly 1.0), so it is never below
+    top, and where top >= radius, norm < radius is False without a power.
     """
     p = float(p)
     mag = np.hypot(re, im)
@@ -858,14 +876,21 @@ def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict],
             lacks = np.flatnonzero(lacks)
             V[width[lacks], lacks] = abs(tc)
             width[lacks] += 1
-        out[k] = _p_sums(V, p)
+        out[k] = V.max(axis=0)
+        # a NaN top compares False both ways and takes the exact sum
+        exact = read[k] | ~(out[k] >= radii[k])
+        out[k, exact] = _p_sums(V[:, exact], p)
     return out
 
 
 def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: list, K: int,
-                    qi: int, N_H: int, tail_cut: float, max_blocks_per_time: int) -> tuple:
+                    qi: int, N_H: int, tail_cut: float, max_blocks_per_time: int,
+                    radii: Sequence[float], read: np.ndarray) -> tuple:
     """(d, truncated) over the sorted (time, class) blocks, with
-    d[k - 1, n - 1] = ||T^{n^q} x - x_k|| for k <= K and n = 1..N_H; see
+    d[k - 1, n - 1] = ||T^{n^q} x - x_k|| for k <= K and n = 1..N_H where
+    read[k - 1, n - 1] holds or the distance lies below radii[k - 1], and
+    elsewhere a value in [radii[k - 1], ||T^{n^q} x - x_k||] (see
+    `_lp_distances`), so d < radius decides every visit; see
     verify_q_frequent_visits.
 
     The times go through in passes.  A pass walks the blocks of all its
@@ -874,9 +899,9 @@ def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: list, K: i
     index where two pieces of a time overlap (`_merge_terms`) and measures
     the distances (`_lp_distances`).  Every float operation is that of
     summing each orbit point into a dict in block order and taking
-    lp_norm(SeqVector(acc) - x_k), in the same order, so the distances equal
-    that loop's bit for bit.  An error a piece raises is raised for the
-    earliest time whose walk reaches it, as that loop would.
+    lp_norm(SeqVector(acc) - x_k), in the same order, so every distance
+    taken equals that loop's bit for bit.  An error a piece raises is raised
+    for the earliest time whose walk reaches it, as that loop would.
     """
     p = family.base_point(1).p_exponent
     targets = [family.base_point(k).entries for k in range(1, K + 1)]
@@ -905,7 +930,7 @@ def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: list, K: i
         *terms, disjoint = walk.terms()
         longest = int(np.bincount(terms[0], minlength=1).max())
         d = _lp_distances(*(terms if disjoint else _merge_terms(*terms)), n1 - n0 + 1,
-                          targets, p)
+                          targets, p, radii, read[:, n0 - 1:n1])
         d[:, walk.bad] = math.inf
         distances[:, n0 - 1:n1] = d
         n0, width = n1 + 1, max(16, _PASS_SIZE // max(1, longest))

@@ -373,6 +373,10 @@ class WeightPrefix:
         self._neg_log = array("d", [0.0])    # grown L(0), L(-1), ... (integer domain)
         self._neg_ph = array("d", [0.0])
         self._closed = w.rational is None
+        # the lowest index a read range may start at and meet no unusable
+        # weight: 0 or -inf on a closed rule whose table holds no zero and
+        # whose levels both exist; None where any range may meet one
+        self._usable_from = None
         if not self._closed:
             return
         # the table offset held within 2^62 of 0, as in `WeightSeq.at`: every
@@ -384,6 +388,8 @@ class WeightPrefix:
         # table indices whose weight is zero, read only to raise, and a bound
         self._zeros = np.array([self._a + 1 + k for k, v in enumerate(w.values) if v == 0]
                                + [np.iinfo(np.int64).max], np.int64)
+        if len(self._zeros) == 1 and self._low is not None and self._high is not None:
+            self._usable_from = 0 if w.domain is Domain.NATURALS else -math.inf
         lps = [_log_phase(v) or (0.0, 0.0) for v in w.values]
         self._tab_log = array("d", itertools.accumulate((lp[0] for lp in lps), initial=0.0))
         self._tab_ph = array("d", itertools.accumulate((lp[1] for lp in lps), initial=0.0))
@@ -469,9 +475,10 @@ class WeightPrefix:
             # the table reaches L(+-_NEAR) at most, and far entries continue
             # it from there, so that the two meet without a step at its edge
             lo, hi = max(lo, -_NEAR), min(hi, _NEAR)
-        first = int(self._first_unusable(np.array([lo + 1]), np.array([hi]))[0])
-        if first < 2 ** 62:
-            self.w.weight(first)  # raises the rule's own error
+        if self._usable_from is None or lo + 1 < self._usable_from:
+            first = int(self._first_unusable(np.array([lo + 1]), np.array([hi]))[0])
+            if first < 2 ** 62:
+                self.w.weight(first)  # raises the rule's own error
         if self._closed:
             logs = self._closed_sum(np.where(up, 1, m + 1), np.where(up, m, 0))[0]
             return np.where(up, logs, -logs)
@@ -861,7 +868,8 @@ def _p_sums(V: np.ndarray, p: float) -> np.ndarray:
     in the place of an absent value, which changes no sum), in its float
     steps: top the column's largest, each (v / top) ** p by Python's pow,
     not np.power, the values added one row of V after the other, which is
-    list order, then top * pow(sum, 1 / p).  V is overwritten."""
+    list order, then top * pow(sum, 1 / p), which overflows to inf as
+    Python's float product does, without a warning.  V is overwritten."""
     top = V.max(axis=0)
     nz = V != 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -869,7 +877,9 @@ def _p_sums(V: np.ndarray, p: float) -> np.ndarray:
     V[nz] = np.fromiter(map(pow, memoryview(V[nz]), itertools.repeat(p)), float,
                         np.count_nonzero(nz))
     s = _left_sum(V)
-    d = top * np.fromiter(map(pow, memoryview(s), itertools.repeat(1.0 / p)), float, len(s))
+    with np.errstate(over="ignore"):
+        d = top * np.fromiter(map(pow, memoryview(s), itertools.repeat(1.0 / p)), float,
+                              len(s))
     return np.where(top == 0.0, 0.0, d)
 
 

@@ -767,13 +767,14 @@ def literal_lp_norm(v):
 def literal_scan(op, family, J, q, N_H, tail_cut=1e-18, max_blocks_per_time=256):
     """The verifier's per-time loop as first written: one SeqVector per
     orbit point and literal_lp_norm(y - x_k) per class.  Returns
-    ({k: {n: distance}}, truncated)."""
+    ({k: {n: distance}}, truncated, {k: {n: largest |entry| of y - x_k}})."""
     K = J.num_classes
     blocks = sorted((n, l) for l in range(1, K + 1) for n in J.sets[l - 1].elems)
     block_times = [b[0] for b in blocks]
     nilpotent = op.domain is Domain.NATURALS and op.displacement < 0
     sup_top = {l: max(family.base_point(l).support(), default=-1) for l in range(1, K + 1)}
     distances = {k: {} for k in range(1, K + 1)}
+    tops = {k: {} for k in range(1, K + 1)}
     truncated = False
     for n in range(1, N_H + 1):
         acc = {}
@@ -811,21 +812,49 @@ def literal_scan(op, family, J, q, N_H, tail_cut=1e-18, max_blocks_per_time=256)
                 break
         y = SeqVector(acc, family.base_point(1).domain, family.base_point(1).p_exponent)
         for k in range(1, K + 1):
-            distances[k][n] = math.inf if bad else literal_lp_norm(y - family.base_point(k))
-    return distances, truncated
+            diff = y - family.base_point(k)
+            tops[k][n] = max((abs(c) for c in diff.entries.values()), default=0.0)
+            distances[k][n] = math.inf if bad else literal_lp_norm(diff)
+    return distances, truncated, tops
+
+
+def read_cells(J, q, N_H, cross_check=3):
+    """The (class, time) cells whose distance the verifier's reports read:
+    each class's designed times up to N_H, and every class at the first
+    cross_check designed times n with n^q <= fhc._CROSS_CHECK_HORIZON."""
+    blocks = sorted((n, l) for l in range(1, J.num_classes + 1) for n in J.sets[l - 1].elems)
+    early = [m for m, _ in blocks if m <= N_H and m ** q <= fhc._CROSS_CHECK_HORIZON]
+    return {(k, n) for k in range(1, J.num_classes + 1) for n in range(1, N_H + 1)
+            if n in J.sets[k - 1].elems or n in early[:cross_check]}
 
 
 def assert_verifier_matches_literal(op, family, J, q, radii, **kwargs):
-    """Distances, visit times, max designed distance and truncation of the
-    verifier equal the literal loop's, with ==."""
-    N_H = J.horizon
-    want, want_trunc = literal_scan(op, family, J, q, N_H, **kwargs)
-    blocks = sorted((n, l) for l in range(1, J.num_classes + 1) for n in J.sets[l - 1].elems)
-    got, got_trunc = fhc._scan_distances(op, family, blocks, J.num_classes, q, N_H,
+    """The verifier's distances equal the literal loop's, with ==, on the
+    cells the reports read and wherever the largest term lies below the
+    radius; every other distance lies in [radius, literal distance].  Visit
+    times, max designed distance and truncation equal the literal loop's
+    over the whole scan.  Returns the literal distances, truncation and the
+    number of cells whose exact sum the verifier had to take."""
+    N_H, K = J.horizon, J.num_classes
+    want, want_trunc, tops = literal_scan(op, family, J, q, N_H, **kwargs)
+    read = read_cells(J, q, N_H)
+    mask = np.array([[(k, n) in read for n in range(1, N_H + 1)] for k in range(1, K + 1)],
+                    bool).reshape(K, N_H)
+    blocks = sorted((n, l) for l in range(1, K + 1) for n in J.sets[l - 1].elems)
+    got, got_trunc = fhc._scan_distances(op, family, blocks, K, q, N_H,
                                          kwargs.get("tail_cut", 1e-18),
-                                         kwargs.get("max_blocks_per_time", 256))
-    assert got.shape == (J.num_classes, N_H)
-    assert {k: dict(enumerate(got[k - 1].tolist(), start=1)) for k in want} == want
+                                         kwargs.get("max_blocks_per_time", 256),
+                                         [float(r) for r in radii], mask)
+    assert got.shape == (K, N_H)
+    exact = 0
+    for k, radius in zip(range(1, K + 1), radii):
+        for n, g in enumerate(got[k - 1].tolist(), start=1):
+            w = want[k][n]
+            if (k, n) in read or not tops[k][n] >= radius:
+                exact += 1
+                assert g == w, (k, n)
+            else:
+                assert radius <= g <= w, (k, n)
     assert got_trunc == want_trunc
     x = assemble_vector(family, J, q)
     reports = verify_q_frequent_visits(op, x, family, J, q, radii, horizon=N_H, **kwargs)
@@ -834,8 +863,9 @@ def assert_verifier_matches_literal(op, family, J, q, radii, **kwargs):
         designed = [n for n in J.sets[rep.k - 1].elems if n <= N_H]
         assert rep.max_designed_distance == max(d[n] for n in designed)
         assert rep.visit_times.elems == tuple(n for n in range(1, N_H + 1) if d[n] < radius)
+        assert rep.designed_within == sum(1 for n in designed if d[n] < radius)
         assert rep.truncated == want_trunc
-    return want, want_trunc
+    return want, want_trunc, exact
 
 
 def cli_pipeline(weights, op_kind, targets, q, horizon, p=2.0, eps_scale=1.0):
@@ -854,7 +884,8 @@ WIDE = ",".join(f"{i}={1 + i % 3}" for i in range(12))
 
 
 @pytest.mark.parametrize("weights,op_kind,targets,q,horizon,extra", [
-    ("w=constant:2", "backward", "0|0,1", 1, 3000, {}),
+    # about 3 % of the cells lie near a ball or are read by the reports
+    ("w=constant:2", "backward", "0|0,1", 1, 3000, {"summed_below": 0.1}),
     ("w=constant:2", "backward", "0|0,1", 2, 400, {}),
     ("w=constant:1.5", "backward", "0=0.7,1=0.3:0.2,2=1.3", 1, 1500, {}),
     ("w=step:0|0.5|2", "bilateral-backward", "0", 1, 400, {}),
@@ -871,9 +902,11 @@ WIDE = ",".join(f"{i}={1 + i % 3}" for i in range(12))
     # w = 3 below 0: far past jumps 2 * 3^(delta - 1) overflow, and those
     # times read inf
     ("w=step:0|3|2", "bilateral-backward", "0", 1, 1000, {"inf": True}),
+    # radii far above every distance: nearly every cell takes its exact sum
+    ("w=constant:2", "backward", "0|0,1", 1, 600, {"eps_scale": 1e6, "summed_above": 0.9}),
 ], ids=["constant-q1", "constant-q2", "constant-1.5-complex", "step-bilateral",
         "wide-target", "wide-target-bilateral", "p-1", "p-3.5", "several-passes",
-        "step-bilateral-1000", "ratio-two-classes", "past-overflow"])
+        "step-bilateral-1000", "ratio-two-classes", "past-overflow", "large-eps"])
 def test_verifier_matches_the_literal_loop(monkeypatch, weights, op_kind, targets, q,
                                            horizon, extra):
     passes, merged = [], []
@@ -881,11 +914,18 @@ def test_verifier_matches_the_literal_loop(monkeypatch, weights, op_kind, target
     monkeypatch.setattr(fhc, "_lp_distances",
                         lambda *a: passes.append(a[4]) or lp_distances(*a))
     monkeypatch.setattr(fhc, "_merge_terms", lambda *a: merged.append(1) or merge_terms(*a))
+    summed, p_sums = [], fhc._p_sums
+    monkeypatch.setattr(fhc, "_p_sums", lambda V, p: summed.append(V.shape[1]) or p_sums(V, p))
     op, family, J, radii = cli_pipeline(weights, op_kind, targets, q, horizon,
                                         extra.get("p", 2.0), extra.get("eps_scale", 1.0))
-    d, _ = assert_verifier_matches_literal(op, family, J, q, radii)
-    # every time is scanned twice, directly and by the verifier
+    d, _, exact = assert_verifier_matches_literal(op, family, J, q, radii)
+    # every time is scanned twice, directly and by the verifier, and each
+    # scan sums exactly the read cells and those whose largest term lies
+    # below the radius
     assert sum(passes) == 2 * J.horizon
+    assert sum(summed) == 2 * exact
+    cells = J.num_classes * J.horizon
+    assert extra.get("summed_above", 0.0) * cells < exact < extra.get("summed_below", 1.1) * cells
     assert len(passes) >= 2 * extra.get("passes", 1)
     assert any(math.isinf(v) for v in d[1].values()) == extra.get("inf", False)
     # pieces of one time share indices only where a target is wider than
@@ -930,11 +970,11 @@ def test_verifier_matches_the_literal_loop_on_long_sums():
     op = ShiftOp.backward(WeightSeq.ratio([1.0, 1.0], [0.0, 1.0]))
     family = BackwardOrbitFamily(op, (SeqVector({0: 1.0, 1: 0.25}),))
     J = SeparatedFamily((NatSet(tuple(range(3, 400, 4)), 400),), (1,))
-    d, truncated = assert_verifier_matches_literal(op, family, J, 1, [0.6])
+    d, truncated, _ = assert_verifier_matches_literal(op, family, J, 1, [0.6])
     assert not truncated and 0 < len([n for n in d[1] if d[1][n] < 0.6]) < 400
     # with a cap of 20 blocks the far blocks are cut off at every early time
-    _, truncated = assert_verifier_matches_literal(op, family, J, 1, [0.6],
-                                                   max_blocks_per_time=20)
+    _, truncated, _ = assert_verifier_matches_literal(op, family, J, 1, [0.6],
+                                                      max_blocks_per_time=20)
     assert truncated
 
 
@@ -951,7 +991,7 @@ def test_verifier_matches_the_literal_loop_across_the_guard():
     # dropped remainder s 2^-50 would have moved it in the l^1 norm
     s = 1e-285
     fam = cancelling_family(s, 1.0)
-    d, _ = assert_verifier_matches_literal(B2, fam, J, 1, [s, s, s], tail_cut=0.0)
+    d, _, _ = assert_verifier_matches_literal(B2, fam, J, 1, [s, s, s], tail_cut=0.0)
     assert d[1][10] == s
 
 
@@ -991,7 +1031,7 @@ def test_numpy_hypot_and_row_sums_match_python_bit_for_bit():
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
 def test_distance_matches_lp_norm_of_the_difference(p):
-    rng = random.Random(7)
+    rng, pick = random.Random(7), random.Random(11)
     for _ in range(200):
         acc = {}
         for idx in rng.sample(range(40), rng.randint(0, 30)):
@@ -1005,11 +1045,21 @@ def test_distance_matches_lp_norm_of_the_difference(p):
             target[idx] = acc[idx] if idx in acc and rng.random() < 0.5 else \
                 complex(mag * rng.uniform(-1, 1), mag * rng.random())
         target = SeqVector(target, p_exponent=p).entries
-        want = literal_lp_norm(SeqVector(acc, p_exponent=p) - SeqVector(target, p_exponent=p))
-        got = fhc._lp_distances(np.zeros(len(acc), np.int64), np.array(list(acc), np.int64),
-                                np.array([c.real for c in acc.values()]),
-                                np.array([c.imag for c in acc.values()]), 1, [target], p)
+        diff = SeqVector(acc, p_exponent=p) - SeqVector(target, p_exponent=p)
+        want = literal_lp_norm(diff)
+        top = max((abs(c) for c in diff.entries.values()), default=0.0)
+        terms = (np.zeros(len(acc), np.int64), np.array(list(acc), np.int64),
+                 np.array([c.real for c in acc.values()]),
+                 np.array([c.imag for c in acc.values()]), 1, [target], p)
+        # a read cell takes its exact sum whatever the radius
+        got = fhc._lp_distances(*terms, [0.0], np.ones((1, 1), bool))
         assert got.shape == (1, 1) and got[0, 0] == want
+        # an unread cell takes it only where its largest term lies below the
+        # radius, and otherwise reads that term
+        radius = pick.choice([0.0, top, want, top * pick.uniform(0.5, 1.5), math.inf])
+        got = fhc._lp_distances(*terms, [radius], np.zeros((1, 1), bool))[0, 0]
+        assert got == (want if top < radius else top)
+        assert (got < radius) == (want < radius) and top <= got <= want
 
 
 def test_cross_check_skips_blocks_past_the_horizon():

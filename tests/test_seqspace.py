@@ -28,6 +28,7 @@ from hyperlab.seqspace import (
     bilinear_pair,
     lp_norm,
     orbit_norms,
+    _p_sums,
     p_sum,
     shift_power_apply,
     subset_sum_bound_check,
@@ -124,6 +125,35 @@ def test_float_sums_add_left_to_right_whatever_builtin_sum_does(monkeypatch):
     assert p_sum([1.0, 1e-16, 1e-16], 1.0) == 1.0
     assert AnalyticSymbol((1.0, 1e-16, 1e-16)).coeff_abs_sum() == 1.0
     assert EpsSchedule(1.0, 0.9).bound(1, 8) == 5.12579511    # 5.125795110000001 compensated
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.5, 7.0])
+def test_a_p_sum_is_never_below_its_largest_value(p):
+    # the visit verifier decides d < radius from the largest term alone
+    # wherever that term reaches the radius: the term adds exactly 1.0 to a
+    # sum of nonnegative terms, so the sum is at least 1.0 and top times its
+    # 1/p-th power at least top.  An inf makes the sum NaN, which compares
+    # below nothing either.
+    rng = np.random.default_rng(19)
+    rows, cols = 12, 3000
+    kinds = rng.integers(0, 6, cols)
+    mag = np.choose(kinds, [
+        10.0 ** rng.uniform(-20.0, 20.0, (rows, cols)),                 # ordinary
+        5e-324 * rng.integers(0, 2 ** 40, (rows, cols)),                 # subnormal
+        1.7976931348623157e308 * rng.uniform(0.5, 1.0, (rows, cols)),   # near overflow
+        10.0 ** rng.uniform(-323.0, 308.0, (rows, cols)),               # the whole range
+        np.zeros((rows, cols)),                                          # all zero
+        np.where(rng.random((rows, cols)) < 0.2, math.inf, 1.0),         # with inf
+    ])
+    mag[rng.random((rows, cols)) < 0.3] = 0.0
+    top = mag.max(axis=0)
+    got = _p_sums(mag.copy(), p)
+    assert not (got < top).any()
+    assert np.array_equal(np.isnan(got), np.isinf(top))
+    assert (got[~np.isnan(got)] >= top[~np.isnan(got)]).all()
+    # p_sum takes the same float steps, value for value
+    want = np.array([p_sum(col, p) for col in mag.T.tolist()])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_inner_products():

@@ -244,3 +244,14 @@ def test_products_equal_the_scalar_chain_on_seeded_ranges(name):
             got = [f"{type(errors[i]).__name__}: {errors[i]}" if i in errors else repr(v)
                    for i, v in enumerate(vals.tolist())]
             assert got == [outcome(want_of, s, e) for s, e in chunk]
+
+
+@pytest.mark.parametrize("name", [*SPECS, *EXTRA_RULES])
+def test_prefix_reads_equal_the_scalar_chain_at_the_edges_of_their_reach(name):
+    # a prefix read L(m) over [min(m, 0) + 1, max(m, 0)] raises the first
+    # unusable weight's error, or none: at the naturals' lower end (L(-1)
+    # reads w_0, L(-2) also w_{-1}), at table ends, zeros and missing levels
+    w = EXTRA_RULES[name] if name in EXTRA_RULES else rules(name)[0]
+    scalar = ScalarPrefix(w)
+    for m in ([-2], [-1], [0], [-1, 3], list(range(1, 8)), [-6, 6], [-4], [40], [-40, -1]):
+        assert outcome(w.prefix.log_abs_many, m) == outcome(scalar.log_abs_many, m), m
