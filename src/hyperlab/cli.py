@@ -55,7 +55,7 @@ from .checkers import (CheckGrid, check_bilateral_growth_decay,
 from .density import NatSet, density_to_csv, natset_from_lines, q_lower_density
 from .fhc import (BackwardOrbitFamily, CriterionFailure, EpsSchedule,
                   assemble_vector, build_separated_family, find_tail_threshold,
-                  verify_q_frequent_visits, verify_separated_family)
+                  verify_q_frequent_visits)
 from .hardy import (AnalyticSymbol, BetaSpace, adjoint_kernel_eigencheck,
                     conjugation_eigencheck, converse_certificate,
                     nuclear_eigencheck, span_density_residual,
@@ -415,7 +415,7 @@ def _run_construct_fhc(p: dict, outdir: Path, fmt: str, seed: int):
     n_ks = [find_tail_threshold(family, op, k, q, sched, seed=seed)
             for k in range(1, K + 1)]
     J = build_separated_family(n_ks, K, p["horizon"])
-    sep = verify_separated_family(J)
+    sep = J.separation
     x = assemble_vector(family, J, q)
     radii = [sched.bound(k, K) for k in range(1, K + 1)]
     reports = verify_q_frequent_visits(op, x, family, J, q, radii, eps=sched)

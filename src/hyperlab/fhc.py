@@ -393,6 +393,9 @@ def _term_error(exc: Exception, i: int, r: int, N: int) -> tuple:
 class SeparatedFamily:
     sets: tuple              # NatSet per class, 1-indexed externally
     N_ks: tuple
+    # the report `build_separated_family` checked the plan with; None on a
+    # family built by hand
+    separation: SeparationReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
@@ -428,7 +431,9 @@ def build_separated_family(N_ks: Sequence[int], K: int, horizon: int) -> Separat
     k = (m mod K) + 1 with the global arithmetic progression k mod g_k,
     g_k = 2 (N_k + max_j N_j), clipped to the block interior.  With more
     than one class a guard strip of max_j N_j at each block edge keeps
-    cross-class neighbours at distance >= N_k + N_j.
+    cross-class neighbours at distance >= N_k + N_j.  The plan is checked by
+    `verify_separated_family`, and the family keeps that report
+    (`separation`).
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -468,6 +473,7 @@ def build_separated_family(N_ks: Sequence[int], K: int, horizon: int) -> Separat
     rep = verify_separated_family(fam)
     if not rep.ok:
         raise AssertionError(f"construction violated its own contract: {rep.first_violation}")
+    object.__setattr__(fam, "separation", rep)
     return fam
 
 

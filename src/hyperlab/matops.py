@@ -4,16 +4,21 @@ A MatOp is a dense complex matrix acting on the span of e_off .. e_{off+n-1};
 the single `basis_offset` anchors both row and column indices, which lets
 bilateral windows sit anywhere in Z.  Singular values come from a blocked
 one-sided Jacobi on columns: each sweep takes the Gram matrix of every
-group of up to 64 columns with one matrix product, rotates it with one
+group of up to 64 columns with one matrix product, rotates it with a
 hand-written round-robin Jacobi sweep, and applies the accumulated unitary
 to the columns with one more product (no LAPACK in the trusted path;
 numpy's svd is used only as an oracle in the test suite).  Groups never
 cross a connected component of the columns (columns joined when they share
 a nonzero row), whose inner products are exactly zero: the blocks of an
 orthogonal sum are swept apart, and the one-entry columns of a shift
-window form no group at all.  Whether a Schatten norm lies below a radius
-is decided by the same sweeps, stopped as soon as a bound taken from the
-Gram matrix settles the answer (`schatten_norm_below`).
+window form no group at all.  Groups of different components, of one
+matrix or of several, share no column, so one sweep engine (`_Sweeps`)
+rotates them side by side: round t of a sweep stacks the t-th group of
+every component still rotating, across every matrix of the call, and one
+round-robin pass rotates the whole stack, with the values, sweep counts and
+flags of sweeping the groups one at a time.  Whether a Schatten norm lies
+below a radius is decided by the same sweeps, stopped as soon as a bound
+taken from the Gram matrix settles the answer (`schatten_norm_below`).
 
 Rank-one operators u (x) v come in two flavours selected by `Pairing`:
 
@@ -294,26 +299,27 @@ def _column_components(U: np.ndarray) -> np.ndarray:
 
 
 def _column_groups(U: np.ndarray) -> list:
-    """Column index sets of one sweep.  Groups never cross a component (see
-    `_column_components`): a one-column component has none (its singular
-    value is its norm), one of up to two _JACOBI_BLOCK-column blocks is one
-    group, and a larger one gets every pair of _JACOBI_BLOCK-column blocks
-    of its sorted column indices.  A single component of n columns gets the
-    blocks of range(n)."""
+    """The column groups of one sweep, one sequence per component of more
+    than one column (see `_column_components`; no group crosses a component,
+    and a one-column component has none: its singular value is its norm).
+    A component of up to two _JACOBI_BLOCK-column blocks has one group; a
+    larger one gets every pair of _JACOBI_BLOCK-column blocks of its sorted
+    column indices, in order, each pair rotating the columns the pairs before
+    it left.  A single component of n columns gets the blocks of range(n)."""
     labels = _column_components(U)
     sizes = np.bincount(labels, minlength=U.shape[1])
     order = np.argsort(labels, kind="stable")
     ends = np.cumsum(sizes)
-    groups = []
+    sequences = []
     for root in np.flatnonzero(sizes > 1):
         idx = order[ends[root] - sizes[root]:ends[root]]
         if idx.size <= 2 * _JACOBI_BLOCK:
-            groups.append(idx)
+            sequences.append([idx])
             continue
         blocks = [idx[lo:lo + _JACOBI_BLOCK] for lo in range(0, idx.size, _JACOBI_BLOCK)]
-        groups += [np.concatenate((blocks[i], blocks[j]))
-                   for i in range(len(blocks)) for j in range(i + 1, len(blocks))]
-    return groups
+        sequences.append([np.concatenate((blocks[i], blocks[j]))
+                          for i in range(len(blocks)) for j in range(i + 1, len(blocks))])
+    return sequences
 
 
 def _circle_step(k: int) -> np.ndarray:
@@ -333,33 +339,48 @@ def _circle_step(k: int) -> np.ndarray:
     return src
 
 
-def _gram_sweep(G: np.ndarray, tol: float) -> "np.ndarray | None":
-    """One round-robin Jacobi sweep over the Gram matrix G = W^H W.
+def _gram_sweep(G: np.ndarray, tol: float) -> list:
+    """One round-robin Jacobi sweep over each Gram matrix G[i] = W_i^H W_i of
+    an (m, n, n) stack.
 
-    Returns the accumulated unitary V (the group's new columns are W V), or
-    None when every pair already meets |G_pq| <= tol sqrt(G_pp) sqrt(G_qq).
-    Each step rotates its h disjoint pairs at once, with the rotation of the
-    scalar pair loop: for gamma = G_pq, phase = gamma / |gamma|,
-    zeta = (G_qq - G_pp) / (2 |gamma|), t = sign(zeta) / (|zeta| + hypot(1, zeta)),
-    c = 1 / hypot(1, t) and s = t c; pairs with a zero column are skipped.
+    Returns, per matrix of the stack, the accumulated unitary V_i (the
+    group's new columns are W_i V_i), or None when every pair already meets
+    |G_pq| <= tol sqrt(G_pp) sqrt(G_qq).  Each step rotates the h disjoint
+    pairs of every matrix at once, with the rotation of the scalar pair loop:
+    for gamma = G_pq, phase = gamma / |gamma|, zeta = (G_qq - G_pp) / (2 |gamma|),
+    t = sign(zeta) / (|zeta| + hypot(1, zeta)), c = 1 / hypot(1, t) and
+    s = t c; pairs with a zero column are skipped.  Every operation is
+    elementwise within one matrix, so each V_i is the one a stack of G[i]
+    alone gives.  (A pair that does not rotate takes c = 1 and s = 0, which
+    leaves every nonzero entry as it is.)  The matrices that rotate are laid
+    out row by row, L[p, i, q] = G[i][p, q], so that row p of all of them is
+    one contiguous run and the row rotations of the stack are 2-D passes.
     """
-    n = k = G.shape[0]
-    d = np.sqrt(np.maximum(G.diagonal().real, 0.0))
+    m, n = G.shape[:2]
+    d = np.sqrt(np.maximum(G.diagonal(0, 1, 2).real, 0.0))
     live = d > 0.0
-    pending = (np.abs(G) > tol * np.outer(d, d)) & live[:, None] & live
-    np.fill_diagonal(pending, False)
-    if not pending.any():
-        return None
-    if k % 2:  # a zero column sits out one pair per step and never rotates
-        k += 1
+    pending = ((np.abs(G) > tol * (d[:, :, None] * d[:, None, :]))
+               & live[:, :, None] & live[:, None, :])
+    pending[:, np.arange(n), np.arange(n)] = False
+    rotates = np.flatnonzero(pending.any(axis=(1, 2)))
+    out = [None] * m
+    if not rotates.size:
+        return out
+    b = rotates.size
+    k = n + n % 2  # a zero column sits out one pair per step and never rotates
     h = k // 2
-    G = np.pad(G, ((0, k - n), (0, k - n)))
-    VH = np.eye(k, dtype=G.dtype)  # V^H, so that V's columns are rows here
+    L = np.zeros((k, b, k), dtype=G.dtype)
+    L[:n, :, :n] = G[rotates].transpose(1, 0, 2)
+    VH = np.zeros_like(L)  # V^H, so that V's columns are rows here
+    VH[np.arange(k), :, np.arange(k)] = 1.0
     src = _circle_step(k)
+    # the step's permutation of L's entries: rows and columns both move by src
+    moves = ((src[:, None, None] * b + np.arange(b)[:, None]) * k + src).ravel()
+    rows = (h * b, k)
     for _ in range(k - 1):
-        diag = np.maximum(G.diagonal().real, 0.0)
-        alpha, beta = diag[:h], diag[h:]
-        gamma = G.diagonal(h)
+        diag = np.maximum(L.diagonal(0, 0, 2).real, 0.0)
+        alpha, beta = diag[:, :h], diag[:, h:]
+        gamma = L.diagonal(h, 0, 2)
         g = np.abs(gamma)
         # sqrt before multiplying: alpha * beta underflows to zero for two
         # denormal column norms, the scale stays positive
@@ -371,82 +392,115 @@ def _gram_sweep(G: np.ndarray, tol: float) -> "np.ndarray | None":
             t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
             t = np.where(act, t, 0.0)
             c = 1.0 / np.hypot(1.0, t)
-            if G.dtype.kind == "c":
+            if L.dtype.kind == "c":
                 # componentwise: complex / real overflows for a denormal |gamma|
-                pairs = gamma.copy().view(float).reshape(h, 2) / gs[:, None]
-                phase = pairs.view(complex).ravel()
+                pairs = gamma.copy().view(float).reshape(b, h, 2) / gs[:, :, None]
+                phase = pairs.view(complex)[:, :, 0]
             else:
                 phase = gamma / gs
-            b = (t * c) * phase
-            bc = b.conj()
-            # columns of G: u_p <- c u_p - conj(b) u_q,  u_q <- b u_p + c u_q
-            P, Q = G[:, :h], G[:, h:]
-            qb = Q * bc
+            s = (t * c) * phase
+            sc = s.conj()
+            # columns of G: u_p <- c u_p - conj(s) u_q,  u_q <- s u_p + c u_q
+            P, Q = L[:, :, :h], L[:, :, h:]
+            qs = Q * sc
             Q *= c
-            Q += P * b
+            Q += P * s
             P *= c
-            P -= qb
+            P -= qs
             # rows of G and of V^H: the adjoint rotation
-            c, b, bc = c[:, None], b[:, None], bc[:, None]
-            for P, Q in ((G[:h], G[h:]), (VH[:h], VH[h:])):
-                qb = Q * b
+            c, s, sc = c.T.reshape(-1, 1), s.T.reshape(-1, 1), sc.T.reshape(-1, 1)
+            for A in (L, VH):
+                P, Q = A[:h].reshape(rows), A[h:].reshape(rows)
+                qs = Q * s
                 Q *= c
-                Q += P * bc
+                Q += P * sc
                 P *= c
-                P -= qb
-        G = G.take(src, axis=0).take(src, axis=1)
+                P -= qs
+        L = L.reshape(-1).take(moves).reshape(k, b, k)
         VH = VH.take(src, axis=0)
-    return VH[:n, :n].conj().T
+    for i, j in enumerate(rotates.tolist()):
+        out[j] = VH[:n, i, :n].conj().T
+    return out
 
 
 class _Sweeps:
-    """The sweep loop of one-sided Jacobi, rotating the columns of U in place.
+    """The sweep loop of one-sided Jacobi over the columns of many matrices
+    at once, rotating each column array of Us in place.
 
-    Iterating runs sweeps until one leaves every column group untouched
-    (`converged`) or `max_sweeps` have run; `sweeps` counts them.  It yields
-    once before each sweep.  A sweep visits every column group (see
-    `_column_groups`; no group crosses a connected component of the
-    columns, and a one-column component has none): it forms the group's
-    Gram matrix with one product, rotates it with one round-robin sweep
-    (`_gram_sweep`) and applies the accumulated unitary with one more.
-    Rotations mix columns of one group only, so the components never merge
-    and the groups, taken before the first sweep, hold for every sweep.
+    Iterating runs sweeps until each matrix has had a sweep that left all
+    its column groups untouched (`converged[i]`) or `max_sweeps` have run;
+    `sweeps[i]` counts matrix i's.  It yields once before each sweep.  The
+    groups (see `_column_groups`) are taken before the first sweep; rotations
+    mix the columns of one group only, so the components never merge and the
+    groups hold for every sweep.  Groups of different components, of one
+    matrix or of two, share no column, so their rotations commute, and a
+    sweep runs in rounds: round t takes the t-th group of every component
+    that still rotates.  Each group's Gram matrix is formed with one
+    product; the round's Gram matrices are stacked by size and dtype and
+    rotated by one `_gram_sweep` per stack, and one more product per group
+    applies its accumulated unitary.  A component whose groups all came back
+    unrotated leaves the sweeps: its columns no longer change, so every
+    later sweep would leave it untouched again.  So every column, sweep
+    count and flag is the one sweeping the groups one at a time gives.
     """
 
-    def __init__(self, U: np.ndarray, tol: float, max_sweeps: int):
-        self.U, self.tol, self.max_sweeps = U, tol, max_sweeps
-        self.sweeps = 0
-        self.converged = False
+    def __init__(self, Us: list, tol: float, max_sweeps: int):
+        self.Us, self.tol, self.max_sweeps = Us, tol, max_sweeps
+        self.sweeps = [0] * len(Us)
+        self.converged = [False] * len(Us)
 
     def __iter__(self):
-        U = self.U
-        groups = None
-        for self.sweeps in range(1, self.max_sweeps + 1):
+        live = list(range(len(self.Us)))
+        parts = None            # (matrix, group sequence) of each rotating component
+        for sweep in range(1, self.max_sweeps + 1):
+            for i in live:
+                self.sweeps[i] = sweep
             yield
-            if groups is None:  # a compare settled before any sweep needs none
-                groups = _column_groups(U)
-            rotated = False
-            for idx in groups:
-                W = U[:, idx]
-                V = _gram_sweep(W.conj().T @ W, self.tol)
-                if V is not None:
-                    U[:, idx] = W @ V
-                    rotated = True
-            if not rotated:
-                self.converged = True
+            if parts is None:  # a compare settled before any sweep needs none
+                parts = [(i, seq) for i in live for seq in _column_groups(self.Us[i])]
+            rotated = self._sweep(parts)
+            parts = [part for part, moved in zip(parts, rotated) if moved]
+            moving = {i for i, _ in parts}
+            for i in live:
+                self.converged[i] = i not in moving
+            live = [i for i in live if i in moving]
+            if not live:
                 return
+
+    def _sweep(self, parts: list) -> list:
+        """One sweep over the components `parts`; whether each rotated."""
+        rotated = [False] * len(parts)
+        for t in range(max((len(seq) for _, seq in parts), default=0)):
+            stacks: dict = {}
+            for j, (i, seq) in enumerate(parts):
+                if t < len(seq):
+                    W = self.Us[i][:, seq[t]]
+                    stacks.setdefault((W.shape[1], W.dtype), []).append((j, W.conj().T @ W))
+            for items in stacks.values():
+                Vs = _gram_sweep(np.stack([G for _, G in items]), self.tol)
+                for (j, _), V in zip(items, Vs):
+                    if V is not None:
+                        i, seq = parts[j]
+                        U, idx = self.Us[i], seq[t]
+                        U[:, idx] = U[:, idx] @ V
+                        rotated[j] = True
+        return rotated
 
 
 def _scaled_columns(A: MatOp) -> tuple:
     """(U, e, n): the nonzero columns of A, or of A^H when rows < cols, in
     real arithmetic when A is real and scaled by the exact 2^-e that brings
     the largest entry into [1/2, 1); n = min(rows, cols) counts the columns
-    before the zero ones were dropped (their singular values are zeros)."""
-    B = A.data if A.rows >= A.cols else A.data.conj().T
+    before the zero ones were dropped (their singular values are zeros).
+    U is one Fortran-ordered copy: the columns are selected as the rows of
+    the transpose, and conjugated in place."""
+    B = A.data if A.rows >= A.cols else A.data.T
     n = B.shape[1]
     if not B.imag.any():
         B = B.real
-    U = np.asfortranarray(B[:, B.any(axis=0)])
+    U = B.T[B.any(axis=0)].T
+    if A.rows < A.cols and U.dtype.kind == "c":
+        np.conjugate(U, out=U)
     parts = (U.real, U.imag) if U.dtype.kind == "c" else (U,)
     top = max(float(np.max(np.abs(part), initial=0.0)) for part in parts)
     exponent = math.frexp(top)[1]
@@ -476,13 +530,23 @@ def singular_values(A: MatOp, tol: float = _JACOBI_TOL,
     its largest entry near 1, so squared norms neither overflow nor
     underflow (the scaling is exact and undone on the values).
     """
-    if min(A.rows, A.cols) == 0:
-        return SingularSpectrum((), 0, True)
-    U, exponent, n = _scaled_columns(A)
-    jacobi = _Sweeps(U, tol, max_sweeps)
+    return _spectra([A], tol, max_sweeps)[0]
+
+
+def _spectra(As: Sequence[MatOp], tol: float = _JACOBI_TOL,
+             max_sweeps: int = _JACOBI_MAX_SWEEPS) -> list:
+    """`singular_values` of every matrix of As, swept together: one `_Sweeps`
+    runs the column groups of all of them, and each spectrum, its sweep
+    count and flag included, is the one the matrix gives alone."""
+    scaled = {i: _scaled_columns(A) for i, A in enumerate(As) if min(A.rows, A.cols)}
+    jacobi = _Sweeps([U for U, _, _ in scaled.values()], tol, max_sweeps)
     for _ in jacobi:
         pass
-    return SingularSpectrum(_column_norms(U, exponent, n), jacobi.sweeps, jacobi.converged)
+    spectra = [SingularSpectrum((), 0, True)] * len(As)
+    for i, (U, exponent, n), sweeps, converged in zip(scaled, scaled.values(),
+                                                      jacobi.sweeps, jacobi.converged):
+        spectra[i] = SingularSpectrum(_column_norms(U, exponent, n), sweeps, converged)
+    return spectra
 
 
 def schatten_norm(A: MatOp, p: float) -> float:
@@ -547,14 +611,14 @@ def schatten_norm_below(A: MatOp, p: float, radius: float,
         r = math.ldexp(radius, -exponent)
     except OverflowError:
         r = math.inf
-    jacobi = _Sweeps(U, _JACOBI_TOL, max_sweeps)
+    jacobi = _Sweeps([U], _JACOBI_TOL, max_sweeps)
     for _ in jacobi:
         lower, upper = _schatten_bracket(U.conj().T @ U, p, U.shape[0])
         if upper < r * (1.0 - _DECIDE_MARGIN):
             return True
         if lower > r * (1.0 + _DECIDE_MARGIN):
             return False
-    if not jacobi.converged:
+    if not jacobi.converged[0]:
         raise ValueError(f"Schatten-{p} norm against radius {radius!r} still undecided "
                          f"when the sweep budget (max_sweeps = {max_sweeps}) ran out")
     values = _column_norms(U, exponent, n)
@@ -587,7 +651,10 @@ def orthogonal_sum_additivity(Ts: Sequence[MatOp], p: float) -> OrthogonalSumRep
         raise ValueError("empty family")
     for T in Ts[1:]:
         Ts[0]._require_aligned(T)
-    spectra = [singular_values(T).values for T in Ts]
+    total = Ts[0]
+    for T in Ts[1:]:
+        total = total + T
+    *spectra, whole = [spec.values for spec in _spectra([*Ts, total])]
     norms = [vals[0] if vals else 0.0 for vals in spectra]
     ok = True
     worst = 0.0
@@ -602,10 +669,7 @@ def orthogonal_sum_additivity(Ts: Sequence[MatOp], p: float) -> OrthogonalSumRep
             if v > _ORTHOGONAL_TOL and ok:
                 ok = False
                 bad = (i, j)
-    total = Ts[0]
-    for T in Ts[1:]:
-        total = total + T
-    lhs = schatten_norm(total, p)
+    lhs = p_sum(whole, p)
     rhs = p_sum([p_sum(vals, p) for vals in spectra], p)
     return OrthogonalSumReport(p, lhs, rhs, ok, worst, bad)
 

@@ -6,9 +6,10 @@ import math
 
 import pytest
 
+from hyperlab import cli, fhc
 from hyperlab.cli import (ConfigError, build_natset, main, parse_complex,
                           parse_range, parse_symbol, parse_vector,
-                          parse_weight_rule, parse_weight_spec)
+                          parse_weight_rule, parse_weight_spec, to_jsonable)
 from hyperlab.matops import MatOp, schatten_norm, shift_matrix
 from hyperlab.seqspace import Domain, ShiftOp, WeightSeq
 
@@ -225,6 +226,25 @@ def test_construct_fhc_verifies_and_reports_densities(tmp_path):
     header, *rows = (tmp_path / "visit_times.csv").read_text().splitlines()
     assert header == "class,time"
     assert all(int(r.split(",")[0]) in (1, 2) for r in rows)
+
+
+def test_construct_fhc_checks_its_separated_family_once(tmp_path, monkeypatch):
+    # the builder checks the plan and the report reuses that check
+    plans = []
+    verify = fhc.verify_separated_family
+    def spy(fam, *args, **kwargs):
+        plans.append(fam)
+        return verify(fam, *args, **kwargs)
+
+    # wherever the name is bound: the builder's module and the runner's
+    monkeypatch.setattr(fhc, "verify_separated_family", spy)
+    monkeypatch.setattr(cli, "verify_separated_family", spy, raising=False)
+    assert run(["construct-fhc", "--weights", "w=constant:2", "--q", "1",
+                "--targets", "0|0,1", "--horizon", "4000"], tmp_path) == 0
+    assert len(plans) == 1
+    rep = load_report(tmp_path, "construct_fhc")
+    assert rep["results"]["separation"] == json.loads(json.dumps(to_jsonable(verify(plans[0]))))
+    assert plans[0].separation == verify(plans[0])
 
 
 def test_schatten_norms_match_direct_computation(tmp_path):

@@ -253,7 +253,8 @@ def test_conjugation_orbit_visits_decide_in_few_sweeps(monkeypatch):
     # C^n(S) = B S F with weight 0.8 maps S to 0.64^n S[n:, n:]; the visit
     # set of the trace-norm ball of radius 5 around 0 must match the SVD
     # oracle while the certified compare runs few Jacobi sweeps (the full
-    # spectra take about 118)
+    # spectra take about 118); every 64-column orbit point is one group, so
+    # the count of groups swept is the count of sweeps
     dim, horizon, c, radius = 64, 12, 0.8, 5.0
     S0 = gaussian(np.random.default_rng(1061), dim, dim)
     R = ShiftOp.backward(WeightSeq.constant(c))
@@ -261,9 +262,9 @@ def test_conjugation_orbit_visits_decide_in_few_sweeps(monkeypatch):
     sweeps = [0]
     gram_sweep = matops._gram_sweep
 
-    def counted(*args):
-        sweeps[0] += 1
-        return gram_sweep(*args)
+    def counted(G, tol):
+        sweeps[0] += len(G)
+        return gram_sweep(G, tol)
 
     monkeypatch.setattr(matops, "_gram_sweep", counted)
     orbit = fhc.conjugation_orbit(R, MatOp(S0), T, horizon)

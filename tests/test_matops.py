@@ -25,7 +25,13 @@ from hyperlab.matops import (
     singular_values,
     spectrum_to_csv,
 )
-from hyperlab.seqspace import Domain, SeqVector, ShiftOp, WeightSeq, adjoint, apply
+from hyperlab.seqspace import Domain, SeqVector, ShiftOp, WeightSeq, adjoint, apply, p_sum
+from serial_jacobi import (
+    OracleSweeps,
+    oracle_scaled_columns,
+    oracle_schatten_norm_below,
+    oracle_singular_values,
+)
 
 W2 = WeightSeq.constant(2.0)
 
@@ -282,7 +288,7 @@ def position_groups(n):
 def test_one_component_keeps_the_position_groups(n):
     rng = np.random.default_rng(n)
     for U in (rng.standard_normal((n + 3, n)), permuted_bidiagonal(n, n)):
-        groups = matops._column_groups(U)
+        [groups] = matops._column_groups(U)
         want = position_groups(n)
         assert len(groups) == len(want)
         for got, expect in zip(groups, want):
@@ -296,11 +302,15 @@ def test_groups_stay_inside_components_and_meet_every_pair():
               *random_patterns(40)]:
         labels = matops._column_components(U)
         met = set()
-        for idx in matops._column_groups(U):
-            assert len(idx) > 1 and len(set(labels[idx].tolist())) == 1
-            assert np.all(np.diff(idx) > 0)
-            met.update((min(a, b), max(a, b)) for a in idx.tolist() for b in idx.tolist()
-                       if a != b)
+        roots = []
+        for groups in matops._column_groups(U):
+            roots.append(labels[groups[0][0]])
+            for idx in groups:
+                assert len(idx) > 1 and set(labels[idx].tolist()) == {roots[-1]}
+                assert np.all(np.diff(idx) > 0)
+                met.update((min(a, b), max(a, b)) for a in idx.tolist() for b in idx.tolist()
+                           if a != b)
+        assert len(set(roots)) == len(roots)      # one sequence per component
         want = {(a, b) for b in range(U.shape[1]) for a in range(b)
                 if labels[a] == labels[b]}
         assert met == want
@@ -386,11 +396,11 @@ def test_schatten_bracket_holds_at_every_sweep(case, p):
     U, exponent, _ = matops._scaled_columns(MatOp(data))
     scaled = data if data.shape[0] >= data.shape[1] else data.conj().T
     want = oracle_norm(scaled * 2.0 ** -exponent, p)
-    jacobi = matops._Sweeps(U, matops._JACOBI_TOL, matops._JACOBI_MAX_SWEEPS)
+    jacobi = matops._Sweeps([U], matops._JACOBI_TOL, matops._JACOBI_MAX_SWEEPS)
     brackets = []
     for _ in jacobi:
         brackets.append(matops._schatten_bracket(U.conj().T @ U, p, U.shape[0]))
-    assert jacobi.converged and len(brackets) >= 2
+    assert jacobi.converged == [True] and len(brackets) >= 2
     for lower, upper in brackets:
         assert lower <= want * (1.0 + 1e-9) and upper >= want * (1.0 - 1e-9)
     lower, upper = brackets[-1]
@@ -437,6 +447,150 @@ def test_round_robin_meets_every_pair_once(k):
         layout = layout[src]
     assert len(met) == len(set(met)) == k * (k - 1) // 2
     assert list(layout) == list(range(k))
+
+
+# ---------------------------------------------------------------------------
+# stacked sweeps against the group-at-a-time oracle (tests/serial_jacobi.py)
+# ---------------------------------------------------------------------------
+
+def stack_cases():
+    """name -> the matrices of one `_spectra` call."""
+    rng = np.random.default_rng(4242)
+    large = block_diagonal(rng, [100, 2, 2, 2])          # 100 columns: 6 block pairs
+    with_zeros = random_mat(rng, 50, 45).data.copy()
+    with_zeros[:, [0, 9, 44]] = 0.0
+    # the first block pair of a 100-column component is already orthogonal,
+    # so its group comes back unrotated while the later pairs rotate
+    first_pair_done = np.zeros((140, 100), dtype=complex)
+    first_pair_done[:64, :64] = np.diag(np.arange(1.0, 65.0))
+    first_pair_done[:, 64:] = random_mat(rng, 140, 36).data
+    scaled = bracket_cases()
+    return {
+        "block-matrices-together": list(block_matrices().values()),
+        "staggered": [diagonal_blocks(staggered_blocks())],
+        "staggered-together": staggered_blocks(),
+        "real-and-complex": [rng.standard_normal((36, 30)), random_mat(rng, 30, 28).data],
+        "large-beside-2-column": [large],
+        "large-first-pair-orthogonal": [first_pair_done],
+        "large-and-2-column-matrices": [large[:102, :100],
+                                        *(random_mat(rng, 3, 2).data for _ in range(3))],
+        "zero-columns": [with_zeros, np.zeros((5, 4)), np.zeros((0, 3)), np.zeros((3, 1))],
+        "huge-and-tiny": [scaled["huge"], scaled["tiny"]],
+        "bracket-cases-together": list(scaled.values()),
+    }
+
+
+def assert_spectra_equal_the_oracle(datas, max_sweeps=matops._JACOBI_MAX_SWEEPS):
+    As = [MatOp(data) for data in datas]
+    got = matops._spectra(As, matops._JACOBI_TOL, max_sweeps)
+    want = [oracle_singular_values(A, max_sweeps=max_sweeps) for A in As]
+    assert got == want
+    assert [repr(spec) for spec in got] == [repr(spec) for spec in want]   # zero signs too
+    return got
+
+
+@pytest.mark.parametrize("case", list(stack_cases()))
+def test_stacked_sweeps_equal_the_serial_oracle(case):
+    assert_spectra_equal_the_oracle(stack_cases()[case])
+
+
+@pytest.mark.parametrize("max_sweeps", [1, 3])
+def test_stacked_sweeps_equal_the_oracle_on_an_exhausted_budget(max_sweeps):
+    rng = np.random.default_rng(61)
+    datas = [random_mat(rng, 40, 40).data, rng.standard_normal((150, 100)),
+             random_mat(rng, 3, 2).data, np.diag([1.0, 2.0, 3.0])]
+    got = assert_spectra_equal_the_oracle(datas, max_sweeps)
+    assert [spec.converged for spec in got[:2]] == [False, False]
+    assert got[3].sweeps == 1 and got[3].converged
+
+
+@pytest.mark.parametrize("case", ["real-and-complex", "large-and-2-column-matrices",
+                                  "staggered-together"])
+def test_stacked_sweeps_rotate_every_column_as_the_oracle(case):
+    As = [MatOp(data) for data in stack_cases()[case]]
+    Us = [matops._scaled_columns(A)[0] for A in As]
+    jacobi = matops._Sweeps(Us, matops._JACOBI_TOL, matops._JACOBI_MAX_SWEEPS)
+    for _ in jacobi:
+        pass
+    for A, U, sweeps, converged in zip(As, Us, jacobi.sweeps, jacobi.converged):
+        want = oracle_scaled_columns(A)[0]
+        oracle = OracleSweeps(want, matops._JACOBI_TOL, matops._JACOBI_MAX_SWEEPS)
+        for _ in oracle:
+            pass
+        assert (sweeps, converged) == (oracle.sweeps, oracle.converged)
+        assert U.strides == want.strides and U.tobytes() == want.tobytes()   # bit for bit
+
+
+@pytest.mark.parametrize("case", list(label_cases()) + list(block_matrices()))
+def test_scaled_columns_equal_the_two_copy_selection(case):
+    # one Fortran-ordered copy holds the same values in the same layout, so
+    # every BLAS product on it rounds as before
+    data = label_cases()[case][0] if case in label_cases() else block_matrices()[case]
+    for A in (MatOp(data), MatOp(data.conj().T), MatOp(1j * data)):
+        U, exponent, n = matops._scaled_columns(A)
+        want, want_exponent, want_n = oracle_scaled_columns(A)
+        assert (exponent, n, U.dtype) == (want_exponent, want_n, want.dtype)
+        assert U.strides == want.strides and np.array_equal(U, want)
+        assert U.flags.f_contiguous and not np.shares_memory(U, A.data)
+
+
+@pytest.mark.parametrize("case", ["complex", "real", "wide-multi-group", "rank-deficient",
+                                  "huge", "tiny", "block-diagonal"])
+def test_schatten_compare_equals_the_serial_oracle(case):
+    A = MatOp(bracket_cases()[case])
+    values = oracle_singular_values(A).values
+    for p in (1.0, 3.5, math.inf):
+        norm = values[0] if p == math.inf else p_sum(values, p)
+        for radius in (0.5 * norm, norm, norm * (1.0 + 1e-12), 2.0 * norm):
+            for max_sweeps in (1, matops._JACOBI_MAX_SWEEPS):
+                outcome = []
+                for compare in (schatten_norm_below, oracle_schatten_norm_below):
+                    try:
+                        outcome.append(compare(A, p, radius, max_sweeps=max_sweeps))
+                    except ValueError as exc:
+                        outcome.append(str(exc))
+                assert outcome[0] == outcome[1], (p, radius, max_sweeps)
+
+
+def orthogonal_families():
+    rng = np.random.default_rng(73)
+    disjoint = []
+    for i in range(3):
+        data = np.zeros((120, 120), dtype=complex)
+        data[40 * i:40 * i + 40, 40 * i:40 * i + 40] = random_mat(rng, 40, 40).data
+        disjoint.append(MatOp(data))
+    T1 = rank_one_to_mat(RankOne(SeqVector.basis(0), SeqVector.basis(0)), 3)
+    T2 = rank_one_to_mat(RankOne(SeqVector.basis(0), SeqVector.basis(1)), 3)
+    real = [MatOp(np.diag([0.0] * k + [float(k + 1), 0.5] + [0.0] * (4 - k))) for k in (0, 2, 4)]
+    overlapping = [random_mat(rng, 40, 40), random_mat(rng, 40, 40)]
+    return {"disjoint-40-blocks": disjoint, "shared-range": [T1, T2], "real-diagonal": real,
+            "overlapping": overlapping, "one-zero-part": [MatOp.zeros(5), random_mat(rng, 5, 5)]}
+
+
+@pytest.mark.parametrize("case", list(orthogonal_families()))
+def test_orthogonal_sum_report_equals_the_serial_oracle(case, monkeypatch):
+    Ts = orthogonal_families()[case]
+    for p in (1.0, 2.0, 3.5):
+        got = orthogonal_sum_additivity(Ts, p)
+        with monkeypatch.context() as patch:
+            patch.setattr(matops, "_spectra",
+                          lambda As, *a: [oracle_singular_values(A, *a) for A in As])
+            want = orthogonal_sum_additivity(Ts, p)
+        assert got == want and repr(got) == repr(want)
+
+
+def test_orthogonal_sum_sweeps_its_six_groups_as_one_stack(monkeypatch):
+    # three 40-column parts and the three components of their sum: every
+    # sweep is one `_gram_sweep` call, holding every group still rotating
+    Ts = orthogonal_families()["disjoint-40-blocks"]
+    stacks = []
+    gram_sweep = matops._gram_sweep
+    monkeypatch.setattr(matops, "_gram_sweep",
+                        lambda G, tol: stacks.append(G.shape) or gram_sweep(G, tol))
+    spectra = matops._spectra([*Ts, sum(Ts[1:], Ts[0])])
+    assert len(stacks) == max(spec.sweeps for spec in spectra)
+    assert stacks[0] == (6, 40, 40)
+    assert all(b <= 6 and (k, n) == (40, 40) for b, k, n in stacks)
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +741,14 @@ def test_orthogonal_sum_takes_one_spectrum_per_block(monkeypatch):
     Ts = [MatOp(np.diag([0.0] * k + [float(k + 1), 0.5] + [0.0] * (4 - k)))
           for k in (0, 2, 4)]
     calls = []
-    monkeypatch.setattr(matops, "singular_values",
-                        lambda A, *a, **kw: calls.append(A) or singular_values(A, *a, **kw))
+    spectra = matops._spectra
+    monkeypatch.setattr(matops, "_spectra",
+                        lambda As, *a, **kw: calls.append(As) or spectra(As, *a, **kw))
     rep = orthogonal_sum_additivity(Ts, 1.5)
-    assert len(calls) == 4          # one per block, one for their sum
+    # one batched call: the three blocks, then their sum
+    assert len(calls) == 1 and len(calls[0]) == 4
+    assert calls[0][:3] == Ts
+    assert np.array_equal(calls[0][3].data, sum(T.data for T in Ts))
     parts = [schatten_norm(T, 1.5) for T in Ts]
     top = max(parts)
     assert rep.rhs == top * sum((v / top) ** 1.5 for v in parts) ** (1.0 / 1.5)
