@@ -139,6 +139,26 @@ def test_report_bytes_are_pinned(tmp_path, argv, code, digest):
     assert hashlib.sha256(report_path(tmp_path, argv).read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of CSV artifacts, recorded while time sets were still tuples
+PINNED_CSV = [
+    pytest.param([
+        "density", "--set", "squares", "--q", "2", "--n-max", "60", "--format", "csv"],
+        "density.csv", "67b6dc42862de6a056f4570fa717c35b2e097fd6ad564ea46ff7ee56750d9cfd",
+        id="density-squares"),
+    pytest.param([
+        "construct-fhc", "--weights", "w=constant:2", "--targets", "0|0,1", "--horizon",
+        "3000", "--format", "csv"],
+        "visit_times.csv", "f56c22d256abc7106572c5dcea05a8e052e8f307873fd4c21d8203732d1d4ea9",
+        id="construct-fhc-visit-times"),
+]
+
+
+@pytest.mark.parametrize("argv,name,digest", PINNED_CSV)
+def test_csv_bytes_are_pinned(tmp_path, argv, name, digest):
+    assert run(argv, tmp_path) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_manifest_report_bytes_are_pinned(tmp_path):
     cfg = tmp_path / "m.yml"
     cfg.write_text(PINNED_MANIFEST)
