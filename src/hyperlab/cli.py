@@ -63,6 +63,7 @@ from .hardy import (AnalyticSymbol, BetaSpace, adjoint_kernel_eigencheck,
 from .matops import _MAX_DIM, MatOp, shift_matrix, singular_values, spectrum_to_csv
 from .seqspace import (Domain, SeqVector, ShiftOp, WeightOverflowError,
                        WeightSeq, lp_norm, orbit_norms, p_sum)
+from .terms import EXACT_INT64, index_array
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -240,7 +241,10 @@ def build_natset(spec: str, horizon: int, what: str = "horizon") -> NatSet:
     if len(roots) > _MAX_SET_ELEMS:
         raise ConfigError(f"set {spec!r} up to {what} = {horizon} would hold {len(roots)} "
                           f"elements, more than {_MAX_SET_ELEMS}")
-    return NatSet(tuple(n * n for n in roots) if spec == "squares" else roots, horizon)
+    # np.arange(start, stop, step) takes its length from a float quotient
+    elems = (roots.start + roots.step * np.arange(len(roots)) if roots.stop < EXACT_INT64
+             else index_array(roots))
+    return NatSet(elems ** 2 if spec == "squares" else elems, horizon)
 
 
 def build_beta_space(spec: str, dim: int) -> BetaSpace:
@@ -434,7 +438,7 @@ def _run_construct_fhc(p: dict, outdir: Path, fmt: str, seed: int):
         with open(outdir / "visit_times.csv", "w") as fh:
             fh.write("class,time\n")
             for r in reports:
-                for t in r.visit_times.elems:
+                for t in r.visit_times.elems.tolist():
                     fh.write(f"{r.k},{t}\n")
     return (EXIT_OK if ok else EXIT_VIOLATION), params, results
 
@@ -486,10 +490,10 @@ def _run_check(p: dict, outdir: Path, fmt: str, seed: int):
 # 2-core x86-64 host a density check at g = 64 takes about 2 s and 90 MB,
 # at g = 128 about 15 s and 540 MB
 _MAX_GRID_DENSITY = 64
-# eigen holds a few complex vectors of dim + 1 entries and applies each
-# symbol's band one diagonal at a time: on a 2-core x86-64 host a conjugation
-# check at both caps (dim 2^20 - 1, two symbols of degree 15) takes 3.1 s and
-# 255 MB as a process, at dim 2^20 with degree 1 0.7 s and 130 MB
+# eigen and nuclear hold a few complex vectors of dim + 1 entries and apply
+# each symbol's band one diagonal at a time: on a 2-core x86-64 host a
+# conjugation check at both caps (dim 2^20 - 1, two symbols of degree 15) takes
+# 3.1 s and 255 MB as a process, at dim 2^20 with degree 1 0.7 s and 130 MB
 _MAX_EIGEN_DIM = 2 ** 20
 _MAX_EIGEN_BAND = 2 ** 24
 
@@ -499,20 +503,21 @@ def _run_hardy(p: dict, outdir: Path, fmt: str, seed: int):
     if check in ("locus", "density") and p["grid_density"] > _MAX_GRID_DENSITY:
         raise ConfigError(f"grid density {p['grid_density']} is larger than "
                           f"{_MAX_GRID_DENSITY}, the densest scan grid")
-    # both build (dim + 1)^2 dense matrices, past MatOp's window cap
-    if check in ("density", "nuclear") and dim + 1 > _MAX_DIM:
+    # it builds (dim + 1)^2 dense matrices, past MatOp's window cap
+    if check == "density" and dim + 1 > _MAX_DIM:
         raise ConfigError(f"dim {dim} needs {dim + 1} x {dim + 1} matrices, past the "
                           f"{_MAX_DIM} desk-scale cap")
     phi, psi = parse_symbol(p["phi"]), parse_symbol(p["psi"])
     params = {key: p[key] for key in ("check", "phi", "psi", "dim", "beta")}
     code = EXIT_OK
-    if check == "eigen":
+    if check in ("eigen", "nuclear"):
         if dim > _MAX_EIGEN_DIM:
             raise ConfigError(f"dim {dim} is larger than {_MAX_EIGEN_DIM}, the eigencheck cap")
-        degree = max(phi.degree, psi.degree if p["w"] is not None else 0)
+        degree = max(phi.degree, psi.degree if check == "nuclear" or p["w"] is not None else 0)
         if (dim + 1) * (degree + 1) > _MAX_EIGEN_BAND:
             raise ConfigError(f"dim {dim} and symbol degree {degree} need a band of "
                               f"{(dim + 1) * (degree + 1)} entries, more than {_MAX_EIGEN_BAND}")
+    if check == "eigen":
         space = build_beta_space(p["beta"], dim)
         z = parse_complex(p["z"])
         if p["w"] is not None:
@@ -561,7 +566,7 @@ def _run_hardy(p: dict, outdir: Path, fmt: str, seed: int):
         results = {"certificate": to_jsonable(cert)}
     elif check == "nuclear":
         lam, mu = parse_complex(p["lam"]), parse_complex(p["mu"])
-        rep = nuclear_eigencheck(phi, psi, lam, mu, p["p"], dim=dim, seed=seed)
+        rep = nuclear_eigencheck(phi, psi, lam, mu, p["p"], dim=dim)
         params.update({"lam": to_jsonable(lam), "mu": to_jsonable(mu), "p": p["p"]})
         results = {"report": to_jsonable(rep), "passed": rep.passed}
         code = EXIT_OK if rep.passed else EXIT_VIOLATION

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,6 +25,7 @@ import numpy as np
 
 from .matops import MatOp, embed_window, schatten_norm_below
 from .seqspace import SeqVector, lp_norm
+from .terms import EXACT_INT64, index_array
 
 __all__ = [
     "NatSet",
@@ -39,45 +39,48 @@ __all__ = [
 ]
 
 
-_INT64_MAX = 2 ** 63 - 1
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NatSet:
-    """Strictly increasing tuple of naturals together with the horizon that
-    was actually searched (membership beyond the horizon is unknown, not
-    false).  A `range` with a positive step is stored as the same tuple,
-    with only its first and last elements checked."""
+    """Strictly increasing naturals as one read-only sorted array (int64, or
+    Python ints in an object array where one reaches 2^62: `index_array`'s
+    rule; an int64 array is kept, not copied), with the horizon that was
+    actually searched (membership beyond the horizon is unknown, not false)."""
 
-    elems: tuple
+    elems: np.ndarray
     horizon: int
 
     def __post_init__(self):
-        if isinstance(self.elems, range) and self.elems.step > 0:
-            elems = tuple(self.elems)    # strictly increasing integers already
-        else:
-            elems = tuple(int(n) for n in self.elems)
-            if any(b <= a for a, b in zip(elems, elems[1:])):
-                raise ValueError("elements must be strictly increasing")
-        if elems and elems[0] < 0:
+        elems = index_array(self.elems).view()
+        if np.any(elems[1:] <= elems[:-1]):
+            raise ValueError("elements must be strictly increasing")
+        if elems.size and elems[0] < 0:
             raise ValueError("elements must be naturals")
-        if self.horizon < 0 or (elems and elems[-1] > self.horizon):
+        if self.horizon < 0 or (elems.size and elems[-1] > self.horizon):
             raise ValueError("elements exceed the stated horizon")
+        elems.flags.writeable = False
         object.__setattr__(self, "elems", elems)
 
-    @classmethod
-    def from_iterable(cls, it: Iterable[int], horizon: int) -> "NatSet":
-        return cls(tuple(sorted(set(int(n) for n in it))), horizon)
+    def count_leq(self, x) -> int:
+        # a float is floored, as numpy would compare in float64
+        x = math.floor(x) if isinstance(x, float) and math.isfinite(x) else x
+        return int(np.searchsorted(self.elems, x, side="right"))
 
-    def count_leq(self, x: float) -> int:
-        return bisect_right(self.elems, x)
-
-    def __contains__(self, n: int) -> bool:
-        i = bisect_right(self.elems, n) - 1
-        return i >= 0 and self.elems[i] == n
+    def __contains__(self, n) -> bool:
+        i = self.count_leq(n) - 1
+        return bool(i >= 0 and self.elems[i] == n)
 
     def __len__(self) -> int:
         return len(self.elems)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NatSet):
+            return NotImplemented
+        return self.horizon == other.horizon and np.array_equal(self.elems, other.elems)
+
+    def __hash__(self) -> int:
+        # an object array's bytes are pointers, not values: it hashes by its length
+        elems = self.elems
+        return hash((self.horizon, elems.tobytes() if elems.dtype != object else len(elems)))
 
 
 class DensityProfile(Sequence):
@@ -143,23 +146,17 @@ def q_lower_density(A: NatSet, q: float, N_max: int,
         raise ValueError("tail_start must lie in [1, N_max]")
 
     # An element n counts for N when n <= N^q, that is n <= floor(N^q).
-    # While N_max^q fits int64 the floors are counted with one searchsorted;
-    # beyond it (a file: set may declare any horizon) every threshold is
-    # bisected as a Python number, as int64 would wrap.
     Ns = np.arange(1, N_max + 1)
-    if top > _INT64_MAX:
-        counts = np.array([A.count_leq(N ** q_int if q_int is not None else float(N) ** q)
-                           for N in range(1, N_max + 1)])
+    if q_int is not None and top < EXACT_INT64:
+        # from q = 63 on only N = 1 fits, so the cap changes no floor; at
+        # q = 1 the floors are Ns itself, not an N_max-entry copy
+        floors = Ns if q_int == 1 else Ns ** min(q_int, 63)
     else:
-        if q_int is not None:
-            # from q = 63 on only N = 1 fits, so the cap changes no floor;
-            # at q = 1 the floors are Ns itself, not an N_max-entry copy
-            floors = Ns if q_int == 1 else Ns ** min(q_int, 63)
-        else:
-            # Python's float powers: np.power may differ in the last bit
-            floors = np.floor([float(N) ** q for N in range(1, N_max + 1)]).astype(np.int64)
-        small = np.array(A.elems[:A.count_leq(top)], dtype=np.int64)
-        counts = np.searchsorted(small, floors, side="right")
+        # Python's powers: np.power may differ in the last bit, and int64
+        # would wrap past EXACT_INT64 (a file: set may declare any horizon)
+        floors = index_array(N ** q_int if q_int is not None else int(float(N) ** q)
+                             for N in range(1, N_max + 1))
+    counts = np.searchsorted(A.elems, floors, side="right")
     ratios = counts / Ns
     liminf = float(ratios[tail_start - 1:].min())
     return DensityEstimate(float(q), N_max, tail_start, DensityProfile(counts, ratios), liminf)
@@ -209,13 +206,11 @@ def visit_set(orbit: Iterable, target, radius: float, norm: NormSpec) -> NatSet:
     distance(orbit_n, target) < radius."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    hits = []
-    n = 0
-    for x in orbit:
-        n += 1
+    hits, n = [], 0
+    for n, x in enumerate(orbit, start=1):
         if norm.within(x, target, radius):
             hits.append(n)
-    return NatSet(tuple(hits), n)
+    return NatSet(hits, n)
 
 
 # ---------------------------------------------------------------------------
@@ -234,4 +229,4 @@ def natset_from_lines(text: str) -> NatSet:
     if not lines or not lines[0].startswith("# horizon"):
         raise ValueError("missing horizon header")
     horizon = int(lines[0].split()[-1])
-    return NatSet(tuple(int(ln) for ln in lines[1:]), horizon)
+    return NatSet([int(ln) for ln in lines[1:]], horizon)

@@ -424,6 +424,19 @@ class SeparationReport:
     pairs_checked: int
 
 
+def _plan(fam: SeparatedFamily) -> tuple:
+    """(times, classes): every planned time with its class, class by class."""
+    times = np.concatenate([np.zeros(0, np.int64), *(s.elems for s in fam.sets)])
+    return times, np.repeat(np.arange(1, fam.num_classes + 1), [len(s) for s in fam.sets])
+
+
+def _blocks(fam: SeparatedFamily) -> tuple:
+    """`_plan` sorted by time and then by class."""
+    times, cls = _plan(fam)
+    order = np.argsort(times, kind="stable")
+    return times[order], cls[order]
+
+
 def build_separated_family(N_ks: Sequence[int], K: int, horizon: int) -> SeparatedFamily:
     """Round-robin block construction of separated positive-density classes.
 
@@ -446,22 +459,12 @@ def build_separated_family(N_ks: Sequence[int], K: int, horizon: int) -> Separat
     gaps = [2 * (v + gmax) for v in N]
     guard = gmax if K > 1 else 0
     block = 2 * guard + 2 * max(gaps)
-    elems: list = [[] for _ in range(K)]
-    m = 0
-    while True:
-        lo = 1 + m * block
-        if lo > horizon:
-            break
-        hi = min((m + 1) * block, horizon)
-        k = (m % K) + 1
-        g = gaps[k - 1]
-        start_bound = max(lo + guard, k)
-        first = k + ((start_bound - k + g - 1) // g) * g
-        t = first
-        while t <= hi - guard:
-            elems[k - 1].append(t)
-            t += g
-        m += 1
+    # the progressions, masked to their class's block interiors
+    elems = []
+    for k in range(1, K + 1):
+        t = np.arange(k, horizon - guard + 1, gaps[k - 1])
+        pos = (t - 1) % block
+        elems.append(t[((t - 1) // block % K == k - 1) & (pos >= guard) & (pos < block - guard)])
     # the density proxy is a liminf over [horizon // 2, horizon]: a class
     # with no element by then has proxy 0, however many come later
     if any(len(s) < 2 or s[0] > max(1, horizon // 2) for s in elems):
@@ -469,7 +472,7 @@ def build_separated_family(N_ks: Sequence[int], K: int, horizon: int) -> Separat
         raise ValueError(
             f"horizon {horizon} too small for positive density in every class; "
             f"roughly {need} is needed for K = {K}, N_ks = {tuple(N)}")
-    fam = SeparatedFamily(tuple(NatSet(tuple(s), horizon) for s in elems), tuple(N))
+    fam = SeparatedFamily(tuple(NatSet(s, horizon) for s in elems), tuple(N))
     rep = verify_separated_family(fam)
     if not rep.ok:
         raise AssertionError(f"construction violated its own contract: {rep.first_violation}")
@@ -487,26 +490,29 @@ def verify_separated_family(fam: SeparatedFamily,
     already clears the first and last class thresholds).  Pairs among
     elements up to `literal_pair_horizon` are additionally checked literally.
     """
-    tagged = sorted((n, k) for k, s in enumerate(fam.sets, start=1) for n in s.elems)
+    times, cls = _blocks(fam)
     disjoint_ok = min_ok = separation_ok = True
     violation = None
-    for (a, ka), (b, kb) in zip(tagged, tagged[1:]):
+    thr = np.array(fam.N_ks, np.int64)[cls - 1]
+    # a pair at distance 0 breaks disjointness whatever the thresholds
+    close = np.flatnonzero(np.diff(times) < np.maximum(thr[:-1] + thr[1:], 1))
+    if close.size:
+        i = int(close[0])
+        a, b, ka, kb = int(times[i]), int(times[i + 1]), int(cls[i]), int(cls[i + 1])
         if a == b:
             disjoint_ok = False
-            violation = violation or ("disjointness", (a, ka, kb))
-            break
-        need = fam.N_ks[ka - 1] + fam.N_ks[kb - 1]
-        if b - a < need:
+            violation = ("disjointness", (a, ka, kb))
+        else:
             separation_ok = False
-            violation = violation or ("separation", (a, ka, b, kb, need))
-            break
+            violation = ("separation", (a, ka, b, kb, int(thr[i] + thr[i + 1])))
     for k, s in enumerate(fam.sets, start=1):
-        if s.elems and s.elems[0] < k:
+        if s.elems.size and s.elems[0] < k:
             min_ok = False
-            violation = violation or ("minimum", (k, s.elems[0]))
+            violation = violation or ("minimum", (k, int(s.elems[0])))
     pairs = 0
     if disjoint_ok and separation_ok:
-        small = [(n, k) for (n, k) in tagged if n <= literal_pair_horizon]
+        n_small = int(np.searchsorted(times, literal_pair_horizon, side="right"))
+        small = list(zip(times[:n_small].tolist(), cls[:n_small].tolist()))
         for idx, (a, ka) in enumerate(small):
             for b, kb in small[idx + 1:]:
                 pairs += 1
@@ -516,16 +522,14 @@ def verify_separated_family(fam: SeparatedFamily,
                     break
             if not separation_ok:
                 break
-    densities = []
-    for s in fam.sets:
-        est = q_lower_density(s, 1.0, s.horizon, max(1, s.horizon // 2))
-        densities.append(est.liminf_proxy)
+    densities = tuple(q_lower_density(s, 1.0, s.horizon, max(1, s.horizon // 2)).liminf_proxy
+                      for s in fam.sets)
     density_ok = all(d > 0.0 for d in densities)
     if not density_ok:
-        violation = violation or ("density", tuple(densities))
+        violation = violation or ("density", densities)
     ok = disjoint_ok and min_ok and separation_ok and density_ok
     return SeparationReport(ok, disjoint_ok, min_ok, separation_ok, density_ok,
-                            tuple(densities), violation, pairs)
+                            densities, violation, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +551,8 @@ def assemble_vector(family: BackwardOrbitFamily, J: SeparatedFamily, q: int) -> 
     if J.num_classes > family.num_classes:
         raise ValueError("more visit plans than targets")
     table = family._terms
-    cls = [l for l in range(1, J.num_classes + 1) for _ in J.sets[l - 1].elems]
-    rows = table.ids(np.array(cls, np.int64),
-                     index_array(n ** qi for l in range(1, J.num_classes + 1)
-                                 for n in J.sets[l - 1].elems))
+    times, cls = _plan(J)
+    rows = table.ids(cls, index_array(times.astype(object) ** qi))
     failed = np.flatnonzero(table.column("state", np.int8)[rows])
     if failed.size:
         raise table.errors[int(rows[failed[0]])]
@@ -615,15 +617,16 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
     K = J.num_classes
     if len(radii) != K:
         raise ValueError("one radius per class is required")
-    blocks = sorted((n, l) for l in range(1, K + 1) for n in J.sets[l - 1].elems)
-    if blocks and blocks[0][0] < 1:
+    blocks = _blocks(J)
+    btime = blocks[0]
+    if btime.size and btime[0] < 1:
         raise ValueError("visit plans start at time 1")
-    N_H = horizon if horizon is not None else (blocks[-1][0] if blocks else 0)
-    early = [m for m, _ in blocks
+    N_H = horizon if horizon is not None else (int(btime[-1]) if btime.size else 0)
+    early = [m for m in btime.tolist()
              if m <= N_H and m ** qi <= _CROSS_CHECK_HORIZON][:max(cross_check, 0)]
     # the cells whose distance the reports read: each class's designed
     # times and every class at the cross-check times
-    designed = [[n - 1 for n in J.sets[k].elems if n <= N_H] for k in range(K)]
+    designed = [s.elems[:s.count_leq(N_H)].astype(np.int64) - 1 for s in J.sets]
     read = np.zeros((K, N_H), bool)
     for k in range(K):
         read[k, designed[k]] = True
@@ -648,7 +651,7 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
         d = distances[k - 1]
         des_d = d[designed[k - 1]].tolist()
         within = sum(1 for v in des_d if v < radius)
-        visits = NatSet(tuple((np.flatnonzero(d < radius) + 1).tolist()), N_H)
+        visits = NatSet(np.flatnonzero(d < radius) + 1, N_H)
         vis_density = q_lower_density(visits, 1.0, N_H, max(1, N_H // 2)).liminf_proxy \
             if N_H >= 1 else 0.0
         des_density = q_lower_density(J.sets[k - 1], 1.0, J.sets[k - 1].horizon,
@@ -889,10 +892,10 @@ def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict],
     return out
 
 
-def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: list, K: int,
+def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: tuple, K: int,
                     qi: int, N_H: int, tail_cut: float, max_blocks_per_time: int,
                     radii: Sequence[float], read: np.ndarray) -> tuple:
-    """(d, truncated) over the sorted (time, class) blocks, with
+    """(d, truncated) over the blocks (times, classes) of `_blocks`, with
     d[k - 1, n - 1] = ||T^{n^q} x - x_k|| for k <= K and n = 1..N_H where
     read[k - 1, n - 1] holds or the distance lies below radii[k - 1], and
     elsewhere a value in [radii[k - 1], ||T^{n^q} x - x_k||] (see
@@ -914,18 +917,17 @@ def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: list, K: i
     nilpotent = op.displacement < 0 and op.domain is Domain.NATURALS
     sup_top = np.array([-1] + [max(family.base_point(l).entries, default=-1)
                                for l in range(1, K + 1)])
-    last = max(N_H, blocks[-1][0] if blocks else 0)
+    btime, bcls = blocks
+    last = max(N_H, int(btime[-1]) if btime.size else 0)
     dt = np.int64 if (last ** qi + 1) * (K + 1) < EXACT_INT64 else object
-    btime = np.array([m for m, _ in blocks], np.int64)
-    bpow = np.array([m ** qi for m, _ in blocks], dt)
-    bcls = np.array([l for _, l in blocks], np.int64)
+    bpow = btime.astype(dt) ** qi
     table = family._terms
     distances = np.empty((K, N_H))
     truncated = False
     n0, width = 1, _FIRST_PASS
     while n0 <= N_H:
         n1 = min(N_H, n0 + width - 1)
-        walk = _Walk(table, op, bpow, bcls, np.array([n ** qi for n in range(n0, n1 + 1)], dt),
+        walk = _Walk(table, op, bpow, bcls, np.arange(n0, n1 + 1, dtype=dt) ** qi,
                      np.searchsorted(btime, np.arange(n0, n1 + 1)), max_blocks_per_time)
         walk.future(tail_cut)
         walk.past(sup_top, nilpotent)

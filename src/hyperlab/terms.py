@@ -47,11 +47,11 @@ _DENSE_KEYS = 1 << 16
 
 
 def index_array(values) -> np.ndarray:
-    """Python ints as an int64 array, or as an object array where one
-    reaches EXACT_INT64."""
-    values = list(values)
-    big = values and max(max(values), -min(values)) >= EXACT_INT64
-    return np.array(values, object if big else np.int64)
+    """Integers as an int64 array, or as Python ints in an object array where
+    one reaches EXACT_INT64 in absolute value; an int64 array within it is kept."""
+    values = values if isinstance(values, np.ndarray) else np.array(list(values), object)
+    big = values.size and (values.max() >= EXACT_INT64 or values.min() <= -EXACT_INT64)
+    return values.astype(object if big else np.int64, copy=False)
 
 
 class TermTable:

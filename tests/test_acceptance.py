@@ -40,7 +40,7 @@ E01 = SeqVector({0: 1.0, 1: 1.0})
 
 def test_01_power_clock_density_exact_on_squares_and_evens():
     t0 = time.perf_counter()
-    squares = NatSet.from_iterable((n * n for n in range(1, 1001)), 1_000_000)
+    squares = NatSet(sorted(n * n for n in range(1, 1001)), 1_000_000)
     est = q_lower_density(squares, 2.0, 1000)
     assert all(count == N and ratio == 1.0 for N, count, ratio in est.profile)
 

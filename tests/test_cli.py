@@ -4,6 +4,7 @@ artifact layout, and byte-level determinism of reports."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hyperlab import cli, fhc
@@ -84,18 +85,28 @@ def test_parse_symbol_and_range():
 
 def test_build_natset_specs(tmp_path):
     sq = build_natset("squares", 100)
-    assert sq.elems == (1, 4, 9, 16, 25, 36, 49, 64, 81, 100)
+    assert sq.elems.tolist() == [1, 4, 9, 16, 25, 36, 49, 64, 81, 100]
     ev = build_natset("evens", 10)
-    assert ev.elems == (2, 4, 6, 8, 10)
+    assert ev.elems.tolist() == [2, 4, 6, 8, 10]
     m3 = build_natset("multiples:3", 10)
-    assert m3.elems == (3, 6, 9)
+    assert m3.elems.tolist() == [3, 6, 9]
     p = tmp_path / "set.txt"
     p.write_text("# horizon 20\n3\n7\n")
-    assert build_natset(f"file:{p}", 999).elems == (3, 7)
+    assert build_natset(f"file:{p}", 999).elems.tolist() == [3, 7]
     with pytest.raises(ConfigError):
         build_natset("file:/no/such/file", 10)
     with pytest.raises(ConfigError):
         build_natset("primes", 10)
+
+
+@pytest.mark.parametrize("stride, horizon", [(10 ** 15, 10 ** 18), (10 ** 18, 10 ** 20),
+                                             (7, 10 ** 5)])
+def test_generated_multiples_are_exact_at_any_horizon(stride, horizon):
+    # np.arange(10**15, 10**18 + 1, 10**15) holds 999 elements, not 1000: its
+    # length comes from a float quotient; past 2^62 the set is Python ints
+    got = build_natset(f"multiples:{stride}", horizon)
+    assert got.elems.tolist() == list(range(stride, horizon + 1, stride))
+    assert got.elems.dtype == (object if horizon >= 2 ** 62 else np.int64)
 
 
 # -- exit codes -------------------------------------------------------------

@@ -44,7 +44,8 @@ def one_error_line(err: str) -> str:
 # (hardy-eigen-adjoint, hardy-eigen-conjugation, hardy-nuclear) when they
 # moved to float with the defect in closed form: each gained bulk_deviation,
 # their residuals moved in the last digits, and the nuclear bound became the
-# conjugation check's rank-two bound.
+# conjugation check's rank-two bound.  The same three were re-recorded when
+# each gained log10_residual and log10_bound and hardy-nuclear lost trace_gap.
 PINNED = [
     pytest.param([
         "density", "--set", "squares", "--q", "2", "--n-max", "60"],
@@ -85,12 +86,12 @@ PINNED = [
         id="check-diagonal"),
     pytest.param([
         "hardy", "--check", "eigen", "--phi", "0,1", "--z", "0.6", "--dim", "24"],
-        0, "19533ab1e9f550072953aa6d504901ea18e40f297b8deb41d4a35aae368b0483",
+        0, "2db5ba5d37b77a3ab7b60c6169d89f49c90ed38c171d70570d33d48afc736e36",
         id="hardy-eigen-adjoint"),
     pytest.param([
         "hardy", "--check", "eigen", "--phi", "0,1", "--psi", "0,1", "--z", "0.6",
         "--w", "0.6", "--dim", "24", "--beta", "inv_linear"],
-        0, "586e8ed5113a9beb4703f104d8962e70ec8461d8849a6de1031a2adcdb759c98",
+        0, "f223d42d1871494c83d34b714b2bbc534a1aeae1c939a5bbdd002b1902fdfc0a",
         id="hardy-eigen-conjugation"),
     pytest.param([
         "hardy", "--check", "locus", "--phi", "0,2", "--psi", "0,1", "--grid-density",
@@ -109,7 +110,7 @@ PINNED = [
     pytest.param([
         "hardy", "--check", "nuclear", "--phi", "0,1", "--psi", "0,1", "--dim", "24",
         "--lam", "0.4", "--mu", "0.3:0.1", "--p", "1"],
-        0, "d8f234353581cc2e38665e2b2ea23ecb89776d14e74f242d05d24613f9b3aa9b",
+        0, "ae1029cccfd158457adecb7a47038b0558f680944313d11979e5c79b197db23f",
         id="hardy-nuclear"),
     pytest.param([
         "schatten", "--weights", "w=constant:2", "--window", "0:7", "--p", "1,2,3.5"],
@@ -338,11 +339,11 @@ def test_hardy_refuses_grid_densities_past_the_cap(tmp_path, capsys, check, grid
 
 
 @pytest.mark.parametrize("check, dim, message", [
-    # dim + 1 = 2049 passes MatOp's window cap; nuclear at dim 30000 and
-    # density at dim 20000 ended in numpy _ArrayMemoryError tracebacks under
-    # a 3 GB address-space limit
-    ("nuclear", 2048, "2048"),
+    # dim + 1 = 2049 passes MatOp's window cap; density at dim 20000 ended in
+    # a numpy _ArrayMemoryError traceback under a 3 GB address-space limit
     ("density", 2048, "2048"),
+    # nuclear takes the eigencheck caps
+    ("nuclear", cli._MAX_EIGEN_DIM + 1, str(cli._MAX_EIGEN_DIM)),
     ("nuclear", -3, ">= 1"),          # numpy's "negative dimensions", after the mp legs
     ("nuclear", 0, ">= 1"),           # reported passed: true with op_residual 0.5
 ])
@@ -372,6 +373,23 @@ def test_hardy_refuses_eigen_sizes_past_the_caps(tmp_path, capsys, extra, messag
     assert time.perf_counter() - start < 1.0
     assert message in one_error_line(capsys.readouterr().err)
     assert not report_path(tmp_path, argv).exists()
+
+
+@pytest.mark.parametrize("dim", [2048, 2 ** 16])
+def test_nuclear_takes_the_eigen_caps(tmp_path, dim):
+    # past the 2047 dense cap it kept for its dense random pairing matrix
+    argv = ["hardy", "--check", "nuclear", "--phi", "0,2", "--psi", "0,1", "--dim", str(dim)]
+    assert run(argv, tmp_path) == 0
+    report = json.loads(report_path(tmp_path, argv).read_text())["results"]["report"]
+    assert report["truncation_dim"] == dim
+
+
+def test_nuclear_counts_psi_in_the_band_without_w(tmp_path, capsys):
+    argv = ["hardy", "--check", "nuclear", "--dim", "1048575", "--psi", ",".join(["1"] * 17)]
+    start = time.perf_counter()
+    assert run(argv, tmp_path) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "degree 16" in one_error_line(capsys.readouterr().err)
 
 
 def test_locus_refuses_a_negative_max_points(tmp_path, capsys):
@@ -660,7 +678,10 @@ def test_every_input_gives_a_report_or_one_error_line(tmp_path, capsys, case):
     code = run(argv, outdir)
     out, err = capsys.readouterr()
     if code in (0, 2):
-        assert json.loads(report.read_text())["exit_code"] == code
+        text = report.read_text()
+        assert json.loads(text)["exit_code"] == code
+        # a numpy scalar or array reaching to_jsonable falls back to its repr
+        assert "np." not in text and "array(" not in text, text
     else:
         assert code == 1
         one_error_line(err)

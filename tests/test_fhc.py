@@ -13,13 +13,14 @@ import pytest
 
 from hyperlab import fhc, terms
 from hyperlab.cli import build_shift, parse_vectors, parse_weight_spec
-from hyperlab.density import NatSet
+from hyperlab.density import NatSet, q_lower_density
 from hyperlab.fhc import (
     BackwardOrbitFamily,
     ClassVisitReport,
     CriterionFailure,
     EpsSchedule,
     SeparatedFamily,
+    SeparationReport,
     assemble_vector,
     build_separated_family,
     condition_c_exactness,
@@ -590,7 +591,7 @@ def test_no_scalar_inverse_product_in_the_search_and_the_verifier(monkeypatch):
 
 def test_single_class_is_every_fourth_integer():
     fam = build_separated_family([1], 1, 100)
-    assert fam.sets[0].elems == tuple(range(1, 98, 4))
+    assert fam.sets[0].elems.tolist() == list(range(1, 98, 4))
     rep = verify_separated_family(fam)
     assert rep.ok
     assert rep.densities[0] == pytest.approx(0.25, abs=0.02)
@@ -600,8 +601,8 @@ def test_two_class_construction_invariants():
     fam = build_separated_family([1, 1], 2, 400)
     rep = verify_separated_family(fam)
     assert rep.ok and rep.pairs_checked > 0
-    assert fam.sets[0].elems[:2] == (5, 9)
-    assert fam.sets[1].elems[:2] == (14, 18)
+    assert fam.sets[0].elems[:2].tolist() == [5, 9]
+    assert fam.sets[1].elems[:2].tolist() == [14, 18]
     for k, s in enumerate(fam.sets, start=1):
         assert s.elems[0] >= k
 
@@ -624,6 +625,108 @@ def test_horizon_too_small_rejected_with_estimate():
         with pytest.raises(ValueError) as exc:
             build_separated_family(N_ks, 2, horizon)
         assert "horizon" in str(exc.value)
+
+
+def oracle_plan(N_ks, K, horizon):
+    """build_separated_family's element loop as first written."""
+    N = list(N_ks[:K])
+    gmax = max(N)
+    gaps = [2 * (v + gmax) for v in N]
+    guard = gmax if K > 1 else 0
+    block = 2 * guard + 2 * max(gaps)
+    elems = [[] for _ in range(K)]
+    m = 0
+    while True:
+        lo = 1 + m * block
+        if lo > horizon:
+            break
+        hi = min((m + 1) * block, horizon)
+        k = (m % K) + 1
+        g = gaps[k - 1]
+        t = k + ((max(lo + guard, k) - k + g - 1) // g) * g
+        while t <= hi - guard:
+            elems[k - 1].append(t)
+            t += g
+        m += 1
+    return elems
+
+
+def oracle_verify_separated_family(fam, literal_pair_horizon=3000):
+    """verify_separated_family as first written, one Python pair at a time."""
+    sets = [s.elems.tolist() for s in fam.sets]
+    tagged = sorted((n, k) for k, s in enumerate(sets, start=1) for n in s)
+    disjoint_ok = min_ok = separation_ok = True
+    violation = None
+    for (a, ka), (b, kb) in zip(tagged, tagged[1:]):
+        if a == b:
+            disjoint_ok = False
+            violation = violation or ("disjointness", (a, ka, kb))
+            break
+        need = fam.N_ks[ka - 1] + fam.N_ks[kb - 1]
+        if b - a < need:
+            separation_ok = False
+            violation = violation or ("separation", (a, ka, b, kb, need))
+            break
+    for k, s in enumerate(sets, start=1):
+        if s and s[0] < k:
+            min_ok = False
+            violation = violation or ("minimum", (k, s[0]))
+    pairs = 0
+    if disjoint_ok and separation_ok:
+        small = [(n, k) for (n, k) in tagged if n <= literal_pair_horizon]
+        for idx, (a, ka) in enumerate(small):
+            for b, kb in small[idx + 1:]:
+                pairs += 1
+                if b - a < fam.N_ks[ka - 1] + fam.N_ks[kb - 1]:
+                    separation_ok = False
+                    violation = violation or ("separation", (a, ka, b, kb))
+                    break
+            if not separation_ok:
+                break
+    densities = tuple(q_lower_density(s, 1.0, s.horizon, max(1, s.horizon // 2)).liminf_proxy
+                      for s in fam.sets)
+    density_ok = all(d > 0.0 for d in densities)
+    if not density_ok:
+        violation = violation or ("density", densities)
+    ok = disjoint_ok and min_ok and separation_ok and density_ok
+    return SeparationReport(ok, disjoint_ok, min_ok, separation_ok, density_ok,
+                            densities, violation, pairs)
+
+
+@pytest.mark.parametrize("N_ks, K, horizon", [
+    ([1], 1, 100), ([1, 1], 2, 400), ([1, 2, 3], 3, 2000), ([3, 1], 2, 5000),
+    ([2, 5], 2, 300), ([4], 1, 7), ([1, 1, 1, 1], 4, 25000)])
+def test_separated_plan_equals_the_element_loop(N_ks, K, horizon):
+    want = oracle_plan(N_ks, K, horizon)
+    try:
+        fam = build_separated_family(N_ks, K, horizon)
+    except ValueError:
+        assert any(len(s) < 2 or s[0] > max(1, horizon // 2) for s in want)
+        return
+    assert [s.elems.tolist() for s in fam.sets] == want
+    assert all(s.elems.dtype == np.int64 and s.horizon == horizon for s in fam.sets)
+    want_rep = oracle_verify_separated_family(fam)
+    assert repr(fam.separation) == repr(want_rep) and fam.separation.ok
+    for horizon_literal in (0, 40, 10 ** 6):
+        assert repr(verify_separated_family(fam, horizon_literal)) == \
+            repr(oracle_verify_separated_family(fam, horizon_literal))
+
+
+def test_separation_scan_equals_the_pair_loop_on_hand_built_plans():
+    # duplicates across classes, zero and unequal thresholds, times below
+    # the class index and empty classes; repr also tells np.int64 from int
+    rng = random.Random(4321)
+    plans = [((5, 6), (20,), (2, 2)), ((4, 9), (9, 30), (0, 0)), ((1, 2), (2, 3), (0, 0)),
+             ((), (3, 8), (1, 1)), ((1, 9), (5, 40), (1, 1))]
+    for _ in range(200):
+        K = rng.randint(1, 3)
+        plans.append((*(sorted(rng.sample(range(60), rng.randint(0, 8))) for _ in range(K)),
+                      tuple(rng.randint(0, 3) for _ in range(K))))
+    for *sets, N_ks in plans:
+        fam = SeparatedFamily(tuple(NatSet(s, 60) for s in sets), N_ks)
+        for horizon_literal in (3000, 20):
+            got = verify_separated_family(fam, horizon_literal)
+            assert repr(got) == repr(oracle_verify_separated_family(fam, horizon_literal)), sets
 
 
 def test_separation_violation_detected():
@@ -713,7 +816,7 @@ def test_end_to_end_single_class_visits():
     # neighbouring blocks sit >= 2 N_k away, so the residual around a designed
     # visit is at most the geometric tail 2^{-2 N_1} * sqrt(4/3) plus change
     assert 0.0 < rep.max_designed_distance < 2.0 ** (-2 * N1) * 1.3
-    assert rep.visit_times.elems == J.sets[0].elems   # no spurious visits
+    assert rep.visit_times.elems.tolist() == J.sets[0].elems.tolist()   # no spurious visits
     assert rep.density_ratio == pytest.approx(1.0)
     assert rep.cross_check_dev is not None and rep.cross_check_dev < 1e-9
 
@@ -732,7 +835,7 @@ def test_visits_survive_subnormal_underflow():
     rep = verify_q_frequent_visits(B2, x, fam, J, 1, [0.5], cross_check=0)[0]
     assert rep.contained
     assert rep.max_designed_distance < 0.1
-    assert rep.visit_times.elems == elems
+    assert rep.visit_times.elems.tolist() == list(elems)
 
 
 def test_zero_vector_has_no_visits():
@@ -769,7 +872,7 @@ def literal_scan(op, family, J, q, N_H, tail_cut=1e-18, max_blocks_per_time=256)
     orbit point and literal_lp_norm(y - x_k) per class.  Returns
     ({k: {n: distance}}, truncated, {k: {n: largest |entry| of y - x_k}})."""
     K = J.num_classes
-    blocks = sorted((n, l) for l in range(1, K + 1) for n in J.sets[l - 1].elems)
+    blocks = sorted((n, l) for l in range(1, K + 1) for n in J.sets[l - 1].elems.tolist())
     block_times = [b[0] for b in blocks]
     nilpotent = op.domain is Domain.NATURALS and op.displacement < 0
     sup_top = {l: max(family.base_point(l).support(), default=-1) for l in range(1, K + 1)}
@@ -822,7 +925,8 @@ def read_cells(J, q, N_H, cross_check=3):
     """The (class, time) cells whose distance the verifier's reports read:
     each class's designed times up to N_H, and every class at the first
     cross_check designed times n with n^q <= fhc._CROSS_CHECK_HORIZON."""
-    blocks = sorted((n, l) for l in range(1, J.num_classes + 1) for n in J.sets[l - 1].elems)
+    blocks = sorted((n, l) for l in range(1, J.num_classes + 1)
+                    for n in J.sets[l - 1].elems.tolist())
     early = [m for m, _ in blocks if m <= N_H and m ** q <= fhc._CROSS_CHECK_HORIZON]
     return {(k, n) for k in range(1, J.num_classes + 1) for n in range(1, N_H + 1)
             if n in J.sets[k - 1].elems or n in early[:cross_check]}
@@ -840,7 +944,9 @@ def assert_verifier_matches_literal(op, family, J, q, radii, **kwargs):
     read = read_cells(J, q, N_H)
     mask = np.array([[(k, n) in read for n in range(1, N_H + 1)] for k in range(1, K + 1)],
                     bool).reshape(K, N_H)
-    blocks = sorted((n, l) for l in range(1, K + 1) for n in J.sets[l - 1].elems)
+    blocks = sorted((n, l) for l in range(1, K + 1) for n in J.sets[l - 1].elems.tolist())
+    blocks = (np.array([n for n, _ in blocks], np.int64),
+              np.array([l for _, l in blocks], np.int64))
     got, got_trunc = fhc._scan_distances(op, family, blocks, K, q, N_H,
                                          kwargs.get("tail_cut", 1e-18),
                                          kwargs.get("max_blocks_per_time", 256),
@@ -862,7 +968,7 @@ def assert_verifier_matches_literal(op, family, J, q, radii, **kwargs):
         d = want[rep.k]
         designed = [n for n in J.sets[rep.k - 1].elems if n <= N_H]
         assert rep.max_designed_distance == max(d[n] for n in designed)
-        assert rep.visit_times.elems == tuple(n for n in range(1, N_H + 1) if d[n] < radius)
+        assert rep.visit_times.elems.tolist() == [n for n in range(1, N_H + 1) if d[n] < radius]
         assert rep.designed_within == sum(1 for n in designed if d[n] < radius)
         assert rep.truncated == want_trunc
     return want, want_trunc, exact
