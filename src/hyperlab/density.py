@@ -154,8 +154,13 @@ def q_lower_density(A: NatSet, q: float, N_max: int,
     else:
         # Python's powers: np.power may differ in the last bit, and int64
         # would wrap past EXACT_INT64 (a file: set may declare any horizon)
-        floors = index_array(N ** q_int if q_int is not None else int(float(N) ** q)
-                             for N in range(1, N_max + 1))
+        floors = (N ** q_int if q_int is not None else int(float(N) ** q)
+                  for N in range(1, N_max + 1))
+        if A.elems.dtype != object:
+            # every element lies below EXACT_INT64, so a floor capped there
+            # counts them all as before, and the floors stay int64
+            floors = (min(f, EXACT_INT64 - 1) for f in floors)
+        floors = index_array(floors)
     counts = np.searchsorted(A.elems, floors, side="right")
     ratios = counts / Ns
     liminf = float(ratios[tail_start - 1:].min())

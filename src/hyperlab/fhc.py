@@ -431,10 +431,21 @@ def _plan(fam: SeparatedFamily) -> tuple:
 
 
 def _blocks(fam: SeparatedFamily) -> tuple:
-    """`_plan` sorted by time and then by class."""
-    times, cls = _plan(fam)
-    order = np.argsort(times, kind="stable")
-    return times[order], cls[order]
+    """`_plan` sorted by time and then by class: a merge of the classes'
+    sorted times, each placed after every earlier time of the other classes
+    and every equal time of a lower class."""
+    sets = [s.elems for s in fam.sets]
+    size = sum(map(len, sets))
+    merged = np.empty(size, np.result_type(np.int64, *(own.dtype for own in sets)))
+    classes = np.empty(size, np.int64)
+    for k, own in enumerate(sets):
+        at = np.arange(len(own))
+        for j, other in enumerate(sets):
+            if j != k:
+                at += np.searchsorted(other, own, side="right" if j < k else "left")
+        merged[at] = own
+        classes[at] = k + 1
+    return merged, classes
 
 
 def build_separated_family(N_ks: Sequence[int], K: int, horizon: int) -> SeparatedFamily:

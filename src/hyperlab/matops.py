@@ -423,6 +423,33 @@ def _gram_sweep(G: np.ndarray, tol: float) -> list:
     return out
 
 
+# a nonzero double is a multiple of its last place, which exceeds its
+# magnitude times 2^-53; so the exact product of two doubles whose magnitudes
+# multiply to at least this is a multiple of 2^-1074, and so is every sum of
+# such products, which is therefore exact wherever it falls below the
+# normal range
+_GRID_PRODUCT = 2.0 ** -968
+
+
+def _smallest(X: np.ndarray) -> float:
+    """The smallest nonzero magnitude among the real and imaginary parts of
+    X's entries (inf when X is zero)."""
+    flat = X.ravel(order="K")
+    mags = np.abs(flat.view(float) if flat.dtype.kind == "c" else flat)
+    return float(np.min(mags, where=mags != 0, initial=np.inf))
+
+
+def _require_grid(a: float, b: float) -> None:
+    """Raise FloatingPointError unless factors of at least a and b in
+    magnitude (the smallest nonzero parts of two matrices) make products of
+    at least _GRID_PRODUCT.  Then every rounding of the matrices' product
+    lies in the normal range or is exact, and so does every rounding of the
+    product of the two scaled up by powers of two, which is therefore the
+    first product scaled by the same powers."""
+    if a * b < _GRID_PRODUCT:
+        raise FloatingPointError("a product of the sweeps comes near the underflow range")
+
+
 class _Sweeps:
     """The sweep loop of one-sided Jacobi over the columns of many matrices
     at once, rotating each column array of Us in place.
@@ -442,10 +469,17 @@ class _Sweeps:
     unrotated leaves the sweeps: its columns no longer change, so every
     later sweep would leave it untouched again.  So every column, sweep
     count and flag is the one sweeping the groups one at a time gives.
+
+    With exact_scaling, a group's Gram product and its rotation product run
+    only where every nonzero term is at least _GRID_PRODUCT (see
+    `_require_grid`), and FloatingPointError is raised otherwise.  The
+    sizes are checked because a threaded BLAS reports no underflow status
+    to numpy; the elementwise steps are left to the caller's underflow trap.
     """
 
-    def __init__(self, Us: list, tol: float, max_sweeps: int):
+    def __init__(self, Us: list, tol: float, max_sweeps: int, exact_scaling: bool = False):
         self.Us, self.tol, self.max_sweeps = Us, tol, max_sweeps
+        self.exact_scaling = exact_scaling
         self.sweeps = [0] * len(Us)
         self.converged = [False] * len(Us)
 
@@ -475,11 +509,15 @@ class _Sweeps:
             for j, (i, seq) in enumerate(parts):
                 if t < len(seq):
                     W = self.Us[i][:, seq[t]]
-                    stacks.setdefault((W.shape[1], W.dtype), []).append((j, W.conj().T @ W))
+                    w = _smallest(W) if self.exact_scaling else math.inf
+                    _require_grid(w, w)
+                    stacks.setdefault((W.shape[1], W.dtype), []).append((j, W.conj().T @ W, w))
             for items in stacks.values():
-                Vs = _gram_sweep(np.stack([G for _, G in items]), self.tol)
-                for (j, _), V in zip(items, Vs):
+                Vs = _gram_sweep(np.stack([G for _, G, _ in items]), self.tol)
+                for (j, _, w), V in zip(items, Vs):
                     if V is not None:
+                        if self.exact_scaling:
+                            _require_grid(w, _smallest(V))
                         i, seq = parts[j]
                         U, idx = self.Us[i], seq[t]
                         U[:, idx] = U[:, idx] @ V
@@ -547,6 +585,60 @@ def _spectra(As: Sequence[MatOp], tol: float = _JACOBI_TOL,
                                                       jacobi.sweeps, jacobi.converged):
         spectra[i] = SingularSpectrum(_column_norms(U, exponent, n), sweeps, converged)
     return spectra
+
+
+def _part_and_sum_values(Ts: Sequence[MatOp], total: MatOp) -> list:
+    """The singular values of every part of Ts and of their sum `total`,
+    equal to those of `_spectra([*Ts, total])`, with one sweep of each block
+    the sum shares with a part.
+
+    A part is read off the sum when, with the sum's transpose choice, its
+    nonzero columns are whole components of the sum's columns, the sum's
+    entries there are the part's, and both take real or both complex
+    arithmetic.  Its columns in the sum are then its own scaled columns times
+    2^-k, k >= 0 the gap between the two scaling exponents, and its values
+    are the norms of its columns in the swept sum, scaled back by the sum's
+    exponent.  That equals its own sweep provided every rounding of the
+    block's sweeps commutes with the factor 2^-k, which holds for every
+    rounding in the normal range or exact: ratios of equally scaled values,
+    and with them every rotation, do not move at all.  So the sum is scaled,
+    swept and read under numpy's underflow trap, with the products of
+    `_Sweeps(exact_scaling=True)` and of the column norms checked by size,
+    and any underflow sends every matrix back to `_spectra`.  The other
+    parts are swept in the same `_Sweeps` call as the sum.
+    """
+    reads = {}
+    try:
+        with np.errstate(under="raise"):
+            U, exponent, n = _scaled_columns(total)
+            B = total.data if total.rows >= total.cols else total.data.T
+            cols = np.flatnonzero(B.any(axis=0))
+            labels = _column_components(U)
+            for i, T in enumerate(Ts):
+                C = T.data if T.rows >= T.cols else T.data.T
+                mine = np.flatnonzero(C.any(axis=0))
+                if (bool(C.imag.any()) == (U.dtype.kind == "c")
+                        and np.array_equal(B[:, mine], C[:, mine])):
+                    at = np.searchsorted(cols, mine)
+                    if np.count_nonzero(np.isin(labels, labels[at])) == at.size:
+                        reads[i] = at
+            if reads:
+                rest = {i: _scaled_columns(T) for i, T in enumerate(Ts) if i not in reads}
+                jacobi = _Sweeps([U, *(V for V, _, _ in rest.values())], _JACOBI_TOL,
+                                 _JACOBI_MAX_SWEEPS, exact_scaling=True)
+                for _ in jacobi:
+                    pass
+                values = {i: _column_norms(*scaled) for i, scaled in rest.items()}
+                for i, at in reads.items():
+                    block = U.T[at].T
+                    w = _smallest(block)
+                    _require_grid(w, w)
+                    values[i] = _column_norms(block, exponent, n)
+    except FloatingPointError:
+        reads = {}
+    if not reads:
+        return [spec.values for spec in _spectra([*Ts, total])]
+    return [values[i] for i in range(len(Ts))] + [_column_norms(U, exponent, n)]
 
 
 def schatten_norm(A: MatOp, p: float) -> float:
@@ -643,6 +735,13 @@ def orthogonal_sum_additivity(Ts: Sequence[MatOp], p: float) -> OrthogonalSumRep
     """Check T_i* T_j = T_i T_j* = 0 for i != j and compare ||sum||_p with
     the p-sum of the parts.
 
+    Parts on disjoint coordinates add by construction: each one is a set of
+    whole components of the sum's columns, so its spectrum is read off the
+    sum's one sweep (`_part_and_sum_values`), and lhs and rhs come from the
+    same column norms.  What the check tests there is mutual orthogonality.
+    Parts that share coordinates are swept apart from the sum, and there
+    lhs against rhs tests additivity itself.
+
     The zero test is entrywise, at _ORTHOGONAL_TOL scaled by the product of
     the two operator norms, so the verdict is invariant under rescaling the
     family.
@@ -654,7 +753,7 @@ def orthogonal_sum_additivity(Ts: Sequence[MatOp], p: float) -> OrthogonalSumRep
     total = Ts[0]
     for T in Ts[1:]:
         total = total + T
-    *spectra, whole = [spec.values for spec in _spectra([*Ts, total])]
+    *spectra, whole = _part_and_sum_values(Ts, total)
     norms = [vals[0] if vals else 0.0 for vals in spectra]
     ok = True
     worst = 0.0

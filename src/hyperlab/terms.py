@@ -49,7 +49,12 @@ _DENSE_KEYS = 1 << 16
 def index_array(values) -> np.ndarray:
     """Integers as an int64 array, or as Python ints in an object array where
     one reaches EXACT_INT64 in absolute value; an int64 array within it is kept."""
-    values = values if isinstance(values, np.ndarray) else np.array(list(values), object)
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+        try:
+            values = np.array(values, np.int64)
+        except OverflowError:   # past int64, so past EXACT_INT64
+            return np.array(values, object)
     big = values.size and (values.max() >= EXACT_INT64 or values.min() <= -EXACT_INT64)
     return values.astype(object if big else np.int64, copy=False)
 

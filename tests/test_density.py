@@ -5,6 +5,7 @@ import io
 import json
 import random
 from bisect import bisect_right
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from hyperlab.density import (
 )
 from hyperlab.matops import MatOp, embed_window, schatten_norm, singular_values
 from hyperlab.seqspace import SeqVector, ShiftOp, WeightSeq, shift_power_apply
+from hyperlab.terms import EXACT_INT64, index_array
 
 
 def oracle_profile(elems, q, N_max):
@@ -85,6 +87,45 @@ def test_natset_is_one_read_only_sorted_array():
     assert NatSet([2 ** 53 + 1], 2 ** 54).count_leq(float(2 ** 53)) == 0
     with pytest.raises(ValueError, match="increasing"):
         NatSet((3, 2 ** 70, 2 ** 70), 2 ** 70)
+
+
+@pytest.mark.parametrize("values, big", [
+    ([], False), ([0, 5, -7], False), ([EXACT_INT64 - 1, 1 - EXACT_INT64], False),
+    ([3, EXACT_INT64], True), ([3, -EXACT_INT64], True),
+    ([2 ** 63 - 1, 0], True), ([0, -(2 ** 63)], True),
+    ([2 ** 63, 1], True), ([1, -(2 ** 63) - 1], True), ([2 ** 70, -(2 ** 70)], True)])
+def test_index_array_is_int64_below_two_to_the_62(values, big):
+    # lists, iterators and arrays alike: int64 while every value lies within
+    # EXACT_INT64, Python ints in an object array from it on, either sign
+    inputs = [values, iter(values), np.array(values, object)]
+    if not big or all(abs(v) < 2 ** 63 for v in values):
+        inputs.append(np.array(values, np.int64) if values else np.zeros(0, np.int64))
+    for given in inputs:
+        got = index_array(given)
+        assert got.dtype == (object if big else np.int64) and got.tolist() == values
+        assert all(type(v) is int for v in got) if big else True
+    kept = np.array([1, 2], np.int64)
+    assert index_array(kept) is kept
+
+
+@pytest.mark.parametrize("q", [10.0, 9.5])
+def test_floors_past_two_to_the_62_are_capped_for_an_int64_set(q, monkeypatch):
+    # every element lies below 2^62, so a floor capped at 2^62 - 1 counts
+    # what the Python-int floor counts, and searchsorted reads int64 floors
+    # instead of casting the set to object
+    A = boundary_set(q, 73, EXACT_INT64 - 1, (EXACT_INT64 - 1,))
+    A = NatSet(A.elems, 10 ** 20)
+    assert A.elems.dtype == np.int64
+    seen = []
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda a, v, **kw: seen.append(np.asarray(v).dtype) or searchsorted(a, v, **kw))
+    est = q_lower_density(A, q, 100)
+    assert seen == [np.int64]
+    # the oracle bisects Python ints: an int64 element meets a float
+    # threshold as a float64, which rounds past 2^53
+    assert list(est.profile) == bisect_profile(SimpleNamespace(elems=A.elems.tolist()), q, 100)
+    assert est.profile[99] == (100, len(A.elems), len(A.elems) / 100)
 
 
 def test_multiples_of_three_have_density_one_third():

@@ -729,6 +729,26 @@ def test_separation_scan_equals_the_pair_loop_on_hand_built_plans():
             assert repr(got) == repr(oracle_verify_separated_family(fam, horizon_literal)), sets
 
 
+def test_block_merge_equals_the_stable_sort():
+    # each class's times are sorted, so merging them by searchsorted counts
+    # (ties to the lower class) orders the plan as a stable sort of the
+    # class-by-class concatenation does, Python ints past 2^62 included
+    rng = random.Random(977)
+    plans = [[[]], [[], []], [[5, 9], [5, 9], [5]], [[2 ** 62, 2 ** 70], [3, 2 ** 70]]]
+    for _ in range(300):
+        top = rng.choice([80, 2 ** 70])
+        plans.append([sorted(rng.sample(range(top - 80, top), rng.randint(0, 12)))
+                      for _ in range(rng.randint(1, 4))])
+    for sets in plans:
+        fam = SeparatedFamily(tuple(NatSet(s, 2 ** 70) for s in sets), (1,) * len(sets))
+        times, cls = fhc._plan(fam)
+        order = np.argsort(times, kind="stable")
+        got_times, got_cls = fhc._blocks(fam)
+        assert (got_times.dtype, got_cls.dtype) == (times.dtype, cls.dtype)
+        assert got_times.tolist() == times[order].tolist(), sets
+        assert got_cls.tolist() == cls[order].tolist(), sets
+
+
 def test_separation_violation_detected():
     bad = SeparatedFamily((NatSet((5, 6), 10), NatSet((20,), 20)), (2, 2))
     rep = verify_separated_family(bad)

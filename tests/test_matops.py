@@ -4,8 +4,10 @@ numpy.linalg.svd serves as the independent oracle for the hand-rolled
 Jacobi singular values; it is never called inside the library itself.
 """
 
+import contextlib
 import io
 import math
+import types
 
 import numpy as np
 import pytest
@@ -563,20 +565,106 @@ def orthogonal_families():
     T2 = rank_one_to_mat(RankOne(SeqVector.basis(0), SeqVector.basis(1)), 3)
     real = [MatOp(np.diag([0.0] * k + [float(k + 1), 0.5] + [0.0] * (4 - k))) for k in (0, 2, 4)]
     overlapping = [random_mat(rng, 40, 40), random_mat(rng, 40, 40)]
+    one_zero = [MatOp.zeros(5), random_mat(rng, 5, 5)]
+    # one unitary turns every block onto every coordinate: nothing is read
+    # off the sum, and its spectrum comes from another sweep than the parts'
+    Q = np.linalg.qr(random_mat(np.random.default_rng(74), 120, 120).data)[0]
+    shared = [MatOp(Q @ T.data @ Q.conj().T) for T in disjoint]
+    wide_range = [disjoint[0], disjoint[1].scale(2.0 ** -500), disjoint[2].scale(2.0 ** -1000)]
+    mixed = [MatOp(disjoint[0].data.real), disjoint[1]]
+    # more columns than rows: the parts are read off the sum's transpose
+    wide = []
+    for i in range(3):
+        data = np.zeros((60, 120), dtype=complex)
+        data[20 * i:20 * i + 20, 40 * i:40 * i + 40] = random_mat(rng, 20, 40).data
+        wide.append(MatOp(data))
     return {"disjoint-40-blocks": disjoint, "shared-range": [T1, T2], "real-diagonal": real,
-            "overlapping": overlapping, "one-zero-part": [MatOp.zeros(5), random_mat(rng, 5, 5)]}
+            "overlapping": overlapping, "one-zero-part": one_zero,
+            "shared-coordinates": shared, "wide-range": wide_range,
+            "real-and-complex": mixed, "wide-disjoint-blocks": wide}
+
+
+def oracle_part_and_sum_values(Ts, total):
+    """Every part and the sum swept apart by the group-at-a-time oracle."""
+    return [oracle_singular_values(A).values for A in [*Ts, total]]
 
 
 @pytest.mark.parametrize("case", list(orthogonal_families()))
 def test_orthogonal_sum_report_equals_the_serial_oracle(case, monkeypatch):
     Ts = orthogonal_families()[case]
+    total = sum(Ts[1:], Ts[0])
+    got_values = matops._part_and_sum_values(Ts, total)
+    want_values = oracle_part_and_sum_values(Ts, total)
+    assert got_values == want_values
+    assert repr(got_values) == repr(want_values)   # zero signs too
     for p in (1.0, 2.0, 3.5):
         got = orthogonal_sum_additivity(Ts, p)
         with monkeypatch.context() as patch:
-            patch.setattr(matops, "_spectra",
-                          lambda As, *a: [oracle_singular_values(A, *a) for A in As])
+            patch.setattr(matops, "_part_and_sum_values", oracle_part_and_sum_values)
             want = orthogonal_sum_additivity(Ts, p)
         assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("case, swept_apart", [
+    ("disjoint-40-blocks", []), ("real-diagonal", []), ("one-zero-part", [0]),
+    ("wide-disjoint-blocks", []), ("real-and-complex", [0]),
+    ("shared-coordinates", [0, 1, 2]), ("overlapping", [0, 1]), ("shared-range", [0, 1]),
+    # 2^-1000 times entries near 1 leaves the normal range in the sum's
+    # scaling, so every matrix is swept apart again
+    ("wide-range", [0, 1, 2])])
+def test_which_parts_are_swept_beside_the_sum(case, swept_apart, monkeypatch):
+    # a part on whole components of the sum, with the sum's entries and
+    # arithmetic, takes its values from the sum's sweep; every other part is
+    # swept beside the sum in the same call
+    Ts = orthogonal_families()[case]
+    calls, swept = [], []
+    spectra, Sweeps = matops._spectra, matops._Sweeps
+    monkeypatch.setattr(matops, "_spectra",
+                        lambda As, *a, **kw: calls.append(len(As)) or spectra(As, *a, **kw))
+    monkeypatch.setattr(matops, "_Sweeps",
+                        lambda Us, *a, **kw: swept.append(len(Us)) or Sweeps(Us, *a, **kw))
+    matops._part_and_sum_values(Ts, sum(Ts[1:], Ts[0]))
+    if len(swept_apart) == len(Ts):
+        assert calls == [len(Ts) + 1]
+    else:
+        assert calls == [] and swept == [1 + len(swept_apart)]
+
+
+def two_blocks(exponent):
+    """Two complex 12-blocks on disjoint coordinates, the second scaled by
+    2^-exponent."""
+    rng = np.random.default_rng(exponent)
+    Ts = []
+    for i, scale in enumerate((1.0, 2.0 ** -exponent)):
+        data = np.zeros((24, 24), dtype=complex)
+        data[12 * i:12 * i + 12, 12 * i:12 * i + 12] = random_mat(rng, 12, 12).data * scale
+        Ts.append(MatOp(data))
+    return Ts
+
+
+@pytest.mark.parametrize("exponent", [400, 490, 520, 1000])
+def test_scaled_blocks_equal_their_own_sweeps_near_the_underflow_range(exponent):
+    # read off the sum where every rounding stays normal or exact, swept
+    # apart where it may not, and equal to the separate sweeps either way
+    Ts = two_blocks(exponent)
+    total = Ts[0] + Ts[1]
+    assert matops._part_and_sum_values(Ts, total) == oracle_part_and_sum_values(Ts, total)
+
+
+@pytest.mark.parametrize("guard", ["underflow trap", "product sizes"])
+def test_either_guard_alone_keeps_scaled_blocks_exact(guard, monkeypatch):
+    # a BLAS that runs a product on other threads reports no underflow to
+    # numpy, so the product sizes guard the products on their own; the trap
+    # guards every elementwise step
+    if guard == "underflow trap":
+        monkeypatch.setattr(matops, "_require_grid", lambda a, b: None)
+    else:
+        untrapped = types.SimpleNamespace(**vars(np))
+        untrapped.errstate = lambda **kw: contextlib.nullcontext()
+        monkeypatch.setattr(matops, "np", untrapped)
+    for Ts in (two_blocks(520), two_blocks(1000), orthogonal_families()["wide-range"]):
+        total = sum(Ts[1:], Ts[0])
+        assert matops._part_and_sum_values(Ts, total) == oracle_part_and_sum_values(Ts, total)
 
 
 def test_orthogonal_sum_sweeps_its_six_groups_as_one_stack(monkeypatch):
@@ -591,6 +679,19 @@ def test_orthogonal_sum_sweeps_its_six_groups_as_one_stack(monkeypatch):
     assert len(stacks) == max(spec.sweeps for spec in spectra)
     assert stacks[0] == (6, 40, 40)
     assert all(b <= 6 and (k, n) == (40, 40) for b, k, n in stacks)
+
+
+def test_orthogonal_sum_sweeps_each_disjoint_block_once(monkeypatch):
+    # the parts are read off the sum, so a stack holds the sum's three
+    # components, not them and the three parts
+    Ts = orthogonal_families()["disjoint-40-blocks"]
+    stacks = []
+    gram_sweep = matops._gram_sweep
+    monkeypatch.setattr(matops, "_gram_sweep",
+                        lambda G, tol: stacks.append(G.shape) or gram_sweep(G, tol))
+    orthogonal_sum_additivity(Ts, 1.0)
+    assert stacks[0] == (3, 40, 40)
+    assert all(b <= 3 and (k, n) == (40, 40) for b, k, n in stacks)
 
 
 # ---------------------------------------------------------------------------
@@ -736,19 +837,18 @@ def test_orthogonal_sum_additive_for_disjoint_blocks():
         assert abs(rep.lhs - rep.rhs) <= 1e-9 * max(1.0, rep.rhs)
 
 
-def test_orthogonal_sum_takes_one_spectrum_per_block(monkeypatch):
+def test_orthogonal_sum_reads_each_block_off_the_sum(monkeypatch):
     from hyperlab import matops
     Ts = [MatOp(np.diag([0.0] * k + [float(k + 1), 0.5] + [0.0] * (4 - k)))
           for k in (0, 2, 4)]
     calls = []
-    spectra = matops._spectra
-    monkeypatch.setattr(matops, "_spectra",
-                        lambda As, *a, **kw: calls.append(As) or spectra(As, *a, **kw))
+    Sweeps = matops._Sweeps
+    monkeypatch.setattr(matops, "_Sweeps",
+                        lambda Us, *a, **kw: calls.append(Us) or Sweeps(Us, *a, **kw))
     rep = orthogonal_sum_additivity(Ts, 1.5)
-    # one batched call: the three blocks, then their sum
-    assert len(calls) == 1 and len(calls[0]) == 4
-    assert calls[0][:3] == Ts
-    assert np.array_equal(calls[0][3].data, sum(T.data for T in Ts))
+    # one sweep of the sum's columns; each block is one of its components
+    assert len(calls) == 1 and len(calls[0]) == 1
+    assert np.array_equal(calls[0][0], np.diag([1.0, 0.5, 3.0, 0.5, 5.0, 0.5]) / 8)
     parts = [schatten_norm(T, 1.5) for T in Ts]
     top = max(parts)
     assert rep.rhs == top * sum((v / top) ** 1.5 for v in parts) ** (1.0 / 1.5)
