@@ -820,8 +820,7 @@ class _Walk:
         slot_t = np.repeat(np.arange(len(self.used)), self.used)
         size = self.table.column("size", np.int64)[slot]
         disjoint = self._disjoint(slot, slot_t, offset, size)
-        ent = np.repeat(self.table.column("start", np.int64)[slot] - (np.cumsum(size) - size),
-                        size) + np.arange(int(size.sum()))
+        ent = self.table.entries(slot)
         del slot
         return (np.repeat(slot_t, size), self.table.column("idx", np.int64)[ent],
                 self.table.column("re")[ent], self.table.column("im")[ent], disjoint)

@@ -761,8 +761,8 @@ def orthogonal_sum_additivity(Ts: Sequence[MatOp], p: float) -> OrthogonalSumRep
     for i in range(len(Ts)):
         for j in range(i + 1, len(Ts)):
             scale = max(norms[i] * norms[j], 1e-300)
-            c1 = float(np.max(np.abs(Ts[i].data.conj().T @ Ts[j].data))) / scale
-            c2 = float(np.max(np.abs(Ts[i].data @ Ts[j].data.conj().T))) / scale
+            c1 = float(np.max(np.abs(Ts[i].data.conj().T @ Ts[j].data), initial=0.0)) / scale
+            c2 = float(np.max(np.abs(Ts[i].data @ Ts[j].data.conj().T), initial=0.0)) / scale
             v = max(c1, c2)
             worst = max(worst, v)
             if v > _ORTHOGONAL_TOL and ok:

@@ -493,11 +493,18 @@ class WeightPrefix:
 
     def product(self, start: int, stop: int) -> complex:
         """w_start * ... * w_stop (empty when stop < start), one row of `products`."""
-        return 1.0 + 0.0j if stop < start else _products(self, [0], start, stop, 1)[0]
+        return 1.0 + 0.0j if stop < start else self._row(start, stop, 1)
 
     def inverse_product(self, start: int, stop: int) -> complex:
         """1 / (w_start * ... * w_stop): one row of `products`."""
-        return 1.0 + 0.0j if stop < start else _products(self, [0], start, stop, -1)[0]
+        return 1.0 + 0.0j if stop < start else self._row(start, stop, -1)
+
+    def _row(self, start: int, stop: int, sign: int) -> complex:
+        """One row of `products` as a Python complex, its error raised."""
+        vals, errors = self.products(*_held(np.array([[start], [stop]], object)), sign)
+        if errors:
+            raise errors[0]
+        return vals.tolist()[0]
 
     def products(self, start: np.ndarray, stop: np.ndarray, sign: int) -> tuple:
         """w_start[i] * ... * w_stop[i] (sign 1) or its reciprocal (sign -1)
@@ -596,15 +603,10 @@ class WeightPrefix:
         return out
 
 
-def _products(pre: WeightPrefix, ns: list, first: int, last: int, sign: int) -> list:
-    """pre.products over the ranges [n + first, n + last] of the ints ns (held
-    within 2^62 of 0: past 2^53 a product only raises) as Python complexes,
-    raising the error of the first range that has one."""
-    vals, errors = pre.products(*(np.array([min(max(n + d, -2 ** 62), 2 ** 62) for n in ns],
-                                           np.int64) for d in (first, last)), sign)
-    if errors:
-        raise errors[min(errors)]
-    return vals.tolist()
+def _held(x: np.ndarray) -> np.ndarray:
+    """Python ints (an object array) held within 2^62 of 0, as int64: past
+    2^53 a weight product only raises.  An int64 array is kept as it is."""
+    return x if x.dtype == np.int64 else np.clip(x, -2 ** 62, 2 ** 62).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -700,19 +702,7 @@ def apply_right_inverse(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
     _check_domains(op, v)
     if m < 0:
         raise ValueError("m must be a natural number")
-    if m == 0:
-        return v
-    w, a = op.weights, op.displacement
-    b = op.offset if a <= 0 else adjoint(op).offset
-    if a:
-        coeffs = _products(w.prefix, list(v.entries), 1 + b, m + b, -1)
-    else:
-        coeffs = [_power(w, n + b, -m) for n in v.entries]
-    out: dict = {}
-    for (n, c), coeff in zip(v.entries.items(), coeffs):
-        if coeff != 0:
-            out[n + m * abs(a)] = coeff * c
-    return SeqVector(out, v.domain, v.p_exponent)
+    return _jump_row(op, False, v, m)
 
 
 def shift_power_apply(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
@@ -726,22 +716,78 @@ def shift_power_apply(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
     _check_domains(op, v)
     if m < 0:
         raise ValueError("m must be a natural number")
-    if m == 0:
-        return v
-    w, a, b, low = op.weights, op.displacement, op.offset, op.lowest_source(m)
-    # the orbit falls off the bottom: B^m e_n = 0 for n < m
-    items = [(n, c) for n, c in v.entries.items() if n >= low]
+    return _jump_row(op, True, v, m)
+
+
+def _jump_row(op: ShiftOp, jump: bool, v: SeqVector, m: int) -> SeqVector:
+    """The one row of `_jump_rows` for v and m, or its error raised."""
+    _, idx, re, im, errors = _jump_rows(op, jump, np.array([int(m)], object),
+                                        np.array([len(v.entries)]),
+                                        np.array(list(v.entries), object),
+                                        np.array(list(v.entries.values()), complex))
+    if errors:
+        raise errors[0]
+    return SeqVector(dict(zip(idx.tolist(), map(complex, re.tolist(), im.tolist()))),
+                     v.domain, v.p_exponent)
+
+
+def _jump_rows(op: ShiftOp, jump: bool, e: np.ndarray, size: np.ndarray, n: np.ndarray,
+               c: np.ndarray) -> tuple:
+    """The inverse points (jump False) or the jumps T^m (jump True) of op
+    over rows given flat: row r applies the exponent e[r] to the size[r]
+    target entries (indices n, an int64 or object array, coefficients c)
+    that follow those of the rows before it.  Returns (size, idx, re, im,
+    errors): the images laid out the same way (idx Python ints in an object
+    array where an index, exponent or offset passes 2^53), and errors[r]
+    the error of the first entry of row r that raised, which leaves the row
+    empty.
+
+    Every inverse point and jump is formed here.  On the naturals a jump
+    drops the entries whose image falls below index 0.  The entries of the
+    shift rows take one `WeightPrefix.products` read over their weight
+    ranges (ends past 2^53 held within 2^62 of 0, where it raises), those of
+    diagonal rows `_power` one by one.  A coefficient is coeff * c by
+    Python's complex product, 0.0 + that for a jump as its dict adds it,
+    kept where it (coeff, for an inverse point) is not 0 and it is not
+    below the coefficient guard.  A row with e = 0 is its target unchanged.
+    """
+    a, R = op.displacement, len(size)
+    wide = max(abs(op.offset), np.abs(n).max(initial=0), np.abs(e).max(initial=0)) > 2 ** 53
+    # exact either way: within 2^53 no sum below leaves int64
+    n, e = (x.astype(object if wide else np.int64) for x in (n, e))
+    row = np.repeat(np.arange(R), size)
+    if jump and op.domain is Domain.NATURALS:
+        keep = n >= np.maximum(0, -e * a)[row]
+        row, n, c = row[keep], n[keep], c[keep]
+    m = e[row]
+    go = np.flatnonzero(m != 0)
+    coeff, errs = np.ones(len(n), complex), {}
     if a:
-        first = b + (m - 1) * min(a, 0)     # the lowest weight index, less n
-        coeffs = _products(w.prefix, [n for n, _ in items], first, first + m - 1, 1)
+        first = op.offset + (m[go] - 1) * min(a, 0) if jump else \
+            1 + (op.offset if a < 0 else adjoint(op).offset)
+        start = n[go] + first
+        coeff[go], errs = op.weights.prefix.products(_held(start), _held(start + m[go] - 1),
+                                                     1 if jump else -1)
     else:
-        coeffs = [_power(w, n + b, m) for n, _ in items]
-    out: dict = {}
-    for (n, c), coeff in zip(items, coeffs):
-        val, tgt = coeff * c, n + m * a
-        if val != 0:
-            out[tgt] = out.get(tgt, 0.0) + val
-    return SeqVector(out, v.domain, v.p_exponent)
+        for i, (t, k) in enumerate(zip(n[go].tolist(), m[go].tolist())):
+            try:
+                coeff[go[i]] = _power(op.weights, t + op.offset, k if jump else -k)
+            except (ArithmeticError, ValueError) as exc:
+                errs[i] = exc
+    vals = c.copy()
+    vals[go] = np.fromiter(map(operator.mul, coeff[go].tolist(), c[go].tolist()), complex,
+                           len(go))
+    if jump:
+        vals[go] = 0.0 + vals[go]    # the jump's dict adds each value to 0.0
+    errors: dict = {}
+    for i in sorted(errs):
+        errors.setdefault(int(row[go[i]]), errs[i])
+    failed = np.zeros(R, bool)
+    failed[list(errors)] = True
+    keep = ((vals if jump else coeff) != 0) & ~(np.hypot(vals.real, vals.imag) < COEFF_GUARD) \
+        & ~failed[row]
+    tgt = n + m * (a if jump else abs(a))
+    return np.bincount(row[keep], minlength=R), tgt[keep], vals.real[keep], vals.imag[keep], errors
 
 
 def _power(w: WeightSeq, n: int, m: int) -> complex:

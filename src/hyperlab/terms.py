@@ -4,11 +4,11 @@ The frequent-visit construction reads two kinds of vectors built from its
 targets x_1..x_K: the inverse points x_{k,e} (the right inverse of the
 operator applied e times) and the jumps T^m x_k.  `TermTable` holds each
 one once, as a flat row of (index, re, im) entries keyed by (class,
-exponent).  Missing rows of a shift, inverse points and jumps alike, come
-in batches from one array read of the weight prefix (`WeightPrefix.products`),
-and every row equals the vector its scalar function returns, bit for bit.
-A build that raises stores its error in the row, to be raised where a
-reader reaches it.
+exponent).  Missing rows, inverse points and jumps alike, come in one
+batch from `seqspace._jump_rows`, which also forms seqspace's one-vector
+right inverses and jumps, so a row is that vector bit for bit.  A build
+that raises stores its error in the row, to be raised where a reader
+reaches it.
 
 `power_sums` folds rows into running power sums sum |y_i|^p in the float
 steps of adding the vectors into a dict one entry at a time, which is how
@@ -18,22 +18,17 @@ the threshold search takes its tail and subset norms.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from itertools import repeat
 
 import numpy as np
 
 from .seqspace import (
-    COEFF_GUARD,
-    Domain,
     SeqVector,
     ShiftOp,
     WeightOverflowError,
-    adjoint,
-    apply_right_inverse,
+    _jump_rows,
     p_sum,
-    shift_power_apply,
 )
 
 __all__ = ["TermTable", "index_array", "pow_or_inf", "power_sums", "shares_an_index"]
@@ -69,11 +64,8 @@ class TermTable:
     has no entries.  Row 0 is empty and stands for no term.  `ids` keys the
     inverse points by e * K + k - 1, and the jumps of each operator alike.
 
-    A batch of rows of a shift makes one `WeightPrefix.products` read for
-    the ranges of all its entries; a coefficient is coeff * c by Python's
-    complex product, kept where `apply_right_inverse` or `shift_power_apply`
-    keeps it.  A diagonal rule, an exponent or target index past 2^53 and
-    e = 0 (the target itself) take those functions one vector at a time.
+    The missing rows of one lookup are built together by
+    `seqspace._jump_rows`, whatever the rule, exponent or target index.
     """
 
     def __init__(self, op: ShiftOp, targets: tuple):
@@ -86,14 +78,13 @@ class TermTable:
         self.idx, self.re, self.im = array("q"), array("d"), array("d")
         self._powers: dict = {}
         self._index: dict = {}       # op (None: inverse points) -> (dense, far) rows
-        self._add([{}], [0])
+        none = np.zeros(0, np.int64)
+        self._extend(np.zeros(1, np.int64), none, none, none, [0], [0], {})
         # the targets' entries laid flat, class by class
-        self._count = np.array([len(x.entries) for x in targets])
+        self._count = np.array([len(x.entries) for x in targets], np.int64)
         self._first = np.cumsum(self._count) - self._count
-        self._n = np.array([n if abs(n) <= 2 ** 53 else 0 for x in targets for n in x.entries],
-                           np.int64)
-        self._c = [c for x in targets for c in x.entries.values()]
-        self._fits = np.array([all(abs(n) <= 2 ** 53 for n in x.entries) for x in targets])
+        self._n = index_array([n for x in targets for n in x.entries])
+        self._c = np.array([c for x in targets for c in x.entries.values()], complex)
 
     def column(self, name: str, dtype=np.float64) -> np.ndarray:
         """A numpy view of one flat table; it must be dropped before the
@@ -129,75 +120,19 @@ class TermTable:
         return out
 
     def _build(self, keys: np.ndarray, op) -> np.ndarray:
-        """Append the vectors of the keys; returns their rows in key order."""
-        K = len(self.targets)
-        k, e = (keys % K + 1).astype(np.int64), keys // K
-        out = np.empty(len(keys), np.int64)
-        batch = (e > 0) & (e <= 2 ** 53) & self._fits[k - 1] & ((op or self.op).displacement != 0)
-        if batch.any():
-            out[batch] = len(self.size) + np.arange(np.count_nonzero(batch))
-            self._build_batch(k[batch], e[batch].astype(np.int64), op)
-        alone, items = np.flatnonzero(~batch), []
-        for j in alone.tolist():
-            x, m = self.targets[k[j] - 1], int(e[j])
-            try:
-                items.append(apply_right_inverse(self.op, x, m) if op is None else
-                             shift_power_apply(op, x, m))
-            except (ArithmeticError, ValueError) as exc:
-                items.append(exc)
-        if items:
-            out[alone] = len(self.size) + np.arange(len(alone))
-            self._add([v.entries if isinstance(v, SeqVector) else v for v in items], k[alone],
-                      jump=op is not None)
-        return out
-
-    def _build_batch(self, k: np.ndarray, e: np.ndarray, op) -> None:
-        """Rows of a shift from one `WeightPrefix.products` read: x_{k, e}
-        (op None) as `apply_right_inverse` builds it, or T^e x_k under op as
-        `shift_power_apply` does, entry by entry and bit for bit."""
-        R, jump = len(k), op is not None
+        """Append the vectors of the keys, x_{k, e} (op None) or T^e x_k
+        under op, in one `_jump_rows` call; returns their rows in key order."""
+        K, first = len(self.targets), len(self.size)
+        k = (keys % K + 1).astype(np.int64)
         cnt = self._count[k - 1]
-        row = np.repeat(np.arange(R), cnt)
-        src = np.repeat(self._first[k - 1] - (np.cumsum(cnt) - cnt), cnt) \
-            + np.arange(int(cnt.sum()))
-        if jump:
-            a = op.displacement
-            first, sign, tgt = op.offset + (e - 1) * min(a, 0), 1, e * a
-            if op.domain is Domain.NATURALS:
-                keep = self._n[src] >= np.maximum(0, -e * a)[row]
-                row, src = row[keep], src[keep]
-        else:
-            op, sign, tgt = self.op, -1, e
-            first = np.full(R, 1 + (op.offset if op.displacement < 0 else adjoint(op).offset))
-        n = self._n[src]
-        coeff, errs = op.weights.prefix.products(n + first[row], n + first[row] + e[row] - 1, sign)
-        c = map(self._c.__getitem__, src.tolist())
-        vals = np.fromiter(map(operator.mul, coeff.tolist(), c), complex, len(src))
-        errors: dict = {}
-        for i in sorted(errs):
-            errors.setdefault(int(row[i]), errs[i])
-        state = np.zeros(R, np.int8)
-        state[list(errors)] = 2
-        if jump:
-            vals = 0.0 + vals    # the jump's dict adds each value to 0.0
-            state[[r for r, exc in errors.items() if isinstance(exc, WeightOverflowError)]] = 1
-        keep = ((vals if jump else coeff) != 0) & ~(np.hypot(vals.real, vals.imag) < COEFF_GUARD) \
-            & (state[row] == 0)
-        self._extend(np.bincount(row[keep], minlength=R), (n + tgt[row])[keep], vals.real[keep],
-                     vals.imag[keep], k, state, errors)
-
-    def _add(self, items: list, k, jump: bool = False) -> None:
-        """Append vectors given by their entries dicts, or by the errors
-        building them raised, of classes k."""
-        vecs = [v if isinstance(v, dict) else {} for v in items]
-        cs = [c for v in vecs for c in v.values()]
-        errors = {r: v for r, v in enumerate(items) if not isinstance(v, dict)}
-        state = [0 if r not in errors else 1 if jump and isinstance(errors[r], WeightOverflowError)
-                 else 2 for r in range(len(items))]
-        self._extend(np.array([len(v) for v in vecs], np.int64),
-                     np.array([i for v in vecs for i in v], np.int64),
-                     np.array([c.real for c in cs]), np.array([c.imag for c in cs]),
-                     k, state, errors)
+        src = _positions(self._first[k - 1], cnt)
+        size, idx, re, im, errors = _jump_rows(op or self.op, op is not None, keys // K, cnt,
+                                               self._n[src], self._c[src])
+        state = np.zeros(len(keys), np.int8)
+        for r, exc in errors.items():
+            state[r] = 1 if op is not None and isinstance(exc, WeightOverflowError) else 2
+        self._extend(size, idx.astype(np.int64), re, im, k, state, errors)
+        return first + np.arange(len(keys))
 
     def _extend(self, size, idx, re, im, k, state, errors: dict) -> None:
         """Append rows given flat: size[r] entries of (idx, re, im) each, in
@@ -220,9 +155,8 @@ class TermTable:
 
     def entries(self, rows: np.ndarray) -> np.ndarray:
         """The positions of the entries of rows, row after row."""
-        size = self.column("size", np.int64)[rows]
-        return np.repeat(self.column("start", np.int64)[rows] - (np.cumsum(size) - size),
-                         size) + np.arange(int(size.sum()))
+        return _positions(self.column("start", np.int64)[rows],
+                          self.column("size", np.int64)[rows])
 
     def vector(self, row: int) -> SeqVector:
         """The vector of a row, or its error raised."""
@@ -257,6 +191,11 @@ class TermTable:
             mag = np.hypot(self.column("re")[done:], self.column("im")[done:])
             pw.frombytes(_pows(mag, p).tobytes())
         return np.frombuffer(pw)
+
+
+def _positions(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """start[r], ..., start[r] + size[r] - 1 of each r, one after another."""
+    return np.repeat(start - (np.cumsum(size) - size), size) + np.arange(int(size.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ former constructor, `_check`, `_closed_sum` (with its scalar branch),
 `inverse_product`, and takes the log-gamma closed form from `WeightPrefix`.
 `oracle_apply_right_inverse` and `oracle_shift_power_apply` are the former
 vector functions, one scalar product per entry, reading `scalar_prefix(w)`
-in the place of `w.prefix`.
+in the place of `w.prefix`, and `_power` the former diagonal power.
 """
 
 import cmath
@@ -30,7 +30,6 @@ from hyperlab.seqspace import (
     WeightSeq,
     _check_domains,
     _log_phase,
-    _power,
     adjoint,
 )
 
@@ -202,6 +201,18 @@ class ScalarPrefix(WeightPrefix):
         if self._far(start, stop):    # the phase is exactly 0 or pi
             return complex(-math.exp(lm) if ph else math.exp(lm), 0.0)
         return cmath.rect(math.exp(lm), ph)
+
+
+def _power(w: WeightSeq, n: int, m: int) -> complex:
+    """w_n ** m, raising WeightOverflowError past float range and flushing
+    to 0 below the coefficient guard."""
+    lam = w.weight(n)
+    log = m * math.log(abs(lam))
+    if log > _LOG_FLOAT_MAX:
+        raise WeightOverflowError(n, n, log)
+    if log < math.log(COEFF_GUARD):
+        return 0.0 + 0.0j
+    return lam ** m
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,7 +5,6 @@ import io
 import json
 import random
 from bisect import bisect_right
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,9 +121,7 @@ def test_floors_past_two_to_the_62_are_capped_for_an_int64_set(q, monkeypatch):
                         lambda a, v, **kw: seen.append(np.asarray(v).dtype) or searchsorted(a, v, **kw))
     est = q_lower_density(A, q, 100)
     assert seen == [np.int64]
-    # the oracle bisects Python ints: an int64 element meets a float
-    # threshold as a float64, which rounds past 2^53
-    assert list(est.profile) == bisect_profile(SimpleNamespace(elems=A.elems.tolist()), q, 100)
+    assert list(est.profile) == bisect_profile(A, q, 100)
     assert est.profile[99] == (100, len(A.elems), len(A.elems) / 100)
 
 
@@ -171,11 +168,14 @@ def test_profile_matches_recount_oracle(data):
 
 
 def bisect_profile(A, q, N_max):
-    """The profile as first written: one bisect per N, Python thresholds."""
+    """The profile as first written: one bisect per N, Python thresholds.
+    It bisects Python ints: an int64 element meets a float threshold as a
+    float64, which rounds past 2^53."""
     q_int = int(q) if float(q).is_integer() else None
+    elems = A.elems.tolist()
     out = []
     for N in range(1, N_max + 1):
-        count = bisect_right(A.elems, N ** q_int if q_int is not None else float(N) ** q)
+        count = bisect_right(elems, N ** q_int if q_int is not None else float(N) ** q)
         out.append((N, count, count / N))
     return out
 
@@ -209,6 +209,12 @@ def test_profile_past_two_to_the_63(tmp_path):
     A = boundary_set(10, 100, 10 ** 20, big)
     for q in (10.0, 9.5):
         assert list(q_lower_density(A, q, 100).profile) == bisect_profile(A, q, 100)
+    # an int64 set around floor(53^9.5), past 2^54, counts 2 at N = 53
+    f = int(53.0 ** 9.5)
+    near = NatSet((f - 1, f, f + 1), 10 ** 20)
+    assert near.elems.dtype == np.int64
+    assert list(q_lower_density(near, 9.5, 100).profile) == bisect_profile(near, 9.5, 100)
+    assert bisect_profile(near, 9.5, 100)[52] == (53, 2, 2 / 53)
     path = tmp_path / "big.txt"
     path.write_text("# horizon 100000000000000000000\n"
                     + "\n".join(str(n) for n in A.elems) + "\n")

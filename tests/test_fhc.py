@@ -6,6 +6,7 @@ and direct summation, all computed in this file from first principles.
 
 import math
 import random
+import sys
 from bisect import bisect_left
 
 import numpy as np
@@ -214,6 +215,18 @@ def test_vector_reads_equal_the_scalar_functions(case):
                     scalar_outcome(lambda: list(want(o, x, e).entries.items())), (e, got)
 
 
+def test_vector_reads_keep_indices_past_int64():
+    # a diagonal keeps a target index past int64 exactly, and a shift's
+    # weight range there raises, as the scalar functions do
+    x = SeqVector({3: 0.5, 2 ** 70: -1.0 - 2.0j})
+    for op in (ShiftOp.diagonal(WeightSeq.constant(2.0)), B2):
+        for e in (0, 1, 3, 2 ** 53 + 5, 2 ** 70):
+            for got, want in ((apply_right_inverse, oracle_apply_right_inverse),
+                              (shift_power_apply, oracle_shift_power_apply)):
+                assert scalar_outcome(lambda: list(got(op, x, e).entries.items())) == \
+                    scalar_outcome(lambda: list(want(op, x, e).entries.items())), (op, e, got)
+
+
 @pytest.mark.parametrize("case", sorted(INVERSE_CASES))
 def test_term_table_rows_equal_apply_right_inverse(case):
     # every row of one batch, its entries in order with repr-equal
@@ -259,6 +272,33 @@ def test_term_table_jump_rows_equal_shift_power_apply(case):
             continue
         assert repr(list(table.vector(row).entries.items())) == \
             repr(list(want.entries.items())), (k, m)
+
+
+@pytest.mark.parametrize("case", sorted(INVERSE_CASES))
+def test_term_table_forms_its_rows_without_the_vector_functions(case, monkeypatch):
+    # with apply_right_inverse and shift_power_apply raising wherever
+    # hyperlab binds them, the table still builds every row of the case,
+    # e = 0, a target index past 2^53 and a signed zero added, each equal to
+    # its oracle
+    def gone(*args):
+        raise AssertionError("a term table row took a one-vector function")
+
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "hyperlab"]:
+        for name in ("apply_right_inverse", "shift_power_apply"):
+            monkeypatch.setattr(mod, name, gone, raising=False)
+    op, specs, exps = INVERSE_CASES[case]
+    specs += (f"{2 ** 53 + 3}", "6=-1:-0")
+    family = BackwardOrbitFamily(op, tuple(parse_vectors("|".join(specs), op.domain)))
+    keys = [(k, e) for k in range(1, family.num_classes + 1) for e in (0,) + exps]
+    k, e = np.array([k for k, _ in keys]), terms.index_array(e for _, e in keys)
+    fwd = family.forward_op()
+    for row_op, oracle, o in ((None, oracle_apply_right_inverse, op),
+                              (fwd, oracle_shift_power_apply, fwd)):
+        rows = family._terms.ids(k, e, row_op)
+        for (k_, e_), row in zip(keys, rows.tolist()):
+            got = scalar_outcome(lambda: list(family._terms.vector(row).entries.items()))
+            want = scalar_outcome(lambda: list(oracle(o, family.base_point(k_), e_).entries.items()))
+            assert got == want, (k_, e_, row_op)
 
 
 def test_condition_c_exactness_both_clocks():
@@ -576,8 +616,9 @@ def test_no_scalar_inverse_product_in_the_search_and_the_verifier(monkeypatch):
     inverse = WeightPrefix.inverse_product
     monkeypatch.setattr(WeightPrefix, "inverse_product",
                         lambda self, *a: calls.append(a) or inverse(self, *a))
+    # raising=False: terms need not bind shift_power_apply at all
     monkeypatch.setattr(terms, "shift_power_apply",
-                        lambda *a: jumps.append(a[2]) or shift_power_apply(*a))
+                        lambda *a: jumps.append(a[2]) or shift_power_apply(*a), raising=False)
     for weights, op_kind, q in (("w=constant:2", "backward", 1), ("w=constant:2", "backward", 2),
                                 ("w=step:0|0.5|2", "bilateral-backward", 1)):
         op, family, J, radii = cli_pipeline(weights, op_kind, "0|0,1", q, 300)

@@ -835,6 +835,11 @@ def test_orthogonal_sum_additive_for_disjoint_blocks():
         rep = orthogonal_sum_additivity(Ts, p)
         assert rep.mutual_orthogonality_ok
         assert abs(rep.lhs - rep.rhs) <= 1e-9 * max(1.0, rep.rhs)
+    # empty windows: an empty cross product violates nothing
+    for shape in ((0, 0), (0, 3)):
+        rep = orthogonal_sum_additivity([MatOp(np.zeros(shape, complex))] * 2, 2.0)
+        assert (rep.lhs, rep.rhs, rep.mutual_orthogonality_ok, rep.max_violation) == \
+            (0.0, 0.0, True, 0.0)
 
 
 def test_orthogonal_sum_reads_each_block_off_the_sum(monkeypatch):
