@@ -11,7 +11,10 @@ numpy's svd is used only as an oracle in the test suite).  Groups never
 cross a connected component of the columns (columns joined when they share
 a nonzero row), whose inner products are exactly zero: the blocks of an
 orthogonal sum are swept apart, and the one-entry columns of a shift
-window form no group at all.  Groups of different components, of one
+window form no group at all.  Each component is scaled by the exact power
+of two that brings its largest entry near 1, so a column far below the
+matrix's largest keeps its square unless its own component holds entries
+more than about 2^537 above it.  Groups of different components, of one
 matrix or of several, share no column, so one sweep engine (`_Sweeps`)
 rotates them side by side: round t of a sweep stacks the t-th group of
 every component still rotating, across every matrix of the call, and one
@@ -423,33 +426,6 @@ def _gram_sweep(G: np.ndarray, tol: float) -> list:
     return out
 
 
-# a nonzero double is a multiple of its last place, which exceeds its
-# magnitude times 2^-53; so the exact product of two doubles whose magnitudes
-# multiply to at least this is a multiple of 2^-1074, and so is every sum of
-# such products, which is therefore exact wherever it falls below the
-# normal range
-_GRID_PRODUCT = 2.0 ** -968
-
-
-def _smallest(X: np.ndarray) -> float:
-    """The smallest nonzero magnitude among the real and imaginary parts of
-    X's entries (inf when X is zero)."""
-    flat = X.ravel(order="K")
-    mags = np.abs(flat.view(float) if flat.dtype.kind == "c" else flat)
-    return float(np.min(mags, where=mags != 0, initial=np.inf))
-
-
-def _require_grid(a: float, b: float) -> None:
-    """Raise FloatingPointError unless factors of at least a and b in
-    magnitude (the smallest nonzero parts of two matrices) make products of
-    at least _GRID_PRODUCT.  Then every rounding of the matrices' product
-    lies in the normal range or is exact, and so does every rounding of the
-    product of the two scaled up by powers of two, which is therefore the
-    first product scaled by the same powers."""
-    if a * b < _GRID_PRODUCT:
-        raise FloatingPointError("a product of the sweeps comes near the underflow range")
-
-
 class _Sweeps:
     """The sweep loop of one-sided Jacobi over the columns of many matrices
     at once, rotating each column array of Us in place.
@@ -468,18 +444,13 @@ class _Sweeps:
     applies its accumulated unitary.  A component whose groups all came back
     unrotated leaves the sweeps: its columns no longer change, so every
     later sweep would leave it untouched again.  So every column, sweep
-    count and flag is the one sweeping the groups one at a time gives.
-
-    With exact_scaling, a group's Gram product and its rotation product run
-    only where every nonzero term is at least _GRID_PRODUCT (see
-    `_require_grid`), and FloatingPointError is raised otherwise.  The
-    sizes are checked because a threaded BLAS reports no underflow status
-    to numpy; the elementwise steps are left to the caller's underflow trap.
+    count and flag is the one sweeping the groups one at a time gives, and
+    a component's columns come out as sweeping that component alone leaves
+    them.
     """
 
-    def __init__(self, Us: list, tol: float, max_sweeps: int, exact_scaling: bool = False):
+    def __init__(self, Us: list, tol: float, max_sweeps: int):
         self.Us, self.tol, self.max_sweeps = Us, tol, max_sweeps
-        self.exact_scaling = exact_scaling
         self.sweeps = [0] * len(Us)
         self.converged = [False] * len(Us)
 
@@ -509,15 +480,11 @@ class _Sweeps:
             for j, (i, seq) in enumerate(parts):
                 if t < len(seq):
                     W = self.Us[i][:, seq[t]]
-                    w = _smallest(W) if self.exact_scaling else math.inf
-                    _require_grid(w, w)
-                    stacks.setdefault((W.shape[1], W.dtype), []).append((j, W.conj().T @ W, w))
+                    stacks.setdefault((W.shape[1], W.dtype), []).append((j, W.conj().T @ W))
             for items in stacks.values():
-                Vs = _gram_sweep(np.stack([G for _, G, _ in items]), self.tol)
-                for (j, _, w), V in zip(items, Vs):
+                Vs = _gram_sweep(np.stack([G for _, G in items]), self.tol)
+                for (j, _), V in zip(items, Vs):
                     if V is not None:
-                        if self.exact_scaling:
-                            _require_grid(w, _smallest(V))
                         i, seq = parts[j]
                         U, idx = self.Us[i], seq[t]
                         U[:, idx] = U[:, idx] @ V
@@ -525,13 +492,22 @@ class _Sweeps:
         return rotated
 
 
+def _ldexp(X: np.ndarray, shifts) -> None:
+    """Multiply X by 2^shifts in place, its real and imaginary parts apart
+    (shifts broadcast against X)."""
+    for part in ((X.real, X.imag) if X.dtype.kind == "c" else (X,)):
+        np.ldexp(part, shifts, out=part)
+
+
 def _scaled_columns(A: MatOp) -> tuple:
-    """(U, e, n): the nonzero columns of A, or of A^H when rows < cols, in
-    real arithmetic when A is real and scaled by the exact 2^-e that brings
-    the largest entry into [1/2, 1); n = min(rows, cols) counts the columns
-    before the zero ones were dropped (their singular values are zeros).
-    U is one Fortran-ordered copy: the columns are selected as the rows of
-    the transpose, and conjugated in place."""
+    """(U, exponents, n): the nonzero columns of A, or of A^H when rows <
+    cols, in real arithmetic when A is real, each connected component of
+    them (see `_column_components`) scaled by the exact 2^-e that brings its
+    largest real or imaginary part into [1/2, 1), with exponents[j] the e of
+    column j; n = min(rows, cols) counts the columns before the zero ones
+    were dropped (their singular values are zeros).  U is one
+    Fortran-ordered copy: the columns are selected as the rows of the
+    transpose, and conjugated in place."""
     B = A.data if A.rows >= A.cols else A.data.T
     n = B.shape[1]
     if not B.imag.any():
@@ -539,19 +515,22 @@ def _scaled_columns(A: MatOp) -> tuple:
     U = B.T[B.any(axis=0)].T
     if A.rows < A.cols and U.dtype.kind == "c":
         np.conjugate(U, out=U)
-    parts = (U.real, U.imag) if U.dtype.kind == "c" else (U,)
-    top = max(float(np.max(np.abs(part), initial=0.0)) for part in parts)
-    exponent = math.frexp(top)[1]
-    for part in parts:
-        np.ldexp(part, -exponent, out=part)
-    return U, exponent, n
+    top = np.zeros(U.shape[1])
+    for part in ((U.real, U.imag) if U.dtype.kind == "c" else (U,)):
+        np.maximum(top, np.max(np.abs(part), axis=0, initial=0.0), out=top)
+    labels = _column_components(U)
+    np.maximum.at(top, labels, top)     # each label is its component's first column
+    exponents = np.frexp(top[labels])[1]
+    _ldexp(U, -exponents)
+    return U, exponents, n
 
 
-def _column_norms(U: np.ndarray, exponent: int, n: int) -> tuple:
-    """The column norms of U scaled back by 2^exponent, nonincreasing, padded
-    with zeros to n values."""
-    norms = sorted((math.sqrt(float(np.vdot(u, u).real)) for u in U.T), reverse=True)
-    return tuple([math.ldexp(v, exponent) for v in norms] + [0.0] * (n - U.shape[1]))
+def _column_norms(U: np.ndarray, exponents: np.ndarray, n: int) -> tuple:
+    """The norms of U's columns, column j scaled back by 2^exponents[j],
+    nonincreasing and padded with zeros to n values."""
+    norms = [math.ldexp(math.sqrt(float(np.vdot(u, u).real)), e)
+             for u, e in zip(U.T, exponents.tolist())]
+    return tuple(sorted(norms, reverse=True) + [0.0] * (n - U.shape[1]))
 
 
 def singular_values(A: MatOp, tol: float = _JACOBI_TOL,
@@ -564,9 +543,13 @@ def singular_values(A: MatOp, tol: float = _JACOBI_TOL,
     sweep (see `_Sweeps`) leaves every group untouched; the column norms
     are then the singular values.  Works on the transpose when rows < cols
     so the column count is min(rows, cols), in real arithmetic when the
-    matrix is real, and on the matrix scaled by a power of two that brings
-    its largest entry near 1, so squared norms neither overflow nor
-    underflow (the scaling is exact and undone on the values).
+    matrix is real, and on each connected component of the columns scaled
+    by the power of two that brings its largest entry near 1 (see
+    `_scaled_columns`; the scaling is exact and undone on the values).
+    Rotations never mix components, and one-sided Jacobi's relative
+    accuracy is that of the column-scaled matrix, so this costs nothing.
+    Squared norms do not overflow, and underflow only for entries more than
+    about 2^537 below the largest of their own component.
     """
     return _spectra([A], tol, max_sweeps)[0]
 
@@ -581,9 +564,9 @@ def _spectra(As: Sequence[MatOp], tol: float = _JACOBI_TOL,
     for _ in jacobi:
         pass
     spectra = [SingularSpectrum((), 0, True)] * len(As)
-    for i, (U, exponent, n), sweeps, converged in zip(scaled, scaled.values(),
-                                                      jacobi.sweeps, jacobi.converged):
-        spectra[i] = SingularSpectrum(_column_norms(U, exponent, n), sweeps, converged)
+    for i, (U, exponents, n), sweeps, converged in zip(scaled, scaled.values(),
+                                                       jacobi.sweeps, jacobi.converged):
+        spectra[i] = SingularSpectrum(_column_norms(U, exponents, n), sweeps, converged)
     return spectra
 
 
@@ -595,50 +578,32 @@ def _part_and_sum_values(Ts: Sequence[MatOp], total: MatOp) -> list:
     A part is read off the sum when, with the sum's transpose choice, its
     nonzero columns are whole components of the sum's columns, the sum's
     entries there are the part's, and both take real or both complex
-    arithmetic.  Its columns in the sum are then its own scaled columns times
-    2^-k, k >= 0 the gap between the two scaling exponents, and its values
-    are the norms of its columns in the swept sum, scaled back by the sum's
-    exponent.  That equals its own sweep provided every rounding of the
-    block's sweeps commutes with the factor 2^-k, which holds for every
-    rounding in the normal range or exact: ratios of equally scaled values,
-    and with them every rotation, do not move at all.  So the sum is scaled,
-    swept and read under numpy's underflow trap, with the products of
-    `_Sweeps(exact_scaling=True)` and of the column norms checked by size,
-    and any underflow sends every matrix back to `_spectra`.  The other
-    parts are swept in the same `_Sweeps` call as the sum.
+    arithmetic.  Its scaled columns are then the sum's there, bit for bit:
+    the same components, each with the same exponent (see
+    `_scaled_columns`).  The sweeps rotate each component as if it were
+    alone, so the part's values are the norms of its columns in the swept
+    sum.  The other parts are swept in the same `_Sweeps` call as the sum.
     """
+    U, exponents, n = _scaled_columns(total)
+    B = total.data if total.rows >= total.cols else total.data.T
+    cols = np.flatnonzero(B.any(axis=0))
+    labels = _column_components(U)
     reads = {}
-    try:
-        with np.errstate(under="raise"):
-            U, exponent, n = _scaled_columns(total)
-            B = total.data if total.rows >= total.cols else total.data.T
-            cols = np.flatnonzero(B.any(axis=0))
-            labels = _column_components(U)
-            for i, T in enumerate(Ts):
-                C = T.data if T.rows >= T.cols else T.data.T
-                mine = np.flatnonzero(C.any(axis=0))
-                if (bool(C.imag.any()) == (U.dtype.kind == "c")
-                        and np.array_equal(B[:, mine], C[:, mine])):
-                    at = np.searchsorted(cols, mine)
-                    if np.count_nonzero(np.isin(labels, labels[at])) == at.size:
-                        reads[i] = at
-            if reads:
-                rest = {i: _scaled_columns(T) for i, T in enumerate(Ts) if i not in reads}
-                jacobi = _Sweeps([U, *(V for V, _, _ in rest.values())], _JACOBI_TOL,
-                                 _JACOBI_MAX_SWEEPS, exact_scaling=True)
-                for _ in jacobi:
-                    pass
-                values = {i: _column_norms(*scaled) for i, scaled in rest.items()}
-                for i, at in reads.items():
-                    block = U.T[at].T
-                    w = _smallest(block)
-                    _require_grid(w, w)
-                    values[i] = _column_norms(block, exponent, n)
-    except FloatingPointError:
-        reads = {}
-    if not reads:
-        return [spec.values for spec in _spectra([*Ts, total])]
-    return [values[i] for i in range(len(Ts))] + [_column_norms(U, exponent, n)]
+    for i, T in enumerate(Ts):
+        C = T.data if T.rows >= T.cols else T.data.T
+        mine = np.flatnonzero(C.any(axis=0))
+        if (bool(C.imag.any()) == (U.dtype.kind == "c")
+                and np.array_equal(B[:, mine], C[:, mine])):
+            at = np.searchsorted(cols, mine)
+            if np.count_nonzero(np.isin(labels, labels[at])) == at.size:
+                reads[i] = at
+    rest = {i: _scaled_columns(T) for i, T in enumerate(Ts) if i not in reads}
+    jacobi = _Sweeps([U, *(V for V, _, _ in rest.values())], _JACOBI_TOL, _JACOBI_MAX_SWEEPS)
+    for _ in jacobi:
+        pass
+    values = {i: _column_norms(*scaled) for i, scaled in rest.items()}
+    values.update((i, _column_norms(U.T[at].T, exponents[at], n)) for i, at in reads.items())
+    return [values[i] for i in range(len(Ts))] + [_column_norms(U, exponents, n)]
 
 
 def schatten_norm(A: MatOp, p: float) -> float:
@@ -685,27 +650,31 @@ def schatten_norm_below(A: MatOp, p: float, radius: float,
     """Whether ||A||_p < radius, for p in [1, inf] (inf: the operator norm).
 
     Runs the sweeps of `singular_values` and, before each one, brackets
-    ||A||_p from the Gram matrix of the current columns (`_schatten_bracket`),
-    on the same zero-column drop and power-of-two scaling, with the radius
-    scaled by the same 2^-e.  It returns as soon as the bracket clears the
-    radius by a relative _DECIDE_MARGIN.  A bracket that never clears is
-    settled at convergence by the exact `schatten_norm(A, p) < radius`
-    (the largest singular value for p = inf) on the same values.  Raises
+    ||A||_p (`_schatten_bracket`) from the Gram matrix of the current
+    columns brought to one scale: column j, scaled by 2^-e_j, is multiplied
+    by 2^(e_j - E), E the largest exponent, and the radius is scaled by
+    2^-E.  It returns as soon as the bracket clears the radius by a
+    relative _DECIDE_MARGIN.  A bracket that never clears is settled at
+    convergence by the exact `schatten_norm(A, p) < radius` (the largest
+    singular value for p = inf) on the same values.  Raises
     ValueError when the sweep budget runs out first: an unconverged
     spectrum decides nothing.
     """
     if not 1.0 <= p <= math.inf:
         raise ValueError("p must lie in [1, inf]")
-    U, exponent, n = _scaled_columns(A)
+    U, exponents, n = _scaled_columns(A)
     if U.shape[1] == 0:
         return 0.0 < radius
+    top = int(exponents.max())
     try:
-        r = math.ldexp(radius, -exponent)
+        r = math.ldexp(radius, -top)
     except OverflowError:
         r = math.inf
+    to_top = np.ldexp(1.0, exponents - top)
     jacobi = _Sweeps([U], _JACOBI_TOL, max_sweeps)
     for _ in jacobi:
-        lower, upper = _schatten_bracket(U.conj().T @ U, p, U.shape[0])
+        W = U * to_top
+        lower, upper = _schatten_bracket(W.conj().T @ W, p, U.shape[0])
         if upper < r * (1.0 - _DECIDE_MARGIN):
             return True
         if lower > r * (1.0 + _DECIDE_MARGIN):
@@ -713,7 +682,7 @@ def schatten_norm_below(A: MatOp, p: float, radius: float,
     if not jacobi.converged[0]:
         raise ValueError(f"Schatten-{p} norm against radius {radius!r} still undecided "
                          f"when the sweep budget (max_sweeps = {max_sweeps}) ran out")
-    values = _column_norms(U, exponent, n)
+    values = _column_norms(U, exponents, n)
     return (values[0] if p == math.inf else p_sum(values, p)) < radius
 
 
@@ -744,7 +713,10 @@ def orthogonal_sum_additivity(Ts: Sequence[MatOp], p: float) -> OrthogonalSumRep
 
     The zero test is entrywise, at _ORTHOGONAL_TOL scaled by the product of
     the two operator norms, so the verdict is invariant under rescaling the
-    family.
+    family.  Each part enters the cross products and the norm scale times
+    the exact 2^-e that brings its largest real or imaginary part into
+    [1/2, 1), so no product underflows to a false zero or overflows; where
+    none did unscaled, the quotients are those of the unscaled parts.
     """
     if not Ts:
         raise ValueError("empty family")
@@ -754,15 +726,21 @@ def orthogonal_sum_additivity(Ts: Sequence[MatOp], p: float) -> OrthogonalSumRep
     for T in Ts[1:]:
         total = total + T
     *spectra, whole = _part_and_sum_values(Ts, total)
-    norms = [vals[0] if vals else 0.0 for vals in spectra]
+    scaled = []
+    for T, vals in zip(Ts, spectra):
+        X = T.data.copy()
+        e = math.frexp(float(np.max(np.abs(X.view(float)), initial=0.0)))[1]
+        _ldexp(X, -e)
+        scaled.append((X, math.ldexp(max(vals, default=0.0), -e)))
     ok = True
     worst = 0.0
     bad = None
-    for i in range(len(Ts)):
+    for i, (X, a) in enumerate(scaled):
         for j in range(i + 1, len(Ts)):
-            scale = max(norms[i] * norms[j], 1e-300)
-            c1 = float(np.max(np.abs(Ts[i].data.conj().T @ Ts[j].data), initial=0.0)) / scale
-            c2 = float(np.max(np.abs(Ts[i].data @ Ts[j].data.conj().T), initial=0.0)) / scale
+            Y, b = scaled[j]
+            scale = max(a * b, 1e-300)
+            c1 = float(np.max(np.abs(X.conj().T @ Y), initial=0.0)) / scale
+            c2 = float(np.max(np.abs(X @ Y.conj().T), initial=0.0)) / scale
             v = max(c1, c2)
             worst = max(worst, v)
             if v > _ORTHOGONAL_TOL and ok:

@@ -7,8 +7,8 @@ one once, as a flat row of (index, re, im) entries keyed by (class,
 exponent).  Missing rows, inverse points and jumps alike, come in one
 batch from `seqspace._jump_rows`, which also forms seqspace's one-vector
 right inverses and jumps, so a row is that vector bit for bit.  A build
-that raises stores its error in the row, to be raised where a reader
-reaches it.
+that raises, or that forms an index past int64, stores its error in the
+row, to be raised where a reader reaches it.
 
 `power_sums` folds rows into running power sums sum |y_i|^p in the float
 steps of adding the vectors into a dict one entry at a time, which is how
@@ -60,9 +60,10 @@ class TermTable:
     Row i holds entries start[i] .. start[i] + size[i] - 1 of (idx, re, im),
     in its vector's entry order, with indices between lo[i] and hi[i]; cls[i]
     is its target's class.  state[i] is nonzero when building it raised
-    errors[i] (1 for a jump that overflowed, 2 otherwise), and then the row
-    has no entries.  Row 0 is empty and stands for no term.  `ids` keys the
-    inverse points by e * K + k - 1, and the jumps of each operator alike.
+    errors[i] (1 for a jump that overflowed, 2 otherwise, a ValueError for
+    an index past int64 included), and then the row has no entries.  Row 0
+    is empty and stands for no term.  `ids` keys the inverse points by
+    e * K + k - 1, and the jumps of each operator alike.
 
     The missing rows of one lookup are built together by
     `seqspace._jump_rows`, whatever the rule, exponent or target index.
@@ -128,6 +129,14 @@ class TermTable:
         src = _positions(self._first[k - 1], cnt)
         size, idx, re, im, errors = _jump_rows(op or self.op, op is not None, keys // K, cnt,
                                                self._n[src], self._c[src])
+        if idx.dtype == object:    # a row with an index past int64 keeps its error instead
+            row = np.repeat(np.arange(len(keys)), size)
+            for i in np.flatnonzero((idx < -2 ** 63) | (idx >= 2 ** 63)).tolist():
+                errors.setdefault(int(row[i]), ValueError(
+                    f"index {idx[i]} lies past int64, where a term table row cannot hold it"))
+            keep = ~np.isin(row, list(errors))
+            size = np.bincount(row[keep], minlength=len(keys))
+            idx, re, im = idx[keep], re[keep], im[keep]
         state = np.zeros(len(keys), np.int8)
         for r, exc in errors.items():
             state[r] = 1 if op is not None and isinstance(exc, WeightOverflowError) else 2

@@ -3,10 +3,13 @@ copied verbatim as the oracle of `matops`: `oracle_column_groups` is the
 former flat `_column_groups`, `oracle_gram_sweep` the former one-group
 `_gram_sweep`, `OracleSweeps` the former `_Sweeps` (every group of one
 matrix, one after another, every sweep) and `oracle_scaled_columns` the
-former `_scaled_columns` (the nonzero-column selection, then a Fortran copy).
-`oracle_singular_values` and `oracle_schatten_norm_below` are the former
-entry points on top of them.  The components, the round-robin permutation,
-the column norms and the bracket are taken from `matops`.
+former `_scaled_columns` (the nonzero-column selection, then a Fortran
+copy), with each component scaled by its own power of two in a loop over
+the components.  `oracle_singular_values` and `oracle_schatten_norm_below`
+are the former entry points on top of them, the compare's bracket taken
+on the columns brought to the largest exponent.  The components, the
+round-robin permutation, the column norms and the bracket are taken from
+`matops`.
 """
 
 import math
@@ -134,38 +137,44 @@ def oracle_scaled_columns(A: MatOp) -> tuple:
         B = B.real
     U = np.asfortranarray(B[:, B.any(axis=0)])
     parts = (U.real, U.imag) if U.dtype.kind == "c" else (U,)
-    top = max(float(np.max(np.abs(part), initial=0.0)) for part in parts)
-    exponent = math.frexp(top)[1]
-    for part in parts:
-        np.ldexp(part, -exponent, out=part)
-    return U, exponent, n
+    labels = _column_components(U)
+    exponents = np.zeros(U.shape[1], int)
+    for root in sorted(set(labels.tolist())):
+        idx = np.flatnonzero(labels == root)
+        top = max(float(np.max(np.abs(part[:, idx]), initial=0.0)) for part in parts)
+        exponents[idx] = math.frexp(top)[1]
+        for part in parts:
+            part[:, idx] = np.ldexp(part[:, idx], -exponents[idx])
+    return U, exponents, n
 
 
 def oracle_singular_values(A: MatOp, tol: float = _JACOBI_TOL,
                            max_sweeps: int = _JACOBI_MAX_SWEEPS) -> SingularSpectrum:
     if min(A.rows, A.cols) == 0:
         return SingularSpectrum((), 0, True)
-    U, exponent, n = oracle_scaled_columns(A)
+    U, exponents, n = oracle_scaled_columns(A)
     jacobi = OracleSweeps(U, tol, max_sweeps)
     for _ in jacobi:
         pass
-    return SingularSpectrum(_column_norms(U, exponent, n), jacobi.sweeps, jacobi.converged)
+    return SingularSpectrum(_column_norms(U, exponents, n), jacobi.sweeps, jacobi.converged)
 
 
 def oracle_schatten_norm_below(A: MatOp, p: float, radius: float,
                                max_sweeps: int = _JACOBI_MAX_SWEEPS) -> bool:
     if not 1.0 <= p <= math.inf:
         raise ValueError("p must lie in [1, inf]")
-    U, exponent, n = oracle_scaled_columns(A)
+    U, exponents, n = oracle_scaled_columns(A)
     if U.shape[1] == 0:
         return 0.0 < radius
+    top = max(exponents.tolist())
     try:
-        r = math.ldexp(radius, -exponent)
+        r = math.ldexp(radius, -top)
     except OverflowError:
         r = math.inf
     jacobi = OracleSweeps(U, _JACOBI_TOL, max_sweeps)
     for _ in jacobi:
-        lower, upper = _schatten_bracket(U.conj().T @ U, p, U.shape[0])
+        W = U * [2.0 ** (e - top) for e in exponents.tolist()]
+        lower, upper = _schatten_bracket(W.conj().T @ W, p, U.shape[0])
         if upper < r * (1.0 - _DECIDE_MARGIN):
             return True
         if lower > r * (1.0 + _DECIDE_MARGIN):
@@ -173,5 +182,5 @@ def oracle_schatten_norm_below(A: MatOp, p: float, radius: float,
     if not jacobi.converged:
         raise ValueError(f"Schatten-{p} norm against radius {radius!r} still undecided "
                          f"when the sweep budget (max_sweeps = {max_sweeps}) ran out")
-    values = _column_norms(U, exponent, n)
+    values = _column_norms(U, exponents, n)
     return (values[0] if p == math.inf else p_sum(values, p)) < radius

@@ -271,6 +271,15 @@ def test_schatten_norms_match_direct_computation(tmp_path):
     assert lines[0] == "index,singular_value"
 
 
+def test_schatten_window_keeps_values_far_below_the_largest(tmp_path):
+    # the window's columns hold one weight each, 1e200, 1, 1e-120 and 1: a
+    # value 2^537 below the largest is not lost to its square underflowing
+    assert run(["schatten", "--weights", "w=table:1|1e200,1e-120|1", "--window", "0:3"],
+               tmp_path) == 0
+    rep = load_report(tmp_path, "schatten")
+    assert rep["results"]["singular_values"] == [1e200, 1.0, 1e-120, 0.0]
+
+
 def test_hardy_eigen_report_passes(tmp_path):
     assert run(["hardy", "--check", "eigen", "--phi", "0,1", "--z", "0.6",
                 "--dim", "64"], tmp_path) == 0

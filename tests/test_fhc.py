@@ -160,6 +160,10 @@ INVERSE_CASES = {
     # a quarter turn: -1 * i^m has a part -0.0, which the jump's dict adds
     # to 0.0
     "quarter-turn": (ShiftOp.backward(WeightSeq.constant(1j)), ("3=-1", "0,2"), (1, 2, 3)),
+    # a diagonal keeps target indices past int64, which a term table row
+    # cannot hold: such a row holds a ValueError instead
+    "diagonal-past-int64": (ShiftOp.diagonal(WeightSeq.constant(2.0)),
+                            ("0", f"{10 ** 20}", f"1,{2 ** 63 - 1},{2 ** 63}"), (1, 30)),
 }
 
 
@@ -227,6 +231,19 @@ def test_vector_reads_keep_indices_past_int64():
                     scalar_outcome(lambda: list(want(op, x, e).entries.items())), (op, e, got)
 
 
+def table_oracle(oracle):
+    """oracle, raising the ValueError that a term table row holds in place
+    of a vector with an index past int64."""
+    def read(*args):
+        v = oracle(*args)
+        for n in v.entries:
+            if not -2 ** 63 <= n < 2 ** 63:
+                raise ValueError(
+                    f"index {n} lies past int64, where a term table row cannot hold it")
+        return v
+    return read
+
+
 @pytest.mark.parametrize("case", sorted(INVERSE_CASES))
 def test_term_table_rows_equal_apply_right_inverse(case):
     # every row of one batch, its entries in order with repr-equal
@@ -239,7 +256,7 @@ def test_term_table_rows_equal_apply_right_inverse(case):
     for (k, e), row in zip(keys, rows.tolist()):
         x = family.base_point(k)
         try:
-            want = oracle_apply_right_inverse(op, x, e)
+            want = table_oracle(oracle_apply_right_inverse)(op, x, e)
         except (ArithmeticError, ValueError) as exc:
             with pytest.raises(type(exc)) as got:
                 family.inverse_point(k, e)
@@ -263,7 +280,7 @@ def test_term_table_jump_rows_equal_shift_power_apply(case):
     rows = table.ids(np.array([k for k, _ in keys]), terms.index_array(m for _, m in keys), fwd)
     for (k, m), row in zip(keys, rows.tolist()):
         try:
-            want = oracle_shift_power_apply(fwd, family.base_point(k), m)
+            want = table_oracle(oracle_shift_power_apply)(fwd, family.base_point(k), m)
         except (ArithmeticError, ValueError) as exc:
             assert table.state[row] == (1 if isinstance(exc, WeightOverflowError) else 2)
             with pytest.raises(type(exc)) as got:
@@ -292,8 +309,8 @@ def test_term_table_forms_its_rows_without_the_vector_functions(case, monkeypatc
     keys = [(k, e) for k in range(1, family.num_classes + 1) for e in (0,) + exps]
     k, e = np.array([k for k, _ in keys]), terms.index_array(e for _, e in keys)
     fwd = family.forward_op()
-    for row_op, oracle, o in ((None, oracle_apply_right_inverse, op),
-                              (fwd, oracle_shift_power_apply, fwd)):
+    for row_op, oracle, o in ((None, table_oracle(oracle_apply_right_inverse), op),
+                              (fwd, table_oracle(oracle_shift_power_apply), fwd)):
         rows = family._terms.ids(k, e, row_op)
         for (k_, e_), row in zip(keys, rows.tolist()):
             got = scalar_outcome(lambda: list(family._terms.vector(row).entries.items()))

@@ -1,10 +1,14 @@
-"""Every module-level import in src/hyperlab is used by its module, and
-every module's `__all__` lists exactly its public definitions.
+"""Every module-level import in src/hyperlab is used by its module, every
+private name it defines is read somewhere in the package, and every
+module's `__all__` lists exactly its public definitions.
 
 The scan reads each module's syntax tree: a name bound by a module-level
 `import` or `from ... import` must be read somewhere in the module, as a
 name, as the root of an attribute, inside a string annotation, or as an
-entry of `__all__`.  `from __future__` imports are exempt.
+entry of `__all__`.  `from __future__` imports are exempt.  A module-level
+function, class or assignment whose name starts with one underscore, and
+a method of a module-level class named so, must be read in some module
+of the package, as a name, as an attribute or by a `from ... import`.
 """
 
 import ast
@@ -83,6 +87,57 @@ def test_the_scan_sees_an_unused_import():
                      "x: 'List[int]' = sys.argv\n__all__ = ['Any']\ny = 're'\n")
     names = imported_names(tree)
     assert sorted(n for n in names if n not in read_names(tree)) == ["os", "re"]
+
+
+def private_definitions(tree: ast.Module) -> dict:
+    """Name -> line, for the module-level private functions, classes and
+    assignments, and the private methods of module-level classes."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+            if isinstance(node, ast.ClassDef):
+                out.update((f.name, f.lineno) for f in node.body
+                           if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((n.id, node.lineno) for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name))
+    return {name: line for name, line in out.items()
+            if name.startswith("_") and not name.endswith("__")}
+
+
+def names_read(tree: ast.Module) -> set:
+    """Every name the module reads, attributes and imported names included."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(names_read, trees.values()))
+    unread = [f"{name}:{line}: {private}" for name, tree in trees.items()
+              for private, line in private_definitions(tree).items() if private not in read]
+    assert not unread, "private names never read:\n" + "\n".join(unread)
+
+
+def test_the_scan_sees_an_unread_private_name():
+    tree = ast.parse("_used, _unused = 1, 2\n_bare: int = 3\n"
+                     "def _helper():\n    return _used\n"
+                     "class _Box:\n    def __init__(self):\n        self._seen = self._read()\n"
+                     "    def _read(self):\n        return 0\n    def _dead(self):\n        pass\n")
+    defined = private_definitions(tree)
+    assert sorted(defined) == ["_Box", "_bare", "_dead", "_helper", "_read", "_unused", "_used"]
+    assert sorted(set(defined) - names_read(tree)) == ["_Box", "_bare", "_dead", "_helper",
+                                                       "_unused"]
 
 
 def public_definitions(tree: ast.Module) -> set:

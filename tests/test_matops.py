@@ -4,10 +4,8 @@ numpy.linalg.svd serves as the independent oracle for the hand-rolled
 Jacobi singular values; it is never called inside the library itself.
 """
 
-import contextlib
 import io
 import math
-import types
 
 import numpy as np
 import pytest
@@ -152,6 +150,14 @@ def test_jacobi_column_whose_square_underflows():
     A = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
     A[:, 4] *= 1e-170
     assert_matches_lapack(A)
+
+
+@pytest.mark.parametrize("diagonal", [[1.0, 1e-200], [1.0, 2.0 ** -600], [1e200, 1.0, 1e-120]])
+def test_jacobi_keeps_each_component_at_its_own_scale(diagonal):
+    # every column is a component of its own, scaled by its own power of
+    # two: no square underflows, and each value is exact
+    spec = singular_values(MatOp(np.diag(diagonal)))
+    assert spec.values == tuple(diagonal) and spec.converged
 
 
 @pytest.mark.parametrize("cols", [56, 100])
@@ -380,6 +386,9 @@ def bracket_cases():
         "huge": random_mat(rng, 30, 30).data * 1e150,
         "tiny": random_mat(rng, 30, 30).data * 1e-150,
         "block-diagonal": diagonal_blocks(staggered_blocks()),
+        # two components 2^-600 apart, each scaled by its own power of two
+        "components-apart": diagonal_blocks([random_mat(rng, 12, 10).data,
+                                             random_mat(rng, 8, 6).data * 2.0 ** -600]),
     }
 
 
@@ -391,17 +400,20 @@ def oracle_norm(data, p):
 @pytest.mark.parametrize("case", list(bracket_cases()))
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.5, math.inf])
 def test_schatten_bracket_holds_at_every_sweep(case, p):
-    # the bracket is taken on the scaled columns before each sweep, and must
-    # hold the oracle norm of the scaled matrix every time, not only at the
-    # first sweep; at convergence it has closed to the rounding level
+    # the bracket is taken before each sweep on the scaled columns brought
+    # to the largest exponent E, and must hold the oracle norm of the matrix
+    # times 2^-E every time, not only at the first sweep; at convergence it
+    # has closed to the rounding level
     data = bracket_cases()[case]
-    U, exponent, _ = matops._scaled_columns(MatOp(data))
+    U, exponents, _ = matops._scaled_columns(MatOp(data))
+    top = int(exponents.max())
     scaled = data if data.shape[0] >= data.shape[1] else data.conj().T
-    want = oracle_norm(scaled * 2.0 ** -exponent, p)
+    want = oracle_norm(scaled * 2.0 ** -top, p)
     jacobi = matops._Sweeps([U], matops._JACOBI_TOL, matops._JACOBI_MAX_SWEEPS)
     brackets = []
     for _ in jacobi:
-        brackets.append(matops._schatten_bracket(U.conj().T @ U, p, U.shape[0]))
+        W = U * np.ldexp(1.0, exponents - top)
+        brackets.append(matops._schatten_bracket(W.conj().T @ W, p, U.shape[0]))
     assert jacobi.converged == [True] and len(brackets) >= 2
     for lower, upper in brackets:
         assert lower <= want * (1.0 + 1e-9) and upper >= want * (1.0 - 1e-9)
@@ -529,15 +541,16 @@ def test_scaled_columns_equal_the_two_copy_selection(case):
     # every BLAS product on it rounds as before
     data = label_cases()[case][0] if case in label_cases() else block_matrices()[case]
     for A in (MatOp(data), MatOp(data.conj().T), MatOp(1j * data)):
-        U, exponent, n = matops._scaled_columns(A)
-        want, want_exponent, want_n = oracle_scaled_columns(A)
-        assert (exponent, n, U.dtype) == (want_exponent, want_n, want.dtype)
+        U, exponents, n = matops._scaled_columns(A)
+        want, want_exponents, want_n = oracle_scaled_columns(A)
+        assert (n, U.dtype) == (want_n, want.dtype)
+        assert exponents.tolist() == want_exponents.tolist()
         assert U.strides == want.strides and np.array_equal(U, want)
         assert U.flags.f_contiguous and not np.shares_memory(U, A.data)
 
 
 @pytest.mark.parametrize("case", ["complex", "real", "wide-multi-group", "rank-deficient",
-                                  "huge", "tiny", "block-diagonal"])
+                                  "huge", "tiny", "block-diagonal", "components-apart"])
 def test_schatten_compare_equals_the_serial_oracle(case):
     A = MatOp(bracket_cases()[case])
     values = oracle_singular_values(A).values
@@ -609,9 +622,8 @@ def test_orthogonal_sum_report_equals_the_serial_oracle(case, monkeypatch):
     ("disjoint-40-blocks", []), ("real-diagonal", []), ("one-zero-part", [0]),
     ("wide-disjoint-blocks", []), ("real-and-complex", [0]),
     ("shared-coordinates", [0, 1, 2]), ("overlapping", [0, 1]), ("shared-range", [0, 1]),
-    # 2^-1000 times entries near 1 leaves the normal range in the sum's
-    # scaling, so every matrix is swept apart again
-    ("wide-range", [0, 1, 2])])
+    # each block keeps its own scale in the sum, 2^-1000 apart or not
+    ("wide-range", [])])
 def test_which_parts_are_swept_beside_the_sum(case, swept_apart, monkeypatch):
     # a part on whole components of the sum, with the sum's entries and
     # arithmetic, takes its values from the sum's sweep; every other part is
@@ -624,10 +636,7 @@ def test_which_parts_are_swept_beside_the_sum(case, swept_apart, monkeypatch):
     monkeypatch.setattr(matops, "_Sweeps",
                         lambda Us, *a, **kw: swept.append(len(Us)) or Sweeps(Us, *a, **kw))
     matops._part_and_sum_values(Ts, sum(Ts[1:], Ts[0]))
-    if len(swept_apart) == len(Ts):
-        assert calls == [len(Ts) + 1]
-    else:
-        assert calls == [] and swept == [1 + len(swept_apart)]
+    assert calls == [] and swept == [1 + len(swept_apart)]
 
 
 def two_blocks(exponent):
@@ -644,27 +653,31 @@ def two_blocks(exponent):
 
 @pytest.mark.parametrize("exponent", [400, 490, 520, 1000])
 def test_scaled_blocks_equal_their_own_sweeps_near_the_underflow_range(exponent):
-    # read off the sum where every rounding stays normal or exact, swept
-    # apart where it may not, and equal to the separate sweeps either way
+    # read off the sum, each block at its own scale, and equal to the
+    # separate sweeps however far apart the blocks are
     Ts = two_blocks(exponent)
     total = Ts[0] + Ts[1]
     assert matops._part_and_sum_values(Ts, total) == oracle_part_and_sum_values(Ts, total)
 
 
-@pytest.mark.parametrize("guard", ["underflow trap", "product sizes"])
-def test_either_guard_alone_keeps_scaled_blocks_exact(guard, monkeypatch):
-    # a BLAS that runs a product on other threads reports no underflow to
-    # numpy, so the product sizes guard the products on their own; the trap
-    # guards every elementwise step
-    if guard == "underflow trap":
-        monkeypatch.setattr(matops, "_require_grid", lambda a, b: None)
-    else:
-        untrapped = types.SimpleNamespace(**vars(np))
-        untrapped.errstate = lambda **kw: contextlib.nullcontext()
-        monkeypatch.setattr(matops, "np", untrapped)
-    for Ts in (two_blocks(520), two_blocks(1000), orthogonal_families()["wide-range"]):
-        total = sum(Ts[1:], Ts[0])
-        assert matops._part_and_sum_values(Ts, total) == oracle_part_and_sum_values(Ts, total)
+@pytest.mark.parametrize("case", ["disjoint-40-blocks", "real-diagonal", "wide-range",
+                                  "wide-disjoint-blocks"])
+def test_orthogonal_sum_keeps_every_block_at_its_own_scale(case):
+    # the sum's values are every block's, each within 1e-10 of LAPACK on
+    # that block relative to the block's largest value, 2^-1000 apart or not
+    Ts = orthogonal_families()[case]
+    total = sum(Ts[1:], Ts[0])
+    *_, whole = matops._part_and_sum_values(Ts, total)
+    want = []
+    for T in Ts:
+        block = T.data[np.ix_(T.data.any(axis=1), T.data.any(axis=0))]
+        values = np.linalg.svd(block, compute_uv=False)
+        want += [(float(v), float(values[0])) for v in values]
+    want.sort(reverse=True)
+    assert len(whole) == min(total.rows, total.cols) >= len(want)
+    assert whole[len(want):] == (0.0,) * (len(whole) - len(want))
+    for got, (value, top) in zip(whole, want):
+        assert abs(got - value) <= 1e-10 * top
 
 
 def test_orthogonal_sum_sweeps_its_six_groups_as_one_stack(monkeypatch):
@@ -853,22 +866,26 @@ def test_orthogonal_sum_reads_each_block_off_the_sum(monkeypatch):
     rep = orthogonal_sum_additivity(Ts, 1.5)
     # one sweep of the sum's columns; each block is one of its components
     assert len(calls) == 1 and len(calls[0]) == 1
-    assert np.array_equal(calls[0][0], np.diag([1.0, 0.5, 3.0, 0.5, 5.0, 0.5]) / 8)
+    # every column is a component of its own, scaled into [1/2, 1)
+    assert np.array_equal(calls[0][0], np.diag([0.5, 0.5, 0.75, 0.5, 0.625, 0.5]))
     parts = [schatten_norm(T, 1.5) for T in Ts]
     top = max(parts)
     assert rep.rhs == top * sum((v / top) ** 1.5 for v in parts) ** (1.0 / 1.5)
 
 
 def test_orthogonal_sum_detects_shared_row_space():
-    # e_0 (x) e_0* and e_0 (x) e_1* share their range: T_1 T_2* != 0
+    # e_0 (x) e_0* and e_0 (x) e_1* share their range: T_1 T_2* != 0; at
+    # scale 1e-170 that product underflows, at 1e160 it overflows, unless
+    # each part is scaled first
     T1 = rank_one_to_mat(RankOne(SeqVector.basis(0), SeqVector.basis(0)), 3)
     T2 = rank_one_to_mat(RankOne(SeqVector.basis(0), SeqVector.basis(1)), 3)
-    rep = orthogonal_sum_additivity([T1, T2], 1.0)
-    assert not rep.mutual_orthogonality_ok
-    assert rep.first_bad_pair == (0, 1)
-    # and trace-norm additivity genuinely fails: ||T1 + T2||_1 = sqrt(2) < 2
-    assert rep.lhs == pytest.approx(math.sqrt(2.0), rel=1e-9)
-    assert rep.rhs == pytest.approx(2.0, rel=1e-12)
+    for scale in (1.0, 1e-170, 1e160):
+        rep = orthogonal_sum_additivity([T1.scale(scale), T2.scale(scale)], 1.0)
+        assert not rep.mutual_orthogonality_ok, scale
+        assert rep.first_bad_pair == (0, 1) and rep.max_violation == 1.0
+        # and trace-norm additivity genuinely fails: ||T1 + T2||_1 = sqrt(2) < 2
+        assert rep.lhs == pytest.approx(math.sqrt(2.0) * scale, rel=1e-9)
+        assert rep.rhs == pytest.approx(2.0 * scale, rel=1e-12)
 
 
 def test_orthogonality_verdict_scale_invariant():
