@@ -105,12 +105,12 @@ def parse_complex(tok: str) -> complex:
     parts = str(tok).strip().split(":")
     try:
         if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
+            return complex(finite(parts[0]), 0.0)
         if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+            return complex(finite(parts[0]), finite(parts[1]))
     except ValueError:
         pass
-    raise ConfigError(f"bad complex literal {tok!r} (expected re or re:im)")
+    raise ConfigError(f"bad complex literal {tok!r} (expected finite re or re:im)")
 
 
 def _parse_domain_suffix(rule: str) -> tuple[str, Domain | None]:
@@ -132,11 +132,11 @@ def parse_weight_rule(rule: str) -> WeightSeq:
     if kind == "ratio":
         try:
             num_s, den_s = args.split("|")
-            num = [float(c) for c in num_s.split(",")]
-            den = [float(c) for c in den_s.split(",")]
+            num = [finite(c) for c in num_s.split(",")]
+            den = [finite(c) for c in den_s.split(",")]
         except ValueError:
             raise ConfigError(f"bad ratio arguments {args!r} "
-                              "(expected n0,n1,..|d0,d1,..)") from None
+                              "(expected finite n0,n1,..|d0,d1,..)") from None
         return WeightSeq.ratio(num, den, domain or Domain.NATURALS)
     if kind == "table":
         parts = args.split("|")
@@ -255,7 +255,7 @@ def build_beta_space(spec: str, dim: int) -> BetaSpace:
         return BetaSpace.inv_linear(dim)
     if spec.startswith("table:"):
         path = spec.split(":", 1)[1]
-        values = _read_file(path, lambda text: [float(ln) for ln in text.split()])
+        values = _read_file(path, lambda text: [finite(ln) for ln in text.split()])
         if len(values) < dim + 1:
             raise ConfigError(f"{path}: table holds {len(values)} values, "
                               f"need {dim + 1}")
@@ -486,9 +486,9 @@ def _run_check(p: dict, outdir: Path, fmt: str, seed: int):
     return (EXIT_OK if verdict.satisfied else EXIT_VIOLATION), params, results
 
 
-# the locus scan visits g^4 grid cells and keeps about g^3 / 2 points: on a
-# 2-core x86-64 host a density check at g = 64 takes about 2 s and 90 MB,
-# at g = 128 about 15 s and 540 MB
+# the locus scan visits g^4 grid cells and keeps about g^3 / 2 points, 40
+# bytes each: on a 2-core x86-64 host a density check at g = 64 takes about
+# 0.7 s and 48 MB as a process, at g = 128 about 2.9 s and 143 MB
 _MAX_GRID_DENSITY = 64
 # eigen and nuclear hold a few complex vectors of dim + 1 entries and apply
 # each symbol's band one diagonal at a time: on a 2-core x86-64 host a
@@ -536,28 +536,27 @@ def _run_hardy(p: dict, outdir: Path, fmt: str, seed: int):
         pts = unimodular_locus_sample(phi, psi, p["grid_density"], p["tol"], exclude)
         params.update({"grid_density": p["grid_density"], "tol": p["tol"],
                        "exclude": to_jsonable(exclude)})
-        results = {"count": len(pts),
-                   "points": to_jsonable(pts[:p["max_points"]])}
+        results = {"count": len(pts), "points": to_jsonable(
+            [dict(zip(pts.dtype.names, row)) for row in pts[:p["max_points"]].tolist()])}
         if fmt == "csv":
             with open(outdir / "locus.csv", "w") as fh:
                 fh.write("z_re,z_im,w_re,w_im,modulus\n")
-                for pt in pts:
-                    fh.write(f"{pt.z.real!r},{pt.z.imag!r},"
-                             f"{pt.w.real!r},{pt.w.imag!r},{pt.modulus!r}\n")
+                cols = (pts["z"].real, pts["z"].imag, pts["w"].real, pts["w"].imag,
+                        pts["modulus"])
+                for row in zip(*(c.tolist() for c in cols)):
+                    fh.write(",".join(map(repr, row)) + "\n")
     elif check == "density":
         space = build_beta_space(p["beta"], dim)
         samples = p["samples"]
         if samples < 1:
             raise ConfigError("samples must be >= 1")
         pts = unimodular_locus_sample(phi, psi, p["grid_density"], p["tol"])
-        if not pts:
+        if not len(pts):
             raise ConfigError("the unimodular level set misses the scan grid; "
                               "no samples to span with")
-        pts = sorted(pts, key=lambda q_: (round(q_.z.real, 12), round(q_.z.imag, 12),
-                                          round(q_.w.real, 12), round(q_.w.imag, 12)))
-        step = max(1, len(pts) // samples)
-        chosen = pts[::step][:samples]
-        rep = span_density_residual(chosen, _parse_target_matrix(p["target"], dim), space)
+        chosen = pts[_spread_samples(pts, samples)]
+        rep = span_density_residual(chosen["z"], chosen["w"],
+                                    _parse_target_matrix(p["target"], dim), space)
         params.update({"grid_density": p["grid_density"], "tol": p["tol"],
                        "samples": len(chosen), "target": p["target"]})
         results = {"report": to_jsonable(rep)}
@@ -574,6 +573,15 @@ def _run_hardy(p: dict, outdir: Path, fmt: str, seed: int):
         raise ConfigError(f"unknown hardy check {check!r} (choose from "
                           "eigen, locus, density, converse, nuclear)")
     return code, params, results
+
+
+def _spread_samples(pts: np.ndarray, samples: int) -> np.ndarray:
+    """Indices of up to `samples` locus points spread evenly over them in
+    the order of (z.re, z.im, w.re, w.im), each rounded to 12 decimals, ties
+    kept in scan order."""
+    keys = (pts["w"].imag, pts["w"].real, pts["z"].imag, pts["z"].real)
+    order = np.lexsort([np.round(k, 12) for k in keys])
+    return order[::max(1, len(pts) // samples)][:samples]
 
 
 def _parse_target_matrix(spec: str, dim: int) -> MatOp:

@@ -40,7 +40,6 @@ __all__ = [
     "ConjugationEigenReport",
     "adjoint_kernel_eigencheck",
     "conjugation_eigencheck",
-    "LocusPoint",
     "unimodular_locus_sample",
     "SpanResidualReport",
     "span_density_residual",
@@ -321,25 +320,17 @@ def conjugation_eigencheck(phi: AnalyticSymbol, psi: AnalyticSymbol,
 
 # -- unimodular locus -------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocusPoint:
-    z: complex
-    w: complex
-    modulus: float
-
-    def eigenvalue(self, phi: "AnalyticSymbol", psi: "AnalyticSymbol") -> complex:
-        return complex(phi(self.z)).conjugate() * complex(psi(self.w))
-
-
 # cells (w points times g^2) per array pass of the locus scan: 2^16 keep a
 # pass's float temporaries near 0.5 MB at any grid density
 _LOCUS_CELLS = 1 << 16
+# a locus point: 40 bytes in one structured array
+_LOCUS = np.dtype([("z", complex), ("w", complex), ("modulus", float)])
 
 
 def unimodular_locus_sample(phi: AnalyticSymbol, psi: AnalyticSymbol,
                             grid_density: int, tol: float,
                             exclude: tuple = (),
-                            exclude_radius: float = 1e-6) -> list:
+                            exclude_radius: float = 1e-6) -> np.ndarray:
     """Sample pairs (z, w) in the bidisc where |phi(z) psi(w)| crosses 1.
 
     Scans a polar grid; along each radial line in z (for every grid w) a
@@ -351,7 +342,8 @@ def unimodular_locus_sample(phi: AnalyticSymbol, psi: AnalyticSymbol,
 
     The scan runs as array passes over chunks of grid w points, every
     crossing of a chunk bisected together, in the float steps of CPython's
-    complex arithmetic; points come in (w, direction, radius) order.  A
+    complex arithmetic; points come in (w, direction, radius) order, as one
+    structured array with fields z, w and modulus (|phi(z) psi(w)|).  A
     symbol whose modulus is not finite on the grid raises ValueError.
     """
     if grid_density < 8:
@@ -359,16 +351,13 @@ def unimodular_locus_sample(phi: AnalyticSymbol, psi: AnalyticSymbol,
     g = int(grid_density)
     radii = [(i + 0.5) / g for i in range(g)]
     angles = [2.0 * math.pi * k / g for k in range(g)]
-    w_points = [r * cmath.exp(1j * t) for r in radii for t in angles]
-    directions = [cmath.exp(1j * t) for t in angles]
-    rad = np.array(radii)
-    dr = np.array([d.real for d in directions])
-    di = np.array([d.imag for d in directions])
-    wr = np.array([w.real for w in w_points])
-    wi = np.array([w.imag for w in w_points])
+    w_points = np.array([r * cmath.exp(1j * t) for r in radii for t in angles])
+    directions = np.array([cmath.exp(1j * t) for t in angles])
+    rad, dr, di = np.array(radii), directions.real, directions.imag
+    wr, wi = w_points.real, w_points.imag
     exclude = [complex(e) for e in exclude]
     half_tol = tol * 0.5
-    out = []
+    parts = []
     with np.errstate(over="ignore", invalid="ignore"):
         # |phi| along each radial line does not depend on w
         moduli = np.hypot(*_horner(phi, *_scale(rad, dr[:, None], di[:, None])))
@@ -419,10 +408,11 @@ def unimodular_locus_sample(phi: AnalyticSymbol, psi: AnalyticSymbol,
                                    exclude, exclude_radius)
             sel = np.flatnonzero(keep)
             sel = sel[np.argsort(np.concatenate([hits, crosses])[sel])]
-            out.extend(LocusPoint(complex(a, b), w_points[k], m) for a, b, k, m in
-                       zip(zr[sel].tolist(), zi[sel].tolist(), widx[sel].tolist(),
-                           mod[sel].tolist()))
-    return out
+            part = np.empty(sel.size, _LOCUS)
+            part["z"].real, part["z"].imag = zr[sel], zi[sel]
+            part["w"], part["modulus"] = w_points[widx[sel]], mod[sel]
+            parts.append(part)
+    return np.concatenate(parts)
 
 
 def _scale(r, dr, di):
@@ -464,58 +454,50 @@ class SpanResidualReport:
     sample_count: int = 0
 
 
-def span_density_residual(samples, target: MatOp,
-                          space: BetaSpace) -> SpanResidualReport:
+def span_density_residual(z, w, target: MatOp, space: BetaSpace) -> SpanResidualReport:
     """Relative least-squares distance from `target` to the span of the
-    kernel tensors k_z (x) k_w over the sample pairs.
+    kernel tensors k_z (x) k_w over the sample pairs (z[i], w[i]).
 
     Frobenius metric (a desk-scale proxy for the trace norm; the report
-    says so).  The Gram system is solved through a truncated pseudo-inverse
-    with cutoff 1e-10 times the top eigenvalue; hitting the cutoff flags
-    the report as rank deficient.
+    says so).  With U and V the kernels k_z and k_w as rows, the Gram
+    matrix <u_i, u_j> <v_j, v_i> is (conj(U) U^T) * (conj(V) V^T)^T, and the
+    system is solved through a truncated pseudo-inverse with cutoff 1e-10
+    times the top eigenvalue; hitting the cutoff flags the report as rank
+    deficient.
     """
-    pairs = list(samples)
-    if not pairs:
+    z, w = np.asarray(z, complex), np.asarray(w, complex)
+    if z.ndim != 1 or z.shape != w.shape:
+        raise ValueError("z and w must be two point lists of one length")
+    if not z.size:
         raise ValueError("at least one sample pair is required")
     n_dim = space.dim + 1
     if target.data.shape != (n_dim, n_dim):
         raise ValueError("target dimension does not match the space truncation")
-    us, vs = [], []
-    for item in pairs:
-        z, w = (item.z, item.w) if isinstance(item, LocusPoint) else item
-        us.append(_dense_kernel(space, z))
-        vs.append(_dense_kernel(space, w))
-    m = len(pairs)
-    gram = np.empty((m, m), dtype=complex)
-    rhs = np.empty(m, dtype=complex)
-    t_mat = target.data
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = np.vdot(us[i], us[j]) * np.vdot(vs[j], vs[i])
-        rhs[i] = np.vdot(us[i], t_mat @ vs[i])
+    U, V, t_mat = _dense_kernel(space, z), _dense_kernel(space, w), target.data
+    gram = (U.conj() @ U.T) * (V.conj() @ V.T).T
+    rhs = ((U.conj() @ t_mat) * V).sum(axis=1)
     eigs = np.linalg.eigvalsh(gram)
-    top = float(eigs[-1]) if eigs.size else 0.0
-    deficient = bool(eigs.size and float(eigs[0]) <= 1e-10 * top)
+    deficient = bool(eigs[0] <= 1e-10 * eigs[-1])
     coeff = np.linalg.pinv(gram, rcond=1e-10, hermitian=True) @ rhs
     # materialize the best approximant and subtract; the normal-equations
     # value ||T||^2 - 2 Re<T, X> + ||X||^2 loses half the digits to
     # cancellation when the fit is good, the direct difference does not
-    approx = np.zeros_like(t_mat)
-    for c, u, v in zip(coeff, us, vs):
-        approx += c * np.outer(u, v.conj())
+    approx = (U.T * coeff) @ V.conj()
     rel = float(np.linalg.norm(t_mat - approx) / np.linalg.norm(t_mat))
-    return SpanResidualReport(rel, deficient, "frobenius", m)
+    return SpanResidualReport(rel, deficient, "frobenius", z.size)
 
 
-def _dense_kernel(space: BetaSpace, z: complex) -> np.ndarray:
+def _dense_kernel(space: BetaSpace, z) -> np.ndarray:
     """The kernel k_z = (beta_n conj(z)^n), its powers a running product, so
-    neighbouring entries differ by one rounding at any dim."""
-    z = complex(z)
-    if abs(z) >= 1.0:
+    neighbouring entries differ by one rounding at any dim; for an array of
+    points, one kernel per point along the last axis."""
+    z = np.asarray(z, complex)
+    if (np.hypot(z.real, z.imag) >= 1.0).any():
         raise ValueError("kernels exist only for points inside the open disc")
-    powers = np.full(space.dim + 1, z.conjugate())
-    powers[0] = 1.0
-    return space.betas * np.cumprod(powers)
+    powers = np.empty(z.shape + (space.dim + 1,), complex)
+    powers[...] = z.conj()[..., None]
+    powers[..., 0] = 1.0
+    return space.betas * np.cumprod(powers, axis=-1)
 
 
 # -- converse certificates --------------------------------------------------
@@ -541,10 +523,11 @@ class ConverseCertificate:
 def _boundary_modulus_range(sym: AnalyticSymbol) -> tuple[float, float]:
     """(inf, sup) of |symbol| over the closed disc via boundary sampling,
     with interior zeros detected from the polynomial roots."""
-    vals = [abs(sym(_BOUNDARY_RADIUS * cmath.exp(2j * math.pi * k / _BOUNDARY_POINTS)))
-            for k in range(_BOUNDARY_POINTS)]
-    sup = max(vals)
-    inf = min(vals)
+    zs = np.array([_BOUNDARY_RADIUS * cmath.exp(2j * math.pi * k / _BOUNDARY_POINTS)
+                   for k in range(_BOUNDARY_POINTS)])
+    vals = np.hypot(*_horner(sym, zs.real, zs.imag))
+    sup = float(vals.max())
+    inf = float(vals.min())
     cs = sym.coeffs
     if len(cs) > 1:
         roots = np.roots(np.array(cs[::-1], dtype=complex))

@@ -28,7 +28,7 @@ from .seqspace import (
     ShiftOp,
     WeightOverflowError,
     _jump_rows,
-    p_sum,
+    _p_sums,
 )
 
 __all__ = ["TermTable", "index_array", "pow_or_inf", "power_sums", "shares_an_index"]
@@ -177,18 +177,25 @@ class TermTable:
                          x.domain, x.p_exponent)
 
     def norms(self, rows: np.ndarray) -> np.ndarray:
-        """lp_norm of the vectors of rows, each taken once (p_sum of their
-        moduli, with their targets' exponents)."""
+        """lp_norm of the vectors of rows, each taken once: one `_p_sums`
+        pass per exponent of their targets over their moduli, a row's c-th
+        modulus in row c of its column, 0.0 below its last."""
         norm = self.column("norm")
         todo = rows[np.isnan(norm[rows])]
         if todo.size:
             todo = np.array(list(dict.fromkeys(todo.tolist())), np.int64)
+            size = self.column("size", np.int64)[todo]
             ent = self.entries(todo)
-            mag = np.hypot(self.column("re")[ent], self.column("im")[ent]).tolist()
-            ends = np.cumsum(self.column("size", np.int64)[todo]).tolist()
-            for row, a, b in zip(todo.tolist(), [0] + ends, ends):
-                norm[row] = p_sum(mag[a:b], self.targets[self.cls[row] - 1].p_exponent) \
-                    if self.cls[row] else 0.0
+            col = np.repeat(np.arange(todo.size), size)
+            V = np.zeros((max(1, int(size.max())), todo.size))
+            V[np.arange(ent.size) - (np.cumsum(size) - size)[col], col] = np.hypot(
+                self.column("re")[ent], self.column("im")[ent])
+            # class 0 is row 0's, which is empty: any exponent gives it 0.0
+            ps = np.array([2.0] + [x.p_exponent for x in self.targets])[
+                self.column("cls", np.int64)[todo]]
+            for p in set(ps.tolist()):
+                on = ps == p
+                norm[todo[on]] = _p_sums(V[:, on], p)
         return norm[rows]
 
     def powers(self, p: float) -> np.ndarray:

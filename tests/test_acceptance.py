@@ -184,22 +184,24 @@ def test_11_arc_enrichment_drives_span_residual_below_threshold():
     # The identity-symbol pair has no unimodular products inside the bidisk,
     # so the enrichment protocol runs on the shifted symbol, whose level set
     # crosses the scan grid along an arc.
-    assert unimodular_locus_sample(Z, Z, 16, 1e-3) == []
+    assert len(unimodular_locus_sample(Z, Z, 16, 1e-3)) == 0
 
     shifted = AnalyticSymbol.from_coeffs([1.0, 1.0])
     pts = unimodular_locus_sample(shifted, ONE, 16, 1e-3)
-    assert pts
-    pts = sorted(pts, key=lambda pt: (round(pt.z.real, 12), round(pt.z.imag, 12),
-                                      round(pt.w.real, 12), round(pt.w.imag, 12)))
+    assert len(pts)
+    rows = pts.tolist()
+    order = sorted(range(len(rows)), key=lambda i: (
+        round(rows[i][0].real, 12), round(rows[i][0].imag, 12),
+        round(rows[i][1].real, 12), round(rows[i][1].imag, 12)))
     step = max(1, len(pts) // 64)
-    s64 = pts[::step][:64]
+    s64 = pts[order[::step][:64]]
     s8 = s64[::8]
 
     target = np.zeros((33, 33), dtype=complex)
     target[0, 0] = 1.0
     space = BetaSpace.hardy(32)
-    r8 = span_density_residual(s8, MatOp(target), space).residual
-    r64 = span_density_residual(s64, MatOp(target), space).residual
+    r8 = span_density_residual(s8["z"], s8["w"], MatOp(target), space).residual
+    r64 = span_density_residual(s64["z"], s64["w"], MatOp(target), space).residual
 
     assert r64 < r8
     assert r64 < 0.1

@@ -46,6 +46,9 @@ def one_error_line(err: str) -> str:
 # their residuals moved in the last digits, and the nuclear bound became the
 # conjugation check's rank-two bound.  The same three were re-recorded when
 # each gained log10_residual and log10_bound and hardy-nuclear lost trace_gap.
+# hardy-density was re-recorded when its Gram matrix became two matrix
+# products: the residual moved by one unit in the last place,
+# 0.6988169706288795 -> 0.6988169706288794.
 PINNED = [
     pytest.param([
         "density", "--set", "squares", "--q", "2", "--n-max", "60"],
@@ -101,7 +104,7 @@ PINNED = [
     pytest.param([
         "hardy", "--check", "density", "--phi", "0,2", "--psi", "0,1", "--dim", "8",
         "--samples", "8", "--target", "1,0"],
-        0, "90fdae7b1c4c489e4facff23249ec1d861afc24444d5e652e7725faebbe8fc82",
+        0, "f5ed0bf0ec0b5a905d11bf148884582f9e2670ac55f0a44b0ba3941591dea6e6",
         id="hardy-density"),
     pytest.param([
         "hardy", "--check", "converse", "--phi", "0,0.5", "--psi", "0,1", "--seed", "9"],
@@ -151,6 +154,12 @@ PINNED_CSV = [
         "3000", "--format", "csv"],
         "visit_times.csv", "f56c22d256abc7106572c5dcea05a8e052e8f307873fd4c21d8203732d1d4ea9",
         id="construct-fhc-visit-times"),
+    # recorded while locus points were still one object each
+    pytest.param([
+        "hardy", "--check", "locus", "--phi", "0,2", "--psi", "0,1", "--grid-density", "12",
+        "--format", "csv"],
+        "locus.csv", "0f4ace99ec72bed8da7154c4215eaed89c6ee22bb1c1648d77601208cde0f32e",
+        id="hardy-locus"),
 ]
 
 
@@ -250,6 +259,27 @@ def test_manifest_value_is_checked_even_when_a_flag_overrides_it(tmp_path, capsy
 def test_non_finite_float_flag_is_rejected(tmp_path, capsys):
     assert run(["density", "--q", "nan"], tmp_path) == 1
     assert "--q" in one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv,literal", [
+    (["check", "--condition", "growth", "--weights", "w=ratio:nan|1;mu=constant:2"], "nan|1"),
+    (["check", "--condition", "growth", "--weights", "w=ratio:1|1,-inf;mu=constant:2"],
+     "1|1,-inf"),
+    (["orbit", "--weights", "w=table:0|2,inf:0|1"], "inf:0"),
+    (["hardy", "--check", "eigen", "--phi", "nan,1"], "'nan'"),
+    (["hardy", "--check", "eigen", "--z", "0.5:inf"], "0.5:inf"),
+    (["hardy", "--check", "nuclear", "--phi", "0,1", "--psi", "0,1", "--lam", "nan"], "'nan'"),
+    (["hardy", "--check", "eigen", "--dim", "3", "--beta", "table:BETAS"], "'nan'"),
+], ids=["ratio-num", "ratio-den", "table-value", "symbol", "point", "lam", "beta-table"])
+def test_non_finite_literals_are_refused(tmp_path, capsys, argv, literal):
+    # these passed as nan or inf: a report with a nan bound, an inf margin
+    # read as satisfied, or LAPACK's "SVD did not converge"
+    betas = tmp_path / "betas.txt"
+    betas.write_text("1\nnan\n1\n1\n")
+    argv = [f"table:{betas}" if a == "table:BETAS" else a for a in argv]
+    assert run(argv, tmp_path / "out") == 1
+    err = one_error_line(capsys.readouterr().err)
+    assert literal in err and "finite" in err
 
 
 # -- runtime failures and exit codes -----------------------------------------

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from hyperlab import hardy
+from hyperlab import cli, hardy
 from hyperlab.hardy import (
     AnalyticSymbol,
     BetaSpace,
     CertificateKind,
-    LocusPoint,
     adjoint_kernel_eigencheck,
     conjugation_eigencheck,
     converse_certificate,
@@ -266,39 +265,43 @@ def test_eigencheck_residuals_decay_geometrically():
 
 def test_locus_arc_through_disc():
     pts = unimodular_locus_sample(Z_PLUS_1, ONE, 16, 1e-3)
-    assert pts
-    for p in pts:
-        assert abs(p.z) < 1.0 and abs(p.w) < 1.0
-        assert abs(abs(p.z + 1.0) - 1.0) < 2e-3
+    assert len(pts)
+    assert (np.abs(pts["z"]) < 1.0).all() and (np.abs(pts["w"]) < 1.0).all()
+    assert (np.abs(np.abs(pts["z"] + 1.0) - 1.0) < 2e-3).all()
 
 
 def test_locus_empty_for_small_product():
     phi = AnalyticSymbol.from_coeffs([0.3])
-    assert unimodular_locus_sample(phi, phi, 8, 1e-3) == []
+    assert len(unimodular_locus_sample(phi, phi, 8, 1e-3)) == 0
 
 
 def test_locus_half_radius_circle():
     pts = unimodular_locus_sample(AnalyticSymbol.from_coeffs([0.0, 2.0]), ONE,
                                   8, 1e-3)
-    assert pts
-    assert all(abs(abs(p.z) - 0.5) < 1e-3 for p in pts)
+    assert len(pts)
+    assert (np.abs(np.abs(pts["z"]) - 0.5) < 1e-3).all()
 
 
 def test_locus_empty_for_coordinate_pair():
     # |z w| < 1 strictly inside the bidisc, so no crossing can exist
-    assert unimodular_locus_sample(Z, Z, 8, 1e-3) == []
-    assert unimodular_locus_sample(Z, Z, 16, 1e-3) == []
+    assert len(unimodular_locus_sample(Z, Z, 8, 1e-3)) == 0
+    assert len(unimodular_locus_sample(Z, Z, 16, 1e-3)) == 0
 
 
 def test_locus_respects_exclusion_list():
     sym = AnalyticSymbol.from_coeffs([0.0, 2.0])
     pts = unimodular_locus_sample(sym, ONE, 8, 1e-3)
-    banned = pts[0].eigenvalue(sym, ONE)
+    banned = eigenvalues(pts[:1], sym, ONE)[0]
     kept = unimodular_locus_sample(sym, ONE, 8, 1e-3,
                                    exclude=(banned,), exclude_radius=1e-6)
     assert len(kept) < len(pts)
-    for p in kept:
-        assert abs(p.eigenvalue(sym, ONE) - banned) > 1e-6
+    assert all(abs(ev - banned) > 1e-6 for ev in eigenvalues(kept, sym, ONE))
+
+
+def eigenvalues(pts, phi, psi) -> list:
+    """conj(phi(z)) psi(w) of each locus point, in CPython's complex steps."""
+    return [complex(phi(z)).conjugate() * complex(psi(w))
+            for z, w in zip(pts["z"].tolist(), pts["w"].tolist())]
 
 
 def test_locus_rejects_sparse_grid():
@@ -308,7 +311,8 @@ def test_locus_rejects_sparse_grid():
 
 def scalar_locus_sample(phi, psi, grid_density, tol, exclude=(), exclude_radius=1e-6):
     """The scalar loop unimodular_locus_sample ran before it became array
-    passes: the oracle its bytes are held to."""
+    passes: the oracle its bytes are held to, one (z, w, modulus) row per
+    point."""
     if grid_density < 8:
         raise ValueError("grid density must be >= 8")
     g = int(grid_density)
@@ -331,7 +335,7 @@ def scalar_locus_sample(phi, psi, grid_density, tol, exclude=(), exclude_radius=
                 if abs(vals[idx]) < tol:
                     zz = radii[idx] * direction
                     if not excluded(zz, w):
-                        out.append(LocusPoint(zz, w, vals[idx] + 1.0))
+                        out.append((zz, w, vals[idx] + 1.0))
                     continue
                 if idx == 0:
                     continue
@@ -350,7 +354,7 @@ def scalar_locus_sample(phi, psi, grid_density, tol, exclude=(), exclude_radius=
                             lo, flo = mid, fm
                     zz = 0.5 * (lo + hi) * direction
                     if abs(zz) < 1.0 and not excluded(zz, w):
-                        out.append(LocusPoint(zz, w, abs(phi(zz)) * bw))
+                        out.append((zz, w, abs(phi(zz)) * bw))
     return out
 
 
@@ -391,11 +395,23 @@ def test_locus_matches_the_scalar_loop(case, monkeypatch):
     phi, psi = AnalyticSymbol.from_coeffs(phi_c), AnalyticSymbol.from_coeffs(psi_c)
     got = unimodular_locus_sample(phi, psi, grid, tol, exclude, radius)
     want = scalar_locus_sample(phi, psi, grid, tol, exclude, radius)
-    assert first_difference(got, want) is None
+    assert got.dtype.names == ("z", "w", "modulus")
+    assert first_difference(got.tolist(), want) is None
+    # the density check's sample order is the one `sorted` gives the rows
+    assert cli._spread_samples(got, max(1, len(got))).tolist() == sorted_order(want)
+
+
+def sorted_order(rows: list) -> list:
+    """Row indices in the order of the rounded (z.re, z.im, w.re, w.im)
+    key, Python's round and a stable sort: the density check's order."""
+    def key(i):
+        z, w, _ = rows[i]
+        return round(z.real, 12), round(z.imag, 12), round(w.real, 12), round(w.imag, 12)
+    return sorted(range(len(rows)), key=key)
 
 
 def first_difference(got: list, want: list):
-    """None when both point lists print alike (repr tells -0.0 from 0.0 and
+    """None when both row lists print alike (repr tells -0.0 from 0.0 and
     prints every float to the last bit); otherwise the first difference, kept
     short, since a diff of the two whole reprs takes pytest minutes."""
     for i, (a, b) in enumerate(zip(map(repr, got), map(repr, want))):
@@ -424,21 +440,102 @@ def test_locus_refuses_a_symbol_that_overflows_on_the_grid():
 
 # -- span density -----------------------------------------------------------
 
+def loop_span_residual(z, w, target: MatOp, space: BetaSpace) -> tuple:
+    """(residual, rank_deficient) as span_density_residual took them before
+    its kernels became matrices, one np.vdot per Gram entry: the oracle."""
+    us = [hardy._dense_kernel(space, complex(a)) for a in z]
+    vs = [hardy._dense_kernel(space, complex(b)) for b in w]
+    m, t_mat = len(us), target.data
+    gram = np.empty((m, m), dtype=complex)
+    rhs = np.empty(m, dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            gram[i, j] = np.vdot(us[i], us[j]) * np.vdot(vs[j], vs[i])
+        rhs[i] = np.vdot(us[i], t_mat @ vs[i])
+    eigs = np.linalg.eigvalsh(gram)
+    coeff = np.linalg.pinv(gram, rcond=1e-10, hermitian=True) @ rhs
+    approx = np.zeros_like(t_mat)
+    for c, u, v in zip(coeff, us, vs):
+        approx += c * np.outer(u, v.conj())
+    return (float(np.linalg.norm(t_mat - approx) / np.linalg.norm(t_mat)),
+            bool(eigs[0] <= 1e-10 * eigs[-1]))
+
+
+def unit_target(dim: int, i: int = 0, j: int = 0) -> MatOp:
+    out = np.zeros((dim + 1, dim + 1), dtype=complex)
+    out[i, j] = 1.0
+    return MatOp(out)
+
+
+def enrichment_samples(pts, count: int = 64):
+    """The density check's spread of `count` locus points, by the sorted
+    order, and every eighth of them."""
+    order = sorted_order(pts.tolist())
+    s64 = pts[order[::max(1, len(pts) // count)][:count]]
+    return s64, s64[::8]
+
+
+def span_cases() -> list:
+    """(z, w, target, space) of every span test and acceptance case, the
+    pinned density report's and the benchmark's, and seeded random ones."""
+    z, w = 0.3 + 0.1j, -0.2 + 0.4j
+    sp16 = BetaSpace.hardy(16)
+    own = np.outer(hardy._dense_kernel(sp16, z), hardy._dense_kernel(sp16, w).conj())
+    cases = [([z], [w], MatOp(own), sp16), ([0.5], [0.5], unit_target(16), sp16)]
+    s64, s8 = enrichment_samples(unimodular_locus_sample(Z_PLUS_1, ONE, 16, 1e-3))
+    cases += [(s["z"], s["w"], unit_target(32), BetaSpace.hardy(32)) for s in (s64, s8)]
+    two_z = AnalyticSymbol.from_coeffs([0.0, 2.0])
+    pts = unimodular_locus_sample(two_z, Z, 16, 1e-3)
+    for dim, count, (i, j) in ((8, 8, (1, 0)), (32, 64, (0, 0))):
+        s = pts[cli._spread_samples(pts, count)]
+        cases.append((s["z"], s["w"], unit_target(dim, i, j), BetaSpace.hardy(dim)))
+    rng = np.random.default_rng(4242)
+    for m, dim in ((3, 6), (12, 10), (40, 24)):
+        pz, pw = (rng.uniform(0.0, 0.9, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+                  for _ in range(2))
+        t = rng.standard_normal((dim + 1, dim + 1)) + 1j * rng.standard_normal((dim + 1,) * 2)
+        cases.append((pz, pw, MatOp(t), BetaSpace.inv_linear(dim)))
+    return cases
+
+
+@pytest.mark.parametrize("case", span_cases(), ids=lambda c: f"m{len(c[0])}")
+def test_span_residual_matches_the_vdot_loop(case):
+    z, w, target, space = case
+    rep = span_density_residual(z, w, target, space)
+    want, deficient = loop_span_residual(z, w, target, space)
+    assert rep.rank_deficient == deficient
+    assert rep.sample_count == len(z)
+    # a Gram with eigenvalues at the 1e-10 cutoff amplifies the last bits of
+    # its sums: summed in einsum's or pairwise order, the loop's own residual
+    # moves by 1e-10 to 5e-10 on the 64-point enrichment case
+    rtol = 1e-8 if deficient else 1e-12
+    # an exact fit leaves only rounding, which no order of the sums fixes
+    assert abs(rep.residual - want) <= rtol * max(want, 1e-3)
+
+
+def test_kernel_rows_are_the_one_point_kernels():
+    space = BetaSpace.inv_linear(40)
+    rng = np.random.default_rng(17)
+    z = rng.uniform(-0.7, 0.7, 30) + 1j * rng.uniform(-0.7, 0.7, 30)
+    z[:3] = [complex(0.6, -0.0), 0.0, -0.5j]
+    rows = hardy._dense_kernel(space, z)
+    for a, row in zip(z.tolist(), rows):
+        assert hardy._dense_kernel(space, a).tobytes() == row.tobytes()
+
+
 def test_span_residual_of_own_kernel_tensor():
     sp = BetaSpace.hardy(16)
     z, w = 0.3 + 0.1j, -0.2 + 0.4j
     u = hardy._dense_kernel(sp, z)
     v = hardy._dense_kernel(sp, w)
-    rep = span_density_residual([(z, w)], MatOp(np.outer(u, v.conj())), sp)
+    rep = span_density_residual([z], [w], MatOp(np.outer(u, v.conj())), sp)
     assert rep.residual < 1e-10
     assert rep.metric == "frobenius"
 
 
 def test_span_residual_single_sample_partial_fit():
     sp = BetaSpace.hardy(16)
-    e00 = np.zeros((17, 17), dtype=complex)
-    e00[0, 0] = 1.0
-    rep = span_density_residual([(0.5, 0.5)], MatOp(e00), sp)
+    rep = span_density_residual([0.5], [0.5], unit_target(16), sp)
     # one kernel direction leaves most of the rank-one target unexplained;
     # the projection formula gives the residual in closed form
     n = np.arange(17)
@@ -451,16 +548,9 @@ def test_span_residual_single_sample_partial_fit():
 
 def test_span_enrichment_decreases_residual():
     sp = BetaSpace.hardy(32)
-    pts = unimodular_locus_sample(Z_PLUS_1, ONE, 16, 1e-3)
-    pts = sorted(pts, key=lambda p: (round(p.z.real, 12), round(p.z.imag, 12),
-                                     round(p.w.real, 12), round(p.w.imag, 12)))
-    step = max(1, len(pts) // 64)
-    s64 = pts[::step][:64]
-    s8 = s64[::8]
-    e00 = np.zeros((33, 33), dtype=complex)
-    e00[0, 0] = 1.0
-    r8 = span_density_residual(s8, MatOp(e00), sp)
-    r64 = span_density_residual(s64, MatOp(e00), sp)
+    s64, s8 = enrichment_samples(unimodular_locus_sample(Z_PLUS_1, ONE, 16, 1e-3))
+    r8 = span_density_residual(s8["z"], s8["w"], unit_target(32), sp)
+    r64 = span_density_residual(s64["z"], s64["w"], unit_target(32), sp)
     assert r64.residual < r8.residual
     assert r8.residual == pytest.approx(0.030129, abs=0.006)
     assert r64.residual == pytest.approx(0.000572, abs=0.0003)
@@ -470,9 +560,13 @@ def test_span_requires_samples_and_matching_dim():
     sp = BetaSpace.hardy(8)
     tgt = MatOp(np.eye(9, dtype=complex))
     with pytest.raises(ValueError):
-        span_density_residual([], tgt, sp)
+        span_density_residual([], [], tgt, sp)
     with pytest.raises(ValueError):
-        span_density_residual([(0.1, 0.1)], MatOp(np.eye(4, dtype=complex)), sp)
+        span_density_residual([0.1], [0.1, 0.2], tgt, sp)
+    with pytest.raises(ValueError):
+        span_density_residual([0.1], [0.1], MatOp(np.eye(4, dtype=complex)), sp)
+    with pytest.raises(ValueError):
+        span_density_residual([0.1], [1.0], tgt, sp)
 
 
 # -- converse certificates --------------------------------------------------
@@ -507,6 +601,24 @@ def test_certificate_uses_supplied_sup_bounds():
     cert = converse_certificate(phi, psi)
     assert not cert.sup_estimated
     assert cert.kind is CertificateKind.NOT_HYPERCYCLIC_CONTRACTION
+
+
+def test_boundary_scan_equals_the_scalar_moduli():
+    # the certificate's boundary moduli, one Horner pass, against
+    # abs(sym(z)) point by point; (inf, sup) against the list's min and max
+    zs = [hardy._BOUNDARY_RADIUS * cmath.exp(2j * math.pi * k / hardy._BOUNDARY_POINTS)
+          for k in range(hardy._BOUNDARY_POINTS)]
+    zr, zi = np.array([z.real for z in zs]), np.array([z.imag for z in zs])
+    rng = random.Random(720)
+    for _ in range(40):
+        sym = AnalyticSymbol.from_coeffs([complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+                                          for _ in range(rng.randint(1, 6))])
+        want = [abs(sym(z)) for z in zs]
+        got = np.hypot(*hardy._horner(sym, zr, zi)).tolist()
+        assert list(map(repr, got)) == list(map(repr, want))
+        inf, sup = hardy._boundary_modulus_range(sym)
+        assert repr(sup) == repr(max(want))
+        assert inf == 0.0 or repr(inf) == repr(min(want))
 
 
 # -- nuclear analogue -------------------------------------------------------

@@ -203,3 +203,28 @@ assert hyperlab.cli.main(argv) == 0
 assert "mpmath" not in sys.modules, "an eigencheck loaded mpmath"
 """
     subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True, timeout=60)
+
+
+def test_the_tracer_counts_every_locus_point(tmp_path):
+    # deskbench/tracer.py reads hardy.unimodular_locus_sample.points as
+    # len() of the scan's result; a result whose len() is not the point
+    # count, or a wrapper that changes the report, shows here
+    code = f"""
+import json, sys
+from pathlib import Path
+sys.path[:0] = ["src", "deskbench"]
+import hyperlab.cli
+from tracer import Tracer
+argv = ["hardy", "--check", "locus", "--phi", "0,2", "--psi", "0,1", "--grid-density", "8"]
+out = Path({str(tmp_path)!r})
+assert hyperlab.cli.main(argv + ["--out", str(out / "plain")]) == 0
+tracer = Tracer()
+tracer.install()
+assert hyperlab.cli.main(argv + ["--out", str(out / "traced")]) == 0
+plain, traced = ((out / d / "hardy_report.json").read_bytes() for d in ("plain", "traced"))
+assert traced == plain, "tracing changed the report"
+count = json.loads(plain)["results"]["count"]
+points = tracer.metrics()["hardy.unimodular_locus_sample.points"]
+assert count > 0 and points == count, (points, count)
+"""
+    subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True, timeout=60)
