@@ -46,7 +46,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .checkers import (CheckGrid, check_bilateral_growth_decay,
@@ -286,23 +285,22 @@ def build_shift(kind: str, w: WeightSeq) -> ShiftOp:
 
 # -- manifests and reports --------------------------------------------------
 
-class _ManifestLoader(yaml.SafeLoader):
-    """SafeLoader without YAML 1.1's base-60 numbers: `2:30` and `-4:4`
-    reach the range and complex grammars as strings, not as 150 and -244."""
-
-
-# YAML 1.1 writes no int or float with a colon but in base 60
-_ManifestLoader.yaml_implicit_resolvers = {
-    first: [(tag, re.compile("(?!.*:)" + rx.pattern, rx.flags)
-             if tag.endswith((":int", ":float")) else rx) for tag, rx in resolvers]
-    for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
-}
-
-
 def load_config(path: str) -> tuple[dict, str]:
+    import yaml     # imported here: only a run with --config reads YAML
+
+    class ManifestLoader(yaml.SafeLoader):
+        """SafeLoader without YAML 1.1's base-60 numbers: `2:30` and `-4:4`
+        reach the range and complex grammars as strings, not as 150 and -244."""
+
+    # YAML 1.1 writes no int or float with a colon but in base 60
+    ManifestLoader.yaml_implicit_resolvers = {
+        first: [(tag, re.compile("(?!.*:)" + rx.pattern, rx.flags)
+                 if tag.endswith((":int", ":float")) else rx) for tag, rx in resolvers]
+        for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+    }
     text = _read_file(path, str)
     try:
-        data = yaml.load(text, Loader=_ManifestLoader)
+        data = yaml.load(text, Loader=ManifestLoader)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         if mark is not None:

@@ -1,21 +1,20 @@
-"""Closed form of the products of a rational weight rule.
+"""Closed form of the products of a rational weight rule past its table.
 
-`seqspace.WeightPrefix` tabulates a rational rule's prefix near the origin
-and asks `GammaRatio` for every product or prefix that reaches past the
-table.  Products work in mpmath, inside a local `mpmath.workdps`; prefixes
-of rules whose roots lie well inside the table come from Stirling's series
-in numpy.
+`seqspace.WeightPrefix` tabulates a rational rule's prefix up to the edge
+that `GammaRatio` works out from the roots of P and Q, and takes every sum of
+log-weights past that edge from `GammaRatio.sums`: Stirling's series in
+numpy, or mpmath's log-gamma for a rule whose roots lie too far out for the
+series at the largest edge.  mpmath serves only such a rule and the roots of
+factors of degree 2 or more, and is imported only when one of them is met.
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
-from mpmath.libmp import NoConvergence
 
-from .seqspace import Domain, WeightSeq
+from .seqspace import _EDGE_MAX, _EDGE_MIN
 
 _ROOT_DPS = 50     # digits of the roots of a rational rule's P and Q
 _STIRLING_GAP = 64  # Stirling's series serves |x| >= 64 * max |root|
@@ -92,167 +91,164 @@ def _squarefree(p: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
+def _ratio(a: int, b: int) -> float:
+    """a / b rounded to a double, +-inf past float range."""
+    try:
+        return a / b
+    except OverflowError:
+        return math.inf if (a < 0) == (b < 0) else -math.inf
+
+
+def _polyroots(factor: list[int]) -> list:
+    """The roots of a square-free integer polynomial, each as (its complex
+    value, the root itself): for degree 1 the exact root as a (numerator,
+    denominator) pair, otherwise `_ROOT_DPS` digits from mpmath."""
+    if len(factor) == 2:
+        return [(complex(_ratio(-factor[0], factor[1])), (-factor[0], factor[1]))]
+    import mpmath
+    from mpmath.libmp import NoConvergence
+    try:
+        with mpmath.workdps(_ROOT_DPS):
+            return [(complex(r), r)
+                    for r in mpmath.polyroots(factor[::-1], maxsteps=200, extraprec=200)]
+    except NoConvergence:
+        raise ValueError("the roots of a rational weight rule did not "
+                         "converge") from None
+
+
+def _log1p_tail(u: np.ndarray) -> np.ndarray:
+    """log(1 + u) - u, to double precision for |u| <= 1 / _STIRLING_GAP."""
+    h = np.full_like(u, _LOG1P_TAIL[-1])
+    for c in _LOG1P_TAIL[-2::-1]:
+        h = h * u + c
+    return h * u * u
+
+
 class GammaRatio:
-    """Closed form of a rational rule's products, for any index range.
+    """Sums of a rational rule's log-weights past the edge of its table.
 
     With P(t) = c_P prod_a (t - a) and Q(t) = c_Q prod_b (t - b), roots
-    repeated by multiplicity, the log of w_s ... w_e is T(e) - T(s - 1), where
-    T(m) = m log(c_P / c_Q) + sum_a G_a(m) - sum_b G_b(m) and G_r(m) is a
-    prefix of log(t - r) over t <= m, anchored at k = floor(Re r):
-
-        G_r(m) = logGamma(m + 1 - r) - logGamma(k + 1 - r)             m >= k
-        G_r(m) = logGamma(r - k) - logGamma(r - m) - i pi (k - m)      m < k
-
-    Every logGamma argument has a positive real part, so no pole is met,
-    except the constant logGamma(r - k) at a real integer root r = k; it is
-    taken as 0 there, since only a range across k reads it, and such a range
-    holds the zero at k and raises.  Only Re T and Im T modulo 2 pi are used,
-    so the branch of logGamma does not matter.
-
-    The roots are found once, to `_ROOT_DPS` digits, from the square-free
+    repeated by multiplicity, log|w_t| = log|c_P / c_Q| + sum_a log|t - a|
+    - sum_b log|t - b|.  The roots are found once, from the square-free
     factors of the exact binary coefficients (Durand-Kerner converges only
-    slowly, if at all, at a repeated root); each product works in a local
-    `mpmath.workdps` with 20 digits beyond those of its largest logGamma, so
-    the difference T(e) - T(s - 1) cancels without loss.  The global mpmath
-    precision is never changed.  Prefix differences L(m) - L(a) past the
-    table take Stirling's series in numpy (`_stirling`) instead, at a
-    fraction of a microsecond per index, when every root lies within
-    |a| / 64 of 0.
+    slowly, if at all, at a repeated root).  With reach the largest
+    |Re r| + |Im r|, `edge` is the least power of two at least
+    max(`_EDGE_MIN`, 64 reach), capped at `_EDGE_MAX`.
+
+    `sums(x, x0, side)` reads, for each row, the sum of log|w_{side t}| over
+    x0 <= t < x with x0 >= edge, and the count of negative weights among
+    them, from the integers below each root's real part (a complex pair adds
+    an even count).  Where the edge is at least 64 reach, the sum is
+    Stirling's series (`_stirling`), whose truncation is below 1e-17 and
+    whose rounding is a few units of the sum itself.  Otherwise it is
+    mpmath's log-gamma, one row at a time (`_mp_sums`), in a local
+    `mpmath.workdps`; the global mpmath precision is never changed.
     """
 
-    def __init__(self, w: WeightSeq):
-        self.w = w
-        num, den = w.rational
-        self._roots = []    # (root, floor of its real part, multiplicity, +-1 for P or Q)
-        self._lead = []     # leading coefficients of P and Q
+    def __init__(self, rational: tuple):
+        self._roots = []    # (value, root, multiplicity, +-1 for P or Q)
         self._sum = 0.0     # sum of the roots of P minus those of Q
-        for coeffs, sign in ((num, 1), (den, -1)):
-            coeffs = _trim(list(coeffs))
-            if not coeffs:
-                self._roots = None   # P or Q vanishes: `_check` always raises
-                return
-            self._lead.append(coeffs[-1])
-            if len(coeffs) > 1:
-                p = _int_poly(coeffs)
-                self._sum -= sign * p[-2] / p[-1]
-                for factor, mult in _squarefree(p):
-                    self._roots += [(r, int(mpmath.floor(mpmath.re(r))), mult, sign)
-                                    for r in self._polyroots(factor)]
-        self._degree = sum(mult * sign for _, _, mult, sign in self._roots)  # deg P - deg Q
-        self._reach = max((abs(float(mpmath.re(r))) + abs(float(mpmath.im(r)))
-                           for r, *_ in self._roots), default=0.0)
-        # the integers next to each real part: a zero of P or Q at an
-        # integer index sits at one of them
-        self._suspects = sorted({k + d for _, k, _, _ in self._roots for d in (0, 1)})
-        self._consts = {}   # working dps -> `_setup` constants
-        self._np_roots = np.array([complex(r) for r, *_ in self._roots], dtype=complex)
-        self._np_weight = np.array([mult * sign for _, _, mult, sign in self._roots], dtype=float)
+        self._lead = [_trim(list(c))[-1] for c in rational]
+        for coeffs, sign in zip(rational, (1, -1)):
+            p = _int_poly(coeffs)
+            if len(p) > 1:
+                self._sum -= sign * _ratio(p[-2], p[-1])
+                self._roots += [(z, r, mult, sign) for factor, mult in _squarefree(p)
+                                for z, r in _polyroots(factor)]
+        z = np.array([z for z, *_ in self._roots], complex)
+        self._np_roots = z
+        self._weight = np.array([mult * sign for *_, mult, sign in self._roots], float)
+        self._mult = np.array([mult for *_, mult, _ in self._roots], np.int64)
+        # floor(Re r), held within 2^61 of 0, past every index a product reads
+        self.floors = np.floor(np.clip(z.real, -2.0 ** 61, 2.0 ** 61)).astype(np.int64)
+        self._degree = int(self._weight.sum())    # deg P - deg Q
         self._lead_log = math.log(abs(self._lead[0] / self._lead[1]))
+        self._scale = abs(self._lead[0] / self._lead[1]) ** (1.0 / (self._degree or 1))
+        self._reach = float(np.max(np.abs(z.real) + np.abs(z.imag), initial=0.0))
+        need = min(max(_EDGE_MIN, _STIRLING_GAP * self._reach), _EDGE_MAX)
+        self.edge = 1 << (math.ceil(need) - 1).bit_length()
+        self._series = _STIRLING_GAP * self._reach <= self.edge
 
-    @staticmethod
-    def _polyroots(factor: list[int]) -> list:
-        try:
-            with mpmath.workdps(_ROOT_DPS):
-                return mpmath.polyroots(factor[::-1], maxsteps=200, extraprec=200)
-        except NoConvergence:
-            raise ValueError("the roots of a rational weight rule did not "
-                             "converge") from None
+    def sums(self, x: np.ndarray, x0: np.ndarray, side: int) -> tuple:
+        """(sum of log|w_{side t}| over x0 <= t < x, count of the negative
+        weights among them) over int64 arrays with edge <= x0 <= x <= 2^53 + 1
+        whose ranges hold no zero of P or Q."""
+        n = x - x0
+        ks = self.floors[:, None]
+        below = np.clip(ks + 1 - x0, 0, n) if side > 0 else np.clip(x + ks, 0, n)
+        count = n * (self._lead[0] * self._lead[1] < 0) + self._mult @ below
+        logs = self._stirling(x, x0, side) if self._series else self._mp_sums(x, x0, side)
+        return logs, count
 
-    def _check(self, lo: int, hi: int) -> None:
-        """Read the weight at every index of [lo, hi] where it may be zero or
-        undefined, raising the rule's own error there."""
-        if lo > hi:
-            return
-        if self._roots is None or self.w.domain is Domain.NATURALS and lo < 0:
-            self.w.weight(lo)
-        for n in self._suspects:
-            if lo <= n <= hi:
-                self.w.weight(n)
-
-    def _workdps(self, top: int):
-        a = top + self._reach + 3.0
-        return mpmath.workdps(20 + len(str(int(a * math.log(a)))))
-
-    def _setup(self):
-        """(per-root constants, log|c_P / c_Q|) at the current working
-        precision, computed once per precision."""
-        dps = mpmath.mp.dps
-        if dps not in self._consts:
-            self._consts[dps] = (
-                [(mpmath.loggamma(k + 1 - r), 0 if r == k else mpmath.loggamma(r - k))
-                 for r, k, _, _ in self._roots],
-                mpmath.log(abs(mpmath.mpf(self._lead[0]) / self._lead[1])))
-        return self._consts[dps]
-
-    def _t(self, m: int, consts):
-        """(Re T(m), Im T(m) without its pi multiples, the count of those)."""
-        roots, lead_log = consts
-        re, im, turns = m * lead_log, 0.0, m * (self._lead[0] * self._lead[1] < 0)
-        for (r, k, mult, sign), (c1, c2) in zip(self._roots, roots):
-            if m >= k:
-                g = mpmath.loggamma(m + 1 - r) - c1
-            else:
-                g = c2 - mpmath.loggamma(r - m)
-                turns += mult * (k - m)
-            re += mult * sign * mpmath.re(g)
-            im += mult * sign * float(mpmath.im(g))
-        return re, im, turns
-
-    def log_sum(self, s: int, e: int) -> tuple[float, float]:
-        """(log|w_s ... w_e|, its phase, exactly 0.0 or pi), e >= s - 1."""
-        self._check(s, e)
-        with self._workdps(max(abs(s), abs(e))):
-            consts = self._setup()
-            (r1, i1, n1), (r0, i0, n0) = self._t(e, consts), self._t(s - 1, consts)
-            odd = (n1 - n0 + round((i1 - i0) / math.pi)) % 2
-            return float(r1 - r0), math.pi if odd else 0.0
-
-    def log_prefix(self, m: np.ndarray, a: int) -> np.ndarray:
-        """L(m) - L(a) = Re T(m) - Re T(a) over a nonempty integer array
-        whose entries lie past a, on its side of 0, evaluated once per
-        distinct entry."""
-        lo, hi = int(m.min()), int(m.max())
-        if a >= 0:
-            self._check(a + 1, hi)
-        else:
-            self._check(lo + 1, a)
-        u, inv = np.unique(m, return_inverse=True)
-        if _STIRLING_GAP * self._reach <= abs(a) - 1:
-            # sums of log|w_t| over a < t <= m, or of log|w_-t| over -a <= t < -m
-            side, shift = (1, 1) if a >= 0 else (-1, 0)
-            return side * self._stirling(side * u + shift, side * a + shift, side)[inv]
-        with self._workdps(max(-lo, hi)):
-            consts = self._setup()
-            t0 = self._t(a, consts)[0]
-            vals = np.array([float(self._t(int(x), consts)[0] - t0) for x in u])
-        return vals[inv]
-
-    def _stirling(self, x: np.ndarray, x0: int, side: int) -> np.ndarray:
-        """F(x) - F(x0), the sum of log|w_t| over x0 <= t < x (side 1), or of
-        log|w_-t| (side -1), for integers x, x0 >= 64 times the largest |root|.
-        Stirling's series for Re logGamma(x - r), with log(x - r) = log x +
-        log(1 + u) and u = -r / x, gives F(x) up to a constant as
+    def _stirling(self, x: np.ndarray, x0: np.ndarray, side: int) -> np.ndarray:
+        """F(x) - F(x0) per row, the sum of log|w_{side t}| over x0 <= t < x,
+        for x0 >= 64 times the largest |root|.  Stirling's series for
+        Re logGamma(x - r), with log(x - r) = log x + log(1 + u) and
+        u = -r / x, gives F(x) up to a constant as
 
             (deg (x - 1/2) - R) log x - deg x + x log|c_P / c_Q|
-                + sum_r Re((r + 1/2) r / x + (x - r - 1/2) h(u) + 1 / (12 (x - r)))
+                + sum_r Re((r + 1/2) r / x + (x - r - 1/2) h(u)
+                           + 1 / (12 (x - r)) - 1 / (360 (x - r)^3))
 
-        with deg = deg P - deg Q, R the roots of P minus those of Q, and
-        h(u) = log(1 + u) - u.  The differences of the first line are taken
-        through log(x / x0) = log1p((x - x0) / x0), and every term of the sum
-        is small, so F(x) - F(x0) rounds to a few units of itself; the next
-        term of the series, 1 / (360 |x - r|^3), is below 1e-18 past the table.
+        with deg = deg P - deg Q, R the roots of P minus those of Q (mirrored
+        on side -1), and h(u) = log(1 + u) - u.  With d = x - x0 and
+        v = d / x0, the first line's difference is
+
+            deg (x0 h(v) + (d - 1/2) log1p(v)) + d L0 - R log1p(v),
+
+        where L0 = deg log x0 + log|c_P / c_Q|, the log-weight that the
+        leading terms give at x0, is taken as deg log(x0 |c_P / c_Q|^(1/deg))
+        in one logarithm: the d factors of a product inside float range have
+        log-weights near 0, where the two parts of L0 cancel.  Every other
+        term is small, so F(x) - F(x0) rounds to a few units of itself plus
+        about d eps; the next term of the series, 1 / (1260 |x - r|^5), is
+        below 1e-18 past the least edge.
         """
         roots = side * self._np_roots[:, None]
-        y = np.append(x, x0).astype(float)
-        u = -roots / y
-        h = np.full_like(u, _LOG1P_TAIL[-1])
-        for c in _LOG1P_TAIL[-2::-1]:
-            h = h * u + c
-        h *= u * u
-        terms = self._np_weight @ ((roots + 0.5) * roots / y + (y - roots - 0.5) * h
-                                   + 1.0 / (12.0 * (y - roots))).real
-        d = y[:-1] - x0
-        log_ratio = np.log1p(d / x0)
-        return (self._degree * ((y[:-1] - 0.5) * log_ratio + d * (math.log(x0) - 1.0))
-                - side * self._sum * log_ratio + d * self._lead_log
-                + terms[:-1] - terms[-1])
+        y = np.concatenate((x, x0)).astype(float)
+        z = y - roots
+        terms = self._weight @ ((roots + 0.5) * roots / y + (z - 0.5) * _log1p_tail(-roots / y)
+                                + (1.0 / 12.0 - 1.0 / (360.0 * z * z)) / z).real
+        x, x0 = y[:len(x)], y[len(x):]
+        d = x - x0
+        v = d / x0
+        log_ratio = np.log1p(v)
+        tail = np.where(v <= 1 / _STIRLING_GAP,
+                        _log1p_tail(np.minimum(v, 1 / _STIRLING_GAP)), log_ratio - v)
+        lead = self._degree * np.log(x0 * self._scale) if self._degree else self._lead_log
+        return (self._degree * (x0 * tail + (d - 0.5) * log_ratio) + d * lead
+                - side * self._sum * log_ratio + terms[:len(x)] - terms[len(x):])
+
+    def _mp_sums(self, x: np.ndarray, x0: np.ndarray, side: int) -> np.ndarray:
+        """The sums of `sums` from mpmath's log-gamma, one row at a time, in a
+        local `mpmath.workdps` with 20 digits beyond those of its largest
+        log-gamma, so that each difference cancels without loss.  With
+        rho = side * r and c the least t > Re rho (held inside [a, b]), the
+        sum of log|t - rho| over a <= t < b is
+
+            Re logGamma(rho - a + 1) - Re logGamma(rho - c + 1)
+                + Re logGamma(b - rho) - Re logGamma(c - rho),
+
+        each pair taken only where its part of the range is not empty: every
+        argument then has a positive real part."""
+        import mpmath
+
+        def exact(r):
+            return mpmath.mpf(r[0]) / r[1] if isinstance(r, tuple) else r
+
+        # digits of the largest log-gamma, from roots that may lie past floats
+        top = int(x.max()) + 3 + max((abs(mpmath.re(exact(r))) + abs(mpmath.im(exact(r)))
+                                      for _, r, _, _ in self._roots), default=0)
+        with mpmath.workdps(21 + int(mpmath.log10(top * mpmath.log(top)))):
+            lead = mpmath.log(abs(mpmath.mpf(self._lead[0]) / self._lead[1]))
+            roots = [(side * exact(r), mult * sign) for _, r, mult, sign in self._roots]
+
+            def run(rho, a: int, b: int):    # sum of log|t - rho| over a <= t < b
+                c = min(max(int(mpmath.floor(mpmath.re(rho))) + 1, a), b)
+                total = mpmath.loggamma(b - rho) - mpmath.loggamma(c - rho) if c < b else 0
+                if a < c:
+                    total += mpmath.loggamma(rho - a + 1) - mpmath.loggamma(rho - c + 1)
+                return mpmath.re(total)
+
+            return np.array([float((b - a) * lead + sum(wt * run(rho, a, b) for rho, wt in roots))
+                             for a, b in zip(x0.tolist(), x.tolist())])

@@ -301,15 +301,16 @@ def _column_components(U: np.ndarray) -> np.ndarray:
             parent = root
 
 
-def _column_groups(U: np.ndarray) -> list:
+def _column_groups(U: np.ndarray, labels: np.ndarray | None = None) -> list:
     """The column groups of one sweep, one sequence per component of more
-    than one column (see `_column_components`; no group crosses a component,
-    and a one-column component has none: its singular value is its norm).
+    than one column (`labels`, the `_column_components` of U, computed here
+    when not given; no group crosses a component, and a one-column
+    component has none: its singular value is its norm).
     A component of up to two _JACOBI_BLOCK-column blocks has one group; a
     larger one gets every pair of _JACOBI_BLOCK-column blocks of its sorted
     column indices, in order, each pair rotating the columns the pairs before
     it left.  A single component of n columns gets the blocks of range(n)."""
-    labels = _column_components(U)
+    labels = _column_components(U) if labels is None else labels
     sizes = np.bincount(labels, minlength=U.shape[1])
     order = np.argsort(labels, kind="stable")
     ends = np.cumsum(sizes)
@@ -428,7 +429,8 @@ def _gram_sweep(G: np.ndarray, tol: float) -> list:
 
 class _Sweeps:
     """The sweep loop of one-sided Jacobi over the columns of many matrices
-    at once, rotating each column array of Us in place.
+    at once, rotating each column array of Us in place; `labels` holds the
+    component labels of each (see `_column_components`), or is labelled here.
 
     Iterating runs sweeps until each matrix has had a sweep that left all
     its column groups untouched (`converged[i]`) or `max_sweeps` have run;
@@ -449,8 +451,9 @@ class _Sweeps:
     them.
     """
 
-    def __init__(self, Us: list, tol: float, max_sweeps: int):
+    def __init__(self, Us: list, tol: float, max_sweeps: int, labels: list | None = None):
         self.Us, self.tol, self.max_sweeps = Us, tol, max_sweeps
+        self.labels = labels or [None] * len(Us)
         self.sweeps = [0] * len(Us)
         self.converged = [False] * len(Us)
 
@@ -462,7 +465,8 @@ class _Sweeps:
                 self.sweeps[i] = sweep
             yield
             if parts is None:  # a compare settled before any sweep needs none
-                parts = [(i, seq) for i in live for seq in _column_groups(self.Us[i])]
+                parts = [(i, seq) for i in live
+                         for seq in _column_groups(self.Us[i], self.labels[i])]
             rotated = self._sweep(parts)
             parts = [part for part, moved in zip(parts, rotated) if moved]
             moving = {i for i, _ in parts}
@@ -500,14 +504,15 @@ def _ldexp(X: np.ndarray, shifts) -> None:
 
 
 def _scaled_columns(A: MatOp) -> tuple:
-    """(U, exponents, n): the nonzero columns of A, or of A^H when rows <
-    cols, in real arithmetic when A is real, each connected component of
-    them (see `_column_components`) scaled by the exact 2^-e that brings its
-    largest real or imaginary part into [1/2, 1), with exponents[j] the e of
-    column j; n = min(rows, cols) counts the columns before the zero ones
-    were dropped (their singular values are zeros).  U is one
-    Fortran-ordered copy: the columns are selected as the rows of the
-    transpose, and conjugated in place."""
+    """(U, exponents, n, labels): the nonzero columns of A, or of A^H when
+    rows < cols, in real arithmetic when A is real, each connected component
+    of them (labels, see `_column_components`) scaled by the exact 2^-e that
+    brings its largest real or imaginary part into [1/2, 1), with
+    exponents[j] the e of column j; n = min(rows, cols) counts the columns
+    before the zero ones were dropped (their singular values are zeros).
+    Rotations never merge components, so the labels hold for every sweep.
+    U is one Fortran-ordered copy: the columns are selected as the rows of
+    the transpose, and conjugated in place."""
     B = A.data if A.rows >= A.cols else A.data.T
     n = B.shape[1]
     if not B.imag.any():
@@ -522,7 +527,7 @@ def _scaled_columns(A: MatOp) -> tuple:
     np.maximum.at(top, labels, top)     # each label is its component's first column
     exponents = np.frexp(top[labels])[1]
     _ldexp(U, -exponents)
-    return U, exponents, n
+    return U, exponents, n, labels
 
 
 def _column_norms(U: np.ndarray, exponents: np.ndarray, n: int) -> tuple:
@@ -560,12 +565,13 @@ def _spectra(As: Sequence[MatOp], tol: float = _JACOBI_TOL,
     runs the column groups of all of them, and each spectrum, its sweep
     count and flag included, is the one the matrix gives alone."""
     scaled = {i: _scaled_columns(A) for i, A in enumerate(As) if min(A.rows, A.cols)}
-    jacobi = _Sweeps([U for U, _, _ in scaled.values()], tol, max_sweeps)
+    jacobi = _Sweeps([U for U, *_ in scaled.values()], tol, max_sweeps,
+                     [labels for *_, labels in scaled.values()])
     for _ in jacobi:
         pass
     spectra = [SingularSpectrum((), 0, True)] * len(As)
-    for i, (U, exponents, n), sweeps, converged in zip(scaled, scaled.values(),
-                                                       jacobi.sweeps, jacobi.converged):
+    for i, (U, exponents, n, _), sweeps, converged in zip(scaled, scaled.values(),
+                                                          jacobi.sweeps, jacobi.converged):
         spectra[i] = SingularSpectrum(_column_norms(U, exponents, n), sweeps, converged)
     return spectra
 
@@ -584,10 +590,9 @@ def _part_and_sum_values(Ts: Sequence[MatOp], total: MatOp) -> list:
     alone, so the part's values are the norms of its columns in the swept
     sum.  The other parts are swept in the same `_Sweeps` call as the sum.
     """
-    U, exponents, n = _scaled_columns(total)
+    U, exponents, n, labels = _scaled_columns(total)
     B = total.data if total.rows >= total.cols else total.data.T
     cols = np.flatnonzero(B.any(axis=0))
-    labels = _column_components(U)
     reads = {}
     for i, T in enumerate(Ts):
         C = T.data if T.rows >= T.cols else T.data.T
@@ -598,10 +603,11 @@ def _part_and_sum_values(Ts: Sequence[MatOp], total: MatOp) -> list:
             if np.count_nonzero(np.isin(labels, labels[at])) == at.size:
                 reads[i] = at
     rest = {i: _scaled_columns(T) for i, T in enumerate(Ts) if i not in reads}
-    jacobi = _Sweeps([U, *(V for V, _, _ in rest.values())], _JACOBI_TOL, _JACOBI_MAX_SWEEPS)
+    jacobi = _Sweeps([U, *(V for V, *_ in rest.values())], _JACOBI_TOL, _JACOBI_MAX_SWEEPS,
+                     [labels, *(ls for *_, ls in rest.values())])
     for _ in jacobi:
         pass
-    values = {i: _column_norms(*scaled) for i, scaled in rest.items()}
+    values = {i: _column_norms(*scaled[:3]) for i, scaled in rest.items()}
     values.update((i, _column_norms(U.T[at].T, exponents[at], n)) for i, at in reads.items())
     return [values[i] for i in range(len(Ts))] + [_column_norms(U, exponents, n)]
 
@@ -662,7 +668,7 @@ def schatten_norm_below(A: MatOp, p: float, radius: float,
     """
     if not 1.0 <= p <= math.inf:
         raise ValueError("p must lie in [1, inf]")
-    U, exponents, n = _scaled_columns(A)
+    U, exponents, n, labels = _scaled_columns(A)
     if U.shape[1] == 0:
         return 0.0 < radius
     top = int(exponents.max())
@@ -671,7 +677,7 @@ def schatten_norm_below(A: MatOp, p: float, radius: float,
     except OverflowError:
         r = math.inf
     to_top = np.ldexp(1.0, exponents - top)
-    jacobi = _Sweeps([U], _JACOBI_TOL, max_sweeps)
+    jacobi = _Sweeps([U], _JACOBI_TOL, max_sweeps, [labels])
     for _ in jacobi:
         W = U * to_top
         lower, upper = _schatten_bracket(W.conj().T @ W, p, U.shape[0])

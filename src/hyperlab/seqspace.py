@@ -5,8 +5,9 @@ maps, so shift orbits of finitely supported vectors stay finitely supported and
 carry no truncation error.  Weight sequences are generator rules (not arrays),
 each with one weight-product engine (`WeightPrefix`): short products multiply
 directly, long ones come from prefix sums of log-magnitudes (closed forms; a
-rational rule tabulates near indices and takes far ones from log-gamma), which
-keeps horizon-10^6 orbits free of silent overflow.
+rational rule tabulates indices up to an edge set by its roots and takes the
+rest from Stirling's series), which keeps horizon-10^6 orbits free of silent
+overflow.
 
 Every shift is one row (a, b): a displacement a and a weight offset b, with
 w_n the weight at index n,
@@ -322,7 +323,8 @@ def weight_product(w: WeightSeq, start: int, stop: int) -> complex:
     return w.prefix.product(start, stop)
 
 
-_NEAR = 1 << 19    # a rational rule tabulates L(m) for |m| <= _NEAR only
+_EDGE_MIN = 1 << 10   # a rational rule's table edge: at least this,
+_EDGE_MAX = 1 << 19   # at most this (see `gammaratio.GammaRatio.edge`)
 _CHUNK = 1 << 16   # table entries computed per numpy pass
 
 
@@ -340,30 +342,33 @@ class WeightPrefix:
     indices (a, b] becomes prefix sums, its two levels one log-rate below
     the table and one above it.  A log-sum over [s, e] is then two table
     lookups plus exact integer counts times the rates, at any index, and no
-    weight outside [s, e] is read.
-    A rational rule keeps a table of L(m), grown on demand with numpy up to
-    |m| <= `_NEAR`; a side's phase table is built only from its first
-    negative weight on, as every phase prefix before it is 0.0.  A product
-    whose prefix indices s - 1 or e lie past the table's reach
-    comes from the log-gamma closed form of `gammaratio.GammaRatio` over the
-    whole range, unless it is short and multiplies directly; a prefix L(m)
-    with |m| > `_NEAR` is the table's L(+-`_NEAR`) plus the closed-form sum
-    over the indices past it.  The closed form reads the weight only next to
-    the roots of P and Q (to raise where there is none).  Every product is
-    one row of an array pass over many ranges, `products`.
+    weight outside [s, e] is read.  A rational rule whose P or Q vanishes
+    has no weight anywhere, and reads as a closed rule with no levels.
+    Any other rational rule keeps a table of L(m) for |m| up to its edge,
+    grown on demand with numpy; its phase prefix counts negative weights (a
+    phase over pi), and a side's phase table is built only from its first
+    negative weight on.  The edge is `_EDGE_MIN` until a read reaches past
+    it, and from then on `gammaratio.GammaRatio.edge`, worked out from the
+    roots of P and Q.  A log-sum over [s, e] is its table part plus, on each
+    side, the closed form `GammaRatio.sums` over the indices past the edge,
+    taken from the range's own start when that lies past the edge.  Every
+    product is one row of an array pass over many ranges, `products`.
 
-    A product over [s, e] carries a relative error of at most C * m * eps,
-    with m = max(|s|, |e|) + 1, eps the double-precision unit round-off and C
-    a small multiple of 1 + max |log|w_t||: the closed forms round a few
-    times on the way to a log-sum of size at most m * max |log|w_t||, and a
-    rational table rounds once per entry.  A far rational product p has a
-    relative error of at most (2 + |log|p||) * eps whatever the length of its
-    range: its log is exact before one rounding to a double, one exponential
-    follows, and its imaginary part is exactly 0.0.  A far prefix L(m)
-    carries the table's rounding at its edge plus a few units of |L(m)|, so
-    far and near prefixes meet there without a step.  Beyond float range a
-    product raises WeightOverflowError; below the coefficient guard it
-    flushes to zero.  Tables are `array('d')`, read in place by numpy.
+    A product over [s, e] of a closed rule carries a relative error of at
+    most C * m * eps, with m = max(|s|, |e|) + 1, eps the double-precision
+    unit round-off and C a small multiple of 1 + max |log|w_t||: the closed
+    forms round a few times on the way to a log-sum of size at most
+    m * max |log|w_t||.  A long product p of a rational rule is real, and
+    within (2e-14 + 2 |log|p|| eps) |p| of the exact one wherever its range
+    lies, when its table part holds up to about 10^4 entries: the table
+    keeps the rounding of its running sum apart (compensated summation), and
+    the closed form rounds to a few units of its sum.  A longer table part
+    adds the rounding of the weights it reads in floats, about eps sqrt(n)
+    for n entries at random (2.2e-14 over 5e5).  Prefixes past the edge
+    continue the table from L(+-edge), so the two meet without a step.
+    Beyond float range a product raises WeightOverflowError; below the
+    coefficient guard it flushes to zero.  Tables are `array('d')`, read in
+    place by numpy.
     """
 
     def __init__(self, w: WeightSeq):
@@ -372,11 +377,15 @@ class WeightPrefix:
         self._pos_ph = array("d", [0.0])     # shorter than _pos_log until a weight is < 0
         self._neg_log = array("d", [0.0])    # grown L(0), L(-1), ... (integer domain)
         self._neg_ph = array("d", [0.0])
-        self._closed = w.rational is None
+        self._closed = w.rational is None or not all(map(any, w.rational))
         # the lowest index a read range may start at and meet no unusable
         # weight: 0 or -inf on a closed rule whose table holds no zero and
         # whose levels both exist; None where any range may meet one
         self._usable_from = None
+        # indices whose weight is not usable, read only to raise, and a bound:
+        # a closed rule's table zeros, a rational rule's as its tables grow
+        # and those next to its roots past them
+        self._zeros = np.array([np.iinfo(np.int64).max], np.int64)
         if not self._closed:
             return
         # the table offset held within 2^62 of 0, as in `WeightSeq.at`: every
@@ -385,9 +394,7 @@ class WeightPrefix:
         self._a = min(max(w.a, -2 ** 62 - len(w.values)), 2 ** 62)
         self._b = self._a + len(w.values)
         self._low, self._high = _log_phase(w.low), _log_phase(w.high)
-        # table indices whose weight is zero, read only to raise, and a bound
-        self._zeros = np.array([self._a + 1 + k for k, v in enumerate(w.values) if v == 0]
-                               + [np.iinfo(np.int64).max], np.int64)
+        self._add_zeros([self._a + 1 + k for k, v in enumerate(w.values) if v == 0])
         if len(self._zeros) == 1 and self._low is not None and self._high is not None:
             self._usable_from = 0 if w.domain is Domain.NATURALS else -math.inf
         lps = [_log_phase(v) or (0.0, 0.0) for v in w.values]
@@ -396,31 +403,54 @@ class WeightPrefix:
 
     @cached_property
     def _gamma(self):
-        # imported on first use: importing seqspace does not load mpmath
+        # imported on first use: importing seqspace does not load gammaratio
         from .gammaratio import GammaRatio
-        return GammaRatio(self.w)
+        gamma = GammaRatio(self.w.rational)
+        # past the edge a weight can vanish only next to a root that the
+        # series does not serve
+        near = (gamma.floors[:, None] + [0, 1]).ravel()
+        near = near[np.abs(near) > gamma.edge]
+        self._add_zeros(near[self.w.at(near) == 0])
+        return gamma
+
+    def _add_zeros(self, n) -> None:
+        self._zeros = np.array(sorted({*self._zeros.tolist(), *n}), np.int64)
+
+    def _edge(self, s: np.ndarray, e: np.ndarray) -> int:
+        """A rational rule's edge for the ranges [s, e] (int64 arrays), its
+        tables grown over their parts inside it."""
+        far = max(int(np.abs(s - 1).max(initial=0)), int(np.abs(e).max(initial=0)))
+        edge = _EDGE_MIN if far <= _EDGE_MIN else self._gamma.edge
+        self._grow(max(int(s.min(initial=1)) - 1, -edge), min(int(e.max(initial=0)), edge), edge)
+        return edge
 
     def _first_unusable(self, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """Where each range [s, e] (int64 arrays; near ones on a rational
-        rule) meets a weight that is not usable, or 2^62: at the lowest such
-        index on a closed rule, where the grown tables stop (the side above
-        0 first) on a rational one."""
-        if not self._closed:
-            self._grow(int(s.min(initial=1)) - 1, int(e.max(initial=0)))
-            pos, neg = len(self._pos_log), len(self._neg_log)
-            return np.where(e >= pos, pos, np.where(1 - s >= neg, 1 - neg, 2 ** 62))
+        """Where each range [s, e] (int64 arrays; on a rational rule, tables
+        grown by `_edge`) first meets a weight that is not usable, or 2^62."""
         first = self._zeros[np.searchsorted(self._zeros, s)]
-        if self._high is None:
+        if self._closed and self._high is None:
             first = np.minimum(first, np.maximum(s, self._b + 1))
-        if self._low is None:
+        if self._closed and self._low is None:
             first = np.where(s <= self._a, s, first)
         if self.w.domain is Domain.NATURALS:
             first = np.where(s < 0, s, first)
         return np.where(first <= e, first, 2 ** 62)
 
-    def _closed_sum(self, s: np.ndarray, e: np.ndarray) -> tuple:
-        """(log-sums, phase-sums) of a closed rule over the ranges [s, e] (int64
-        arrays, e >= s - 1) whose every index has a usable weight."""
+    def _sums(self, s: np.ndarray, e: np.ndarray, edge) -> tuple:
+        """(log-sums, phase-sums) over the ranges [s, e] (int64 arrays,
+        e >= s - 1) whose every index has a usable weight."""
+        if not self._closed:
+            (l1, p1), (l0, p0) = (self._near(np.clip(m, -edge, edge)) for m in (e, s - 1))
+            lm, ph = l1 - l0, p1 - p0
+            # past the edge: indices side * t for x0 <= t < x
+            for side, x, x0 in ((1, e + 1, np.maximum(s, edge + 1)),
+                                (-1, 1 - s, np.maximum(-e, edge))):
+                far = np.flatnonzero(x > x0)
+                if len(far):
+                    logs, count = self._gamma.sums(x[far], x0[far], side)
+                    lm[far] += logs
+                    ph[far] += count
+            return lm, ph
         tab_log, tab_ph = np.frombuffer(self._tab_log), np.frombuffer(self._tab_ph)
         a, b = self._a, self._b
         n_low = np.maximum(np.minimum(e, a) - s + 1, 0)
@@ -430,66 +460,58 @@ class WeightPrefix:
         low, high = self._low or (0.0, 0.0), self._high or (0.0, 0.0)
         return (tab_log[j2] - tab_log[j1] + n_low * low[0] + n_high * high[0],
                 tab_ph[j2] - tab_ph[j1] + n_low * low[1] + n_high * high[1])
-    def _grow(self, lo: int, hi: int) -> None:
+
+    def _grow(self, lo: int, hi: int, edge: int) -> None:
         """Extend the rational tables to cover L(lo) .. L(hi), with |lo| and
-        |hi| at most `_NEAR`, at least doubling a growing table up to `_NEAR`,
-        in chunks that keep temporaries small.  Entry k of a side is L(k) or
-        L(-k): it adds w_k or subtracts w_{1-k}.  Growth stops short of an
-        index without a usable weight (see `_first_unusable`)."""
+        |hi| at most `edge`, at least doubling a growing table up to it, in
+        chunks that keep temporaries small.  Entry k of a side is L(k) or
+        L(-k): it adds w_k or subtracts w_{1-k}.  A weight that is not usable
+        adds 0 and joins `_zeros`; a naturals rule's side below 0 stops at
+        L(-1)."""
+        below = -lo if self.w.domain is Domain.INTEGERS else min(-lo, 1)
         for logs, phs, need, sign in ((self._pos_log, self._pos_ph, hi, 1),
-                                      (self._neg_log, self._neg_ph, -lo, -1)):
+                                      (self._neg_log, self._neg_ph, below, -1)):
             if need < len(logs):
                 continue
-            top = min(max(need, 2 * len(logs)), _NEAR)
+            top = min(max(need, 2 * len(logs)), edge)
             while len(logs) <= top:
                 k = np.arange(len(logs), min(len(logs) + _CHUNK, top + 1))
                 t = k if sign > 0 else 1 - k
                 vals = self.w.at(t).real
                 bad = vals == 0.0
                 if bad.any():
-                    first = int(np.argmax(bad))
-                    vals, top = vals[:first], k[first] - 1
-                # math.log, not np.log (they differ in the last bit on about one
-                # input in 10^4): entries equal a scalar running sum, which
-                # cumsum reproduces once the last entry joins the first step
+                    self._add_zeros(t[bad].tolist())
+                    vals[bad] = 1.0
+                # math.log, as `_log_phase` reads a closed rule's weights, not
+                # np.log (they differ in the last bit on about one input in 10^4)
                 steps = sign * np.fromiter(map(math.log, memoryview(np.abs(vals))), float,
                                            vals.size)
-                # the side's phase table starts at its first negative weight,
-                # padded with the 0.0 prefixes before it
+                # a running sum from the last entry, each addition's rounding
+                # error (Knuth's TwoSum) summed apart and added back
+                run = np.cumsum(np.append(logs[-1], steps))
+                prev, run = run[:-1], run[1:]
+                moved = run - prev
+                run += np.cumsum((prev - (run - moved)) + (steps - moved))
+                logs.frombytes(run.tobytes())
+                # the side's phase table, a count, starts at its first negative
+                # weight, padded with the 0.0 prefixes before it
                 neg = vals < 0
                 if len(phs) > 1 or neg.any():
-                    phs.extend(itertools.repeat(0.0, len(logs) - len(phs)))
-                    tables = ((logs, steps), (phs, np.where(neg, sign * math.pi, 0.0)))
-                else:
-                    tables = ((logs, steps),)
-                for table, step in tables:
-                    step[:1] += table[-1]
-                    table.frombytes(np.cumsum(step).tobytes())
+                    phs.extend(itertools.repeat(0.0, len(logs) - len(phs) - len(vals)))
+                    phs.frombytes(np.cumsum(np.append(phs[-1], sign * neg))[1:].tobytes())
 
     def log_abs_many(self, m) -> np.ndarray:
         """L(m), vectorized over a nonempty integer array."""
-        m = np.asarray(m, dtype=np.int64)
+        shape, m = np.shape(m), np.asarray(m, dtype=np.int64).ravel()
         up = m >= 0
-        lo, hi = min(int(m.min()), 0), max(int(m.max()), 0)
-        if not self._closed:
-            # the table reaches L(+-_NEAR) at most, and far entries continue
-            # it from there, so that the two meet without a step at its edge
-            lo, hi = max(lo, -_NEAR), min(hi, _NEAR)
-        if self._usable_from is None or lo + 1 < self._usable_from:
-            first = int(self._first_unusable(np.array([lo + 1]), np.array([hi]))[0])
+        s, e = np.array([min(int(m.min()), 0) + 1]), np.array([max(int(m.max()), 0)])
+        edge = None if self._closed else self._edge(s, e)
+        if self._usable_from is None or s[0] < self._usable_from:
+            first = int(self._first_unusable(s, e)[0])
             if first < 2 ** 62:
                 self.w.weight(first)  # raises the rule's own error
-        if self._closed:
-            logs = self._closed_sum(np.where(up, 1, m + 1), np.where(up, m, 0))[0]
-            return np.where(up, logs, -logs)
-        pos, neg = m > _NEAR, m < -_NEAR
-        near = np.where(pos | neg, 0, m)
-        out = np.where(up, np.frombuffer(self._pos_log)[np.maximum(near, 0)],
-                       np.frombuffer(self._neg_log)[np.maximum(-near, 0)])
-        for far, edge, table in ((pos, _NEAR, self._pos_log), (neg, -_NEAR, self._neg_log)):
-            if far.any():
-                out[far] = table[_NEAR] + self._gamma.log_prefix(m[far], edge)
-        return out
+        logs = self._sums(np.where(up, 1, m + 1), np.where(up, m, 0), edge)[0]
+        return np.where(up, logs, -logs).reshape(shape)
 
     def product(self, start: int, stop: int) -> complex:
         """w_start * ... * w_stop (empty when stop < start), one row of `products`."""
@@ -513,50 +535,31 @@ class WeightPrefix:
 
         A short product (under 128 factors) with a log-sum inside (-300,
         300) multiplies its weights in order from 1, one running product
-        per distinct start; a short far rational one does so first and is
-        kept inside [e^-300, e^300].  Any other is math.exp of its log-sum,
-        with its phase by cmath.rect (a far rational one is real), raising
+        per distinct start.  Any other is math.exp of its log-sum, with its
+        phase by cmath.rect (a rational one is real), raising
         WeightOverflowError past float range and 0 below the coefficient
         guard; a reciprocal is Python's complex division.  A range past
         2^53 raises ValueError, one through a weight that is not usable the
-        rule's own error (see `_first_unusable`).
+        rule's own error at the lowest such index.
         """
         R = len(start)
         out, errors, lm, ph = np.zeros(R, complex), {}, np.zeros(R), np.zeros(R)
         live = np.maximum(np.abs(start), np.abs(stop)) <= 2 ** 53
         for i in np.flatnonzero(~live).tolist():
             errors[i] = ValueError("weight product reaches an index beyond 2^53")
-        far = live & (np.maximum(np.abs(start - 1), np.abs(stop)) > _NEAR) & (not self._closed)
-        near = live & ~far
+        edge = None if self._closed else self._edge(start[live], stop[live])
         first = np.full(R, 2 ** 62)
-        first[near] = self._first_unusable(start[near], stop[near])
+        first[live] = self._first_unusable(start[live], stop[live])
         for i in np.flatnonzero(first < 2 ** 62).tolist():
             try:
                 self.w.weight(int(first[i]))  # raises the rule's own error
             except ValueError as exc:
                 errors[i], live[i] = exc, False
-        short = live & (stop - start < 128)
-        direct = np.zeros(R, complex)
-        direct[short] = self._running_products(start[short], stop[short])
-        # a short far product through a weight that is not usable reads 0 and
-        # takes the closed form, which raises the rule's own error there
-        mag = np.hypot(direct.real, direct.imag)
-        kept = live & far & (math.exp(-300.0) <= mag) & (mag <= math.exp(300.0))
-        for i in np.flatnonzero(live & far & ~kept).tolist():
-            try:
-                lm[i], ph[i] = self._gamma.log_sum(int(start[i]), int(stop[i]))
-            except (ArithmeticError, ValueError) as exc:
-                errors[i], live[i] = exc, False
-        near &= live
-        if self._closed:
-            lm[near], ph[near] = self._closed_sum(start[near], stop[near])
-        else:
-            (l1, p1), (l0, p0) = self._near(stop[near]), self._near(start[near] - 1)
-            lm[near], ph[near] = l1 - l0, p1 - p0
-        take = np.flatnonzero(kept | short & live & (np.abs(lm) < 300.0))
-        out[take] = direct[take] if sign > 0 else np.fromiter(
-            map(operator.truediv, itertools.repeat(1.0), direct[take].tolist()), complex,
-            len(take))
+        lm[live], ph[live] = self._sums(start[live], stop[live], edge)
+        take = np.flatnonzero(live & (stop - start < 128) & (np.abs(lm) < 300.0))
+        direct = self._running_products(start[take], stop[take])
+        out[take] = direct if sign > 0 else np.fromiter(
+            map(operator.truediv, itertools.repeat(1.0), direct.tolist()), complex, len(take))
         live[take] = False
         rows = np.flatnonzero(live)
         lm, ph = sign * lm[rows], sign * ph[rows] + 0.0   # + 0.0: a zero phase stays +0.0
@@ -566,9 +569,11 @@ class WeightPrefix:
         ok = ~over & ~(lm < math.log(COEFF_GUARD))
         rows, lm, ph = rows[ok], lm[ok], ph[ok]
         mag = np.fromiter(map(math.exp, lm.tolist()), float, len(rows))
-        out[rows] = np.fromiter(map(cmath.rect, mag.tolist(), ph.tolist()), complex, len(rows))
-        real = far[rows]    # the phase of a far rational product is exactly 0 or pi
-        out[rows[real]] = np.where(ph[real] != 0.0, -mag[real], mag[real])
+        if self._closed:
+            out[rows] = np.fromiter(map(cmath.rect, mag.tolist(), ph.tolist()), complex,
+                                    len(rows))
+        else:
+            out[rows] = np.where(ph % 2 != 0, -mag, mag)
         return out, errors
 
     def _near(self, m: np.ndarray) -> tuple:
@@ -709,8 +714,8 @@ def shift_power_apply(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
     """T^m v in one jump via the rule's weight-product engine.
 
     Equivalent to applying `apply` m times, in one `WeightPrefix.products`
-    read (a rational rule may first grow its near table, or evaluate its
-    log-gamma closed form for indices past it).  T^m e_n reads the m
+    read (a rational rule may first grow its table, and evaluate its closed
+    form for indices past the table's edge).  T^m e_n reads the m
     weights w_{n+b}, w_{n+b+a}, ..., w_{n+b+(m-1)a} of the row (a, b).
     """
     _check_domains(op, v)

@@ -1,26 +1,29 @@
 """The scalar weight-product chain that `WeightPrefix.products` replaced,
-copied verbatim as the oracle of the array pass: `ScalarPrefix` keeps the
-former constructor, `_check`, `_closed_sum` (with its scalar branch),
-`_grow` (which raises where a range needs an unusable weight), `_at`,
-`_sum`, `_far`, `log_abs_many`, `_direct`, `_product`, `product` and
-`inverse_product`, and takes the log-gamma closed form from `WeightPrefix`.
-`oracle_apply_right_inverse` and `oracle_shift_power_apply` are the former
-vector functions, one scalar product per entry, reading `scalar_prefix(w)`
-in the place of `w.prefix`, and `_power` the former diagonal power.
+kept as the oracle of the array pass: `ScalarPrefix` keeps the former
+constructor, `_check`, `_closed_sum` (with its scalar branch), `_sum`,
+`log_abs_many`, `_direct`, `_product`, `product` and `inverse_product` of
+closed rules.  A rational rule's log-sums come from `LogGamma`, the
+log-gamma sum that the package read far products from before its tables
+stopped at an edge: mpmath at 20 digits beyond the largest log-gamma, with
+its own roots of P and Q, so that no table and no series of the package
+enters the oracle.  `oracle_apply_right_inverse` and
+`oracle_shift_power_apply` are the former vector functions, one scalar
+product per entry, reading `scalar_prefix(w)` in the place of `w.prefix`,
+and `_power` the former diagonal power.  `agree` compares two outcomes.
 """
 
+import ast
 import cmath
 import functools
 import itertools
 import math
 from array import array
 
+import mpmath
 import numpy as np
 
 from hyperlab.seqspace import (
-    _CHUNK,
     _LOG_FLOAT_MAX,
-    _NEAR,
     COEFF_GUARD,
     Domain,
     SeqVector,
@@ -33,18 +36,113 @@ from hyperlab.seqspace import (
     adjoint,
 )
 
+_ROOT_DPS = 60
+
+
+class LogGamma:
+    """log|w_s ... w_e| and its sign for a rational rule, at any range.
+
+    With P(t) = c_P prod_a (t - a) and Q(t) = c_Q prod_b (t - b), roots
+    repeated, the log of w_s ... w_e is T(e) - T(s - 1), where
+    T(m) = m log(c_P / c_Q) + sum_a G_a(m) - sum_b G_b(m) and G_r(m) is a
+    prefix of log(t - r) over t <= m, anchored at k = floor(Re r):
+
+        G_r(m) = logGamma(m + 1 - r) - logGamma(k + 1 - r)             m >= k
+        G_r(m) = logGamma(r - k) - logGamma(r - m) - i pi (k - m)      m < k
+
+    Every logGamma argument has a positive real part, so no pole is met,
+    except the constant logGamma(r - k) at a real integer root r = k, taken
+    as 0 since only a range across k reads it, and such a range raises.
+    The roots come from `mpmath.polyroots` at `_ROOT_DPS` digits.
+    """
+
+    def __init__(self, w: WeightSeq):
+        self.w = w
+        self._roots = []    # (root, floor of its real part, +-1 for P or Q)
+        self._lead = []
+        for coeffs, sign in zip(w.rational, (1, -1)):
+            coeffs = list(coeffs)
+            while coeffs and coeffs[-1] == 0:
+                coeffs.pop()
+            if not coeffs:
+                self._roots = None   # P or Q vanishes: `check` always raises
+                return
+            self._lead.append(coeffs[-1])
+            if len(coeffs) > 1:
+                with mpmath.workdps(_ROOT_DPS):
+                    roots = mpmath.polyroots([mpmath.mpf(c) for c in coeffs[::-1]],
+                                             maxsteps=2000, extraprec=2000)
+                self._roots += [(r, int(mpmath.floor(mpmath.re(r))), sign) for r in roots]
+        self._reach = max((abs(float(mpmath.re(r))) + abs(float(mpmath.im(r)))
+                           for r, _, _ in self._roots), default=0.0)
+        self._suspects = sorted({k + d for _, k, _ in self._roots for d in (0, 1)})
+
+    def check(self, lo: int, hi: int) -> None:
+        """Raise the rule's own error at the lowest index of [lo, hi] where
+        the weight may be zero or undefined."""
+        if lo > hi:
+            return
+        if self._roots is None or self.w.domain is Domain.NATURALS and lo < 0:
+            self.w.weight(lo)
+        for n in self._suspects:
+            if lo <= n <= hi:
+                self.w.weight(n)
+
+    def _t(self, m: int):
+        """(Re T(m), Im T(m) without its pi multiples, the count of those)."""
+        lead_log = mpmath.log(abs(mpmath.mpf(self._lead[0]) / self._lead[1]))
+        re, im, turns = m * lead_log, 0.0, m * (self._lead[0] * self._lead[1] < 0)
+        for r, k, sign in self._roots:
+            c1, c2 = mpmath.loggamma(k + 1 - r), 0 if r == k else mpmath.loggamma(r - k)
+            if m >= k:
+                g = mpmath.loggamma(m + 1 - r) - c1
+            else:
+                g = c2 - mpmath.loggamma(r - m)
+                turns += k - m
+            re += sign * mpmath.re(g)
+            im += sign * float(mpmath.im(g))
+        return re, im, turns
+
+    def log_sum(self, s: int, e: int) -> tuple[float, float]:
+        """(log|w_s ... w_e|, its phase, exactly 0.0 or pi), e >= s - 1."""
+        self.check(s, e)
+        a = max(abs(s), abs(e)) + self._reach + 3.0
+        with mpmath.workdps(20 + len(str(int(a * math.log(a))))):
+            (r1, i1, n1), (r0, i0, n0) = self._t(e), self._t(s - 1)
+            odd = (n1 - n0 + round((i1 - i0) / math.pi)) % 2
+            return float(r1 - r0), math.pi if odd else 0.0
+
+
+def agree(got: str, want: str, w: WeightSeq) -> bool:
+    """Whether two outcomes (a value's repr, or an error's type and message)
+    agree: equal, or on a rational rule the same shape with every number x
+    within (2e-14 + 2 |log|x|| eps) |x| of the oracle's, the accuracy of a
+    long rational product."""
+    if got == want or w.rational is None:
+        return got == want
+    try:
+        return _close(ast.literal_eval(got), ast.literal_eval(want))
+    except (ValueError, SyntaxError):
+        return False
+
+
+def _close(got, want) -> bool:
+    if isinstance(want, (list, tuple)):
+        return (type(got) is type(want) and len(got) == len(want)
+                and all(map(_close, got, want)))
+    if isinstance(want, (float, complex)) and isinstance(got, type(want)) and want:
+        return abs(got - want) <= (2e-14 + 2 * abs(math.log(abs(want))) * 2.0 ** -52) * abs(want)
+    return got == want
+
 
 class ScalarPrefix(WeightPrefix):
     """The former one-range product engine of a weight rule."""
 
     def __init__(self, w: WeightSeq):
         self.w = w
-        self._pos_log = array("d", [0.0])    # grown L(0), L(1), ... (rational rules)
-        self._pos_ph = array("d", [0.0])     # shorter than _pos_log until a weight is < 0
-        self._neg_log = array("d", [0.0])    # grown L(0), L(-1), ... (integer domain)
-        self._neg_ph = array("d", [0.0])
         self._closed = w.rational is None
         if not self._closed:
+            self._log_gamma = LogGamma(w)
             return
         self._a, self._b = w.a, w.a + len(w.values)
         self._low, self._high = _log_phase(w.low), _log_phase(w.high)
@@ -56,8 +154,10 @@ class ScalarPrefix(WeightPrefix):
 
     def _check(self, lo: int, hi: int) -> None:
         """Raise the rule's own error at the lowest index in [lo, hi]
-        without a usable weight (closed rules)."""
-        if lo <= hi:
+        without a usable weight."""
+        if not self._closed:
+            self._log_gamma.check(lo, hi)
+        elif lo <= hi:
             bad = [z for z in self._zeros if lo <= z <= hi]
             if (self.w.domain is Domain.NATURALS and lo < 0
                     or self._low is None and lo <= self._a):
@@ -83,87 +183,27 @@ class ScalarPrefix(WeightPrefix):
         return (tab_log[j2] - tab_log[j1] + n_low * low[0] + n_high * high[0],
                 tab_ph[j2] - tab_ph[j1] + n_low * low[1] + n_high * high[1])
 
-    def _grow(self, lo: int, hi: int) -> None:
-        """Extend the rational tables to cover L(lo) .. L(hi), with |lo| and
-        |hi| at most `_NEAR`, at least doubling a growing table up to `_NEAR`,
-        in chunks that keep temporaries small.  Entry k of a side is L(k) or
-        L(-k): it adds w_k or subtracts w_{1-k}.  Growth stops short of an
-        index without a usable weight, raising if it is needed."""
-        for logs, phs, need, sign in ((self._pos_log, self._pos_ph, hi, 1),
-                                      (self._neg_log, self._neg_ph, -lo, -1)):
-            if need < len(logs):
-                continue
-            top = min(max(need, 2 * len(logs)), _NEAR)
-            while len(logs) <= top:
-                k = np.arange(len(logs), min(len(logs) + _CHUNK, top + 1))
-                t = k if sign > 0 else 1 - k
-                vals = self.w.at(t).real
-                bad = vals == 0.0
-                if bad.any():
-                    first = int(np.argmax(bad))
-                    if k[first] <= need:
-                        self.w.weight(int(t[first]))  # raises the rule's own error
-                    vals, top = vals[:first], k[first] - 1
-                # math.log, not np.log (they differ in the last bit on about one
-                # input in 10^4): entries equal a scalar running sum, which
-                # cumsum reproduces once the last entry joins the first step
-                steps = sign * np.fromiter(map(math.log, memoryview(np.abs(vals))), float,
-                                           vals.size)
-                # the side's phase table starts at its first negative weight,
-                # padded with the 0.0 prefixes before it
-                neg = vals < 0
-                if len(phs) > 1 or neg.any():
-                    phs.extend(itertools.repeat(0.0, len(logs) - len(phs)))
-                    tables = ((logs, steps), (phs, np.where(neg, sign * math.pi, 0.0)))
-                else:
-                    tables = ((logs, steps),)
-                for table, step in tables:
-                    step[:1] += table[-1]
-                    table.frombytes(np.cumsum(step).tobytes())
-
-    def _at(self, m: int) -> tuple[float, float]:
-        logs, phs = (self._pos_log, self._pos_ph) if m >= 0 else (self._neg_log, self._neg_ph)
-        m = abs(m)
-        return logs[m], phs[m] if m < len(phs) else 0.0
-
     def _sum(self, s: int, e: int) -> tuple[float, float]:
         """(log-sum, phase-sum) over [s, e], e >= s - 1."""
         if max(abs(s), abs(e)) > 2 ** 53:   # past exact float index arithmetic
             raise ValueError("weight product reaches an index beyond 2^53")
-        if self._closed:
-            self._check(s, e)
-            return self._closed_sum(s, e)
-        if self._far(s, e):
-            return self._gamma.log_sum(s, e)
-        self._grow(s - 1, e)
-        (l1, p1), (l0, p0) = self._at(e), self._at(s - 1)
-        return l1 - l0, p1 - p0
-
-    def _far(self, s: int, e: int) -> bool:
-        """Whether a rational product over [s, e] needs the closed form."""
-        return not self._closed and max(abs(s - 1), abs(e)) > _NEAR
+        if not self._closed:
+            return self._log_gamma.log_sum(s, e)
+        self._check(s, e)
+        return self._closed_sum(s, e)
 
     def log_abs_many(self, m) -> np.ndarray:
         """L(m), vectorized over a nonempty integer array."""
         m = np.asarray(m, dtype=np.int64)
         lo, hi, up = int(m.min()), int(m.max()), m >= 0
+        self._check(min(lo + 1, 1), max(hi, 0))
         if self._closed:
             s, e = np.where(up, 1, m + 1), np.where(up, m, 0)
-            self._check(min(lo + 1, 1), max(hi, 0))
             logs = self._closed_sum(s, e, vector=True)[0]
             return np.where(up, logs, -logs)
-        pos, neg = m > _NEAR, m < -_NEAR
-        near = np.where(pos | neg, 0, m)
-        # far entries continue the table from L(+-_NEAR), so that the two
-        # meet without a step at its edge
-        self._grow(-_NEAR if neg.any() else int(near.min()),
-                   _NEAR if pos.any() else int(near.max()))
-        out = np.where(up, np.frombuffer(self._pos_log)[np.maximum(near, 0)],
-                       np.frombuffer(self._neg_log)[np.maximum(-near, 0)])
-        for far, edge in ((pos, _NEAR), (neg, -_NEAR)):
-            if far.any():
-                out[far] = self._at(edge)[0] + self._gamma.log_prefix(m[far], edge)
-        return out
+        sums = self._log_gamma.log_sum
+        return np.array([sums(1, x)[0] if x >= 0 else -sums(x + 1, 0)[0]
+                         for x in m.ravel().tolist()]).reshape(m.shape)
 
     def product(self, start: int, stop: int) -> complex:
         """w_start * ... * w_stop (empty when stop < start).
@@ -183,14 +223,8 @@ class ScalarPrefix(WeightPrefix):
     def _product(self, start: int, stop: int, sign: int) -> complex:
         if stop < start:
             return 1.0 + 0.0j
-        short = stop - start < 128
-        if short and self._far(start, stop) and max(-start, stop) <= 2 ** 53:
-            # a short far product takes the closed form only past [e^-300, e^300]
-            prod = self._direct(start, stop)
-            if math.exp(-300.0) <= abs(prod) <= math.exp(300.0):
-                return prod if sign > 0 else 1.0 / prod
         lm, ph = self._sum(start, stop)
-        if short and abs(lm) < 300.0:
+        if stop - start < 128 and abs(lm) < 300.0:
             prod = self._direct(start, stop)
             return prod if sign > 0 else 1.0 / prod
         lm, ph = sign * lm, sign * ph + 0.0   # + 0.0: a zero phase stays +0.0
@@ -198,7 +232,7 @@ class ScalarPrefix(WeightPrefix):
             raise WeightOverflowError(start, stop, lm)
         if lm < math.log(COEFF_GUARD):
             return 0.0 + 0.0j
-        if self._far(start, stop):    # the phase is exactly 0 or pi
+        if not self._closed:    # the phase is exactly 0 or pi
             return complex(-math.exp(lm) if ph else math.exp(lm), 0.0)
         return cmath.rect(math.exp(lm), ph)
 
@@ -249,8 +283,7 @@ def oracle_shift_power_apply(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:
     """T^m v in one jump via the rule's weight-product engine.
 
     Equivalent to applying `apply` m times, in O(support) (a rational rule
-    may first grow its near table, or evaluate its log-gamma closed form for
-    indices past it).  T^m e_n reads the m weights w_{n+b}, w_{n+b+a}, ...,
+    evaluates its log-gamma sums).  T^m e_n reads the m weights w_{n+b}, w_{n+b+a}, ...,
     w_{n+b+(m-1)a} of the row (a, b).
     """
     _check_domains(op, v)

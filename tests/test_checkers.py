@@ -440,14 +440,18 @@ def test_growth_violation_late_decay():
 
 
 def test_growth_monotone_across_the_prefix_table_edge():
-    # w_t = 1 + 1e10 / t^4: log-products near 1e3 whose clock steps past
-    # n = 725, where (n + r)^2 - r^2 first exceeds the table's 2^19, grow by
-    # about 1e-9, less than the table's rounding there.  Far prefixes
-    # continue the table's own last entry, so the top quartile stays
-    # nondecreasing across the edge, as it was on a table alone.
+    # w_t = 1 + 1e10 / t^4: log-products near 1e3 whose clock steps grow by
+    # about 1e-9, less than the table's rounding.  Its roots reach 447, so
+    # its table stops at 2^15, which (n + r)^2 - r^2 first exceeds at some
+    # n in [178, 182].  Far prefixes continue the table's own last entry, so
+    # the top quartile stays nondecreasing across the edge (n_max = 236), as
+    # it was on a table alone, and past it (n_max = 800).
     w = WeightSeq.ratio((1e10, 0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0, 1.0))
+    assert w.prefix._gamma.edge == 2 ** 15
+    grid = CheckGrid(tuple(range(5)), tuple(range(5)), r_max=4, n_max=236, q=2)
+    assert 3 * grid.n_max // 4 < 178 and (182 + 4) ** 2 - 4 ** 2 > 2 ** 15
+    assert check_unilateral_growth(w, w, grid).satisfied
     grid = CheckGrid(tuple(range(5)), tuple(range(5)), r_max=4, n_max=800, q=2)
-    assert 3 * grid.n_max // 4 < 725
     v = check_unilateral_growth(w, w, grid)
     assert v.satisfied
     assert v.margin == pytest.approx(2765.73302263, rel=1e-10)

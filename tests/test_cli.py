@@ -150,8 +150,8 @@ def test_satisfied_check_exits_zero(tmp_path):
 
 
 def test_rational_check_far_past_the_prefix_table(tmp_path):
-    # clock indices reach (64 + 4)^4 - 4^4, about 2.1e7: the log-gamma closed
-    # form answers them without tabulating the rule that far
+    # clock indices reach (64 + 4)^4 - 4^4, about 2.1e7: Stirling's series
+    # answers them without tabulating the rule that far
     code = run(["check", "--condition", "growth", "--weights",
                 "w=ratio:1,1|0,1;mu=ratio:1,1|0,1", "--q", "4", "--n-max", "64",
                 "--r-max", "4"], tmp_path)
@@ -161,6 +161,22 @@ def test_rational_check_far_past_the_prefix_table(tmp_path):
     assert verdict["status"] == "satisfied_on_grid"
     assert verdict["margin"] == pytest.approx(2 * math.log(64 ** 4 + 1) - math.log(1e6),
                                               rel=1e-12)
+
+
+def test_rational_q2_construction_reads_far_products_without_mpmath(tmp_path, monkeypatch):
+    # at q = 2 every long product of (t + 1) / t past the table edge comes
+    # from Stirling's series in numpy: with mpmath's log-gamma raising, the
+    # run still reports, each class visited
+    import mpmath
+
+    def gone(*args, **kwargs):
+        raise AssertionError("a far product of a rule of linear factors took mpmath")
+
+    monkeypatch.setattr(mpmath, "loggamma", gone)
+    assert run(["construct-fhc", "--weights", "w=ratio:1,1|0,1", "--targets", "0",
+                "--q", "2", "--horizon", "1000"], tmp_path) == 0
+    rep = load_report(tmp_path, "construct_fhc")
+    assert all(cls["contained"] for cls in rep["results"]["classes"])
 
 
 def test_declared_experiment_mismatch(tmp_path, capsys):

@@ -191,16 +191,24 @@ assert seqspace.apply.__wrapped__ is orig
 
 
 def test_the_cli_and_an_eigencheck_load_no_mpmath(tmp_path):
-    # only gammaratio's far rational products use mpmath
+    # only the roots of a rational rule's factors of degree 2 or more, and
+    # rules too wide for Stirling's series, use mpmath; only --config reads
+    # YAML
     code = f"""
 import sys
 sys.path[:0] = ["src"]
 import hyperlab.cli
 assert "mpmath" not in sys.modules, "importing hyperlab.cli loaded mpmath"
+assert "yaml" not in sys.modules, "importing hyperlab.cli loaded yaml"
 argv = ["hardy", "--check", "eigen", "--phi", "0,1", "--psi", "0,1", "--z", "0.6",
         "--w", "0.6", "--dim", "64", "--out", {str(tmp_path)!r}]
 assert hyperlab.cli.main(argv) == 0
 assert "mpmath" not in sys.modules, "an eigencheck loaded mpmath"
+argv = ["check", "--condition", "growth", "--weights", "w=ratio:1,1|0,1;mu=ratio:1,1|0,1",
+        "--q", "2", "--n-max", "64", "--out", {str(tmp_path)!r}]
+assert hyperlab.cli.main(argv) == 0
+assert "yaml" not in sys.modules, "a check run loaded yaml"
+assert "mpmath" not in sys.modules, "a check on a rule of linear factors loaded mpmath"
 """
     subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True, timeout=60)
 

@@ -405,7 +405,7 @@ def test_schatten_bracket_holds_at_every_sweep(case, p):
     # times 2^-E every time, not only at the first sweep; at convergence it
     # has closed to the rounding level
     data = bracket_cases()[case]
-    U, exponents, _ = matops._scaled_columns(MatOp(data))
+    U, exponents, _, _ = matops._scaled_columns(MatOp(data))
     top = int(exponents.max())
     scaled = data if data.shape[0] >= data.shape[1] else data.conj().T
     want = oracle_norm(scaled * 2.0 ** -top, p)
@@ -541,10 +541,11 @@ def test_scaled_columns_equal_the_two_copy_selection(case):
     # every BLAS product on it rounds as before
     data = label_cases()[case][0] if case in label_cases() else block_matrices()[case]
     for A in (MatOp(data), MatOp(data.conj().T), MatOp(1j * data)):
-        U, exponents, n = matops._scaled_columns(A)
+        U, exponents, n, labels = matops._scaled_columns(A)
         want, want_exponents, want_n = oracle_scaled_columns(A)
         assert (n, U.dtype) == (want_n, want.dtype)
         assert exponents.tolist() == want_exponents.tolist()
+        assert labels.tolist() == matops._column_components(U).tolist()
         assert U.strides == want.strides and np.array_equal(U, want)
         assert U.flags.f_contiguous and not np.shares_memory(U, A.data)
 

@@ -399,57 +399,92 @@ FAR_RULES = [
     (WeightSeq.ratio([599990.25, 1.0], [600000.5, 1.0], Domain.INTEGERS),
      [(-10 ** 6 - 150, -10 ** 6 + 150), (-600000 - 150, -599995),
       (-600000 - 150, -599994), (-600000 - 150, -600000 + 150)]),
+    # degree 2 over degree 1 on Z, complex roots -1 +- 2i over -1/4: w_t is
+    # about t / 1e6, negative below 0, so a range there has the sign of its
+    # count; near the edge its products leave float range
+    (WeightSeq.ratio([5.0, 2.0, 1.0], [2.5e5, 1e6], Domain.INTEGERS),
+     [(10 ** 6, 10 ** 6 + 400), (-10 ** 6 - 400, -10 ** 6), (-10 ** 6 - 401, -10 ** 6),
+      (-300, 300)]),
+    # roots -15.5 +- 0.5i over 15.75 and 0.25, as far out as the least edge
+    # 1024 lets the series reach (|Re r| + |Im r| = 16): w_t < 0 for the 15 t
+    # in [1, 15], ranges on both sides
+    (WeightSeq.ratio([240.5, 31.0, 1.0], [3.9375, -16.0, 1.0], Domain.INTEGERS),
+     [(10 ** 6 - 150, 10 ** 6 + 150), (-10 ** 6 - 150, -10 ** 6 + 150), (-15, 1100),
+      (-1100, -17), (-1100, 1100), (3, 3 + 128), (17, 2000)]),
+    # roots near -1e600 and -6.7e599, past float range: w_t is 1 to within
+    # 1e-590, and the mpmath form serves it at the digits it needs
+    (WeightSeq.ratio([1e300, 1e-300], [1e300, 1.5e-300]), [(10 ** 6, 10 ** 6 + 200)]),
 ]
 
 
 @pytest.mark.parametrize("w, ranges", FAR_RULES)
 def test_far_rational_products_match_factor_by_factor_log_sums(w, ranges):
-    from hyperlab.seqspace import _NEAR, WeightPrefix
+    from hyperlab.seqspace import COEFF_GUARD, WeightPrefix
 
     dps = mpmath.mp.dps
     pre = WeightPrefix(w)
-    # ranges with an end just past the table, and ranges across its edge
-    edge = [(_NEAR - 100, _NEAR + 100), (_NEAR - 300, _NEAR + 1)]
+    E = pre._gamma.edge
+    # ranges with an end just past the table, and ranges across its edge,
+    # on each side of 0 the rule has
+    edge = [(E - 100, E + 100), (E - 300, E + 1), (E + 1, E + 200)]
     if w.domain is Domain.INTEGERS:
-        edge = [(-e, -s) for s, e in edge]
+        edge += [(-e, -s) for s, e in edge]
     for s, e in ranges + edge:
         log_want, sign = mp_log_product(w, s, e)
         assert abs(log_want) >= 300 or e - s >= 128   # not the direct product
-        for got, want in ((pre.product(s, e), sign * mpmath.exp(log_want)),
-                          (pre.inverse_product(s, e), sign * mpmath.exp(-log_want))):
-            assert got.imag == 0.0
-            assert math.copysign(1.0, got.real) == sign
-            assert abs(got.real - want) <= 1e-13 * abs(want)
+        for got, log in ((lambda: pre.product(s, e), log_want),
+                         (lambda: pre.inverse_product(s, e), -log_want)):
+            # inside float range within 2e-14 plus twice the rounding of a
+            # log-sum of its size; past it an error, below the guard 0
+            if log > math.log(1e308):
+                with pytest.raises(WeightOverflowError):
+                    got()
+            elif log < math.log(COEFF_GUARD):
+                assert got() == 0.0
+            else:
+                want = sign * mpmath.exp(log)
+                assert got().imag == 0.0
+                assert math.copysign(1.0, got().real) == sign
+                assert abs(got().real - want) <= (2e-14 + abs(log) * 2.0 ** -51) * abs(want)
     # far prefixes L(m): differences against the same oracle, to the
     # rounding of L(m) itself
     lo, hi = ranges[0]
     L = pre.log_abs_many(np.array([lo - 1, hi]))
     log_want = mp_log_product(w, lo, hi)[0]
     assert abs((L[1] - L[0]) - float(log_want)) <= 1e-15 * (1.0 + np.abs(L).max())
-    assert len(pre._pos_log) <= _NEAR + 1 and len(pre._neg_log) <= _NEAR + 1
+    assert len(pre._pos_log) <= E + 1 and len(pre._neg_log) <= E + 1
     assert mpmath.mp.dps == dps
 
 
 def test_far_rational_prefix_telescopes_and_keeps_the_table_small():
-    from hyperlab.seqspace import _NEAR
-
     w = WeightSeq.ratio([1.0, 1.0], [0.0, 1.0])
     out = shift_power_apply(ShiftOp.forward(w), SeqVector({5000: 1.0}), 10 ** 6)
     assert out.entries[10 ** 6 + 5000] == pytest.approx((10 ** 6 + 5001) / 5001, rel=1e-15)
-    assert len(w.prefix._pos_log) <= _NEAR + 1
+    E = w.prefix._gamma.edge
+    assert E == 1024 and len(w.prefix._pos_log) <= E + 1
     # L(m) = log(m + 1): far entries are the table's last entry plus the
     # closed-form sum past it, log(m + 1) - log(E + 1), so they carry the
     # table's rounding at its edge and little more; near ones come from the
     # table, which mixing leaves as they are
-    m = np.array([3, _NEAR, _NEAR + 1, 10 ** 6, 2 ** 40, 10 ** 6, 70000])
+    m = np.array([3, E, E + 1, 10 ** 6, 2 ** 40, 10 ** 6, 70000])
     got = w.prefix.log_abs_many(m)
-    far = m > _NEAR
-    edge = w.prefix._pos_log[_NEAR]
-    want = np.log1p(m[far].astype(float)) - math.log1p(_NEAR)
+    far = m > E
+    edge = w.prefix._pos_log[E]
+    want = np.log1p(m[far].astype(float)) - math.log1p(E)
     assert np.abs(got[far] - edge - want).max() <= 4e-16 * np.log1p(2.0 ** 40)
-    assert abs(edge - math.log1p(_NEAR)) <= 1e-12
+    assert abs(edge - math.log1p(E)) <= 1e-14
     assert np.array_equal(got[~far], w.prefix.log_abs_many(m[~far]))
-    assert len(w.prefix._pos_log) <= _NEAR + 1
+    # products telescope to (e + 1) / s, whether they lie inside the table,
+    # across its edge or past it, read from their own start
+    rng = np.random.default_rng(2601)
+    s = np.concatenate([rng.integers(1, 900, 300), rng.integers(1, 4 * 10 ** 5, 300)])
+    e = s + np.concatenate([rng.integers(128, 124 + E - s[:300].max(), 300),
+                            rng.integers(200, 120000, 300)])
+    vals, errors = w.prefix.products(s, e, 1)
+    want = (e + 1) / s
+    assert not errors and (vals.imag == 0.0).all()
+    assert (np.abs(vals.real - want) <= 2e-14 * want).all()
+    assert len(w.prefix._pos_log) <= E + 1
 
 
 def test_rational_phase_tables_start_at_the_first_negative_weight():
@@ -485,7 +520,7 @@ def test_rational_phase_tables_start_at_the_first_negative_weight():
 
 
 def test_far_rational_zeros_and_domain_raise_only_when_reached():
-    from hyperlab.seqspace import _NEAR, WeightPrefix
+    from hyperlab.seqspace import WeightPrefix
 
     # (t - 800000.5) / (t - 800000): a zero denominator at t = 800000
     pole = WeightPrefix(WeightSeq.ratio([-800000.5, 1.0], [-800000.0, 1.0]))
@@ -514,9 +549,16 @@ def test_far_rational_zeros_and_domain_raise_only_when_reached():
         root.product(2 ** 20, 2 ** 20 + 3)
     with pytest.raises(ValueError, match="zero weight"):
         root.log_abs_many([-5, 2 ** 21])
+    # a pole inside the table: ranges past it read the table across it
+    inside = WeightPrefix(WeightSeq.ratio([1.0], [-50.0, 1.0]))
+    assert inside.product(60, 700) == pytest.approx(
+        float(mpmath.exp(mp_log_product(inside.w, 60, 700)[0])), rel=1e-13)
+    with pytest.raises(ValueError, match="zero denominator at n=50"):
+        inside.product(40, 700)
     # negative indices on a naturals rule, past the table
     nat = WeightPrefix(WeightSeq.ratio([1.0, 1.0], [2.0, 1.0]))
-    for call in (lambda: nat.product(-_NEAR - 5, 3), lambda: nat.log_abs_many([-_NEAR - 5])):
+    E = nat._gamma.edge
+    for call in (lambda: nat.product(-E - 5, 3), lambda: nat.log_abs_many([-E - 5])):
         with pytest.raises(ValueError, match="naturals"):
             call()
     # P or Q vanishing everywhere leaves no index with a weight
@@ -535,7 +577,13 @@ PREFIX_RULES = [
     # (t - 3.5)(t + 2.5) / ((t + 0.5)^2 (t - 7.5)) on both sides of 0
     ([-8.75, -1.0, 1.0], [-1.875, -7.25, -6.5, 1.0], [3.5, -2.5], [-0.5, -0.5, 7.5],
      Domain.INTEGERS),
-    # roots just inside the reach of Stirling's series, 2^19 / 64 = 8192
+    # degree 2 over degree 1 on Z, complex roots over a real one
+    ([5.0, 2.0, 1.0], [2.5e5, 1e6], [-1 + 2j, -1 - 2j], [-0.25], Domain.INTEGERS),
+    # roots as far out as the least edge lets the series reach, 1024 / 64
+    ([240.5, 31.0, 1.0], [3.9375, -16.0, 1.0], [-15.5 + 0.5j, -15.5 - 0.5j], [15.75, 0.25],
+     Domain.INTEGERS),
+    # roots just inside the reach of Stirling's series at the largest edge,
+    # 2^19 / 64 = 8192
     ([-8000.5, 1.0], [7000.25, 1.0], [8000.5], [-7000.25], Domain.INTEGERS),
     # roots too far out for Stirling's series, which the mpmath form serves
     ([-9000.5, 1.0], [9000.25, 1.0], [9000.5], [-9000.25], Domain.INTEGERS),
@@ -544,17 +592,16 @@ PREFIX_RULES = [
 
 @pytest.mark.parametrize("num, den, p_roots, q_roots, domain", PREFIX_RULES)
 def test_far_rational_prefixes_match_a_log_gamma_oracle(num, den, p_roots, q_roots, domain):
-    from hyperlab.seqspace import _NEAR
-
     w = WeightSeq.ratio(num, den, domain)
+    E = w.prefix._gamma.edge
     sides = (1, -1) if domain is Domain.INTEGERS else (1,)
     for side in sides:
         # L(m) - L(E) is the sum of log|w_t| over E < t <= m, and L(-m) - L(-E)
         # minus that of log|w_-t| over E <= t < m: logGamma differences over
-        # the (mirrored) roots, valid as they lie below E
-        m = np.array([_NEAR + 1, _NEAR + 2, _NEAR + 1449, 10 ** 6, 10 ** 6 + 1,
+        # the (mirrored) roots, valid as they lie below E / 2
+        m = np.array([E // 2, E + 1, E + 2, E + 1449, 10 ** 6, 10 ** 6 + 1,
                       3 * 10 ** 7, 2 ** 40])
-        got = w.prefix.log_abs_many(np.append(side * m, side * _NEAR))
+        got = w.prefix.log_abs_many(np.append(side * m, side * E))
         with mpmath.workdps(60):
             def g(x):
                 x += side > 0
@@ -562,27 +609,31 @@ def test_far_rational_prefixes_match_a_log_gamma_oracle(num, den, p_roots, q_roo
                                  - sum(mpmath.loggamma(x - side * mpmath.mpc(r))
                                        for r in q_roots))
             lead = mpmath.log(abs(mpmath.mpf(num[-1]) / den[-1]))
-            want = [side * float(g(x) - g(_NEAR) + (x - _NEAR) * lead) for x in m]
+            want = [side * float(g(x) - g(E) + (x - E) * lead) for x in m]
         # the differences, to the rounding of L(m) itself
         err = np.abs(got[:-1] - got[-1] - want)
         assert (err <= 1e-14 * np.abs(want) + 2.0 * np.spacing(np.abs(got[:-1]))).all()
-        assert len(w.prefix._pos_log) <= _NEAR + 1 and len(w.prefix._neg_log) <= _NEAR + 1
+        assert len(w.prefix._pos_log) <= E + 1 and len(w.prefix._neg_log) <= E + 1
 
 
 def test_short_far_products_multiply_directly(monkeypatch):
-    from hyperlab.gammaratio import GammaRatio
     from hyperlab.seqspace import WeightPrefix, WeightOverflowError
 
     def unused(*args):
-        raise AssertionError("a short far product reached the closed form")
+        raise AssertionError("a product of a rule within the series' reach took mpmath")
 
-    pre = WeightPrefix(WeightSeq.ratio([1.0, 1.0], [0.0, 1.0]))
+    # the log-sum comes first, from the series; a short product inside
+    # (e^-300, e^300) is then the running product of its weights from 1
+    w = WeightSeq.ratio([1.0, 1.0], [0.0, 1.0])
+    pre = WeightPrefix(w)
     with monkeypatch.context() as mp:
-        mp.setattr(GammaRatio, "log_sum", unused)
+        mp.setattr(mpmath, "loggamma", unused)
+        for s, e, sign in [(10 ** 6, 10 ** 6 + 99, 1), (-1 + 10 ** 6, 10 ** 6 + 126, -1)]:
+            run = math.prod(map(w.weight, range(s, e + 1)), start=1.0 + 0.0j)
+            got = pre.product(s, e) if sign > 0 else pre.inverse_product(s, e)
+            assert got == (run if sign > 0 else 1.0 / run)
         assert pre.product(10 ** 6, 10 ** 6 + 99) == pytest.approx(
             (10 ** 6 + 100) / 10 ** 6, rel=1e-14)
-        assert pre.inverse_product(-1 + 10 ** 6, 10 ** 6 + 126) == pytest.approx(
-            (10 ** 6 - 1) / (10 ** 6 + 127), rel=1e-14)
     # t^3 over 100 far indices leaves float range: the closed form decides
     cube = WeightPrefix(WeightSeq.ratio([0.0, 0.0, 0.0, 1.0], [1.0]))
     with pytest.raises(WeightOverflowError):
@@ -598,9 +649,12 @@ def test_far_rational_roots_that_do_not_converge_raise(monkeypatch):
     def stuck(*args, **kwargs):
         raise NoConvergence("no convergence")
 
+    # (t^2 + 1) / t^2: mpmath finds the roots of t^2 + 1 (a root of degree 1
+    # is exact, and needs no mpmath)
     monkeypatch.setattr(mpmath, "polyroots", stuck)
-    pre = WeightPrefix(WeightSeq.ratio([1.0, 1.0], [0.0, 1.0]))
-    assert pre.product(1, 300) == pytest.approx(301.0, rel=1e-12)   # the table
+    pre = WeightPrefix(WeightSeq.ratio([1.0, 0.0, 1.0], [0.0, 0.0, 1.0]))
+    assert pre.product(1, 300) == pytest.approx(
+        math.prod(1.0 + 1.0 / t ** 2 for t in range(1, 301)), rel=1e-12)   # the table
     with pytest.raises(ValueError, match="did not converge"):
         pre.product(1, 10 ** 6)
 

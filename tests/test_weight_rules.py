@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hyperlab.seqspace import Domain, WeightSeq
-from scalar_products import ScalarPrefix
+from scalar_products import ScalarPrefix, agree
 
 N, Z = Domain.NATURALS, Domain.INTEGERS
 
@@ -38,7 +38,9 @@ SPECS = {
     "ratio-Z-zero": ("ratio", ([-2.0, 1.0], [1.0]), Z),
 }
 
-# engine_digest of each rule, recorded from the literal form's engine
+# engine_digest of each rule, recorded from the literal form's engine; the
+# rational ones from the engine whose tables stop at an edge, every outcome
+# agreeing with the log-gamma oracle of scalar_products
 ENGINE_DIGESTS = {
     "constant-N": "661b2ac351f20f1c7611b7f4e1db28397b9445aac91f0db3118dd1941fe5466c",
     "constant-Z-complex": "49d040b5ab03a94bf17df7f6b8395019163fbc30bb0270fedce9748354d09bf0",
@@ -52,9 +54,9 @@ ENGINE_DIGESTS = {
     "table-Z-nodefault": "a495c4651284d02d460f535152f3ba71adab56b941a8736dcabba63f7753f400",
     "table-N-zero": "bcf3d2ca54dc1d165a528bc50b93017c5fd1d289a2ed51aad425e2de246f91f0",
     "table-Z-zero": "027e8f26fd8e7d5b26a353d95c3a9fc7826f86bc45b201df9a49c94b2fccc7d1",
-    "ratio-N": "44592680f86ba3592ddb460348f457d6e285bcd28936938efa443571486d3730",
-    "ratio-Z-complex-roots": "90337469dc2df343ee50c585b9c99b62b2b3f153fcdc7ddd8c2fc14ec2f65bb4",
-    "ratio-Z-zero": "b1678d64def521cd37ff5555e2662625732a0aebae1d1e71e3e09505b99af252",
+    "ratio-N": "15567149fe6a45f7655fd91cf5e4c30340d94eb55cb48cef0df8887472614093",
+    "ratio-Z-complex-roots": "0ff2bbf6f70e04cd686ed399644dc2e89540f5b76cb8a235f848c4333476a668",
+    "ratio-Z-zero": "03badbb7d8135f306ebb749e37e6a9f4a0f809d7e560bdae3c42cd590e646cdc",
 }
 
 RANGES = [(1, 5), (-3, 40), (0, 0), (5, 4), (1, 600), (-400, 300), (-2000, -1500),
@@ -216,7 +218,7 @@ def test_at_reads_far_rules_at_the_ends_of_its_reach(split):
 
 
 # rational rules with unusable weights on both sides of 0 (n^2 - 4 on Z) and
-# a pole inside the near table (1 / (n - 50) on N)
+# a pole inside the table (1 / (n - 50) on N)
 EXTRA_RULES = {
     "ratio-Z-two-zeros": WeightSeq.ratio([-4.0, 0.0, 1.0], [1.0], Z),
     "ratio-N-pole": WeightSeq.ratio([1.0], [-50.0, 1.0], N),
@@ -243,7 +245,8 @@ def test_products_equal_the_scalar_chain_on_seeded_ranges(name):
             vals, errors = w.prefix.products(start, stop, sign)
             got = [f"{type(errors[i]).__name__}: {errors[i]}" if i in errors else repr(v)
                    for i, v in enumerate(vals.tolist())]
-            assert got == [outcome(want_of, s, e) for s, e in chunk]
+            want = [outcome(want_of, s, e) for s, e in chunk]
+            assert all(agree(g, o, w) for g, o in zip(got, want)), (got, want)
 
 
 @pytest.mark.parametrize("name", [*SPECS, *EXTRA_RULES])
@@ -254,4 +257,4 @@ def test_prefix_reads_equal_the_scalar_chain_at_the_edges_of_their_reach(name):
     w = EXTRA_RULES[name] if name in EXTRA_RULES else rules(name)[0]
     scalar = ScalarPrefix(w)
     for m in ([-2], [-1], [0], [-1, 3], list(range(1, 8)), [-6, 6], [-4], [40], [-40, -1]):
-        assert outcome(w.prefix.log_abs_many, m) == outcome(scalar.log_abs_many, m), m
+        assert agree(outcome(w.prefix.log_abs_many, m), outcome(scalar.log_abs_many, m), w), m
