@@ -592,8 +592,11 @@ class ClassVisitReport:
     visit_density: float             # 1-density proxy of the measured visits
     designed_density: float          # 1-density proxy of J_k
     density_ratio: float             # visit_density / designed_density
-    truncated: bool                  # block scan hit the per-time cap somewhere
     cross_check_dev: float | None    # decomposition vs direct jump at early times
+    # every walk is summed to its end or to a proved stop, so no scan is
+    # partial; a class constant, not a field, kept for deskbench's tracer,
+    # which counts `truncated_classes` from it
+    truncated = False
 
 
 # the last orbit time whose stored-vector jump the verifier's cross-check
@@ -605,16 +608,15 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
                              J: SeparatedFamily, q: int, radii: Sequence[float],
                              eps: EpsSchedule | None = None,
                              horizon: int | None = None,
-                             cross_check: int = 3,
-                             tail_cut: float = 1e-18,
-                             max_blocks_per_time: int = 256) -> list:
+                             cross_check: int = 3) -> list:
     """Measure the visit structure of {T^{n^q} x} around every target.
 
     For each time n the orbit point decomposes over the designed blocks:
     blocks m >= n contribute x_{l, m^q - n^q} exactly, blocks m < n
-    contribute T^{n^q - m^q} x_l via closed-form jumps.  The scan down the
-    far blocks stops once three consecutive blocks fall below `tail_cut`
-    (or at `max_blocks_per_time`, flagged as truncated).  `_scan_distances`
+    contribute T^{n^q - m^q} x_l via closed-form jumps.  Every distance
+    and visit is that of walking all the blocks, though a walk may stop
+    early where the rule's form bounds the blocks it leaves (see `_Walk`
+    and `_scan_distances`).  `_scan_distances`
     measures every time n = 1..horizon at once, one distance array per
     class, and the visit set of class k is the times whose distance lies
     below its radius.  Early designed times n with n^q up to
@@ -642,9 +644,7 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
     for k in range(K):
         read[k, designed[k]] = True
     read[:, [m - 1 for m in early]] = True
-    distances, truncated_any = _scan_distances(op, family, blocks, K, qi, N_H, tail_cut,
-                                               max_blocks_per_time,
-                                               [float(r) for r in radii], read)
+    distances = _scan_distances(op, family, blocks, K, qi, N_H, [float(r) for r in radii], read)
 
     # independent early-time cross-check from the stored vector
     dev = None
@@ -679,7 +679,6 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
             visit_density=vis_density,
             designed_density=des_density,
             density_ratio=(vis_density / des_density) if des_density > 0 else math.inf,
-            truncated=truncated_any,
             cross_check_dev=dev,
         ))
     return reports
@@ -703,6 +702,75 @@ def _first(mask: np.ndarray) -> np.ndarray:
     return np.where(mask, np.arange(mask.shape[1]), mask.shape[1]).min(axis=1)
 
 
+# a side of a walk may stop once the pieces it has not walked sum to a norm
+# of at most this share of the largest piece the time walked (see `_Walk`):
+# a factor 2 inside what `_lp_distances` asks of the terms past a stop, so
+# that an l^1 sum, whose terms are the norms themselves, need not walk again
+_STOP = 2.0 ** -56
+
+
+class _Tail:
+    """What a closed rule proves about the pieces of one side of a walk:
+    the future pieces x_{l,e} where its level `high` has |high| > 1, the
+    past pieces T^e x_l of a bilateral shift where `low` has |low| < 1.
+
+    Take r = |log|level|| and u = n + offset for an entry c_n of a target.
+    Once e >= start, the entry of a piece from c_n reads the weights
+    between u and the table's edge and then only the level, so its modulus
+    is |c_n| exp(k_n - r e), k_n = L(u) - L(edge) -+ (u - edge) r with L
+    the rule's log prefix (- on the future side), and the piece's norm is
+    at most C exp(-r e), C = max_l ||(|c_n| exp(k_n))_n||_p over the
+    entries of x_l.  Pieces at distinct exponents e >= x sum to at most
+    C exp(-r x) / (1 - exp(-r)), which `rest` takes with C raised by a
+    factor e and r lowered by 2^-30 of itself, far more than the rounding
+    of a piece's log-sum (a few units in e r) and of k_n.  Every index of
+    such a piece lies e above the targets' (below them on the past side),
+    which span `span` indices.
+    """
+
+    def __init__(self, start: int, log_c: float, rate: float, span: int):
+        self.start, self.log_c, self.span = start, log_c, span
+        self.rate = rate * (1.0 - 2.0 ** -30)
+
+    def rest(self, x: np.ndarray) -> np.ndarray:
+        """The bound on the summed norms of pieces at distinct exponents
+        from x on, inf where x < start."""
+        x = np.minimum(x, 2 ** 62).astype(float)   # past 2^53 a piece only raises
+        with np.errstate(over="ignore", under="ignore"):
+            r = np.exp(self.log_c - self.rate * x) / -math.expm1(-self.rate)
+        return np.where(x >= self.start, r, math.inf)
+
+
+def _tails(op: ShiftOp, targets: Sequence[SeqVector]) -> tuple:
+    """(future, past) `_Tail`s of op's walks, None on a side without one:
+    every rule but a closed one whose weights are all usable, every op but
+    a backward-type one, a level that does not shrink the pieces, and the
+    past side on the naturals, which ends at the nilpotent cut."""
+    w = op.weights
+    n = index_array([i for x in targets for i in x.entries])
+    if op.displacement != -1 or w.rational is not None or not (w.low and w.high and all(w.values)) \
+            or not n.size or n.dtype == object or max(abs(w.a), np.abs(n).max()) > 2 ** 52:
+        return None, None
+    p = targets[0].p_exponent
+    cls = np.repeat(np.arange(len(targets)), [len(x.entries) for x in targets])
+    logc = np.log(np.abs([c for x in targets for c in x.entries.values()]))
+    u = n + op.offset
+    L = w.prefix.log_abs_many
+    tails = []
+    for level, edge, sign in ((w.high, w.a + len(w.values), 1), (w.low, w.a, -1)):
+        rate = sign * math.log(abs(level))
+        if rate <= 0.0 or (sign < 0 and op.domain is Domain.NATURALS):
+            tails.append(None)
+            continue
+        if op.domain is Domain.NATURALS:
+            edge = max(edge, 0)   # L starts at 0, and every weight above it is the level
+        c0 = logc + (L(u) - L(np.array([edge]))) + sign * (edge - u) * rate
+        top = c0.max()
+        log_c = top + math.log(np.bincount(cls, np.exp(p * (c0 - top))).max()) / p + 1.0
+        tails.append(_Tail(int((sign * (edge - u)).max()), log_c, rate, int(n.max() - n.min())))
+    return tuple(tails)
+
+
 class _Walk:
     """The block walks of one pass of times, stepped for all times at once.
 
@@ -714,76 +782,89 @@ class _Walk:
     future walk); parts collects (time, position, piece) arrays; fail[t] is
     the piece whose error ended t's walk, or -1; bad[t] marks a past jump
     that overflowed.
+
+    Each side walks to its end: the last block, or block 0, a nilpotent cut
+    or an overflow on the past side.  Where tails gives the side a `_Tail`,
+    it may stop after a piece: when the bound R on the pieces it has not
+    walked is below COEFF_GUARD, so each of their entries would be dropped
+    and they are empty; or when R is at most _STOP times mu[t], the largest
+    norm of the pieces t walked other than its e = 0 one, and the next
+    piece lies more than the targets' span past the walked ones, so no
+    piece left shares an index with a walked piece or a target.
+    rest[side, t] is R where that side stopped with R >= COEFF_GUARD, 0.0
+    elsewhere.
     """
 
-    def __init__(self, table: TermTable, op: ShiftOp, bpow, bcls, nq, i0, cap: int):
+    def __init__(self, table: TermTable, op: ShiftOp, bpow, bcls, nq, i0, tails: tuple):
         self.table, self.op, self.bpow, self.bcls = table, op, bpow, bcls
-        self.nq, self.i0, self.cap = nq, i0, cap
+        self.nq, self.i0, self.tails = nq, i0, tails
         T = len(nq)
         self.used = np.zeros(T, np.int64)
         self.n_future = np.zeros(T, np.int64)
         self.fail = np.full(T, -1, np.int64)
         self.bad = np.zeros(T, bool)
-        self.truncated = False
+        self.rest = np.zeros((2, T))
+        self.mu = np.zeros(T)
         self.parts: list = []
 
-    def _take(self, act, pid, before, after, capped) -> np.ndarray:
-        """Add each row's pieces up to its first stop: before a position
-        flagged in `before`, or after one flagged in `after`, which truncates
-        the scan where `capped` holds too.  Returns the rows that ran
-        through the whole step."""
+    def _step(self, side, act, pid, ok, x, x_next, more, counted) -> np.ndarray:
+        """Add each row's pieces pid (exponents x, the next piece's x_next
+        where more holds) up to its first stop: before a piece that is not
+        ok, or after one where the side's tail allows it.  Returns the rows
+        that ran through the whole step."""
         S = pid.shape[1]
-        fb, fa = _first(before), _first(after)
+        rows = np.arange(len(act))
+        halt = np.zeros(pid.shape, bool)
+        tail = self.tails[side]
+        if tail is not None:
+            R = np.where(more, tail.rest(x_next), 0.0)
+            norms = np.where(counted, self.table.norms(pid), 0.0)
+            mu = np.maximum.accumulate(np.hstack([self.mu[act, None], norms]), axis=1)[:, 1:]
+            # R is 0.0 past the last piece
+            halt = (R < COEFF_GUARD) | ((R <= _STOP * mu) & (x_next - x > tail.span))
+        fb, fa = _first(~ok), _first(ok & halt)
         n_take = np.minimum(fb, fa + 1)
         taken = np.arange(S) < n_take[:, None]
         self.parts.append((np.broadcast_to(act[:, None], pid.shape)[taken],
                            (self.used[act, None] + np.arange(S))[taken], pid[taken]))
         self.used[act] += n_take
-        rows = np.arange(len(act))
-        capped = np.broadcast_to(capped, pid.shape)[rows, np.minimum(fa, S - 1)]
-        self.truncated |= bool(((fa < fb) & capped).any())
+        if tail is not None:
+            last = np.maximum(n_take - 1, 0)
+            self.mu[act] = np.where(n_take > 0, mu[rows, last], self.mu[act])
+            stop = (fa < fb) & ~(R[rows, last] < COEFF_GUARD)
+            self.rest[side, act[stop]] = R[rows, last][stop]
         at = pid[rows, np.minimum(fb, S - 1)]
         state = np.where((fb <= fa) & (fb < S), self.table.column("state", np.int8)[at], 0)
         self.fail[act[state == 2]] = at[state == 2]
         self.bad[act[state == 1]] = True
         return (fb == S) & (fa == S)
 
-    def future(self, tail_cut: float) -> None:
-        """Blocks i0, i0 + 1, ...: add x_{l, m^q - n^q}, stop at the cap or
-        after three consecutive pieces with norm below tail_cut."""
+    def future(self) -> None:
+        """Blocks i0, i0 + 1, ...: add x_{l, m^q - n^q}."""
         B = len(self.bpow)
         act = np.flatnonzero(self.i0 < B)
-        consec = np.zeros(len(act), np.int64)
         j = 0
         while act.size:
-            # look ahead at least as far as a stop on small pieces needs, and
-            # about half the walk so far: a piece past a stop is computed for
-            # nothing, a step costs a round of array operations
-            S = max(1, min(max(3 - int(consec.max()), j // 2), _PASS_SIZE // len(act),
-                           self.cap - j))
-            s = np.arange(S)
-            i = self.i0[act, None] + (j + s)
+            # look ahead about half the walk so far: a piece past a stop is
+            # computed for nothing, a step costs a round of array operations
+            S = max(1, min(max(4, j // 2), _PASS_SIZE // len(act)))
+            i = self.i0[act, None] + (j + np.arange(S))
             inb = i < B
             ic = np.minimum(i, B - 1)
-            pid = np.zeros(i.shape, np.int64)
             e = self.bpow[ic] - self.nq[act, None]
+            pid = np.zeros(i.shape, np.int64)
             pid[inb] = self.table.ids(self.bcls[ic][inb], e[inb])
-            small = self.table.norms(pid) < tail_cut
             ok = inb & (self.table.column("state", np.int8)[pid] == 0)
-            # consecutive small pieces up to each position, carried across steps
-            last = np.maximum.accumulate(np.where(small, -1, s), axis=1)
-            run = np.where(last < 0, consec[:, None] + s + 1, s - last)
-            capped = j + s + 1 >= self.cap
-            going = self._take(act, pid, ~ok, ok & (capped | (small & (run >= 3))), capped)
-            act, consec = act[going], run[going, -1]
+            e_next = self.bpow[np.minimum(i + 1, B - 1)] - self.nq[act, None]
+            act = act[self._step(0, act, pid, ok, e, e_next, i + 1 < B, e > 0)]
             j += S
         self.n_future = self.used.copy()
 
     def past(self, sup_top, nilpotent: bool) -> None:
-        """Blocks i0 - 1, i0 - 2, ...: add T^{n^q - m^q} x_l, stop at the cap,
-        at block 0, at a jump that overflows (the time reads inf) and, for
-        a unilateral backward shift, before the first block whose jump
-        clears its target's support."""
+        """Blocks i0 - 1, i0 - 2, ...: add T^{n^q - m^q} x_l, stop at block
+        0, at a jump that overflows (the time reads inf) and, for a
+        unilateral backward shift, before the first block whose jump clears
+        its target's support."""
         act = np.flatnonzero((self.i0 > 0) & (self.fail < 0))
         j, S = 0, 1
         while act.size:
@@ -796,19 +877,19 @@ class _Walk:
             cut = i < 0
             if nilpotent:
                 cut |= delta > sup_top[cls]
-            used = self.used[act, None] + s
-            reach = (s < _first(cut)[:, None]) & ((s == 0) | (used < self.cap))
+            reach = s < _first(cut)[:, None]
             pid = np.zeros(i.shape, np.int64)
             pid[reach] = self.table.ids(cls[reach], delta[reach], self.op)
             ok = reach & (self.table.column("state", np.int8)[pid] == 0)
-            capped = used + 1 >= self.cap
-            act = act[self._take(act, pid, ~ok, ok & capped, capped)]
+            d_next = self.nq[act, None] - self.bpow[np.maximum(i - 1, 0)]
+            act = act[self._step(1, act, pid, ok, delta, d_next, i > 0, reach)]
             j += S
 
     def terms(self) -> tuple:
         """(time, idx, re, im) of every added entry, ordered by time, then
-        walk position, then the piece's entry order, and whether no index
-        repeats within a time (see `_disjoint`)."""
+        walk position, then the piece's entry order; whether no index
+        repeats within a time (see `_disjoint`); and how many of each
+        time's entries come from its future walk."""
         none = np.zeros(0, np.int64)
         t, pos, pid = (np.concatenate(c) for c in zip(*self.parts)) if self.parts else \
             (none, none, none)
@@ -819,11 +900,13 @@ class _Walk:
         del t, pos, pid
         slot_t = np.repeat(np.arange(len(self.used)), self.used)
         size = self.table.column("size", np.int64)[slot]
+        ends = np.concatenate([[0], np.cumsum(size)])    # entries before each slot
+        front = ends[offset + self.n_future] - ends[offset]
         disjoint = self._disjoint(slot, slot_t, offset, size)
         ent = self.table.entries(slot)
         del slot
         return (np.repeat(slot_t, size), self.table.column("idx", np.int64)[ent],
-                self.table.column("re")[ent], self.table.column("im")[ent], disjoint)
+                self.table.column("re")[ent], self.table.column("im")[ent], disjoint, front)
 
     def _disjoint(self, slot, slot_t, offset, size) -> bool:
         """Whether the nonempty pieces of every time cover disjoint index
@@ -856,14 +939,15 @@ def _merge_terms(t, idx, re, im) -> tuple:
     return t[first], idx[first], run_re[last][by_first], run_im[last][by_first]
 
 
-def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict],
-                  p: float, radii: Sequence[float], read: np.ndarray) -> np.ndarray:
-    """out[k, u] = lp_norm(SeqVector(y_u) - SeqVector(x_k)) for u < n_times
-    where read[k, u] holds or that norm may lie below radii[k]; elsewhere
-    the largest term of the difference, which is at least radii[k] and at
-    most the norm.  y_u holds the entries (idx, re + i im) at t == u (t
-    nondecreasing, each time's entries in its dict order), x_k the entries
-    targets[k].
+def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict], p: float,
+                  radii: Sequence[float], read: np.ndarray, rest: np.ndarray,
+                  front: np.ndarray) -> tuple:
+    """(out, moved): out[k, u] = lp_norm(SeqVector(y_u) - SeqVector(x_k))
+    for u < n_times where read[k, u] holds or that norm may lie below
+    radii[k]; elsewhere the largest term of the difference, which is at
+    least radii[k] and at most the norm.  y_u holds the entries (idx, re +
+    i im) at t == u (t nondecreasing, each time's entries in its dict
+    order), x_k the entries targets[k].
 
     Step for step the float operations of that expression: |y_i| is
     np.hypot, which equals abs(complex) bit for bit where np.abs does not;
@@ -873,6 +957,18 @@ def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict],
     empty cell being 0.0.  A norm is top * pow(s, 1 / p) with top the
     largest term and s >= 1.0 (top adds exactly 1.0), so it is never below
     top, and where top >= radius, norm < radius is False without a power.
+
+    moved[u] holds where y_u may lack terms that could change a value:
+    rest[side, u] > 0 bounds the summed norms of the pieces each side of
+    u's walk left (`_Walk`), whose entries would be new indices, entering
+    after the first front[u] entries of y_u (the future side) or after all
+    of them (the past side).  Each such entry is at most rest, so where
+    rest[0, u] + rest[1, u] < top, top is the same with them; each adds a
+    term (entry / top) ** p to the running sum A of the terms before it,
+    and where every one lies below half a unit in the last place of A,
+    which (rest / top) ** p <= 2^-55 A with A >= 2^-960 makes sure with
+    room for the rounding of the term, A and so the sum keep every bit.  A
+    value decided by top alone needs only the first.
     """
     p = float(p)
     mag = np.hypot(re, im)
@@ -881,6 +977,8 @@ def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict],
     col = np.arange(len(t)) - np.searchsorted(t, np.arange(n_times))[t]
     width0 = np.bincount(t, minlength=n_times)
     out = np.empty((len(targets), n_times))
+    left = rest.sum(axis=0)
+    moved = np.zeros(n_times, bool)
     for k, target in enumerate(targets):
         # V[c, u]: the c-th term of time u
         V = np.zeros((max(1, int(width0.max(initial=0)) + len(target)), n_times))
@@ -895,17 +993,27 @@ def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict],
             lacks = np.flatnonzero(lacks)
             V[width[lacks], lacks] = abs(tc)
             width[lacks] += 1
-        out[k] = V.max(axis=0)
+        top = V.max(axis=0)
+        out[k] = top
+        moved |= (left > 0.0) & ~(left < top)
         # a NaN top compares False both ways and takes the exact sum
-        exact = read[k] | ~(out[k] >= radii[k])
-        out[k, exact] = _p_sums(V[:, exact], p)
-    return out
+        exact = read[k] | ~(top >= radii[k])
+        W = V[:, exact]
+        out[k, exact] = _p_sums(W, p)     # W now holds the terms (v / top) ** p
+        for side, ahead in enumerate((front[exact], width0[exact])):
+            on = rest[side, exact] > 0.0
+            if on.any():
+                A = _left_sum(np.where(np.arange(len(W))[:, None] < ahead[on], W[:, on], 0.0))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    small = p * np.log(rest[side, exact][on] / top[exact][on]) \
+                        <= np.log(A) - 55 * math.log(2.0)
+                moved[np.flatnonzero(exact)[on]] |= ~(small & (A >= 2.0 ** -960))
+    return out, moved
 
 
 def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: tuple, K: int,
-                    qi: int, N_H: int, tail_cut: float, max_blocks_per_time: int,
-                    radii: Sequence[float], read: np.ndarray) -> tuple:
-    """(d, truncated) over the blocks (times, classes) of `_blocks`, with
+                    qi: int, N_H: int, radii: Sequence[float], read: np.ndarray) -> np.ndarray:
+    """d over the blocks (times, classes) of `_blocks`, with
     d[k - 1, n - 1] = ||T^{n^q} x - x_k|| for k <= K and n = 1..N_H where
     read[k - 1, n - 1] holds or the distance lies below radii[k - 1], and
     elsewhere a value in [radii[k - 1], ||T^{n^q} x - x_k||] (see
@@ -913,14 +1021,19 @@ def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: tuple, K: 
     verify_q_frequent_visits.
 
     The times go through in passes.  A pass walks the blocks of all its
-    times at once (`_Walk`), taking each piece from the term table,
-    expands the pieces to terms, sums the terms of each orbit point per
-    index where two pieces of a time overlap (`_merge_terms`) and measures
-    the distances (`_lp_distances`).  Every float operation is that of
-    summing each orbit point into a dict in block order and taking
+    times at once (`_Walk`, with the rule's `_tails`), taking each piece
+    from the term table, expands the pieces to terms, sums the terms of
+    each orbit point per index where two pieces of a time overlap
+    (`_merge_terms`) and measures the distances (`_lp_distances`).  The
+    times whose walk stopped where the pieces it left could move a value,
+    and in a pass with overlapping pieces every time whose walk stopped
+    with pieces left, walk again to their ends and are measured again.
+    Every float operation is that of summing each orbit point into a dict
+    over all its blocks in block order and taking
     lp_norm(SeqVector(acc) - x_k), in the same order, so every distance
-    taken equals that loop's bit for bit.  An error a piece raises is raised
-    for the earliest time whose walk reaches it, as that loop would.
+    taken equals that loop's bit for bit.  An error a piece raises is
+    raised for the earliest time whose walk reaches it, as that loop would;
+    a piece past a stop is not built, so it raises nothing.
     """
     p = family.base_point(1).p_exponent
     targets = [family.base_point(k).entries for k in range(1, K + 1)]
@@ -932,27 +1045,37 @@ def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: tuple, K: 
     dt = np.int64 if (last ** qi + 1) * (K + 1) < EXACT_INT64 else object
     bpow = btime.astype(dt) ** qi
     table = family._terms
-    distances = np.empty((K, N_H))
-    truncated = False
-    n0, width = 1, _FIRST_PASS
-    while n0 <= N_H:
-        n1 = min(N_H, n0 + width - 1)
-        walk = _Walk(table, op, bpow, bcls, np.arange(n0, n1 + 1, dtype=dt) ** qi,
-                     np.searchsorted(btime, np.arange(n0, n1 + 1)), max_blocks_per_time)
-        walk.future(tail_cut)
+    tails = _tails(op, family.base_points) if op == family.op else (None, None)
+
+    def measure(times: np.ndarray, tails: tuple, read: np.ndarray) -> tuple:
+        """(d, terms of the longest walk, moved) of one pass of times."""
+        walk = _Walk(table, op, bpow, bcls, times.astype(dt) ** qi,
+                     np.searchsorted(btime, times), tails)
+        walk.future()
         walk.past(sup_top, nilpotent)
         failed = np.flatnonzero(walk.fail >= 0)
         if failed.size:
             raise table.errors[int(walk.fail[failed[0]])]
-        truncated |= walk.truncated
-        *terms, disjoint = walk.terms()
-        longest = int(np.bincount(terms[0], minlength=1).max())
-        d = _lp_distances(*(terms if disjoint else _merge_terms(*terms)), n1 - n0 + 1,
-                          targets, p, radii, read[:, n0 - 1:n1])
+        *terms, disjoint, front = walk.terms()
+        rest = walk.rest if disjoint else np.zeros_like(walk.rest)
+        d, moved = _lp_distances(*(terms if disjoint else _merge_terms(*terms)), len(times),
+                                 targets, p, radii, read, rest, front)
+        # an overflowed past reads inf whatever the pieces left
         d[:, walk.bad] = math.inf
+        moved = (moved | walk.rest.any(axis=0) & (not disjoint)) & ~walk.bad
+        return d, int(np.bincount(terms[0], minlength=1).max()), moved
+
+    distances = np.empty((K, N_H))
+    n0, width = 1, _FIRST_PASS
+    while n0 <= N_H:
+        n1 = min(N_H, n0 + width - 1)
+        d, longest, moved = measure(np.arange(n0, n1 + 1), tails, read[:, n0 - 1:n1])
+        again = np.flatnonzero(moved)
+        if again.size:
+            d[:, again] = measure(n0 + again, (None, None), read[:, n0 - 1 + again])[0]
         distances[:, n0 - 1:n1] = d
         n0, width = n1 + 1, max(16, _PASS_SIZE // max(1, longest))
-    return distances, truncated
+    return distances
 
 
 # ---------------------------------------------------------------------------

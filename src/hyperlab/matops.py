@@ -301,16 +301,15 @@ def _column_components(U: np.ndarray) -> np.ndarray:
             parent = root
 
 
-def _column_groups(U: np.ndarray, labels: np.ndarray | None = None) -> list:
+def _column_groups(U: np.ndarray, labels: np.ndarray) -> list:
     """The column groups of one sweep, one sequence per component of more
-    than one column (`labels`, the `_column_components` of U, computed here
-    when not given; no group crosses a component, and a one-column
-    component has none: its singular value is its norm).
+    than one column (`labels`, the `_column_components` of U; no group
+    crosses a component, and a one-column component has none: its singular
+    value is its norm).
     A component of up to two _JACOBI_BLOCK-column blocks has one group; a
     larger one gets every pair of _JACOBI_BLOCK-column blocks of its sorted
     column indices, in order, each pair rotating the columns the pairs before
     it left.  A single component of n columns gets the blocks of range(n)."""
-    labels = _column_components(U) if labels is None else labels
     sizes = np.bincount(labels, minlength=U.shape[1])
     order = np.argsort(labels, kind="stable")
     ends = np.cumsum(sizes)
@@ -430,7 +429,7 @@ def _gram_sweep(G: np.ndarray, tol: float) -> list:
 class _Sweeps:
     """The sweep loop of one-sided Jacobi over the columns of many matrices
     at once, rotating each column array of Us in place; `labels` holds the
-    component labels of each (see `_column_components`), or is labelled here.
+    component labels of each (see `_column_components`).
 
     Iterating runs sweeps until each matrix has had a sweep that left all
     its column groups untouched (`converged[i]`) or `max_sweeps` have run;
@@ -451,9 +450,8 @@ class _Sweeps:
     them.
     """
 
-    def __init__(self, Us: list, tol: float, max_sweeps: int, labels: list | None = None):
-        self.Us, self.tol, self.max_sweeps = Us, tol, max_sweeps
-        self.labels = labels or [None] * len(Us)
+    def __init__(self, Us: list, tol: float, max_sweeps: int, labels: list):
+        self.Us, self.tol, self.max_sweeps, self.labels = Us, tol, max_sweeps, labels
         self.sweeps = [0] * len(Us)
         self.converged = [False] * len(Us)
 

@@ -467,13 +467,17 @@ class WeightPrefix:
         chunks that keep temporaries small.  Entry k of a side is L(k) or
         L(-k): it adds w_k or subtracts w_{1-k}.  A weight that is not usable
         adds 0 and joins `_zeros`; a naturals rule's side below 0 stops at
-        L(-1)."""
+        L(-1).  Chunks start at the entries 1 + j * _CHUNK, and a growth
+        first drops the entries of a chunk it left part built, so every
+        entry is the same whatever reads grew the table before."""
         below = -lo if self.w.domain is Domain.INTEGERS else min(-lo, 1)
         for logs, phs, need, sign in ((self._pos_log, self._pos_ph, hi, 1),
                                       (self._neg_log, self._neg_ph, below, -1)):
             if need < len(logs):
                 continue
             top = min(max(need, 2 * len(logs)), edge)
+            start = 1 + (len(logs) - 1) // _CHUNK * _CHUNK
+            del logs[start:], phs[start:]
             while len(logs) <= top:
                 k = np.arange(len(logs), min(len(logs) + _CHUNK, top + 1))
                 t = k if sign > 0 else 1 - k

@@ -48,7 +48,9 @@ def one_error_line(err: str) -> str:
 # each gained log10_residual and log10_bound and hardy-nuclear lost trace_gap.
 # hardy-density was re-recorded when its Gram matrix became two matrix
 # products: the residual moved by one unit in the last place,
-# 0.6988169706288795 -> 0.6988169706288794.
+# 0.6988169706288795 -> 0.6988169706288794.  construct-fhc was re-recorded
+# when its classes lost `truncated` and gained `proof_bound` and
+# `cross_check_dev`; every other value in it is unchanged.
 PINNED = [
     pytest.param([
         "density", "--set", "squares", "--q", "2", "--n-max", "60"],
@@ -66,7 +68,7 @@ PINNED = [
     pytest.param([
         "construct-fhc", "--weights", "w=constant:2", "--targets", "0|0,1", "--horizon",
         "300", "--eps-scale", "1", "--eps-base", "0.5", "--seed", "5"],
-        0, "0f5c053f756b85832fad40a5ede0738360cbfa8d1358bacfc22da48f94ee58ce",
+        0, "ad9d34db276f1e9be0b48e2f321657e21895bc153b55180d470d0bb5997de676",
         id="construct-fhc"),
     pytest.param([
         "check", "--condition", "growth", "--i-range", "0:2", "--j-range", "0:2",
@@ -295,16 +297,36 @@ def test_decaying_weights_fail_the_construction_cleanly(tmp_path, capsys, extra)
         "error: construction failed: ")
 
 
-def test_truncated_scan_exits_two(tmp_path):
-    # ratio weights keep every far block above the tail cut, and threshold 1
-    # puts 275 blocks in the horizon: the early times hit the 256-block cap
+def test_long_ratio_scan_walks_every_block(tmp_path):
+    # ratio weights keep every far block comparable, and threshold 1 puts
+    # 275 blocks in the horizon: the early times walk all of them
     argv = ["construct-fhc", "--weights", "w=ratio:1,1|0,1", "--targets", "0",
             "--eps-scale", "2", "--horizon", "1100"]
-    assert run(argv, tmp_path) == 2
+    assert run(argv, tmp_path) == 0
     rep = json.loads(report_path(tmp_path, argv).read_text())
-    assert rep["exit_code"] == 2
-    assert [c["truncated"] for c in rep["results"]["classes"]] == [True]
-    assert rep["results"]["classes"][0]["contained"] is True
+    assert rep["exit_code"] == 0
+    assert [c["contained"] for c in rep["results"]["classes"]] == [True]
+    assert "truncated" not in rep["results"]["classes"][0]
+
+
+@pytest.mark.parametrize("argv,distance", [
+    (["--weights", "w=ratio:1,1|0,1"], 0.0766694131705065),
+    (["--weights", "w=step:0|0.5|2", "--op", "bilateral-backward"], 6.291359903103109e-05),
+], ids=["ratio", "step-bilateral"])
+def test_horizon_ten_thousand_runs_pass(tmp_path, argv, distance):
+    # 625 designed times: the ratio run walks every block of every time,
+    # the step run stops both sides of its walks where the levels 2 and
+    # 1/2 bound the blocks left
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["construct-fhc", *argv, "--targets", "0", "--horizon", "10000"]
+    proc = subprocess.run([sys.executable, "-m", "hyperlab.cli", *argv, "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    [cls] = json.loads(report_path(tmp_path, argv).read_text())["results"]["classes"]
+    assert cls["contained"] is True and cls["designed_count"] == 625
+    assert cls["max_designed_distance"] == distance
 
 
 @pytest.mark.parametrize("argv,needle", [

@@ -950,10 +950,11 @@ def literal_lp_norm(v):
     return top * (sum((m / top) ** v.p_exponent for m in mags)) ** (1.0 / v.p_exponent)
 
 
-def literal_scan(op, family, J, q, N_H, tail_cut=1e-18, max_blocks_per_time=256):
-    """The verifier's per-time loop as first written: one SeqVector per
-    orbit point and literal_lp_norm(y - x_k) per class.  Returns
-    ({k: {n: distance}}, truncated, {k: {n: largest |entry| of y - x_k}})."""
+def literal_scan(op, family, J, q, N_H):
+    """The verifier's per-time loop as first written, walking every block
+    to its end: one SeqVector per orbit point and literal_lp_norm(y - x_k)
+    per class.  Returns ({k: {n: distance}}, {k: {n: largest |entry| of
+    y - x_k}}, [future pieces, past pieces] walked)."""
     K = J.num_classes
     blocks = sorted((n, l) for l in range(1, K + 1) for n in J.sets[l - 1].elems.tolist())
     block_times = [b[0] for b in blocks]
@@ -961,26 +962,19 @@ def literal_scan(op, family, J, q, N_H, tail_cut=1e-18, max_blocks_per_time=256)
     sup_top = {l: max(family.base_point(l).support(), default=-1) for l in range(1, K + 1)}
     distances = {k: {} for k in range(1, K + 1)}
     tops = {k: {} for k in range(1, K + 1)}
-    truncated = False
+    walked = [0, 0]
+    pieces = {}     # times share most inverse points: each is built once
     for n in range(1, N_H + 1):
         acc = {}
         i0 = bisect_left(block_times, n)
-        consec_small = used = 0
         bad = False
         for m, l in blocks[i0:]:
-            xv = family.inverse_point(l, m ** q - n ** q)
-            for idx, c in xv.entries.items():
+            e = m ** q - n ** q
+            if (l, e) not in pieces:
+                pieces[l, e] = family.inverse_point(l, e)
+            for idx, c in pieces[l, e].entries.items():
                 acc[idx] = acc.get(idx, 0.0 + 0.0j) + c
-            used += 1
-            if used >= max_blocks_per_time:
-                truncated = True
-                break
-            if literal_lp_norm(xv) < tail_cut:
-                consec_small += 1
-                if consec_small >= 3:
-                    break
-            else:
-                consec_small = 0
+            walked[0] += 1
         for m, l in reversed(blocks[:i0]):
             delta = n ** q - m ** q
             if nilpotent and delta > sup_top[l]:
@@ -992,16 +986,13 @@ def literal_scan(op, family, J, q, N_H, tail_cut=1e-18, max_blocks_per_time=256)
                 break
             for idx, c in tv.entries.items():
                 acc[idx] = acc.get(idx, 0.0 + 0.0j) + c
-            used += 1
-            if used >= max_blocks_per_time:
-                truncated = True
-                break
+            walked[1] += 1
         y = SeqVector(acc, family.base_point(1).domain, family.base_point(1).p_exponent)
         for k in range(1, K + 1):
             diff = y - family.base_point(k)
             tops[k][n] = max((abs(c) for c in diff.entries.values()), default=0.0)
             distances[k][n] = math.inf if bad else literal_lp_norm(diff)
-    return distances, truncated, tops
+    return distances, tops, walked
 
 
 def read_cells(J, q, N_H, cross_check=3):
@@ -1015,25 +1006,39 @@ def read_cells(J, q, N_H, cross_check=3):
             if n in J.sets[k - 1].elems or n in early[:cross_check]}
 
 
-def assert_verifier_matches_literal(op, family, J, q, radii, **kwargs):
-    """The verifier's distances equal the literal loop's, with ==, on the
-    cells the reports read and wherever the largest term lies below the
-    radius; every other distance lies in [radius, literal distance].  Visit
-    times, max designed distance and truncation equal the literal loop's
-    over the whole scan.  Returns the literal distances, truncation and the
-    number of cells whose exact sum the verifier had to take."""
+def assert_verifier_matches_literal(op, family, J, q, radii):
+    """The verifier's distances equal those of the literal loop, which
+    walks every block, with ==, on the cells the reports read and wherever
+    the largest term lies below the radius; every other distance lies in
+    [radius, literal distance].  Visit times and max designed distance
+    equal the literal loop's over the whole scan.  Returns the literal
+    distances, the number of cells whose exact sum the verifier had to take,
+    and its walks: the pieces each side walked, literally and in the
+    verifier ("literal" and "verifier", [future, past]), and the times the
+    verifier walked again to their ends ("again")."""
     N_H, K = J.horizon, J.num_classes
-    want, want_trunc, tops = literal_scan(op, family, J, q, N_H, **kwargs)
+    want, tops, literal_walked = literal_scan(op, family, J, q, N_H)
     read = read_cells(J, q, N_H)
     mask = np.array([[(k, n) in read for n in range(1, N_H + 1)] for k in range(1, K + 1)],
                     bool).reshape(K, N_H)
     blocks = sorted((n, l) for l in range(1, K + 1) for n in J.sets[l - 1].elems.tolist())
     blocks = (np.array([n for n, _ in blocks], np.int64),
               np.array([l for _, l in blocks], np.int64))
-    got, got_trunc = fhc._scan_distances(op, family, blocks, K, q, N_H,
-                                         kwargs.get("tail_cut", 1e-18),
-                                         kwargs.get("max_blocks_per_time", 256),
-                                         [float(r) for r in radii], mask)
+    walks = {"literal": literal_walked, "verifier": [0, 0], "again": 0}
+    terms, proved = fhc._Walk.terms, fhc._tails(op, family.base_points) != (None, None)
+
+    def counted(walk):
+        walks["verifier"][0] += int(walk.n_future.sum())
+        walks["verifier"][1] += int((walk.used - walk.n_future).sum())
+        walks["again"] += len(walk.nq) if proved and walk.tails == (None, None) else 0
+        return terms(walk)
+
+    fhc._Walk.terms = counted
+    try:
+        got = fhc._scan_distances(op, family, blocks, K, q, N_H, [float(r) for r in radii],
+                                  mask)
+    finally:
+        fhc._Walk.terms = terms
     assert got.shape == (K, N_H)
     exact = 0
     for k, radius in zip(range(1, K + 1), radii):
@@ -1044,17 +1049,15 @@ def assert_verifier_matches_literal(op, family, J, q, radii, **kwargs):
                 assert g == w, (k, n)
             else:
                 assert radius <= g <= w, (k, n)
-    assert got_trunc == want_trunc
     x = assemble_vector(family, J, q)
-    reports = verify_q_frequent_visits(op, x, family, J, q, radii, horizon=N_H, **kwargs)
+    reports = verify_q_frequent_visits(op, x, family, J, q, radii, horizon=N_H)
     for rep, radius in zip(reports, radii):
         d = want[rep.k]
         designed = [n for n in J.sets[rep.k - 1].elems if n <= N_H]
         assert rep.max_designed_distance == max(d[n] for n in designed)
         assert rep.visit_times.elems.tolist() == [n for n in range(1, N_H + 1) if d[n] < radius]
         assert rep.designed_within == sum(1 for n in designed if d[n] < radius)
-        assert rep.truncated == want_trunc
-    return want, want_trunc, exact
+    return want, exact, walks
 
 
 def cli_pipeline(weights, op_kind, targets, q, horizon, p=2.0, eps_scale=1.0):
@@ -1070,32 +1073,48 @@ def cli_pipeline(weights, op_kind, targets, q, horizon, p=2.0, eps_scale=1.0):
 
 
 WIDE = ",".join(f"{i}={1 + i % 3}" for i in range(12))
+# weights 2 on 1..600 and 0.5 past them: a level that grows the pieces back
+TABLE_600 = "w=table:1|" + ",".join(["2"] * 600) + "|0.5"
 
 
+# "stops" names the sides whose walks stop before their ends somewhere
+# (a `_Tail` bounds them and the blocks lie far enough apart); "again" marks
+# a case where the verifier walks some times again to their ends
 @pytest.mark.parametrize("weights,op_kind,targets,q,horizon,extra", [
     # about 3 % of the cells lie near a ball or are read by the reports
     ("w=constant:2", "backward", "0|0,1", 1, 3000, {"summed_below": 0.1}),
     ("w=constant:2", "backward", "0|0,1", 2, 400, {}),
     ("w=constant:1.5", "backward", "0=0.7,1=0.3:0.2,2=1.3", 1, 1500, {}),
-    ("w=step:0|0.5|2", "bilateral-backward", "0", 1, 400, {}),
+    ("w=step:0|0.5|2", "bilateral-backward", "0", 1, 400, {"stops": "both"}),
     # eps_scale 1e6 makes every threshold 1, so the blocks sit 4 apart and
-    # a target 12 indices wide puts several pieces on the same indices
-    ("w=constant:2", "backward", WIDE, 1, 300, {"eps_scale": 1e6, "merged": True}),
+    # a target 12 indices wide puts several pieces on the same indices; no
+    # walk can stop, since every next piece lies within the targets' span
+    ("w=constant:2", "backward", WIDE, 1, 300,
+     {"eps_scale": 1e6, "merged": True, "stops": "none"}),
     ("w=step:0|0.5|2", "bilateral-backward", f"0|{WIDE}", 1, 120,
-     {"eps_scale": 1e6, "merged": True}),
+     {"eps_scale": 1e6, "merged": True, "stops": "none"}),
     ("w=constant:2", "backward", "0|0,1", 1, 600, {"p": 1.0}),
     ("w=constant:2", "backward", "0|0=0.5,1", 1, 600, {"p": 3.5}),
     ("w=constant:2", "backward", "0|0,1", 1, 6007, {"passes": 3}),
-    ("w=step:0|0.5|2", "bilateral-backward", "0", 1, 1000, {}),
-    ("w=ratio:1,1|0,1", "backward", "0|1", 1, 1500, {}),
+    ("w=step:0|0.5|2", "bilateral-backward", "0", 1, 1000, {"stops": "both"}),
+    # a rational rule proves no stop
+    ("w=ratio:1,1|0,1", "backward", "0|1", 1, 1500, {"stops": "none"}),
     # w = 3 below 0: far past jumps 2 * 3^(delta - 1) overflow, and those
-    # times read inf
-    ("w=step:0|3|2", "bilateral-backward", "0", 1, 1000, {"inf": True}),
+    # times read inf; where a past piece is 1e125 times the future ones,
+    # their terms underflow and the future stop is not proved harmless, so
+    # those times walk again
+    ("w=step:0|3|2", "bilateral-backward", "0", 1, 1000, {"inf": True, "again": True}),
     # radii far above every distance: nearly every cell takes its exact sum
     ("w=constant:2", "backward", "0|0,1", 1, 600, {"eps_scale": 1e6, "summed_above": 0.9}),
+    # the future reads stay inside the table up to e = 599 and meet the
+    # level 0.5 past it, which proves nothing: every walk runs to its end
+    (TABLE_600, "backward", "0|0,1", 1, 1000, {"stops": "none"}),
+    # the past pieces shrink by the level 1/4 below the split
+    ("w=step:0|0.25|1.5", "bilateral-backward", "0|-1=0.5,1", 1, 600, {"stops": "both"}),
 ], ids=["constant-q1", "constant-q2", "constant-1.5-complex", "step-bilateral",
         "wide-target", "wide-target-bilateral", "p-1", "p-3.5", "several-passes",
-        "step-bilateral-1000", "ratio-two-classes", "past-overflow", "large-eps"])
+        "step-bilateral-1000", "ratio-two-classes", "past-overflow", "large-eps",
+        "table-past-its-level", "past-bounded-by-low"])
 def test_verifier_matches_the_literal_loop(monkeypatch, weights, op_kind, targets, q,
                                            horizon, extra):
     passes, merged = [], []
@@ -1107,12 +1126,13 @@ def test_verifier_matches_the_literal_loop(monkeypatch, weights, op_kind, target
     monkeypatch.setattr(fhc, "_p_sums", lambda V, p: summed.append(V.shape[1]) or p_sums(V, p))
     op, family, J, radii = cli_pipeline(weights, op_kind, targets, q, horizon,
                                         extra.get("p", 2.0), extra.get("eps_scale", 1.0))
-    d, _, exact = assert_verifier_matches_literal(op, family, J, q, radii)
+    d, exact, walks = assert_verifier_matches_literal(op, family, J, q, radii)
     # every time is scanned twice, directly and by the verifier, and each
     # scan sums exactly the read cells and those whose largest term lies
-    # below the radius
-    assert sum(passes) == 2 * J.horizon
-    assert sum(summed) == 2 * exact
+    # below the radius; a time walked again is measured again
+    assert (walks["again"] > 0) == extra.get("again", False)
+    assert sum(passes) == 2 * (J.horizon + walks["again"])
+    assert sum(summed) >= 2 * exact and (sum(summed) == 2 * exact) == (not walks["again"])
     cells = J.num_classes * J.horizon
     assert extra.get("summed_above", 0.0) * cells < exact < extra.get("summed_below", 1.1) * cells
     assert len(passes) >= 2 * extra.get("passes", 1)
@@ -1122,6 +1142,9 @@ def test_verifier_matches_the_literal_loop(monkeypatch, weights, op_kind, target
     assert bool(merged) == extra.get("merged", False)
     if "eps_scale" in extra:
         assert J.N_ks == (1,) * J.num_classes
+    stops = {"none": [False, False], "future": [True, False], "both": [True, True]}
+    assert [v < w for v, w in zip(walks["verifier"], walks["literal"])] == \
+        stops[extra.get("stops", "future")]
 
 
 @pytest.mark.parametrize("limit", [fhc.EXACT_INT64, 0], ids=["int64", "python-ints"])
@@ -1159,12 +1182,10 @@ def test_verifier_matches_the_literal_loop_on_long_sums():
     op = ShiftOp.backward(WeightSeq.ratio([1.0, 1.0], [0.0, 1.0]))
     family = BackwardOrbitFamily(op, (SeqVector({0: 1.0, 1: 0.25}),))
     J = SeparatedFamily((NatSet(tuple(range(3, 400, 4)), 400),), (1,))
-    d, truncated, _ = assert_verifier_matches_literal(op, family, J, 1, [0.6])
-    assert not truncated and 0 < len([n for n in d[1] if d[1][n] < 0.6]) < 400
-    # with a cap of 20 blocks the far blocks are cut off at every early time
-    _, truncated, _ = assert_verifier_matches_literal(op, family, J, 1, [0.6],
-                                                      max_blocks_per_time=20)
-    assert truncated
+    d, _, walks = assert_verifier_matches_literal(op, family, J, 1, [0.6])
+    assert 0 < len([n for n in d[1] if d[1][n] < 0.6]) < 400
+    # a rational rule proves no stop: every walk runs to its end
+    assert walks["verifier"] == walks["literal"]
 
 
 def test_verifier_matches_the_literal_loop_across_the_guard():
@@ -1173,14 +1194,13 @@ def test_verifier_matches_the_literal_loop_across_the_guard():
     J = SeparatedFamily((NatSet((10, 30, 960, 990), 1000),
                          NatSet((7, 27, 957, 970, 987), 1000),
                          NatSet((960, 980), 1000)), (1, 1, 1))
-    assert_verifier_matches_literal(B2, cancelling_family(), J, 1, [0.5, 0.25, 0.125],
-                                    tail_cut=0.0)
+    assert_verifier_matches_literal(B2, cancelling_family(), J, 1, [0.5, 0.25, 0.125])
     # scaled to s = 1e-285 every cancelling pair falls below the guard; at
     # time 10 the one at e_0 does, so the distance to x_1 is |x_1|, while the
     # dropped remainder s 2^-50 would have moved it in the l^1 norm
     s = 1e-285
     fam = cancelling_family(s, 1.0)
-    d, _, _ = assert_verifier_matches_literal(B2, fam, J, 1, [s, s, s], tail_cut=0.0)
+    d, _, _ = assert_verifier_matches_literal(B2, fam, J, 1, [s, s, s])
     assert d[1][10] == s
 
 
@@ -1240,15 +1260,80 @@ def test_distance_matches_lp_norm_of_the_difference(p):
         terms = (np.zeros(len(acc), np.int64), np.array(list(acc), np.int64),
                  np.array([c.real for c in acc.values()]),
                  np.array([c.imag for c in acc.values()]), 1, [target], p)
+        # a walk that left no piece: nothing can move a value
+        walked = (np.zeros((2, 1)), np.zeros(1, np.int64))
         # a read cell takes its exact sum whatever the radius
-        got = fhc._lp_distances(*terms, [0.0], np.ones((1, 1), bool))
-        assert got.shape == (1, 1) and got[0, 0] == want
+        got, moved = fhc._lp_distances(*terms, [0.0], np.ones((1, 1), bool), *walked)
+        assert got.shape == (1, 1) and got[0, 0] == want and not moved.any()
         # an unread cell takes it only where its largest term lies below the
         # radius, and otherwise reads that term
         radius = pick.choice([0.0, top, want, top * pick.uniform(0.5, 1.5), math.inf])
-        got = fhc._lp_distances(*terms, [radius], np.zeros((1, 1), bool))[0, 0]
+        got = fhc._lp_distances(*terms, [radius], np.zeros((1, 1), bool), *walked)[0][0, 0]
         assert got == (want if top < radius else top)
         assert (got < radius) == (want < radius) and top <= got <= want
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_a_value_not_flagged_moved_keeps_every_bit_with_the_pieces_left(p):
+    # y's walked entries, then entries a stopped walk left out, at new
+    # indices, each at most the rest of its side: the future ones enter
+    # after the future entries, the past ones after all of y's
+    rng = random.Random(int(p * 10))
+    kept = 0
+    for _ in range(300):
+        def entries(n, lo):
+            return [(lo + i, complex(*(10.0 ** -rng.randint(0, 30) * rng.uniform(-1, 1)
+                                       for _ in range(2)))) for i in range(n)]
+        fut, past = entries(rng.randint(0, 5), 0), entries(rng.randint(0, 5), 20)
+        target = SeqVector(dict(rng.sample(fut + past, min(2, len(fut + past)))
+                                + entries(rng.randint(0, 2), 40)), p_exponent=p).entries
+        target = {i: c * rng.choice([1.0, 0.5]) for i, c in target.items()} or {0: 1.0}
+        top = max((abs(c) for c in (SeqVector(dict(fut + past), p_exponent=p)
+                                    - SeqVector(target, p_exponent=p)).entries.values()),
+                  default=0.0)
+        rest = [top * 2.0 ** -rng.choice([-2, 0, 10, 30, 50, 60, 80, 200]) * rng.random()
+                * rng.choice([0, 1]) for _ in range(2)]
+        left = [[(100 + 10 * side + i, rest[side] * rng.random()) for i in range(3)]
+                if rest[side] else [] for side in range(2)]
+        y = fut + past
+        t = np.zeros(len(y), np.int64)
+        terms = (t, np.array([i for i, _ in y], np.int64), np.array([c.real for _, c in y]),
+                 np.array([c.imag for _, c in y]), 1, [target], p)
+        radius = rng.choice([0.0, math.inf])
+        got, moved = fhc._lp_distances(*terms, [radius], np.zeros((1, 1), bool),
+                                       np.array(rest).reshape(2, 1), np.array([len(fut)]))
+        diff = SeqVector(dict(fut + left[0] + past + left[1]), p_exponent=p) \
+            - SeqVector(target, p_exponent=p)
+        want = literal_lp_norm(diff)
+        if not moved[0]:
+            kept += sum(rest) > 0
+            assert got[0, 0] == (want if radius == math.inf else
+                                 max((abs(c) for c in diff.entries.values()), default=0.0))
+    assert kept > 50
+
+
+def test_a_pass_with_overlapping_pieces_walks_its_stopped_times_again():
+    # blocks 2, 3, 4 lie closer than the target's span, so the pieces of
+    # times 1 and 2 overlap; from block 40 on they lie far apart and the
+    # walks stop, so those times walk again to their ends
+    fam = BackwardOrbitFamily(B2, (SeqVector({0: 1.0, 3: 0.5}),))
+    J = SeparatedFamily((NatSet((2, 3, 4, 40, 80, 160, 320, 640), 640),), (1,))
+    _, _, walks = assert_verifier_matches_literal(B2, fam, J, 1, [0.5])
+    assert walks["again"] > 0 and walks["verifier"][0] < walks["literal"][0]
+
+
+@pytest.mark.parametrize("case", [("w=constant:2", "backward", "0|0,1", 1, 600, 1.0),
+                                  ("w=step:0|0.5|2", "bilateral-backward", "0", 1, 400, 2.0)],
+                         ids=["constant-p-1", "step-bilateral"])
+def test_stops_far_too_early_are_walked_again(monkeypatch, case):
+    # with walks stopping as soon as the bound sits below twice the largest
+    # piece, many stopped values could move: those times walk again, and
+    # every value still equals the literal loop's
+    monkeypatch.setattr(fhc, "_STOP", 2.0)
+    *argv, p = case
+    op, family, J, radii = cli_pipeline(*argv, p)
+    _, _, walks = assert_verifier_matches_literal(op, family, J, argv[3], radii)
+    assert walks["again"] > 0
 
 
 def test_cross_check_skips_blocks_past_the_horizon():
@@ -1261,18 +1346,6 @@ def test_cross_check_skips_blocks_past_the_horizon():
     assert rep.visit_times.horizon == 10
     assert rep.designed_count == 1 and rep.contained
     assert rep.cross_check_dev is not None and rep.cross_check_dev < 1e-9
-
-
-def test_truncated_scan_is_reported():
-    # the far blocks of a doubling shift vanish fast, so only a cap of two
-    # blocks per time cuts the scan short
-    fam = family_e0()
-    J = SeparatedFamily((NatSet(tuple(range(4, 201, 4)), 200),), (1,))
-    x = assemble_vector(fam, J, 1)
-    full = verify_q_frequent_visits(B2, x, fam, J, 1, [0.5])[0]
-    capped = verify_q_frequent_visits(B2, x, fam, J, 1, [0.5], max_blocks_per_time=2)[0]
-    assert not full.truncated and capped.truncated
-    assert capped.contained
 
 
 # ---------------------------------------------------------------------------

@@ -236,3 +236,27 @@ points = tracer.metrics()["hardy.unimodular_locus_sample.points"]
 assert count > 0 and points == count, (points, count)
 """
     subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True, timeout=60)
+
+
+def test_the_tracer_hooks_read_a_construction_and_a_check(tmp_path):
+    # installing the tracer checks its targets only; its hooks read the
+    # results too (the verifier's hook reads ClassVisitReport.truncated), so
+    # run them once on a small construct-fhc and a check
+    code = f"""
+import sys
+sys.path[:0] = ["src", "deskbench"]
+import hyperlab.cli
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+out = {str(tmp_path)!r}
+assert hyperlab.cli.main(["construct-fhc", "--weights", "w=constant:2", "--targets", "0|0,1",
+                          "--horizon", "300", "--out", out]) == 0
+assert hyperlab.cli.main(["check", "--condition", "growth", "--q", "2", "--n-max", "64",
+                          "--out", out]) == 0
+m = tracer.metrics()
+assert m["fhc.verify_q_frequent_visits.times_scanned"] > 0, m
+assert m["fhc.verify_q_frequent_visits.truncated_classes"] == 0, m
+assert m["checkers.check.grid_cells"] > 0, m
+"""
+    subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True, timeout=60)

@@ -296,7 +296,7 @@ def position_groups(n):
 def test_one_component_keeps_the_position_groups(n):
     rng = np.random.default_rng(n)
     for U in (rng.standard_normal((n + 3, n)), permuted_bidiagonal(n, n)):
-        [groups] = matops._column_groups(U)
+        [groups] = matops._column_groups(U, matops._column_components(U))
         want = position_groups(n)
         assert len(groups) == len(want)
         for got, expect in zip(groups, want):
@@ -311,7 +311,7 @@ def test_groups_stay_inside_components_and_meet_every_pair():
         labels = matops._column_components(U)
         met = set()
         roots = []
-        for groups in matops._column_groups(U):
+        for groups in matops._column_groups(U, labels):
             roots.append(labels[groups[0][0]])
             for idx in groups:
                 assert len(idx) > 1 and set(labels[idx].tolist()) == {roots[-1]}
@@ -409,7 +409,8 @@ def test_schatten_bracket_holds_at_every_sweep(case, p):
     top = int(exponents.max())
     scaled = data if data.shape[0] >= data.shape[1] else data.conj().T
     want = oracle_norm(scaled * 2.0 ** -top, p)
-    jacobi = matops._Sweeps([U], matops._JACOBI_TOL, matops._JACOBI_MAX_SWEEPS)
+    jacobi = matops._Sweeps([U], matops._JACOBI_TOL, matops._JACOBI_MAX_SWEEPS,
+                            [matops._column_components(U)])
     brackets = []
     for _ in jacobi:
         W = U * np.ldexp(1.0, exponents - top)
@@ -523,7 +524,8 @@ def test_stacked_sweeps_equal_the_oracle_on_an_exhausted_budget(max_sweeps):
 def test_stacked_sweeps_rotate_every_column_as_the_oracle(case):
     As = [MatOp(data) for data in stack_cases()[case]]
     Us = [matops._scaled_columns(A)[0] for A in As]
-    jacobi = matops._Sweeps(Us, matops._JACOBI_TOL, matops._JACOBI_MAX_SWEEPS)
+    jacobi = matops._Sweeps(Us, matops._JACOBI_TOL, matops._JACOBI_MAX_SWEEPS,
+                            [matops._column_components(U) for U in Us])
     for _ in jacobi:
         pass
     for A, U, sweeps, converged in zip(As, Us, jacobi.sweeps, jacobi.converged):

@@ -487,6 +487,29 @@ def test_far_rational_prefix_telescopes_and_keeps_the_table_small():
     assert len(w.prefix._pos_log) <= E + 1
 
 
+def test_rational_tables_do_not_depend_on_the_read_order():
+    # roots near 8000 put the edge at 2^19, so the tables grow over several
+    # 2^16-entry chunks; one engine first reads twelve short products that
+    # leave chunks part built, the other does not
+    def rule():
+        return WeightSeq.ratio([-8000.5, 1.0], [-8000.25, 1.0], Domain.INTEGERS)
+
+    rng = np.random.default_rng(27)
+    first = np.sort(rng.integers(-300000, 300000, 12))
+    s = np.sort(rng.integers(-500000, 500000, (3000, 2)), axis=1)
+    engines = []
+    for w in (rule(), rule()):
+        if not engines:
+            for v in first.tolist():
+                w.prefix.products(np.array([v]), np.array([v + 100]), 1)
+        w.prefix.products(np.array([-600000]), np.array([600000]), 1)
+        engines.append((w.prefix, w.prefix.products(s[:, 0], s[:, 1], 1)[0]))
+    (a, pa), (b, pb) = engines
+    assert len(a._pos_log) == len(b._pos_log) == 2 ** 19 + 1
+    assert bytes(a._pos_log) == bytes(b._pos_log) and bytes(a._neg_log) == bytes(b._neg_log)
+    assert pa.tobytes() == pb.tobytes()
+
+
 def test_rational_phase_tables_start_at_the_first_negative_weight():
     def literal(w, s, e):
         prod = 1.0 + 0.0j

@@ -40,7 +40,12 @@ SPECS = {
 
 # engine_digest of each rule, recorded from the literal form's engine; the
 # rational ones from the engine whose tables stop at an edge, every outcome
-# agreeing with the log-gamma oracle of scalar_products
+# agreeing with the log-gamma oracle of scalar_products.  ratio-Z-complex-roots
+# was re-recorded when table chunks began at fixed entries: product(3, 300)
+# moved from 2.0463848911914146 to 2.046384891191414, inverse_product(3, 300)
+# from 0.48866662586518383 to 0.48866662586518395, and L(-300) from
+# -2.844284252820045 to -2.8442842528200454 (exact: 2.04638489119141331,
+# 0.48866662586518418, -2.84428425282004474)
 ENGINE_DIGESTS = {
     "constant-N": "661b2ac351f20f1c7611b7f4e1db28397b9445aac91f0db3118dd1941fe5466c",
     "constant-Z-complex": "49d040b5ab03a94bf17df7f6b8395019163fbc30bb0270fedce9748354d09bf0",
@@ -55,7 +60,7 @@ ENGINE_DIGESTS = {
     "table-N-zero": "bcf3d2ca54dc1d165a528bc50b93017c5fd1d289a2ed51aad425e2de246f91f0",
     "table-Z-zero": "027e8f26fd8e7d5b26a353d95c3a9fc7826f86bc45b201df9a49c94b2fccc7d1",
     "ratio-N": "15567149fe6a45f7655fd91cf5e4c30340d94eb55cb48cef0df8887472614093",
-    "ratio-Z-complex-roots": "0ff2bbf6f70e04cd686ed399644dc2e89540f5b76cb8a235f848c4333476a668",
+    "ratio-Z-complex-roots": "b513fa8dec859c072cf14a176854507cc92e31ab635ea48a3e10bea3c767b9fc",
     "ratio-Z-zero": "03badbb7d8135f306ebb749e37e6a9f4a0f809d7e560bdae3c42cd590e646cdc",
 }
 
