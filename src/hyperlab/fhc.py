@@ -82,6 +82,11 @@ class EpsSchedule:
     scale: float = 1.0
     base: float = 0.5
 
+    def __post_init__(self):
+        # k*eps_k + sum_{j>k} eps_j goes to 0 only for a base in (0, 1)
+        if not 0.0 < self.base < 1.0:
+            raise ValueError(f"eps_base must lie in (0, 1), got {self.base!r}")
+
     def eps(self, k: int) -> float:
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -278,8 +283,10 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
         order: the first term whose build raised or after which the norm
         reaches eps_k (W if none), the power sum after each term, those of
         the subsets and whether their norms reach eps_k."""
-        # a subset fold shares an index only where its tail fold does
-        shared = shares_an_index(table, rid)
+        # a subset fold shares an index only where its tail fold does; rid
+        # < 0 reads row 0, which is empty and raised nothing
+        f, t = np.nonzero(table.column("size", np.int64)[rid.clip(0)] > 0)
+        shared = shares_an_index(f, *(table.column(c, np.int64)[rid[f, t]] for c in ("lo", "hi")))
         tails = power_sums(table, rid, p, shared)
         # without shared indices a power sum only adds nonnegative terms, so
         # a subset's sum exceeds the whole tail's by rounding at most (some
@@ -291,7 +298,7 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
             sub = np.where(subsets >= 0, rid[open_][:, subsets.clip(0)], -1)
             sub = sub.reshape(-1, subsets.shape[1])
             subs[open_] = power_sums(table, sub, p, shared)[:, -1].reshape(len(open_), -1)
-        raised = (rid >= 0) & (table.column("state", np.int8)[rid.clip(0)] != 0)
+        raised = table.column("state", np.int8)[rid.clip(0)] != 0
         return _first(raised | reached(tails)), tails, subs, reached(subs)
 
     def block_witness(N: int, block: list):
@@ -402,6 +409,10 @@ class SeparatedFamily:
         object.__setattr__(self, "N_ks", tuple(int(v) for v in self.N_ks))
         if len(self.sets) != len(self.N_ks):
             raise ValueError("one threshold per class is required")
+        # with no threshold below 0, consecutive times separated imply all
+        # pairs separated (see verify_separated_family)
+        if any(v < 0 for v in self.N_ks):
+            raise ValueError(f"thresholds must be >= 0, got {self.N_ks}")
 
     @property
     def num_classes(self) -> int:
@@ -421,7 +432,6 @@ class SeparationReport:
     density_ok: bool
     densities: tuple
     first_violation: tuple | None    # (kind, detail)
-    pairs_checked: int
 
 
 def _plan(fam: SeparatedFamily) -> tuple:
@@ -491,15 +501,14 @@ def build_separated_family(N_ks: Sequence[int], K: int, horizon: int) -> Separat
     return fam
 
 
-def verify_separated_family(fam: SeparatedFamily,
-                            literal_pair_horizon: int = 3000) -> SeparationReport:
+def verify_separated_family(fam: SeparatedFamily) -> SeparationReport:
     """Exhaustive invariant check.
 
     Disjointness, per-class minimum, and the separation |m - n| >= N_k + N_j
     are checked on every consecutive pair of the sorted union; consecutive
     pairs imply all pairs because intermediate gaps only add (each gap
-    already clears the first and last class thresholds).  Pairs among
-    elements up to `literal_pair_horizon` are additionally checked literally.
+    already clears the first and last class thresholds, none of them below
+    0).
     """
     times, cls = _blocks(fam)
     disjoint_ok = min_ok = separation_ok = True
@@ -520,19 +529,6 @@ def verify_separated_family(fam: SeparatedFamily,
         if s.elems.size and s.elems[0] < k:
             min_ok = False
             violation = violation or ("minimum", (k, int(s.elems[0])))
-    pairs = 0
-    if disjoint_ok and separation_ok:
-        n_small = int(np.searchsorted(times, literal_pair_horizon, side="right"))
-        small = list(zip(times[:n_small].tolist(), cls[:n_small].tolist()))
-        for idx, (a, ka) in enumerate(small):
-            for b, kb in small[idx + 1:]:
-                pairs += 1
-                if b - a < fam.N_ks[ka - 1] + fam.N_ks[kb - 1]:
-                    separation_ok = False
-                    violation = violation or ("separation", (a, ka, b, kb))
-                    break
-            if not separation_ok:
-                break
     densities = tuple(q_lower_density(s, 1.0, s.horizon, max(1, s.horizon // 2)).liminf_proxy
                       for s in fam.sets)
     density_ok = all(d > 0.0 for d in densities)
@@ -540,7 +536,7 @@ def verify_separated_family(fam: SeparatedFamily,
         violation = violation or ("density", densities)
     ok = disjoint_ok and min_ok and separation_ok and density_ok
     return SeparationReport(ok, disjoint_ok, min_ok, separation_ok, density_ok,
-                            densities, violation, pairs)
+                            densities, violation)
 
 
 # ---------------------------------------------------------------------------
@@ -887,9 +883,10 @@ class _Walk:
 
     def terms(self) -> tuple:
         """(time, idx, re, im) of every added entry, ordered by time, then
-        walk position, then the piece's entry order; whether no index
-        repeats within a time (see `_disjoint`); and how many of each
-        time's entries come from its future walk."""
+        walk position, then the piece's entry order; whether an index may
+        repeat within a time (`terms.shares_an_index`: the future pieces
+        rise, the past ones fall below them); and how many of each time's
+        entries come from its future walk."""
         none = np.zeros(0, np.int64)
         t, pos, pid = (np.concatenate(c) for c in zip(*self.parts)) if self.parts else \
             (none, none, none)
@@ -902,41 +899,30 @@ class _Walk:
         size = self.table.column("size", np.int64)[slot]
         ends = np.concatenate([[0], np.cumsum(size)])    # entries before each slot
         front = ends[offset + self.n_future] - ends[offset]
-        disjoint = self._disjoint(slot, slot_t, offset, size)
+        lo, hi = (self.table.column(c, np.int64)[slot[size > 0]] for c in ("lo", "hi"))
+        shared = shares_an_index(slot_t[size > 0], lo, hi)
         ent = self.table.entries(slot)
         del slot
         return (np.repeat(slot_t, size), self.table.column("idx", np.int64)[ent],
-                self.table.column("re")[ent], self.table.column("im")[ent], disjoint, front)
-
-    def _disjoint(self, slot, slot_t, offset, size) -> bool:
-        """Whether the nonempty pieces of every time cover disjoint index
-        ranges: ascending along the future walk, descending along the past
-        walk, and the past ones below the future ones."""
-        filled = size > 0
-        fut = (np.arange(len(slot)) - offset[slot_t] < self.n_future[slot_t])[filled]
-        st = slot_t[filled]
-        lo, hi = (self.table.column(c, np.int64)[slot[filled]] for c in ("lo", "hi"))
-        same = st[1:] == st[:-1]
-        head = np.ones(len(st), bool)
-        head[1:] = ~same
-        starts = np.flatnonzero(head)
-        first_lo = np.repeat(lo[starts], np.diff(starts, append=len(st)))
-        return not ((same & fut[:-1] & fut[1:] & (hi[:-1] >= lo[1:])).any()
-                    or (same & ~fut[:-1] & ~fut[1:] & (lo[:-1] <= hi[1:])).any()
-                    or (same & fut[:-1] & ~fut[1:] & (hi[1:] >= first_lo[1:])).any())
+                self.table.column("re")[ent], self.table.column("im")[ent], shared, front)
 
 
-def _merge_terms(t, idx, re, im) -> tuple:
+def _merge_terms(t, idx, re, im, front) -> tuple:
     """Entries of the orbit points y_t = sum of their terms, in the order
     the dict fold acc[i] = acc.get(i, 0j) + c would hold them: first
     occurrence of each (time, index), each sum added term by term (a lone
-    -0.0 keeps its sign, which no distance reads)."""
+    -0.0 keeps its sign, which no distance reads).  The first front[u]
+    terms of time u are those of its future walk; the last array returned
+    counts the entries of each y_u first seen among them."""
     order, same, run_re, run_im = _fold_replay(t, idx, re, im)
     starts = np.flatnonzero(~same)
     last = np.append(starts[1:], len(same))[:len(starts)] - 1
     by_first = np.argsort(order[starts])
     first = order[starts][by_first]
-    return t[first], idx[first], run_re[last][by_first], run_im[last][by_first]
+    tf = t[first]
+    ahead = first - np.searchsorted(t, np.arange(len(front)))[tf] < front[tf]
+    return tf, idx[first], run_re[last][by_first], run_im[last][by_first], \
+        np.bincount(tf[ahead], minlength=len(front))
 
 
 def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict], p: float,
@@ -965,10 +951,11 @@ def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict], p: floa
     of them (the past side).  Each such entry is at most rest, so where
     rest[0, u] + rest[1, u] < top, top is the same with them; each adds a
     term (entry / top) ** p to the running sum A of the terms before it,
-    and where every one lies below half a unit in the last place of A,
-    which (rest / top) ** p <= 2^-55 A with A >= 2^-960 makes sure with
-    room for the rounding of the term, A and so the sum keep every bit.  A
-    value decided by top alone needs only the first.
+    and where A + (rest 2^(1/p) / top) ** p == A, that term is at most
+    half of a bound that vanishes beside A, rounding included, so it
+    vanishes too and A and so the sum keep every bit (a bound that
+    underflows to 0.0 proves it at any A).  A value decided by top alone
+    needs only the first.
     """
     p = float(p)
     mag = np.hypot(re, im)
@@ -1004,10 +991,9 @@ def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict], p: floa
             on = rest[side, exact] > 0.0
             if on.any():
                 A = _left_sum(np.where(np.arange(len(W))[:, None] < ahead[on], W[:, on], 0.0))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    small = p * np.log(rest[side, exact][on] / top[exact][on]) \
-                        <= np.log(A) - 55 * math.log(2.0)
-                moved[np.flatnonzero(exact)[on]] |= ~(small & (A >= 2.0 ** -960))
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    bound = (rest[side, exact][on] * 2.0 ** (1.0 / p) / top[exact][on]) ** p
+                moved[np.flatnonzero(exact)[on]] |= A + bound != A
     return out, moved
 
 
@@ -1025,9 +1011,8 @@ def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: tuple, K: 
     from the term table, expands the pieces to terms, sums the terms of
     each orbit point per index where two pieces of a time overlap
     (`_merge_terms`) and measures the distances (`_lp_distances`).  The
-    times whose walk stopped where the pieces it left could move a value,
-    and in a pass with overlapping pieces every time whose walk stopped
-    with pieces left, walk again to their ends and are measured again.
+    times whose walk stopped where the pieces it left could move a value
+    walk again to their ends and are measured again.
     Every float operation is that of summing each orbit point into a dict
     over all its blocks in block order and taking
     lp_norm(SeqVector(acc) - x_k), in the same order, so every distance
@@ -1056,14 +1041,14 @@ def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: tuple, K: 
         failed = np.flatnonzero(walk.fail >= 0)
         if failed.size:
             raise table.errors[int(walk.fail[failed[0]])]
-        *terms, disjoint, front = walk.terms()
-        rest = walk.rest if disjoint else np.zeros_like(walk.rest)
-        d, moved = _lp_distances(*(terms if disjoint else _merge_terms(*terms)), len(times),
-                                 targets, p, radii, read, rest, front)
+        *terms, shared, front = walk.terms()
+        longest = int(np.bincount(terms[0], minlength=1).max())
+        if shared:
+            *terms, front = _merge_terms(*terms, front)
+        d, moved = _lp_distances(*terms, len(times), targets, p, radii, read, walk.rest, front)
         # an overflowed past reads inf whatever the pieces left
         d[:, walk.bad] = math.inf
-        moved = (moved | walk.rest.any(axis=0) & (not disjoint)) & ~walk.bad
-        return d, int(np.bincount(terms[0], minlength=1).max()), moved
+        return d, longest, moved & ~walk.bad
 
     distances = np.empty((K, N_H))
     n0, width = 1, _FIRST_PASS

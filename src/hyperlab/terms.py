@@ -244,23 +244,22 @@ def _fold_entries(table: TermTable, rid: np.ndarray) -> tuple:
         valid
 
 
-def shares_an_index(table: TermTable, rid: np.ndarray) -> bool:
-    """Whether two rows of some fold rid[f] (rid < 0 is none) may share an
-    index: unless the index ranges [lo, hi] of each fold's nonempty rows
-    follow one another without overlap, all up or all down, they may."""
-    r = np.maximum(rid, 0)
-    full = (rid >= 0) & (table.column("size", np.int64)[r] > 0)
-    lo, hi = table.column("lo", np.int64)[r], table.column("hi", np.int64)[r]
-    # the last nonempty row before each position, -1 for none
-    t = np.arange(rid.shape[1])
-    prev = np.maximum.accumulate(np.where(full, t, -1), axis=1)
-    prev = np.concatenate([np.full((len(rid), 1), -1), prev[:, :-1]], axis=1)
-    pair = full & (prev >= 0)
-    p = np.maximum(prev, 0)
-    f = np.arange(len(rid))[:, None]
-    up = hi[f, p] < lo
-    down = lo[f, p] > hi
-    return bool(((pair & ~up).any(axis=1) & (pair & ~down).any(axis=1)).any())
+def shares_an_index(group: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether two rows of one group may share an index, row j of group
+    group[j] >= 0 covering the indices [lo[j], hi[j]], each group's rows in
+    order and one after the other.  They may not where each group's rows
+    first rise, each above the one before, and then fall, each below the
+    one before and below the group's first row."""
+    rise = np.ones(len(group), bool)
+    rise[1:] = (group[1:] != group[:-1]) | (lo[1:] > hi[:-1])
+    if rise.all():
+        return False
+    at = np.arange(len(group))
+    first = np.maximum.accumulate(np.where(np.diff(group, prepend=-1) != 0, at, 0))
+    # from its first row that does not rise on, every row of a group falls;
+    # a group's first row rises
+    turned = (np.maximum.accumulate(np.where(rise, -1, at)) >= first)[1:]
+    return bool((turned & ((hi[1:] >= lo[:-1]) | (hi >= lo[first])[1:])).any())
 
 
 def power_sums(table: TermTable, rid: np.ndarray, p: float, shared: bool) -> np.ndarray:

@@ -133,10 +133,16 @@ def test_06_frequent_visit_construction_end_to_end():
 def test_07_separated_family_invariants_to_large_horizon():
     for n_ks in ([2, 4], [3, 5, 7], [1, 8]):
         fam = build_separated_family(n_ks, len(n_ks), 100_000)
-        rep = verify_separated_family(fam, literal_pair_horizon=5000)
+        rep = verify_separated_family(fam)
         assert rep.ok and rep.disjoint_ok and rep.min_ok and rep.separation_ok
-        assert rep.pairs_checked > 0
         assert all(d > 0 for d in rep.densities)
+        # every pair of the plan, each time against all later ones
+        times = np.concatenate([s.elems for s in fam.sets])
+        thr = np.repeat(n_ks, [len(s) for s in fam.sets])
+        order = np.argsort(times)
+        times, thr = times[order], thr[order]
+        for i in range(len(times) - 1):
+            assert (times[i + 1:] - times[i] >= thr[i] + thr[i + 1:]).all(), times[i]
 
 
 def test_08_weight_checkers_match_ground_truth():

@@ -50,7 +50,8 @@ def one_error_line(err: str) -> str:
 # products: the residual moved by one unit in the last place,
 # 0.6988169706288795 -> 0.6988169706288794.  construct-fhc was re-recorded
 # when its classes lost `truncated` and gained `proof_bound` and
-# `cross_check_dev`; every other value in it is unchanged.
+# `cross_check_dev`, and again when its separation lost `pairs_checked`;
+# every other value in it is unchanged.
 PINNED = [
     pytest.param([
         "density", "--set", "squares", "--q", "2", "--n-max", "60"],
@@ -68,7 +69,7 @@ PINNED = [
     pytest.param([
         "construct-fhc", "--weights", "w=constant:2", "--targets", "0|0,1", "--horizon",
         "300", "--eps-scale", "1", "--eps-base", "0.5", "--seed", "5"],
-        0, "ad9d34db276f1e9be0b48e2f321657e21895bc153b55180d470d0bb5997de676",
+        0, "a566636e146f95bf2a198890c959148d5959b2788f610b5ae1dc63280886f02c",
         id="construct-fhc"),
     pytest.param([
         "check", "--condition", "growth", "--i-range", "0:2", "--j-range", "0:2",
@@ -295,6 +296,15 @@ def test_decaying_weights_fail_the_construction_cleanly(tmp_path, capsys, extra)
     assert run(argv, tmp_path) == 1
     assert one_error_line(capsys.readouterr().err).startswith(
         "error: construction failed: ")
+
+
+@pytest.mark.parametrize("base", ["1.5", "1", "0", "-0.5"])
+def test_a_base_outside_the_unit_interval_is_refused(tmp_path, capsys, base):
+    # eps_k = eps_scale * eps_base^k must decay for the construction's
+    # radii k eps_k + sum_{j>k} eps_j to shrink
+    argv = ["construct-fhc", "--eps-base", base, "--horizon", "200"]
+    assert run(argv, tmp_path) == 1
+    assert "eps_base" in one_error_line(capsys.readouterr().err)
 
 
 def test_long_ratio_scan_walks_every_block(tmp_path):

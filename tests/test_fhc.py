@@ -76,10 +76,13 @@ def test_eps_schedule_default_values_and_defect():
 
 
 def test_eps_schedule_rejects_nondecaying_rule():
-    # a growing rule is refused once a term leaves the floating range
-    growing = EpsSchedule(1e300, 10.0)
+    # k eps_k + sum_{j>k} eps_j goes to 0 only for a base in (0, 1)
+    for base in (10.0, 1.0, 1.5, 0.0, -0.5):
+        with pytest.raises(ValueError, match="eps_base"):
+            EpsSchedule(1e300, base)
+    # a term that leaves the floating range is refused where it is read
     with pytest.raises(ValueError, match="not a positive real"):
-        growing.eps(10)
+        EpsSchedule(1e-300, 0.5).eps(100)
     with pytest.raises(ValueError):
         EpsSchedule().eps(0)
 
@@ -663,7 +666,8 @@ def test_single_class_is_every_fourth_integer():
 def test_two_class_construction_invariants():
     fam = build_separated_family([1, 1], 2, 400)
     rep = verify_separated_family(fam)
-    assert rep.ok and rep.pairs_checked > 0
+    assert rep.ok
+    assert repr(rep) == repr(oracle_verify_separated_family(fam))
     assert fam.sets[0].elems[:2].tolist() == [5, 9]
     assert fam.sets[1].elems[:2].tolist() == [14, 18]
     for k, s in enumerate(fam.sets, start=1):
@@ -714,8 +718,9 @@ def oracle_plan(N_ks, K, horizon):
     return elems
 
 
-def oracle_verify_separated_family(fam, literal_pair_horizon=3000):
-    """verify_separated_family as first written, one Python pair at a time."""
+def oracle_verify_separated_family(fam):
+    """verify_separated_family as first written, one Python pair at a time,
+    and then every pair of the plan, each time against all later ones."""
     sets = [s.elems.tolist() for s in fam.sets]
     tagged = sorted((n, k) for k, s in enumerate(sets, start=1) for n in s)
     disjoint_ok = min_ok = separation_ok = True
@@ -734,17 +739,15 @@ def oracle_verify_separated_family(fam, literal_pair_horizon=3000):
         if s and s[0] < k:
             min_ok = False
             violation = violation or ("minimum", (k, s[0]))
-    pairs = 0
     if disjoint_ok and separation_ok:
-        small = [(n, k) for (n, k) in tagged if n <= literal_pair_horizon]
-        for idx, (a, ka) in enumerate(small):
-            for b, kb in small[idx + 1:]:
-                pairs += 1
-                if b - a < fam.N_ks[ka - 1] + fam.N_ks[kb - 1]:
-                    separation_ok = False
-                    violation = violation or ("separation", (a, ka, b, kb))
-                    break
-            if not separation_ok:
+        times = np.array([n for n, _ in tagged], np.int64)
+        thr = np.array([fam.N_ks[k - 1] for _, k in tagged], np.int64)
+        for idx, (a, ka) in enumerate(tagged):
+            bad = np.flatnonzero(times[idx + 1:] - a < thr[idx] + thr[idx + 1:])
+            if bad.size:
+                b, kb = tagged[idx + 1 + int(bad[0])]
+                separation_ok = False
+                violation = violation or ("separation", (a, ka, b, kb))
                 break
     densities = tuple(q_lower_density(s, 1.0, s.horizon, max(1, s.horizon // 2)).liminf_proxy
                       for s in fam.sets)
@@ -753,7 +756,7 @@ def oracle_verify_separated_family(fam, literal_pair_horizon=3000):
         violation = violation or ("density", densities)
     ok = disjoint_ok and min_ok and separation_ok and density_ok
     return SeparationReport(ok, disjoint_ok, min_ok, separation_ok, density_ok,
-                            densities, violation, pairs)
+                            densities, violation)
 
 
 @pytest.mark.parametrize("N_ks, K, horizon", [
@@ -770,9 +773,7 @@ def test_separated_plan_equals_the_element_loop(N_ks, K, horizon):
     assert all(s.elems.dtype == np.int64 and s.horizon == horizon for s in fam.sets)
     want_rep = oracle_verify_separated_family(fam)
     assert repr(fam.separation) == repr(want_rep) and fam.separation.ok
-    for horizon_literal in (0, 40, 10 ** 6):
-        assert repr(verify_separated_family(fam, horizon_literal)) == \
-            repr(oracle_verify_separated_family(fam, horizon_literal))
+    assert repr(verify_separated_family(fam)) == repr(want_rep)
 
 
 def test_separation_scan_equals_the_pair_loop_on_hand_built_plans():
@@ -787,9 +788,15 @@ def test_separation_scan_equals_the_pair_loop_on_hand_built_plans():
                       tuple(rng.randint(0, 3) for _ in range(K))))
     for *sets, N_ks in plans:
         fam = SeparatedFamily(tuple(NatSet(s, 60) for s in sets), N_ks)
-        for horizon_literal in (3000, 20):
-            got = verify_separated_family(fam, horizon_literal)
-            assert repr(got) == repr(oracle_verify_separated_family(fam, horizon_literal)), sets
+        got = verify_separated_family(fam)
+        assert repr(got) == repr(oracle_verify_separated_family(fam)), sets
+
+
+def test_a_threshold_below_zero_is_refused():
+    # with N_2 = -4 times 1 and 3 pass as consecutive neighbours of 2 but
+    # sit 2 < N_1 + N_1 = 10 apart: consecutive pairs no longer imply all
+    with pytest.raises(ValueError, match="thresholds must be >= 0"):
+        SeparatedFamily((NatSet((1, 3), 10), NatSet((2,), 10)), (5, -4))
 
 
 def test_block_merge_equals_the_stable_sort():
@@ -963,7 +970,9 @@ def literal_scan(op, family, J, q, N_H):
     distances = {k: {} for k in range(1, K + 1)}
     tops = {k: {} for k in range(1, K + 1)}
     walked = [0, 0]
-    pieces = {}     # times share most inverse points: each is built once
+    # times share most inverse points and jumps: each is built once, and a
+    # jump that overflows is None
+    pieces, jumps = {}, {}
     for n in range(1, N_H + 1):
         acc = {}
         i0 = bisect_left(block_times, n)
@@ -979,9 +988,13 @@ def literal_scan(op, family, J, q, N_H):
             delta = n ** q - m ** q
             if nilpotent and delta > sup_top[l]:
                 break
-            try:
-                tv = shift_power_apply(op, family.base_point(l), delta)
-            except WeightOverflowError:
+            if (l, delta) not in jumps:
+                try:
+                    jumps[l, delta] = shift_power_apply(op, family.base_point(l), delta)
+                except WeightOverflowError:
+                    jumps[l, delta] = None
+            tv = jumps[l, delta]
+            if tv is None:
                 bad = True
                 break
             for idx, c in tv.entries.items():
@@ -1101,9 +1114,9 @@ TABLE_600 = "w=table:1|" + ",".join(["2"] * 600) + "|0.5"
     ("w=ratio:1,1|0,1", "backward", "0|1", 1, 1500, {"stops": "none"}),
     # w = 3 below 0: far past jumps 2 * 3^(delta - 1) overflow, and those
     # times read inf; where a past piece is 1e125 times the future ones,
-    # their terms underflow and the future stop is not proved harmless, so
-    # those times walk again
-    ("w=step:0|3|2", "bilateral-backward", "0", 1, 1000, {"inf": True, "again": True}),
+    # the terms of the future pieces left underflow to 0.0, which proves
+    # the stop at once
+    ("w=step:0|3|2", "bilateral-backward", "0", 1, 1000, {"inf": True}),
     # radii far above every distance: nearly every cell takes its exact sum
     ("w=constant:2", "backward", "0|0,1", 1, 600, {"eps_scale": 1e6, "summed_above": 0.9}),
     # the future reads stay inside the table up to e = 599 and meet the
@@ -1312,14 +1325,135 @@ def test_a_value_not_flagged_moved_keeps_every_bit_with_the_pieces_left(p):
     assert kept > 50
 
 
-def test_a_pass_with_overlapping_pieces_walks_its_stopped_times_again():
+def literal_rise_then_fall(rows) -> bool:
+    """Whether the index ranges (lo, hi) of one group's rows rise, each
+    above the one before, and then fall, each below the one before and
+    below the first row: a loop over the rows."""
+    falling = False
+    for (plo, phi), (lo, hi) in zip(rows, rows[1:]):
+        falling = falling or not lo > phi
+        if falling and not (hi < plo and hi < rows[0][0]):
+            return False
+    return True
+
+
+def test_shares_an_index_is_the_rise_then_fall_loop():
+    # groups of up to six rows of index ranges, one after the other: where
+    # every group rises and then falls, no two rows of a group share an
+    # index, and where some group does not, the answer is that they may
+    rng = random.Random(28)
+    shapes = [[[(0, 1), (3, 4), (-3, -2)]], [[(5, 6), (1, 2), (-1, 0)]], [[(0, 3), (2, 5)]],
+              [[(0, 1), (-2, -1), (3, 4)]], [[(0, 4), (-5, -1), (-9, -6)], [(0, 0)]], [], [[(2, 2)]]]
+    for _ in range(2000):
+        groups = []
+        for _ in range(rng.randint(1, 4)):
+            lo = [rng.randint(-12, 12) for _ in range(rng.randint(1, 6))]
+            groups.append([(a, a + rng.randint(0, 3)) for a in lo])
+        shapes.append(groups)
+    counts = [0, 0]
+    for groups in shapes:
+        flat = [(g, lo, hi) for g, rows in enumerate(groups) for lo, hi in rows]
+        got = terms.shares_an_index(*(np.array([r[j] for r in flat], np.int64)
+                                      for j in range(3)))
+        assert got == (not all(literal_rise_then_fall(rows) for rows in groups)), groups
+        if not got:
+            for rows in groups:
+                seen = [i for lo, hi in rows for i in range(lo, hi + 1)]
+                assert len(seen) == len(set(seen)), rows
+        counts[got] += 1
+    assert min(counts) > 200
+
+
+@pytest.mark.parametrize("p,fut,past,target,rest", [
+    # the running sum A before the future entries left is 1e-300, below
+    # 2^-960, and the bound (rest 2^(1/p) / top) ** p underflows to 0.0
+    (2.0, [(0, 1e-150)], [(1, 1.0)], {7: 0.25}, (1e-170, 0.0)),
+    (3.5, [(0, 1e-90)], [(1, 1.0)], {1: 0.5}, (1e-100, 0.0)),
+    (1.0, [(0, 1e-290)], [(1, 1e25)], {7: 1.0}, (1e-300, 0.0)),
+    # the largest term is a target index y lacks, so even the sum of all of
+    # y's terms, which the past entries left follow, is 1e-300
+    (2.0, [(0, 1e-150)], [], {5: 1.0}, (0.0, 1e-170)),
+    (2.0, [(0, 1e-150)], [(2, 3e-151)], {5: 1.0}, (1e-170, 1e-170)),
+], ids=["p-2", "p-3.5", "p-1-large-top", "past-side", "both-sides"])
+def test_a_stop_whose_bound_underflows_is_not_moved(p, fut, past, target, rest):
+    y = fut + past
+    terms = (np.zeros(len(y), np.int64), np.array([i for i, _ in y], np.int64),
+             np.array([c for _, c in y], float), np.zeros(len(y)), 1,
+             [SeqVector(target, p_exponent=p).entries], p)
+    got, moved = fhc._lp_distances(*terms, [math.inf], np.ones((1, 1), bool),
+                                   np.array(rest).reshape(2, 1), np.array([len(fut)]))
+    assert not moved[0]
+    # the entries left: new indices, each at most the rest of its side
+    left = [[(100 + 10 * side + i, rest[side] * f) for i, f in enumerate((1.0, 0.5, 0.25))]
+            if rest[side] else [] for side in range(2)]
+    diff = SeqVector(dict(fut + left[0] + past + left[1]), p_exponent=p) \
+        - SeqVector(target, p_exponent=p)
+    assert got[0, 0] == literal_lp_norm(diff) == literal_lp_norm(
+        SeqVector(dict(y), p_exponent=p) - SeqVector(target, p_exponent=p))
+
+
+def test_a_pass_with_overlapping_pieces_keeps_its_stops(monkeypatch):
     # blocks 2, 3, 4 lie closer than the target's span, so the pieces of
     # times 1 and 2 overlap; from block 40 on they lie far apart and the
-    # walks stop, so those times walk again to their ends
+    # walks stop, and the stops hold in the pass whose pieces overlap
+    merged, merge_terms = [], fhc._merge_terms
+    monkeypatch.setattr(fhc, "_merge_terms", lambda *a: merged.append(1) or merge_terms(*a))
     fam = BackwardOrbitFamily(B2, (SeqVector({0: 1.0, 3: 0.5}),))
     J = SeparatedFamily((NatSet((2, 3, 4, 40, 80, 160, 320, 640), 640),), (1,))
     _, _, walks = assert_verifier_matches_literal(B2, fam, J, 1, [0.5])
-    assert walks["again"] > 0 and walks["verifier"][0] < walks["literal"][0]
+    assert merged and walks["again"] == 0
+    assert walks["verifier"][0] < walks["literal"][0]
+
+
+def overlapping_plans(count: int, seed: int):
+    """(op, family, plan, radii) of random hand-built plans whose early
+    blocks lie closer than the targets' span and whose later blocks lie far
+    apart: a constant rule on the naturals or a step rule on the integers,
+    one or two targets each 1 to 6 indices wide."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.5:
+            op = ShiftOp.backward(WeightSeq.constant(rng.choice([2.0, 3.0, 4.0])))
+        else:
+            op = ShiftOp.bilateral_backward(WeightSeq.step(
+                rng.choice([0.25, 0.5]), rng.choice([2.0, 4.0]), rng.randint(-2, 2)))
+        K = rng.randint(1, 2)
+        targets = []
+        for _ in range(K):
+            width = rng.randint(1, 6)
+            lo = rng.randint(-2, 0) if op.domain is Domain.INTEGERS else 0
+            at = {0, width - 1} | set(rng.sample(range(width), rng.randint(0, width)))
+            targets.append(SeqVector({lo + i: complex(rng.uniform(0.2, 1.5), rng.choice(
+                [0.0, rng.uniform(-1, 1)])) for i in sorted(at)}, op.domain))
+        times = [rng.randint(1, 4)]
+        for _ in range(rng.randint(1, 5)):
+            times.append(times[-1] + rng.randint(1, 3))
+        while times[-1] < 150:
+            times.append(times[-1] + rng.randint(25, 50))
+        sets = [[] for _ in range(K)]
+        for i, n in enumerate(times):
+            sets[i if i < K else rng.randrange(K)].append(n)
+        J = SeparatedFamily(tuple(NatSet(s, times[-1]) for s in sets), (1,) * K)
+        family = BackwardOrbitFamily(op, tuple(targets))
+        # the literal loop reads the inverse points one at a time: building
+        # them in one batch first changes no row and saves most of its time
+        family._terms.ids(np.repeat(np.arange(1, K + 1), J.horizon + 1),
+                          np.tile(np.arange(J.horizon + 1), K))
+        yield op, family, J, [rng.choice([0.05, 0.5, 2.0]) for _ in range(K)]
+
+
+def test_overlapping_passes_keep_their_stops(monkeypatch):
+    # every plan equals the literal loop, and no time walks again: a stop
+    # is proved whether or not the pieces of its pass overlap
+    merged, merge_terms = [], fhc._merge_terms
+    monkeypatch.setattr(fhc, "_merge_terms", lambda *a: merged.append(1) or merge_terms(*a))
+    kept = 0
+    for op, family, J, radii in overlapping_plans(120, 2028):
+        merged.clear()
+        _, _, walks = assert_verifier_matches_literal(op, family, J, 1, radii)
+        assert walks["again"] == 0, (op, family.base_points, J)
+        kept += bool(merged) and walks["verifier"][0] < walks["literal"][0]
+    assert kept > 60
 
 
 @pytest.mark.parametrize("case", [("w=constant:2", "backward", "0|0,1", 1, 600, 1.0),
