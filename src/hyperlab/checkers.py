@@ -10,9 +10,10 @@ witness (i, j, r, n, value).
 Products of weights are read off each rule's `WeightPrefix`.  Each offset r
 is one array pass: every rule's prefix is read once per r, for all shifts i
 (or j) at once as an (i, n) array, the cell values (i, j, n) are formed in
-blocks of whole i-rows, and the verdict comes from masks over them, with the
-first failing cell in (r, i, j) order as the witness and the margin from one
-min.  Clock indices beyond 2^53, where int64 clock arithmetic and float
+blocks of whole i-rows, and each condition yields a mask of bad cells per
+block.  One verdict loop reads them all: the first bad cell, in scan order
+and then (r, i, j) order, is the witness; with none, the least slack is the
+margin.  Clock indices beyond 2^53, where int64 clock arithmetic and float
 index arithmetic stop being exact, are refused, and so are grids whose
 prefix reads or cell values pass the `_MAX_GRID_*` bounds.
 """
@@ -29,6 +30,7 @@ import numpy as np
 from .seqspace import Domain, WeightSeq
 
 __all__ = [
+    "DEFAULT_RANGES",
     "CheckGrid",
     "Verdict",
     "VerdictStatus",
@@ -95,6 +97,9 @@ _MAX_GRID_ROWS = 1 << 20     # prefix values read per offset r
 _MAX_GRID_PREFIX = 1 << 24   # prefix values read over all offsets
 _MAX_GRID_CELLS = 1 << 28    # cell values formed over all offsets
 
+# the i and j ranges of the default grids, by whether the rules live on Z
+DEFAULT_RANGES = {False: range(0, 5), True: range(-4, 5)}
+
 
 @dataclass(frozen=True)
 class CheckGrid:
@@ -136,11 +141,11 @@ class CheckGrid:
 
     @classmethod
     def unilateral_default(cls, q: int = 1) -> "CheckGrid":
-        return cls(tuple(range(0, 5)), tuple(range(0, 5)), q=q)
+        return cls(DEFAULT_RANGES[False], DEFAULT_RANGES[False], q=q)
 
     @classmethod
     def bilateral_default(cls, q: int = 1) -> "CheckGrid":
-        return cls(tuple(range(-4, 5)), tuple(range(-4, 5)), q=q)
+        return cls(DEFAULT_RANGES[True], DEFAULT_RANGES[True], q=q)
 
 
 _BLOCK = 1 << 13   # cell values formed per step: blocks of whole rows, 64 KB
@@ -234,12 +239,6 @@ def _tail_blocks(grid: CheckGrid, Lw: _LogTable, Lmu: _LogTable):
             yield r, n, iv, block
 
 
-def _first(bad: np.ndarray) -> tuple | None:
-    """Index of the first True of a mask in row-major order, or None."""
-    k = int(np.argmax(bad))
-    return np.unravel_index(k, bad.shape) if bad.flat[k] else None
-
-
 def _exp_sums(x: np.ndarray, p: float) -> np.ndarray:
     """sum of exp(p * x) over the last axis.  A sum past float range is inf,
     which no tolerance admits, so the overflow is the verdict, not an error."""
@@ -247,24 +246,60 @@ def _exp_sums(x: np.ndarray, p: float) -> np.ndarray:
         return np.exp(p * x).sum(axis=-1)
 
 
-def _growth_verdict(condition: str, grid: CheckGrid, blocks) -> Verdict:
-    """Every cell's log-product at n = n_max clears `growth_threshold`, and
-    its top quartile in n is nondecreasing.  The first failing cell in
-    (r, i, j) order is the witness; in that cell a low end outranks a drop."""
+def _verdict(condition: str, scans) -> Verdict:
+    """The verdict of a stream of (bad, witness, slack) triples: the first
+    True of the first mask `bad` that has one, in row-major order, is the
+    failing cell, and witness(cell) its Witness, read before the stream
+    advances (`_blocks` reuses its buffer); with no bad cell the least slack
+    is the margin."""
     margin = math.inf
+    for bad, witness, slack in scans:
+        if bad.any():
+            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
+                           witness(np.unravel_index(int(np.argmax(bad)), bad.shape)))
+        margin = min(margin, slack)
+    return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition, margin=margin)
+
+
+def _growth_scan(grid: CheckGrid, blocks):
+    """Every cell's log-product at n = n_max clears `growth_threshold`, and
+    its top quartile in n is nondecreasing; in a failing cell a low end
+    outranks a drop."""
     quart = 3 * grid.n_max // 4
     for r, iv, block in blocks:
         end = block[..., -1]
         low = end <= grid.growth_threshold
         falls = np.diff(block[..., quart:], axis=-1) < -1e-12
-        cell = _first(low | falls.any(axis=-1))
-        if cell is not None:
-            k, l = cell
+
+        def witness(cell):
             n = grid.n_max if low[cell] else quart + int(np.argmax(falls[cell])) + 2
-            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                           Witness(iv[k], grid.j_range[l], r, n, float(block[k, l, n - 1])))
-        margin = min(margin, float(end.min()) - grid.growth_threshold)
-    return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition, margin=margin)
+            return Witness(iv[cell[0]], grid.j_range[cell[1]], r, n, float(block[cell][n - 1]))
+        yield low | falls.any(axis=-1), witness, float(end.min()) - grid.growth_threshold
+
+
+def _decay_scan(grid: CheckGrid, La: _LogTable, Lb: _LogTable):
+    """Every backward product of the deep-tail region stays below
+    `tail_tolerance`; a failing cell's witness is its largest."""
+    log_tol = math.log(grid.tail_tolerance)
+    for r, n, iv, block in _tail_blocks(grid, La, Lb):
+        top = block.max(axis=-1)
+
+        def witness(cell):
+            return Witness(iv[cell[0]], grid.j_range[cell[1]], r,
+                           int(n[int(np.argmax(block[cell]))]),
+                           math.exp(min(float(top[cell]), 700.0)))
+        yield top >= log_tol, witness, log_tol - float(top.max())
+
+
+def _sum_scan(grid: CheckGrid, parts):
+    """For each (r, n, i values, j values, s, logs) of `parts`, the sums of
+    exp(s * logs) over the last axis, one per cell (i, j), stay below
+    `tail_tolerance`; n is the witness's."""
+    for r, n, iv, jv, s, logs in parts:
+        sums = _exp_sums(logs, s)
+        yield (sums >= grid.tail_tolerance,
+               lambda cell: Witness(iv[cell[0]], jv[cell[1]], r, n, float(sums[cell])),
+               grid.tail_tolerance - float(sums.max()))
 
 
 def check_unilateral_growth(w: WeightSeq, mu: WeightSeq, grid: CheckGrid) -> Verdict:
@@ -276,9 +311,9 @@ def check_unilateral_growth(w: WeightSeq, mu: WeightSeq, grid: CheckGrid) -> Ver
     """
     if min(grid.i_range) < 0 or min(grid.j_range) < 0:
         raise ValueError("unilateral growth uses nonnegative index shifts")
-    top = (grid.n_max + grid.r_max) ** grid.q + max(max(grid.i_range), max(grid.j_range), 0)
-    blocks = _clock_blocks(grid, _LogTable(w, 0, top), _LogTable(mu, 0, top), False)
-    return _growth_verdict("unilateral_growth", grid, blocks)
+    Lw, Lmu = _tables(w, mu, grid, two_sided=False)
+    return _verdict("unilateral_growth",
+                    _growth_scan(grid, _clock_blocks(grid, Lw, Lmu, False)))
 
 
 def check_bilateral_growth_decay(a: WeightSeq, b: WeightSeq, grid: CheckGrid) -> Verdict:
@@ -288,28 +323,11 @@ def check_bilateral_growth_decay(a: WeightSeq, b: WeightSeq, grid: CheckGrid) ->
     threshold (M on the clock as above, i and j may be negative).  Backward
     side: products over (i - e, i] and (j - e, j] with e = r^q - (r-n)^q
     must be small in the deep-tail region n >= ceil(r_max / 2), below
-    `tail_tolerance`.
+    `tail_tolerance`.  The forward side is scanned first.
     """
-    condition = "bilateral_growth_and_decay"
     La, Lb = _tables(a, b, grid, two_sided=True)
-    growth = _growth_verdict(condition, grid, _clock_blocks(grid, La, Lb, True))
-    if not growth.satisfied:
-        return growth
-    # backward decay in the deep-tail region
-    log_tol = math.log(grid.tail_tolerance)
-    margin_decay = math.inf
-    for r, n, iv, block in _tail_blocks(grid, La, Lb):
-        top = block.max(axis=-1)
-        cell = _first(top >= log_tol)
-        if cell is not None:
-            k, l = cell
-            worst = int(np.argmax(block[cell]))
-            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                           Witness(iv[k], grid.j_range[l], r, int(n[worst]),
-                                   math.exp(min(float(top[cell]), 700.0))))
-        margin_decay = min(margin_decay, log_tol - float(top.max()))
-    return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition,
-                   margin=min(growth.margin, margin_decay))
+    return _verdict("bilateral_growth_and_decay", itertools.chain(
+        _growth_scan(grid, _clock_blocks(grid, La, Lb, True)), _decay_scan(grid, La, Lb)))
 
 
 def check_schatten_summability(w: WeightSeq, mu: WeightSeq, p: float,
@@ -323,25 +341,14 @@ def check_schatten_summability(w: WeightSeq, mu: WeightSeq, p: float,
     """
     if not 1.0 <= p < math.inf:
         raise ValueError("p must lie in [1, inf)")
-    condition = f"schatten_{p}_summability"
     bilateral = w.domain is Domain.INTEGERS
     Lw, Lmu = _tables(w, mu, grid, two_sided=bilateral)
     N = grid.n_max // 2
-    # (r, n of the witness, i values, sign of the exponent, block)
-    clock = ((r, N, iv, -p, block)
+    clock = ((r, N, iv, grid.j_range, -p, block)
              for r, iv, block in _clock_blocks(grid, Lw, Lmu, bilateral, first=N))
-    tail = ((r, int(n[0]), iv, p, block)
+    tail = ((r, int(n[0]), iv, grid.j_range, p, block)
             for r, n, iv, block in (_tail_blocks(grid, Lw, Lmu) if bilateral else ()))
-    margin = math.inf
-    for r, n, iv, sp, block in itertools.chain(clock, tail):
-        sums = _exp_sums(block, sp)
-        cell = _first(sums >= grid.tail_tolerance)
-        if cell is not None:
-            k, l = cell
-            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                           Witness(iv[k], grid.j_range[l], r, n, float(sums[cell])))
-        margin = min(margin, grid.tail_tolerance - float(sums.max()))
-    return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition, margin=margin)
+    return _verdict(f"schatten_{p}_summability", _sum_scan(grid, itertools.chain(clock, tail)))
 
 
 def check_diagonal_forward_summability(lam: WeightSeq, mu: WeightSeq, p: float,
@@ -354,27 +361,26 @@ def check_diagonal_forward_summability(lam: WeightSeq, mu: WeightSeq, p: float,
     """
     if not 1.0 <= p < math.inf:
         raise ValueError("p must lie in [1, inf)")
-    condition = f"diagonal_modulus_and_forward_{p}_summability"
+    return _verdict(f"diagonal_modulus_and_forward_{p}_summability",
+                    _diagonal_scan(lam, mu, p, grid))
+
+
+def _diagonal_scan(lam: WeightSeq, mu: WeightSeq, p: float, grid: CheckGrid):
+    """The modulus scan of lam (slack inf), then one tail sum per (r, i)."""
     first, last = lam.reach
     lo = max(-grid.n_max if lam.domain is Domain.INTEGERS else 0, first)
     w = lam.at(np.arange(lo, min(grid.n_max, last) + 1))
-    small = np.hypot(w.real, w.imag) < 1.0 - 1e-12   # an unusable weight reads 0
-    if small.any():
-        jdx = lo + int(np.argmax(small))   # `weight` raises there if it has none
-        return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                       Witness(None, jdx, None, None, abs(lam.weight(jdx))))
+    # an unusable weight reads 0, and `weight` raises there if it has none
+    yield (np.hypot(w.real, w.imag) < 1.0 - 1e-12,
+           lambda cell: Witness(None, lo + int(cell[0]), None, None,
+                                abs(lam.weight(lo + int(cell[0])))),
+           math.inf)
     if min(grid.i_range) < 0:
         raise ValueError("forward summability uses nonnegative index shifts")
     span = (grid.n_max + grid.r_max) ** grid.q + max(grid.i_range)
     Lmu = _LogTable(mu, 0, span)
     N = grid.n_max // 2
     i = _shifts(grid.i_range)
-    margin = math.inf
-    for r in range(0, grid.r_max + 1):
-        sums = _exp_sums(Lmu.prefix(_clock_indices(grid, r)[N - 1:] + i), -p)
-        cell = _first(sums >= grid.tail_tolerance)
-        if cell is not None:
-            return Verdict(VerdictStatus.VIOLATED_WITH_WITNESS, condition,
-                           Witness(grid.i_range[cell[0]], None, r, N, float(sums[cell])))
-        margin = min(margin, grid.tail_tolerance - float(sums.max()))
-    return Verdict(VerdictStatus.SATISFIED_ON_GRID, condition, margin=margin)
+    yield from _sum_scan(grid, (
+        (r, N, grid.i_range, (None,), -p, Lmu.prefix(_clock_indices(grid, r)[N - 1:] + i)[:, None])
+        for r in range(0, grid.r_max + 1)))

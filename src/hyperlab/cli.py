@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkers import (CheckGrid, check_bilateral_growth_decay,
+from .checkers import (DEFAULT_RANGES, CheckGrid, check_bilateral_growth_decay,
                        check_diagonal_forward_summability,
                        check_schatten_summability, check_unilateral_growth)
 from .density import NatSet, density_to_csv, natset_from_lines, q_lower_density
@@ -237,11 +237,13 @@ def build_natset(spec: str, horizon: int, what: str = "horizon") -> NatSet:
         roots = range(k, horizon + 1, k)
     else:
         raise ConfigError(f"unknown set spec {spec!r}")
-    if len(roots) > _MAX_SET_ELEMS:
-        raise ConfigError(f"set {spec!r} up to {what} = {horizon} would hold {len(roots)} "
+    # len() of a range raises OverflowError past sys.maxsize
+    count = max(0, (roots.stop - roots.start + roots.step - 1) // roots.step)
+    if count > _MAX_SET_ELEMS:
+        raise ConfigError(f"set {spec!r} up to {what} = {horizon} would hold {count} "
                           f"elements, more than {_MAX_SET_ELEMS}")
     # np.arange(start, stop, step) takes its length from a float quotient
-    elems = (roots.start + roots.step * np.arange(len(roots)) if roots.stop < EXACT_INT64
+    elems = (roots.start + roots.step * np.arange(count) if roots.stop < EXACT_INT64
              else index_array(roots))
     return NatSet(elems ** 2 if spec == "squares" else elems, horizon)
 
@@ -440,11 +442,10 @@ def _run_construct_fhc(p: dict, outdir: Path, fmt: str, seed: int):
 
 
 def _build_check_grid(p: dict, bilateral: bool) -> CheckGrid:
-    base = (CheckGrid.bilateral_default if bilateral
-            else CheckGrid.unilateral_default)(q=p["q"])
+    default = DEFAULT_RANGES[bilateral]
     return CheckGrid(
-        base.i_range if p["i_range"] is None else parse_range(p["i_range"]),
-        base.j_range if p["j_range"] is None else parse_range(p["j_range"]),
+        default if p["i_range"] is None else parse_range(p["i_range"]),
+        default if p["j_range"] is None else parse_range(p["j_range"]),
         r_max=p["r_max"], n_max=p["n_max"], q=p["q"],
         growth_threshold=p["growth_threshold"], tail_tolerance=p["tail_tolerance"],
     )

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matops import MatOp
+from .matops import MatOp, _unit_scaled
 from .seqspace import Domain, WeightSeq, _left_sum
 
 __all__ = [
@@ -546,7 +546,8 @@ def converse_certificate(phi: AnalyticSymbol, psi: AnalyticSymbol,
     contraction, so no orbit can be dense; if the inf-modulus product is at
     least 1 the inverse is a contraction, same conclusion.  A 50-step orbit
     of a random unit start is tracked as a desk check of the monotone norm
-    behaviour the certificate predicts.
+    behaviour the certificate predicts; a norm past float range raises
+    ValueError naming its step.
     """
     inf_phi, sup_phi_est = _boundary_modulus_range(phi)
     inf_psi, sup_psi_est = _boundary_modulus_range(psi)
@@ -568,9 +569,17 @@ def converse_certificate(phi: AnalyticSymbol, psi: AnalyticSymbol,
     s = rng.standard_normal((n_dim, n_dim)) + 1j * rng.standard_normal((n_dim, n_dim))
     s /= np.linalg.norm(s)
     norms = [1.0]
-    for _ in range(_ORBIT_STEPS):
-        s = left @ s @ right
-        norms.append(float(np.linalg.norm(s)))
+    # each norm is taken on s times the exact power of two that brings its
+    # largest part near 1, so no square overflows while the entries are finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, _ORBIT_STEPS + 1):
+            s = left @ s @ right
+            scaled, e = _unit_scaled(s)
+            norm = float(np.ldexp(np.linalg.norm(scaled), e))
+            if not math.isfinite(norm):
+                raise ValueError(f"the converse orbit's norm at step {step} is {norm}, "
+                                 "not finite")
+            norms.append(norm)
     if kind is CertificateKind.NOT_HYPERCYCLIC_CONTRACTION:
         monotone = all(b <= a * (1.0 + 1e-10) + 1e-300
                        for a, b in zip(norms, norms[1:]))

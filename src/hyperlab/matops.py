@@ -103,9 +103,8 @@ class MatOp:
         return self.data.shape[1]
 
     @classmethod
-    def zeros(cls, rows: int, cols: int | None = None, basis_offset: int = 0) -> "MatOp":
-        return cls(np.zeros((rows, cols if cols is not None else rows), dtype=complex),
-                   basis_offset)
+    def zeros(cls, rows: int, cols: int | None = None) -> "MatOp":
+        return cls(np.zeros((rows, cols if cols is not None else rows), dtype=complex))
 
     def _require_aligned(self, other: "MatOp") -> None:
         if self.data.shape != other.data.shape or self.basis_offset != other.basis_offset:
@@ -121,11 +120,6 @@ class MatOp:
 
     def scale(self, c: complex) -> "MatOp":
         return MatOp(self.data * complex(c), self.basis_offset)
-
-    def allclose(self, other: "MatOp", tol: float = 1e-12) -> bool:
-        return (self.data.shape == other.data.shape
-                and self.basis_offset == other.basis_offset
-                and bool(np.allclose(self.data, other.data, atol=tol)))
 
 
 @dataclass(frozen=True)
@@ -432,8 +426,9 @@ class _Sweeps:
     component labels of each (see `_column_components`).
 
     Iterating runs sweeps until each matrix has had a sweep that left all
-    its column groups untouched (`converged[i]`) or `max_sweeps` have run;
-    `sweeps[i]` counts matrix i's.  It yields once before each sweep.  The
+    its column groups untouched (`converged[i]`) or _JACOBI_MAX_SWEEPS have
+    run; `sweeps[i]` counts matrix i's.  Both Jacobi settings are read at
+    call time, so a test may patch them.  It yields once before each sweep.  The
     groups (see `_column_groups`) are taken before the first sweep; rotations
     mix the columns of one group only, so the components never merge and the
     groups hold for every sweep.  Groups of different components, of one
@@ -450,15 +445,15 @@ class _Sweeps:
     them.
     """
 
-    def __init__(self, Us: list, tol: float, max_sweeps: int, labels: list):
-        self.Us, self.tol, self.max_sweeps, self.labels = Us, tol, max_sweeps, labels
+    def __init__(self, Us: list, labels: list):
+        self.Us, self.labels = Us, labels
         self.sweeps = [0] * len(Us)
         self.converged = [False] * len(Us)
 
     def __iter__(self):
         live = list(range(len(self.Us)))
         parts = None            # (matrix, group sequence) of each rotating component
-        for sweep in range(1, self.max_sweeps + 1):
+        for sweep in range(1, _JACOBI_MAX_SWEEPS + 1):
             for i in live:
                 self.sweeps[i] = sweep
             yield
@@ -484,7 +479,7 @@ class _Sweeps:
                     W = self.Us[i][:, seq[t]]
                     stacks.setdefault((W.shape[1], W.dtype), []).append((j, W.conj().T @ W))
             for items in stacks.values():
-                Vs = _gram_sweep(np.stack([G for _, G in items]), self.tol)
+                Vs = _gram_sweep(np.stack([G for _, G in items]), _JACOBI_TOL)
                 for (j, _), V in zip(items, Vs):
                     if V is not None:
                         i, seq = parts[j]
@@ -499,6 +494,15 @@ def _ldexp(X: np.ndarray, shifts) -> None:
     (shifts broadcast against X)."""
     for part in ((X.real, X.imag) if X.dtype.kind == "c" else (X,)):
         np.ldexp(part, shifts, out=part)
+
+
+def _unit_scaled(X: np.ndarray) -> tuple:
+    """(Y, e): a copy Y of X times the exact 2^-e that brings its largest
+    real or imaginary part into [1/2, 1) (e = 0 for a zero X)."""
+    Y = X.copy()
+    e = math.frexp(float(np.max(np.abs(Y.view(float)), initial=0.0)))[1]
+    _ldexp(Y, -e)
+    return Y, e
 
 
 def _scaled_columns(A: MatOp) -> tuple:
@@ -536,15 +540,15 @@ def _column_norms(U: np.ndarray, exponents: np.ndarray, n: int) -> tuple:
     return tuple(sorted(norms, reverse=True) + [0.0] * (n - U.shape[1]))
 
 
-def singular_values(A: MatOp, tol: float = _JACOBI_TOL,
-                    max_sweeps: int = _JACOBI_MAX_SWEEPS) -> SingularSpectrum:
+def singular_values(A: MatOp) -> SingularSpectrum:
     """Singular values by blocked one-sided Jacobi orthogonalization.
 
     Columns p < q with inner product gamma = u_p^H u_q are rotated by the
     complex plane rotation that zeroes gamma; a pair is skipped when
-    |gamma| <= tol * ||u_p|| ||u_q||.  The spectrum has converged when a
-    sweep (see `_Sweeps`) leaves every group untouched; the column norms
-    are then the singular values.  Works on the transpose when rows < cols
+    |gamma| <= _JACOBI_TOL * ||u_p|| ||u_q||.  The spectrum has converged
+    when a sweep (see `_Sweeps`) leaves every group untouched, within
+    _JACOBI_MAX_SWEEPS sweeps; the column norms are then the singular
+    values.  Works on the transpose when rows < cols
     so the column count is min(rows, cols), in real arithmetic when the
     matrix is real, and on each connected component of the columns scaled
     by the power of two that brings its largest entry near 1 (see
@@ -554,16 +558,15 @@ def singular_values(A: MatOp, tol: float = _JACOBI_TOL,
     Squared norms do not overflow, and underflow only for entries more than
     about 2^537 below the largest of their own component.
     """
-    return _spectra([A], tol, max_sweeps)[0]
+    return _spectra([A])[0]
 
 
-def _spectra(As: Sequence[MatOp], tol: float = _JACOBI_TOL,
-             max_sweeps: int = _JACOBI_MAX_SWEEPS) -> list:
+def _spectra(As: Sequence[MatOp]) -> list:
     """`singular_values` of every matrix of As, swept together: one `_Sweeps`
     runs the column groups of all of them, and each spectrum, its sweep
     count and flag included, is the one the matrix gives alone."""
     scaled = {i: _scaled_columns(A) for i, A in enumerate(As) if min(A.rows, A.cols)}
-    jacobi = _Sweeps([U for U, *_ in scaled.values()], tol, max_sweeps,
+    jacobi = _Sweeps([U for U, *_ in scaled.values()],
                      [labels for *_, labels in scaled.values()])
     for _ in jacobi:
         pass
@@ -601,7 +604,7 @@ def _part_and_sum_values(Ts: Sequence[MatOp], total: MatOp) -> list:
             if np.count_nonzero(np.isin(labels, labels[at])) == at.size:
                 reads[i] = at
     rest = {i: _scaled_columns(T) for i, T in enumerate(Ts) if i not in reads}
-    jacobi = _Sweeps([U, *(V for V, *_ in rest.values())], _JACOBI_TOL, _JACOBI_MAX_SWEEPS,
+    jacobi = _Sweeps([U, *(V for V, *_ in rest.values())],
                      [labels, *(ls for *_, ls in rest.values())])
     for _ in jacobi:
         pass
@@ -649,8 +652,7 @@ def _schatten_bracket(G: np.ndarray, p: float, rows: int) -> tuple:
     return dp, min(dp * math.sqrt(1.0 + rho), mixed)
 
 
-def schatten_norm_below(A: MatOp, p: float, radius: float,
-                        max_sweeps: int = _JACOBI_MAX_SWEEPS) -> bool:
+def schatten_norm_below(A: MatOp, p: float, radius: float) -> bool:
     """Whether ||A||_p < radius, for p in [1, inf] (inf: the operator norm).
 
     Runs the sweeps of `singular_values` and, before each one, brackets
@@ -675,7 +677,7 @@ def schatten_norm_below(A: MatOp, p: float, radius: float,
     except OverflowError:
         r = math.inf
     to_top = np.ldexp(1.0, exponents - top)
-    jacobi = _Sweeps([U], _JACOBI_TOL, max_sweeps, [labels])
+    jacobi = _Sweeps([U], [labels])
     for _ in jacobi:
         W = U * to_top
         lower, upper = _schatten_bracket(W.conj().T @ W, p, U.shape[0])
@@ -685,7 +687,7 @@ def schatten_norm_below(A: MatOp, p: float, radius: float,
             return False
     if not jacobi.converged[0]:
         raise ValueError(f"Schatten-{p} norm against radius {radius!r} still undecided "
-                         f"when the sweep budget (max_sweeps = {max_sweeps}) ran out")
+                         f"when the sweep budget (max_sweeps = {_JACOBI_MAX_SWEEPS}) ran out")
     values = _column_norms(U, exponents, n)
     return (values[0] if p == math.inf else p_sum(values, p)) < radius
 
@@ -732,9 +734,7 @@ def orthogonal_sum_additivity(Ts: Sequence[MatOp], p: float) -> OrthogonalSumRep
     *spectra, whole = _part_and_sum_values(Ts, total)
     scaled = []
     for T, vals in zip(Ts, spectra):
-        X = T.data.copy()
-        e = math.frexp(float(np.max(np.abs(X.view(float)), initial=0.0)))[1]
-        _ldexp(X, -e)
+        X, e = _unit_scaled(T.data)
         scaled.append((X, math.ldexp(max(vals, default=0.0), -e)))
     ok = True
     worst = 0.0

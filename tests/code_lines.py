@@ -6,6 +6,11 @@ a comment or a docstring, blank lines aside.
 prints each file's count and the total.  A docstring is a string statement
 that opens a module, a class or a function body; every other string counts
 on each line it spans.
+
+    python tests/code_lines.py --options src/hyperlab
+
+counts option values instead: it lists every function or method parameter
+that has a default and every dataclass field that has one, then the total.
 """
 
 from __future__ import annotations
@@ -43,14 +48,64 @@ def code_lines(source: str) -> int:
     return len(lines - docs)
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        if (dec.id if isinstance(dec, ast.Name) else getattr(dec, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def options(source: str) -> list:
+    """(line, name) of each option value of source: a parameter of a
+    function or method with a default, or a dataclass field with one, named
+    by its qualified owner."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = owner + child.name
+                a = child.args
+                positional = a.posonlyargs + a.args
+                found.extend((arg.lineno, f"{name}.{arg.arg}")
+                             for arg in positional[len(positional) - len(a.defaults):])
+                found.extend((arg.lineno, f"{name}.{arg.arg}")
+                             for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    found.extend((f.lineno, f"{owner}{child.name}.{f.target.id}")
+                                 for f in child.body
+                                 if isinstance(f, ast.AnnAssign) and f.value is not None
+                                 and isinstance(f.target, ast.Name))
+                visit(child, owner + child.name + ".")
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def _paths(roots: list):
+    for root in roots or ["src/hyperlab"]:
+        root = Path(root)
+        yield from sorted(root.rglob("*.py")) if root.is_dir() else [root]
+
+
 def main(argv: list) -> int:
     total = 0
-    for root in argv or ["src/hyperlab"]:
-        root = Path(root)
-        for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
-            n = code_lines(path.read_text())
-            total += n
-            print(f"{n:6d}  {path}")
+    if argv[:1] == ["--options"]:
+        for path in _paths(argv[1:]):
+            for line, name in options(path.read_text()):
+                total += 1
+                print(f"{path}:{line}  {name}")
+        print(f"{total:6d}  option values")
+        return 0
+    for path in _paths(argv):
+        n = code_lines(path.read_text())
+        total += n
+        print(f"{n:6d}  {path}")
     print(f"{total:6d}  total")
     return 0
 

@@ -454,6 +454,49 @@ def test_nuclear_counts_psi_in_the_band_without_w(tmp_path, capsys):
     assert "degree 16" in one_error_line(capsys.readouterr().err)
 
 
+def run_process(argv, outdir):
+    """The CLI as its own process, BLAS on one thread; its CompletedProcess."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "hyperlab.cli", *argv, "--out", str(outdir)],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--set", "evens", "--q", "70", "--n-max", "3"],
+    ["--set", "squares", "--q", "200", "--n-max", "3"],
+    ["--set", "multiples:3", "--q", "70", "--n-max", "3"],
+], ids=["evens", "squares", "multiples"])
+def test_density_refuses_a_set_past_sys_maxsize_in_one_line(tmp_path, argv):
+    # len() of a range past sys.maxsize raised OverflowError: a traceback
+    proc = run_process(["density", *argv], tmp_path)
+    assert proc.returncode == 1
+    assert "elements, more than 10000000" in one_error_line(proc.stderr)
+
+
+def test_converse_norms_of_finite_orbits_are_finite(tmp_path):
+    # entries near 1e160 are finite, but their squares overflowed inside
+    # np.linalg.norm: steps 20-24 read "inf" with a warning on stderr
+    argv = ["hardy", "--check", "converse", "--phi", "0,1e4", "--psi", "1e4"]
+    proc = run_process(argv, tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    norms = json.loads(report_path(tmp_path, argv).read_text())["results"]["certificate"][
+        "orbit_norms"]
+    assert all(isinstance(v, float) for v in norms)     # a non-finite norm is a string
+    assert norms[20] == 4.344784726277849e+159
+
+
+def test_converse_orbit_past_float_range_is_one_error_line(tmp_path):
+    # the first step's entries overflow: the norms read "nan" after two
+    # matmul warnings
+    argv = ["hardy", "--check", "converse", "--phi", "1e300,1e300", "--psi", "1e300"]
+    proc = run_process(argv, tmp_path)
+    assert proc.returncode == 1
+    assert "at step 1 " in one_error_line(proc.stderr)
+    assert not report_path(tmp_path, argv).exists()
+
+
 def test_locus_refuses_a_negative_max_points(tmp_path, capsys):
     # a negative count used to list points[:-3], all but the last three
     argv = ["hardy", "--check", "locus", "--phi", "0,2", "--psi", "0,1",
@@ -503,6 +546,25 @@ def test_clock_indices_beyond_two_to_the_53_are_refused(tmp_path, capsys, condit
     line = one_error_line(capsys.readouterr().err)
     assert "q = 7" in line and "n_max = 512" in line and "r_max = 32" in line
     assert not (tmp_path / "check_report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--condition", "growth", "--n-max", "8", "--r-max", "0", "--q", "6"],
+    ["--condition", "bilateral", "--weights", "w=constant:2@Z;mu=constant:2@Z",
+     "--n-max", "8", "--r-max", "0", "--q", "17"],
+], ids=["growth-q6", "bilateral-q17"])
+def test_a_small_grid_checks_at_a_high_clock_exponent(tmp_path, argv):
+    # the grid checked is the one given: 8^6 and 8^17 = 2^51 lie below 2^53,
+    # though the default grid's (512 + 32)^q does not
+    assert run(["check", *argv], tmp_path) == 0
+    grid = json.loads((tmp_path / "check_report.json").read_text())["parameters"]["grid"]
+    assert (grid["n_max"], grid["r_max"]) == (8, 0)
+
+
+def test_the_default_grid_past_two_to_the_53_names_its_own_bounds(tmp_path, capsys):
+    assert run(["check", "--condition", "growth", "--q", "6"], tmp_path) == 1
+    line = one_error_line(capsys.readouterr().err)
+    assert "q = 6" in line and "n_max = 512" in line and "r_max = 32" in line
 
 
 def test_bilateral_witness_is_exact(tmp_path):

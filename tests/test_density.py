@@ -1,6 +1,5 @@
 """Density-profile tests with brute-force recount oracles."""
 
-import functools
 import io
 import json
 import random
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from hyperlab import density, fhc, matops
+from hyperlab import fhc, matops
 from hyperlab.cli import main
 from hyperlab.density import (
     DensityEstimate,
@@ -346,8 +345,7 @@ def test_visit_set_lets_an_undecided_compare_raise(monkeypatch):
     rng = np.random.default_rng(37)
     x = MatOp(gaussian(rng, 40, 40))
     radius = schatten_norm(x, 1.0) * (1.0 + 1e-10)
-    monkeypatch.setattr(density, "schatten_norm_below",
-                        functools.partial(matops.schatten_norm_below, max_sweeps=1))
+    monkeypatch.setattr(matops, "_JACOBI_MAX_SWEEPS", 1)
     with pytest.raises(ValueError, match="sweep budget"):
         visit_set([x], MatOp.zeros(40), radius, NormSpec.schatten(1.0))
 

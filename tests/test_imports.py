@@ -241,7 +241,9 @@ assert count > 0 and points == count, (points, count)
 def test_the_tracer_hooks_read_a_construction_and_a_check(tmp_path):
     # installing the tracer checks its targets only; its hooks read the
     # results too (the verifier's hook reads ClassVisitReport.truncated), so
-    # run them once on a small construct-fhc and a check
+    # run them once on a small construct-fhc and a check of each condition.
+    # The check hook counts |I| |J| (r_max + 1) cells a call: a checker the
+    # CLI reaches around the traced names leaves its cells out of the sum
     code = f"""
 import sys
 sys.path[:0] = ["src", "deskbench"]
@@ -252,11 +254,20 @@ tracer.install()
 out = {str(tmp_path)!r}
 assert hyperlab.cli.main(["construct-fhc", "--weights", "w=constant:2", "--targets", "0|0,1",
                           "--horizon", "300", "--out", out]) == 0
-assert hyperlab.cli.main(["check", "--condition", "growth", "--q", "2", "--n-max", "64",
-                          "--out", out]) == 0
+checks = [  # (argv, exit code, grid cells)
+    (["growth", "--q", "2", "--n-max", "64"], 0, 5 * 5 * 33),
+    (["bilateral", "--weights", "w=constant:2@Z;mu=constant:2@Z", "--i-range=-1:1",
+      "--j-range", "0:1", "--r-max", "2", "--n-max", "16"], 2, 3 * 2 * 3),
+    (["schatten", "--i-range", "0:2", "--j-range", "0:0", "--r-max", "1", "--n-max", "16"],
+     0, 3 * 1 * 2),
+    (["diagonal", "--weights", "lam=constant:2;mu=constant:2", "--i-range", "0:1",
+      "--j-range", "0:3", "--r-max", "3", "--n-max", "16"], 0, 2 * 4 * 4),
+]
+for argv, code, _ in checks:
+    assert hyperlab.cli.main(["check", "--condition", *argv, "--out", out]) == code, argv
 m = tracer.metrics()
 assert m["fhc.verify_q_frequent_visits.times_scanned"] > 0, m
 assert m["fhc.verify_q_frequent_visits.truncated_classes"] == 0, m
-assert m["checkers.check.grid_cells"] > 0, m
+assert m["checkers.check.grid_cells"] == sum(cells for *_, cells in checks), m
 """
     subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True, timeout=60)

@@ -4,6 +4,7 @@ numpy.linalg.svd serves as the independent oracle for the hand-rolled
 Jacobi singular values; it is never called inside the library itself.
 """
 
+import functools
 import io
 import math
 
@@ -177,10 +178,11 @@ def test_jacobi_column_graded_relative_accuracy(cols):
         assert np.all(np.abs(np.array(spec.values) - want) <= 1e-12 * want)
 
 
-def test_jacobi_reports_an_exhausted_sweep_budget():
+def test_jacobi_reports_an_exhausted_sweep_budget(monkeypatch):
     rng = np.random.default_rng(37)
     A = random_mat(rng, 40, 40)
-    spec = singular_values(A, max_sweeps=1)
+    monkeypatch.setattr(matops, "_JACOBI_MAX_SWEEPS", 1)
+    spec = singular_values(A)
     assert spec.sweeps == 1 and not spec.converged
 
 
@@ -409,8 +411,7 @@ def test_schatten_bracket_holds_at_every_sweep(case, p):
     top = int(exponents.max())
     scaled = data if data.shape[0] >= data.shape[1] else data.conj().T
     want = oracle_norm(scaled * 2.0 ** -top, p)
-    jacobi = matops._Sweeps([U], matops._JACOBI_TOL, matops._JACOBI_MAX_SWEEPS,
-                            [matops._column_components(U)])
+    jacobi = matops._Sweeps([U], [matops._column_components(U)])
     brackets = []
     for _ in jacobi:
         W = U * np.ldexp(1.0, exponents - top)
@@ -438,15 +439,17 @@ def test_schatten_compare_rejects_bad_exponents(p):
         schatten_norm_below(MatOp(np.eye(2)), p, 1.0)
 
 
-def test_undecided_schatten_compare_raises_on_an_exhausted_budget():
+def test_undecided_schatten_compare_raises_on_an_exhausted_budget(monkeypatch):
     # a radius within 1e-9 of the norm cannot be cleared by any bracket, and
     # one sweep does not converge: the compare must not fall back on the
     # unconverged column norms
     rng = np.random.default_rng(37)
     A = random_mat(rng, 40, 40)
     radius = schatten_norm(A, 1.0) * (1.0 + 1e-10)
-    with pytest.raises(ValueError, match="sweep budget"):
-        schatten_norm_below(A, 1.0, radius, max_sweeps=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(matops, "_JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(ValueError, match="sweep budget"):
+            schatten_norm_below(A, 1.0, radius)
     assert schatten_norm_below(A, 1.0, radius) is True
 
 
@@ -495,10 +498,10 @@ def stack_cases():
     }
 
 
-def assert_spectra_equal_the_oracle(datas, max_sweeps=matops._JACOBI_MAX_SWEEPS):
+def assert_spectra_equal_the_oracle(datas):
     As = [MatOp(data) for data in datas]
-    got = matops._spectra(As, matops._JACOBI_TOL, max_sweeps)
-    want = [oracle_singular_values(A, max_sweeps=max_sweeps) for A in As]
+    got = matops._spectra(As)
+    want = [oracle_singular_values(A, max_sweeps=matops._JACOBI_MAX_SWEEPS) for A in As]
     assert got == want
     assert [repr(spec) for spec in got] == [repr(spec) for spec in want]   # zero signs too
     return got
@@ -510,11 +513,12 @@ def test_stacked_sweeps_equal_the_serial_oracle(case):
 
 
 @pytest.mark.parametrize("max_sweeps", [1, 3])
-def test_stacked_sweeps_equal_the_oracle_on_an_exhausted_budget(max_sweeps):
+def test_stacked_sweeps_equal_the_oracle_on_an_exhausted_budget(max_sweeps, monkeypatch):
     rng = np.random.default_rng(61)
     datas = [random_mat(rng, 40, 40).data, rng.standard_normal((150, 100)),
              random_mat(rng, 3, 2).data, np.diag([1.0, 2.0, 3.0])]
-    got = assert_spectra_equal_the_oracle(datas, max_sweeps)
+    monkeypatch.setattr(matops, "_JACOBI_MAX_SWEEPS", max_sweeps)
+    got = assert_spectra_equal_the_oracle(datas)
     assert [spec.converged for spec in got[:2]] == [False, False]
     assert got[3].sweeps == 1 and got[3].converged
 
@@ -524,8 +528,7 @@ def test_stacked_sweeps_equal_the_oracle_on_an_exhausted_budget(max_sweeps):
 def test_stacked_sweeps_rotate_every_column_as_the_oracle(case):
     As = [MatOp(data) for data in stack_cases()[case]]
     Us = [matops._scaled_columns(A)[0] for A in As]
-    jacobi = matops._Sweeps(Us, matops._JACOBI_TOL, matops._JACOBI_MAX_SWEEPS,
-                            [matops._column_components(U) for U in Us])
+    jacobi = matops._Sweeps(Us, [matops._column_components(U) for U in Us])
     for _ in jacobi:
         pass
     for A, U, sweeps, converged in zip(As, Us, jacobi.sweeps, jacobi.converged):
@@ -554,7 +557,7 @@ def test_scaled_columns_equal_the_two_copy_selection(case):
 
 @pytest.mark.parametrize("case", ["complex", "real", "wide-multi-group", "rank-deficient",
                                   "huge", "tiny", "block-diagonal", "components-apart"])
-def test_schatten_compare_equals_the_serial_oracle(case):
+def test_schatten_compare_equals_the_serial_oracle(case, monkeypatch):
     A = MatOp(bracket_cases()[case])
     values = oracle_singular_values(A).values
     for p in (1.0, 3.5, math.inf):
@@ -562,11 +565,14 @@ def test_schatten_compare_equals_the_serial_oracle(case):
         for radius in (0.5 * norm, norm, norm * (1.0 + 1e-12), 2.0 * norm):
             for max_sweeps in (1, matops._JACOBI_MAX_SWEEPS):
                 outcome = []
-                for compare in (schatten_norm_below, oracle_schatten_norm_below):
-                    try:
-                        outcome.append(compare(A, p, radius, max_sweeps=max_sweeps))
-                    except ValueError as exc:
-                        outcome.append(str(exc))
+                with monkeypatch.context() as patch:
+                    patch.setattr(matops, "_JACOBI_MAX_SWEEPS", max_sweeps)
+                    for compare in (schatten_norm_below, functools.partial(
+                            oracle_schatten_norm_below, max_sweeps=max_sweeps)):
+                        try:
+                            outcome.append(compare(A, p, radius))
+                        except ValueError as exc:
+                            outcome.append(str(exc))
                 assert outcome[0] == outcome[1], (p, radius, max_sweeps)
 
 
