@@ -400,7 +400,7 @@ def _run_orbit(p: dict, outdir: Path, fmt: str, seed: int):
 # the ClassVisitReport fields a construct-fhc report lists per class
 _CLASS_FIELDS = ("k", "radius", "designed_count", "designed_within", "contained",
                  "max_designed_distance", "designed_density", "visit_density",
-                 "density_ratio", "proof_bound", "cross_check_dev")
+                 "density_ratio", "cross_check_dev")
 
 
 def _run_construct_fhc(p: dict, outdir: Path, fmt: str, seed: int):
@@ -416,13 +416,11 @@ def _run_construct_fhc(p: dict, outdir: Path, fmt: str, seed: int):
     sched = EpsSchedule(p["eps_scale"], p["eps_base"])
     family = BackwardOrbitFamily(op, tuple(targets))
     K = family.num_classes
-    n_ks = [find_tail_threshold(family, op, k, q, sched, seed=seed)
-            for k in range(1, K + 1)]
-    J = build_separated_family(n_ks, K, p["horizon"])
-    sep = J.separation
+    n_ks = [find_tail_threshold(family, k, q, sched, seed=seed) for k in range(1, K + 1)]
+    J, sep = build_separated_family(n_ks, p["horizon"])
     x = assemble_vector(family, J, q)
     radii = [sched.bound(k, K) for k in range(1, K + 1)]
-    reports = verify_q_frequent_visits(op, x, family, J, q, radii, eps=sched)
+    reports = verify_q_frequent_visits(x, family, J, q, radii)
     ok = sep.ok and all(r.contained and r.density_ratio > 0.0 for r in reports)
     params = {"weights": p["weights"], "op": p["op"], "q": q, "targets": p["targets"],
               "horizon": p["horizon"], "eps": sched.describe(), "seed": seed}

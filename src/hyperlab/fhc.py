@@ -113,11 +113,12 @@ class BackwardOrbitFamily:
     """Targets x_1..x_K with their exact inverse-orbit points x_{k,n}.
 
     x_{k,n} shifts the support of x_k up by n and divides by the running
-    weight product, so n applications of the operator (of its adjoint, for a
-    forward-type rule) restore x_k exactly.  The points live in one term
-    table (`terms.TermTable`), built once per (class, exponent) from batched
-    reads of the rule's shared `WeightPrefix`, and read by the threshold
-    search, the assembly and the verifier alike.
+    weight product, so n applications of the forward map (`forward_op`)
+    restore x_k exactly.  The points and the jumps of the forward map live
+    in one term table (`terms.TermTable`), built once per (class, exponent)
+    from batched reads of the rule's shared `WeightPrefix`, and read by the
+    threshold search, the assembly and the verifier alike, none of which
+    takes the operator again.
     """
 
     op: ShiftOp
@@ -132,7 +133,7 @@ class BackwardOrbitFamily:
             if x.domain is not self.op.domain:
                 raise ValueError("target domain does not match the operator")
         object.__setattr__(self, "base_points", pts)
-        object.__setattr__(self, "_terms", TermTable(self.op, pts))
+        object.__setattr__(self, "_terms", TermTable(self.forward_op(), pts))
 
     @property
     def num_classes(self) -> int:
@@ -150,7 +151,8 @@ class BackwardOrbitFamily:
         if n < 0:
             raise ValueError("n must be a natural number")
         self.base_point(k)
-        return self._terms.vector(int(self._terms.ids(np.array([k]), index_array([n]))[0]))
+        return self._terms.vector(int(self._terms.ids(np.array([k]), index_array([n]),
+                                                      jump=False)[0]))
 
     def forward_op(self) -> ShiftOp:
         """The map that undoes inverse_point: the operator itself for
@@ -214,8 +216,8 @@ _THRESHOLD_WINDOW = 64
 _THRESHOLD_SAMPLES = 20
 
 
-def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int,
-                        eps: EpsSchedule, hard_cap: int = 4096, seed: int = 0) -> int:
+def find_tail_threshold(family: BackwardOrbitFamily, k: int, q: int, eps: EpsSchedule,
+                        hard_cap: int = 4096, seed: int = 0) -> int:
     """Smallest N making every tested criterion sum smaller than eps_k.
 
     For each class i <= k, each offset r <= _THRESHOLD_R_MAX (r = 0
@@ -225,10 +227,11 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
         || sum_{n in F} x_{i, (n+r)^q - r^q} ||            (inverse side)
         || sum_{n in F, n <= r} T^{r^q - (r-n)^q} x_i ||    (forward side)
 
-    must be < eps_k.  Tested F are every contiguous tail of the window plus
-    _THRESHOLD_SAMPLES seeded random subsets of size <= 12.  The search
-    doubles N and then bisects to the smallest passing value; if nothing
-    passes by `hard_cap` a CriterionFailure carries the last witness.
+    must be < eps_k, with T the family's forward map.  Tested F are every
+    contiguous tail of the window plus _THRESHOLD_SAMPLES seeded random
+    subsets of size <= 12.  The search doubles N and then bisects to the
+    smallest passing value; if nothing passes by `hard_cap` a
+    CriterionFailure carries the last witness.
 
     A probe is an array pass over the family's term table: it reads the
     terms of a block of (class, r) pairs from the table, whose missing
@@ -260,8 +263,7 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
     for j, offs in enumerate(subset_offsets):
         subsets[j, :len(offs)] = W - 1 - np.array(offs)
     pairs = [(i, r) for i in range(1, k + 1) for r in range(_THRESHOLD_R_MAX + 1)]
-    nilpotent = op.displacement < 0 and op.domain is Domain.NATURALS
-    top = np.array([-1] + [max(x.entries, default=-1) for x in family.base_points])
+    top = _nilpotent_top(family)
     # a norm max(s, 0) ** (1 / p) can reach eps_k only where its power sum s
     # is not below cut; the norm itself is taken there alone (a cut below
     # the normal range, where its margin would not hold, is 0)
@@ -308,7 +310,8 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
             < EXACT_INT64 else object
         r = np.array([r for _, r in block], dt)[:, None]
         n = np.arange(N + W - 1, N - 1, -1).astype(dt)
-        rid = table.ids(np.repeat(cls, W), ((n + r) ** qi - r ** qi).ravel()).reshape(-1, W)
+        rid = table.ids(np.repeat(cls, W), ((n + r) ** qi - r ** qi).ravel(),
+                        jump=False).reshape(-1, W)
         # pairs with the same terms (all r alike when q = 1) share their
         # sums: the u-th distinct row of terms first comes at pair uniq[u]
         index: dict = {}
@@ -316,14 +319,17 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
         uniq = [inv.index(u) for u in range(len(index))]
         at, tails, subs, sub_hit = (v[inv] for v in sums(rid[uniq]))
         # forward side: the jumps T^m x_i, m = r^q - (r-n)^q, at the
-        # positions with n <= r, built once per family; on a unilateral
-        # backward shift a jump past x_i's support is 0
+        # positions with n <= r, built once per family; a jump past
+        # `_nilpotent_top` is 0
         fwd = np.flatnonzero(r[:, 0] >= N)
         if fwd.size:
             m = r[fwd] ** qi - (r[fwd] - n) ** qi
-            live = (n <= r[fwd]) & ~(nilpotent & (m > top[cls[fwd], None]))
+            live = n <= r[fwd]
+            if top is not None:
+                live &= m <= top[cls[fwd], None]
             frid = np.full(live.shape, -1)
-            frid[live] = table.ids(np.broadcast_to(cls[fwd, None], live.shape)[live], m[live], op)
+            frid[live] = table.ids(np.broadcast_to(cls[fwd, None], live.shape)[live], m[live],
+                                   jump=True)
             f_at, f_tails, f_subs, f_hit = sums(frid)
         for j, (i, r_) in enumerate(block):
             t = int(at[j])
@@ -384,6 +390,16 @@ def find_tail_threshold(family: BackwardOrbitFamily, op: ShiftOp, k: int, q: int
     return hi
 
 
+def _nilpotent_top(family: BackwardOrbitFamily) -> np.ndarray | None:
+    """top[l], the highest index of x_l (-1 for l = 0 and an empty x_l),
+    where the forward map T is a unilateral backward shift, so that T^m x_l
+    is 0 for every m > top[l]; None for any other T."""
+    fwd = family.forward_op()
+    if fwd.displacement < 0 and fwd.domain is Domain.NATURALS:
+        return np.array([-1] + [max(x.entries, default=-1) for x in family.base_points])
+    return None
+
+
 def _term_error(exc: Exception, i: int, r: int, N: int) -> tuple:
     """The witness of a term whose weight product left the floating range;
     any other error of a term is raised."""
@@ -400,9 +416,6 @@ def _term_error(exc: Exception, i: int, r: int, N: int) -> tuple:
 class SeparatedFamily:
     sets: tuple              # NatSet per class, 1-indexed externally
     N_ks: tuple
-    # the report `build_separated_family` checked the plan with; None on a
-    # family built by hand
-    separation: SeparationReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
@@ -458,22 +471,21 @@ def _blocks(fam: SeparatedFamily) -> tuple:
     return merged, classes
 
 
-def build_separated_family(N_ks: Sequence[int], K: int, horizon: int) -> SeparatedFamily:
-    """Round-robin block construction of separated positive-density classes.
+def build_separated_family(N_ks: Sequence[int], horizon: int) -> tuple:
+    """Round-robin block construction of separated positive-density classes,
+    one class k = 1..K per threshold N_k.
 
     [1, horizon] splits into consecutive blocks; block m serves class
     k = (m mod K) + 1 with the global arithmetic progression k mod g_k,
     g_k = 2 (N_k + max_j N_j), clipped to the block interior.  With more
     than one class a guard strip of max_j N_j at each block edge keeps
-    cross-class neighbours at distance >= N_k + N_j.  The plan is checked by
-    `verify_separated_family`, and the family keeps that report
-    (`separation`).
+    cross-class neighbours at distance >= N_k + N_j.  Returns the plan and
+    the `verify_separated_family` report it was checked with.
     """
+    N = [int(v) for v in N_ks]
+    K = len(N)
     if K < 1:
-        raise ValueError("K must be >= 1")
-    if len(N_ks) < K:
-        raise ValueError("need a threshold for every class")
-    N = [int(v) for v in N_ks[:K]]
+        raise ValueError("at least one threshold is required")
     if any(v < 1 for v in N):
         raise ValueError("thresholds must be >= 1")
     gmax = max(N)
@@ -497,8 +509,7 @@ def build_separated_family(N_ks: Sequence[int], K: int, horizon: int) -> Separat
     rep = verify_separated_family(fam)
     if not rep.ok:
         raise AssertionError(f"construction violated its own contract: {rep.first_violation}")
-    object.__setattr__(fam, "separation", rep)
-    return fam
+    return fam, rep
 
 
 def verify_separated_family(fam: SeparatedFamily) -> SeparationReport:
@@ -559,7 +570,7 @@ def assemble_vector(family: BackwardOrbitFamily, J: SeparatedFamily, q: int) -> 
         raise ValueError("more visit plans than targets")
     table = family._terms
     times, cls = _plan(J)
-    rows = table.ids(cls, index_array(times.astype(object) ** qi))
+    rows = table.ids(cls, index_array(times.astype(object) ** qi), jump=False)
     failed = np.flatnonzero(table.column("state", np.int8)[rows])
     if failed.size:
         raise table.errors[int(rows[failed[0]])]
@@ -579,7 +590,6 @@ def assemble_vector(family: BackwardOrbitFamily, J: SeparatedFamily, q: int) -> 
 class ClassVisitReport:
     k: int
     radius: float
-    proof_bound: float | None        # k*eps_k + sum_{j>k} eps_j when eps given
     designed_count: int
     designed_within: int             # designed times landing inside the ball
     max_designed_distance: float
@@ -600,23 +610,23 @@ class ClassVisitReport:
 _CROSS_CHECK_HORIZON = 512
 
 
-def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFamily,
-                             J: SeparatedFamily, q: int, radii: Sequence[float],
-                             eps: EpsSchedule | None = None,
-                             horizon: int | None = None,
+def verify_q_frequent_visits(x: SeqVector, family: BackwardOrbitFamily, J: SeparatedFamily,
+                             q: int, radii: Sequence[float], horizon: int | None = None,
                              cross_check: int = 3) -> list:
-    """Measure the visit structure of {T^{n^q} x} around every target.
+    """Measure the visit structure of {T^{n^q} x} around every target, T
+    the family's forward map, class k's ball having radius radii[k - 1]
+    (construct-fhc passes the schedule's `EpsSchedule.bound(k, K)`).
 
     For each time n the orbit point decomposes over the designed blocks:
     blocks m >= n contribute x_{l, m^q - n^q} exactly, blocks m < n
-    contribute T^{n^q - m^q} x_l via closed-form jumps.  Every distance
-    and visit is that of walking all the blocks, though a walk may stop
-    early where the rule's form bounds the blocks it leaves (see `_Walk`
-    and `_scan_distances`).  `_scan_distances`
-    measures every time n = 1..horizon at once, one distance array per
-    class, and the visit set of class k is the times whose distance lies
-    below its radius.  Early designed times n with n^q up to
-    _CROSS_CHECK_HORIZON are re-measured by jumping the stored vector
+    contribute T^{n^q - m^q} x_l via closed-form jumps, both rows of the
+    family's term table.  Every distance and visit is that of walking all
+    the blocks, though a walk may stop early where the rule's form bounds
+    the blocks it leaves (see `_Walk` and `_scan_distances`).
+    `_scan_distances` measures every time n = 1..horizon at once, one
+    distance array per class, and the visit set of class k is the times
+    whose distance lies below its radius.  Early designed times n with n^q
+    up to _CROSS_CHECK_HORIZON are re-measured by jumping the stored vector
     directly, giving an independent consistency figure.  The scan sums a
     distance exactly where a report reads it (class k's designed times,
     every class at those early times) and where its largest term lies
@@ -640,14 +650,14 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
     for k in range(K):
         read[k, designed[k]] = True
     read[:, [m - 1 for m in early]] = True
-    distances = _scan_distances(op, family, blocks, K, qi, N_H, [float(r) for r in radii], read)
+    distances = _scan_distances(family, blocks, K, qi, N_H, [float(r) for r in radii], read)
 
     # independent early-time cross-check from the stored vector
     dev = None
     if early:
-        dev = 0.0
+        dev, fwd = 0.0, family.forward_op()
         for m in early:
-            z = shift_power_apply(op, x, m ** qi)
+            z = shift_power_apply(fwd, x, m ** qi)
             for k in range(1, K + 1):
                 d_direct = lp_norm(z - family.base_point(k))
                 dev = max(dev, abs(d_direct - distances[k - 1, m - 1].item()))
@@ -666,7 +676,6 @@ def verify_q_frequent_visits(op: ShiftOp, x: SeqVector, family: BackwardOrbitFam
         reports.append(ClassVisitReport(
             k=k,
             radius=radius,
-            proof_bound=eps.bound(k, K) if eps is not None else None,
             designed_count=len(des_d),
             designed_within=within,
             max_designed_distance=max(des_d) if des_d else 0.0,
@@ -737,11 +746,12 @@ class _Tail:
         return np.where(x >= self.start, r, math.inf)
 
 
-def _tails(op: ShiftOp, targets: Sequence[SeqVector]) -> tuple:
-    """(future, past) `_Tail`s of op's walks, None on a side without one:
-    every rule but a closed one whose weights are all usable, every op but
-    a backward-type one, a level that does not shrink the pieces, and the
-    past side on the naturals, which ends at the nilpotent cut."""
+def _tails(family: BackwardOrbitFamily) -> tuple:
+    """(future, past) `_Tail`s of the walks over the family's pieces, None on
+    a side without one: every rule but a closed one whose weights are all
+    usable, a diagonal forward map, a level that does not shrink the pieces,
+    and the past side on the naturals, which ends at the nilpotent cut."""
+    op, targets = family.forward_op(), family.base_points
     w = op.weights
     n = index_array([i for x in targets for i in x.entries])
     if op.displacement != -1 or w.rational is not None or not (w.low and w.high and all(w.values)) \
@@ -791,8 +801,8 @@ class _Walk:
     elsewhere.
     """
 
-    def __init__(self, table: TermTable, op: ShiftOp, bpow, bcls, nq, i0, tails: tuple):
-        self.table, self.op, self.bpow, self.bcls = table, op, bpow, bcls
+    def __init__(self, table: TermTable, bpow, bcls, nq, i0, tails: tuple):
+        self.table, self.bpow, self.bcls = table, bpow, bcls
         self.nq, self.i0, self.tails = nq, i0, tails
         T = len(nq)
         self.used = np.zeros(T, np.int64)
@@ -849,17 +859,17 @@ class _Walk:
             ic = np.minimum(i, B - 1)
             e = self.bpow[ic] - self.nq[act, None]
             pid = np.zeros(i.shape, np.int64)
-            pid[inb] = self.table.ids(self.bcls[ic][inb], e[inb])
+            pid[inb] = self.table.ids(self.bcls[ic][inb], e[inb], jump=False)
             ok = inb & (self.table.column("state", np.int8)[pid] == 0)
             e_next = self.bpow[np.minimum(i + 1, B - 1)] - self.nq[act, None]
             act = act[self._step(0, act, pid, ok, e, e_next, i + 1 < B, e > 0)]
             j += S
         self.n_future = self.used.copy()
 
-    def past(self, sup_top, nilpotent: bool) -> None:
+    def past(self, top: np.ndarray | None) -> None:
         """Blocks i0 - 1, i0 - 2, ...: add T^{n^q - m^q} x_l, stop at block
-        0, at a jump that overflows (the time reads inf) and, for a
-        unilateral backward shift, before the first block whose jump clears
+        0, at a jump that overflows (the time reads inf) and, where top is
+        `_nilpotent_top`'s array, before the first block whose jump clears
         its target's support."""
         act = np.flatnonzero((self.i0 > 0) & (self.fail < 0))
         j, S = 0, 1
@@ -871,11 +881,11 @@ class _Walk:
             delta = self.nq[act, None] - self.bpow[ic]
             cls = self.bcls[ic]
             cut = i < 0
-            if nilpotent:
-                cut |= delta > sup_top[cls]
+            if top is not None:
+                cut |= delta > top[cls]
             reach = s < _first(cut)[:, None]
             pid = np.zeros(i.shape, np.int64)
-            pid[reach] = self.table.ids(cls[reach], delta[reach], self.op)
+            pid[reach] = self.table.ids(cls[reach], delta[reach], jump=True)
             ok = reach & (self.table.column("state", np.int8)[pid] == 0)
             d_next = self.nq[act, None] - self.bpow[np.maximum(i - 1, 0)]
             act = act[self._step(1, act, pid, ok, delta, d_next, i > 0, reach)]
@@ -997,8 +1007,8 @@ def _lp_distances(t, idx, re, im, n_times: int, targets: Sequence[dict], p: floa
     return out, moved
 
 
-def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: tuple, K: int,
-                    qi: int, N_H: int, radii: Sequence[float], read: np.ndarray) -> np.ndarray:
+def _scan_distances(family: BackwardOrbitFamily, blocks: tuple, K: int, qi: int, N_H: int,
+                    radii: Sequence[float], read: np.ndarray) -> np.ndarray:
     """d over the blocks (times, classes) of `_blocks`, with
     d[k - 1, n - 1] = ||T^{n^q} x - x_k|| for k <= K and n = 1..N_H where
     read[k - 1, n - 1] holds or the distance lies below radii[k - 1], and
@@ -1022,22 +1032,20 @@ def _scan_distances(op: ShiftOp, family: BackwardOrbitFamily, blocks: tuple, K: 
     """
     p = family.base_point(1).p_exponent
     targets = [family.base_point(k).entries for k in range(1, K + 1)]
-    nilpotent = op.displacement < 0 and op.domain is Domain.NATURALS
-    sup_top = np.array([-1] + [max(family.base_point(l).entries, default=-1)
-                               for l in range(1, K + 1)])
+    top = _nilpotent_top(family)
     btime, bcls = blocks
     last = max(N_H, int(btime[-1]) if btime.size else 0)
     dt = np.int64 if (last ** qi + 1) * (K + 1) < EXACT_INT64 else object
     bpow = btime.astype(dt) ** qi
     table = family._terms
-    tails = _tails(op, family.base_points) if op == family.op else (None, None)
+    tails = _tails(family)
 
     def measure(times: np.ndarray, tails: tuple, read: np.ndarray) -> tuple:
         """(d, terms of the longest walk, moved) of one pass of times."""
-        walk = _Walk(table, op, bpow, bcls, times.astype(dt) ** qi,
-                     np.searchsorted(btime, times), tails)
+        walk = _Walk(table, bpow, bcls, times.astype(dt) ** qi, np.searchsorted(btime, times),
+                     tails)
         walk.future()
-        walk.past(sup_top, nilpotent)
+        walk.past(top)
         failed = np.flatnonzero(walk.fail >= 0)
         if failed.size:
             raise table.errors[int(walk.fail[failed[0]])]

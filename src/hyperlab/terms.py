@@ -1,14 +1,14 @@
 """The term table of an inverse-orbit family, and exact power sums over it.
 
 The frequent-visit construction reads two kinds of vectors built from its
-targets x_1..x_K: the inverse points x_{k,e} (the right inverse of the
-operator applied e times) and the jumps T^m x_k.  `TermTable` holds each
-one once, as a flat row of (index, re, im) entries keyed by (class,
-exponent).  Missing rows, inverse points and jumps alike, come in one
-batch from `seqspace._jump_rows`, which also forms seqspace's one-vector
-right inverses and jumps, so a row is that vector bit for bit.  A build
-that raises, or that forms an index past int64, stores its error in the
-row, to be raised where a reader reaches it.
+targets x_1..x_K under one operator T, the family's forward map: the
+inverse points x_{k,e} (the right inverse of T applied e times) and the
+jumps T^m x_k.  `TermTable` holds each one once, as a flat row of (index,
+re, im) entries keyed by its kind and (class, exponent).  Missing rows of
+one kind come in one batch from `seqspace._jump_rows`, which also forms
+seqspace's one-vector right inverses and jumps, so a row is that vector
+bit for bit.  A build that raises, or that forms an index past int64,
+stores its error in the row, to be raised where a reader reaches it.
 
 `power_sums` folds rows into running power sums sum |y_i|^p in the float
 steps of adding the vectors into a dict one entry at a time, which is how
@@ -55,15 +55,16 @@ def index_array(values) -> np.ndarray:
 
 
 class TermTable:
-    """The inverse points x_{k,e} and jumps T^m x_k of targets x_1..x_K.
+    """The inverse points x_{k,e} and jumps T^m x_k of targets x_1..x_K
+    under op, the forward map T of their family.
 
     Row i holds entries start[i] .. start[i] + size[i] - 1 of (idx, re, im),
     in its vector's entry order, with indices between lo[i] and hi[i]; cls[i]
     is its target's class.  state[i] is nonzero when building it raised
     errors[i] (1 for a jump that overflowed, 2 otherwise, a ValueError for
     an index past int64 included), and then the row has no entries.  Row 0
-    is empty and stands for no term.  `ids` keys the inverse points by
-    e * K + k - 1, and the jumps of each operator alike.
+    is empty and stands for no term.  `ids` keys the rows of each kind,
+    inverse points and jumps, by e * K + k - 1.
 
     The missing rows of one lookup are built together by
     `seqspace._jump_rows`, whatever the rule, exponent or target index.
@@ -78,7 +79,9 @@ class TermTable:
         self.errors: dict = {}
         self.idx, self.re, self.im = array("q"), array("d"), array("d")
         self._powers: dict = {}
-        self._index: dict = {}       # op (None: inverse points) -> (dense, far) rows
+        # kind (jump) -> its (dense, far) rows, made at the kind's first
+        # lookup: a family that never jumps makes no 512 KB jump index
+        self._index: dict = {}
         none = np.zeros(0, np.int64)
         self._extend(np.zeros(1, np.int64), none, none, none, [0], [0], {})
         # the targets' entries laid flat, class by class
@@ -94,16 +97,16 @@ class TermTable:
 
     # -- lookup and build --------------------------------------------------
 
-    def ids(self, k: np.ndarray, e: np.ndarray, op: ShiftOp | None = None) -> np.ndarray:
-        """The rows of x_{k[i], e[i]}, or of T^e[i] x_k[i] under op (e an
+    def ids(self, k: np.ndarray, e: np.ndarray, jump: bool) -> np.ndarray:
+        """The rows of x_{k[i], e[i]}, or of T^e[i] x_k[i] where jump (e an
         int64 or object array), built where missing."""
         K = len(self.targets)
         if e.dtype != object and e.size and e.max() >= EXACT_INT64 // (K + 1):
             e = e.astype(object)
         keys = e * K + (k - 1)
-        if op not in self._index:
-            self._index[op] = (np.zeros(_DENSE_KEYS, np.int64), {})
-        dense, far = self._index[op]
+        if jump not in self._index:
+            self._index[jump] = (np.zeros(_DENSE_KEYS, np.int64), {})
+        dense, far = self._index[jump]
         near = keys < _DENSE_KEYS
         out = np.empty(len(keys), np.int64)
         out[near] = dense[keys[near].astype(np.int64)]
@@ -113,22 +116,22 @@ class TermTable:
             todo = keys[missing].tolist()
             new = dict.fromkeys(todo)
             new_keys = index_array(new)
-            new.update(zip(new, self._build(new_keys, op).tolist()))
+            new.update(zip(new, self._build(new_keys, jump).tolist()))
             out[missing] = list(map(new.__getitem__, todo))
             far.update(new)
             small = new_keys < _DENSE_KEYS
             dense[new_keys[small].astype(np.int64)] = np.fromiter(new.values(), np.int64)[small]
         return out
 
-    def _build(self, keys: np.ndarray, op) -> np.ndarray:
-        """Append the vectors of the keys, x_{k, e} (op None) or T^e x_k
-        under op, in one `_jump_rows` call; returns their rows in key order."""
+    def _build(self, keys: np.ndarray, jump: bool) -> np.ndarray:
+        """Append the vectors of the keys, x_{k, e} or, where jump, T^e x_k,
+        in one `_jump_rows` call; returns their rows in key order."""
         K, first = len(self.targets), len(self.size)
         k = (keys % K + 1).astype(np.int64)
         cnt = self._count[k - 1]
         src = _positions(self._first[k - 1], cnt)
-        size, idx, re, im, errors = _jump_rows(op or self.op, op is not None, keys // K, cnt,
-                                               self._n[src], self._c[src])
+        size, idx, re, im, errors = _jump_rows(self.op, jump, keys // K, cnt, self._n[src],
+                                               self._c[src])
         if idx.dtype == object:    # a row with an index past int64 keeps its error instead
             row = np.repeat(np.arange(len(keys)), size)
             for i in np.flatnonzero((idx < -2 ** 63) | (idx >= 2 ** 63)).tolist():
@@ -139,7 +142,7 @@ class TermTable:
             idx, re, im = idx[keep], re[keep], im[keep]
         state = np.zeros(len(keys), np.int8)
         for r, exc in errors.items():
-            state[r] = 1 if op is not None and isinstance(exc, WeightOverflowError) else 2
+            state[r] = 1 if jump and isinstance(exc, WeightOverflowError) else 2
         self._extend(size, idx.astype(np.int64), re, im, k, state, errors)
         return first + np.arange(len(keys))
 

@@ -116,13 +116,13 @@ def test_06_frequent_visit_construction_end_to_end():
     family = BackwardOrbitFamily(op, (E0, E01))
     sched = EpsSchedule()
     K = family.num_classes
-    n_ks = [find_tail_threshold(family, op, k, 1, sched) for k in range(1, K + 1)]
-    J = build_separated_family(n_ks, K, 10_000)
+    n_ks = [find_tail_threshold(family, k, 1, sched) for k in range(1, K + 1)]
+    J = build_separated_family(n_ks, 10_000)[0]
     assert verify_separated_family(J).ok
     x = assemble_vector(family, J, 1)
     radii = [k * sched.eps(k) + sum(sched.eps(j) for j in range(k + 1, K + 1))
              for k in range(1, K + 1)]
-    reports = verify_q_frequent_visits(op, x, family, J, 1, radii, eps=sched)
+    reports = verify_q_frequent_visits(x, family, J, 1, radii)
     for rep in reports:
         assert rep.designed_within == rep.designed_count
         assert rep.contained
@@ -132,7 +132,7 @@ def test_06_frequent_visit_construction_end_to_end():
 
 def test_07_separated_family_invariants_to_large_horizon():
     for n_ks in ([2, 4], [3, 5, 7], [1, 8]):
-        fam = build_separated_family(n_ks, len(n_ks), 100_000)
+        fam = build_separated_family(n_ks, 100_000)[0]
         rep = verify_separated_family(fam)
         assert rep.ok and rep.disjoint_ok and rep.min_ok and rep.separation_ok
         assert all(d > 0 for d in rep.densities)

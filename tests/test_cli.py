@@ -266,12 +266,20 @@ def test_construct_fhc_checks_its_separated_family_once(tmp_path, monkeypatch):
     # wherever the name is bound: the builder's module and the runner's
     monkeypatch.setattr(fhc, "verify_separated_family", spy)
     monkeypatch.setattr(cli, "verify_separated_family", spy, raising=False)
+    built = []
+    build = fhc.build_separated_family
+    def spy_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_separated_family", spy_build)
     assert run(["construct-fhc", "--weights", "w=constant:2", "--q", "1",
                 "--targets", "0|0,1", "--horizon", "4000"], tmp_path) == 0
     assert len(plans) == 1
     rep = load_report(tmp_path, "construct_fhc")
     assert rep["results"]["separation"] == json.loads(json.dumps(to_jsonable(verify(plans[0]))))
-    assert plans[0].separation == verify(plans[0])
+    (plan, sep), = built
+    assert plan is plans[0] and sep == verify(plan)
 
 
 def test_schatten_norms_match_direct_computation(tmp_path):

@@ -50,8 +50,9 @@ def one_error_line(err: str) -> str:
 # products: the residual moved by one unit in the last place,
 # 0.6988169706288795 -> 0.6988169706288794.  construct-fhc was re-recorded
 # when its classes lost `truncated` and gained `proof_bound` and
-# `cross_check_dev`, and again when its separation lost `pairs_checked`;
-# every other value in it is unchanged.
+# `cross_check_dev`, again when its separation lost `pairs_checked`, and
+# again when its classes lost `proof_bound`, which always equalled their
+# `radius`; every other value in it is unchanged.
 PINNED = [
     pytest.param([
         "density", "--set", "squares", "--q", "2", "--n-max", "60"],
@@ -69,7 +70,7 @@ PINNED = [
     pytest.param([
         "construct-fhc", "--weights", "w=constant:2", "--targets", "0|0,1", "--horizon",
         "300", "--eps-scale", "1", "--eps-base", "0.5", "--seed", "5"],
-        0, "a566636e146f95bf2a198890c959148d5959b2788f610b5ae1dc63280886f02c",
+        0, "20f18de3b3f28ca085af792d3738f7b04df03854e703af9c838afdd7df4b74de",
         id="construct-fhc"),
     pytest.param([
         "check", "--condition", "growth", "--i-range", "0:2", "--j-range", "0:2",

@@ -259,7 +259,8 @@ def test_term_table_rows_equal_apply_right_inverse(case):
     family = BackwardOrbitFamily(op, tuple(parse_vectors("|".join(specs), op.domain)))
     keys = [(k, e) for k in range(1, family.num_classes + 1) for e in exps]
     table = family._terms
-    rows = table.ids(np.array([k for k, _ in keys]), terms.index_array(e for _, e in keys))
+    rows = table.ids(np.array([k for k, _ in keys]), terms.index_array(e for _, e in keys),
+                     jump=False)
     norms = table.norms(rows).tolist()
     for (k, e), row, norm in zip(keys, rows.tolist(), norms):
         x = family.base_point(k)
@@ -285,7 +286,8 @@ def test_term_table_jump_rows_equal_shift_power_apply(case):
     fwd = family.forward_op()
     keys = [(k, m) for k in range(1, family.num_classes + 1) for m in exps]
     table = family._terms
-    rows = table.ids(np.array([k for k, _ in keys]), terms.index_array(m for _, m in keys), fwd)
+    rows = table.ids(np.array([k for k, _ in keys]), terms.index_array(m for _, m in keys),
+                     jump=True)
     for (k, m), row in zip(keys, rows.tolist()):
         try:
             want = table_oracle(oracle_shift_power_apply)(fwd, family.base_point(k), m)
@@ -317,13 +319,13 @@ def test_term_table_forms_its_rows_without_the_vector_functions(case, monkeypatc
     keys = [(k, e) for k in range(1, family.num_classes + 1) for e in (0,) + exps]
     k, e = np.array([k for k, _ in keys]), terms.index_array(e for _, e in keys)
     fwd = family.forward_op()
-    for row_op, oracle, o in ((None, table_oracle(oracle_apply_right_inverse), op),
-                              (fwd, table_oracle(oracle_shift_power_apply), fwd)):
-        rows = family._terms.ids(k, e, row_op)
+    for jump, oracle, o in ((False, table_oracle(oracle_apply_right_inverse), op),
+                            (True, table_oracle(oracle_shift_power_apply), fwd)):
+        rows = family._terms.ids(k, e, jump)
         for (k_, e_), row in zip(keys, rows.tolist()):
             got = scalar_outcome(lambda: list(family._terms.vector(row).entries.items()))
             want = scalar_outcome(lambda: list(oracle(o, family.base_point(k_), e_).entries.items()))
-            assert agree(got, want, op.weights), (k_, e_, row_op)
+            assert agree(got, want, op.weights), (k_, e_, jump)
 
 
 def test_condition_c_exactness_both_clocks():
@@ -346,7 +348,7 @@ def test_threshold_geometric_oracle_q1():
     # 2^-N sqrt(4/3) < 1/2, namely N = 2
     assert math.sqrt(4 / 3) * 0.5 >= 0.5          # N = 1 fails
     assert math.sqrt(4 / 3) * 0.25 < 0.5          # N = 2 passes
-    N = find_tail_threshold(family_e0(), B2, 1, 1, EpsSchedule())
+    N = find_tail_threshold(family_e0(), 1, 1, EpsSchedule())
     assert N == 2
 
 
@@ -356,14 +358,14 @@ def test_threshold_quadratic_clock():
     t1 = math.sqrt(sum(4.0 ** -(n * n) for n in range(1, 10)))
     t2 = math.sqrt(sum(4.0 ** -(n * n) for n in range(2, 10)))
     assert t1 >= 0.5 and t2 < 0.5
-    assert find_tail_threshold(family_e0(), B2, 1, 2, EpsSchedule()) == 2
+    assert find_tail_threshold(family_e0(), 1, 2, EpsSchedule()) == 2
 
 
 def test_threshold_sees_the_forward_sums():
     # with target e_5 the forward terms T^n e_5 = 2^n e_{5-n} are huge for
     # n <= 5, so the threshold must clear the support top: N = 6
     fam = BackwardOrbitFamily(B2, (SeqVector.basis(5),))
-    assert find_tail_threshold(fam, B2, 1, 1, EpsSchedule()) == 6
+    assert find_tail_threshold(fam, 1, 1, EpsSchedule()) == 6
 
 
 def test_threshold_applies_each_forward_power_once(monkeypatch):
@@ -372,14 +374,14 @@ def test_threshold_applies_each_forward_power_once(monkeypatch):
     built = []
     build = terms.TermTable._build
 
-    def counting(table, keys, op):
-        if op is not None:
+    def counting(table, keys, jump):
+        if jump:
             built.extend(keys.tolist())
-        return build(table, keys, op)
+        return build(table, keys, jump)
 
     fam = BackwardOrbitFamily(B2, (SeqVector.basis(5), SeqVector.basis(0)))
     monkeypatch.setattr(terms.TermTable, "_build", counting)
-    assert find_tail_threshold(fam, B2, 2, 1, EpsSchedule()) == 6
+    assert find_tail_threshold(fam, 2, 1, EpsSchedule()) == 6
     assert built and len(built) == len(set(built))
 
 
@@ -388,7 +390,7 @@ def test_threshold_failure_witness_for_unweighted_shift():
     B1 = ShiftOp.backward(WeightSeq.constant(1.0))
     fam = family_e0(B1)
     with pytest.raises(CriterionFailure) as exc:
-        find_tail_threshold(fam, B1, 1, 1, EpsSchedule(), hard_cap=64)
+        find_tail_threshold(fam, 1, 1, EpsSchedule(), hard_cap=64)
     w = exc.value
     assert w.value >= w.eps_k
     assert w.cap == 64 and w.class_index == 1
@@ -402,7 +404,7 @@ def test_threshold_failure_when_inverse_points_overflow():
     fam = family_e0(B_half)
     for cap in (512, 4096):
         with pytest.raises(CriterionFailure) as exc:
-            find_tail_threshold(fam, B_half, 1, 1, EpsSchedule(), hard_cap=cap)
+            find_tail_threshold(fam, 1, 1, EpsSchedule(), hard_cap=cap)
         assert exc.value.value == math.inf
 
 
@@ -605,7 +607,7 @@ def test_threshold_search_matches_the_scalar_oracle(rule, K, q):
 
     def same(k, eps, cap):
         want = outcome(oracle_find_tail_threshold, oracle, op, k, q, eps, cap, seed=k)
-        assert outcome(find_tail_threshold, family, op, k, q, eps, cap, seed=k) == want, \
+        assert outcome(find_tail_threshold, family, k, q, eps, cap, seed=k) == want, \
             (rule, K, q, k, cap)
         return want
 
@@ -630,7 +632,7 @@ def test_the_oracle_battery_meets_every_outcome():
     op = RULES["constant-0.5"][0]
     for cap, inf in ((64, False), (4096, True)):
         with pytest.raises(CriterionFailure) as exc:
-            find_tail_threshold(family_e0(op), op, 1, 1, EpsSchedule(), cap)
+            find_tail_threshold(family_e0(op), 1, 1, EpsSchedule(), cap)
         assert math.isinf(exc.value.value) == inf
 
 
@@ -647,8 +649,22 @@ def test_no_scalar_inverse_product_in_the_search_and_the_verifier(monkeypatch):
     for weights, op_kind, q in (("w=constant:2", "backward", 1), ("w=constant:2", "backward", 2),
                                 ("w=step:0|0.5|2", "bilateral-backward", 1)):
         op, family, J, radii = cli_pipeline(weights, op_kind, "0|0,1", q, 300)
-        verify_q_frequent_visits(op, assemble_vector(family, J, q), family, J, q, radii)
+        verify_q_frequent_visits(assemble_vector(family, J, q), family, J, q, radii)
     assert calls == [] and jumps == []
+
+
+def test_the_construction_never_hashes_or_compares_its_operator(monkeypatch):
+    # the family's term table holds the one operator: the thresholds, the
+    # plan, the assembly and the verifier read it from there, and key no
+    # row by it
+    def refuse(*args):
+        raise AssertionError("operator hashed or compared")
+
+    monkeypatch.setattr(ShiftOp, "__hash__", refuse)
+    monkeypatch.setattr(ShiftOp, "__eq__", refuse)
+    op, family, J, radii = cli_pipeline("w=step:0|0.5|2", "bilateral-backward", "0|0,1", 1, 400)
+    reports = verify_q_frequent_visits(assemble_vector(family, J, 1), family, J, 1, radii)
+    assert len(reports) == 2 and all(r.contained for r in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +672,7 @@ def test_no_scalar_inverse_product_in_the_search_and_the_verifier(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_single_class_is_every_fourth_integer():
-    fam = build_separated_family([1], 1, 100)
+    fam = build_separated_family([1], 100)[0]
     assert fam.sets[0].elems.tolist() == list(range(1, 98, 4))
     rep = verify_separated_family(fam)
     assert rep.ok
@@ -664,7 +680,7 @@ def test_single_class_is_every_fourth_integer():
 
 
 def test_two_class_construction_invariants():
-    fam = build_separated_family([1, 1], 2, 400)
+    fam = build_separated_family([1, 1], 400)[0]
     rep = verify_separated_family(fam)
     assert rep.ok
     assert repr(rep) == repr(oracle_verify_separated_family(fam))
@@ -676,7 +692,7 @@ def test_two_class_construction_invariants():
 
 def test_three_class_literal_pairwise_oracle():
     N_ks = [1, 2, 3]
-    fam = build_separated_family(N_ks, 3, 2000)
+    fam = build_separated_family(N_ks, 2000)[0]
     tagged = sorted((n, k) for k, s in enumerate(fam.sets, start=1) for n in s.elems)
     # full quadratic scan, independent of the library's reduction argument
     for i, (a, ka) in enumerate(tagged):
@@ -690,8 +706,11 @@ def test_horizon_too_small_rejected_with_estimate():
     # [43, 87] over which the liminf proxy is taken
     for N_ks, horizon in (([4, 4], 40), ([2, 5], 87)):
         with pytest.raises(ValueError) as exc:
-            build_separated_family(N_ks, 2, horizon)
+            build_separated_family(N_ks, horizon)
         assert "horizon" in str(exc.value)
+    # the classes are the thresholds given, so no threshold is no plan
+    with pytest.raises(ValueError, match="at least one threshold"):
+        build_separated_family([], 100)
 
 
 def oracle_plan(N_ks, K, horizon):
@@ -765,14 +784,14 @@ def oracle_verify_separated_family(fam):
 def test_separated_plan_equals_the_element_loop(N_ks, K, horizon):
     want = oracle_plan(N_ks, K, horizon)
     try:
-        fam = build_separated_family(N_ks, K, horizon)
+        fam, rep = build_separated_family(N_ks, horizon)
     except ValueError:
         assert any(len(s) < 2 or s[0] > max(1, horizon // 2) for s in want)
         return
     assert [s.elems.tolist() for s in fam.sets] == want
     assert all(s.elems.dtype == np.int64 and s.horizon == horizon for s in fam.sets)
     want_rep = oracle_verify_separated_family(fam)
-    assert repr(fam.separation) == repr(want_rep) and fam.separation.ok
+    assert repr(rep) == repr(want_rep) and rep.ok
     assert repr(verify_separated_family(fam)) == repr(want_rep)
 
 
@@ -875,7 +894,7 @@ def test_assemble_matches_the_literal_fold_across_the_guard():
         assert abs(a + b) < COEFF_GUARD <= min(abs(a), abs(b))
     assert list(x.entries) == [10, 30, 973, 960, 980]
     assert x.entries[960] == fam.inverse_point(3, 960).entries[960]
-    for q, J2 in ((1, build_separated_family([3, 4], 2, 3000)),
+    for q, J2 in ((1, build_separated_family([3, 4], 3000)[0]),
                   (2, SeparatedFamily((NatSet((4, 8, 12), 12), NatSet((6, 10), 12)), (1, 1)))):
         fam2 = BackwardOrbitFamily(B2, (SeqVector.basis(0), SeqVector({0: 1, 1: 1})))
         assert list(assemble_vector(fam2, J2, q).entries.items()) == \
@@ -896,13 +915,13 @@ def test_assemble_empty_and_quadratic_indexing():
 def test_end_to_end_single_class_visits():
     eps = EpsSchedule()
     fam = family_e0()
-    N1 = find_tail_threshold(fam, B2, 1, 1, eps)
-    J = build_separated_family([N1], 1, 2000)
+    N1 = find_tail_threshold(fam, 1, 1, eps)
+    J = build_separated_family([N1], 2000)[0]
     x = assemble_vector(fam, J, 1)
-    reports = verify_q_frequent_visits(B2, x, fam, J, 1, [eps.eps(1)], eps=eps)
+    reports = verify_q_frequent_visits(x, fam, J, 1, [eps.eps(1)])
     rep = reports[0]
     assert rep.contained
-    assert rep.proof_bound == pytest.approx(0.5)
+    assert rep.radius == pytest.approx(0.5)
     # neighbouring blocks sit >= 2 N_k away, so the residual around a designed
     # visit is at most the geometric tail 2^{-2 N_1} * sqrt(4/3) plus change
     assert 0.0 < rep.max_designed_distance < 2.0 ** (-2 * N1) * 1.3
@@ -922,7 +941,7 @@ def test_visits_survive_subnormal_underflow():
     assert len(x) == 0
     direct = shift_power_apply(B2, x, 1000)
     assert lp_norm(direct - SeqVector.basis(0)) == pytest.approx(1.0)
-    rep = verify_q_frequent_visits(B2, x, fam, J, 1, [0.5], cross_check=0)[0]
+    rep = verify_q_frequent_visits(x, fam, J, 1, [0.5], cross_check=0)[0]
     assert rep.contained
     assert rep.max_designed_distance < 0.1
     assert rep.visit_times.elems.tolist() == list(elems)
@@ -931,7 +950,7 @@ def test_visits_survive_subnormal_underflow():
 def test_zero_vector_has_no_visits():
     fam = family_e0()
     J = SeparatedFamily((NatSet((), 50),), (1,))
-    rep = verify_q_frequent_visits(B2, SeqVector.zero(), fam, J, 1, [0.25],
+    rep = verify_q_frequent_visits(SeqVector.zero(), fam, J, 1, [0.25],
                                    horizon=50)[0]
     assert len(rep.visit_times) == 0
     assert rep.designed_count == 0 and rep.contained
@@ -941,7 +960,7 @@ def test_quadratic_clock_visits():
     fam = family_e0()
     J = SeparatedFamily((NatSet((4, 8, 12, 16), 16),), (2,))
     x = assemble_vector(fam, J, 2)
-    rep = verify_q_frequent_visits(B2, x, fam, J, 2, [0.5], cross_check=2)[0]
+    rep = verify_q_frequent_visits(x, fam, J, 2, [0.5], cross_check=2)[0]
     assert rep.contained
     # blocks are n^2 apart on the orbit clock: residuals decay brutally fast
     assert rep.max_designed_distance < 2.0 ** -40
@@ -1038,7 +1057,7 @@ def assert_verifier_matches_literal(op, family, J, q, radii):
     blocks = (np.array([n for n, _ in blocks], np.int64),
               np.array([l for _, l in blocks], np.int64))
     walks = {"literal": literal_walked, "verifier": [0, 0], "again": 0}
-    terms, proved = fhc._Walk.terms, fhc._tails(op, family.base_points) != (None, None)
+    terms, proved = fhc._Walk.terms, fhc._tails(family) != (None, None)
 
     def counted(walk):
         walks["verifier"][0] += int(walk.n_future.sum())
@@ -1048,8 +1067,7 @@ def assert_verifier_matches_literal(op, family, J, q, radii):
 
     fhc._Walk.terms = counted
     try:
-        got = fhc._scan_distances(op, family, blocks, K, q, N_H, [float(r) for r in radii],
-                                  mask)
+        got = fhc._scan_distances(family, blocks, K, q, N_H, [float(r) for r in radii], mask)
     finally:
         fhc._Walk.terms = terms
     assert got.shape == (K, N_H)
@@ -1063,7 +1081,7 @@ def assert_verifier_matches_literal(op, family, J, q, radii):
             else:
                 assert radius <= g <= w, (k, n)
     x = assemble_vector(family, J, q)
-    reports = verify_q_frequent_visits(op, x, family, J, q, radii, horizon=N_H)
+    reports = verify_q_frequent_visits(x, family, J, q, radii, horizon=N_H)
     for rep, radius in zip(reports, radii):
         d = want[rep.k]
         designed = [n for n in J.sets[rep.k - 1].elems if n <= N_H]
@@ -1079,10 +1097,10 @@ def cli_pipeline(weights, op_kind, targets, q, horizon, p=2.0, eps_scale=1.0):
     family = BackwardOrbitFamily(op, tuple(parse_vectors(targets, op.domain, p)))
     eps = EpsSchedule(eps_scale)
     K = family.num_classes
-    n_ks = [find_tail_threshold(family, op, k, q, eps) for k in range(1, K + 1)]
+    n_ks = [find_tail_threshold(family, k, q, eps) for k in range(1, K + 1)]
     radii = [k * eps.eps(k) + sum(eps.eps(j) for j in range(k + 1, K + 1))
              for k in range(1, K + 1)]
-    return op, family, build_separated_family(n_ks, K, horizon), radii
+    return op, family, build_separated_family(n_ks, horizon)[0], radii
 
 
 WIDE = ",".join(f"{i}={1 + i % 3}" for i in range(12))
@@ -1124,10 +1142,14 @@ TABLE_600 = "w=table:1|" + ",".join(["2"] * 600) + "|0.5"
     (TABLE_600, "backward", "0|0,1", 1, 1000, {"stops": "none"}),
     # the past pieces shrink by the level 1/4 below the split
     ("w=step:0|0.25|1.5", "bilateral-backward", "0|-1=0.5,1", 1, 600, {"stops": "both"}),
+    # a forward-type family walks under the adjoint, whose powers undo its
+    # inverse points: its pieces, cut and stops are the adjoint's
+    ("w=constant:2", "forward", "0|0,1", 1, 600, {}),
+    ("w=step:0|0.5|2", "bilateral-forward", "0|0,1", 1, 600, {"stops": "both"}),
 ], ids=["constant-q1", "constant-q2", "constant-1.5-complex", "step-bilateral",
         "wide-target", "wide-target-bilateral", "p-1", "p-3.5", "several-passes",
         "step-bilateral-1000", "ratio-two-classes", "past-overflow", "large-eps",
-        "table-past-its-level", "past-bounded-by-low"])
+        "table-past-its-level", "past-bounded-by-low", "forward", "bilateral-forward"])
 def test_verifier_matches_the_literal_loop(monkeypatch, weights, op_kind, targets, q,
                                            horizon, extra):
     passes, merged = [], []
@@ -1139,7 +1161,7 @@ def test_verifier_matches_the_literal_loop(monkeypatch, weights, op_kind, target
     monkeypatch.setattr(fhc, "_p_sums", lambda V, p: summed.append(V.shape[1]) or p_sums(V, p))
     op, family, J, radii = cli_pipeline(weights, op_kind, targets, q, horizon,
                                         extra.get("p", 2.0), extra.get("eps_scale", 1.0))
-    d, exact, walks = assert_verifier_matches_literal(op, family, J, q, radii)
+    d, exact, walks = assert_verifier_matches_literal(family.forward_op(), family, J, q, radii)
     # every time is scanned twice, directly and by the verifier, and each
     # scan sums exactly the read cells and those whose largest term lies
     # below the radius; a time walked again is measured again
@@ -1184,7 +1206,7 @@ def test_a_piece_error_is_raised_as_the_literal_loop_raises_it(monkeypatch, limi
     with pytest.raises((ValueError, WeightOverflowError)) as want:
         literal_scan(op, fam, J, q, J.horizon)
     with pytest.raises(type(want.value)) as got:
-        verify_q_frequent_visits(op, SeqVector.zero(), fam, J, q, [0.5], cross_check=0)
+        verify_q_frequent_visits(SeqVector.zero(), fam, J, q, [0.5], cross_check=0)
     assert str(got.value) == str(want.value)
 
 
@@ -1438,7 +1460,7 @@ def overlapping_plans(count: int, seed: int):
         # the literal loop reads the inverse points one at a time: building
         # them in one batch first changes no row and saves most of its time
         family._terms.ids(np.repeat(np.arange(1, K + 1), J.horizon + 1),
-                          np.tile(np.arange(J.horizon + 1), K))
+                          np.tile(np.arange(J.horizon + 1), K), jump=False)
         yield op, family, J, [rng.choice([0.05, 0.5, 2.0]) for _ in range(K)]
 
 
@@ -1476,7 +1498,7 @@ def test_cross_check_skips_blocks_past_the_horizon():
     fam = family_e0()
     J = SeparatedFamily((NatSet((4, 40), 40),), (1,))
     x = assemble_vector(fam, J, 1)
-    rep = verify_q_frequent_visits(B2, x, fam, J, 1, [0.5], horizon=10)[0]
+    rep = verify_q_frequent_visits(x, fam, J, 1, [0.5], horizon=10)[0]
     assert rep.visit_times.horizon == 10
     assert rep.designed_count == 1 and rep.contained
     assert rep.cross_check_dev is not None and rep.cross_check_dev < 1e-9
