@@ -164,7 +164,7 @@ class _LogTable:
     def prefix(self, m) -> np.ndarray:
         """L(m), vectorized over an integer array with entries in [lo-1, hi]."""
         m = np.asarray(m)
-        if np.any(m < self.lo - 1) or np.any(m > self.hi):
+        if m.min() < self.lo - 1 or m.max() > self.hi:
             raise ValueError("prefix index escapes the prepared table")
         return self._prefix.log_abs_many(m)
 

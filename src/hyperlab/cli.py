@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -55,10 +56,6 @@ from .density import NatSet, density_to_csv, natset_from_lines, q_lower_density
 from .fhc import (BackwardOrbitFamily, CriterionFailure, EpsSchedule,
                   assemble_vector, build_separated_family, find_tail_threshold,
                   verify_q_frequent_visits)
-from .hardy import (AnalyticSymbol, BetaSpace, adjoint_kernel_eigencheck,
-                    conjugation_eigencheck, converse_certificate,
-                    nuclear_eigencheck, span_density_residual,
-                    unimodular_locus_sample)
 from .matops import _MAX_DIM, MatOp, shift_matrix, singular_values, spectrum_to_csv
 from .seqspace import (Domain, SeqVector, ShiftOp, WeightOverflowError,
                        WeightSeq, lp_norm, orbit_norms, p_sum)
@@ -194,6 +191,7 @@ def parse_vectors(text: str, domain: Domain = Domain.NATURALS,
 
 
 def parse_symbol(text: str) -> AnalyticSymbol:
+    from .hardy import AnalyticSymbol
     coeffs = [parse_complex(tok) for tok in str(text).split(",") if tok.strip()]
     if not coeffs:
         raise ConfigError(f"empty symbol literal {text!r}")
@@ -249,6 +247,7 @@ def build_natset(spec: str, horizon: int, what: str = "horizon") -> NatSet:
 
 
 def build_beta_space(spec: str, dim: int) -> BetaSpace:
+    from .hardy import BetaSpace
     spec = str(spec).strip()
     if spec == "hardy":
         return BetaSpace.hardy(dim)
@@ -494,6 +493,9 @@ _MAX_EIGEN_BAND = 2 ** 24
 
 
 def _run_hardy(p: dict, outdir: Path, fmt: str, seed: int):
+    # imported here, as in parse_symbol and build_beta_space: only a hardy
+    # run loads the kernel layer
+    from . import hardy
     check, dim = p["check"], p["dim"]
     if check in ("locus", "density") and p["grid_density"] > _MAX_GRID_DENSITY:
         raise ConfigError(f"grid density {p['grid_density']} is larger than "
@@ -517,10 +519,10 @@ def _run_hardy(p: dict, outdir: Path, fmt: str, seed: int):
         z = parse_complex(p["z"])
         if p["w"] is not None:
             w = parse_complex(p["w"])
-            rep = conjugation_eigencheck(phi, psi, space, z, w)
+            rep = hardy.conjugation_eigencheck(phi, psi, space, z, w)
             params["z"], params["w"] = to_jsonable(z), to_jsonable(w)
         else:
-            rep = adjoint_kernel_eigencheck(phi, space, z)
+            rep = hardy.adjoint_kernel_eigencheck(phi, space, z)
             params["z"] = to_jsonable(z)
         results = {"report": to_jsonable(rep), "passed": rep.passed}
         code = EXIT_OK if rep.passed else EXIT_VIOLATION
@@ -528,7 +530,7 @@ def _run_hardy(p: dict, outdir: Path, fmt: str, seed: int):
         if p["max_points"] < 0:
             raise ConfigError("max_points must be >= 0")
         exclude = tuple(parse_complex(t) for t in p["exclude"].split(",") if t.strip())
-        pts = unimodular_locus_sample(phi, psi, p["grid_density"], p["tol"], exclude)
+        pts = hardy.unimodular_locus_sample(phi, psi, p["grid_density"], p["tol"], exclude)
         params.update({"grid_density": p["grid_density"], "tol": p["tol"],
                        "exclude": to_jsonable(exclude)})
         results = {"count": len(pts), "points": to_jsonable(
@@ -545,22 +547,22 @@ def _run_hardy(p: dict, outdir: Path, fmt: str, seed: int):
         samples = p["samples"]
         if samples < 1:
             raise ConfigError("samples must be >= 1")
-        pts = unimodular_locus_sample(phi, psi, p["grid_density"], p["tol"])
+        pts = hardy.unimodular_locus_sample(phi, psi, p["grid_density"], p["tol"])
         if not len(pts):
             raise ConfigError("the unimodular level set misses the scan grid; "
                               "no samples to span with")
         chosen = pts[_spread_samples(pts, samples)]
-        rep = span_density_residual(chosen["z"], chosen["w"],
-                                    _parse_target_matrix(p["target"], dim), space)
+        rep = hardy.span_density_residual(chosen["z"], chosen["w"],
+                                          _parse_target_matrix(p["target"], dim), space)
         params.update({"grid_density": p["grid_density"], "tol": p["tol"],
                        "samples": len(chosen), "target": p["target"]})
         results = {"report": to_jsonable(rep)}
     elif check == "converse":
-        cert = converse_certificate(phi, psi, seed=seed)
+        cert = hardy.converse_certificate(phi, psi, seed=seed)
         results = {"certificate": to_jsonable(cert)}
     elif check == "nuclear":
         lam, mu = parse_complex(p["lam"]), parse_complex(p["mu"])
-        rep = nuclear_eigencheck(phi, psi, lam, mu, p["p"], dim=dim)
+        rep = hardy.nuclear_eigencheck(phi, psi, lam, mu, p["p"], dim=dim)
         params.update({"lam": to_jsonable(lam), "mu": to_jsonable(mu), "p": p["p"]})
         results = {"report": to_jsonable(rep), "passed": rep.passed}
         code = EXIT_OK if rep.passed else EXIT_VIOLATION
@@ -700,7 +702,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parsing leaves no
+    state on it, and building it takes longer than a small run."""
     parser = _Parser(prog="hyperlab",
                      description="numerical experiments for orbit frequency, "
                                  "weight conditions, and kernel eigenchecks")

@@ -340,9 +340,11 @@ class WeightPrefix:
     L(m) = -sum_{t=m+1}^0 log|w_t| for m < 0 on integer-domain rules; the
     phase prefix is defined the same way.  A closed rule's table over the
     indices (a, b] becomes prefix sums, its two levels one log-rate below
-    the table and one above it.  A log-sum over [s, e] is then two table
-    lookups plus exact integer counts times the rates, at any index, and no
-    weight outside [s, e] is read.  A rational rule whose P or Q vanishes
+    the table and one above it.  L(e) - L(s0), the log-sum over (s0, e]
+    when s0 <= e, is then one closed form at any indices: two table lookups
+    plus exact signed integer counts times the rates, and no weight outside
+    the range is read.  A prefix read L(m) is that form with s0 = 0, for
+    every sign of m.  A rational rule whose P or Q vanishes
     has no weight anywhere, and reads as a closed rule with no levels.
     Any other rational rule keeps a table of L(m) for |m| up to its edge,
     grown on demand with numpy; its phase prefix counts negative weights (a
@@ -367,8 +369,8 @@ class WeightPrefix:
     for n entries at random (2.2e-14 over 5e5).  Prefixes past the edge
     continue the table from L(+-edge), so the two meet without a step.
     Beyond float range a product raises WeightOverflowError; below the
-    coefficient guard it flushes to zero.  Tables are `array('d')`, read in
-    place by numpy.
+    coefficient guard it flushes to zero.  A rational rule's tables are
+    `array('d')`, read in place by numpy.
     """
 
     def __init__(self, w: WeightSeq):
@@ -398,8 +400,11 @@ class WeightPrefix:
         if len(self._zeros) == 1 and self._low is not None and self._high is not None:
             self._usable_from = 0 if w.domain is Domain.NATURALS else -math.inf
         lps = [_log_phase(v) or (0.0, 0.0) for v in w.values]
-        self._tab_log = array("d", itertools.accumulate((lp[0] for lp in lps), initial=0.0))
-        self._tab_ph = array("d", itertools.accumulate((lp[1] for lp in lps), initial=0.0))
+        low, high = self._low or (0.0, 0.0), self._high or (0.0, 0.0)
+        # the log-magnitude part, then the phase part: the table's prefix
+        # sums and the rates below and above it (0.0 where there is no level)
+        self._parts = [(np.fromiter(itertools.accumulate((lp[k] for lp in lps), initial=0.0),
+                                    float), low[k], high[k]) for k in (0, 1)]
 
     @cached_property
     def _gamma(self):
@@ -451,15 +456,20 @@ class WeightPrefix:
                     lm[far] += logs
                     ph[far] += count
             return lm, ph
-        tab_log, tab_ph = np.frombuffer(self._tab_log), np.frombuffer(self._tab_ph)
+        return tuple(self._closed_sums(s - 1, e))
+
+    def _closed_sums(self, s0, e):
+        """A closed rule's L(e) - L(s0), then its phase prefix's, over int64
+        arrays (s0 may be an int) whose ranges meet only usable weights:
+        the table's prefix difference plus each level's rate times its
+        signed count of indices.  A generator, so that a read of the
+        log-sums alone makes no phase pass."""
         a, b = self._a, self._b
-        n_low = np.maximum(np.minimum(e, a) - s + 1, 0)
-        n_high = np.maximum(e - np.maximum(s - 1, b), 0)
-        j1 = np.minimum(np.maximum(s - 1, a), b) - a
-        j2 = np.minimum(np.maximum(e, a), b) - a
-        low, high = self._low or (0.0, 0.0), self._high or (0.0, 0.0)
-        return (tab_log[j2] - tab_log[j1] + n_low * low[0] + n_high * high[0],
-                tab_ph[j2] - tab_ph[j1] + n_low * low[1] + n_high * high[1])
+        j0, j1 = (np.minimum(np.maximum(x, a), b) - a for x in (s0, e))
+        n_low = np.minimum(e, a) - np.minimum(s0, a)
+        n_high = np.maximum(e, b) - np.maximum(s0, b)
+        for tab, low, high in self._parts:
+            yield tab[j1] - tab[j0] + n_low * low + n_high * high
 
     def _grow(self, lo: int, hi: int, edge: int) -> None:
         """Extend the rational tables to cover L(lo) .. L(hi), with |lo| and
@@ -507,13 +517,15 @@ class WeightPrefix:
     def log_abs_many(self, m) -> np.ndarray:
         """L(m), vectorized over a nonempty integer array."""
         shape, m = np.shape(m), np.asarray(m, dtype=np.int64).ravel()
-        up = m >= 0
         s, e = np.array([min(int(m.min()), 0) + 1]), np.array([max(int(m.max()), 0)])
         edge = None if self._closed else self._edge(s, e)
         if self._usable_from is None or s[0] < self._usable_from:
             first = int(self._first_unusable(s, e)[0])
             if first < 2 ** 62:
                 self.w.weight(first)  # raises the rule's own error
+        if self._closed:
+            return next(self._closed_sums(0, m)).reshape(shape)
+        up = m >= 0
         logs = self._sums(np.where(up, 1, m + 1), np.where(up, m, 0), edge)[0]
         return np.where(up, logs, -logs).reshape(shape)
 

@@ -9,7 +9,9 @@ its own roots of P and Q, so that no table and no series of the package
 enters the oracle.  `oracle_apply_right_inverse` and
 `oracle_shift_power_apply` are the former vector functions, one scalar
 product per entry, reading `scalar_prefix(w)` in the place of `w.prefix`,
-and `_power` the former diagonal power.  `agree` compares two outcomes.
+and `_power` the former diagonal power.  `split_log_abs_many` is the
+package's prefix read of a closed rule before it became one signed closed
+form.  `agree` compares two outcomes.
 """
 
 import ast
@@ -253,6 +255,33 @@ def _power(w: WeightSeq, n: int, m: int) -> complex:
 def scalar_prefix(w: WeightSeq) -> ScalarPrefix:
     """The rule's scalar engine, built once and shared, as `w.prefix` was."""
     return ScalarPrefix(w)
+
+
+def split_log_abs_many(w: WeightSeq, m) -> np.ndarray:
+    """L(m) of a closed rule as `WeightPrefix.log_abs_many` read it before
+    its signed closed form: the prefix's check for unusable weights, then
+    the log-sum over [1, m] where m >= 0 and the negated one over [m + 1, 0]
+    where m < 0, each with its level counts clamped at 0, the table offset
+    held within 2^62 of 0."""
+    pre = w.prefix
+    shape, m = np.shape(m), np.asarray(m, dtype=np.int64).ravel()
+    up = m >= 0
+    s, e = np.array([min(int(m.min()), 0) + 1]), np.array([max(int(m.max()), 0)])
+    first = int(pre._first_unusable(s, e)[0])
+    if first < 2 ** 62:
+        w.weight(first)  # raises the rule's own error
+    s, e = np.where(up, 1, m + 1), np.where(up, m, 0)
+    a = min(max(w.a, -2 ** 62 - len(w.values)), 2 ** 62)
+    b = a + len(w.values)
+    tab_log = np.array(list(itertools.accumulate(
+        ((_log_phase(v) or (0.0, 0.0))[0] for v in w.values), initial=0.0)))
+    low, high = ((_log_phase(v) or (0.0, 0.0))[0] for v in (w.low, w.high))
+    n_low = np.maximum(np.minimum(e, a) - s + 1, 0)
+    n_high = np.maximum(e - np.maximum(s - 1, b), 0)
+    j1 = np.minimum(np.maximum(s - 1, a), b) - a
+    j2 = np.minimum(np.maximum(e, a), b) - a
+    logs = tab_log[j2] - tab_log[j1] + n_low * low + n_high * high
+    return np.where(up, logs, -logs).reshape(shape)
 
 
 def oracle_apply_right_inverse(op: ShiftOp, v: SeqVector, m: int) -> SeqVector:

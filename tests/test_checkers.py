@@ -76,6 +76,14 @@ def test_log_table_matches_literal_products(vals, m1, span):
     assert abs(got - want) < 1e-9
 
 
+def test_log_table_refuses_an_index_outside_its_range():
+    tab = _LogTable(WeightSeq.constant(2.0, Domain.INTEGERS), -4, 4)
+    assert tab.prefix(np.array([[-5, 4], [0, 1]])).shape == (2, 2)
+    for m in ([-6], [5], [[0, 1], [2, 5]], [-6, 0, 5]):
+        with pytest.raises(ValueError, match="escapes the prepared table"):
+            tab.prefix(np.array(m))
+
+
 # -- literal per-slice oracle -------------------------------------------------
 #
 # The oracle walks the grid one (r, i, j) slice at a time, with one prefix

@@ -207,6 +207,29 @@ def test_flags_and_manifest_keys_are_the_same_set():
         assert {row[0] for row in cli._EXPERIMENTS[experiment][2]} == flags
 
 
+def test_main_builds_one_parser_and_each_call_reads_as_a_fresh_process(tmp_path, capsys):
+    # the parser is built on the first call and reused: parsing leaves no
+    # state on it, so a run after a refused argv reads as in its own process
+    calls = [(["check", "--condition", "growth", "--q", "2", "--n-max", "64"], 0),
+             (["check", "--n-max", "eight"], 1),
+             (["hardy", "--check", "eigen", "--dim", "64"], 0)]
+    build_parser.cache_clear()
+    capsys.readouterr()
+    for k, (argv, code) in enumerate(calls):
+        here, alone = tmp_path / f"in-process-{k}", tmp_path / f"process-{k}"
+        assert run(argv, here) == code, argv
+        err = capsys.readouterr().err
+        proc = run_process(argv, alone)
+        assert proc.returncode == code and proc.stderr == err, (argv, proc.stderr, err)
+        if code == 1:
+            one_error_line(err)
+            assert not here.exists() and not alone.exists()
+        else:
+            assert report_path(here, argv).read_bytes() == report_path(alone, argv).read_bytes()
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2), info
+
+
 # -- manifests --------------------------------------------------------------
 
 def test_colon_values_load_as_strings(tmp_path):

@@ -9,13 +9,15 @@ SHA-256 recorded from the literal form's engine.
 """
 
 import hashlib
+import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from hyperlab.seqspace import Domain, WeightSeq
-from scalar_products import ScalarPrefix, agree
+from hyperlab.seqspace import Domain, WeightPrefix, WeightSeq
+from scalar_products import ScalarPrefix, agree, split_log_abs_many
 
 N, Z = Domain.NATURALS, Domain.INTEGERS
 
@@ -263,3 +265,72 @@ def test_prefix_reads_equal_the_scalar_chain_at_the_edges_of_their_reach(name):
     scalar = ScalarPrefix(w)
     for m in ([-2], [-1], [0], [-1, 3], list(range(1, 8)), [-6, 6], [-4], [40], [-40, -1]):
         assert agree(outcome(w.prefix.log_abs_many, m), outcome(scalar.log_abs_many, m), w), m
+
+
+# closed rules beyond SPECS' for the signed prefix form: negative weights, a
+# modulus of 1 (exact zero log-sums), and table offsets past the 2^62 clamp
+SIGNED_RULES = {
+    "constant-Z-negative": WeightSeq.constant(-3.0, Z),
+    "constant-Z-one": WeightSeq.constant(1.0, Z),
+    "step-Z-negative": WeightSeq.step(-0.25, -1.5 + 2.0j, 7, Z),
+    "table-Z-far-above": WeightSeq.table((2.0, -0.5), 2 ** 70, 1.25, Z),
+    "table-Z-far-below": WeightSeq.table((2.0, 0.0, -0.5j), -2 ** 70, 0.75 - 1.0j, Z),
+    "table-N-far-nodefault": WeightSeq.table((2.0, 3.0), 2 ** 63),
+}
+CLOSED = [name for name, spec in SPECS.items() if spec[0] != "ratio"] + [*SIGNED_RULES]
+
+
+def closed_rule(name):
+    return SIGNED_RULES[name] if name in SIGNED_RULES else rules(name)[0]
+
+
+def signed_reads(rng):
+    """Seeded prefix reads: 1-element and 2-D shapes, spans of either sign
+    near 0 and wide, and the ends of the 2^53 range."""
+    reads = [np.array([0]), np.array([-1]), np.array([2 ** 53]), np.array([-2 ** 53]),
+             np.array([[-2 ** 53, 2 ** 53], [0, 5]]), rng.integers(-600, 600, (9, 512))]
+    for lo, hi in ((-8, 8), (0, 40), (-40, 0), (-10 ** 6, 10 ** 6),
+                   (2 ** 53 - 10 ** 4, 2 ** 53), (-2 ** 53, 10 ** 4 - 2 ** 53)):
+        reads += [rng.integers(lo, hi, size, endpoint=True) for size in (1, 7, 5000)]
+    return reads
+
+
+@pytest.mark.parametrize("name", CLOSED)
+def test_signed_prefix_reads_equal_the_split_they_replaced(name):
+    # L(m) - L(0) in one closed form for every sign of m, against the split
+    # it replaced (the log-sum over [1, m], or the one over [m + 1, 0]
+    # negated): equal bit for bit, or the same error at the same first
+    # unusable index.  The split negated an exact 0 at m < 0 into -0.0, where
+    # the signed form reads +0.0; `want + 0.0` maps -0.0 to +0.0 and keeps
+    # every other value
+    w = closed_rule(name)
+    for m in signed_reads(np.random.default_rng(sum(map(ord, name)))):
+        try:
+            want = split_log_abs_many(w, m)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                w.prefix.log_abs_many(m)
+            continue
+        got = w.prefix.log_abs_many(m)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), (want + 0.0).view(np.int64)), m
+
+
+def test_an_exact_zero_prefix_reads_plus_zero_for_every_sign():
+    # the one bit the signed form moves; the checkers add it to or subtract
+    # it from other prefixes, and no report shows the sign of a 0 log-sum
+    w, m = SIGNED_RULES["constant-Z-one"], np.array([-3, 0, 3])
+    assert [math.copysign(1.0, v) for v in w.prefix.log_abs_many(m)] == [1.0] * 3
+    assert [math.copysign(1.0, v) for v in split_log_abs_many(w, m)] == [-1.0, 1.0, 1.0]
+
+
+def test_a_closed_prefix_read_makes_no_split_pass(monkeypatch):
+    calls, sums, clip = [], WeightPrefix._sums, np.clip
+    monkeypatch.setattr(WeightPrefix, "_sums", lambda *a: calls.append("_sums") or sums(*a))
+    monkeypatch.setattr(np, "clip", lambda *a, **k: calls.append("clip") or clip(*a, **k))
+    for name in CLOSED:
+        outcome(WeightPrefix(closed_rule(name)).log_abs_many, np.arange(-40, 40))
+    assert calls == []
+    # a rational rule still reads the split, through both spies
+    WeightPrefix(WeightSeq.ratio([1.0, 1.0], [0.0, 1.0])).log_abs_many(np.arange(1, 40))
+    assert calls.count("_sums") == 1 and "clip" in calls
